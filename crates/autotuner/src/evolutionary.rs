@@ -35,12 +35,6 @@ pub struct EvolutionConfig {
     pub mutation_rate: f64,
     /// Fraction of the returned top-k replaced with random candidates.
     pub epsilon: f64,
-    /// Statically verify offspring before they enter the scored population
-    /// ([`tlp_verify::verify`]) and regenerate the ones carrying verifier
-    /// errors. On by default: pruning a doomed candidate costs one linear
-    /// analyzer pass instead of a cost-model forward pass plus a guaranteed
-    /// lowering rejection at measurement time.
-    pub static_prune: bool,
     /// Draft-then-verify speculative scoring (off by default). Requires a
     /// [`DraftScorer`] attached via [`Searcher::with_draft`] to take
     /// effect.
@@ -54,7 +48,6 @@ impl Default for EvolutionConfig {
             generations: 4,
             mutation_rate: 0.85,
             epsilon: 0.1,
-            static_prune: true,
             speculative: SpecConfig::OFF,
         }
     }
@@ -190,7 +183,7 @@ impl<'a> Searcher<'a> {
     /// accounting.
     pub fn run(&mut self, k: usize, rng: &mut SmallRng) -> SearchOutcome {
         let config = self.config;
-        let gate = Gate::new(self.task, self.policy, config.static_prune);
+        let gate = Gate::new(self.task, self.policy);
         let mut stats = SearchStats::default();
         let elite_target = (config.population / 4).max(2);
 
@@ -433,22 +426,24 @@ fn full_scores(
         .collect()
 }
 
-/// The static-verification gate in front of the scored population.
+/// The static-verification gate in front of the scored population: every
+/// offspring is verified ([`tlp_verify::verify_with`]) before it is scored,
+/// because pruning a doomed candidate costs one linear analyzer pass instead
+/// of a cost-model forward pass plus a guaranteed lowering rejection at
+/// measurement time.
 struct Gate<'a> {
     task: &'a SearchTask,
     opts: tlp_verify::VerifyOptions,
-    enabled: bool,
 }
 
 impl<'a> Gate<'a> {
-    fn new(task: &'a SearchTask, policy: &SketchPolicy, enabled: bool) -> Self {
+    fn new(task: &'a SearchTask, policy: &SketchPolicy) -> Self {
         Gate {
             task,
             opts: tlp_verify::VerifyOptions {
                 gpu: Some(policy.gpu),
                 ..tlp_verify::VerifyOptions::default()
             },
-            enabled,
         }
     }
 
@@ -463,9 +458,6 @@ impl<'a> Gate<'a> {
     ) -> Candidate {
         let mut candidate = generate(rng);
         stats.generated += 1;
-        if !self.enabled {
-            return candidate;
-        }
         let mut retries = 0;
         while tlp_verify::verify_with(&self.task.subgraph, &candidate.sequence, &self.opts)
             .has_errors()
@@ -571,31 +563,12 @@ mod tests {
     }
 
     #[test]
-    fn pruning_does_not_change_results_on_valid_streams() {
-        // With zero prunes the gate consumes no extra randomness, so the
-        // gated and ungated searches walk identical RNG streams.
-        let t = task();
-        let config = |prune| EvolutionConfig {
-            population: 16,
-            generations: 2,
-            static_prune: prune,
-            ..EvolutionConfig::default()
-        };
-        let run = |prune| search(&t, &RandomModel::new(7), &config(prune), 5, 13).candidates;
-        let gated = run(true);
-        let ungated = run(false);
-        let fp =
-            |c: &[Candidate]| -> Vec<u64> { c.iter().map(|x| x.sequence.fingerprint()).collect() };
-        assert_eq!(fp(&gated), fp(&ungated));
-    }
-
-    #[test]
     fn gate_prunes_invalid_candidates_with_bounded_retries() {
         use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
 
         let t = task();
         let policy = SketchPolicy::cpu();
-        let gate = Gate::new(&t, &policy, true);
+        let gate = Gate::new(&t, &policy);
         let mut stats = SearchStats::default();
         let mut rng = SmallRng::seed_from_u64(17);
         // A generator that only ever produces invalid schedules (dangling
@@ -692,7 +665,7 @@ mod tests {
     fn speculation_is_rng_neutral_with_full_keep() {
         // draft_keep = 1.0 means the full model verifies everything, so the
         // outcome must be bit-identical to a draft-free run with the same
-        // seed — the same discipline static_prune follows.
+        // seed.
         let t = task();
         let base_config = EvolutionConfig {
             population: 16,

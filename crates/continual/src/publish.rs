@@ -33,14 +33,6 @@ pub struct PublishPolicy {
     /// A candidate whose canary rank accuracy is more than this far below
     /// the last good snapshot's is rolled back.
     pub canary_tolerance: f64,
-    /// Run the `tlp-modelcheck` audit on every candidate snapshot *before*
-    /// it is installed for canary scoring, rejecting candidates with
-    /// error-severity diagnostics
-    /// ([`PublishOutcome::RejectedInvalid`]). On by default: the canary
-    /// only measures ranking quality, so a structurally broken model
-    /// (NaN weights, torn head partition) could otherwise reach the
-    /// registry before the canary notices anything.
-    pub audit: bool,
 }
 
 impl Default for PublishPolicy {
@@ -48,7 +40,6 @@ impl Default for PublishPolicy {
         PublishPolicy {
             every_rounds: 1,
             canary_tolerance: 0.02,
-            audit: true,
         }
     }
 }
@@ -113,8 +104,10 @@ pub enum PublishOutcome {
         /// The accuracy the good snapshot had scored.
         good_accuracy: f64,
     },
-    /// The candidate failed the pre-canary `tlp-modelcheck` audit and was
-    /// never installed; the previously serving version is untouched.
+    /// The candidate failed the `tlp-modelcheck` audit on the restore /
+    /// install path and never became resolvable; the previously serving
+    /// version is untouched. (The canary only measures ranking quality, so
+    /// NaN weights or a torn head partition must be stopped here.)
     RejectedInvalid {
         /// Distinct M-codes of the audit's error diagnostics, sorted.
         codes: Vec<String>,
@@ -187,7 +180,7 @@ impl SnapshotPublisher {
             .count()
     }
 
-    /// Number of candidates the pre-canary audit rejected.
+    /// Number of candidates the restore/install audit rejected.
     pub fn rejected_invalid(&self) -> usize {
         self.events
             .iter()
@@ -195,13 +188,16 @@ impl SnapshotPublisher {
             .count()
     }
 
-    /// Snapshot → install → canary-score → keep-or-rollback, when `round`
-    /// (0-based) is on the policy cadence.
+    /// Snapshot → audited restore + install → canary-score →
+    /// keep-or-rollback, when `round` (0-based) is on the policy cadence. A
+    /// candidate the audit rejects is reported as
+    /// [`PublishOutcome::RejectedInvalid`], not as an error.
     ///
     /// # Errors
     ///
-    /// Propagates [`PersistError`] from snapshot restore — impossible for a
-    /// well-formed model but surfaced rather than swallowed.
+    /// Propagates any other [`PersistError`] from snapshot restore —
+    /// impossible for a well-formed model but surfaced rather than
+    /// swallowed.
     pub fn maybe_publish(
         &mut self,
         round: usize,
@@ -213,11 +209,15 @@ impl SnapshotPublisher {
             return Ok(PublishOutcome::Skipped);
         }
         let snapshot = snapshot_mtl(model, extractor);
-        if self.policy.audit {
-            let report = snapshot.audit();
-            if report.has_errors() {
-                let codes: std::collections::BTreeSet<String> = report
-                    .errors()
+        let installed = snapshot.restore_mtl().and_then(|(restored, ex)| {
+            self.registry
+                .install_mtl_head(&self.name, restored, ex, self.head)
+        });
+        let version = match installed {
+            Ok(version) => version,
+            Err(PersistError::Invalid { diagnostics }) => {
+                let codes: std::collections::BTreeSet<String> = diagnostics
+                    .iter()
                     .map(|d| d.code.as_str().to_string())
                     .collect();
                 let outcome = PublishOutcome::RejectedInvalid {
@@ -226,13 +226,8 @@ impl SnapshotPublisher {
                 self.events.push(outcome.clone());
                 return Ok(outcome);
             }
-        }
-        // The pre-canary gate above already audited the exact bytes being
-        // installed (when enabled), so the restore need not re-audit.
-        let (restored, ex) = snapshot.restore_mtl_unchecked()?;
-        let version = self
-            .registry
-            .install_mtl_head(&self.name, restored, ex, self.head)?;
+            Err(e) => return Err(e),
+        };
         let accuracy = match self.registry.resolve(&self.name) {
             Some(v) => canary_accuracy(&v, &self.canaries),
             // Raced external removal: treat as a total regression so the

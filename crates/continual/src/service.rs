@@ -58,12 +58,6 @@ pub struct ContinualConfig {
     pub measure: MeasurePolicy,
     /// Per-round adaptation configuration (trainer knobs + trunk mode).
     pub adapt: AdaptConfig,
-    /// Run the `tlp-modelcheck` audit on the grown model before the first
-    /// round, rejecting a structurally broken starting point
-    /// ([`PersistError::Invalid`]) instead of adapting it for hours. On by
-    /// default; the audit is read-only and RNG-neutral, so enabling it
-    /// never changes the loop's results on a valid model.
-    pub audit: bool,
     /// Master seed for candidate sampling and fault injection.
     pub seed: u64,
 }
@@ -133,8 +127,8 @@ struct TaskAccum {
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Invalid`] when the entry audit is enabled and
-/// the grown model carries error-severity diagnostics; propagates
+/// Returns [`PersistError::Invalid`] when the grown model fails the entry
+/// audit (error-severity `tlp-modelcheck` diagnostics); propagates
 /// [`PersistError`] from snapshot publishing.
 ///
 /// # Panics
@@ -156,15 +150,10 @@ pub fn run_continual(
         "one dataset platform column per head (new platform last)"
     );
     assert!(n_heads >= 2, "need at least one old head and the new head");
-    if config.audit {
-        let spec = tlp::audit::mtl_spec(&model.config, n_heads);
-        let report = tlp_modelcheck::audit_store(&spec, &model.store);
-        if report.has_errors() {
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-    }
+    // Entry audit: reject a structurally broken starting point instead of
+    // adapting it for hours (read-only and RNG-neutral on a valid model).
+    let spec = tlp::audit::mtl_spec(&model.config, n_heads);
+    PersistError::reject_errors(&tlp_modelcheck::audit_store(&spec, &model.store))?;
     let new_head = n_heads - 1;
     let new_platform = &ds.platforms[new_head];
 

@@ -50,7 +50,7 @@ fn grown_model(ds: &Dataset, ex: &FeatureExtractor) -> MtlTlp {
     ];
     let options = TrainOptions::from_config(&cfg).with_seed(77);
     train_mtl_with(&mut base, &data, &options);
-    base.grow_head_checked().expect("grown model passes audit")
+    base.grow_head()
 }
 
 fn replay_from(ds: &Dataset, ex: &FeatureExtractor) -> ReplayBuffer {
@@ -77,7 +77,6 @@ fn loop_config(trunk_frozen: bool) -> ContinualConfig {
         } else {
             AdaptConfig::low_lr(train, 0.1)
         },
-        audit: true,
         seed: 99,
     }
 }
@@ -202,7 +201,6 @@ fn canary_gate_rolls_back_a_regressed_candidate() {
         PublishPolicy {
             every_rounds: 1,
             canary_tolerance: 0.01,
-            audit: true,
         },
         canaries,
     );
@@ -272,30 +270,14 @@ fn entry_audit_rejects_nan_grown_model() {
         diagnostics.iter().any(|d| d.code.as_str() == "M301"),
         "expected M301 NonFiniteValue, got {diagnostics:?}"
     );
-
-    // The escape hatch skips the gate (the loop then runs on garbage, which
-    // is the operator's explicit choice).
-    let config = ContinualConfig {
-        audit: false,
-        rounds: 0,
-        ..config
-    };
-    run_continual(&mut model, &ex, &ds, &replay, &config, None)
-        .expect("audit disabled: loop proceeds");
 }
 
 #[test]
-fn publisher_rejects_invalid_candidate_before_canary() {
+fn publisher_rejects_invalid_candidate_and_keeps_last_good_serving() {
     let ds = continual_dataset();
     let cfg = TlpConfig::test_scale();
     let ex = FeatureExtractor::fit(&ds, cfg.seq_len, cfg.emb_size);
     let mut model = grown_model(&ds, &ex);
-    let id = model
-        .store
-        .ids()
-        .find(|&id| model.store.name(id).starts_with("head2."))
-        .expect("new-head param");
-    model.store.value_mut(id).data_mut()[0] = f32::INFINITY;
 
     let registry = Arc::new(ModelRegistry::default());
     let mut publisher = SnapshotPublisher::new(
@@ -305,15 +287,34 @@ fn publisher_rejects_invalid_candidate_before_canary() {
         PublishPolicy::default(),
         CanarySet::from_dataset(&ds, 2, 0),
     );
-    let outcome = publisher
+    let good = publisher
         .maybe_publish(0, &model, &ex)
-        .expect("gate itself cannot fail");
+        .expect("publish good");
+    let PublishOutcome::Published {
+        version: good_version,
+        ..
+    } = good
+    else {
+        panic!("first publish must be accepted, got {good:?}");
+    };
+
+    let id = model
+        .store
+        .ids()
+        .find(|&id| model.store.name(id).starts_with("head2."))
+        .expect("new-head param");
+    model.store.value_mut(id).data_mut()[0] = f32::INFINITY;
+    let outcome = publisher
+        .maybe_publish(1, &model, &ex)
+        .expect("an audit rejection is an outcome, not an error");
     let PublishOutcome::RejectedInvalid { codes } = outcome else {
         panic!("expected RejectedInvalid, got {outcome:?}");
     };
     assert!(codes.contains(&"M301".to_string()), "codes: {codes:?}");
     assert_eq!(publisher.rejected_invalid(), 1);
-    assert_eq!(publisher.published(), 0);
-    // The broken candidate never reached the registry.
-    assert!(registry.resolve("gate").is_none());
+    assert_eq!(publisher.published(), 1);
+    // The broken candidate never became resolvable: the last good version
+    // is still the one serving.
+    let serving = registry.resolve("gate").expect("last good still installed");
+    assert_eq!(serving.version(), good_version);
 }

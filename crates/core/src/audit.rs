@@ -8,9 +8,9 @@
 //! possibly-corrupted store claims. These helpers build that spec.
 //!
 //! Persist ([`SavedTlp::audit`](crate::SavedTlp::audit)), serving
-//! (`tlp-serve` install gate), continual growth, and the trainer's coverage
-//! check all consume these specs; see `crates/modelcheck` for the M-code
-//! catalogue.
+//! (`tlp-serve` install gate), the continual loop's entry audit, and the
+//! trainer's coverage check all consume these specs; see
+//! `crates/modelcheck` for the M-code catalogue.
 
 use crate::config::TlpConfig;
 use crate::model::TlpModel;

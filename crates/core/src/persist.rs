@@ -9,9 +9,9 @@
 //! [`SavedTlp::restore_mtl`] run the `tlp-modelcheck` static analyzer
 //! (shape/arity, trunk/head partition, numeric sanity, store checksum)
 //! against the snapshot before handing a model back, rejecting corrupt or
-//! inconsistent snapshots with [`PersistError::Invalid`]. On a valid
-//! snapshot the audit is read-only and RNG-neutral, so the gated restore is
-//! bit-identical to the `_unchecked` variants.
+//! inconsistent snapshots with [`PersistError::Invalid`]. The audit is
+//! read-only and RNG-neutral: a restored model's parameters are bitwise the
+//! snapshot's. There is no unaudited restore.
 
 use crate::config::TlpConfig;
 use crate::features::FeatureExtractor;
@@ -154,6 +154,25 @@ impl std::fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
+
+impl PersistError {
+    /// The one audit gate every trust boundary (restore, registry install,
+    /// continual entry, publish) funnels through: [`PersistError::Invalid`]
+    /// carrying `report`'s error-severity diagnostics, `Ok` when it has
+    /// none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Invalid`] when `report` has errors.
+    pub fn reject_errors(report: &AuditReport) -> Result<(), PersistError> {
+        if report.has_errors() {
+            return Err(PersistError::Invalid {
+                diagnostics: report.errors().cloned().collect(),
+            });
+        }
+        Ok(())
+    }
+}
 
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
@@ -421,22 +440,10 @@ impl SavedTlp {
         self.audit_against(&self.spec())
     }
 
-    /// Rejects the snapshot with [`PersistError::Invalid`] if `report`
-    /// carries any error-severity diagnostic.
-    fn gate(report: &AuditReport) -> Result<(), PersistError> {
-        if report.has_errors() {
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Ok(())
-    }
-
     /// Rebuilds the single-task model and extractor, auditing the snapshot
     /// first. The audit reuses the freshly initialized model as the layout
     /// ground truth, so the gate costs one read-only sweep over the store
-    /// and nothing else — on a valid snapshot the result is bit-identical
-    /// to [`SavedTlp::restore_tlp_unchecked`].
+    /// and nothing else.
     ///
     /// # Errors
     ///
@@ -452,31 +459,7 @@ impl SavedTlp {
         }
         let mut model = TlpModel::new(self.config.clone());
         let spec = ModelSpec::from_store(&model.store, vec!["head.".to_string()], None);
-        Self::gate(&self.audit_against(&spec))?;
-        model.store = self.store.clone();
-        let extractor =
-            FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
-        Ok((model, extractor))
-    }
-
-    /// Rebuilds the single-task model and extractor without auditing.
-    ///
-    /// Escape hatch for trusted in-process snapshots and for measuring the
-    /// gate's overhead; anything crossing a file or process boundary should
-    /// go through [`SavedTlp::restore_tlp`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::HeadCount`] if the snapshot was taken from an
-    /// MTL model.
-    pub fn restore_tlp_unchecked(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
-        if self.heads != 1 {
-            return Err(PersistError::HeadCount {
-                found: self.heads,
-                expected: 1,
-            });
-        }
-        let mut model = TlpModel::new(self.config.clone());
+        PersistError::reject_errors(&self.audit_against(&spec))?;
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -484,8 +467,7 @@ impl SavedTlp {
     }
 
     /// Rebuilds an MTL model and extractor, auditing the snapshot first
-    /// (same gate as [`SavedTlp::restore_tlp`]; bit-identical to
-    /// [`SavedTlp::restore_mtl_unchecked`] on a valid snapshot).
+    /// (same gate as [`SavedTlp::restore_tlp`]).
     ///
     /// # Errors
     ///
@@ -502,27 +484,7 @@ impl SavedTlp {
         let mut model = MtlTlp::new(self.config.clone(), self.heads);
         let prefixes = (0..self.heads).map(|i| format!("head{i}.")).collect();
         let spec = ModelSpec::from_store(&model.store, prefixes, Some("head".to_string()));
-        Self::gate(&self.audit_against(&spec))?;
-        model.store = self.store.clone();
-        let extractor =
-            FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
-        Ok((model, extractor))
-    }
-
-    /// Rebuilds an MTL model and extractor without auditing (see
-    /// [`SavedTlp::restore_tlp_unchecked`] for when that is appropriate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::HeadCount`] if the snapshot records no heads.
-    pub fn restore_mtl_unchecked(&self) -> Result<(MtlTlp, FeatureExtractor), PersistError> {
-        if self.heads == 0 {
-            return Err(PersistError::HeadCount {
-                found: 0,
-                expected: 1,
-            });
-        }
-        let mut model = MtlTlp::new(self.config.clone(), self.heads);
+        PersistError::reject_errors(&self.audit_against(&spec))?;
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -771,8 +733,6 @@ mod tests {
             }
             other => panic!("expected Invalid, got {other:?}", other = other.err()),
         }
-        // The escape hatch still restores.
-        assert!(snap.restore_tlp_unchecked().is_ok());
     }
 
     #[test]
@@ -813,23 +773,34 @@ mod tests {
     }
 
     #[test]
-    fn gated_restore_is_bit_identical_to_unchecked() {
+    fn restored_parameters_are_bitwise_the_source_models() {
         let cfg = TlpConfig::test_scale();
         let model = MtlTlp::new(cfg.clone(), 2);
-        let mut vb = Vocabulary::builder();
-        vb.observe("dense");
-        vb.observe("i");
-        let ex = FeatureExtractor::with_vocab(vb.build(), cfg.seq_len, cfg.emb_size);
-        let snap = snapshot_mtl(&model, &ex);
-        let (gated, _) = snap.restore_mtl().expect("valid snapshot");
-        let (unchecked, _) = snap.restore_mtl_unchecked().expect("valid snapshot");
-        let feats = sample_features(&ex);
-        for head in 0..2 {
-            assert_eq!(
-                gated.predict_task(&feats, head),
-                unchecked.predict_task(&feats, head),
-                "the audit gate must not perturb a valid model"
-            );
-        }
+        let ex =
+            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
+        let (restored, _) = snapshot_mtl(&model, &ex)
+            .restore_mtl()
+            .expect("valid snapshot");
+        assert_eq!(
+            store_checksum(&restored.store),
+            store_checksum(&model.store)
+        );
+        let bits = |store: &ParamStore| -> Vec<(String, Vec<u32>)> {
+            store
+                .ids()
+                .map(|id| {
+                    let data = store.value(id).data();
+                    (
+                        store.name(id).to_string(),
+                        data.iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            bits(&restored.store),
+            bits(&model.store),
+            "the audit must not perturb a valid model"
+        );
     }
 }

@@ -83,13 +83,6 @@ pub struct TrainOptions {
     /// seed; the legacy wrappers salt this exactly like the loops they
     /// replaced, preserving historical batch streams).
     pub seed: u64,
-    /// Run the `tlp-modelcheck` gradient-coverage check (M4xx) against the
-    /// task's declared [`Trainable::coverage`] objective before the first
-    /// epoch, panicking on errors — a mask that silently trains nothing or
-    /// strands a trainable parameter is a bug, not a run to complete.
-    /// Read-only and RNG-neutral, so results are bit-identical either way
-    /// on a sound objective. Default on.
-    pub coverage_check: bool,
 }
 
 impl TrainOptions {
@@ -108,7 +101,6 @@ impl TrainOptions {
             patience: 0,
             valid_frac: 0.0,
             seed: config.seed,
-            coverage_check: true,
         }
     }
 
@@ -157,12 +149,6 @@ impl TrainOptions {
     /// Sets the base learning rate.
     pub fn with_learning_rate(mut self, learning_rate: f32) -> Self {
         self.learning_rate = learning_rate;
-        self
-    }
-
-    /// Enables or disables the startup gradient-coverage check.
-    pub fn with_coverage_check(mut self, coverage_check: bool) -> Self {
-        self.coverage_check = coverage_check;
         self
     }
 
@@ -479,14 +465,14 @@ impl Trainer {
         resume: Option<TrainCheckpoint>,
     ) -> TrainReport {
         let o = &self.options;
-        if o.coverage_check {
-            if let Some(cov) = task.coverage() {
-                let report = tlp_modelcheck::check_coverage(task.store(), &cov);
-                assert!(
-                    !report.has_errors(),
-                    "training objective fails gradient-coverage audit:\n{report}"
-                );
-            }
+        // A mask that silently trains nothing or strands a trainable
+        // parameter is a bug, not a run to complete (read-only, RNG-neutral).
+        if let Some(cov) = task.coverage() {
+            let report = tlp_modelcheck::check_coverage(task.store(), &cov);
+            assert!(
+                !report.has_errors(),
+                "training objective fails gradient-coverage audit:\n{report}"
+            );
         }
         let workers = o.effective_workers();
         let accum = o.effective_grad_accum().max(1);
@@ -830,6 +816,46 @@ mod tests {
             Err(PersistError::Io(_))
         ));
         let _ = std::fs::remove_file(path);
+    }
+
+    /// Two heads over a shared trunk whose objective only reaches head 0.
+    struct StrandedHead(ParamStore);
+
+    impl Trainable for StrandedHead {
+        type Batch = ();
+
+        fn store(&self) -> &ParamStore {
+            &self.0
+        }
+        fn store_mut(&mut self) -> &mut ParamStore {
+            &mut self.0
+        }
+        fn epoch_batches(&self, _epoch: usize, _rng: &mut SmallRng) -> Vec<()> {
+            Vec::new()
+        }
+        fn batch_samples(&self, _batch: &()) -> usize {
+            0
+        }
+        fn loss(&self, _ws: &mut Workspace, _batch: &()) -> Var {
+            unreachable!("the coverage audit rejects the objective before any batch")
+        }
+        fn coverage(&self) -> Option<CoverageSpec> {
+            Some(CoverageSpec {
+                head_prefixes: vec!["head0.".to_string(), "head1.".to_string()],
+                trained: tlp_modelcheck::TrainedHeads::Heads(vec![0]),
+                frozen: Vec::new(),
+            })
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient-coverage audit")]
+    fn fit_rejects_an_objective_that_strands_a_trainable_parameter() {
+        let mut store = ParamStore::new();
+        for name in ["backbone.w", "head0.w", "head1.w"] {
+            store.add(name, tlp_nn::Tensor::zeros(&[2]));
+        }
+        Trainer::new(TrainOptions::default()).fit(&mut StrandedHead(store));
     }
 
     #[test]

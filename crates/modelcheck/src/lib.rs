@@ -43,48 +43,12 @@ pub use spec::{CoverageSpec, ModelSpec, ParamSpec, TrainedHeads};
 
 use tlp_nn::ParamStore;
 
-/// Which structural passes [`audit_store_with`] runs. All default on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AuditOptions {
-    /// Pass 1 — shape/arity against the [`ModelSpec`].
-    pub shape: bool,
-    /// Pass 2 — trunk/head partition integrity.
-    pub partition: bool,
-    /// Pass 3 — numeric audit of values and gradient residue.
-    pub numeric: bool,
-}
-
-impl Default for AuditOptions {
-    fn default() -> Self {
-        AuditOptions {
-            shape: true,
-            partition: true,
-            numeric: true,
-        }
-    }
-}
-
-/// Audits a store with every structural pass (1–3) enabled.
+/// Audits a store with the three structural passes (1–3).
 pub fn audit_store(spec: &ModelSpec, store: &ParamStore) -> AuditReport {
-    audit_store_with(spec, store, &AuditOptions::default())
-}
-
-/// Audits a store with an explicit pass selection.
-pub fn audit_store_with(
-    spec: &ModelSpec,
-    store: &ParamStore,
-    options: &AuditOptions,
-) -> AuditReport {
     let mut out = Vec::new();
-    if options.shape {
-        shape::check(spec, store, &mut out);
-    }
-    if options.partition {
-        partition::check(spec, store, &mut out);
-    }
-    if options.numeric {
-        numeric::check(store, &mut out);
-    }
+    shape::check(spec, store, &mut out);
+    partition::check(spec, store, &mut out);
+    numeric::check(store, &mut out);
     AuditReport::new(out)
 }
 
@@ -226,19 +190,6 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert!(s.warnings >= 2);
         assert_eq!(s.lints, 1);
-    }
-
-    #[test]
-    fn pass_selection_respected() {
-        let (spec, mut store) = toy();
-        let id = store.ids().next().unwrap();
-        store.value_mut(id).data_mut()[0] = f32::NAN;
-        let off = AuditOptions {
-            numeric: false,
-            ..AuditOptions::default()
-        };
-        assert!(audit_store_with(&spec, &store, &off).is_clean());
-        assert!(audit_store(&spec, &store).has_errors());
     }
 
     #[test]

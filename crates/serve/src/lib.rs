@@ -35,8 +35,8 @@
 //!
 //! Integration points: [`RemoteCostModel`] adapts a [`ServeClient`] to the
 //! autotuner's [`CostModel`](tlp_autotuner::CostModel) trait, and
-//! [`loadgen`] drives closed-loop multi-client load for the `serve-bench`
-//! CLI subcommand and the `BENCH_serving.json` benchmark.
+//! [`loadgen`] drives the simulated-time fleet harness behind the
+//! `fleet-bench` CLI subcommand and the `BENCH_fleet.json` benchmark.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -79,8 +79,8 @@ pub use error::ServeError;
 pub use fleet::{FleetConfig, FleetSnapshot, ServingFleet, ShardSnapshot};
 pub use health::{HealthBoard, HealthPolicy, ShardHealth};
 pub use loadgen::{
-    random_pool, run_closed_loop, run_fleet_sim, FleetLoadOptions, FleetLoadReport, LoadReport,
-    LoadgenOptions, SimLatencySummary, SimServiceModel,
+    random_pool, run_fleet_sim, FleetLoadOptions, FleetLoadReport, SimLatencySummary,
+    SimServiceModel,
 };
 pub use registry::{LoadedScorer, ModelRegistry, ModelVersion};
 pub use router::{route_key, FleetClient, FleetReply, HashRing, RouterStats};

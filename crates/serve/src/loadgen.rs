@@ -1,84 +1,33 @@
-//! Closed-loop multi-client load generator for the serving layer.
+//! Deterministic event-driven load generator for the serving fleet.
 //!
-//! Drives N client threads against a [`ServeClient`], each issuing its next
-//! request as soon as the previous one completes (closed loop), and reports
-//! client-observed latency percentiles, throughput, and the server's own
-//! stats snapshot. The same harness backs the `serve-bench` CLI subcommand
-//! and the `serving_load` benchmark that writes `BENCH_serving.json`.
+//! Wall-clock serving measurement (closed-loop clients against one
+//! [`Server`](crate::Server), every reply bit-compared) lives in the
+//! `tlp-sysbench` `serve_warm`/`serve_miss` workloads; this module keeps
+//! the shared candidate pool and the simulated-time fleet harness.
 //!
-//! Clients draw candidate batches from a shared pre-generated pool through
-//! per-client rotating windows, so concurrent clients overlap on candidates
-//! the way concurrent tuners sharing a task do — which is exactly the
-//! workload the engine's score cache and the batcher's coalescing are built
-//! for.
+//! Measuring fleet *scaling* with real threads is meaningless on a small
+//! machine: 8 shards of batchers on a single core time-slice each other and
+//! the "fleet" scales by exactly nothing. The fleet harness therefore
+//! simulates only **time** — a discrete-event loop over integer nanoseconds
+//! where each shard is a unit-capacity service station — while everything
+//! semantic stays real: requests route through the real `FleetClient`
+//! (real consistent hashing, real breakers, real health gossip, real chaos
+//! injection) into real shard servers scoring real schedules on real
+//! models. A request's *service time* is charged from a calibrated
+//! [`SimServiceModel`] using the reply's actual `BatchStats` (cache hits
+//! vs misses), and queueing emerges from shard busy-times. The loop is
+//! single-threaded and pops events in `(time, client)` order, so every run
+//! with the same seed is bit-identical — which is what lets the bench
+//! hard-assert "rate-0 chaos == no chaos" and p99 bounds instead of
+//! eyeballing noisy wall-clock numbers.
 
 use crate::router::FleetClient;
-use crate::server::ServeClient;
-use crate::stats::{HistogramSnapshot, LatencyHistogram, ServeSnapshot};
 use crate::tenant::DEFAULT_TENANT;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
 use tlp_schedule::ScheduleSequence;
-
-/// Closed-loop load shape.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadgenOptions {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests each client issues before exiting.
-    pub requests_per_client: usize,
-    /// Candidates per request.
-    pub batch: usize,
-    /// Optional per-request deadline.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for LoadgenOptions {
-    fn default() -> Self {
-        LoadgenOptions {
-            clients: 8,
-            requests_per_client: 40,
-            batch: 16,
-            deadline: None,
-        }
-    }
-}
-
-/// What a load run observed, from the clients' side and the server's side.
-#[derive(Clone, Debug, Serialize)]
-pub struct LoadReport {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests each client issued.
-    pub requests_per_client: usize,
-    /// Candidates per request.
-    pub batch: usize,
-    /// Requests answered with scores.
-    pub ok: u64,
-    /// Requests that failed with a [`crate::ServeError`].
-    pub errors: u64,
-    /// Wall-clock seconds for the whole run.
-    pub wall_s: f64,
-    /// Completed requests per wall-clock second.
-    pub requests_per_s: f64,
-    /// Scored candidates per wall-clock second.
-    pub candidates_per_s: f64,
-    /// Client-observed end-to-end latency (submit → reply).
-    pub client_latency_us: HistogramSnapshot,
-    /// The server's stats snapshot at the end of the run.
-    pub server: ServeSnapshot,
-}
-
-impl LoadReport {
-    /// Pretty-printed JSON rendering.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-    }
-}
 
 /// Pre-generates a shared pool of `n` random candidate schedules for `task`.
 pub fn random_pool(task: &SearchTask, n: usize, seed: u64) -> Vec<ScheduleSequence> {
@@ -88,88 +37,6 @@ pub fn random_pool(task: &SearchTask, n: usize, seed: u64) -> Vec<ScheduleSequen
         .map(|_| Candidate::random(&policy, &task.subgraph, &mut rng).sequence)
         .collect()
 }
-
-/// Runs `opts.clients` closed-loop clients against `model`, drawing batches
-/// from `pool`, and returns the combined report.
-///
-/// # Panics
-///
-/// Panics if `pool` is empty or `opts.batch` is zero.
-pub fn run_closed_loop(
-    client: &ServeClient,
-    model: &str,
-    task: &SearchTask,
-    pool: &[ScheduleSequence],
-    opts: &LoadgenOptions,
-) -> LoadReport {
-    assert!(!pool.is_empty(), "candidate pool must be non-empty");
-    assert!(opts.batch > 0, "batch size must be non-zero");
-    let latency = LatencyHistogram::new();
-    let ok = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..opts.clients {
-            let client = client.clone();
-            let (latency, ok, errors) = (&latency, &ok, &errors);
-            scope.spawn(move || {
-                for r in 0..opts.requests_per_client {
-                    // Rotating per-client window: overlapping but not
-                    // identical batches across clients and rounds.
-                    let begin = (c * 17 + r * opts.batch) % pool.len();
-                    let batch: Vec<ScheduleSequence> = (0..opts.batch)
-                        .map(|i| pool[(begin + i) % pool.len()].clone())
-                        .collect();
-                    let t0 = Instant::now();
-                    let result = match opts.deadline {
-                        None => client.score(model, task, &batch),
-                        Some(d) => client.score_with_deadline(model, task, &batch, d),
-                    };
-                    latency.record(t0.elapsed());
-                    match result {
-                        Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => errors.fetch_add(1, Ordering::Relaxed),
-                    };
-                }
-            });
-        }
-    });
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    let ok = ok.load(Ordering::Relaxed);
-    let errors = errors.load(Ordering::Relaxed);
-    LoadReport {
-        clients: opts.clients,
-        requests_per_client: opts.requests_per_client,
-        batch: opts.batch,
-        ok,
-        errors,
-        wall_s,
-        requests_per_s: ok as f64 / wall_s,
-        candidates_per_s: (ok * opts.batch as u64) as f64 / wall_s,
-        client_latency_us: latency.snapshot(),
-        server: client.stats(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic event-driven fleet simulation
-// ---------------------------------------------------------------------------
-//
-// Measuring fleet *scaling* with real threads is meaningless on a small
-// machine: 8 shards of batchers on a single core time-slice each other and
-// the "fleet" scales by exactly nothing. The fleet harness therefore
-// simulates only **time** — a discrete-event loop over integer nanoseconds
-// where each shard is a unit-capacity service station — while everything
-// semantic stays real: requests route through the real `FleetClient`
-// (real consistent hashing, real breakers, real health gossip, real chaos
-// injection) into real shard servers scoring real schedules on real
-// models. A request's *service time* is charged from a calibrated
-// [`SimServiceModel`] using the reply's actual `BatchStats` (cache hits
-// vs misses), and queueing emerges from shard busy-times. The loop is
-// single-threaded and pops events in `(time, client)` order, so every run
-// with the same seed is bit-identical — which is what lets the bench
-// hard-assert "rate-0 chaos == no chaos" and p99 bounds instead of
-// eyeballing noisy wall-clock numbers.
 
 /// Calibrated per-request service-time model (microseconds), charged in
 /// simulated time from the reply's real cache accounting.

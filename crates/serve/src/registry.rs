@@ -13,7 +13,7 @@
 
 use crate::error::ServeError;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use tlp::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
 use tlp::persist::{PersistError, SavedTlp};
@@ -21,7 +21,7 @@ use tlp::search::{FeatureScratch, MtlTlpScorer, TlpScorer, TLP_PIPELINE_COST};
 use tlp::FeatureExtractor;
 use tlp::{MtlTlp, TlpModel};
 use tlp_autotuner::{BatchStats, PipelineCost, SearchTask};
-use tlp_modelcheck::{audit_store, AuditReport};
+use tlp_modelcheck::audit_store;
 use tlp_schedule::ScheduleSequence;
 
 /// A scorer restored from a [`SavedTlp`] snapshot: single-task TLP or the
@@ -113,20 +113,17 @@ impl ModelVersion {
 
 /// Thread-safe name → current-[`ModelVersion`] map.
 ///
-/// Installs are **audited** by default: every model entering the registry —
-/// from a snapshot or in-memory — is run through the `tlp-modelcheck`
-/// static analyzer first, and a model with error-severity diagnostics is
-/// rejected with [`PersistError::Invalid`] instead of ever becoming
-/// resolvable. The registry counts rejections
+/// Installs are **audited**, unconditionally: every model entering the
+/// registry — from a snapshot or in-memory — is run through the
+/// `tlp-modelcheck` static analyzer first, and a model with error-severity
+/// diagnostics is rejected with [`PersistError::Invalid`] instead of ever
+/// becoming resolvable. The registry counts rejections
 /// ([`ModelRegistry::rejected_installs`]) for the serving stats snapshot.
-/// [`ModelRegistry::set_audit_installs`] is the escape hatch
-/// (`ServeConfig::validate_install` wires it at server start).
 #[derive(Debug)]
 pub struct ModelRegistry {
     models: RwLock<BTreeMap<String, Arc<ModelVersion>>>,
     next_version: AtomicU64,
     engine_config: EngineConfig,
-    audit_installs: AtomicBool,
     rejected_installs: AtomicU64,
 }
 
@@ -138,25 +135,14 @@ impl Default for ModelRegistry {
 
 impl ModelRegistry {
     /// An empty registry; every installed version gets an engine sized by
-    /// `engine_config`. Install auditing starts enabled.
+    /// `engine_config`.
     pub fn new(engine_config: EngineConfig) -> Self {
         ModelRegistry {
             models: RwLock::new(BTreeMap::new()),
             next_version: AtomicU64::new(1),
             engine_config,
-            audit_installs: AtomicBool::new(true),
             rejected_installs: AtomicU64::new(0),
         }
-    }
-
-    /// Enables or disables the `tlp-modelcheck` install gate.
-    pub fn set_audit_installs(&self, on: bool) {
-        self.audit_installs.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether installs are currently audited.
-    pub fn audit_installs(&self) -> bool {
-        self.audit_installs.load(Ordering::Relaxed)
     }
 
     /// How many installs the audit gate has rejected over the registry's
@@ -165,95 +151,71 @@ impl ModelRegistry {
         self.rejected_installs.load(Ordering::Relaxed)
     }
 
-    /// Rejects with [`PersistError::Invalid`] (and counts the rejection)
-    /// if `report` carries error-severity diagnostics.
-    fn gate(&self, report: AuditReport) -> Result<(), PersistError> {
-        if report.has_errors() {
-            self.rejected_installs.fetch_add(1, Ordering::Relaxed);
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Ok(())
-    }
-
     /// Installs (or hot-swaps) a model restored from a snapshot. Single-task
     /// snapshots load as TLP, multi-head snapshots as MTL-TLP (target head).
-    /// When auditing is enabled the snapshot's full audit (structure,
-    /// numerics, checksum) must pass first.
+    /// The restore's full audit (structure, numerics, checksum) must pass
+    /// first.
     ///
     /// Returns the new version tag.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit gate rejects the
+    /// Returns [`PersistError::Invalid`] when the audit rejects the
     /// snapshot; propagates other [`PersistError`]s from the restore
     /// (zero-head snapshots).
     pub fn install(&self, name: &str, snapshot: &SavedTlp) -> Result<u64, PersistError> {
-        if self.audit_installs() {
-            self.gate(snapshot.audit())?;
-        }
-        // The gate above already ran the full audit (or the operator turned
-        // it off); either way the restore itself need not re-audit.
-        let scorer = if snapshot.heads() == 1 {
-            let (model, extractor) = snapshot.restore_tlp_unchecked()?;
-            LoadedScorer::Tlp(TlpScorer { model, extractor })
+        let audited = if snapshot.heads() == 1 {
+            snapshot
+                .restore_tlp()
+                .map(|(model, extractor)| LoadedScorer::Tlp(TlpScorer { model, extractor }))
         } else {
-            let (model, extractor) = snapshot.restore_mtl_unchecked()?;
-            LoadedScorer::Mtl(MtlTlpScorer::new(model, extractor))
+            snapshot
+                .restore_mtl()
+                .map(|(model, extractor)| LoadedScorer::Mtl(MtlTlpScorer::new(model, extractor)))
         };
-        Ok(self.install_scorer(name, scorer))
+        self.install_audited(name, audited)
     }
 
     /// Installs (or hot-swaps) an in-memory single-task model, auditing its
-    /// store against the layout its config declares when the gate is on.
+    /// store against the layout its config declares.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit gate rejects the
-    /// model.
+    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
     pub fn install_tlp(
         &self,
         name: &str,
         model: TlpModel,
         extractor: FeatureExtractor,
     ) -> Result<u64, PersistError> {
-        if self.audit_installs() {
-            let spec = tlp::audit::tlp_spec(&model.config);
-            self.gate(audit_store(&spec, &model.store))?;
-        }
-        Ok(self.install_scorer(name, LoadedScorer::Tlp(TlpScorer { model, extractor })))
+        let spec = tlp::audit::tlp_spec(&model.config);
+        let audited = PersistError::reject_errors(&audit_store(&spec, &model.store))
+            .map(|()| LoadedScorer::Tlp(TlpScorer { model, extractor }));
+        self.install_audited(name, audited)
     }
 
     /// Installs (or hot-swaps) an in-memory MTL model (scored via head 0),
-    /// auditing its store when the gate is on.
+    /// auditing its store.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit gate rejects the
-    /// model.
+    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
     pub fn install_mtl(
         &self,
         name: &str,
         model: MtlTlp,
         extractor: FeatureExtractor,
     ) -> Result<u64, PersistError> {
-        if self.audit_installs() {
-            let spec = tlp::audit::mtl_spec(&model.config, model.num_tasks());
-            self.gate(audit_store(&spec, &model.store))?;
-        }
-        Ok(self.install_scorer(name, LoadedScorer::Mtl(MtlTlpScorer::new(model, extractor))))
+        self.install_mtl_head(name, model, extractor, 0)
     }
 
     /// Installs (or hot-swaps) an in-memory MTL model scored through head
     /// `head` (continual adaptation serves a newly grown platform head this
-    /// way without disturbing the other heads), auditing its store when the
-    /// gate is on.
+    /// way without disturbing the other heads), auditing its store.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit gate rejects the
-    /// model.
+    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
     ///
     /// # Panics
     ///
@@ -266,21 +228,29 @@ impl ModelRegistry {
         head: usize,
     ) -> Result<u64, PersistError> {
         assert!(head < model.num_tasks(), "serving head out of range");
-        if self.audit_installs() {
-            let spec = tlp::audit::mtl_spec(&model.config, model.num_tasks());
-            self.gate(audit_store(&spec, &model.store))?;
-        }
-        Ok(self.install_scorer(
-            name,
-            LoadedScorer::Mtl(MtlTlpScorer::for_head(model, extractor, head)),
-        ))
+        let spec = tlp::audit::mtl_spec(&model.config, model.num_tasks());
+        let audited = PersistError::reject_errors(&audit_store(&spec, &model.store))
+            .map(|()| LoadedScorer::Mtl(MtlTlpScorer::for_head(model, extractor, head)));
+        self.install_audited(name, audited)
     }
 
-    /// Installs a scorer under `name`, atomically replacing any previous
-    /// version. In-flight batches holding the old `Arc` finish on the old
-    /// version; its cache is invalidated immediately so the displaced
-    /// entries stop occupying memory.
-    pub fn install_scorer(&self, name: &str, scorer: LoadedScorer) -> u64 {
+    /// The one way into the registry: `audited` is a scorer whose model
+    /// passed the `tlp-modelcheck` audit, or the audit's rejection (counted
+    /// in [`ModelRegistry::rejected_installs`]). An accepted scorer
+    /// atomically replaces any previous version under `name`; in-flight
+    /// batches holding the old `Arc` finish on the old version, whose cache
+    /// is invalidated immediately so the displaced entries stop occupying
+    /// memory.
+    fn install_audited(
+        &self,
+        name: &str,
+        audited: Result<LoadedScorer, PersistError>,
+    ) -> Result<u64, PersistError> {
+        let scorer = audited.inspect_err(|e| {
+            if matches!(e, PersistError::Invalid { .. }) {
+                self.rejected_installs.fetch_add(1, Ordering::Relaxed);
+            }
+        })?;
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(ModelVersion {
             name: name.to_string(),
@@ -296,7 +266,7 @@ impl ModelRegistry {
         if let Some(old) = old {
             old.engine.invalidate();
         }
-        version
+        Ok(version)
     }
 
     /// The current version under `name`, if any.
@@ -418,38 +388,56 @@ mod tests {
     }
 
     #[test]
-    fn audit_gate_rejects_nan_model_and_counts_it() {
-        let reg = ModelRegistry::default();
-        assert!(reg.audit_installs(), "gate must default on");
-        let (mut model, ex) = model_and_extractor();
-        let id = model.store.ids().next().expect("store has params");
-        model.store.value_mut(id).data_mut()[0] = f32::NAN;
-
-        match reg.install_tlp("bad", model, ex) {
-            Err(PersistError::Invalid { diagnostics }) => {
-                assert!(!diagnostics.is_empty());
-            }
-            other => panic!("expected Invalid, got {other:?}", other = other.err()),
+    fn every_install_entry_point_rejects_a_nan_store_and_counts_it() {
+        type Install = fn(&ModelRegistry, &str) -> Result<u64, PersistError>;
+        fn nan_tlp() -> (TlpModel, FeatureExtractor) {
+            let (mut model, ex) = model_and_extractor();
+            let id = model.store.ids().next().expect("store has params");
+            model.store.value_mut(id).data_mut()[0] = f32::NAN;
+            (model, ex)
         }
-        assert_eq!(reg.rejected_installs(), 1);
-        assert!(
-            reg.resolve("bad").is_none(),
-            "rejected model must not serve"
-        );
-    }
-
-    #[test]
-    fn audit_gate_can_be_disabled() {
+        fn nan_mtl() -> (MtlTlp, FeatureExtractor) {
+            let (tlp, ex) = model_and_extractor();
+            let mut model = MtlTlp::new(tlp.config, 2);
+            let id = model.store.ids().next().expect("store has params");
+            model.store.value_mut(id).data_mut()[0] = f32::NAN;
+            (model, ex)
+        }
+        let entry_points: [(&str, Install); 4] = [
+            ("install", |reg, name| {
+                let (model, ex) = nan_mtl();
+                reg.install(name, &tlp::persist::snapshot_mtl(&model, &ex))
+            }),
+            ("install_tlp", |reg, name| {
+                let (model, ex) = nan_tlp();
+                reg.install_tlp(name, model, ex)
+            }),
+            ("install_mtl", |reg, name| {
+                let (model, ex) = nan_mtl();
+                reg.install_mtl(name, model, ex)
+            }),
+            ("install_mtl_head", |reg, name| {
+                let (model, ex) = nan_mtl();
+                reg.install_mtl_head(name, model, ex, 1)
+            }),
+        ];
         let reg = ModelRegistry::default();
-        reg.set_audit_installs(false);
-        let (mut model, ex) = model_and_extractor();
-        let id = model.store.ids().next().expect("store has params");
-        model.store.value_mut(id).data_mut()[0] = f32::NAN;
-        // With the gate off the broken model installs — the operator owns
-        // the consequences.
-        reg.install_tlp("bad", model, ex).expect("gate disabled");
-        assert_eq!(reg.rejected_installs(), 0);
-        assert!(reg.resolve("bad").is_some());
+        for (i, (name, install)) in entry_points.into_iter().enumerate() {
+            match install(&reg, name) {
+                Err(PersistError::Invalid { diagnostics }) => assert!(
+                    diagnostics
+                        .iter()
+                        .any(|d| d.code == tlp_modelcheck::Code::NonFiniteValue),
+                    "{name}: {diagnostics:?}"
+                ),
+                other => panic!("{name}: expected Invalid, got {:?}", other.err()),
+            }
+            assert_eq!(reg.rejected_installs(), i as u64 + 1, "{name}");
+            assert!(
+                reg.resolve(name).is_none(),
+                "{name}: rejected model must not serve"
+            );
+        }
     }
 
     #[test]

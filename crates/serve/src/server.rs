@@ -67,20 +67,6 @@ pub struct ServeConfig {
     pub batchers: usize,
     /// Coalescing policy.
     pub policy: BatchPolicy,
-    /// Statically verify every submitted schedule at admission
-    /// ([`tlp_verify::verify`]) and reject requests whose schedules carry
-    /// verifier *errors* with [`ServeError::InvalidSchedule`]. Warnings and
-    /// lints never reject. On by default: an invalid schedule would waste a
-    /// batcher slot scoring a program the lowerer rejects anyway.
-    pub validate_admission: bool,
-    /// Audit every model install through the `tlp-modelcheck` static
-    /// analyzer and reject models with error-severity diagnostics
-    /// ([`tlp::persist::PersistError::Invalid`]) before they become
-    /// resolvable. Applied to the registry at [`Server::start`]. On by
-    /// default: hot-swapping in a corrupt model would poison every
-    /// subsequent score; rejected installs are counted in
-    /// [`ServeSnapshot::rejected_installs`](crate::stats::ServeSnapshot).
-    pub validate_install: bool,
     /// Per-tenant QoS: weighted admission shares and fair-share dispatch.
     /// The default policy has a single auto-registered tenant class, which
     /// reduces to plain FIFO + global capacity — identical to pre-tenant
@@ -94,8 +80,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             batchers: 2,
             policy: BatchPolicy::default(),
-            validate_admission: true,
-            validate_install: true,
             tenants: TenantPolicy::default(),
         }
     }
@@ -112,7 +96,9 @@ pub struct ScoreReply {
     /// Engine accounting for the *coalesced* batch this job rode in (shared
     /// by all jobs in the batch).
     pub stats: BatchStats,
-    /// Time this job spent queued before its batch executed, µs.
+    /// Server-side time from this job's enqueue to its batch's *completion*,
+    /// µs: queue wait plus the coalesced batch's engine time (subtract
+    /// `stats.wall_s` to get the pure queue wait).
     pub queue_us: u64,
     /// Number of client jobs coalesced into the engine batch.
     pub batch_jobs: usize,
@@ -139,7 +125,6 @@ struct Shared {
     state: Mutex<QueueState>,
     cv: Condvar,
     capacity: usize,
-    validate_admission: bool,
     stats: ServeStats,
     registry: Arc<ModelRegistry>,
 }
@@ -180,7 +165,6 @@ pub struct Server {
 impl Server {
     /// Starts `config.batchers` batcher threads over `registry`.
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Server {
-        registry.set_audit_installs(config.validate_install);
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
@@ -189,7 +173,6 @@ impl Server {
             }),
             cv: Condvar::new(),
             capacity: config.queue_capacity,
-            validate_admission: config.validate_admission,
             stats: ServeStats::default(),
             registry,
         });
@@ -358,21 +341,21 @@ impl ServeClient {
             return Err(ServeError::UnknownModel(model.to_string()));
         }
         // Static verification gate: reject before cloning or enqueueing, so
-        // an invalid schedule costs O(verify) and never reaches a batcher.
-        if self.shared.validate_admission {
-            let opts = tlp_verify::VerifyOptions {
-                gpu: Some(task.platform.is_gpu()),
-                ..tlp_verify::VerifyOptions::default()
-            };
-            for (index, schedule) in schedules.iter().enumerate() {
-                let report = tlp_verify::verify_with(&task.subgraph, schedule, &opts);
-                if report.has_errors() {
-                    ServeStats::bump(&self.shared.stats.rejected_invalid);
-                    return Err(ServeError::InvalidSchedule {
-                        index,
-                        diagnostics: report.diagnostics,
-                    });
-                }
+        // an invalid schedule costs O(verify) and never reaches a batcher to
+        // be scored as a program the lowerer rejects anyway. Only verifier
+        // *errors* reject; warnings and lints never do.
+        let opts = tlp_verify::VerifyOptions {
+            gpu: Some(task.platform.is_gpu()),
+            ..tlp_verify::VerifyOptions::default()
+        };
+        for (index, schedule) in schedules.iter().enumerate() {
+            let report = tlp_verify::verify_with(&task.subgraph, schedule, &opts);
+            if report.has_errors() {
+                ServeStats::bump(&self.shared.stats.rejected_invalid);
+                return Err(ServeError::InvalidSchedule {
+                    index,
+                    diagnostics: report.diagnostics,
+                });
             }
         }
         let now = Instant::now();

@@ -4,7 +4,7 @@
 //! The hot path records one histogram sample and a handful of relaxed
 //! atomic increments per request; quantiles are computed only when a
 //! snapshot is taken. Snapshots are plain serde data so they can be dumped
-//! as JSON next to `BENCH_serving.json` or polled by an operator.
+//! as JSON or polled by an operator.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};

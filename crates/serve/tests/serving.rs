@@ -429,31 +429,3 @@ fn invalid_schedule_is_rejected_at_admission() {
     assert_eq!(snap.rejected_invalid, 1);
     assert_eq!(snap.completed, 0, "invalid request must never be scored");
 }
-
-#[test]
-fn admission_validation_can_be_disabled() {
-    // With the gate off, the same corrupted schedule is admitted (a paused
-    // server just queues it — execution would mask it as unscoreable).
-    let server = Server::start(
-        serving_registry(14),
-        ServeConfig {
-            batchers: 0,
-            validate_admission: false,
-            validate_install: true,
-            ..ServeConfig::default()
-        },
-    );
-    let t = task();
-    let mut pool = candidates(1, 47);
-    pool[0].push(
-        tlp_schedule::ConcretePrimitive::new(tlp_schedule::PrimitiveKind::Fuse, "d")
-            .with_loops(["ghost_a", "ghost_b"]),
-    );
-    let pending = server
-        .client()
-        .submit("m", &t, &pool, None)
-        .expect("admitted");
-    assert_eq!(server.client().stats().queue_depth, 1);
-    drop(server);
-    assert_eq!(pending.wait().err(), Some(ServeError::ShuttingDown));
-}

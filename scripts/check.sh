@@ -47,6 +47,9 @@ echo "==> continual suite (live adaptation, hot-swap, canary rollback)"
 cargo test -q --offline -p tlp-continual
 cargo test -q --offline -p tlp-serve --test registry_stress
 
+echo "==> system benchmark (own workspace: cargo test --workspace never compiles it)"
+cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml
+
 if [ "$status" -ne 0 ]; then
     echo "check.sh: fmt/clippy reported problems" >&2
     exit "$status"

@@ -5,7 +5,6 @@
 //! tlp-cli train <model.json>            train TLP and snapshot it
 //! tlp-cli eval <model.json>             top-k of a snapshot on the test set
 //! tlp-cli tune <network> [model.json]   tune a workload (random or TLP-guided)
-//! tlp-cli serve-bench [c] [r] [b]       closed-loop load against tlp-serve
 //! tlp-cli fleet-bench [s] [c] [r] [b]   simulated load against a sharded fleet
 //! tlp-cli adapt [snapshot.json]         continual-adapt a head to ryzen-3950x
 //! tlp-cli verify-corpus [out.json]      static-verifier sweep over the dataset
@@ -15,7 +14,7 @@
 //!
 //! Sizes follow `TLP_SCALE` (test|small|medium|paper; default small).
 //!
-//! Lives in the root package (not `crates/core`) because `serve-bench`
+//! Lives in the root package (not `crates/core`) because `fleet-bench`
 //! pulls in `tlp-serve`, which itself depends on the core crate.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
@@ -33,8 +32,8 @@ use tlp_autotuner::{tune_network, CostModel, EvolutionConfig, RandomModel, Tunin
 use tlp_hwsim::Platform;
 use tlp_schedule::Vocabulary;
 use tlp_serve::{
-    random_pool, run_closed_loop, run_fleet_sim, BatchPolicy, FleetConfig, FleetLoadOptions,
-    LoadgenOptions, ModelRegistry, ServeConfig, Server, ServingFleet, SimServiceModel,
+    random_pool, run_fleet_sim, BatchPolicy, FleetConfig, FleetLoadOptions, ModelRegistry,
+    ServeConfig, ServingFleet, SimServiceModel,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -48,7 +47,6 @@ fn main() {
             args.get(1).map(String::as_str),
             args.get(2).map(String::as_str),
         ),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         Some("fleet-bench") => cmd_fleet_bench(&args[1..]),
         Some("adapt") => cmd_adapt(args.get(1).map(String::as_str)),
         Some("verify-corpus") => cmd_verify_corpus(args.get(1).map(String::as_str)),
@@ -56,17 +54,13 @@ fn main() {
         Some("platforms") => cmd_platforms(),
         _ => {
             eprintln!(
-                "usage: tlp-cli <stats|train|eval|tune|serve-bench|fleet-bench|adapt|verify-corpus|audit-model|platforms> [args]\n\
+                "usage: tlp-cli <stats|train|eval|tune|fleet-bench|adapt|verify-corpus|audit-model|platforms> [args]\n\
                  \n\
                  stats                        dataset statistics\n\
                  train <model.json>           train TLP on the CPU dataset (i7 target)\n\
                  eval <model.json>            evaluate a snapshot's top-k\n\
                  tune <network> [model.json]  tune a workload (resnet-50, mobilenet-v2,\n\
                  \x20                            resnext-50, bert-tiny, bert-base)\n\
-                 serve-bench [c] [r] [b]      drive c closed-loop clients (default 8),\n\
-                 \x20                            r requests each (default 40) of b\n\
-                 \x20                            candidates (default 16) against a\n\
-                 \x20                            tlp-serve server; prints a JSON report\n\
                  fleet-bench [s] [c] [r] [b]  simulate c clients (default 64), r\n\
                  \x20                            requests each (default 8) of b\n\
                  \x20                            candidates (default 16) against an\n\
@@ -340,7 +334,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
                 .with_learning_rate(1e-3)
                 .with_seed(0x5EED),
         ),
-        audit: true,
         seed: 0xADA7,
     };
     println!(
@@ -621,66 +614,6 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
         0
     } else {
         eprintln!("audit-model: soundness check FAILED (see report)");
-        1
-    }
-}
-
-fn cmd_serve_bench(args: &[String]) -> i32 {
-    let parse = |i: usize, default: usize| -> Option<usize> {
-        match args.get(i) {
-            None => Some(default),
-            Some(s) => s.parse().ok(),
-        }
-    };
-    let (Some(clients), Some(requests), Some(batch)) = (parse(0, 8), parse(1, 40), parse(2, 16))
-    else {
-        eprintln!("serve-bench: arguments must be positive integers");
-        return 2;
-    };
-    if clients == 0 || requests == 0 || batch == 0 {
-        eprintln!("serve-bench: arguments must be positive integers");
-        return 2;
-    }
-
-    let cfg = TlpConfig::test_scale();
-    let extractor =
-        FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-    let model = TlpModel::new(cfg);
-    let registry = Arc::new(ModelRegistry::new(EngineConfig::default()));
-    registry
-        .install_tlp("tlp", model, extractor)
-        .expect("fresh model passes audit");
-
-    let task = tlp_autotuner::SearchTask::new(
-        Subgraph::new(
-            "d",
-            AnchorOp::Dense {
-                m: 128,
-                n: 128,
-                k: 128,
-            },
-        ),
-        Platform::i7_10510u(),
-    );
-    let pool = random_pool(&task, 256, 0xBE7C);
-    let server = Server::start(registry, ServeConfig::default());
-    let report = run_closed_loop(
-        &server.client(),
-        "tlp",
-        &task,
-        &pool,
-        &LoadgenOptions {
-            clients,
-            requests_per_client: requests,
-            batch,
-            deadline: None,
-        },
-    );
-    server.shutdown();
-    println!("{}", report.to_json());
-    if report.errors == 0 {
-        0
-    } else {
         1
     }
 }
