@@ -4,7 +4,7 @@
 //!
 //! 1. **From-scratch baseline**: a fresh TLP trained on the target's *full*
 //!    training collection — the paper's "collect a new dataset" cost.
-//! 2. **Continual arm**: a 2-head MTL model trained only on the old CPUs,
+//! 2. **Continual arm**: a 2-head model trained only on the old CPUs,
 //!    grown a third head, adapted online from fault-injected measurements
 //!    capped at ≤ 10 % of the baseline's sample count, rehearsing old
 //!    platforms from a stratified replay buffer.
@@ -22,10 +22,9 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tlp::experiments::{eval_mtl_head, eval_tlp};
+use tlp::experiments::{eval_head, eval_tlp};
 use tlp::{
-    train_mtl_with, train_tlp, FeatureExtractor, MtlTlp, TlpConfig, TlpModel, TrainData,
-    TrainOptions,
+    train_mtl_with, train_tlp, FeatureExtractor, TlpConfig, TlpModel, TrainData, TrainOptions,
 };
 use tlp_bench::{print_table, write_json};
 use tlp_continual::{
@@ -92,8 +91,8 @@ fn model_config() -> TlpConfig {
 /// Trains the 2-head base model on the old platforms and grows the target
 /// head warm-started from the e5-2673 head (the nearest known CPU) — the
 /// starting point of every continual arm.
-fn grown_model(ds: &Dataset, ex: &FeatureExtractor, cfg: &TlpConfig) -> MtlTlp {
-    let mut base = MtlTlp::new(cfg.clone(), 2);
+fn grown_model(ds: &Dataset, ex: &FeatureExtractor, cfg: &TlpConfig) -> TlpModel {
+    let mut base = TlpModel::with_heads(cfg.clone(), 2);
     let data = [
         TrainData::from_dataset(ds, ex, 0),
         TrainData::from_dataset(ds, ex, 1),
@@ -138,7 +137,7 @@ fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
     }
 }
 
-fn store_bits(model: &MtlTlp) -> Vec<u32> {
+fn store_bits(model: &TlpModel) -> Vec<u32> {
     model
         .store
         .ids()
@@ -153,7 +152,7 @@ fn hot_swap_arm(
     ex: &FeatureExtractor,
     cfg: &TlpConfig,
     config: &ContinualConfig,
-) -> (AdaptReport, MtlTlp, u64, u64) {
+) -> (AdaptReport, TlpModel, u64, u64) {
     let registry = Arc::new(ModelRegistry::default());
     let canaries = CanarySet::from_dataset(ds, 2, 0);
     let pool = canaries.first().expect("canary tasks exist").clone();
@@ -231,14 +230,14 @@ fn main() {
 
     // Zero-shot transfer: the warm-started head before any measurement.
     let warm = grown_model(&ds, &ex, &cfg);
-    let (zero_shot_top1, _) = eval_mtl_head(&warm, &ex, &ds, 2, 2);
+    let (zero_shot_top1, _) = eval_head(&warm, &ex, &ds, 2, 2);
     drop(warm);
 
     // Arms 2 + 3: continual adaptation with live hot-swap publishing.
     let config = loop_config(&cfg, scratch_samples);
     let (report, model, hot_swap_batches, hot_swap_failures) =
         hot_swap_arm(&ds, &ex, &cfg, &config);
-    let (adapted_top1, adapted_top5) = eval_mtl_head(&model, &ex, &ds, 2, 2);
+    let (adapted_top1, adapted_top5) = eval_head(&model, &ex, &ds, 2, 2);
 
     // Arm 4: bit-reproducibility of the loop (publisher-free replays).
     let rerun = |_: usize| {

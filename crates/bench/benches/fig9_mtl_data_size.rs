@@ -9,7 +9,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::experiments::train_and_eval_mtl;
+use tlp::experiments::train_and_eval_with_aux;
 use tlp_bench::{bench_scale, print_table, write_json};
 
 #[derive(Serialize)]
@@ -34,7 +34,7 @@ fn main() {
     for frac in fractions {
         eprintln!("[fig9] target fraction {frac}…");
         let cfg = scale.tlp_config();
-        let (_, _, top1, top5) = train_and_eval_mtl(&ds, target, &[aux], cfg, &scale, frac);
+        let (_, _, top1, top5) = train_and_eval_with_aux(&ds, target, &[aux], cfg, &scale, frac);
         let samples = ((total as f64) * frac) as usize;
         rows.push(vec![
             format!("{:.0}%", frac * 100.0),

@@ -10,7 +10,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::experiments::{train_and_eval_mtl, train_and_eval_tlp};
+use tlp::experiments::{train_and_eval_tlp, train_and_eval_with_aux};
 use tlp_bench::{bench_scale, print_table, write_json};
 
 /// The paper's 500K of ~8.6M ≈ 6% of the target platform's data.
@@ -53,11 +53,11 @@ fn main() {
 
     eprintln!("[table6] 2 tasks: + Platinum-8272 ALL…");
     let (_, _, t1, t5) =
-        train_and_eval_mtl(&ds, target, &[p8272], cfg.clone(), &scale, TARGET_FRACTION);
+        train_and_eval_with_aux(&ds, target, &[p8272], cfg.clone(), &scale, TARGET_FRACTION);
     record("+ Platinum-8272 ALL", t1, t5);
 
     eprintln!("[table6] 3 tasks: + EPYC-7452 ALL…");
-    let (_, _, t1, t5) = train_and_eval_mtl(
+    let (_, _, t1, t5) = train_and_eval_with_aux(
         &ds,
         target,
         &[p8272, epyc],
@@ -68,7 +68,7 @@ fn main() {
     record("+ EPYC-7452 ALL", t1, t5);
 
     eprintln!("[table6] 4 tasks: + Graviton2 ALL…");
-    let (_, _, t1, t5) = train_and_eval_mtl(
+    let (_, _, t1, t5) = train_and_eval_with_aux(
         &ds,
         target,
         &[p8272, epyc, graviton],

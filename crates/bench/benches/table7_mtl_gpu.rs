@@ -8,7 +8,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::experiments::{train_and_eval_mtl, train_and_eval_tlp};
+use tlp::experiments::{train_and_eval_tlp, train_and_eval_with_aux};
 use tlp_bench::{bench_scale, print_table, write_json};
 
 const TARGET_FRACTION: f64 = 0.08;
@@ -31,7 +31,7 @@ fn main() {
     let (_, _, s1, s5) = train_and_eval_tlp(&ds, target, cfg.clone(), &scale, TARGET_FRACTION);
 
     eprintln!("[table7] 2 tasks: + K80 ALL…");
-    let (_, _, m1, m5) = train_and_eval_mtl(&ds, target, &[k80], cfg, &scale, TARGET_FRACTION);
+    let (_, _, m1, m5) = train_and_eval_with_aux(&ds, target, &[k80], cfg, &scale, TARGET_FRACTION);
 
     print_table(
         "Table 7: MTL-TLP on GPUs (target Tesla T4, small target slice)",

@@ -9,7 +9,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::experiments::{capped_train_tasks, eval_tlp, train_and_eval_mtl};
+use tlp::experiments::{capped_train_tasks, eval_tlp, train_and_eval_with_aux};
 use tlp::features::FeatureExtractor;
 use tlp::metrics::top_k_score;
 use tlp::pretrain::{tokenize, PretrainConfig, PretrainKind, PretrainedLm};
@@ -153,7 +153,7 @@ fn main() {
     // 2. MTL: i7 small + E5 all.
     eprintln!("[table8] MTL…");
     let (_, _, m1, m5) =
-        train_and_eval_mtl(&ds, target, &[source], cfg.clone(), &scale, TARGET_FRACTION);
+        train_and_eval_with_aux(&ds, target, &[source], cfg.clone(), &scale, TARGET_FRACTION);
     record("MTL (i7 small + E5 ALL)", m1, m5);
 
     // 3/4. GPT and BERT pretraining on unlabeled target data.

@@ -9,7 +9,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::experiments::train_and_eval_mtl;
+use tlp::experiments::train_and_eval_with_aux;
 use tlp_bench::{bench_scale, print_table, write_json};
 
 const TARGET_FRACTION: f64 = 0.08;
@@ -41,7 +41,7 @@ fn main() {
             let mut cfg = scale.tlp_config();
             cfg.seed ^= s.wrapping_mul(0x9E37_79B9);
             let (_, _, top1, top5) =
-                train_and_eval_mtl(&ds, target, &[aux], cfg, &scale, TARGET_FRACTION);
+                train_and_eval_with_aux(&ds, target, &[aux], cfg, &scale, TARGET_FRACTION);
             t1_sum += top1;
             t5_sum += top5;
         }

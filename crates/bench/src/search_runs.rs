@@ -9,10 +9,9 @@
 use serde::{Deserialize, Serialize};
 use tlp::experiments::{capped_train_tasks, Scale};
 use tlp::features::FeatureExtractor;
-use tlp::mtl::{train_mtl, MtlTlp};
-use tlp::search::{AnsorCostModel, MtlTlpCostModel, TenSetMlpCostModel, TlpCostModel};
-use tlp::train::{train_tlp, TrainData};
-use tlp::TlpModel;
+use tlp::search::{AnsorCostModel, MtlTlpScorer, TenSetMlpCostModel, TlpCostModel};
+use tlp::train::{train_mtl, train_tlp, TrainData};
+use tlp::{FeatureModel, TlpModel};
 use tlp_autotuner::{tune_network, CostModel, EvolutionConfig, TuningOptions, TuningReport};
 use tlp_hwsim::Platform;
 use tlp_workload::test_networks;
@@ -106,7 +105,7 @@ pub fn run_search_suite(scale: &Scale, gpu: bool) -> SearchSuite {
     // MTL-TLP: small target slice + all auxiliary data.
     let mtl_target = tlp_data.subsample(MTL_TARGET_FRACTION, config.seed);
     let mtl_aux = TrainData::from_tasks(&tasks, &extractor, aux_idx);
-    let mut mtl_model = MtlTlp::new(config.clone(), 2);
+    let mut mtl_model = TlpModel::with_heads(config.clone(), 2);
     train_mtl(&mut mtl_model, &[mtl_target, mtl_aux]);
 
     // TenSet-MLP: all target-platform data over program features.
@@ -127,11 +126,11 @@ pub fn run_search_suite(scale: &Scale, gpu: bool) -> SearchSuite {
         let mut models: Vec<Box<dyn CostModel>> = vec![
             Box::new(AnsorCostModel::new()),
             Box::new(TenSetMlpCostModel::new(clone_tenset(&tenset_model))),
-            Box::new(TlpCostModel::new(clone_tlp(&tlp_model), extractor.clone())),
-            Box::new(MtlTlpCostModel::new(
-                clone_mtl(&mtl_model),
+            Box::new(TlpCostModel::new(tlp_model.clone(), extractor.clone())),
+            Box::new(FeatureModel::from_scorer(MtlTlpScorer::new(
+                mtl_model.clone(),
                 extractor.clone(),
-            )),
+            ))),
         ];
         for model in models.iter_mut() {
             let mut report = tune_network(&net, &target, model.as_mut(), &opts);
@@ -146,20 +145,8 @@ pub fn run_search_suite(scale: &Scale, gpu: bool) -> SearchSuite {
     }
 }
 
-// The models own ParamStores; cloning re-binds the trained weights into a
+// The model owns a ParamStore; cloning re-binds the trained weights into a
 // fresh instance so each tuning run starts from the same pre-trained state.
-fn clone_tlp(m: &TlpModel) -> TlpModel {
-    let mut c = TlpModel::new(m.config.clone());
-    c.store = m.store.clone();
-    c
-}
-
-fn clone_mtl(m: &MtlTlp) -> MtlTlp {
-    let mut c = MtlTlp::new(m.config.clone(), m.num_tasks());
-    c.store = m.store.clone();
-    c
-}
-
 fn clone_tenset(m: &tlp::baselines::TenSetMlp) -> tlp::baselines::TenSetMlp {
     let mut c = tlp::baselines::TenSetMlp::new(m.config.clone());
     c.store = m.store.clone();

@@ -28,7 +28,7 @@ use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use tlp::train::TrainData;
 use tlp::{
-    gather_rows, scored_loss, split_group_indices, MtlTlp, TrainOptions, TrainReport, Trainable,
+    gather_rows, scored_loss, split_group_indices, TlpModel, TrainOptions, TrainReport, Trainable,
     Trainer,
 };
 use tlp_modelcheck::{CoverageSpec, TrainedHeads};
@@ -97,7 +97,7 @@ enum SlotRef {
 /// Validation (when enabled) holds out *new-platform* groups — the platform
 /// whose ranking quality gates publishing.
 struct AdaptTask<'a> {
-    model: &'a mut MtlTlp,
+    model: &'a mut TlpModel,
     head: usize,
     new_data: &'a TrainData,
     replay: &'a ReplayBuffer,
@@ -224,9 +224,7 @@ impl Trainable for AdaptTask<'_> {
     }
 
     fn coverage(&self) -> Option<CoverageSpec> {
-        let head_prefixes = (0..self.model.num_tasks())
-            .map(|i| format!("head{i}."))
-            .collect();
+        let head_prefixes = self.model.head_prefixes();
         let spec = if self.frozen.is_empty() {
             // Low-LR trunk: nothing is frozen and replay batches route
             // through every old head, so the loss reaches everything.
@@ -262,7 +260,7 @@ impl Trainable for AdaptTask<'_> {
 /// Panics if `head` is out of range, or if `new_data` / `replay` feature
 /// sizes disagree with the model config.
 pub fn adapt_round(
-    model: &mut MtlTlp,
+    model: &mut TlpModel,
     head: usize,
     new_data: &TrainData,
     replay: &ReplayBuffer,
@@ -353,7 +351,7 @@ mod tests {
         }
     }
 
-    fn param_bits(model: &MtlTlp, ids: &[tlp_nn::ParamId]) -> Vec<Vec<u32>> {
+    fn param_bits(model: &TlpModel, ids: &[tlp_nn::ParamId]) -> Vec<Vec<u32>> {
         ids.iter()
             .map(|&id| {
                 model
@@ -378,7 +376,7 @@ mod tests {
     #[test]
     fn frozen_mode_is_bitwise_invariant_outside_the_new_head() {
         let cfg = TlpConfig::test_scale();
-        let base = MtlTlp::new(cfg.clone(), 2);
+        let base = TlpModel::with_heads(cfg.clone(), 2);
         let mut model = base.grow_head();
         let new_head = 2;
         let mut fixed: Vec<tlp_nn::ParamId> = model.trunk_param_ids();
@@ -407,7 +405,7 @@ mod tests {
     #[test]
     fn low_lr_mode_moves_the_trunk() {
         let cfg = TlpConfig::test_scale();
-        let mut model = MtlTlp::new(cfg.clone(), 2).grow_head();
+        let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
         let trunk = model.trunk_param_ids();
         let before = param_bits(&model, &trunk);
         let replay = ReplayBuffer::reservoir(4, 3);
@@ -424,11 +422,23 @@ mod tests {
         let mut replay = ReplayBuffer::reservoir(3, 5);
         replay.ingest_data(0, &synth_data(&cfg, 5, 2, 12));
         let run = |workers: usize| {
-            let mut model = MtlTlp::new(cfg.clone(), 2).grow_head();
+            let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
             let config = AdaptConfig::frozen(small_options(&cfg).with_workers(workers));
             adapt_round(&mut model, 2, &new_data, &replay, &config);
-            param_bits(&model, &model.head_param_ids(2))
+            let all: Vec<tlp_nn::ParamId> = model.store.ids().collect();
+            param_bits(&model, &all)
         };
-        assert_eq!(run(1), run(4), "worker count changed the result");
+        let bits = run(1);
+        assert_eq!(bits, run(4), "worker count changed the result");
+        // FNV-1a over the value bits (names excluded), captured at the last
+        // commit with a separate multi-task model type: the round's batch
+        // stream and gradient mask are held to those numbers.
+        let digest = bits
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x476d_e68c_b961_5baf);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's MTL-TLP (§5) trains one head per hardware platform *offline*,
 //! on a complete multi-platform collection. This crate closes the loop for
 //! the platform you did **not** collect for: it grows a fresh head on a
-//! trained model ([`tlp::MtlTlp::grow_head`]) and adapts it online from
+//! trained model ([`tlp::TlpModel::grow_head`]) and adapts it online from
 //! streamed measurements, while the model keeps serving its old platforms.
 //!
 //! The subsystem has four parts, one per module:

@@ -1,7 +1,7 @@
 //! Validation-gated snapshot publishing with canary rollback.
 //!
 //! After adaptation rounds, the candidate model is snapshotted
-//! ([`tlp::persist::snapshot_mtl`] — the same versioned [`SavedTlp`] format
+//! ([`tlp::persist::snapshot`] — the same versioned [`SavedTlp`] format
 //! the training pipeline persists), restored (exercising the exact bytes a
 //! cold-started server would load), and hot-swapped into a live
 //! [`ModelRegistry`] under the new platform's head. The registry swap is the
@@ -17,8 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tlp::persist::{snapshot_mtl, PersistError, SavedTlp};
-use tlp::{FeatureExtractor, MtlTlp};
+use tlp::persist::{snapshot, PersistError, SavedTlp};
+use tlp::{FeatureExtractor, TlpModel};
 use tlp_autotuner::SearchTask;
 use tlp_dataset::Dataset;
 use tlp_schedule::ScheduleSequence;
@@ -188,6 +188,14 @@ impl SnapshotPublisher {
             .count()
     }
 
+    /// Audited restore of `snap` (the exact bytes a cold-started server
+    /// would load), installed under this publisher's name and head.
+    fn install(&self, snap: &SavedTlp) -> Result<u64, PersistError> {
+        let (model, extractor) = snap.restore()?;
+        self.registry
+            .install_head(&self.name, model, extractor, self.head)
+    }
+
     /// Snapshot → audited restore + install → canary-score →
     /// keep-or-rollback, when `round` (0-based) is on the policy cadence. A
     /// candidate the audit rejects is reported as
@@ -201,19 +209,15 @@ impl SnapshotPublisher {
     pub fn maybe_publish(
         &mut self,
         round: usize,
-        model: &MtlTlp,
+        model: &TlpModel,
         extractor: &FeatureExtractor,
     ) -> Result<PublishOutcome, PersistError> {
         if self.policy.every_rounds == 0 || !(round + 1).is_multiple_of(self.policy.every_rounds) {
             self.events.push(PublishOutcome::Skipped);
             return Ok(PublishOutcome::Skipped);
         }
-        let snapshot = snapshot_mtl(model, extractor);
-        let installed = snapshot.restore_mtl().and_then(|(restored, ex)| {
-            self.registry
-                .install_mtl_head(&self.name, restored, ex, self.head)
-        });
-        let version = match installed {
+        let candidate = snapshot(model, extractor);
+        let version = match self.install(&candidate) {
             Ok(version) => version,
             Err(PersistError::Invalid { diagnostics }) => {
                 let codes: std::collections::BTreeSet<String> = diagnostics
@@ -234,33 +238,21 @@ impl SnapshotPublisher {
             // gate below reinstalls the last good snapshot.
             None => 0.0,
         };
-        let regressed = self
-            .last_good
-            .as_ref()
-            .is_some_and(|(_, good)| accuracy + self.policy.canary_tolerance < *good);
-        let outcome = if regressed {
-            // The borrow is re-taken because restore_mtl may fail (typed
-            // error), and last_good must stay intact in that case.
-            let good_accuracy = match &self.last_good {
-                Some((_, acc)) => *acc,
-                None => 0.0,
-            };
-            let restored_version = match &self.last_good {
-                Some((snap, _)) => {
-                    let (m, ex) = snap.restore_mtl()?;
-                    self.registry
-                        .install_mtl_head(&self.name, m, ex, self.head)?
+        let outcome = match &self.last_good {
+            // The reinstall may fail (typed error); last_good stays intact.
+            Some((good, good_accuracy))
+                if accuracy + self.policy.canary_tolerance < *good_accuracy =>
+            {
+                PublishOutcome::RolledBack {
+                    rejected_accuracy: accuracy,
+                    restored_version: self.install(good)?,
+                    good_accuracy: *good_accuracy,
                 }
-                None => version,
-            };
-            PublishOutcome::RolledBack {
-                rejected_accuracy: accuracy,
-                restored_version,
-                good_accuracy,
             }
-        } else {
-            self.last_good = Some((snapshot, accuracy));
-            PublishOutcome::Published { version, accuracy }
+            _ => {
+                self.last_good = Some((candidate, accuracy));
+                PublishOutcome::Published { version, accuracy }
+            }
         };
         self.events.push(outcome.clone());
         Ok(outcome)

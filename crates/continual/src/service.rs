@@ -34,11 +34,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tlp::experiments::eval_mtl_head;
+use tlp::experiments::eval_head;
 use tlp::features::FeatureBuf;
 use tlp::persist::PersistError;
 use tlp::train::{GroupData, TrainData};
-use tlp::{FeatureExtractor, MtlTlp};
+use tlp::{FeatureExtractor, TlpModel};
 use tlp_autotuner::{Candidate, MeasurePolicy, Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
 use tlp_hwsim::{DeviceKind, FaultModel, FaultRates};
@@ -120,7 +120,7 @@ struct TaskAccum {
 /// Runs the closed continual-learning loop. See the module docs for the
 /// round structure.
 ///
-/// `model` must already be grown ([`MtlTlp::grow_head`]): its last head is
+/// `model` must already be grown ([`TlpModel::grow_head`]): its last head is
 /// the one adapted, and `ds.platforms` must carry one latency column per
 /// head with the new platform last. `replay` holds old-platform rehearsal
 /// groups; `publisher` (optional) receives the model after every round.
@@ -136,7 +136,7 @@ struct TaskAccum {
 /// Panics if the dataset platform count disagrees with the model's head
 /// count, or on feature-shape mismatches (see [`adapt_round`]).
 pub fn run_continual(
-    model: &mut MtlTlp,
+    model: &mut TlpModel,
     extractor: &FeatureExtractor,
     ds: &Dataset,
     replay: &ReplayBuffer,
@@ -152,13 +152,13 @@ pub fn run_continual(
     assert!(n_heads >= 2, "need at least one old head and the new head");
     // Entry audit: reject a structurally broken starting point instead of
     // adapting it for hours (read-only and RNG-neutral on a valid model).
-    let spec = tlp::audit::mtl_spec(&model.config, n_heads);
+    let spec = tlp::audit::spec(&model.config, n_heads);
     PersistError::reject_errors(&tlp_modelcheck::audit_store(&spec, &model.store))?;
     let new_head = n_heads - 1;
     let new_platform = &ds.platforms[new_head];
 
     let baseline_old_top1: Vec<f64> = (0..new_head)
-        .map(|i| eval_mtl_head(model, extractor, ds, i, i).0)
+        .map(|i| eval_head(model, extractor, ds, i, i).0)
         .collect();
 
     let gpu = new_platform.device == DeviceKind::Gpu;
@@ -253,7 +253,7 @@ pub fn run_continual(
             train_loss = report.final_loss();
         }
 
-        let (new_top1, _) = eval_mtl_head(model, extractor, ds, new_head, new_head);
+        let (new_top1, _) = eval_head(model, extractor, ds, new_head, new_head);
 
         // 5: canary-gated hot-swap into serving.
         if let Some(p) = publisher.as_deref_mut() {
@@ -268,9 +268,9 @@ pub fn run_continual(
         });
     }
 
-    let (new_top1, new_top5) = eval_mtl_head(model, extractor, ds, new_head, new_head);
+    let (new_top1, new_top5) = eval_head(model, extractor, ds, new_head, new_head);
     let final_old_top1: Vec<f64> = (0..new_head)
-        .map(|i| eval_mtl_head(model, extractor, ds, i, i).0)
+        .map(|i| eval_head(model, extractor, ds, i, i).0)
         .collect();
     let forgetting_points = baseline_old_top1
         .iter()

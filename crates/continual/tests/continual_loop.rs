@@ -5,9 +5,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::Arc;
-use tlp::experiments::eval_mtl_head;
+use tlp::experiments::eval_head;
 use tlp::persist::PersistError;
-use tlp::{train_mtl_with, FeatureExtractor, MtlTlp, TlpConfig, TrainData, TrainOptions};
+use tlp::{train_mtl_with, FeatureExtractor, TlpConfig, TlpModel, TrainData, TrainOptions};
 use tlp_continual::{
     run_continual, AdaptConfig, CanarySet, ContinualConfig, PublishOutcome, PublishPolicy,
     ReplayBuffer, SnapshotPublisher,
@@ -38,12 +38,12 @@ fn continual_dataset() -> Dataset {
 }
 
 /// Trains a 2-head MTL model on the old platforms, then grows the new head.
-fn grown_model(ds: &Dataset, ex: &FeatureExtractor) -> MtlTlp {
+fn grown_model(ds: &Dataset, ex: &FeatureExtractor) -> TlpModel {
     let cfg = TlpConfig {
         epochs: 4,
         ..TlpConfig::test_scale()
     };
-    let mut base = MtlTlp::new(cfg.clone(), 2);
+    let mut base = TlpModel::with_heads(cfg.clone(), 2);
     let data = [
         TrainData::from_dataset(ds, ex, 0),
         TrainData::from_dataset(ds, ex, 1),
@@ -81,7 +81,7 @@ fn loop_config(trunk_frozen: bool) -> ContinualConfig {
     }
 }
 
-fn store_bits(model: &MtlTlp) -> Vec<u32> {
+fn store_bits(model: &TlpModel) -> Vec<u32> {
     model
         .store
         .ids()
@@ -110,7 +110,7 @@ fn frozen_loop_learns_without_forgetting_and_publishes() {
     );
 
     let baseline: Vec<f64> = (0..2)
-        .map(|i| eval_mtl_head(&model, &ex, &ds, i, i).0)
+        .map(|i| eval_head(&model, &ex, &ds, i, i).0)
         .collect();
     let report = run_continual(&mut model, &ex, &ds, &replay, &config, Some(&mut publisher))
         .expect("loop runs");
@@ -174,6 +174,12 @@ fn continual_loop_is_bit_reproducible() {
     let (bits_a, report_a) = run();
     let (bits_b, report_b) = run();
     assert_eq!(bits_a, bits_b, "parameters diverged across identical runs");
+    // FNV-1a over the value bits, captured at the last commit with a
+    // separate multi-task model type (train → grow → 3 frozen rounds).
+    let digest = bits_a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, 0x0880_1c7f_3d39_0d54);
     assert_eq!(
         serde_json::to_string(&report_a).expect("serialize"),
         serde_json::to_string(&report_b).expect("serialize"),

@@ -10,8 +10,7 @@ use crate::config::TlpConfig;
 use crate::features::FeatureExtractor;
 use crate::metrics::top_k_score;
 use crate::model::TlpModel;
-use crate::mtl::MtlTlp;
-use crate::train::{train_tlp, TrainData};
+use crate::train::{train_mtl, train_tlp, TrainData};
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig, TaskData};
 use tlp_hwsim::Platform;
 use tlp_nn::Workspace;
@@ -169,50 +168,30 @@ pub fn train_and_eval_tlp(
     (model, extractor, top1, top5)
 }
 
-/// Top-1/top-5 of a trained TLP model on a dataset's test tasks.
+/// Top-1/top-5 of a trained TLP model (target head) on a dataset's test
+/// tasks.
 pub fn eval_tlp(
     model: &TlpModel,
     extractor: &FeatureExtractor,
     ds: &Dataset,
     platform_idx: usize,
 ) -> (f64, f64) {
-    // One workspace + feature buffer reused across every test task (and
-    // both top-k passes); features are extracted straight into the buffer
-    // instead of cloning each schedule first.
-    let scratch = std::cell::RefCell::new((Workspace::new(), crate::features::FeatureBuf::new()));
-    let scorer = |t: &TaskData| {
-        let (ws, feats) = &mut *scratch.borrow_mut();
-        extractor.extract_batch_into(t.programs.iter().map(|r| &r.schedule), feats);
-        let mut out = Vec::new();
-        model.predict_into(ws, feats, &mut out);
-        out
-    };
-    (
-        top_k_score(ds, platform_idx, 1, scorer),
-        top_k_score(ds, platform_idx, 5, scorer),
-    )
+    eval_head(model, extractor, ds, platform_idx, 0)
 }
 
-/// Top-1/top-5 of a trained MTL-TLP model (target head) on test tasks.
-pub fn eval_mtl(
-    model: &MtlTlp,
-    extractor: &FeatureExtractor,
-    ds: &Dataset,
-    platform_idx: usize,
-) -> (f64, f64) {
-    eval_mtl_head(model, extractor, ds, platform_idx, 0)
-}
-
-/// Top-1/top-5 of one MTL-TLP head on test tasks, scored against platform
-/// column `platform_idx`. Continual adaptation uses this both for the
-/// new-platform head and to watch old heads for forgetting.
-pub fn eval_mtl_head(
-    model: &MtlTlp,
+/// Top-1/top-5 of one head on test tasks, scored against platform column
+/// `platform_idx`. Continual adaptation uses this both for the new-platform
+/// head and to watch old heads for forgetting.
+pub fn eval_head(
+    model: &TlpModel,
     extractor: &FeatureExtractor,
     ds: &Dataset,
     platform_idx: usize,
     head: usize,
 ) -> (f64, f64) {
+    // One workspace + feature buffer reused across every test task (and
+    // both top-k passes); features are extracted straight into the buffer
+    // instead of cloning each schedule first.
     let scratch = std::cell::RefCell::new((Workspace::new(), crate::features::FeatureBuf::new()));
     let scorer = |t: &TaskData| {
         let (ws, feats) = &mut *scratch.borrow_mut();
@@ -230,14 +209,14 @@ pub fn eval_mtl_head(
 /// Trains MTL-TLP with a small slice of target-platform data (head 0) plus
 /// full auxiliary-platform datasets (heads 1..), returning `(model,
 /// extractor, top1, top5)` on the target platform's test tasks.
-pub fn train_and_eval_mtl(
+pub fn train_and_eval_with_aux(
     ds: &Dataset,
     target_idx: usize,
     aux_idxs: &[usize],
     config: TlpConfig,
     scale: &Scale,
     target_fraction: f64,
-) -> (MtlTlp, FeatureExtractor, f64, f64) {
+) -> (TlpModel, FeatureExtractor, f64, f64) {
     let extractor = FeatureExtractor::fit(ds, config.seq_len, config.emb_size);
     let tasks = capped_train_tasks(ds, scale.max_train_tasks);
     let mut task_data = Vec::with_capacity(1 + aux_idxs.len());
@@ -248,9 +227,9 @@ pub fn train_and_eval_mtl(
     for &aux in aux_idxs {
         task_data.push(TrainData::from_tasks(&tasks, &extractor, aux));
     }
-    let mut model = MtlTlp::new(config, task_data.len());
-    crate::mtl::train_mtl(&mut model, &task_data);
-    let (top1, top5) = eval_mtl(&model, &extractor, ds, target_idx);
+    let mut model = TlpModel::with_heads(config, task_data.len());
+    train_mtl(&mut model, &task_data);
+    let (top1, top5) = eval_tlp(&model, &extractor, ds, target_idx);
     (model, extractor, top1, top5)
 }
 

@@ -10,8 +10,10 @@
 //!
 //! - [`features`]: the TLP feature extractor (Fig. 4/5): one-hot primitive
 //!   type + numeric params + tokenized name params, cropped to 25×22;
-//! - [`model`] / [`mtl`]: the TLP network (Fig. 7) and MTL-TLP (Fig. 8);
-//! - [`train`]: task-grouped training data with LambdaRank or MSE loss;
+//! - [`model`]: the TLP network (Fig. 7); MTL-TLP (Fig. 8) is the same type
+//!   with more heads;
+//! - [`train`]: task-grouped training data with LambdaRank or MSE loss, one
+//!   batch provider for any head count;
 //! - [`trainer`]: the generic synchronous data-parallel training engine
 //!   (`Trainer`/`TrainOptions`/`TrainReport`) behind every training loop;
 //! - [`metrics`]: the paper's top-k score (§6.1);
@@ -58,29 +60,27 @@ pub mod experiments;
 pub mod features;
 pub mod metrics;
 pub mod model;
-pub mod mtl;
 pub mod persist;
 pub mod pretrain;
 pub mod search;
 pub mod train;
 pub mod trainer;
 
-pub use audit::{mtl_spec, tlp_spec};
 pub use config::{Backbone, LossKind, TlpConfig};
 pub use engine::{EngineConfig, EngineStats, InferenceEngine, ScheduleScorer};
 pub use features::FeatureExtractor;
 pub use metrics::top_k_score;
 pub use model::TlpModel;
-pub use mtl::{train_mtl, train_mtl_with, MtlTlp};
 pub use persist::{
-    snapshot_mtl, snapshot_tlp, store_checksum, ParamCheckpoint, PersistError, SavedTlp,
-    SAVED_TLP_FORMAT_VERSION,
+    snapshot, store_checksum, ParamCheckpoint, PersistError, SavedTlp, SAVED_TLP_FORMAT_VERSION,
 };
 pub use search::{
-    AnsorCostModel, FeatureModel, MtlTlpCostModel, TenSetMlpCostModel, TlpCostModel,
-    TlpDraftFeatures,
+    AnsorCostModel, FeatureModel, TenSetMlpCostModel, TlpCostModel, TlpDraftFeatures,
 };
-pub use train::{resume_tlp, train_tlp, train_tlp_checkpointed, train_tlp_with, TrainData};
+pub use train::{
+    resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
+    TrainData,
+};
 pub use trainer::{
     gather_rows, scored_loss, split_group_indices, EpochReport, StopReason, TrainCheckpoint,
     TrainOptions, TrainReport, Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,

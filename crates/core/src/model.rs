@@ -4,16 +4,24 @@
 //! through the backbone basic module (one 8-head self-attention layer or one
 //! LSTM layer), then two residual blocks, final linear layers, and a sum over
 //! the sequence produces the score. The red-box *backbone* (upsampling +
-//! basic module) is shared across tasks in MTL-TLP; the blue-box *head*
-//! (residual blocks + output linears + sum) is per-task.
+//! basic module) is shared across tasks; the blue-box *head* (output linears
+//! + sum) is per-task.
+//!
+//! MTL-TLP (paper §5, Fig. 8) is this network with more heads, so there is
+//! one model type: [`TlpModel`] owns the shared backbone and one thin head
+//! per hardware platform, head 0 being the target platform;
+//! [`TlpModel::new`] is the one-head case. Absent labels contribute no loss
+//! and no head gradient: each mini-batch is drawn from one platform's
+//! labelled pool (see [`crate::train`]).
 
 use crate::config::{Backbone, TlpConfig};
 use crate::features::FeatureBuf;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use tlp_nn::{
     ragged_tail_sums, Binding, Epilogue, Fwd, Graph, LayerNorm, Linear, Lstm,
-    MultiHeadSelfAttention, ParamStore, Ragged, ResidualBlock, Tensor, Var, Workspace,
+    MultiHeadSelfAttention, ParamId, ParamStore, Ragged, ResidualBlock, Tensor, Var, Workspace,
 };
 
 /// The shared portion of the network: up-sampling linears + basic module +
@@ -158,12 +166,25 @@ pub struct TlpHead {
 }
 
 impl TlpHead {
-    /// Registers head parameters under `name`.
-    pub fn new(store: &mut ParamStore, rng: &mut SmallRng, name: &str, config: &TlpConfig) -> Self {
+    /// Stem of every head's parameter names; the `tlp-modelcheck` partition
+    /// pass flags a `{STEM}{digits}.` name beyond the declared head count.
+    pub const STEM: &'static str = "head";
+
+    /// Parameter-name prefix of head `i`: `head{i}.`. Every head —
+    /// including the only head of a one-head model — registers under it,
+    /// and persist, audit, training coverage and `tlp-continual` all ask
+    /// this function rather than spelling the rule themselves.
+    pub fn prefix(i: usize) -> String {
+        format!("{}{i}.", Self::STEM)
+    }
+
+    /// Registers the parameters of head `i`.
+    pub fn new(store: &mut ParamStore, rng: &mut SmallRng, i: usize, config: &TlpConfig) -> Self {
+        let prefix = Self::prefix(i);
         let mid = (config.hidden / 2).max(1);
         TlpHead {
-            out1: Linear::new(store, rng, &format!("{name}.out1"), config.hidden, mid),
-            out2: Linear::new(store, rng, &format!("{name}.out2"), mid, 1),
+            out1: Linear::new(store, rng, &format!("{prefix}out1"), config.hidden, mid),
+            out2: Linear::new(store, rng, &format!("{prefix}out2"), mid, 1),
         }
     }
 
@@ -179,39 +200,158 @@ impl TlpHead {
     }
 }
 
-/// The single-task TLP cost model.
+/// The TLP cost model: one shared backbone, one thin head per platform.
 #[derive(Clone, Debug)]
 pub struct TlpModel {
-    /// Model/training hyper-parameters.
+    /// Model/training hyper-parameters (shared by all heads).
     pub config: TlpConfig,
-    /// All learnable parameters.
+    /// All learnable parameters (backbone + every head).
     pub store: ParamStore,
     backbone: TlpBackbone,
-    head: TlpHead,
+    heads: Vec<TlpHead>,
 }
 
 impl TlpModel {
-    /// Creates a model with freshly initialized weights.
+    /// Creates a one-head model with freshly initialized weights.
     pub fn new(config: TlpConfig) -> Self {
+        TlpModel::with_heads(config, 1)
+    }
+
+    /// Creates a model with `n_tasks` heads; head 0 is the target platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_tasks` is zero.
+    pub fn with_heads(config: TlpConfig, n_tasks: usize) -> Self {
+        assert!(n_tasks > 0, "a model needs at least one head");
         let mut store = ParamStore::new();
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let backbone = TlpBackbone::new(&mut store, &mut rng, &config);
-        let head = TlpHead::new(&mut store, &mut rng, "head", &config);
+        let heads = (0..n_tasks)
+            .map(|i| TlpHead::new(&mut store, &mut rng, i, &config))
+            .collect();
         TlpModel {
             config,
             store,
             backbone,
-            head,
+            heads,
         }
     }
 
-    /// Forward pass on a tape: `features` is `n × (seq_len·emb_size)`
-    /// row-major; returns the `[n]` score node.
+    /// Number of tasks (heads).
+    pub fn num_tasks(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Every head's [`TlpHead::prefix`], in head order.
+    pub fn head_prefixes(&self) -> Vec<String> {
+        (0..self.num_tasks()).map(TlpHead::prefix).collect()
+    }
+
+    /// Returns a new model with one extra head appended (index
+    /// [`TlpModel::num_tasks`] of `self`) — the continual-learning entry
+    /// point for adapting to a hardware platform the model has never seen.
+    ///
+    /// The shared trunk and every existing head are copied *bitwise* from
+    /// `self` (parameters are matched by registered name), so the grown
+    /// model scores old platforms exactly like the original. The new head
+    /// gets a fresh deterministic initialization drawn from the model
+    /// config's seed, so growing is reproducible.
+    pub fn grow_head(&self) -> TlpModel {
+        let mut grown = TlpModel::with_heads(self.config.clone(), self.num_tasks() + 1);
+        let old_by_name: HashMap<&str, ParamId> = self
+            .store
+            .ids()
+            .map(|id| (self.store.name(id), id))
+            .collect();
+        let new_ids: Vec<ParamId> = grown.store.ids().collect();
+        for id in new_ids {
+            let name = grown.store.name(id).to_string();
+            if let Some(&old_id) = old_by_name.get(name.as_str()) {
+                *grown.store.value_mut(id) = self.store.value(old_id).clone();
+            }
+        }
+        grown
+    }
+
+    /// Like [`TlpModel::grow_head`], but warm-starts the new head with a
+    /// bitwise copy of head `src`'s parameters instead of a fresh random
+    /// initialization.
+    ///
+    /// Before any adaptation the grown model therefore scores the new
+    /// platform exactly as `src` scores its own — the head-level version of
+    /// the paper's cross-hardware transfer: when the new device resembles a
+    /// known one, fine-tuning from its head needs far fewer measurements
+    /// than learning the head from scratch.
     ///
     /// # Panics
     ///
-    /// Panics if `features.len()` is not a multiple of the feature size.
-    pub fn forward(&self, g: &mut Graph, bind: &mut Binding, features: &[f32], n: usize) -> Var {
+    /// Panics if `src` is out of range.
+    pub fn grow_head_from(&self, src: usize) -> TlpModel {
+        assert!(src < self.num_tasks(), "source head out of range");
+        let mut grown = self.grow_head();
+        let new = self.num_tasks();
+        let (src_prefix, new_prefix) = (TlpHead::prefix(src), TlpHead::prefix(new));
+        let src_by_suffix: HashMap<&str, ParamId> = self
+            .head_param_ids(src)
+            .into_iter()
+            .map(|id| (&self.store.name(id)[src_prefix.len()..], id))
+            .collect();
+        for id in grown.head_param_ids(new) {
+            let suffix = &grown.store.name(id)[new_prefix.len()..];
+            let src_id = *src_by_suffix
+                .get(suffix)
+                .unwrap_or_else(|| panic!("head layout mismatch at {suffix}"));
+            *grown.store.value_mut(id) = self.store.value(src_id).clone();
+        }
+        grown
+    }
+
+    /// Ids of the parameters belonging to head `task` (registered under
+    /// [`TlpHead::prefix`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is out of range.
+    pub fn head_param_ids(&self, task: usize) -> Vec<ParamId> {
+        assert!(task < self.num_tasks(), "head index out of range");
+        let prefix = TlpHead::prefix(task);
+        self.store
+            .ids()
+            .filter(|&id| self.store.name(id).starts_with(&prefix))
+            .collect()
+    }
+
+    /// Ids of the shared-trunk parameters: everything not owned by any
+    /// head. Together with [`TlpModel::head_param_ids`] for every head this
+    /// partitions the store — the invariant gradient-masking policies
+    /// (frozen-trunk adaptation) rely on.
+    pub fn trunk_param_ids(&self) -> Vec<ParamId> {
+        let prefixes = self.head_prefixes();
+        self.store
+            .ids()
+            .filter(|&id| {
+                let name = self.store.name(id);
+                !prefixes.iter().any(|p| name.starts_with(p.as_str()))
+            })
+            .collect()
+    }
+
+    /// Forward pass on a tape through the shared backbone and head `task`:
+    /// `features` is `n × (seq_len·emb_size)` row-major; returns the `[n]`
+    /// score node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` is not `n` times the feature size.
+    pub fn forward_task(
+        &self,
+        g: &mut Graph,
+        bind: &mut Binding,
+        features: &[f32],
+        n: usize,
+        task: usize,
+    ) -> Var {
         let fs = self.config.seq_len * self.config.emb_size;
         assert_eq!(features.len(), n * fs, "feature batch shape mismatch");
         let x = g.constant(Tensor::from_vec(
@@ -220,43 +360,63 @@ impl TlpModel {
         ));
         let mut f = Fwd::new(g, &self.store, bind);
         let h = self.backbone.forward(&mut f, x);
-        self.head.forward(&mut f, h)
+        self.heads[task].forward(&mut f, h)
     }
 
-    /// Inference: scores for a feature batch (higher = predicted faster).
-    pub fn predict(&self, features: &[f32]) -> Vec<f32> {
-        self.predict_with(&mut Workspace::new(), features)
+    /// Inference through head `task`: scores for a feature batch (higher =
+    /// predicted faster).
+    pub fn predict_task(&self, features: &[f32], task: usize) -> Vec<f32> {
+        self.predict_task_with(&mut Workspace::new(), features, task)
     }
 
-    /// Like [`TlpModel::predict`], but reuses a caller-owned [`Workspace`]
-    /// so repeated calls (engine micro-batches) recycle the tape storage.
-    pub fn predict_with(&self, ws: &mut Workspace, features: &[f32]) -> Vec<f32> {
-        let fs = self.config.seq_len * self.config.emb_size;
+    /// Like [`TlpModel::predict_task`], but reuses a caller-owned
+    /// [`Workspace`] so repeated calls (engine micro-batches) recycle the
+    /// tape storage.
+    pub fn predict_task_with(&self, ws: &mut Workspace, features: &[f32], task: usize) -> Vec<f32> {
         if features.is_empty() {
             return Vec::new();
         }
+        let fs = self.config.seq_len * self.config.emb_size;
         let n = features.len() / fs;
         ws.reset();
-        let scores = self.forward(&mut ws.graph, &mut ws.bind, features, n);
+        let scores = self.forward_task(&mut ws.graph, &mut ws.bind, features, n, task);
         ws.graph.value(scores).data().to_vec()
     }
 
-    /// Scores a [`FeatureBuf`] batch into a caller-owned output vector —
-    /// the zero-copy inference entry point the engine's workers use.
+    /// Inference through the target-platform head (task 0).
+    pub fn predict(&self, features: &[f32]) -> Vec<f32> {
+        self.predict_task(features, 0)
+    }
+
+    /// [`TlpModel::predict_task_with`] through the target-platform head.
+    pub fn predict_with(&self, ws: &mut Workspace, features: &[f32]) -> Vec<f32> {
+        self.predict_task_with(ws, features, 0)
+    }
+
+    /// Scores a [`FeatureBuf`] batch through head `task` into a caller-owned
+    /// output vector — the zero-copy inference entry point the engine's
+    /// workers use.
     ///
     /// For the attention backbone (the paper's default) this runs a fused,
     /// tape-free forward pass over the buffer's compact real rows: scratch
     /// comes from the workspace arena, so after warmup a micro-batch
     /// performs zero heap allocations, and scores are bit-identical to
-    /// [`TlpModel::predict_with`] on the dense features (the fixed
+    /// [`TlpModel::predict_task_with`] on the dense features (the fixed
     /// accumulation-order contract in `tlp_nn::kernels` plus the padding
     /// tail replay in `tlp_nn::infer`). LSTM and transformer backbones fall
     /// back to the tape path.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer shape disagrees with the model config.
-    pub fn predict_into(&self, ws: &mut Workspace, feats: &FeatureBuf, out: &mut Vec<f32>) {
+    /// Panics if the buffer shape disagrees with the model config or `task`
+    /// is out of range.
+    pub fn predict_task_into(
+        &self,
+        ws: &mut Workspace,
+        feats: &FeatureBuf,
+        task: usize,
+        out: &mut Vec<f32>,
+    ) {
         out.clear();
         if feats.is_empty() {
             return;
@@ -269,7 +429,7 @@ impl TlpModel {
                     &self.store,
                     &self.backbone,
                     attn,
-                    &self.head,
+                    &self.heads[task],
                     ws,
                     feats,
                     out,
@@ -277,15 +437,16 @@ impl TlpModel {
             }
             None => {
                 ws.reset();
-                let scores = self.forward(&mut ws.graph, &mut ws.bind, feats.data(), feats.len());
+                let scores =
+                    self.forward_task(&mut ws.graph, &mut ws.bind, feats.data(), feats.len(), task);
                 out.extend_from_slice(ws.graph.value(scores).data());
             }
         }
     }
 
-    /// Borrow of the shared backbone (for MTL construction/diagnostics).
-    pub fn backbone(&self) -> &TlpBackbone {
-        &self.backbone
+    /// [`TlpModel::predict_task_into`] through the target-platform head.
+    pub fn predict_into(&self, ws: &mut Workspace, feats: &FeatureBuf, out: &mut Vec<f32>) {
+        self.predict_task_into(ws, feats, 0, out);
     }
 
     /// Total scalar weight count.
@@ -303,7 +464,7 @@ impl TlpModel {
 /// bit-identical (verified by `predict_into_matches_tape_bitwise` below and
 /// the engine equivalence suite). All scratch comes from the workspace
 /// arena; after warmup the whole pass performs zero heap allocations.
-pub(crate) fn fused_forward(
+fn fused_forward(
     store: &ParamStore,
     backbone: &TlpBackbone,
     attn: &MultiHeadSelfAttention,
@@ -491,23 +652,111 @@ mod tests {
                 .collect();
             let mut buf = FeatureBuf::new();
             ex.extract_batch_into(&seqs, &mut buf);
-            let model = TlpModel::new(cfg);
+            let model = TlpModel::with_heads(cfg, 2);
             let mut ws = Workspace::new();
-            let dense = model.predict_with(&mut ws, buf.data());
-            let mut fused = Vec::new();
-            // Twice: the second call runs on a warmed arena.
-            for _ in 0..2 {
-                model.predict_into(&mut ws, &buf, &mut fused);
-                assert_eq!(dense.len(), fused.len());
-                for (i, (a, b)) in dense.iter().zip(&fused).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{backbone:?} score {i} differs: {a} vs {b}"
-                    );
+            for task in 0..2 {
+                let dense = model.predict_task_with(&mut ws, buf.data(), task);
+                let mut fused = Vec::new();
+                // Twice: the second call runs on a warmed arena.
+                for _ in 0..2 {
+                    model.predict_task_into(&mut ws, &buf, task, &mut fused);
+                    assert_eq!(dense.len(), fused.len());
+                    for (i, (a, b)) in dense.iter().zip(&fused).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{backbone:?} head {task} score {i} differs: {a} vs {b}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn heads_share_backbone_but_differ() {
+        let cfg = TlpConfig::test_scale();
+        let model = TlpModel::with_heads(cfg.clone(), 2);
+        let fs = cfg.seq_len * cfg.emb_size;
+        let feats = vec![0.3f32; fs];
+        let s0 = model.predict_task(&feats, 0);
+        let s1 = model.predict_task(&feats, 1);
+        // Different random head init → different outputs for same input.
+        assert!((s0[0] - s1[0]).abs() > 1e-7);
+        // The head-0 forms are exactly head 0.
+        assert_eq!(model.predict(&feats)[0].to_bits(), s0[0].to_bits());
+    }
+
+    fn assert_heads_bitwise_equal(a: &TlpModel, b: &TlpModel, heads: usize, feats: &[f32]) {
+        for task in 0..heads {
+            let (x, y) = (a.predict_task(feats, task), b.predict_task(feats, task));
+            for (x, y) in x.iter().zip(&y) {
+                assert_eq!(x.to_bits(), y.to_bits(), "head {task} drifted");
+            }
+        }
+    }
+
+    #[test]
+    fn grow_head_preserves_old_heads_bitwise() {
+        let cfg = TlpConfig::test_scale();
+        let fs = cfg.seq_len * cfg.emb_size;
+        let feats: Vec<f32> = (0..2 * fs).map(|i| (i % 13) as f32 * 0.05).collect();
+        // A one-head model grows exactly like a multi-head one.
+        for heads in [1usize, 2] {
+            let base = TlpModel::with_heads(cfg.clone(), heads);
+            let grown = base.grow_head();
+            assert_eq!(grown.num_tasks(), heads + 1);
+            assert_heads_bitwise_equal(&base, &grown, heads, &feats);
+            // The new head is freshly initialized, not a copy of head 0, and
+            // growing is deterministic.
+            let s0 = grown.predict_task(&feats, 0);
+            let new = grown.predict_task(&feats, heads);
+            assert!((s0[0] - new[0]).abs() > 1e-7);
+            let again = base.grow_head().predict_task(&feats, heads);
+            assert_eq!(new[0].to_bits(), again[0].to_bits());
+        }
+    }
+
+    #[test]
+    fn grow_head_from_warm_starts_the_new_head() {
+        let cfg = TlpConfig::test_scale();
+        let fs = cfg.seq_len * cfg.emb_size;
+        let feats: Vec<f32> = (0..2 * fs).map(|i| (i % 11) as f32 * 0.07).collect();
+        for heads in [1usize, 2] {
+            let base = TlpModel::with_heads(cfg.clone(), heads);
+            let src = heads - 1;
+            let grown = base.grow_head_from(src);
+            assert_eq!(grown.num_tasks(), heads + 1);
+            // The new head scores exactly like its source head...
+            let from = grown.predict_task(&feats, src);
+            let new = grown.predict_task(&feats, heads);
+            for (x, y) in from.iter().zip(&new) {
+                assert_eq!(x.to_bits(), y.to_bits(), "warm start is not bitwise");
+            }
+            // ...and old heads are untouched relative to the base model.
+            assert_heads_bitwise_equal(&base, &grown, heads, &feats);
+        }
+    }
+
+    #[test]
+    fn param_ids_partition_the_store() {
+        // 11 heads so head 1's prefix must not swallow head 10's.
+        let model = TlpModel::with_heads(TlpConfig::test_scale(), 11);
+        let mut seen = vec![0usize; model.store.len()];
+        for id in model.trunk_param_ids() {
+            seen[model.store.ids().position(|x| x == id).unwrap()] += 1;
+        }
+        for t in 0..model.num_tasks() {
+            let ids = model.head_param_ids(t);
+            assert!(!ids.is_empty(), "head {t} owns no parameters");
+            for id in ids {
+                seen[model.store.ids().position(|x| x == id).unwrap()] += 1;
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c == 1),
+            "trunk/head ids must partition the store exactly once: {seen:?}"
+        );
     }
 
     #[test]

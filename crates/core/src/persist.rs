@@ -5,18 +5,17 @@
 //! compiler install, and reloaded without retraining — the deployment mode
 //! an offline cost model exists for.
 //!
-//! Restores are **audited**: [`SavedTlp::restore_tlp`] and
-//! [`SavedTlp::restore_mtl`] run the `tlp-modelcheck` static analyzer
-//! (shape/arity, trunk/head partition, numeric sanity, store checksum)
-//! against the snapshot before handing a model back, rejecting corrupt or
-//! inconsistent snapshots with [`PersistError::Invalid`]. The audit is
-//! read-only and RNG-neutral: a restored model's parameters are bitwise the
-//! snapshot's. There is no unaudited restore.
+//! Restores are **audited**: [`SavedTlp::restore`] runs the
+//! `tlp-modelcheck` static analyzer (shape/arity, trunk/head partition,
+//! numeric sanity, store checksum) against the snapshot before handing a
+//! model back, rejecting corrupt or inconsistent snapshots with
+//! [`PersistError::Invalid`]. The audit is read-only and RNG-neutral: a
+//! restored model's parameters are bitwise the snapshot's. There is no
+//! unaudited restore, and one restore serves any head count.
 
 use crate::config::TlpConfig;
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
-use crate::mtl::MtlTlp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -32,8 +31,10 @@ use tlp_schedule::Vocabulary;
 /// server must never hot-swap in a snapshot it may silently misinterpret.
 ///
 /// History: 1 = initial versioned layout; 2 = added the `checksum` field
-/// over the parameter store (names, shapes, and value bit patterns).
-pub const SAVED_TLP_FORMAT_VERSION: u32 = 2;
+/// over the parameter store (names, shapes, and value bit patterns); 3 =
+/// the head of a one-head model is registered under head 0's prefix like
+/// every other head (it had a prefix of its own).
+pub const SAVED_TLP_FORMAT_VERSION: u32 = 3;
 
 /// A serializable snapshot of a trained TLP model + its feature extractor.
 #[derive(Debug, Serialize, Deserialize)]
@@ -45,7 +46,7 @@ pub struct SavedTlp {
     seq_len: usize,
     emb_size: usize,
     store: ParamStore,
-    /// Number of MTL heads (1 = single-task model).
+    /// Number of heads (head 0 is the target platform).
     heads: usize,
     /// Integrity checksum over the store; see [`store_checksum`].
     checksum: u64,
@@ -87,11 +88,11 @@ pub enum PersistError {
         /// Version this build reads and writes.
         expected: u32,
     },
-    /// The snapshot's head count does not fit the requested model shape.
+    /// The snapshot records a head count no model can have (zero).
     HeadCount {
         /// Heads recorded in the snapshot.
         found: usize,
-        /// Minimum (MTL) or exact (single-task) head count required.
+        /// Minimum head count of a model.
         expected: usize,
     },
     /// A training checkpoint's recorded shuffle seed differs from the
@@ -142,9 +143,10 @@ impl std::fmt::Display for PersistError {
                 f,
                 "model snapshot format version {found} (this build reads {expected})"
             ),
-            PersistError::HeadCount { found, expected } => {
-                write!(f, "model snapshot has {found} head(s), expected {expected}")
-            }
+            PersistError::HeadCount { found, expected } => write!(
+                f,
+                "model snapshot has {found} head(s), expected at least {expected}"
+            ),
             PersistError::SeedMismatch { found, expected } => write!(
                 f,
                 "training checkpoint seed {found} does not match trainer seed {expected}"
@@ -297,22 +299,8 @@ impl ParamCheckpoint {
     }
 }
 
-/// Snapshots a single-task model.
-pub fn snapshot_tlp(model: &TlpModel, extractor: &FeatureExtractor) -> SavedTlp {
-    SavedTlp {
-        format_version: SAVED_TLP_FORMAT_VERSION,
-        config: model.config.clone(),
-        vocab: extractor.vocab().clone(),
-        seq_len: extractor.seq_len,
-        emb_size: extractor.emb_size,
-        checksum: store_checksum(&model.store),
-        store: model.store.clone(),
-        heads: 1,
-    }
-}
-
-/// Snapshots an MTL model (all heads included; head 0 is the target).
-pub fn snapshot_mtl(model: &MtlTlp, extractor: &FeatureExtractor) -> SavedTlp {
+/// Snapshots a model (all heads included; head 0 is the target).
+pub fn snapshot(model: &TlpModel, extractor: &FeatureExtractor) -> SavedTlp {
     SavedTlp {
         format_version: SAVED_TLP_FORMAT_VERSION,
         config: model.config.clone(),
@@ -377,7 +365,7 @@ impl SavedTlp {
         self.format_version
     }
 
-    /// Number of MTL heads the snapshot carries (1 = single-task model).
+    /// Number of heads the snapshot carries.
     pub fn heads(&self) -> usize {
         self.heads
     }
@@ -404,14 +392,16 @@ impl SavedTlp {
         self.heads = heads;
     }
 
-    /// The expected parameter layout for this snapshot's config and head
-    /// count (single-task for `heads <= 1`, MTL otherwise).
-    fn spec(&self) -> ModelSpec {
-        if self.heads <= 1 {
-            crate::audit::tlp_spec(&self.config)
-        } else {
-            crate::audit::mtl_spec(&self.config, self.heads)
+    /// Rejects a recorded head count of zero — it describes no model, and
+    /// must be caught before anything tries to construct one.
+    fn check_heads(&self) -> Result<(), PersistError> {
+        if self.heads == 0 {
+            return Err(PersistError::HeadCount {
+                found: 0,
+                expected: 1,
+            });
         }
+        Ok(())
     }
 
     /// Audits the snapshot against `spec`: the analyzer's structural passes
@@ -435,56 +425,34 @@ impl SavedTlp {
 
     /// Runs the full `tlp-modelcheck` audit of this snapshot: shape/arity,
     /// trunk/head partition, numeric sanity, and checksum verification,
-    /// against the parameter layout its own config declares.
+    /// against the parameter layout its own config and head count declare.
+    /// A recorded head count of zero is reported as one error-severity
+    /// diagnostic.
     pub fn audit(&self) -> AuditReport {
-        self.audit_against(&self.spec())
-    }
-
-    /// Rebuilds the single-task model and extractor, auditing the snapshot
-    /// first. The audit reuses the freshly initialized model as the layout
-    /// ground truth, so the gate costs one read-only sweep over the store
-    /// and nothing else.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::HeadCount`] if the snapshot was taken from an
-    /// MTL model (use [`SavedTlp::restore_mtl`]), or
-    /// [`PersistError::Invalid`] if the audit finds errors.
-    pub fn restore_tlp(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
-        if self.heads != 1 {
-            return Err(PersistError::HeadCount {
-                found: self.heads,
-                expected: 1,
-            });
+        if let Err(e) = self.check_heads() {
+            return AuditReport::new(vec![Diagnostic::global(
+                Code::HeadIndexOutOfRange,
+                Severity::Error,
+                e.to_string(),
+            )]);
         }
-        let mut model = TlpModel::new(self.config.clone());
-        let spec = ModelSpec::from_store(&model.store, vec!["head.".to_string()], None);
-        PersistError::reject_errors(&self.audit_against(&spec))?;
-        model.store = self.store.clone();
-        let extractor =
-            FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
-        Ok((model, extractor))
+        self.audit_against(&crate::audit::spec(&self.config, self.heads))
     }
 
-    /// Rebuilds an MTL model and extractor, auditing the snapshot first
-    /// (same gate as [`SavedTlp::restore_tlp`]).
+    /// Rebuilds the model and extractor, auditing the snapshot first. The
+    /// audit reuses the freshly initialized model as the layout ground
+    /// truth, so the gate costs one read-only sweep over the store and
+    /// nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::HeadCount`] if the snapshot records no heads
     /// at all (a corrupt or hand-edited file), or
     /// [`PersistError::Invalid`] if the audit finds errors.
-    pub fn restore_mtl(&self) -> Result<(MtlTlp, FeatureExtractor), PersistError> {
-        if self.heads == 0 {
-            return Err(PersistError::HeadCount {
-                found: 0,
-                expected: 1,
-            });
-        }
-        let mut model = MtlTlp::new(self.config.clone(), self.heads);
-        let prefixes = (0..self.heads).map(|i| format!("head{i}.")).collect();
-        let spec = ModelSpec::from_store(&model.store, prefixes, Some("head".to_string()));
-        PersistError::reject_errors(&self.audit_against(&spec))?;
+    pub fn restore(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
+        self.check_heads()?;
+        let mut model = TlpModel::with_heads(self.config.clone(), self.heads);
+        PersistError::reject_errors(&self.audit_against(&crate::audit::spec_of(&model)))?;
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -495,58 +463,84 @@ impl SavedTlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TlpHead;
     use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
 
-    fn sample_features(ex: &FeatureExtractor) -> Vec<f32> {
-        let seq: ScheduleSequence = [ConcretePrimitive::new(PrimitiveKind::Split, "dense")
+    fn sample_sequence() -> ScheduleSequence {
+        [ConcretePrimitive::new(PrimitiveKind::Split, "dense")
             .with_loops(["i"])
             .with_ints([64, 8])]
         .into_iter()
-        .collect();
+        .collect()
+    }
+
+    /// A fresh `heads`-head model over an empty vocabulary, and its snapshot.
+    fn fresh(heads: usize) -> (TlpModel, SavedTlp) {
+        let cfg = TlpConfig::test_scale();
+        let ex =
+            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
+        let model = TlpModel::with_heads(cfg, heads);
+        let snap = snapshot(&model, &ex);
+        (model, snap)
+    }
+
+    fn sample_features(ex: &FeatureExtractor) -> Vec<f32> {
+        let seq = sample_sequence();
         let mut buf = crate::features::FeatureBuf::new();
         ex.extract_batch_into(std::slice::from_ref(&seq), &mut buf);
         buf.data().to_vec()
     }
 
     #[test]
-    fn tlp_snapshot_roundtrip_preserves_predictions() {
+    fn snapshot_roundtrip_preserves_predictions() {
+        use crate::search::TlpCostModel;
+        use tlp_autotuner::{CostModel, ScoreRequest, SearchTask};
+        use tlp_workload::{AnchorOp, Subgraph};
+
         let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
         let mut vb = Vocabulary::builder();
         vb.observe("dense");
         vb.observe("i");
         let ex = FeatureExtractor::with_vocab(vb.build(), cfg.seq_len, cfg.emb_size);
         let feats = sample_features(&ex);
-        let before = model.predict(&feats);
-
-        let dir = std::env::temp_dir().join("tlp_snapshot_test.json");
-        snapshot_tlp(&model, &ex).save(&dir).expect("save");
-        let loaded = SavedTlp::load(&dir).expect("load");
-        assert_eq!(loaded.format_version(), SAVED_TLP_FORMAT_VERSION);
-        assert_eq!(loaded.heads(), 1);
-        let (model2, ex2) = loaded.restore_tlp().expect("single-task snapshot");
-        let after = model2.predict(&sample_features(&ex2));
-        assert_eq!(before, after);
-        let _ = std::fs::remove_file(dir);
-    }
-
-    #[test]
-    fn mtl_snapshot_roundtrip() {
-        let cfg = TlpConfig::test_scale();
-        let model = MtlTlp::new(cfg.clone(), 3);
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let snap = snapshot_mtl(&model, &ex);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: SavedTlp = serde_json::from_str(&json).unwrap();
-        let (model2, _) = back.restore_mtl().expect("mtl snapshot");
-        assert_eq!(model2.num_tasks(), 3);
-        let feats = sample_features(&ex);
-        for head in 0..3 {
-            assert_eq!(
-                model.predict_task(&feats, head),
-                model2.predict_task(&feats, head)
+        for heads in [1usize, 3] {
+            let model = TlpModel::with_heads(cfg.clone(), heads);
+            let path = std::env::temp_dir().join(format!("tlp_snapshot_test_{heads}.json"));
+            snapshot(&model, &ex).save(&path).expect("save");
+            let loaded = SavedTlp::load(&path).expect("load");
+            assert_eq!(loaded.format_version(), SAVED_TLP_FORMAT_VERSION);
+            assert_eq!(loaded.heads(), heads);
+            let (model2, ex2) = loaded.restore().expect("valid snapshot");
+            assert_eq!(model2.num_tasks(), heads);
+            let feats2 = sample_features(&ex2);
+            for head in 0..heads {
+                assert_eq!(
+                    model.predict_task(&feats, head),
+                    model2.predict_task(&feats2, head)
+                );
+            }
+            // Any snapshot drives the search through head 0 — what
+            // `tlp-cli eval` / `tune --model` do with an adapted snapshot.
+            let task = SearchTask::new(
+                Subgraph::new(
+                    "dense",
+                    AnchorOp::Dense {
+                        m: 64,
+                        n: 64,
+                        k: 64,
+                    },
+                ),
+                tlp_hwsim::Platform::i7_10510u(),
             );
+            let seq = sample_sequence();
+            let served = TlpCostModel::new(model2, ex2)
+                .predict(ScoreRequest::new(&task, std::slice::from_ref(&seq)));
+            let direct = model.predict(&feats);
+            assert_eq!(
+                served.scores().map(f32::to_bits).collect::<Vec<_>>(),
+                vec![direct[0].to_bits()]
+            );
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -579,11 +573,7 @@ mod tests {
 
     #[test]
     fn load_rejects_future_version() {
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let mut snap = snapshot_tlp(&model, &ex);
+        let (_, mut snap) = fresh(1);
         snap.format_version = SAVED_TLP_FORMAT_VERSION + 1;
         let path = std::env::temp_dir().join("tlp_snapshot_future.json");
         snap.save(&path).expect("save");
@@ -595,49 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_tlp_rejects_mtl_snapshot() {
-        let cfg = TlpConfig::test_scale();
-        let model = MtlTlp::new(cfg.clone(), 3);
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let snap = snapshot_mtl(&model, &ex);
-        match snap.restore_tlp() {
-            Err(PersistError::HeadCount { found, expected }) => {
-                assert_eq!(found, 3);
-                assert_eq!(expected, 1);
-            }
-            Ok(_) => panic!("restoring an MTL snapshot as single-task must fail"),
-            Err(other) => panic!("expected HeadCount error, got {other:?}"),
-        }
-        // The same snapshot restores fine through the MTL path.
-        assert!(snap.restore_mtl().is_ok());
-    }
-
-    #[test]
-    fn restore_mtl_rejects_zero_heads() {
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let mut snap = snapshot_tlp(&model, &ex);
-        snap.heads = 0;
-        assert!(matches!(
-            snap.restore_mtl(),
-            Err(PersistError::HeadCount { found: 0, .. })
-        ));
-    }
-
-    #[test]
     fn load_reports_truncation_offset_and_nearest_param() {
         // Simulates the torn write that atomic_write prevents: a valid
         // snapshot cut off mid-JSON must surface as a typed Corrupt error
         // carrying the failure offset and the nearest parameter name.
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
         let path = std::env::temp_dir().join("tlp_snapshot_truncated.json");
-        snapshot_tlp(&model, &ex).save(&path).expect("save");
+        fresh(1).1.save(&path).expect("save");
         let body = std::fs::read_to_string(&path).expect("read back");
         std::fs::write(&path, &body[..body.len() / 2]).expect("truncate");
         match SavedTlp::load(&path) {
@@ -647,7 +600,7 @@ mod tests {
                 // context scan must find a parameter name before the cut.
                 let p = param.expect("failure inside the store names a param");
                 assert!(
-                    p.starts_with("backbone.") || p.starts_with("head."),
+                    p.starts_with("backbone.") || p.starts_with(&TlpHead::prefix(0)),
                     "unexpected param locus {p:?}"
                 );
             }
@@ -686,12 +639,8 @@ mod tests {
 
     #[test]
     fn atomic_save_leaves_no_tempfile_and_overwrites_in_place() {
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
         let path = std::env::temp_dir().join("tlp_snapshot_atomic.json");
-        let snap = snapshot_tlp(&model, &ex);
+        let (_, snap) = fresh(1);
         snap.save(&path).expect("first save");
         snap.save(&path).expect("overwrite save");
         let tmp = std::env::temp_dir().join("tlp_snapshot_atomic.json.tmp");
@@ -702,8 +651,7 @@ mod tests {
 
     #[test]
     fn checksum_is_bit_sensitive() {
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg);
+        let (model, _) = fresh(1);
         let before = store_checksum(&model.store);
         let mut store = model.store.clone();
         let id = store.ids().next().expect("store has params");
@@ -716,18 +664,14 @@ mod tests {
 
     #[test]
     fn restore_rejects_bit_flipped_store() {
-        let cfg = TlpConfig::test_scale();
-        let model = TlpModel::new(cfg.clone());
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let mut snap = snapshot_tlp(&model, &ex);
+        let (_, mut snap) = fresh(1);
         let id = snap.store().ids().next().expect("store has params");
         let bits = snap.store().value(id).data()[0].to_bits() ^ 1;
         snap.store_mut().value_mut(id).data_mut()[0] = f32::from_bits(bits);
 
         let report = snap.audit();
         assert!(report.has_code(Code::ChecksumMismatch), "audit: {report}");
-        match snap.restore_tlp() {
+        match snap.restore() {
             Err(PersistError::Invalid { diagnostics }) => {
                 assert!(diagnostics.iter().any(|d| d.code == Code::ChecksumMismatch));
             }
@@ -737,50 +681,40 @@ mod tests {
 
     #[test]
     fn restore_rejects_nan_injected_store() {
-        let cfg = TlpConfig::test_scale();
-        let model = MtlTlp::new(cfg.clone(), 2);
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let mut snap = snapshot_mtl(&model, &ex);
+        let (_, mut snap) = fresh(2);
         let id = snap.store().ids().next().expect("store has params");
         snap.store_mut().value_mut(id).data_mut()[0] = f32::NAN;
 
         let report = snap.audit();
         assert!(report.has_code(Code::NonFiniteValue), "audit: {report}");
-        assert!(matches!(
-            snap.restore_mtl(),
-            Err(PersistError::Invalid { .. })
-        ));
+        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
     }
 
     #[test]
     fn restore_rejects_head_count_forgery() {
         // set_heads leaves the store (and checksum) untouched, so the
         // partition pass — not the checksum — must catch the lie.
-        let cfg = TlpConfig::test_scale();
-        let model = MtlTlp::new(cfg.clone(), 3);
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let mut snap = snapshot_mtl(&model, &ex);
+        let (_, mut snap) = fresh(3);
         snap.set_heads(2);
         let report = snap.audit();
         assert!(report.has_errors(), "audit must flag the forged head count");
         assert!(!report.has_code(Code::ChecksumMismatch));
+        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+
+        // No heads at all describes no model: a typed HeadCount, never an
+        // attempt to build one.
+        snap.set_heads(0);
+        assert!(snap.audit().has_errors());
         assert!(matches!(
-            snap.restore_mtl(),
-            Err(PersistError::Invalid { .. })
+            snap.restore(),
+            Err(PersistError::HeadCount { found: 0, .. })
         ));
     }
 
     #[test]
     fn restored_parameters_are_bitwise_the_source_models() {
-        let cfg = TlpConfig::test_scale();
-        let model = MtlTlp::new(cfg.clone(), 2);
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let (restored, _) = snapshot_mtl(&model, &ex)
-            .restore_mtl()
-            .expect("valid snapshot");
+        let (model, snap) = fresh(2);
+        let (restored, _) = snap.restore().expect("valid snapshot");
         assert_eq!(
             store_checksum(&restored.store),
             store_checksum(&model.store)

@@ -1,7 +1,7 @@
-//! Cost-model adapters plugging TLP, MTL-TLP and the baselines into the
-//! auto-tuner's search loop (paper §6.3).
+//! Cost-model adapters plugging TLP and the baselines into the auto-tuner's
+//! search loop (paper §6.3).
 //!
-//! All four model families share one adapter: [`FeatureModel`] pairs a
+//! All model families share one adapter: [`FeatureModel`] pairs a
 //! [`ScheduleScorer`] (how this model family turns schedules into scores)
 //! with an [`InferenceEngine`] (batching, threading and score caching) and
 //! implements the `CostModel` trait exactly once. The historical per-model
@@ -12,7 +12,6 @@ use crate::baselines::{program_features, AnsorOnlineModel, TenSetMlp, PROGRAM_FE
 use crate::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
 use crate::features::{FeatureBuf, FeatureExtractor};
 use crate::model::TlpModel;
-use crate::mtl::MtlTlp;
 use tlp_autotuner::{
     check_update_shape, Candidate, CostModel, DraftFeatures, DraftScorer, PipelineCost, ScoreBatch,
     ScoreRequest, SearchTask, UpdateError,
@@ -116,8 +115,28 @@ pub struct FeatureScratch {
     scores: Vec<f32>,
 }
 
-/// TLP scoring: features come straight from the schedule primitives, so no
-/// program generation is charged.
+impl FeatureScratch {
+    /// Scores one micro-batch through head `head` of `model` — the path
+    /// shared by [`TlpScorer`] (head 0) and [`MtlTlpScorer`] (any head):
+    /// features come straight from the schedule primitives, so no program
+    /// generation is charged.
+    fn score_head(
+        &mut self,
+        model: &TlpModel,
+        extractor: &FeatureExtractor,
+        head: usize,
+        schedules: &[ScheduleSequence],
+        idx: &[usize],
+        out: &mut Vec<Option<f32>>,
+    ) {
+        extractor.extract_batch_into(idx.iter().map(|&i| &schedules[i]), &mut self.feats);
+        model.predict_task_into(&mut self.ws, &self.feats, head, &mut self.scores);
+        out.extend(self.scores.iter().copied().map(Some));
+    }
+}
+
+/// TLP scoring through the target-platform head (head 0) — the head-0 form
+/// of [`MtlTlpScorer`].
 #[derive(Debug)]
 pub struct TlpScorer {
     /// The pre-trained model.
@@ -145,21 +164,16 @@ impl ScheduleScorer for TlpScorer {
         idx: &[usize],
         out: &mut Vec<Option<f32>>,
     ) {
-        self.extractor
-            .extract_batch_into(idx.iter().map(|&i| &schedules[i]), &mut scratch.feats);
-        self.model
-            .predict_into(&mut scratch.ws, &scratch.feats, &mut scratch.scores);
-        out.extend(scratch.scores.iter().copied().map(Some));
+        scratch.score_head(&self.model, &self.extractor, 0, schedules, idx, out);
     }
 }
 
-/// MTL-TLP scoring through one selected platform head (0 = the target
-/// platform — the historical behaviour; continual adaptation serves a newly
-/// grown head by index).
+/// TLP scoring through one selected platform head (0 = the target platform;
+/// continual adaptation serves a newly grown head by index).
 #[derive(Debug)]
 pub struct MtlTlpScorer {
-    /// The pre-trained multi-task model.
-    pub model: MtlTlp,
+    /// The pre-trained model.
+    pub model: TlpModel,
     /// The frozen feature extractor.
     pub extractor: FeatureExtractor,
     /// Head index every score goes through.
@@ -168,7 +182,7 @@ pub struct MtlTlpScorer {
 
 impl MtlTlpScorer {
     /// A scorer over the target-platform head (head 0).
-    pub fn new(model: MtlTlp, extractor: FeatureExtractor) -> Self {
+    pub fn new(model: TlpModel, extractor: FeatureExtractor) -> Self {
         MtlTlpScorer::for_head(model, extractor, 0)
     }
 
@@ -177,7 +191,7 @@ impl MtlTlpScorer {
     /// # Panics
     ///
     /// Panics if `head` is out of range for `model`.
-    pub fn for_head(model: MtlTlp, extractor: FeatureExtractor, head: usize) -> Self {
+    pub fn for_head(model: TlpModel, extractor: FeatureExtractor, head: usize) -> Self {
         assert!(head < model.num_tasks(), "head index out of range");
         MtlTlpScorer {
             model,
@@ -206,15 +220,7 @@ impl ScheduleScorer for MtlTlpScorer {
         idx: &[usize],
         out: &mut Vec<Option<f32>>,
     ) {
-        self.extractor
-            .extract_batch_into(idx.iter().map(|&i| &schedules[i]), &mut scratch.feats);
-        self.model.predict_task_into(
-            &mut scratch.ws,
-            &scratch.feats,
-            self.head,
-            &mut scratch.scores,
-        );
-        out.extend(scratch.scores.iter().copied().map(Some));
+        scratch.score_head(&self.model, &self.extractor, self.head, schedules, idx, out);
     }
 }
 
@@ -378,23 +384,13 @@ impl DraftFeatures for TlpDraftFeatures {
     }
 }
 
-/// TLP as a search cost model.
+/// TLP (target head) as a search cost model.
 pub type TlpCostModel = FeatureModel<TlpScorer>;
 
 impl TlpCostModel {
-    /// Wraps a pre-trained TLP model.
+    /// Wraps a pre-trained TLP model of any head count.
     pub fn new(model: TlpModel, extractor: FeatureExtractor) -> Self {
         FeatureModel::from_scorer(TlpScorer { model, extractor })
-    }
-}
-
-/// MTL-TLP (target head) as a search cost model.
-pub type MtlTlpCostModel = FeatureModel<MtlTlpScorer>;
-
-impl MtlTlpCostModel {
-    /// Wraps a pre-trained MTL-TLP model (target head).
-    pub fn new(model: MtlTlp, extractor: FeatureExtractor) -> Self {
-        FeatureModel::from_scorer(MtlTlpScorer::new(model, extractor))
     }
 }
 

@@ -6,6 +6,9 @@
 //!
 //! The actual epoch/step loop lives in [`crate::trainer`]; this module
 //! contributes the task-grouped batch provider and the data containers.
+//! One provider serves any head count: `task_data[i]` feeds head `i` (every
+//! entry point panics unless there is exactly one training set per head),
+//! and `train_tlp`/`train_tlp_with` are its one-head forms.
 
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
@@ -136,45 +139,50 @@ impl TrainData {
     }
 }
 
-/// One task-grouped feature micro-batch.
+/// One task-grouped micro-batch routed to a specific head.
 #[derive(Clone, Debug)]
-pub(crate) struct FeatureBatch {
-    pub(crate) feats: Vec<f32>,
-    pub(crate) labels: Vec<f32>,
+struct HeadBatch {
+    feats: Vec<f32>,
+    labels: Vec<f32>,
+    task: usize,
 }
 
-/// [`Trainable`] adapter for the single-task TLP model: shuffled task groups
-/// chunked into rank-loss micro-batches, exactly like the historical
-/// `train_tlp` loop.
-struct TlpTask<'a> {
+/// The [`Trainable`] adapter behind every TLP entry point: `(task, group)`
+/// slots interleaved so backbone gradients mix platforms; each micro-batch
+/// comes from one platform's labelled pool and trains that platform's head.
+/// With one head this is the plain shuffled-task-group stream. A validation
+/// split (when enabled) holds out groups of the *target* task (head 0) — the
+/// platform whose ranking quality matters.
+struct HeadTask<'a> {
     model: &'a mut TlpModel,
-    data: &'a TrainData,
-    train_groups: Vec<usize>,
-    valid_groups: Vec<usize>,
+    task_data: &'a [TrainData],
+    /// Target-task group indices held out for validation.
+    valid_target_groups: Vec<usize>,
     batch_size: usize,
 }
 
-impl TlpTask<'_> {
-    fn group_batches(&self, gi: usize, order: &[usize], out: &mut Vec<FeatureBatch>) {
-        let group = &self.data.groups[gi];
+impl HeadTask<'_> {
+    fn group_batches(&self, ti: usize, gi: usize, order: &[usize], out: &mut Vec<HeadBatch>) {
+        let data = &self.task_data[ti];
+        let group = &data.groups[gi];
         for chunk in order.chunks(self.batch_size) {
             // A singleton carries no ranking signal.
             if chunk.len() < 2 {
                 continue;
             }
-            let (feats, labels) = gather_rows(
-                &group.features,
-                &group.labels,
-                self.data.feature_size,
-                chunk,
-            );
-            out.push(FeatureBatch { feats, labels });
+            let (feats, labels) =
+                gather_rows(&group.features, &group.labels, data.feature_size, chunk);
+            out.push(HeadBatch {
+                feats,
+                labels,
+                task: ti,
+            });
         }
     }
 }
 
-impl Trainable for TlpTask<'_> {
-    type Batch = FeatureBatch;
+impl Trainable for HeadTask<'_> {
+    type Batch = HeadBatch;
 
     fn store(&self) -> &ParamStore {
         &self.model.store
@@ -185,17 +193,25 @@ impl Trainable for TlpTask<'_> {
     }
 
     fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
-        let mut order = self.train_groups.clone();
-        order.shuffle(rng);
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for (ti, data) in self.task_data.iter().enumerate() {
+            for gi in 0..data.groups.len() {
+                if ti == 0 && self.valid_target_groups.binary_search(&gi).is_ok() {
+                    continue;
+                }
+                slots.push((ti, gi));
+            }
+        }
+        slots.shuffle(rng);
         let mut out = Vec::new();
-        for &gi in &order {
-            let n = self.data.groups[gi].labels.len();
+        for (ti, gi) in slots {
+            let n = self.task_data[ti].groups[gi].labels.len();
             if n < 2 {
                 continue;
             }
-            let mut sample_order: Vec<usize> = (0..n).collect();
-            sample_order.shuffle(rng);
-            self.group_batches(gi, &sample_order, &mut out);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            self.group_batches(ti, gi, &order, &mut out);
         }
         out
     }
@@ -205,11 +221,12 @@ impl Trainable for TlpTask<'_> {
     }
 
     fn loss(&self, ws: &mut Workspace, batch: &Self::Batch) -> Var {
-        let scores = self.model.forward(
+        let scores = self.model.forward_task(
             &mut ws.graph,
             &mut ws.bind,
             &batch.feats,
             batch.labels.len(),
+            batch.task,
         );
         scored_loss(
             &mut ws.graph,
@@ -222,55 +239,77 @@ impl Trainable for TlpTask<'_> {
 
     fn valid_batches(&self) -> Vec<Self::Batch> {
         let mut out = Vec::new();
-        for &gi in &self.valid_groups {
-            let n = self.data.groups[gi].labels.len();
+        for &gi in &self.valid_target_groups {
+            let n = self.task_data[0].groups[gi].labels.len();
             if n < 2 {
                 continue;
             }
             let order: Vec<usize> = (0..n).collect();
-            self.group_batches(gi, &order, &mut out);
+            self.group_batches(0, gi, &order, &mut out);
         }
         out
     }
 
     fn coverage(&self) -> Option<CoverageSpec> {
-        // Single-task training: the loss reaches the trunk and the one
-        // `head.` head; nothing is masked.
-        Some(CoverageSpec::full(vec!["head.".to_string()]))
+        // Every head draws micro-batches from its own platform's pool, so
+        // the loss reaches all heads; nothing is masked.
+        Some(CoverageSpec::full(self.model.head_prefixes()))
     }
 }
 
-/// Trains a TLP model in place with options derived from its config
-/// (per-batch stepping, exponential LR decay — the historical loop's exact
-/// behaviour and batch stream).
+/// Trains a one-head TLP model in place with options derived from its
+/// config (per-batch stepping, exponential LR decay — the historical loop's
+/// exact behaviour and batch stream).
 pub fn train_tlp(model: &mut TlpModel, data: &TrainData) -> TrainReport {
     // The salt preserves the historical shuffle stream of this entry point.
     let options = TrainOptions::from_config(&model.config).with_seed(model.config.seed ^ 0x7e41);
     train_tlp_with(model, data, &options)
 }
 
-/// Trains a TLP model in place with explicit [`TrainOptions`].
+/// Trains a one-head TLP model in place with explicit [`TrainOptions`].
 pub fn train_tlp_with(
     model: &mut TlpModel,
     data: &TrainData,
     options: &TrainOptions,
 ) -> TrainReport {
-    let mut task = make_task(model, data, options);
+    train_mtl_with(model, std::slice::from_ref(data), options)
+}
+
+/// Trains every head of `model` on per-task training sets (`task_data[i]`
+/// feeds head `i`) with options derived from the model's config — the
+/// historical MTL loop's exact behaviour and batch stream. The per-epoch
+/// loss is the mean over all heads' micro-batches (the paper's summed
+/// multi-task loss, normalized).
+pub fn train_mtl(model: &mut TlpModel, task_data: &[TrainData]) -> TrainReport {
+    // The salt preserves the historical shuffle stream of this entry point.
+    let options = TrainOptions::from_config(&model.config).with_seed(model.config.seed ^ 0x171);
+    train_mtl_with(model, task_data, &options)
+}
+
+/// Trains every head of `model` with explicit [`TrainOptions`].
+/// `valid_frac` holds out target-task (head 0) groups for the validation
+/// metric.
+pub fn train_mtl_with(
+    model: &mut TlpModel,
+    task_data: &[TrainData],
+    options: &TrainOptions,
+) -> TrainReport {
+    let mut task = make_task(model, task_data, options);
     Trainer::new(options.clone()).fit(&mut task)
 }
 
-/// Trains like [`train_tlp_with`], but spills a crash-safe
+/// Trains like [`train_mtl_with`], but spills a crash-safe
 /// [`TrainCheckpoint`](crate::TrainCheckpoint) to `checkpoint_path` every
 /// `every_epochs` epochs (atomic tempfile + rename). An interrupted run can
 /// be continued bit-identically with [`resume_tlp`].
 pub fn train_tlp_checkpointed(
     model: &mut TlpModel,
-    data: &TrainData,
+    task_data: &[TrainData],
     options: &TrainOptions,
     checkpoint_path: impl Into<std::path::PathBuf>,
     every_epochs: usize,
 ) -> TrainReport {
-    let mut task = make_task(model, data, options);
+    let mut task = make_task(model, task_data, options);
     Trainer::new(options.clone())
         .with_checkpointing(checkpoint_path, every_epochs)
         .fit(&mut task)
@@ -279,8 +318,8 @@ pub fn train_tlp_checkpointed(
 /// Resumes an interrupted [`train_tlp_checkpointed`] run from its
 /// checkpoint and trains to `options.epochs`, continuing to spill to the
 /// same path. `model` must be freshly constructed with the same config and
-/// `options` must match the interrupted run; the result is then
-/// bitwise-identical to a never-interrupted run.
+/// head count, and `options` must match the interrupted run; the result is
+/// then bitwise-identical to a never-interrupted run.
 ///
 /// # Errors
 ///
@@ -288,38 +327,44 @@ pub fn train_tlp_checkpointed(
 /// unreadable, has a wrong format version, or records a different seed.
 pub fn resume_tlp(
     model: &mut TlpModel,
-    data: &TrainData,
+    task_data: &[TrainData],
     options: &TrainOptions,
     checkpoint_path: impl Into<std::path::PathBuf>,
     every_epochs: usize,
 ) -> Result<TrainReport, crate::PersistError> {
     let path = checkpoint_path.into();
-    let mut task = make_task(model, data, options);
+    let mut task = make_task(model, task_data, options);
     Trainer::new(options.clone())
         .with_checkpointing(path.clone(), every_epochs)
         .resume_from(&mut task, &path)
 }
 
-/// Builds the task-grouped batch provider shared by every TLP entry point.
+/// Builds the `(task, group)`-slot batch provider shared by every entry
+/// point.
 fn make_task<'a>(
     model: &'a mut TlpModel,
-    data: &'a TrainData,
+    task_data: &'a [TrainData],
     options: &TrainOptions,
-) -> TlpTask<'a> {
+) -> HeadTask<'a> {
     assert_eq!(
-        data.feature_size,
-        model.config.seq_len * model.config.emb_size,
-        "extractor shape must match model config"
+        task_data.len(),
+        model.num_tasks(),
+        "one training set per head"
     );
-    let (train_groups, valid_groups) =
-        split_group_indices(data.groups.len(), options.valid_frac, options.seed);
-    let batch_size = options.batch_size.max(2);
-    TlpTask {
+    for data in task_data {
+        assert_eq!(
+            data.feature_size,
+            model.config.seq_len * model.config.emb_size,
+            "extractor shape must match model config"
+        );
+    }
+    let (_, valid_target_groups) =
+        split_group_indices(task_data[0].groups.len(), options.valid_frac, options.seed);
+    HeadTask {
         model,
-        data,
-        train_groups,
-        valid_groups,
-        batch_size,
+        task_data,
+        valid_target_groups,
+        batch_size: options.batch_size.max(2),
     }
 }
 
@@ -332,18 +377,22 @@ mod tests {
     use tlp_hwsim::Platform;
     use tlp_workload::bert_tiny;
 
-    fn tiny_dataset() -> Dataset {
+    fn dataset(platforms: &[Platform], programs_per_task: usize, seed: u64) -> Dataset {
         generate_dataset_for(
             &[bert_tiny(1, 64)],
             &[],
-            &[Platform::i7_10510u()],
+            platforms,
             &DatasetConfig {
-                programs_per_task: 24,
+                programs_per_task,
                 refined_fraction: 0.25,
-                seed: 5,
+                seed,
                 ..DatasetConfig::default()
             },
         )
+    }
+
+    fn tiny_dataset() -> Dataset {
+        dataset(&[Platform::i7_10510u()], 24, 5)
     }
 
     #[test]
@@ -363,6 +412,36 @@ mod tests {
         let head: f32 = losses[..3].iter().sum::<f32>() / 3.0;
         let tail: f32 = losses[losses.len() - 3..].iter().sum::<f32>() / 3.0;
         assert!(tail < head, "losses {losses:?}");
+    }
+
+    #[test]
+    fn mtl_training_runs_and_reduces_loss() {
+        let ds = dataset(&[Platform::i7_10510u(), Platform::e5_2673()], 16, 9);
+        let cfg = TlpConfig {
+            epochs: 6,
+            ..TlpConfig::test_scale()
+        };
+        let ex = FeatureExtractor::fit(&ds, cfg.seq_len, cfg.emb_size);
+        let target = TrainData::from_dataset(&ds, &ex, 0).subsample(0.5, 1);
+        let aux = TrainData::from_dataset(&ds, &ex, 1);
+        let mut model = TlpModel::with_heads(cfg, 2);
+        let losses = train_mtl(&mut model, &[target, aux]).epoch_losses();
+        assert_eq!(losses.len(), 6);
+        assert!(losses.last().unwrap() < losses.first().unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "one training set per head")]
+    fn task_count_mismatch_panics() {
+        let cfg = TlpConfig::test_scale();
+        let mut model = TlpModel::with_heads(cfg, 2);
+        let _ = train_mtl(
+            &mut model,
+            &[TrainData {
+                feature_size: 1,
+                groups: vec![],
+            }],
+        );
     }
 
     #[test]

@@ -258,8 +258,8 @@ impl TrainReport {
 }
 
 /// A training task the generic [`Trainer`] can drive: a batch provider plus
-/// a loss. Implementations exist for single-task TLP, MTL-TLP interleaved
-/// slots, LM pretraining corpora, and rank fine-tuning.
+/// a loss. Implementations exist for TLP's `(head, group)` interleaved slots
+/// (any head count), LM pretraining corpora, and rank fine-tuning.
 ///
 /// `Sync` is required because worker threads share `&self` while computing
 /// micro-batch gradients.
@@ -313,7 +313,11 @@ pub trait Trainable: Sync {
 }
 
 /// Format tag written into every [`TrainCheckpoint`] file.
-pub const TRAIN_CHECKPOINT_FORMAT_VERSION: u32 = 1;
+///
+/// History: 1 = initial layout; 2 = a one-head TLP model's store names its
+/// head like every other head, so a v1 checkpoint fails with
+/// [`PersistError::Version`] instead of resuming into mismatched names.
+pub const TRAIN_CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 /// A crash-safe snapshot of a [`Trainer::fit`] run after a whole number of
 /// epochs: parameters, Adam moments, early-stopping state, and epoch

@@ -4,8 +4,10 @@
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
-use tlp::mtl::{train_mtl_with, MtlTlp};
-use tlp::train::{resume_tlp, train_tlp_checkpointed, train_tlp_with, GroupData, TrainData};
+use tlp::train::{
+    resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
+    GroupData, TrainData,
+};
 use tlp::{PersistError, StopReason, TlpConfig, TlpModel, TrainCheckpoint, TrainOptions};
 use tlp_nn::ParamStore;
 
@@ -64,60 +66,75 @@ fn options(cfg: &TlpConfig, workers: usize) -> TrainOptions {
         .with_grad_accum(4)
 }
 
-#[test]
-fn parallel_matches_sequential_tlp() {
-    let cfg = tiny_config();
-    let data = synth_data(&cfg, 5, 10, 7);
-
-    let mut sequential = TlpModel::new(cfg.clone());
-    let seq_report = train_tlp_with(&mut sequential, &data, &options(&cfg, 1));
-    let mut parallel = TlpModel::new(cfg.clone());
-    let par_report = train_tlp_with(&mut parallel, &data, &options(&cfg, 4));
-
-    assert_eq!(seq_report.epoch_losses(), par_report.epoch_losses());
-    let diff = max_param_diff(&sequential.store, &parallel.store);
-    assert!(
-        diff <= 1e-5,
-        "parallel training diverged from sequential: max param diff {diff}"
-    );
+/// Per-head inputs for a one-head and a two-head model.
+fn head_inputs(cfg: &TlpConfig) -> [Vec<TrainData>; 2] {
+    [
+        vec![synth_data(cfg, 5, 10, 7)],
+        vec![synth_data(cfg, 3, 8, 11), synth_data(cfg, 4, 8, 13)],
+    ]
 }
 
+/// FNV-1a over every parameter's value bits in registration order. Names are
+/// excluded, so the digest survives a parameter rename but not a changed
+/// number.
+fn value_digest(store: &ParamStore) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for id in store.ids() {
+        for v in store.value(id).data() {
+            h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The literals were captured at the last commit that had separate
+/// single-task and multi-task model/trainable pairs; the one-type code must
+/// reproduce every batch stream bit for bit, salts included.
 #[test]
-fn parallel_matches_sequential_mtl() {
+fn training_streams_match_the_pre_merge_digests() {
     let cfg = tiny_config();
-    let target = synth_data(&cfg, 3, 8, 11);
-    let aux = synth_data(&cfg, 4, 8, 13);
-
-    let mut sequential = MtlTlp::new(cfg.clone(), 2);
-    train_mtl_with(
-        &mut sequential,
-        &[target.clone(), aux.clone()],
-        &options(&cfg, 1),
-    );
-    let mut parallel = MtlTlp::new(cfg.clone(), 2);
-    train_mtl_with(&mut parallel, &[target, aux], &options(&cfg, 4));
-
-    let diff = max_param_diff(&sequential.store, &parallel.store);
-    assert!(
-        diff <= 1e-5,
-        "parallel MTL training diverged from sequential: max param diff {diff}"
-    );
+    let [one, two] = head_inputs(&cfg);
+    let plain = options(&cfg, 2);
+    let split = options(&cfg, 2)
+        .with_epochs(4)
+        .with_valid_frac(0.3)
+        .with_patience(2);
+    let pinned = |heads: usize, want: u64, train: &dyn Fn(&mut TlpModel) -> tlp::TrainReport| {
+        let mut model = TlpModel::with_heads(cfg.clone(), heads);
+        train(&mut model);
+        assert_eq!(value_digest(&model.store), want, "expected {want:#018x}");
+    };
+    // `train_tlp` / `train_mtl` carry the historical salts 0x7e41 / 0x171.
+    pinned(1, 0x1299_79ef_2e77_6615, &|m| train_tlp(m, &one[0]));
+    pinned(1, 0x5eec_e019_7d02_01e1, &|m| {
+        train_tlp_with(m, &one[0], &split)
+    });
+    pinned(2, 0x7421_512c_d73f_221b, &|m| {
+        train_mtl_with(m, &two, &plain)
+    });
+    pinned(2, 0xcd6e_fcbe_5c41_4590, &|m| train_mtl(m, &two));
+    pinned(2, 0xa48c_8159_4a5f_2d02, &|m| {
+        train_mtl_with(m, &two, &split)
+    });
 }
 
 #[test]
 fn fixed_seed_is_bitwise_deterministic_across_worker_counts() {
     let cfg = tiny_config();
-    let data = synth_data(&cfg, 4, 9, 23);
-    let mut stores: Vec<ParamStore> = Vec::new();
-    for workers in [1usize, 2, 3] {
-        let mut model = TlpModel::new(cfg.clone());
-        train_tlp_with(&mut model, &data, &options(&cfg, workers));
-        stores.push(model.store);
-    }
-    for other in &stores[1..] {
-        // Bitwise: the ordered all-reduce makes worker count a pure
-        // throughput knob.
-        assert_eq!(max_param_diff(&stores[0], other), 0.0);
+    for tasks in head_inputs(&cfg) {
+        let run = |workers: usize| {
+            let mut model = TlpModel::with_heads(cfg.clone(), tasks.len());
+            let report = train_mtl_with(&mut model, &tasks, &options(&cfg, workers));
+            (model.store, report.epoch_losses())
+        };
+        let (sequential, seq_losses) = run(1);
+        for workers in [2usize, 3, 4] {
+            // Bitwise: the ordered all-reduce makes worker count a pure
+            // throughput knob — parallel == sequential for any head count.
+            let (parallel, par_losses) = run(workers);
+            assert_eq!(max_param_diff(&sequential, &parallel), 0.0);
+            assert_eq!(seq_losses, par_losses);
+        }
     }
 }
 
@@ -161,46 +178,48 @@ fn report_shape_and_early_stopping() {
 #[test]
 fn resumed_training_is_bitwise_identical_to_uninterrupted() {
     let cfg = tiny_config();
-    let data = synth_data(&cfg, 5, 10, 17);
     let opts = options(&cfg, 2).with_epochs(6);
-    let path = std::env::temp_dir().join("tlp_trainer_resume_test.json");
-    let _ = std::fs::remove_file(&path);
+    for tasks in head_inputs(&cfg) {
+        let heads = tasks.len();
+        let path = std::env::temp_dir().join(format!("tlp_trainer_resume_test_{heads}.json"));
+        let _ = std::fs::remove_file(&path);
 
-    // Straight-through run: 6 epochs, no interruption.
-    let mut straight = TlpModel::new(cfg.clone());
-    let straight_report = train_tlp_with(&mut straight, &data, &opts);
+        // Straight-through run: 6 epochs, no interruption.
+        let mut straight = TlpModel::with_heads(cfg.clone(), heads);
+        let straight_report = train_mtl_with(&mut straight, &tasks, &opts);
 
-    // Interrupted run: 3 epochs with checkpointing, then a fresh model +
-    // resume carries it to 6. The fresh model simulates a process restart
-    // (all in-memory state lost; only the checkpoint file survives).
-    let mut interrupted = TlpModel::new(cfg.clone());
-    let partial = train_tlp_checkpointed(
-        &mut interrupted,
-        &data,
-        &opts.clone().with_epochs(3),
-        &path,
-        3,
-    );
-    assert!(partial.checkpoints_written >= 1, "spill must have happened");
-    let ckpt = TrainCheckpoint::load(&path).expect("checkpoint readable");
-    assert_eq!(ckpt.epochs_done, 3);
+        // Interrupted run: 3 epochs with checkpointing, then a fresh model +
+        // resume carries it to 6. The fresh model simulates a process restart
+        // (all in-memory state lost; only the checkpoint file survives).
+        let mut interrupted = TlpModel::with_heads(cfg.clone(), heads);
+        let partial = train_tlp_checkpointed(
+            &mut interrupted,
+            &tasks,
+            &opts.clone().with_epochs(3),
+            &path,
+            3,
+        );
+        assert!(partial.checkpoints_written >= 1, "spill must have happened");
+        let ckpt = TrainCheckpoint::load(&path).expect("checkpoint readable");
+        assert_eq!(ckpt.epochs_done, 3);
 
-    let mut resumed_model = TlpModel::new(cfg.clone());
-    let resumed = resume_tlp(&mut resumed_model, &data, &opts, &path, 3).expect("resume");
+        let mut resumed_model = TlpModel::with_heads(cfg.clone(), heads);
+        let resumed = resume_tlp(&mut resumed_model, &tasks, &opts, &path, 3).expect("resume");
 
-    // Bitwise-identical parameters (ParamStore has no PartialEq; tensors do).
-    assert_eq!(max_param_diff(&straight.store, &resumed_model.store), 0.0);
-    // Same per-epoch losses over all 6 epochs, first 3 from the checkpoint.
-    assert_eq!(resumed.epochs.len(), 6);
-    assert_eq!(straight_report.epoch_losses(), resumed.epoch_losses());
-    assert_eq!(resumed.stop, StopReason::Completed);
-    let _ = std::fs::remove_file(&path);
+        // Bitwise-identical parameters (ParamStore has no PartialEq; tensors do).
+        assert_eq!(max_param_diff(&straight.store, &resumed_model.store), 0.0);
+        // Same per-epoch losses over all 6 epochs, first 3 from the checkpoint.
+        assert_eq!(resumed.epochs.len(), 6);
+        assert_eq!(straight_report.epoch_losses(), resumed.epoch_losses());
+        assert_eq!(resumed.stop, StopReason::Completed);
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
 fn resume_rejects_seed_mismatch_and_missing_checkpoint() {
     let cfg = tiny_config();
-    let data = synth_data(&cfg, 3, 8, 29);
+    let data = [synth_data(&cfg, 3, 8, 29)];
     let path = std::env::temp_dir().join("tlp_trainer_seed_mismatch_test.json");
     let _ = std::fs::remove_file(&path);
 

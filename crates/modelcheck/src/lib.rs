@@ -77,11 +77,7 @@ mod tests {
             );
             store.add(format!("head{h}.out.b"), Tensor::zeros(&[1]));
         }
-        let spec = ModelSpec::from_store(
-            &store,
-            vec!["head0.".into(), "head1.".into()],
-            Some("head".into()),
-        );
+        let spec = ModelSpec::from_store(&store, vec!["head0.".into(), "head1.".into()], "head");
         (spec, store)
     }
 

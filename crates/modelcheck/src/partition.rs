@@ -35,25 +35,23 @@ pub fn check(spec: &ModelSpec, store: &ParamStore, out: &mut Vec<Diagnostic>) {
         if let Some(&h) = matching.first() {
             let suffix = name[spec.head_prefixes[h].len()..].to_string();
             layouts[h].insert(suffix, store.value(id).shape().to_vec());
-        } else if let Some(stem) = &spec.head_stem {
+        } else if let Some(idx) = claimed_head_index(name, &spec.head_stem) {
             // A trunk-classified name that *claims* a head index means the
             // partition is not exhaustive: `{stem}{digits}.` beyond the
             // declared head count is an undeclared head.
-            if let Some(idx) = claimed_head_index(name, stem) {
-                if idx >= spec.heads() {
-                    out.push(
-                        Diagnostic::at(
-                            Code::HeadIndexOutOfRange,
-                            Severity::Error,
-                            name,
-                            format!(
-                                "parameter claims head {idx}, but the model declares {} heads",
-                                spec.heads()
-                            ),
-                        )
-                        .on_head(idx),
-                    );
-                }
+            if idx >= spec.heads() {
+                out.push(
+                    Diagnostic::at(
+                        Code::HeadIndexOutOfRange,
+                        Severity::Error,
+                        name,
+                        format!(
+                            "parameter claims head {idx}, but the model declares {} heads",
+                            spec.heads()
+                        ),
+                    )
+                    .on_head(idx),
+                );
             }
         }
     }

@@ -31,21 +31,17 @@ pub struct ModelSpec {
     /// One name prefix per head, in head order (e.g. `"head0."`). Every
     /// parameter not matching a head prefix belongs to the shared trunk.
     pub head_prefixes: Vec<String>,
-    /// When set, parameter names of the form `{stem}{digits}.` claim a head
-    /// index; indices at or beyond `head_prefixes.len()` are flagged
+    /// Parameter names of the form `{stem}{digits}.` claim a head index;
+    /// indices at or beyond `head_prefixes.len()` are flagged
     /// ([`Code::HeadIndexOutOfRange`](crate::Code::HeadIndexOutOfRange)).
-    pub head_stem: Option<String>,
+    pub head_stem: String,
 }
 
 impl ModelSpec {
     /// Builds the spec from a reference store — typically one freshly
     /// constructed from the architecture config, whose registrations are by
     /// definition correct.
-    pub fn from_store(
-        store: &ParamStore,
-        head_prefixes: Vec<String>,
-        head_stem: Option<String>,
-    ) -> Self {
+    pub fn from_store(store: &ParamStore, head_prefixes: Vec<String>, head_stem: &str) -> Self {
         let params = store
             .ids()
             .map(|id| ParamSpec {
@@ -56,7 +52,7 @@ impl ModelSpec {
         ModelSpec {
             params,
             head_prefixes,
-            head_stem,
+            head_stem: head_stem.to_string(),
         }
     }
 
@@ -136,7 +132,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.add("backbone.up1.w", Tensor::zeros(&[3, 4]));
         store.add("head0.out1.w", Tensor::zeros(&[4, 2]));
-        let spec = ModelSpec::from_store(&store, vec!["head0.".into()], Some("head".into()));
+        let spec = ModelSpec::from_store(&store, vec!["head0.".into()], "head");
         assert_eq!(spec.params.len(), 2);
         assert_eq!(spec.params[0].name, "backbone.up1.w");
         assert_eq!(spec.params[1].shape, vec![4, 2]);

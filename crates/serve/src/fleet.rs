@@ -150,8 +150,8 @@ impl ServingFleet {
             .collect()
     }
 
-    /// Installs an in-memory single-task model on every shard (each shard
-    /// gets its own clone, so shard caches never share mutable state).
+    /// Installs an in-memory model on every shard, scored via head 0 (each
+    /// shard gets its own clone, so shard caches never share mutable state).
     ///
     /// # Errors
     ///

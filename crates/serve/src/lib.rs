@@ -82,7 +82,7 @@ pub use loadgen::{
     random_pool, run_fleet_sim, FleetLoadOptions, FleetLoadReport, SimLatencySummary,
     SimServiceModel,
 };
-pub use registry::{LoadedScorer, ModelRegistry, ModelVersion};
+pub use registry::{ModelRegistry, ModelVersion};
 pub use router::{route_key, FleetClient, FleetReply, HashRing, RouterStats};
 pub use server::{BatchPolicy, PendingScore, ScoreReply, ServeClient, ServeConfig, Server};
 pub use stats::{

@@ -15,60 +15,20 @@ use crate::error::ServeError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use tlp::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
+use tlp::engine::{EngineConfig, InferenceEngine};
 use tlp::persist::{PersistError, SavedTlp};
-use tlp::search::{FeatureScratch, MtlTlpScorer, TlpScorer, TLP_PIPELINE_COST};
-use tlp::FeatureExtractor;
-use tlp::{MtlTlp, TlpModel};
-use tlp_autotuner::{BatchStats, PipelineCost, SearchTask};
+use tlp::search::MtlTlpScorer;
+use tlp::{FeatureExtractor, TlpModel};
+use tlp_autotuner::{BatchStats, SearchTask};
 use tlp_modelcheck::audit_store;
 use tlp_schedule::ScheduleSequence;
-
-/// A scorer restored from a [`SavedTlp`] snapshot: single-task TLP or the
-/// target head of an MTL model.
-#[derive(Debug)]
-pub enum LoadedScorer {
-    /// Single-task TLP.
-    Tlp(TlpScorer),
-    /// MTL-TLP scored through head 0 (the target platform).
-    Mtl(MtlTlpScorer),
-}
-
-impl ScheduleScorer for LoadedScorer {
-    type Scratch = FeatureScratch;
-
-    fn name(&self) -> &str {
-        match self {
-            LoadedScorer::Tlp(s) => s.name(),
-            LoadedScorer::Mtl(s) => s.name(),
-        }
-    }
-
-    fn pipeline_cost(&self) -> PipelineCost {
-        TLP_PIPELINE_COST
-    }
-
-    fn score_micro_batch_into(
-        &self,
-        scratch: &mut FeatureScratch,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        idx: &[usize],
-        out: &mut Vec<Option<f32>>,
-    ) {
-        match self {
-            LoadedScorer::Tlp(s) => s.score_micro_batch_into(scratch, task, schedules, idx, out),
-            LoadedScorer::Mtl(s) => s.score_micro_batch_into(scratch, task, schedules, idx, out),
-        }
-    }
-}
 
 /// One immutable installed model: scorer + private engine + version tag.
 #[derive(Debug)]
 pub struct ModelVersion {
     name: String,
     version: u64,
-    scorer: LoadedScorer,
+    scorer: MtlTlpScorer,
     engine: InferenceEngine,
 }
 
@@ -151,10 +111,9 @@ impl ModelRegistry {
         self.rejected_installs.load(Ordering::Relaxed)
     }
 
-    /// Installs (or hot-swaps) a model restored from a snapshot. Single-task
-    /// snapshots load as TLP, multi-head snapshots as MTL-TLP (target head).
-    /// The restore's full audit (structure, numerics, checksum) must pass
-    /// first.
+    /// Installs (or hot-swaps) a model restored from a snapshot, scored via
+    /// head 0 (the target platform). The restore's full audit (structure,
+    /// numerics, checksum) must pass first.
     ///
     /// Returns the new version tag.
     ///
@@ -164,20 +123,14 @@ impl ModelRegistry {
     /// snapshot; propagates other [`PersistError`]s from the restore
     /// (zero-head snapshots).
     pub fn install(&self, name: &str, snapshot: &SavedTlp) -> Result<u64, PersistError> {
-        let audited = if snapshot.heads() == 1 {
-            snapshot
-                .restore_tlp()
-                .map(|(model, extractor)| LoadedScorer::Tlp(TlpScorer { model, extractor }))
-        } else {
-            snapshot
-                .restore_mtl()
-                .map(|(model, extractor)| LoadedScorer::Mtl(MtlTlpScorer::new(model, extractor)))
-        };
+        let audited = snapshot
+            .restore()
+            .map(|(model, extractor)| MtlTlpScorer::new(model, extractor));
         self.install_audited(name, audited)
     }
 
-    /// Installs (or hot-swaps) an in-memory single-task model, auditing its
-    /// store against the layout its config declares.
+    /// Installs (or hot-swaps) an in-memory model scored via head 0 —
+    /// [`ModelRegistry::install_head`] for the target platform.
     ///
     /// # Errors
     ///
@@ -188,30 +141,13 @@ impl ModelRegistry {
         model: TlpModel,
         extractor: FeatureExtractor,
     ) -> Result<u64, PersistError> {
-        let spec = tlp::audit::tlp_spec(&model.config);
-        let audited = PersistError::reject_errors(&audit_store(&spec, &model.store))
-            .map(|()| LoadedScorer::Tlp(TlpScorer { model, extractor }));
-        self.install_audited(name, audited)
+        self.install_head(name, model, extractor, 0)
     }
 
-    /// Installs (or hot-swaps) an in-memory MTL model (scored via head 0),
-    /// auditing its store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
-    pub fn install_mtl(
-        &self,
-        name: &str,
-        model: MtlTlp,
-        extractor: FeatureExtractor,
-    ) -> Result<u64, PersistError> {
-        self.install_mtl_head(name, model, extractor, 0)
-    }
-
-    /// Installs (or hot-swaps) an in-memory MTL model scored through head
+    /// Installs (or hot-swaps) an in-memory model scored through head
     /// `head` (continual adaptation serves a newly grown platform head this
-    /// way without disturbing the other heads), auditing its store.
+    /// way without disturbing the other heads), auditing its store against
+    /// the layout its config and head count declare.
     ///
     /// # Errors
     ///
@@ -220,17 +156,17 @@ impl ModelRegistry {
     /// # Panics
     ///
     /// Panics if `head` is out of range for the model.
-    pub fn install_mtl_head(
+    pub fn install_head(
         &self,
         name: &str,
-        model: MtlTlp,
+        model: TlpModel,
         extractor: FeatureExtractor,
         head: usize,
     ) -> Result<u64, PersistError> {
         assert!(head < model.num_tasks(), "serving head out of range");
-        let spec = tlp::audit::mtl_spec(&model.config, model.num_tasks());
+        let spec = tlp::audit::spec(&model.config, model.num_tasks());
         let audited = PersistError::reject_errors(&audit_store(&spec, &model.store))
-            .map(|()| LoadedScorer::Mtl(MtlTlpScorer::for_head(model, extractor, head)));
+            .map(|()| MtlTlpScorer::for_head(model, extractor, head));
         self.install_audited(name, audited)
     }
 
@@ -244,7 +180,7 @@ impl ModelRegistry {
     fn install_audited(
         &self,
         name: &str,
-        audited: Result<LoadedScorer, PersistError>,
+        audited: Result<MtlTlpScorer, PersistError>,
     ) -> Result<u64, PersistError> {
         let scorer = audited.inspect_err(|e| {
             if matches!(e, PersistError::Invalid { .. }) {
@@ -328,7 +264,7 @@ impl ModelRegistry {
 mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
-    use tlp::persist::snapshot_tlp;
+    use tlp::persist::snapshot;
     use tlp::TlpConfig;
     use tlp_schedule::Vocabulary;
 
@@ -375,50 +311,41 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_install_picks_model_family() {
+    fn snapshot_install_serves_any_head_count() {
         let reg = ModelRegistry::default();
         let (model, ex) = model_and_extractor();
-        let snap = snapshot_tlp(&model, &ex);
-        let v = reg.install("from-disk", &snap).expect("install");
-        let resolved = reg.resolve("from-disk").expect("installed");
-        assert_eq!(resolved.version(), v);
+        for (name, heads) in [("one-head", 1), ("three-head", 3)] {
+            let model = TlpModel::with_heads(model.config.clone(), heads);
+            let v = reg.install(name, &snapshot(&model, &ex)).expect("install");
+            assert_eq!(reg.resolve(name).expect("installed").version(), v);
+        }
         let rows = reg.stats();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "from-disk");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].name, "one-head");
     }
 
     #[test]
     fn every_install_entry_point_rejects_a_nan_store_and_counts_it() {
         type Install = fn(&ModelRegistry, &str) -> Result<u64, PersistError>;
-        fn nan_tlp() -> (TlpModel, FeatureExtractor) {
-            let (mut model, ex) = model_and_extractor();
+        fn nan_model(heads: usize) -> (TlpModel, FeatureExtractor) {
+            let (one, ex) = model_and_extractor();
+            let mut model = TlpModel::with_heads(one.config, heads);
             let id = model.store.ids().next().expect("store has params");
             model.store.value_mut(id).data_mut()[0] = f32::NAN;
             (model, ex)
         }
-        fn nan_mtl() -> (MtlTlp, FeatureExtractor) {
-            let (tlp, ex) = model_and_extractor();
-            let mut model = MtlTlp::new(tlp.config, 2);
-            let id = model.store.ids().next().expect("store has params");
-            model.store.value_mut(id).data_mut()[0] = f32::NAN;
-            (model, ex)
-        }
-        let entry_points: [(&str, Install); 4] = [
+        let entry_points: [(&str, Install); 3] = [
             ("install", |reg, name| {
-                let (model, ex) = nan_mtl();
-                reg.install(name, &tlp::persist::snapshot_mtl(&model, &ex))
+                let (model, ex) = nan_model(2);
+                reg.install(name, &snapshot(&model, &ex))
             }),
             ("install_tlp", |reg, name| {
-                let (model, ex) = nan_tlp();
+                let (model, ex) = nan_model(1);
                 reg.install_tlp(name, model, ex)
             }),
-            ("install_mtl", |reg, name| {
-                let (model, ex) = nan_mtl();
-                reg.install_mtl(name, model, ex)
-            }),
-            ("install_mtl_head", |reg, name| {
-                let (model, ex) = nan_mtl();
-                reg.install_mtl_head(name, model, ex, 1)
+            ("install_head", |reg, name| {
+                let (model, ex) = nan_model(2);
+                reg.install_head(name, model, ex, 1)
             }),
         ];
         let reg = ModelRegistry::default();
@@ -444,7 +371,7 @@ mod tests {
     fn snapshot_install_rejects_corrupt_snapshot() {
         let reg = ModelRegistry::default();
         let (model, ex) = model_and_extractor();
-        let mut snap = snapshot_tlp(&model, &ex);
+        let mut snap = snapshot(&model, &ex);
         let id = snap.store().ids().next().expect("store has params");
         let bits = snap.store().value(id).data()[0].to_bits() ^ 1;
         snap.store_mut().value_mut(id).data_mut()[0] = f32::from_bits(bits);
@@ -453,5 +380,16 @@ mod tests {
             Err(PersistError::Invalid { .. })
         ));
         assert_eq!(reg.rejected_installs(), 1);
+
+        // A forged head count of 0 describes no model: a typed HeadCount
+        // (not an audit rejection, so not counted), never a panic.
+        let mut snap = snapshot(&model, &ex);
+        snap.set_heads(0);
+        assert!(matches!(
+            reg.install("headless", &snap),
+            Err(PersistError::HeadCount { found: 0, .. })
+        ));
+        assert_eq!(reg.rejected_installs(), 1);
+        assert!(reg.resolve("headless").is_none());
     }
 }

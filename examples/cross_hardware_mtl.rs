@@ -6,10 +6,9 @@
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
-use tlp::experiments::{capped_train_tasks, eval_mtl, eval_tlp, Scale};
+use tlp::experiments::{capped_train_tasks, eval_tlp, Scale};
 use tlp::features::FeatureExtractor;
-use tlp::mtl::{train_mtl, MtlTlp};
-use tlp::train::{train_tlp, TrainData};
+use tlp::train::{train_mtl, train_tlp, TrainData};
 use tlp::{TlpConfig, TlpModel};
 use tlp_dataset::generate_dataset_for;
 use tlp_hwsim::Platform;
@@ -51,16 +50,17 @@ fn main() {
         aux_all.num_samples()
     );
 
-    // Baseline: single-task TLP on the small target data alone.
+    // Baseline: one-head TLP on the small target data alone.
     let mut single = TlpModel::new(config.clone());
     train_tlp(&mut single, &target_small);
     let (st1, st5) = eval_tlp(&single, &extractor, &ds, 0);
     println!("single-task  (small data): top-1 {st1:.4}, top-5 {st5:.4}");
 
-    // MTL-TLP: task 1 = target (small), task 2 = auxiliary (all).
-    let mut mtl = MtlTlp::new(config, 2);
+    // MTL-TLP is the same model type with a second head: head 0 = target
+    // (small), head 1 = auxiliary (all). `eval_tlp` scores through head 0.
+    let mut mtl = TlpModel::with_heads(config, 2);
     train_mtl(&mut mtl, &[target_small, aux_all]);
-    let (mt1, mt5) = eval_mtl(&mtl, &extractor, &ds, 0);
+    let (mt1, mt5) = eval_tlp(&mtl, &extractor, &ds, 0);
     println!("MTL-TLP (2 tasks)        : top-1 {mt1:.4}, top-5 {mt5:.4}");
 
     if mt1 >= st1 {

@@ -8,7 +8,7 @@
 
 use tlp::experiments::{capped_train_tasks, eval_tlp, Scale};
 use tlp::features::FeatureExtractor;
-use tlp::persist::{snapshot_tlp, SavedTlp};
+use tlp::persist::{snapshot, SavedTlp};
 use tlp::train::{train_tlp, TrainData};
 use tlp::{TlpConfig, TlpModel};
 use tlp_dataset::generate_dataset_for;
@@ -42,12 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Snapshot to disk.
     let path = std::env::temp_dir().join("tlp_model_snapshot.json");
-    snapshot_tlp(&model, &extractor).save(&path)?;
+    snapshot(&model, &extractor).save(&path)?;
     let bytes = std::fs::metadata(&path)?.len();
     println!("snapshot written to {} ({bytes} bytes)", path.display());
 
     // Reload in a "new process" and verify identical behaviour.
-    let (model2, extractor2) = SavedTlp::load(&path)?.restore_tlp()?;
+    let (model2, extractor2) = SavedTlp::load(&path)?.restore()?;
     let (r1, r5) = eval_tlp(&model2, &extractor2, &ds, 0);
     println!("restored model: top-1 {r1:.4}, top-5 {r5:.4}");
     assert_eq!(

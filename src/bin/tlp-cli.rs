@@ -24,7 +24,7 @@ use std::sync::Arc;
 use tlp::engine::EngineConfig;
 use tlp::experiments::{capped_train_tasks, eval_tlp, Scale};
 use tlp::features::FeatureExtractor;
-use tlp::persist::{snapshot_tlp, SavedTlp};
+use tlp::persist::{snapshot, SavedTlp};
 use tlp::search::TlpCostModel;
 use tlp::train::{train_tlp, TrainData};
 use tlp::{TlpConfig, TlpModel};
@@ -154,7 +154,7 @@ fn cmd_train(path: Option<&str>) -> i32 {
     );
     let (t1, t5) = eval_tlp(&model, &extractor, &ds, target);
     println!("top-1 {t1:.4}  top-5 {t5:.4}");
-    match snapshot_tlp(&model, &extractor).save(path) {
+    match snapshot(&model, &extractor).save(path) {
         Ok(()) => {
             println!("saved snapshot to {path}");
             0
@@ -171,14 +171,8 @@ fn cmd_eval(path: Option<&str>) -> i32 {
         eprintln!("eval: missing model path");
         return 2;
     };
-    let snap = match SavedTlp::load(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("eval: {e}");
-            return 1;
-        }
-    };
-    let (model, extractor) = match snap.restore_tlp() {
+    // Any head count loads; a multi-head snapshot scores through head 0.
+    let (model, extractor) = match SavedTlp::load(path).and_then(|snap| snap.restore()) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("eval: {e}");
@@ -217,17 +211,11 @@ fn cmd_tune(network: Option<&str>, model_path: Option<&str>) -> i32 {
         ..TuningOptions::default()
     };
     let mut model: Box<dyn CostModel> = match model_path {
-        Some(p) => match SavedTlp::load(p) {
-            Ok(snap) => match snap.restore_tlp() {
-                Ok((m, ex)) => {
-                    println!("tuning with TLP snapshot {p}");
-                    Box::new(TlpCostModel::new(m, ex))
-                }
-                Err(e) => {
-                    eprintln!("tune: {e}");
-                    return 1;
-                }
-            },
+        Some(p) => match SavedTlp::load(p).and_then(|snap| snap.restore()) {
+            Ok((m, ex)) => {
+                println!("tuning with TLP snapshot {p}");
+                Box::new(TlpCostModel::new(m, ex))
+            }
             Err(e) => {
                 eprintln!("tune: {e}");
                 return 1;
@@ -264,9 +252,8 @@ fn cmd_tune(network: Option<&str>, model_path: Option<&str>) -> i32 {
 }
 
 fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
-    use tlp::experiments::eval_mtl_head;
-    use tlp::persist::snapshot_mtl;
-    use tlp::{train_mtl_with, MtlTlp, TrainOptions};
+    use tlp::experiments::eval_head;
+    use tlp::{train_mtl_with, TrainOptions};
     use tlp_continual::{
         run_continual, AdaptConfig, CanarySet, ContinualConfig, PublishPolicy, ReplayBuffer,
         SnapshotPublisher,
@@ -295,7 +282,7 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
     let extractor = FeatureExtractor::fit(&ds, cfg.seq_len, cfg.emb_size);
 
     println!("training base model on i7-10510u + e5-2673…");
-    let mut base = MtlTlp::new(cfg.clone(), 2);
+    let mut base = TlpModel::with_heads(cfg.clone(), 2);
     let data = [
         TrainData::from_dataset(&ds, &extractor, 0),
         TrainData::from_dataset(&ds, &extractor, 1),
@@ -306,7 +293,7 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         &TrainOptions::from_config(&cfg).with_seed(0x0B),
     );
     let mut model = base.grow_head_from(1);
-    let (zero_shot, _) = eval_mtl_head(&model, &extractor, &ds, 2, 2);
+    let (zero_shot, _) = eval_head(&model, &extractor, &ds, 2, 2);
     println!("warm-started ryzen-3950x head from e5-2673 (zero-shot top-1 {zero_shot:.4})");
 
     let mut replay = ReplayBuffer::stratified(3, 17);
@@ -362,7 +349,7 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         }
     }
     if let Some(path) = snapshot_path {
-        if let Err(e) = snapshot_mtl(&model, &extractor).save(path) {
+        if let Err(e) = snapshot(&model, &extractor).save(path) {
             eprintln!("adapt: {e}");
             return 1;
         }
@@ -504,9 +491,6 @@ struct AuditModelReport {
 }
 
 fn cmd_audit_model(out_path: Option<&str>) -> i32 {
-    use tlp::persist::{snapshot_mtl, SavedTlp};
-    use tlp::MtlTlp;
-
     let cfg = TlpConfig::test_scale();
     let extractor =
         FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
@@ -514,78 +498,74 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
         let store = snap.store();
         store.ids().map(|id| store.value(id).data().len()).sum()
     };
-    let audit_one = |name: &str, snap: &SavedTlp| -> ModelAudit {
-        let report = snap.audit();
-        let s = report.summary();
-        ModelAudit {
-            model: name.to_string(),
-            params: param_count(snap),
-            errors: s.errors,
-            warnings: s.warnings,
-            lints: s.lints,
-            codes: mcode_counts(&report),
-        }
-    };
-
-    // Golden models: freshly constructed, so every pass must come back with
-    // zero errors.
-    let tlp_snap = snapshot_tlp(&TlpModel::new(cfg.clone()), &extractor);
-    let mtl_snap = snapshot_mtl(&MtlTlp::new(cfg.clone(), 3), &extractor);
-    let golden = vec![audit_one("tlp", &tlp_snap), audit_one("mtl-3", &mtl_snap)];
-
-    // Adversarial mutations: each corrupts a fresh golden snapshot (model
-    // construction is seeded, so rebuilding reproduces identical bytes) in a
-    // way one of the passes is specified to catch. An escape here is a
-    // soundness bug.
-    let fresh_tlp = || snapshot_tlp(&TlpModel::new(cfg.clone()), &extractor);
-    let fresh_mtl = || snapshot_mtl(&MtlTlp::new(cfg.clone(), 3), &extractor);
-    let adversarial_one = |case: &str, snap: SavedTlp| -> AdversarialAudit {
+    // Model construction is seeded, so rebuilding reproduces identical bytes.
+    let fresh = |heads: usize| snapshot(&TlpModel::with_heads(cfg.clone(), heads), &extractor);
+    let adversarial_one = |case: String, snap: SavedTlp| -> AdversarialAudit {
         let report = snap.audit();
         AdversarialAudit {
-            case: case.to_string(),
-            caught: report.has_errors(),
+            case,
+            caught: report.has_errors() && snap.restore().is_err(),
             codes: mcode_counts(&report),
         }
     };
-    let first_id = |snap: &SavedTlp| snap.store().ids().next().expect("non-empty store");
-    let adversarial = vec![
-        adversarial_one("bit-flip", {
-            let mut s = fresh_tlp();
-            let id = first_id(&s);
-            let v = &mut s.store_mut().value_mut(id).data_mut()[0];
-            *v = f32::from_bits(v.to_bits() ^ 1);
-            s
-        }),
-        adversarial_one("nan-inject", {
-            let mut s = fresh_tlp();
-            let id = first_id(&s);
-            s.store_mut().value_mut(id).data_mut()[0] = f32::NAN;
-            s
-        }),
-        adversarial_one("tensor-truncate", {
-            let mut s = fresh_tlp();
-            let id = first_id(&s);
-            *s.store_mut().value_mut(id) = tlp_nn::Tensor::zeros(&[1]);
-            s
-        }),
-        adversarial_one("head-forgery", {
-            let mut s = fresh_mtl();
-            s.set_heads(2);
-            s
-        }),
-    ];
 
-    // Audit throughput over the golden MTL snapshot (all four passes plus
-    // the checksum sweep — the same work the persist/serve gates do).
+    let mut golden = Vec::new();
+    let mut golden_restore = true;
+    let mut adversarial = Vec::new();
+    for heads in [1usize, 3] {
+        // Golden models: freshly constructed, so every pass must come back
+        // with zero errors and the restore must hand the model back.
+        let snap = fresh(heads);
+        golden_restore &= snap.restore().is_ok();
+        let report = snap.audit();
+        let summary = report.summary();
+        golden.push(ModelAudit {
+            model: format!("tlp-{heads}"),
+            params: param_count(&snap),
+            errors: summary.errors,
+            warnings: summary.warnings,
+            lints: summary.lints,
+            codes: mcode_counts(&report),
+        });
+
+        // Adversarial mutations: each corrupts a fresh golden snapshot in a
+        // way one of the passes is specified to catch. An escape here is a
+        // soundness bug.
+        for case in ["bit-flip", "nan-inject", "tensor-truncate"] {
+            let mut s = fresh(heads);
+            let id = s.store().ids().next().expect("non-empty store");
+            let t = s.store_mut().value_mut(id);
+            match case {
+                "bit-flip" => t.data_mut()[0] = f32::from_bits(t.data()[0].to_bits() ^ 1),
+                "nan-inject" => t.data_mut()[0] = f32::NAN,
+                _ => *t = tlp_nn::Tensor::zeros(&[1]),
+            }
+            adversarial.push(adversarial_one(format!("{case}/{heads}"), s));
+        }
+        for forged in [heads - 1, heads + 1] {
+            let mut s = fresh(heads);
+            s.set_heads(forged);
+            adversarial.push(adversarial_one(
+                format!("head-forgery/{heads}->{forged}"),
+                s,
+            ));
+        }
+    }
+
+    // Audit throughput over the golden three-head snapshot (all four passes
+    // plus the checksum sweep — the same work the persist/serve gates do).
+    let timed = fresh(3);
     let iters = 10u32;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(mtl_snap.audit());
+        std::hint::black_box(timed.audit());
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let params_per_s = (param_count(&mtl_snap) as f64 * f64::from(iters)) / elapsed.max(1e-9);
+    let params_per_s = (param_count(&timed) as f64 * f64::from(iters)) / elapsed.max(1e-9);
 
-    let sound = golden.iter().all(|g| g.errors == 0) && adversarial.iter().all(|a| a.caught);
+    let sound = golden_restore
+        && golden.iter().all(|g| g.errors == 0)
+        && adversarial.iter().all(|a| a.caught);
     let report = AuditModelReport {
         golden,
         adversarial,

@@ -430,13 +430,13 @@ fn interrupted_training_resumes_bit_identically() {
         batch_size: 4,
         ..TlpConfig::test_scale()
     };
-    let data = synth_data(&cfg, 4, 8, 13);
+    let data = [synth_data(&cfg, 4, 8, 13)];
     let opts = TrainOptions::from_config(&cfg).with_seed(7).with_epochs(4);
     let path = std::env::temp_dir().join("tlp_chaos_resume.json");
     let _ = std::fs::remove_file(&path);
 
     let mut straight = TlpModel::new(cfg.clone());
-    let straight_report = train_tlp_with(&mut straight, &data, &opts);
+    let straight_report = train_tlp_with(&mut straight, &data[0], &opts);
 
     // "Crash" after epoch 2 (only the checkpoint file survives), then
     // resume into a fresh model.

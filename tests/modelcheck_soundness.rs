@@ -16,9 +16,9 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers lib code, not tests (see clippy.toml)
 
 use proptest::prelude::*;
-use tlp::persist::{snapshot_mtl, snapshot_tlp, store_checksum, PersistError, SavedTlp};
+use tlp::persist::{snapshot, store_checksum, PersistError, SavedTlp};
 use tlp::train::{train_tlp_with, GroupData, TrainData};
-use tlp::{MtlTlp, TlpConfig, TlpModel, TrainOptions};
+use tlp::{TlpConfig, TlpModel, TrainOptions};
 use tlp_modelcheck::{audit_store, Code};
 use tlp_nn::Tensor;
 
@@ -29,24 +29,14 @@ fn cfg_with_seed(seed: u64) -> TlpConfig {
     }
 }
 
-fn golden_tlp(seed: u64) -> SavedTlp {
+fn golden(seed: u64, heads: usize) -> SavedTlp {
     let cfg = cfg_with_seed(seed);
     let ex = tlp::features::FeatureExtractor::with_vocab(
         tlp_schedule::Vocabulary::builder().build(),
         cfg.seq_len,
         cfg.emb_size,
     );
-    snapshot_tlp(&TlpModel::new(cfg), &ex)
-}
-
-fn golden_mtl(seed: u64, heads: usize) -> SavedTlp {
-    let cfg = cfg_with_seed(seed);
-    let ex = tlp::features::FeatureExtractor::with_vocab(
-        tlp_schedule::Vocabulary::builder().build(),
-        cfg.seq_len,
-        cfg.emb_size,
-    );
-    snapshot_mtl(&MtlTlp::new(cfg, heads), &ex)
+    snapshot(&TlpModel::with_heads(cfg, heads), &ex)
 }
 
 /// Flat (param, element) coordinates of the store, for mapping a fuzzed
@@ -116,22 +106,17 @@ proptest! {
     /// Direction 1: freshly constructed models of any seed audit clean and
     /// the restored parameters are bitwise the snapshot source's.
     #[test]
-    fn fresh_models_never_false_reject(seed in 0u64..1_000_000, heads in 2usize..5) {
-        let tlp = golden_tlp(seed);
-        let report = tlp.audit();
-        prop_assert!(!report.has_errors(), "false reject on fresh TLP: {report}");
-        let (restored, _) = tlp.restore_tlp().expect("gate passes valid model");
-        prop_assert_eq!(store_checksum(&restored.store), store_checksum(tlp.store()));
+    fn fresh_models_never_false_reject(seed in 0u64..1_000_000, heads in 1usize..5) {
+        let snap = golden(seed, heads);
+        let report = snap.audit();
+        prop_assert!(!report.has_errors(), "false reject on fresh {heads}-head model: {report}");
+        let (restored, _) = snap.restore().expect("gate passes valid model");
+        prop_assert_eq!(store_checksum(&restored.store), store_checksum(snap.store()));
         prop_assert_eq!(
             store_bits(&restored.store),
-            store_bits(tlp.store()),
+            store_bits(snap.store()),
             "gate perturbed parameters"
         );
-
-        let mtl = golden_mtl(seed, heads);
-        prop_assert!(!mtl.audit().has_errors(), "false reject on fresh MTL-{heads}");
-        let (restored, _) = mtl.restore_mtl().expect("gate passes valid MTL model");
-        prop_assert_eq!(store_checksum(&restored.store), store_checksum(mtl.store()));
     }
 
     /// Direction 2, bit flips: flipping any single bit anywhere in the
@@ -139,7 +124,7 @@ proptest! {
     /// snapshot.
     #[test]
     fn any_bit_flip_is_caught(flat in 0usize..usize::MAX, bit in 0u32..32) {
-        let mut snap = golden_tlp(7);
+        let mut snap = golden(7, 1);
         poke(&mut snap, flat, |v| f32::from_bits(v.to_bits() ^ (1 << bit)));
         let report = snap.audit();
         prop_assert!(
@@ -147,7 +132,7 @@ proptest! {
             "bit flip escaped the checksum: {report}"
         );
         prop_assert!(report.has_errors());
-        match snap.restore_tlp() {
+        match snap.restore() {
             Err(PersistError::Invalid { diagnostics }) => {
                 prop_assert!(!diagnostics.is_empty());
             }
@@ -159,7 +144,7 @@ proptest! {
     /// value wherever it lands, independently of the checksum.
     #[test]
     fn any_nan_injection_is_caught(flat in 0usize..usize::MAX, kind in 0usize..3) {
-        let mut snap = golden_tlp(11);
+        let mut snap = golden(11, 1);
         let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
         poke(&mut snap, flat, |_| poison);
         let report = snap.audit();
@@ -167,14 +152,14 @@ proptest! {
             report.has_code(Code::NonFiniteValue),
             "non-finite value escaped the numeric pass: {report}"
         );
-        prop_assert!(snap.restore_tlp().is_err());
+        prop_assert!(snap.restore().is_err());
     }
 
     /// Direction 2, shape tears: resizing any tensor away from its spec
     /// shape trips the shape pass (M103).
     #[test]
     fn any_tensor_resize_is_caught(idx in 0usize..usize::MAX, grow in 0usize..2) {
-        let mut snap = golden_tlp(13);
+        let mut snap = golden(13, 1);
         let layout = coords(&snap);
         let (id, len) = layout[idx % layout.len()];
         let new_len = if grow == 1 { len + 1 } else { len.max(2) - 1 };
@@ -184,7 +169,7 @@ proptest! {
             report.has_code(Code::ShapeMismatch),
             "resized tensor escaped the shape pass: {report}"
         );
-        prop_assert!(snap.restore_tlp().is_err());
+        prop_assert!(snap.restore().is_err());
     }
 }
 
@@ -194,7 +179,7 @@ proptest! {
 #[test]
 fn head_count_forgery_is_caught_without_checksum_help() {
     // Claim fewer heads than the store holds: head2.* become orphans.
-    let mut snap = golden_mtl(3, 3);
+    let mut snap = golden(3, 3);
     snap.set_heads(2);
     let report = snap.audit();
     assert!(report.has_errors());
@@ -206,13 +191,10 @@ fn head_count_forgery_is_caught_without_checksum_help() {
         report.has_code(Code::OrphanParam) || report.has_code(Code::HeadIndexOutOfRange),
         "expected M102/M202, got: {report}"
     );
-    assert!(matches!(
-        snap.restore_mtl(),
-        Err(PersistError::Invalid { .. })
-    ));
+    assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
 
     // Claim more heads than the store holds: head3.* are missing.
-    let mut snap = golden_mtl(3, 3);
+    let mut snap = golden(3, 3);
     snap.set_heads(4);
     let report = snap.audit();
     assert!(report.has_errors());
@@ -220,6 +202,18 @@ fn head_count_forgery_is_caught_without_checksum_help() {
         report.has_code(Code::MissingParam),
         "expected M101 for the phantom head, got: {report}"
     );
+
+    // Claim no heads at all: no model has that shape, so the audit reports
+    // an error and the restore a typed HeadCount — neither tries to build it.
+    for heads in [1, 3] {
+        let mut snap = golden(3, heads);
+        snap.set_heads(0);
+        assert!(snap.audit().has_errors());
+        assert!(matches!(
+            snap.restore(),
+            Err(PersistError::HeadCount { found: 0, .. })
+        ));
+    }
 }
 
 /// Non-finite gradient residue is a warning (M304), not an error: it cannot
@@ -231,7 +225,7 @@ fn nan_gradients_warn_but_do_not_fail() {
     let mut model = TlpModel::new(cfg.clone());
     let id = model.store.ids().next().expect("params");
     model.store.grad_mut(id).data_mut()[0] = f32::NAN;
-    let spec = tlp::audit::tlp_spec(&cfg);
+    let spec = tlp::audit::spec(&cfg, 1);
     let report = audit_store(&spec, &model.store);
     assert!(
         report.has_code(Code::NonFiniteGradient),
@@ -272,15 +266,15 @@ fn trained_models_audit_clean_and_training_is_reproducible() {
         cfg.seq_len,
         cfg.emb_size,
     );
-    let snap = snapshot_tlp(&trained, &ex);
+    let snap = snapshot(&trained, &ex);
     let report = snap.audit();
     assert!(
         !report.has_errors(),
         "trained model false-rejected: {report}"
     );
     // And the full persist round trip stays bit-identical under the gate.
-    let (restored, _) = snap.restore_tlp().expect("trained snapshot restores");
-    let resnap = snapshot_tlp(&restored, &ex);
+    let (restored, _) = snap.restore().expect("trained snapshot restores");
+    let resnap = snapshot(&restored, &ex);
     assert_eq!(store_bits(snap.store()), store_bits(resnap.store()));
 }
 
@@ -288,7 +282,7 @@ fn trained_models_audit_clean_and_training_is_reproducible() {
 /// the full four-pass sweep (tier-1 runs with `profile.test` optimization).
 #[test]
 fn audit_throughput_exceeds_floor() {
-    let snap = golden_mtl(1, 3);
+    let snap = golden(1, 3);
     let params: usize = coords(&snap).iter().map(|(_, n)| n).sum();
     // Warm up once, then time a few sweeps.
     std::hint::black_box(snap.audit());

@@ -6,7 +6,7 @@
 use tlp::experiments::{capped_train_tasks, eval_tlp, Scale};
 use tlp::features::FeatureExtractor;
 use tlp::search::TlpCostModel;
-use tlp::train::{train_tlp, TrainData};
+use tlp::train::{train_mtl, train_tlp, TrainData};
 use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::{tune_network, EvolutionConfig, RandomModel, TuningOptions};
 use tlp_dataset::generate_dataset_for;
@@ -110,7 +110,6 @@ fn trained_tlp_guides_search_at_least_as_well_as_random() {
 
 #[test]
 fn multi_platform_dataset_feeds_mtl() {
-    use tlp::mtl::{train_mtl, MtlTlp};
     let ds = toy_dataset(&[Platform::i7_10510u(), Platform::e5_2673()]);
     let cfg = TlpConfig {
         epochs: 4,
@@ -120,9 +119,9 @@ fn multi_platform_dataset_feeds_mtl() {
     let tasks = capped_train_tasks(&ds, 50);
     let target = TrainData::from_tasks(&tasks, &extractor, 0).subsample(0.3, 3);
     let aux = TrainData::from_tasks(&tasks, &extractor, 1);
-    let mut mtl = MtlTlp::new(cfg, 2);
+    let mut mtl = TlpModel::with_heads(cfg, 2);
     let losses = train_mtl(&mut mtl, &[target, aux]).epoch_losses();
     assert!(losses.iter().all(|l| l.is_finite()));
-    let (t1, t5) = tlp::experiments::eval_mtl(&mtl, &extractor, &ds, 0);
+    let (t1, t5) = eval_tlp(&mtl, &extractor, &ds, 0);
     assert!(t1 > 0.0 && t5 >= t1);
 }
