@@ -183,7 +183,7 @@ impl<'a> Searcher<'a> {
     /// accounting.
     pub fn run(&mut self, k: usize, rng: &mut SmallRng) -> SearchOutcome {
         let config = self.config;
-        let gate = Gate::new(self.task, self.policy);
+        let mut gate = Gate::new(self.task, self.policy);
         let mut stats = SearchStats::default();
         let elite_target = (config.population / 4).max(2);
 
@@ -427,23 +427,23 @@ fn full_scores(
 }
 
 /// The static-verification gate in front of the scored population: every
-/// offspring is verified ([`tlp_verify::verify_with`]) before it is scored,
+/// offspring is verified (one [`tlp_verify::Verifier`] per task) before it is
+/// scored,
 /// because pruning a doomed candidate costs one linear analyzer pass instead
 /// of a cost-model forward pass plus a guaranteed lowering rejection at
 /// measurement time.
 struct Gate<'a> {
-    task: &'a SearchTask,
-    opts: tlp_verify::VerifyOptions,
+    verifier: tlp_verify::Verifier<'a>,
 }
 
 impl<'a> Gate<'a> {
     fn new(task: &'a SearchTask, policy: &SketchPolicy) -> Self {
+        let opts = tlp_verify::VerifyOptions {
+            gpu: Some(policy.gpu),
+            ..tlp_verify::VerifyOptions::default()
+        };
         Gate {
-            task,
-            opts: tlp_verify::VerifyOptions {
-                gpu: Some(policy.gpu),
-                ..tlp_verify::VerifyOptions::default()
-            },
+            verifier: tlp_verify::Verifier::new(&task.subgraph, &opts),
         }
     }
 
@@ -451,7 +451,7 @@ impl<'a> Gate<'a> {
     /// (or the retry budget runs out — then the last one is admitted and the
     /// downstream scorer/measurer deal with it).
     fn admit(
-        &self,
+        &mut self,
         stats: &mut SearchStats,
         rng: &mut SmallRng,
         mut generate: impl FnMut(&mut SmallRng) -> Candidate,
@@ -459,9 +459,7 @@ impl<'a> Gate<'a> {
         let mut candidate = generate(rng);
         stats.generated += 1;
         let mut retries = 0;
-        while tlp_verify::verify_with(&self.task.subgraph, &candidate.sequence, &self.opts)
-            .has_errors()
-        {
+        while self.verifier.check(&candidate.sequence).has_errors() {
             stats.pruned += 1;
             if retries >= MAX_PRUNE_RETRIES {
                 break;
@@ -568,7 +566,7 @@ mod tests {
 
         let t = task();
         let policy = SketchPolicy::cpu();
-        let gate = Gate::new(&t, &policy);
+        let mut gate = Gate::new(&t, &policy);
         let mut stats = SearchStats::default();
         let mut rng = SmallRng::seed_from_u64(17);
         // A generator that only ever produces invalid schedules (dangling

@@ -5,9 +5,14 @@
 //! tasks across rounds. The [`InferenceEngine`] sits between the search loop
 //! and any feature-based model and exploits that redundancy:
 //!
-//! - **score cache** — a bounded LRU keyed by `(task fingerprint, schedule
-//!   fingerprint)`, both salted with a model-version counter so online
-//!   models invalidate the cache wholesale when they retrain;
+//! - **score cache** — a bounded LRU keyed by `(task fingerprint ^ salt,
+//!   schedule fingerprint)`, the salt a model-version counter so online
+//!   models invalidate the cache wholesale when they retrain. The
+//!   fingerprints themselves ([`ScoreKeys`]) are unsalted and
+//!   model-independent: they are taken once per request, before the cache
+//!   lock, by the engine or by a caller that already has them (the serving
+//!   layer hashes at admission and hands the same keys to
+//!   [`InferenceEngine::probe`] and [`InferenceEngine::score_keyed_into`]);
 //! - **micro-batching** — cache misses are chunked and dispatched to a
 //!   [`std::thread::scope`] worker pool sized from
 //!   [`std::thread::available_parallelism`], each worker reusing one
@@ -168,6 +173,79 @@ impl EngineStats {
     }
 }
 
+/// The cache identity of one request: its task fingerprint and one
+/// fingerprint per schedule, in request order.
+///
+/// Unsalted and model-independent — the engine that executes the request
+/// applies its own version salt at use ([`ScoreKeys::cache_key`]) — so keys
+/// taken when a request arrives stay valid across a hot swap or an
+/// [`InferenceEngine::invalidate`] for whichever engine ends up scoring it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ScoreKeys {
+    task_fp: u64,
+    schedule_fps: Vec<u64>,
+}
+
+impl ScoreKeys {
+    /// Fingerprints `task` and every schedule. The one place a request is
+    /// hashed.
+    pub fn new(task: &SearchTask, schedules: &[ScheduleSequence]) -> Self {
+        let mut keys = ScoreKeys::default();
+        keys.refill(task, schedules);
+        keys
+    }
+
+    /// [`ScoreKeys::new`] into this set's storage.
+    fn refill(&mut self, task: &SearchTask, schedules: &[ScheduleSequence]) {
+        self.task_fp = task_fingerprint(task);
+        self.schedule_fps.clear();
+        self.schedule_fps
+            .extend(schedules.iter().map(ScheduleSequence::fingerprint));
+    }
+
+    /// The task's [`task_fingerprint`].
+    pub fn task_fp(&self) -> u64 {
+        self.task_fp
+    }
+
+    /// Number of schedules keyed.
+    pub fn len(&self) -> usize {
+        self.schedule_fps.len()
+    }
+
+    /// Whether the set keys no schedule.
+    pub fn is_empty(&self) -> bool {
+        self.schedule_fps.is_empty()
+    }
+
+    /// Forgets every schedule key, keeping the storage.
+    pub fn clear(&mut self) {
+        self.schedule_fps.clear();
+    }
+
+    /// Moves `other`'s schedule keys onto the end of this set, leaving
+    /// `other` empty. An empty set adopts `other`'s task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both sets hold keys and name different tasks: one engine
+    /// call scores one task.
+    pub fn append(&mut self, other: &mut ScoreKeys) {
+        if self.is_empty() {
+            self.task_fp = other.task_fp;
+        }
+        assert_eq!(self.task_fp, other.task_fp, "key sets of different tasks");
+        self.schedule_fps.append(&mut other.schedule_fps);
+    }
+
+    /// The cache key of schedule `i` under a version `salt`. The salt
+    /// separates model generations through the first component alone, so the
+    /// schedule hash is the same under every salt and is never retaken.
+    pub fn cache_key(&self, i: usize, salt: u64) -> (u64, u64) {
+        (self.task_fp ^ salt, self.schedule_fps[i])
+    }
+}
+
 /// Bounded LRU over `(task_fp, schedule_fp) → Option<score>`.
 ///
 /// Slab-backed: entries live in a `Vec` threaded into an intrusive
@@ -299,7 +377,7 @@ pub struct InferenceEngine {
     /// concurrent worker ever needed). Reusing scratch across calls is what
     /// lets the steady-state scoring loop allocate nothing.
     scratch_pool: Mutex<Vec<Box<dyn Any + Send>>>,
-    /// Pooled per-call bookkeeping buffers (cache keys, miss indices).
+    /// Pooled per-call bookkeeping buffers (key set, miss indices).
     call_bufs: Mutex<Vec<CallBufs>>,
     requests: AtomicU64,
     micro_batches: AtomicU64,
@@ -310,10 +388,11 @@ pub struct InferenceEngine {
     invalidations: AtomicU64,
 }
 
-/// Reusable per-call bookkeeping: cache keys and cache-miss indices.
+/// Reusable per-call bookkeeping: the key set `score_into` builds for
+/// itself, and cache-miss indices.
 #[derive(Default)]
 struct CallBufs {
-    keys: Vec<(u64, u64)>,
+    keys: ScoreKeys,
     miss_idx: Vec<usize>,
 }
 
@@ -444,7 +523,7 @@ impl InferenceEngine {
     /// buffer: `out` is cleared and refilled with one entry per candidate in
     /// request order (`None` = unscoreable candidate).
     ///
-    /// All engine-side working memory — cache keys, miss indices, worker
+    /// All engine-side working memory — the key set, miss indices, worker
     /// scratch, micro-batch outputs — comes from internal pools, so once the
     /// caller's `out` buffer and the pools have warmed up, a steady-state
     /// call performs no heap allocation on the single-threaded path.
@@ -455,46 +534,146 @@ impl InferenceEngine {
         schedules: &[ScheduleSequence],
         out: &mut Vec<Option<f32>>,
     ) -> BatchStats {
+        self.run(scorer, task, schedules, None, out)
+    }
+
+    /// [`InferenceEngine::score_into`] for a caller that already holds the
+    /// request's [`ScoreKeys`] (taken by `ScoreKeys::new(task, schedules)`,
+    /// possibly under an earlier salt or for another engine): nothing is
+    /// hashed again. Scores and stats are those `score_into` would return.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` does not hold exactly one key per schedule.
+    pub fn score_keyed_into<S: ScheduleScorer>(
+        &self,
+        scorer: &S,
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        keys: &ScoreKeys,
+        out: &mut Vec<Option<f32>>,
+    ) -> BatchStats {
+        assert_eq!(keys.len(), schedules.len(), "one key per schedule");
+        self.run(scorer, task, schedules, Some(keys), out)
+    }
+
+    /// Answers a request from the cache alone, or not at all: under one lock
+    /// acquisition, either every key is present — `out` receives the scores
+    /// in request order, recency is refreshed and the request is counted
+    /// exactly as an all-hit `score_into` would count it — or some key is
+    /// absent and `None` is returned with no counter changed, so a caller
+    /// that then scores the request the normal way has it counted once.
+    /// Empty requests and cache-less engines always go the normal way.
+    pub fn probe(&self, keys: &ScoreKeys, out: &mut Vec<Option<f32>>) -> Option<BatchStats> {
+        if self.config.cache_capacity == 0 || keys.is_empty() {
+            return None;
+        }
+        let start = Instant::now();
+        let n = keys.len();
+        out.clear();
+        out.resize(n, None);
+        let mut all_present = true;
+        self.lookup(keys, self.salt.load(Ordering::Relaxed), out, |_| {
+            all_present = false;
+            false
+        });
+        if !all_present {
+            return None;
+        }
+        let wall = start.elapsed();
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.cache_hits.fetch_add(n as u64, Ordering::Relaxed);
+        self.wall_ns
+            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+        Some(BatchStats {
+            micro_batches: 0,
+            cache_hits: n as u32,
+            cache_misses: 0,
+            threads: 0,
+            wall_s: wall.as_secs_f64(),
+        })
+    }
+
+    /// The one cache probe: looks every key up in request order under one
+    /// lock acquisition, refreshing recency and copying hits into `out`;
+    /// `on_miss(i)` says whether to go on past an absent key.
+    ///
+    /// Duplicate keys inside one request each probe the cache individually:
+    /// the first occurrence misses and the rest also miss (the score is not
+    /// inserted until after inference), so intra-request duplicates cost
+    /// duplicate inference but never produce inconsistent scores.
+    fn lookup(
+        &self,
+        keys: &ScoreKeys,
+        salt: u64,
+        out: &mut [Option<f32>],
+        mut on_miss: impl FnMut(usize) -> bool,
+    ) {
+        let mut cache = self.cache.lock().expect("engine cache poisoned");
+        for (i, slot) in out.iter_mut().enumerate() {
+            match cache.get(keys.cache_key(i, salt)) {
+                Some(v) => *slot = v,
+                None => {
+                    if !on_miss(i) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The body of both scoring entries: probe the request's keys (the
+    /// caller's, or taken here into pooled storage), micro-batch the misses
+    /// through `scorer`, insert what it scored.
+    fn run<S: ScheduleScorer>(
+        &self,
+        scorer: &S,
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        keys: Option<&ScoreKeys>,
+        out: &mut Vec<Option<f32>>,
+    ) -> BatchStats {
         let start = Instant::now();
         let n = schedules.len();
         out.clear();
         out.resize(n, None);
 
-        let salt = self.salt.load(Ordering::Relaxed);
-        let task_fp = task_fingerprint(task) ^ salt;
         let mut call = self
             .call_bufs
             .lock()
             .expect("engine call-buffer pool poisoned")
             .pop()
             .unwrap_or_default();
-
-        if self.config.cache_capacity > 0 {
-            let mut cache = self.cache.lock().expect("engine cache poisoned");
-            // Duplicate keys inside one request each probe the cache
-            // individually: the first occurrence misses and the rest also
-            // miss (the score is not inserted until after inference), so
-            // intra-request duplicates cost duplicate inference but never
-            // produce inconsistent scores.
-            for (i, s) in schedules.iter().enumerate() {
-                let key = (task_fp, s.salted_fingerprint(salt));
-                call.keys.push(key);
-                match cache.get(key) {
-                    Some(v) => out[i] = v,
-                    None => call.miss_idx.push(i),
+        let CallBufs {
+            keys: own_keys,
+            miss_idx,
+        } = &mut call;
+        let keys: &ScoreKeys = match keys {
+            Some(keys) => keys,
+            None => {
+                if self.config.cache_capacity > 0 {
+                    own_keys.refill(task, schedules);
                 }
+                own_keys
             }
+        };
+        let salt = self.salt.load(Ordering::Relaxed);
+        if self.config.cache_capacity > 0 {
+            self.lookup(keys, salt, out, |i| {
+                miss_idx.push(i);
+                true
+            });
         } else {
-            call.miss_idx.extend(0..n);
+            miss_idx.extend(0..n);
         }
-        let hits = n - call.miss_idx.len();
+        let hits = n - miss_idx.len();
         // A cached `None` (unscoreable schedule) is indistinguishable from a
         // miss in `out`, which is fine: unscoreable candidates re-probe the
         // model only when their key was evicted, and `valid` masks derive
         // from the scorer's answer either way.
 
         let mb = self.config.micro_batch.max(1);
-        let n_batches = call.miss_idx.len().div_ceil(mb);
+        let n_batches = miss_idx.len().div_ceil(mb);
         let threads = self.config.effective_threads().clamp(1, n_batches.max(1));
 
         if n_batches > 0 {
@@ -505,8 +684,8 @@ impl InferenceEngine {
                 let mut pooled = self.take_scratch::<S>();
                 for b in 0..n_batches {
                     let lo = b * mb;
-                    let hi = (lo + mb).min(call.miss_idx.len());
-                    let idx = &call.miss_idx[lo..hi];
+                    let hi = (lo + mb).min(miss_idx.len());
+                    let idx = &miss_idx[lo..hi];
                     let t = Instant::now();
                     pooled.mb_out.clear();
                     scorer.score_micro_batch_into(
@@ -525,7 +704,7 @@ impl InferenceEngine {
                 self.give_scratch(pooled);
             } else {
                 let next = AtomicUsize::new(0);
-                let miss_idx: &[usize] = &call.miss_idx;
+                let miss_idx: &[usize] = miss_idx;
                 // Workers write disjoint index sets, so a plain mutex around
                 // the shared output is contention, not a correctness need.
                 let out_slots: Mutex<&mut [Option<f32>]> = Mutex::new(&mut out[..]);
@@ -569,8 +748,8 @@ impl InferenceEngine {
             }
             if self.config.cache_capacity > 0 {
                 let mut cache = self.cache.lock().expect("engine cache poisoned");
-                for &i in &call.miss_idx {
-                    cache.insert(call.keys[i], out[i]);
+                for &i in miss_idx.iter() {
+                    cache.insert(keys.cache_key(i, salt), out[i]);
                 }
             }
             self.micro_batch_wall_ns
@@ -583,14 +762,14 @@ impl InferenceEngine {
             .fetch_add(n_batches as u64, Ordering::Relaxed);
         self.cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
         self.cache_misses
-            .fetch_add(call.miss_idx.len() as u64, Ordering::Relaxed);
+            .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
         self.wall_ns
             .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
 
         let stats = BatchStats {
             micro_batches: n_batches as u32,
             cache_hits: hits as u32,
-            cache_misses: call.miss_idx.len() as u32,
+            cache_misses: miss_idx.len() as u32,
             threads: if n_batches == 0 { 0 } else { threads as u32 },
             wall_s: wall.as_secs_f64(),
         };
@@ -807,6 +986,97 @@ mod tests {
             s.cache_misses, 6,
             "different task must not hit t1's entries"
         );
+    }
+
+    /// A twin engine fed the same requests through `score_into` is the
+    /// reference for the keyed entry: score bits and per-call stats agree on
+    /// miss, hit and mixed requests, intra-request duplicates included.
+    #[test]
+    fn keyed_scoring_matches_score_into() {
+        let config = EngineConfig {
+            micro_batch: 4,
+            threads: 1,
+            cache_capacity: 128,
+        };
+        let (keyed, plain) = (InferenceEngine::new(config), InferenceEngine::new(config));
+        let scorer = CountingScorer::new();
+        let t = task();
+        let seqs = distinct_schedules(12);
+        let mut mixed = seqs[4..].to_vec();
+        mixed.push(seqs[5].clone()); // a hit twice
+        mixed.extend(distinct_schedules(14)[12..].iter().cloned());
+        mixed.push(mixed[9].clone()); // a miss twice
+        let requests = [&seqs[..8], &seqs[..8], &mixed[..]];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (request, (hits, misses)) in requests.into_iter().zip([(0, 8), (8, 0), (5, 7)]) {
+            let keys = ScoreKeys::new(&t, request);
+            let a = keyed.score_keyed_into(&scorer, &t, request, &keys, &mut got);
+            let b = plain.score_into(&scorer, &t, request, &mut want);
+            assert_eq!(got, want);
+            assert_eq!((a.cache_hits, a.cache_misses), (hits, misses));
+            assert_eq!(
+                (a.cache_hits, a.cache_misses, a.micro_batches, a.threads),
+                (b.cache_hits, b.cache_misses, b.micro_batches, b.threads)
+            );
+        }
+        let (a, b) = (keyed.stats(), plain.stats());
+        assert_eq!(
+            (a.requests, a.cache_hits, a.cache_misses, a.cache_len),
+            (b.requests, b.cache_hits, b.cache_misses, b.cache_len)
+        );
+    }
+
+    #[test]
+    fn probe_is_all_or_nothing_and_counts_nothing_on_a_miss() {
+        let engine = InferenceEngine::new(EngineConfig {
+            micro_batch: 4,
+            threads: 1,
+            cache_capacity: 128,
+        });
+        let scorer = CountingScorer::new();
+        let t = task();
+        let seqs = distinct_schedules(9);
+        let (first, _) = engine.score(&scorer, &t, &seqs[..8]);
+        let counted = engine.stats();
+        let mut out = Vec::new();
+
+        // One absent key among eight present ones: no answer, no counter.
+        assert!(engine.probe(&ScoreKeys::new(&t, &seqs), &mut out).is_none());
+        assert!(engine.probe(&ScoreKeys::new(&t, &[]), &mut out).is_none());
+        assert_eq!(engine.stats(), counted);
+
+        // Every key present: the scores, counted as one all-hit request.
+        let keys = ScoreKeys::new(&t, &seqs[..8]);
+        let stats = engine.probe(&keys, &mut out).expect("all eight are cached");
+        assert_eq!(out, first);
+        assert_eq!(
+            (
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.micro_batches,
+                stats.threads
+            ),
+            (8, 0, 0, 0)
+        );
+        let after = engine.stats();
+        assert_eq!(after.requests, counted.requests + 1);
+        assert_eq!(after.cache_hits, counted.cache_hits + 8);
+        assert_eq!(after.cache_misses, counted.cache_misses);
+        assert_eq!(scorer.scored.load(Ordering::Relaxed), 8);
+
+        // The same keys after an invalidation name nothing any more, and
+        // still key the rescoring correctly under the new salt.
+        engine.invalidate();
+        assert!(engine.probe(&keys, &mut out).is_none());
+        let rescored = engine.score_keyed_into(&scorer, &t, &seqs[..8], &keys, &mut out);
+        assert_eq!(rescored.cache_misses, 8);
+        assert_eq!(out, first);
+        assert!(engine.probe(&keys, &mut out).is_some());
+
+        // An engine without a cache has nothing to probe.
+        let uncached = InferenceEngine::new(EngineConfig::sequential_uncached());
+        uncached.score(&scorer, &t, &seqs[..8]);
+        assert!(uncached.probe(&keys, &mut out).is_none());
     }
 
     #[test]

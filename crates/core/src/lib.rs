@@ -67,7 +67,7 @@ pub mod train;
 pub mod trainer;
 
 pub use config::{Backbone, LossKind, TlpConfig};
-pub use engine::{EngineConfig, EngineStats, InferenceEngine, ScheduleScorer};
+pub use engine::{EngineConfig, EngineStats, InferenceEngine, ScheduleScorer, ScoreKeys};
 pub use features::FeatureExtractor;
 pub use metrics::top_k_score;
 pub use model::TlpModel;

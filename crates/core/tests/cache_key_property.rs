@@ -1,7 +1,7 @@
 //! Property tests of the inference engine's cache key.
 //!
-//! The score cache keys entries by `(task fingerprint, salted schedule
-//! fingerprint)`. A collision would be silent and catastrophic — one
+//! The score cache keys entries by `(task fingerprint ^ version salt,
+//! schedule fingerprint)`. A collision would be silent and catastrophic — one
 //! schedule served another schedule's score — so these properties pin the
 //! discriminating power the serving layer and tuner rely on: schedules
 //! differing *only* in name parameters (stages, loop variables, annotation
@@ -11,7 +11,7 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use proptest::prelude::*;
-use tlp::engine::{task_fingerprint, EngineConfig, InferenceEngine, ScheduleScorer};
+use tlp::engine::{task_fingerprint, EngineConfig, InferenceEngine, ScheduleScorer, ScoreKeys};
 use tlp_autotuner::{PipelineCost, SearchTask};
 use tlp_hwsim::Platform;
 use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
@@ -151,6 +151,27 @@ proptest! {
         let b = build(&specs);
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
         prop_assert_eq!(a.salted_fingerprint(salt), b.salted_fingerprint(salt));
+    }
+
+    /// The version salt reaches a key through its task component alone, so
+    /// that component must carry both separations: one `(task, schedule)`
+    /// under two salts (two model generations), and two tasks under one salt,
+    /// never share a key — while the schedule component is the same under
+    /// every salt, which is what lets a key set outlive an invalidation.
+    #[test]
+    fn salts_and_tasks_separate_keys(
+        specs in arb_specs(),
+        salt in 0u64..u64::MAX,
+        delta in 1u64..u64::MAX,
+    ) {
+        let other_salt = salt.wrapping_add(delta);
+        let schedule = [build(&specs)];
+        let keys = ScoreKeys::new(&dense_task(64), &schedule);
+        let other_task = ScoreKeys::new(&dense_task(128), &schedule);
+        prop_assert_ne!(keys.cache_key(0, salt), keys.cache_key(0, other_salt));
+        prop_assert_ne!(keys.cache_key(0, salt), other_task.cache_key(0, salt));
+        prop_assert_eq!(keys.cache_key(0, salt).1, keys.cache_key(0, other_salt).1);
+        prop_assert_eq!(keys.cache_key(0, salt).1, schedule[0].fingerprint());
     }
 
     /// End to end: a warm cache never serves schedule A's score to a

@@ -4,14 +4,13 @@
 //! zero-copy pipeline contract: engine-owned feature buffers, pooled
 //! per-worker scratch, and arena-backed forward-pass workspaces.
 //!
-//! The counting allocator is a `#[global_allocator]`, so this test lives in
-//! its own binary with a single `#[test]` — any sibling test running
-//! concurrently would pollute the counter.
+//! The counting allocator (`counting_alloc`) is a `#[global_allocator]`, so
+//! this test lives in its own binary with a single `#[test]` — any sibling
+//! test running concurrently would pollute the counter.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,36 +22,6 @@ use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_workload::{AnchorOp, Subgraph};
-
-/// Forwards to the system allocator, counting every allocation (including
-/// reallocs, which also acquire fresh memory).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn task() -> SearchTask {
     SearchTask::new(
@@ -116,9 +85,9 @@ fn steady_state_scoring_allocates_nothing() {
     assert_eq!(out.len(), seqs.len());
     assert!(out.iter().all(Option::is_some));
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let stats = engine.score_into(&scorer, &t, &seqs, &mut out);
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = counting_alloc::allocations() - before;
     assert_eq!(stats.cache_misses as usize, seqs.len());
     assert_eq!(
         delta, 0,

@@ -133,6 +133,11 @@ fn sample_task_programs(
 ) -> Vec<ProgramRecord> {
     let total = config.programs_per_task;
     let n_random = ((total as f64) * (1.0 - config.refined_fraction)).ceil() as usize;
+    let opts = tlp_verify::VerifyOptions {
+        gpu: Some(platforms[0].is_gpu()),
+        ..tlp_verify::VerifyOptions::default()
+    };
+    let mut verifier = tlp_verify::Verifier::new(subgraph, &opts);
     let mut seen = HashSet::new();
     let mut candidates: Vec<Candidate> = Vec::with_capacity(total);
 
@@ -155,7 +160,7 @@ fn sample_task_programs(
 
     let mut out: Vec<ProgramRecord> = records
         .iter()
-        .filter_map(|(c, _)| make_record(sim, subgraph, platforms, faults, c))
+        .filter_map(|(c, _)| make_record(sim, subgraph, platforms, faults, &mut verifier, c))
         .collect();
 
     let elite = records.len().clamp(1, 8);
@@ -173,7 +178,7 @@ fn sample_task_programs(
             decision: d,
             sequence,
         };
-        if let Some(record) = make_record(sim, subgraph, platforms, faults, &c) {
+        if let Some(record) = make_record(sim, subgraph, platforms, faults, &mut verifier, &c) {
             out.push(record);
         }
     }
@@ -196,15 +201,12 @@ fn make_record(
     subgraph: &tlp_workload::Subgraph,
     platforms: &[Platform],
     faults: &mut FaultModel,
+    verifier: &mut tlp_verify::Verifier<'_>,
     c: &Candidate,
 ) -> Option<ProgramRecord> {
     let spec = lower(subgraph, &c.sequence).ok()?;
     let fp = c.sequence.fingerprint();
-    let opts = tlp_verify::VerifyOptions {
-        gpu: Some(platforms[0].is_gpu()),
-        ..tlp_verify::VerifyOptions::default()
-    };
-    let validity = tlp_verify::verify_with(subgraph, &c.sequence, &opts).summary();
+    let validity = verifier.check(&c.sequence).summary();
     // A TenSet-style collection failure: keep the record, label the error
     // class, and leave the latencies unusable.
     if let Some(class) = faults.draw(fp, 0).class() {

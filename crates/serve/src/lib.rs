@@ -14,14 +14,17 @@
 //!   (`max_batch`/`max_wait`), so many small requests amortize into the
 //!   engine's micro-batched parallel path. Scores are bit-identical to
 //!   direct engine calls — batching is a throughput optimization, never a
-//!   semantic one.
+//!   semantic one. A request whose every candidate is already cached never
+//!   queues: admission (verify → fingerprint once → probe) answers it on
+//!   the submitting thread.
 //! - **Versioned hot-swap** ([`registry`]): models are installed by name
 //!   from [`SavedTlp`] snapshots (or in-memory); [`ModelRegistry::install`]
 //!   atomically replaces the current version while in-flight batches
 //!   finish on the version they resolved. Each version owns its own engine
 //!   and score cache, so a swap can never mix scores across versions.
 //! - **Admission control** ([`server`], [`error`]): a full queue rejects
-//!   with [`ServeError::Overloaded`] *before* enqueueing (bounded memory),
+//!   with [`ServeError::Overloaded`] *before* anything is copied or
+//!   enqueued (bounded memory),
 //!   per-request deadlines expire with [`ServeError::DeadlineExceeded`],
 //!   and [`Server::shutdown`] drains every admitted job before returning.
 //! - **Observability** ([`stats`]): lock-free latency histograms

@@ -15,7 +15,7 @@ use crate::error::ServeError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use tlp::engine::{EngineConfig, InferenceEngine};
+use tlp::engine::{EngineConfig, InferenceEngine, ScoreKeys};
 use tlp::persist::{PersistError, SavedTlp};
 use tlp::search::MtlTlpScorer;
 use tlp::{FeatureExtractor, TlpModel};
@@ -68,6 +68,27 @@ impl ModelVersion {
         out: &mut Vec<Option<f32>>,
     ) -> BatchStats {
         self.engine.score_into(&self.scorer, task, schedules, out)
+    }
+
+    /// [`ModelVersion::score_into`] under keys taken earlier
+    /// ([`InferenceEngine::score_keyed_into`]): the batcher scores queued
+    /// jobs with the keys admission took, whichever version it resolves.
+    pub fn score_keyed_into(
+        &self,
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        keys: &ScoreKeys,
+        out: &mut Vec<Option<f32>>,
+    ) -> BatchStats {
+        self.engine
+            .score_keyed_into(&self.scorer, task, schedules, keys, out)
+    }
+
+    /// The all-or-nothing cache probe of this version's engine
+    /// ([`InferenceEngine::probe`]): the scores if every key is cached,
+    /// `None` (and nothing counted) otherwise.
+    pub fn probe(&self, keys: &ScoreKeys, out: &mut Vec<Option<f32>>) -> Option<BatchStats> {
+        self.engine.probe(keys, out)
     }
 }
 

@@ -2,11 +2,28 @@
 //! and the client handle.
 //!
 //! Clients submit `(model name, task, candidates)` jobs through a
-//! [`ServeClient`]. Admission is bounded: a full queue rejects with
-//! [`ServeError::Overloaded`] *before* enqueueing, so rejected load costs
-//! O(1) and server memory never grows with it. Batcher threads pull the
-//! oldest job, then coalesce every queued job for the same `(model, task)`
-//! into one engine batch — topping up for at most
+//! [`ServeClient`]. Admission does each per-candidate job once, in one
+//! order: resolve the model → verify every schedule (one
+//! [`tlp_verify::Verifier`] per request) → fingerprint the request once
+//! ([`ScoreKeys`]) → probe the resolved version's score cache, all or
+//! nothing. A request whose every candidate is cached is answered right
+//! there, on the submitting thread: no clone, no channel, no queue slot, no
+//! batcher. Anything else queues whole, carrying its keys so the batcher
+//! hashes nothing again. Verification precedes the probe on purpose: the
+//! fingerprint is a fast non-cryptographic hash and the cache is writable by
+//! callers that never verified ([`ModelVersion::score`] is public), so a
+//! cached score proves nothing about the schedule in hand.
+//!
+//! Admission is bounded: a full queue rejects with
+//! [`ServeError::Overloaded`] *before* anything is copied or allocated, so
+//! refused load costs its verification and one hashing pass and server
+//! memory never grows with it. (Verification and the probe stay ahead of
+//! that look: an invalid request is `InvalidSchedule` even on a full queue,
+//! and an all-hit request needs no queue slot, so a full queue does not
+//! refuse it.)
+//!
+//! Batcher threads pull the oldest job, then coalesce every queued job for
+//! the same `(model, task)` into one engine batch — topping up for at most
 //! [`BatchPolicy::max_wait`] while the batch is below
 //! [`BatchPolicy::max_batch`] candidates — so many small tuner requests
 //! amortize into the engine's micro-batched parallel path. Each batch scores
@@ -20,7 +37,7 @@
 //! an answer.
 
 use crate::error::ServeError;
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelRegistry, ModelVersion};
 use crate::stats::{ServeSnapshot, ServeStats};
 use crate::tenant::{TenantPolicy, TenantTable, DEFAULT_TENANT};
 use std::collections::VecDeque;
@@ -29,7 +46,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tlp::engine::task_fingerprint;
+use tlp::engine::ScoreKeys;
 use tlp_autotuner::{BatchStats, SearchTask};
 use tlp_schedule::ScheduleSequence;
 
@@ -94,22 +111,29 @@ pub struct ScoreReply {
     /// The model version that produced the scores.
     pub model_version: u64,
     /// Engine accounting for the *coalesced* batch this job rode in (shared
-    /// by all jobs in the batch).
+    /// by all jobs in the batch). For a reply answered at admission: the
+    /// cache probe's own stats — every candidate a hit, no micro-batch, no
+    /// worker thread — exactly what the queued path reports for an all-hit
+    /// request.
     pub stats: BatchStats,
     /// Server-side time from this job's enqueue to its batch's *completion*,
     /// µs: queue wait plus the coalesced batch's engine time (subtract
-    /// `stats.wall_s` to get the pure queue wait).
+    /// `stats.wall_s` to get the pure queue wait). For a reply answered at
+    /// admission: from the end of hashing to the reply, i.e. the probe and
+    /// the accounting — it never queued.
     pub queue_us: u64,
-    /// Number of client jobs coalesced into the engine batch.
+    /// Number of client jobs coalesced into the engine batch; `1` for a
+    /// reply answered at admission (it rode in no batch).
     pub batch_jobs: usize,
 }
 
 struct Job {
     tenant: String,
     model: String,
-    task_fp: u64,
     task: SearchTask,
     schedules: Vec<ScheduleSequence>,
+    /// The request's cache keys, taken once at admission.
+    keys: ScoreKeys,
     deadline: Option<Instant>,
     enqueued: Instant,
     reply: mpsc::Sender<Result<ScoreReply, ServeError>>,
@@ -334,22 +358,23 @@ impl ServeClient {
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<PendingScore, ServeError> {
-        // Fast-fail before paying for the clone: an unknown model can never
-        // become scoreable by queueing (installs race admission either way).
-        if self.shared.registry.resolve(model).is_none() {
+        // An unknown model can never become scoreable by queueing (installs
+        // race admission either way).
+        let Some(version) = self.shared.registry.resolve(model) else {
             ServeStats::bump(&self.shared.stats.unknown_model);
             return Err(ServeError::UnknownModel(model.to_string()));
-        }
-        // Static verification gate: reject before cloning or enqueueing, so
-        // an invalid schedule costs O(verify) and never reaches a batcher to
-        // be scored as a program the lowerer rejects anyway. Only verifier
-        // *errors* reject; warnings and lints never do.
+        };
+        // Static verification gate, ahead of everything that trusts the
+        // request: an invalid schedule costs O(verify) and reaches neither
+        // the cache probe nor a batcher. Only verifier *errors* reject;
+        // warnings and lints never do.
         let opts = tlp_verify::VerifyOptions {
             gpu: Some(task.platform.is_gpu()),
             ..tlp_verify::VerifyOptions::default()
         };
+        let mut verifier = tlp_verify::Verifier::new(&task.subgraph, &opts);
         for (index, schedule) in schedules.iter().enumerate() {
-            let report = tlp_verify::verify_with(&task.subgraph, schedule, &opts);
+            let report = verifier.check(schedule);
             if report.has_errors() {
                 ServeStats::bump(&self.shared.stats.rejected_invalid);
                 return Err(ServeError::InvalidSchedule {
@@ -358,44 +383,107 @@ impl ServeClient {
                 });
             }
         }
+        let keys = ScoreKeys::new(task, schedules);
         let now = Instant::now();
+        let deadline = deadline.map(|d| now + d);
+        let mut scores = Vec::new();
+        if let Some(stats) = version.probe(&keys, &mut scores) {
+            return self.answer(tenant, &version, scores, stats, now, deadline);
+        }
+
+        // Look before building the job: refused load copies nothing.
+        {
+            let mut st = self.shared.lock_state();
+            self.admit(&mut st, tenant)?;
+            st.tenants.cancel(tenant);
+        }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             tenant: tenant.to_string(),
             model: model.to_string(),
-            task_fp: task_fingerprint(task),
             task: task.clone(),
             schedules: schedules.to_vec(),
-            deadline: deadline.map(|d| now + d),
+            keys,
+            deadline,
             enqueued: now,
             reply: tx,
         };
         {
+            // The authoritative check: the queue may have filled since the
+            // look, and the bound is exact.
             let mut st = self.shared.lock_state();
-            if st.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.queue.len() >= self.shared.capacity {
-                ServeStats::bump(&self.shared.stats.rejected_overload);
-                return Err(ServeError::Overloaded {
-                    capacity: self.shared.capacity,
-                });
-            }
-            if let Err(share) = st.tenants.admit(tenant, self.shared.capacity) {
-                ServeStats::bump(&self.shared.stats.rejected_quota);
-                return Err(ServeError::TenantOverQuota {
-                    tenant: tenant.to_string(),
-                    share,
-                });
-            }
+            self.admit(&mut st, tenant)?;
             st.queue.push_back(job);
         }
         ServeStats::bump(&self.shared.stats.submitted);
         self.shared.cv.notify_one();
-        Ok(PendingScore {
-            rx,
-            deadline: deadline.map(|d| now + d),
+        Ok(PendingScore(Pending::Queued { rx, deadline }))
+    }
+
+    /// Takes a queue slot for `tenant`, or says why not (bumping the
+    /// refusal's counter).
+    fn admit(&self, st: &mut QueueState, tenant: &str) -> Result<(), ServeError> {
+        let capacity = self.shared.capacity;
+        if st.shutdown {
+            return Err(ServeError::ShuttingDown);
+        }
+        if st.queue.len() >= capacity {
+            ServeStats::bump(&self.shared.stats.rejected_overload);
+            return Err(ServeError::Overloaded { capacity });
+        }
+        st.tenants.admit(tenant, capacity).map_err(|share| {
+            ServeStats::bump(&self.shared.stats.rejected_quota);
+            ServeError::TenantOverQuota {
+                tenant: tenant.to_string(),
+                share,
+            }
         })
+    }
+
+    /// Completes, on the submitting thread, a request the cache probe
+    /// answered whole. It takes no queue slot and no batcher time, so
+    /// neither the tenant's quota nor its virtual pass is charged; shutdown
+    /// and the deadline are honoured as on the queued path.
+    fn answer(
+        &self,
+        tenant: &str,
+        version: &ModelVersion,
+        scores: Vec<Option<f32>>,
+        stats: BatchStats,
+        admitted: Instant,
+        deadline: Option<Instant>,
+    ) -> Result<PendingScore, ServeError> {
+        let shared = &self.shared;
+        {
+            let mut st = shared.lock_state();
+            if st.shutdown {
+                return Err(ServeError::ShuttingDown);
+            }
+            st.tenants.on_answered(tenant, scores.len());
+        }
+        ServeStats::bump(&shared.stats.submitted);
+        let done = Instant::now();
+        if deadline.is_some_and(|d| done >= d) {
+            ServeStats::bump(&shared.stats.expired);
+            return Ok(PendingScore(Pending::Answered(Err(
+                ServeError::DeadlineExceeded,
+            ))));
+        }
+        let latency = done - admitted;
+        ServeStats::bump(&shared.stats.answered_at_admission);
+        ServeStats::bump(&shared.stats.completed);
+        shared
+            .stats
+            .candidates
+            .fetch_add(scores.len() as u64, Ordering::Relaxed);
+        shared.stats.latency.record(latency);
+        Ok(PendingScore(Pending::Answered(Ok(ScoreReply {
+            scores,
+            model_version: version.version(),
+            stats,
+            queue_us: latency.as_micros().min(u64::MAX as u128) as u64,
+            batch_jobs: 1,
+        }))))
     }
 
     /// Current serving stats.
@@ -404,14 +492,22 @@ impl ServeClient {
     }
 }
 
-/// An in-flight request; consume with [`PendingScore::wait`].
-pub struct PendingScore {
-    rx: mpsc::Receiver<Result<ScoreReply, ServeError>>,
-    deadline: Option<Instant>,
+/// A submitted request; consume with [`PendingScore::wait`].
+pub struct PendingScore(Pending);
+
+enum Pending {
+    /// Answered at admission: the result is already here.
+    Answered(Result<ScoreReply, ServeError>),
+    /// Queued: a batcher will send the result.
+    Queued {
+        rx: mpsc::Receiver<Result<ScoreReply, ServeError>>,
+        deadline: Option<Instant>,
+    },
 }
 
 impl PendingScore {
-    /// Blocks until the reply arrives (or the deadline passes).
+    /// Blocks until the reply arrives (or the deadline passes); returns at
+    /// once for a request answered at admission.
     ///
     /// # Errors
     ///
@@ -419,11 +515,17 @@ impl PendingScore {
     /// deadline passes first, or [`ServeError::Disconnected`] if the server
     /// was torn down without answering.
     pub fn wait(self) -> Result<ScoreReply, ServeError> {
-        match self.deadline {
-            None => self.rx.recv().unwrap_or(Err(ServeError::Disconnected)),
-            Some(deadline) => {
+        match self.0 {
+            Pending::Answered(result) => result,
+            Pending::Queued { rx, deadline: None } => {
+                rx.recv().unwrap_or(Err(ServeError::Disconnected))
+            }
+            Pending::Queued {
+                rx,
+                deadline: Some(deadline),
+            } => {
                 let timeout = deadline.saturating_duration_since(Instant::now());
-                match self.rx.recv_timeout(timeout) {
+                match rx.recv_timeout(timeout) {
                     Ok(reply) => reply,
                     Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
                     Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Disconnected),
@@ -446,7 +548,7 @@ impl Group {
     fn seed(job: Job) -> Group {
         Group {
             model: job.model.clone(),
-            task_fp: job.task_fp,
+            task_fp: job.keys.task_fp(),
             candidates: job.schedules.len(),
             first_enqueued: job.enqueued,
             jobs: vec![job],
@@ -461,7 +563,7 @@ impl Group {
     fn top_up(&mut self, queue: &mut VecDeque<Job>, tenants: &mut TenantTable, max_batch: usize) {
         let mut i = 0;
         while i < queue.len() && self.candidates < max_batch {
-            if queue[i].model == self.model && queue[i].task_fp == self.task_fp {
+            if queue[i].model == self.model && queue[i].keys.task_fp() == self.task_fp {
                 if let Some(job) = queue.remove(i) {
                     tenants.on_dispatch(&job.tenant, job.schedules.len());
                     self.candidates += job.schedules.len();
@@ -492,12 +594,13 @@ fn pick_fair(st: &mut QueueState) -> Option<Job> {
     Some(job)
 }
 
-/// Per-batcher-thread scratch reused across executed batches: the gathered
-/// schedule slice for multi-job groups and the engine output buffer. Both
-/// warm up once and then serve every subsequent batch without reallocating.
+/// Per-batcher-thread scratch reused across executed batches: the group's
+/// gathered schedules and keys, and the engine output buffer. All warm up
+/// once and then serve every subsequent batch without reallocating.
 #[derive(Default)]
 struct ExecScratch {
     all: Vec<ScheduleSequence>,
+    keys: ScoreKeys,
     scores: Vec<Option<f32>>,
 }
 
@@ -564,36 +667,36 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
             return;
         }
     };
+    // Each live job's schedules and keys are *moved* into the scratch slice
+    // the engine scores: the job's own copy is dead once it is scored, and
+    // only its length is needed to split the reply.
     let now = Instant::now();
-    let mut live: Vec<Job> = Vec::with_capacity(group.jobs.len());
-    for job in group.jobs {
+    scratch.all.clear();
+    scratch.keys.clear();
+    let mut live: Vec<(Job, usize)> = Vec::with_capacity(group.jobs.len());
+    for mut job in group.jobs {
         if job.deadline.is_some_and(|d| now >= d) {
             ServeStats::bump(&shared.stats.expired);
             let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
         } else {
-            live.push(job);
+            let n = job.schedules.len();
+            scratch.all.append(&mut job.schedules);
+            scratch.keys.append(&mut job.keys);
+            live.push((job, n));
         }
     }
-    if live.is_empty() {
+    let Some((first, _)) = live.first() else {
         return;
-    }
-    // Single-job groups (the common case under light load) score their
-    // schedules in place; only multi-job groups gather into the reused
-    // scratch slice. Either way the engine writes into the pooled output
-    // buffer — no per-batch score vector.
-    let n_candidates;
-    let stats;
-    if live.len() == 1 {
-        n_candidates = live[0].schedules.len();
-        stats = model.score_into(&live[0].task, &live[0].schedules, &mut scratch.scores);
-    } else {
-        scratch.all.clear();
-        scratch
-            .all
-            .extend(live.iter().flat_map(|j| j.schedules.iter().cloned()));
-        n_candidates = scratch.all.len();
-        stats = model.score_into(&live[0].task, &scratch.all, &mut scratch.scores);
-    }
+    };
+    // The engine writes into the pooled output buffer — no per-batch score
+    // vector — under the keys admission took: nothing is hashed here.
+    let stats = model.score_keyed_into(
+        &first.task,
+        &scratch.all,
+        &scratch.keys,
+        &mut scratch.scores,
+    );
+    let n_candidates = scratch.all.len();
     let scores = &scratch.scores;
     let done = Instant::now();
     let batch_jobs = live.len();
@@ -607,8 +710,7 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
         .candidates
         .fetch_add(n_candidates as u64, Ordering::Relaxed);
     let mut offset = 0;
-    for job in live {
-        let n = job.schedules.len();
+    for (job, n) in live {
         let queue_us = done
             .saturating_duration_since(job.enqueued)
             .as_micros()

@@ -126,7 +126,7 @@ pub struct HistogramSnapshot {
 /// Cumulative serving counters. All increments are relaxed atomics.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted: queued, or answered at admission.
     pub submitted: AtomicU64,
     /// Requests answered with scores.
     pub completed: AtomicU64,
@@ -146,6 +146,9 @@ pub struct ServeStats {
     pub batches: AtomicU64,
     /// Client jobs coalesced into those batches (≥ `batches`).
     pub coalesced_jobs: AtomicU64,
+    /// Requests answered by the admission-time cache probe: every candidate
+    /// was cached, so the request never queued and rode in no batch.
+    pub answered_at_admission: AtomicU64,
     /// Candidates scored (cache hits included).
     pub candidates: AtomicU64,
     /// End-to-end latency (enqueue → reply) of completed requests.
@@ -186,6 +189,7 @@ impl ServeStats {
             } else {
                 coalesced as f64 / batches as f64
             },
+            answered_at_admission: self.answered_at_admission.load(Ordering::Relaxed),
             candidates: self.candidates.load(Ordering::Relaxed),
             queue_depth,
             latency_us: self.latency.snapshot(),
@@ -210,7 +214,7 @@ pub struct ModelStatsSnapshot {
 /// A point-in-time JSON-serializable view of the whole serving layer.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServeSnapshot {
-    /// Requests admitted to the queue.
+    /// Requests admitted: queued, or answered at admission.
     pub submitted: u64,
     /// Requests answered with scores.
     pub completed: u64,
@@ -231,8 +235,12 @@ pub struct ServeSnapshot {
     pub batches: u64,
     /// Client jobs coalesced into those batches.
     pub coalesced_jobs: u64,
-    /// Average jobs amortized per engine batch.
+    /// Average jobs amortized per engine batch (`coalesced_jobs / batches`).
+    /// Describes queued work only: requests answered at admission ride in no
+    /// batch and enter neither term.
     pub mean_jobs_per_batch: f64,
+    /// Requests answered by the admission-time cache probe, without queueing.
+    pub answered_at_admission: u64,
     /// Candidates scored.
     pub candidates: u64,
     /// Jobs waiting in the queue at snapshot time.

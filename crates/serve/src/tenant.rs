@@ -98,9 +98,10 @@ pub struct TenantStatsSnapshot {
     pub weight: u32,
     /// Jobs currently queued for this tenant.
     pub queued: usize,
-    /// Jobs dispatched into engine batches so far.
+    /// Jobs answered so far: dispatched into engine batches, or answered
+    /// from the score cache at admission.
     pub dispatched_jobs: u64,
-    /// Candidates dispatched on this tenant's behalf so far.
+    /// Candidates answered on this tenant's behalf so far.
     pub dispatched_candidates: u64,
     /// Submissions rejected because the tenant was at its admission share.
     pub rejected_quota: u64,
@@ -208,8 +209,9 @@ impl TenantTable {
         Ok(())
     }
 
-    /// Un-admits one job for `tenant` without dispatching it (the submission
-    /// failed after quota accounting, e.g. at the capacity check).
+    /// Un-admits one job for `tenant` without dispatching it: admission
+    /// looks (admit, then cancel) before it builds the job, and admits for
+    /// real when it pushes.
     pub fn cancel(&mut self, tenant: &str) {
         if let Some(state) = self.tenants.get_mut(tenant) {
             state.queued = state.queued.saturating_sub(1);
@@ -231,6 +233,19 @@ impl TenantTable {
             self.gvt = self.gvt.max(state.pass);
             let cost = (candidates.max(1) as u64).saturating_mul(STRIDE) / u64::from(state.weight);
             state.pass = state.pass.saturating_add(cost);
+            state.dispatched_jobs += 1;
+            state.dispatched_candidates += candidates as u64;
+        }
+    }
+
+    /// Records a job answered at admission from the score cache: the tenant
+    /// is registered (default weight on first sight) and the job and its
+    /// `candidates` are counted as answered. Its virtual pass does not
+    /// advance and no queue slot is taken — the pass meters batcher time and
+    /// the quota bounds queued jobs, and a cache hit consumes neither.
+    pub fn on_answered(&mut self, tenant: &str, candidates: usize) {
+        self.register(tenant, self.default_weight);
+        if let Some(state) = self.tenants.get_mut(tenant) {
             state.dispatched_jobs += 1;
             state.dispatched_candidates += candidates as u64;
         }
@@ -325,6 +340,24 @@ mod tests {
         // up, it restarts at the global virtual time, not at 0.
         t.admit("idle", 100).expect("admit");
         assert!(t.pass_of("idle") >= t.pass_of("busy").saturating_sub(STRIDE * 1000));
+    }
+
+    #[test]
+    fn answered_at_admission_counts_the_job_and_nothing_else() {
+        let mut t = TenantTable::new(&policy(&[("queued", 1)]));
+        t.on_answered("cached", 16);
+        t.on_answered("queued", 16);
+        let snap = t.snapshot();
+        for row in &snap {
+            assert_eq!((row.dispatched_jobs, row.dispatched_candidates), (1, 16));
+            assert_eq!((row.queued, row.weight), (0, 1));
+            assert_eq!(t.pass_of(&row.tenant), 0, "a cache hit is not batcher time");
+        }
+        assert_eq!(
+            snap.len(),
+            2,
+            "first seen through a cache hit, still listed"
+        );
     }
 
     #[test]

@@ -273,9 +273,20 @@ fn expired_deadline_is_dropped_server_side() {
         .score_with_deadline("m", &t, &pool, Duration::ZERO)
         .err();
     assert_eq!(err, Some(ServeError::DeadlineExceeded));
+    // Once the candidates are cached the request is answered at admission,
+    // and an already-expired deadline is honoured there too.
+    let client = server.client();
+    client.score("m", &t, &pool).expect("fills the cache");
+    assert_eq!(
+        client
+            .score_with_deadline("m", &t, &pool, Duration::ZERO)
+            .err(),
+        Some(ServeError::DeadlineExceeded)
+    );
     let snap = server.shutdown();
-    assert_eq!(snap.expired, 1);
-    assert_eq!(snap.completed, 0);
+    assert_eq!(snap.expired, 2);
+    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.answered_at_admission, 0);
 }
 
 #[test]
@@ -327,10 +338,15 @@ fn graceful_shutdown_drains_admitted_work() {
     }
     assert_eq!(snap.completed, 32);
     assert_eq!(snap.queue_depth, 0);
-    // Submissions after shutdown fail typed.
+    // Submissions after shutdown fail typed — this one has every candidate
+    // cached by now, and being answerable at admission does not exempt it.
     assert_eq!(
         client.submit("m", &t, &pool, None).err(),
         Some(ServeError::ShuttingDown),
+    );
+    assert_eq!(
+        client.stats().answered_at_admission,
+        snap.answered_at_admission
     );
 }
 
@@ -417,6 +433,11 @@ fn invalid_schedule_is_rejected_at_admission() {
             .with_loops(["ghost"])
             .with_extras(["parallel"]),
     );
+    // Verification is not weakened by the admission-time cache probe: the
+    // cache is writable by callers that never verified, so seed it with the
+    // very request about to be refused.
+    let unverified = server.registry().resolve("m").expect("installed");
+    unverified.score(&t, &pool);
     let err = server.client().score("m", &t, &pool).unwrap_err();
     match err {
         ServeError::InvalidSchedule { index, diagnostics } => {
@@ -428,4 +449,105 @@ fn invalid_schedule_is_rejected_at_admission() {
     let snap = server.shutdown();
     assert_eq!(snap.rejected_invalid, 1);
     assert_eq!(snap.completed, 0, "invalid request must never be scored");
+    assert_eq!(snap.answered_at_admission, 0);
+}
+
+/// A private engine over the same seeded model: the reference every served
+/// score must equal bit for bit.
+fn direct_scores(seed: u64, t: &SearchTask, batch: &[ScheduleSequence]) -> Vec<Option<f32>> {
+    let (model, extractor) = scorer(seed);
+    InferenceEngine::new(EngineConfig::default())
+        .score(&TlpScorer { model, extractor }, t, batch)
+        .0
+}
+
+#[test]
+fn all_hit_request_is_answered_by_the_submitting_thread() {
+    // No batchers: nothing but the submitting thread can produce a reply.
+    let server = Server::start(
+        serving_registry(14),
+        ServeConfig {
+            batchers: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let t = task();
+    let pool = candidates(6, 47);
+    let version = server.registry().resolve("m").expect("installed");
+    version.score(&t, &pool);
+    let reply = server
+        .client()
+        .score_as("cached-only", "m", &t, &pool, None)
+        .expect("answered at admission");
+    assert_eq!(reply.scores, direct_scores(14, &t, &pool));
+    assert_eq!(reply.model_version, version.version());
+    assert_eq!(reply.batch_jobs, 1);
+    assert_eq!(
+        (reply.stats.cache_hits, reply.stats.cache_misses),
+        (6, 0),
+        "reported exactly as the queued path reports an all-hit request"
+    );
+    let snap = server.shutdown();
+    assert_eq!(snap.answered_at_admission, 1);
+    assert_eq!((snap.submitted, snap.completed, snap.candidates), (1, 1, 6));
+    assert_eq!(
+        (snap.queue_depth, snap.batches, snap.coalesced_jobs),
+        (0, 0, 0)
+    );
+    // A tenant first seen through a cache hit is still accounted.
+    let tenant = &snap.tenants[0];
+    assert_eq!(tenant.tenant, "cached-only");
+    assert_eq!(
+        (
+            tenant.dispatched_jobs,
+            tenant.dispatched_candidates,
+            tenant.queued
+        ),
+        (1, 6, 0)
+    );
+}
+
+#[test]
+fn one_uncached_candidate_queues_the_whole_request() {
+    let server = Server::start(serving_registry(15), ServeConfig::default());
+    let t = task();
+    let pool = candidates(8, 53);
+    let client = server.client();
+    let engine = || {
+        server
+            .registry()
+            .resolve("m")
+            .expect("installed")
+            .engine()
+            .stats()
+    };
+
+    // Seven new candidates, then the same seven plus one more: neither is
+    // all-hit, both queue whole, and the engine counts each candidate once.
+    let first = client.score("m", &t, &pool[..7]).expect("all-miss request");
+    let mixed = client.score("m", &t, &pool).expect("mixed request");
+    assert_eq!(first.scores, direct_scores(15, &t, &pool[..7]));
+    assert_eq!(mixed.scores, direct_scores(15, &t, &pool));
+    assert_eq!((mixed.stats.cache_hits, mixed.stats.cache_misses), (7, 1));
+    let counted = engine();
+    assert_eq!(
+        (counted.requests, counted.cache_hits, counted.cache_misses),
+        (2, 7, 8)
+    );
+    assert_eq!(client.stats().answered_at_admission, 0);
+
+    // Now every candidate is cached: answered at admission, no third batch.
+    let warm = client.score("m", &t, &pool).expect("all-hit request");
+    assert_eq!(warm.scores, mixed.scores);
+    let counted = engine();
+    assert_eq!(
+        (counted.requests, counted.cache_hits, counted.cache_misses),
+        (3, 15, 8)
+    );
+    let snap = server.shutdown();
+    assert_eq!((snap.answered_at_admission, snap.batches), (1, 2));
+    assert_eq!(
+        (snap.submitted, snap.completed, snap.candidates),
+        (3, 3, 23)
+    );
 }

@@ -310,7 +310,7 @@ impl fmt::Display for Report {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)]
+    #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
     use super::*;
 
     #[test]

@@ -12,43 +12,38 @@
 use crate::dataflow::Facts;
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::VerifyOptions;
-use std::collections::HashMap;
+use tlp_schedule::ScheduleSequence;
 
-pub(crate) fn check(opts: &VerifyOptions, facts: &Facts) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let thread_binds: Vec<_> = facts
-        .binds
-        .iter()
-        .filter(|b| b.axis.starts_with("threadIdx."))
-        .collect();
-    let block_binds: Vec<_> = facts
-        .binds
-        .iter()
-        .filter(|b| b.axis.starts_with("blockIdx."))
-        .collect();
-    let any_bind = !facts.binds.is_empty();
+pub(crate) fn check(
+    opts: &VerifyOptions,
+    schedule: &ScheduleSequence,
+    facts: &Facts,
+    out: &mut Vec<Diagnostic>,
+) {
+    let binds = &facts.binds;
+    let any_bind = !binds.is_empty();
     let gpu = opts.gpu.unwrap_or(any_bind);
 
     if !gpu {
-        if let Some(first) = facts.binds.first() {
+        if let Some(first) = binds.first() {
             out.push(Diagnostic::at(
                 Code::MixedDeviceAnnotations,
                 Severity::Warn,
                 first.step,
-                format!("`{}` bound on a CPU target", first.axis),
+                format!("`{}` bound on a CPU target", first.axis(schedule)),
             ));
         }
-        return out;
+        return;
     }
 
-    if thread_binds.is_empty() {
+    if !binds.iter().any(|b| b.thread) {
         out.push(Diagnostic::global(
             Code::MissingThreadBinding,
             Severity::Error,
             "GPU schedule binds no threadIdx axis",
         ));
     }
-    if block_binds.is_empty() {
+    if !binds.iter().any(|b| !b.thread) {
         out.push(Diagnostic::global(
             Code::MissingBlockBinding,
             Severity::Error,
@@ -56,21 +51,19 @@ pub(crate) fn check(opts: &VerifyOptions, facts: &Facts) -> Vec<Diagnostic> {
         ));
     }
 
-    let mut first_bind: HashMap<&str, usize> = HashMap::new();
-    for b in &facts.binds {
-        if let Some(&at) = first_bind.get(b.axis.as_str()) {
+    for (i, b) in binds.iter().enumerate() {
+        let axis = b.axis(schedule);
+        if let Some(first) = binds[..i].iter().find(|f| f.axis(schedule) == axis) {
             out.push(Diagnostic::at(
                 Code::DuplicateThreadBinding,
                 Severity::Error,
                 b.step,
-                format!("`{}` already bound at step {at}", b.axis),
+                format!("`{axis}` already bound at step {}", first.step),
             ));
-        } else {
-            first_bind.insert(b.axis.as_str(), b.step);
         }
     }
 
-    let threads: i128 = thread_binds.iter().fold(1i128, |acc, b| {
+    let threads: i128 = binds.iter().filter(|b| b.thread).fold(1i128, |acc, b| {
         acc.saturating_mul(b.extent.unwrap_or(1) as i128)
     });
     if threads > opts.max_threads_per_block as i128 {
@@ -85,7 +78,7 @@ pub(crate) fn check(opts: &VerifyOptions, facts: &Facts) -> Vec<Diagnostic> {
     }
 
     if any_bind {
-        if let Some(&step) = facts.cpu_annotation_steps.first() {
+        if let Some(step) = facts.first_cpu_annotation {
             out.push(Diagnostic::at(
                 Code::MixedDeviceAnnotations,
                 Severity::Warn,
@@ -94,5 +87,4 @@ pub(crate) fn check(opts: &VerifyOptions, facts: &Facts) -> Vec<Diagnostic> {
             ));
         }
     }
-    out
 }

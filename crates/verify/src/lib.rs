@@ -21,6 +21,14 @@
 //! 4. **GPU-binding completeness** (`V4xx`) — block/thread bind coverage,
 //!    duplicate hardware axes, occupancy, device-annotation mixing.
 //!
+//! All four passes run inside one [`Verifier`], built once per
+//! `(subgraph, options)` and reused for every schedule checked against it:
+//! it owns the resolved subgraph facts and the dataflow pass's loop-variable
+//! environment (an arena of name bytes plus a flat table scanned linearly —
+//! a schedule keeps a few dozen names alive at most), so a schedule with no
+//! findings allocates nothing once the verifier is warm. [`verify_with`] is
+//! the one-shot form: `Verifier::new(..).check(..)`.
+//!
 //! # Error-code table
 //!
 //! | Code | Severity | Meaning |
@@ -84,7 +92,6 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::disallowed_methods)]
-#![allow(clippy::disallowed_types)] // keyed lookups only; determinism-critical crates opt in (clippy.toml)
 
 mod dataflow;
 mod diagnostic;
@@ -94,9 +101,8 @@ mod wellformed;
 
 pub use diagnostic::{Code, Diagnostic, Report, Severity, ValiditySummary};
 
-use std::collections::HashSet;
 use tlp_schedule::ScheduleSequence;
-use tlp_workload::{LoopSpec, Subgraph};
+use tlp_workload::{FusedOp, LoopSpec, Subgraph};
 
 /// Analyzer configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,34 +125,77 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Shared facts about the subgraph, resolved once per verification.
+/// Shared facts about the subgraph, resolved once per [`Verifier`].
 pub(crate) struct Ctx<'a> {
     pub anchor: &'a str,
     pub axes: Vec<LoopSpec>,
-    pub known_stages: HashSet<String>,
+    fused: &'a [FusedOp],
 }
 
-impl Ctx<'_> {
-    fn new(subgraph: &Subgraph) -> Ctx<'_> {
-        let anchor = subgraph.anchor.name();
-        let mut known_stages: HashSet<String> = HashSet::new();
-        known_stages.insert(anchor.to_string());
-        for f in &subgraph.fused {
-            known_stages.insert(f.stage_name().to_string());
-        }
-        // Mirror stages created by cache-write / cache-read declarations.
-        known_stages.insert("cache".to_string());
-        known_stages.insert("shared".to_string());
+impl<'a> Ctx<'a> {
+    fn new(subgraph: &'a Subgraph) -> Self {
         Ctx {
-            anchor,
+            anchor: subgraph.anchor.name(),
             axes: subgraph.loops(),
-            known_stages,
+            fused: &subgraph.fused,
         }
+    }
+
+    /// Whether `stage` is the anchor, a fused stage, or one of the mirror
+    /// stages cache-write / cache-read declarations create.
+    pub(crate) fn knows_stage(&self, stage: &str) -> bool {
+        stage == self.anchor
+            || stage == "cache"
+            || stage == "shared"
+            || self.fused.iter().any(|f| f.stage_name() == stage)
+    }
+
+    /// Position of the original axis named `var`, if any.
+    pub(crate) fn axis_index(&self, var: &str) -> Option<usize> {
+        self.axes.iter().position(|a| a.name == var)
     }
 
     /// The original axis named `var`, if any.
     pub(crate) fn axis(&self, var: &str) -> Option<&LoopSpec> {
-        self.axes.iter().find(|a| a.name == var)
+        self.axis_index(var).map(|i| &self.axes[i])
+    }
+}
+
+/// The analyzer for one `(subgraph, options)` pair: the four-pass pipeline
+/// plus the state it reuses from one schedule to the next.
+///
+/// Callers that check many schedules against one subgraph (serving
+/// admission per request, the search gate per task, dataset generation per
+/// subgraph) hold one verifier; every [`Verifier::check`] starts from a
+/// reset environment, so a rejected schedule leaves nothing behind for the
+/// next one.
+pub struct Verifier<'a> {
+    ctx: Ctx<'a>,
+    opts: VerifyOptions,
+    flow: dataflow::Flow,
+    /// Anchor splits seen per original axis (pass 3), parallel to `ctx.axes`.
+    split_counts: Vec<usize>,
+}
+
+impl<'a> Verifier<'a> {
+    /// Resolves `subgraph`'s loop nest and stage names once.
+    pub fn new(subgraph: &'a Subgraph, opts: &VerifyOptions) -> Self {
+        Verifier {
+            ctx: Ctx::new(subgraph),
+            opts: *opts,
+            flow: dataflow::Flow::default(),
+            split_counts: Vec::new(),
+        }
+    }
+
+    /// Runs all four passes over `schedule`.
+    pub fn check(&mut self, schedule: &ScheduleSequence) -> Report {
+        let mut diags = Vec::new();
+        wellformed::check(&self.ctx, schedule, &mut diags);
+        self.flow.check(&self.ctx, schedule, &mut diags);
+        structural::check(&self.ctx, schedule, &mut self.split_counts, &mut diags);
+        gpu::check(&self.opts, schedule, self.flow.facts(), &mut diags);
+        Report::new(diags)
     }
 }
 
@@ -156,19 +205,13 @@ pub fn verify(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Report {
     verify_with(subgraph, schedule, &VerifyOptions::default())
 }
 
-/// Verifies a schedule, running all four passes.
+/// Verifies one schedule: a [`Verifier`] built for this call alone.
 pub fn verify_with(
     subgraph: &Subgraph,
     schedule: &ScheduleSequence,
     opts: &VerifyOptions,
 ) -> Report {
-    let ctx = Ctx::new(subgraph);
-    let mut diags = wellformed::check(&ctx, schedule);
-    let (flow_diags, facts) = dataflow::check(&ctx, schedule);
-    diags.extend(flow_diags);
-    diags.extend(structural::check(&ctx, schedule));
-    diags.extend(gpu::check(opts, &facts));
-    Report::new(diags)
+    Verifier::new(subgraph, opts).check(schedule)
 }
 
 /// Parses schedule text and verifies it, surfacing parse failures as `V001`

@@ -8,27 +8,28 @@
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::Ctx;
-use std::collections::HashMap;
 use tlp_schedule::{PrimitiveKind, ScheduleSequence};
 use tlp_workload::LoopKind;
 
-pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut split_counts: HashMap<&str, usize> = HashMap::new();
-    // Step at which the mirror stage was declared, if ever.
-    let mut declared: HashMap<&str, usize> = HashMap::new();
+/// `split_counts` is the caller's reusable per-axis counter, reset here.
+pub(crate) fn check(
+    ctx: &Ctx<'_>,
+    schedule: &ScheduleSequence,
+    split_counts: &mut Vec<usize>,
+    out: &mut Vec<Diagnostic>,
+) {
+    split_counts.clear();
+    split_counts.resize(ctx.axes.len(), 0);
+    // Whether a cache-write / cache-read has declared the mirror stage yet.
+    let (mut cache_declared, mut shared_declared) = (false, false);
 
     for (step, p) in schedule.iter().enumerate() {
         match p.kind {
-            PrimitiveKind::CacheWrite => {
-                declared.entry("cache").or_insert(step);
-            }
-            PrimitiveKind::CacheRead => {
-                declared.entry("shared").or_insert(step);
-            }
+            PrimitiveKind::CacheWrite => cache_declared = true,
+            PrimitiveKind::CacheRead => shared_declared = true,
             _ => {}
         }
-        if (p.stage == "cache" || p.stage == "shared") && !declared.contains_key(p.stage.as_str()) {
+        if (p.stage == "cache" && !cache_declared) || (p.stage == "shared" && !shared_declared) {
             out.push(Diagnostic::at(
                 Code::CacheStageUndeclared,
                 Severity::Warn,
@@ -44,27 +45,26 @@ pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence) -> Vec<Diagnosti
             PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit
                 if p.stage == ctx.anchor =>
             {
-                check_anchor_split(ctx, step, p, &mut split_counts, &mut out);
+                check_anchor_split(ctx, step, p, split_counts, out);
             }
-            PrimitiveKind::Rfactor => check_rfactor(ctx, step, p, &mut out),
+            PrimitiveKind::Rfactor => check_rfactor(ctx, step, p, out),
             _ => {}
         }
     }
-    out
 }
 
-fn check_anchor_split<'c>(
-    ctx: &'c Ctx<'_>,
+fn check_anchor_split(
+    ctx: &Ctx<'_>,
     step: usize,
     p: &tlp_schedule::ConcretePrimitive,
-    split_counts: &mut HashMap<&'c str, usize>,
+    split_counts: &mut [usize],
     out: &mut Vec<Diagnostic>,
 ) {
     // Missing loop var is pass 1's V101.
     let Some(var) = p.loop_vars.first() else {
         return;
     };
-    let Some(axis) = ctx.axis(var) else {
+    let Some(index) = ctx.axis_index(var) else {
         // The lowerer's axis table keeps original names only, so splitting
         // anything else (a sub-loop, a fused var, garbage) cannot lower.
         out.push(Diagnostic::at(
@@ -83,9 +83,9 @@ fn check_anchor_split<'c>(
         ));
         return;
     };
-    let seen = split_counts.entry(&axis.name).or_insert(0);
-    *seen += 1;
-    if *seen > 1 {
+    let axis = &ctx.axes[index];
+    split_counts[index] += 1;
+    if split_counts[index] > 1 {
         out.push(Diagnostic::at(
             Code::RepeatedAxisSplit,
             Severity::Warn,

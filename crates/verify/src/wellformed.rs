@@ -28,10 +28,9 @@ pub(crate) const KNOWN_ANNOTATIONS: [&str; 10] = [
 /// Pragma keys the lowerer understands.
 pub(crate) const KNOWN_PRAGMAS: [&str; 1] = ["auto_unroll_max_step"];
 
-pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence, out: &mut Vec<Diagnostic>) {
     for (step, p) in schedule.iter().enumerate() {
-        if !ctx.known_stages.contains(p.stage.as_str()) {
+        if !ctx.knows_stage(&p.stage) {
             out.push(Diagnostic::at(
                 Code::UnknownStage,
                 Severity::Warn,
@@ -44,10 +43,10 @@ pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence) -> Vec<Diagnosti
         }
         match p.kind {
             PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit => {
-                check_split(ctx, step, p, &mut out)
+                check_split(ctx, step, p, out)
             }
-            PrimitiveKind::Annotation => check_annotation(step, p, &mut out),
-            PrimitiveKind::Pragma => check_pragma(step, p, &mut out),
+            PrimitiveKind::Annotation => check_annotation(step, p, out),
+            PrimitiveKind::Pragma => check_pragma(step, p, out),
             PrimitiveKind::Reorder => {
                 if p.loop_vars.is_empty() {
                     out.push(Diagnostic::at(
@@ -88,7 +87,6 @@ pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence) -> Vec<Diagnosti
             PrimitiveKind::StorageAlign => {}
         }
     }
-    out
 }
 
 fn unexpected(step: usize, p: &ConcretePrimitive, why: &str) -> Diagnostic {

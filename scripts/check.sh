@@ -50,6 +50,13 @@ cargo test -q --offline -p tlp-serve --test registry_stress
 echo "==> system benchmark (own workspace: cargo test --workspace never compiles it)"
 cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml
 
+if command -v jq >/dev/null 2>&1; then
+    echo "==> system benchmark count gate (serve_warm never batches, serve_miss never hits)"
+    bash scripts/sysbench-gate.sh
+else
+    echo "==> jq not installed; skipping the system benchmark count gate"
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "check.sh: fmt/clippy reported problems" >&2
     exit "$status"

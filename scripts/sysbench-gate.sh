@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Hard gate on counts the system benchmark's serve workloads repeat exactly
+# (no timing involved, ~5 s each): all-hit traffic is answered at admission
+# and never reaches a batcher; all-miss traffic never hits the cache and
+# always does. Run by CI and by scripts/check.sh.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+gate() {
+    local workload=$1 counts=$2 result
+    result=$(cargo run --release --offline --quiet --manifest-path tlp-sysbench/Cargo.toml -- \
+        --workload "$workload" --smoke --trace 1 --seed 1 | tail -n 1)
+    if ! jq -e ".correct and .failed == 0 and ($counts)" <<<"$result" >/dev/null; then
+        echo "sysbench-gate: $workload violates: correct, failed == 0, $counts" >&2
+        jq -c '{correct, attempted, failed,
+                batches: .metrics["serve.batches"].value,
+                hit_ratio: .metrics["engine.hit_ratio"].value}' <<<"$result" >&2
+        exit 1
+    fi
+    echo "sysbench-gate: $workload ok ($counts)"
+}
+
+gate serve_warm '.metrics["serve.batches"].value == 0 and .metrics["engine.hit_ratio"].value == 1'
+gate serve_miss '.metrics["engine.hit_ratio"].value == 0 and .metrics["serve.batches"].value >= 1'

@@ -387,8 +387,9 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
         std::collections::BTreeMap::new();
     let mut severities = std::collections::HashMap::new();
     for t in &ds.tasks {
+        let mut verifier = tlp_verify::Verifier::new(&t.subgraph, &opts);
         for r in &t.programs {
-            let report = tlp_verify::verify_with(&t.subgraph, &r.schedule, &opts);
+            let report = verifier.check(&r.schedule);
             for d in &report.diagnostics {
                 *counts.entry(d.code).or_insert(0) += 1;
                 severities.insert(d.code, d.severity);

@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use tlp_autotuner::{Candidate, SketchPolicy};
 use tlp_hwsim::lower;
 use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
-use tlp_verify::{verify_with, VerifyOptions};
+use tlp_verify::{verify_with, Verifier, VerifyOptions};
 use tlp_workload::{AnchorOp, Subgraph};
 
 fn subgraph_pool() -> Vec<Subgraph> {
@@ -265,4 +265,141 @@ fn zeroed_split_factor_rejected_by_both() {
     assert!(lower(sg, &seq).is_err());
     let report = verify_with(sg, &seq, &options_for(&policy));
     assert!(report.has_errors());
+}
+
+/// Seeded primitive soup over the dense subgraph: names that are live,
+/// consumed, split- and fuse-defined or never defined, on anchor, mirror,
+/// fused and unknown stages. Reaches the environment paths sketch output
+/// never takes (use-after-consume, redefinition, empty fuses, inlined-stage
+/// reuse, repeated splits, duplicate bindings).
+fn soup(seed: u64) -> ScheduleSequence {
+    const STAGES: [&str; 5] = ["dense", "dense", "cache", "relu", "zz"];
+    const VARS: [&str; 12] = [
+        "i", "j", "k", "i", "j", "i.0", "i.1", "j.0", "k.1", "i@j", "i.0@j.0", "ghost",
+    ];
+    const EXTRAS: [&str; 7] = [
+        "parallel",
+        "vectorize",
+        "threadIdx.x",
+        "threadIdx.y",
+        "blockIdx.x",
+        "auto_unroll_max_step",
+        "wat",
+    ];
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    (0..4 + next(12))
+        .map(|_| {
+            let kind = PrimitiveKind::ALL[next(PrimitiveKind::ALL.len())];
+            ConcretePrimitive::new(kind, STAGES[next(STAGES.len())])
+                .with_loops((0..next(4)).map(|_| VARS[next(VARS.len())]))
+                .with_ints((0..next(4)).map(|_| [64, 64, 4, 8, 2, 2048, 0, -2][next(8)]))
+                .with_extras((0..next(3)).map(|_| EXTRAS[next(EXTRAS.len())]))
+        })
+        .collect()
+}
+
+/// The corpus the two pinning tests below run over: per subgraph shape,
+/// sketch-generated CPU and GPU candidates, each clean and under every
+/// corruption above; then the soup, against the dense subgraph.
+fn pinned_corpus() -> Vec<(Subgraph, Vec<ScheduleSequence>)> {
+    let mut corpus: Vec<(Subgraph, Vec<ScheduleSequence>)> = subgraph_pool()
+        .into_iter()
+        .map(|sg| {
+            let mut seqs = Vec::new();
+            for policy in [SketchPolicy::cpu(), SketchPolicy::gpu()] {
+                for seed in 0..24u64 {
+                    let clean = emitted(&policy, &sg, seed);
+                    for strategy in 0..8 {
+                        let mut seq = clean.clone();
+                        if corrupt(&mut seq, strategy, seed) {
+                            seqs.push(seq);
+                        }
+                    }
+                    seqs.push(clean);
+                }
+            }
+            (sg, seqs)
+        })
+        .collect();
+    corpus.push((subgraph_pool().remove(0), (0..600).map(soup).collect()));
+    corpus
+}
+
+const DEVICES: [Option<bool>; 3] = [None, Some(false), Some(true)];
+
+/// Every diagnostic `verify_with` emits on [`pinned_corpus`] under inferred
+/// and pinned devices, folded into one FNV-1a digest over `(schedule index,
+/// code, severity, step, message)`. The literals were captured at the last
+/// commit whose dataflow pass rebuilt a `HashMap<String, _>` environment per
+/// schedule; the reusable `Verifier` must reproduce every finding, its text
+/// and its order.
+#[test]
+fn diagnostics_on_a_seeded_corpus_match_the_pinned_digest() {
+    fn fold(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // Field separator, so adjacent fields cannot trade bytes.
+        *h = (*h ^ 0xff).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let (mut schedules, mut findings) = (0u64, 0u64);
+    for (sg, seqs) in &pinned_corpus() {
+        for seq in seqs {
+            for gpu in DEVICES {
+                let opts = VerifyOptions {
+                    gpu,
+                    ..VerifyOptions::default()
+                };
+                for d in &verify_with(sg, seq, &opts).diagnostics {
+                    fold(&mut digest, &schedules.to_le_bytes());
+                    fold(&mut digest, d.code.as_str().as_bytes());
+                    fold(&mut digest, d.severity.to_string().as_bytes());
+                    fold(
+                        &mut digest,
+                        &d.step.map_or(u64::MAX, |s| s as u64).to_le_bytes(),
+                    );
+                    fold(&mut digest, d.message.as_bytes());
+                    findings += 1;
+                }
+                schedules += 1;
+            }
+        }
+    }
+    assert_eq!(
+        (schedules, findings, digest),
+        (5688, 51_534, 0x2c40_df24_ffac_5b23),
+        "digest {digest:#018x}"
+    );
+}
+
+/// One `Verifier` reused across a batch reports, for schedule *k*, exactly
+/// what a fresh `verify_with` reports: the corpus interleaves rejected
+/// schedules (dangling, consumed and half-defined names left in the
+/// environment) with clean ones, and nothing may leak into the next check.
+#[test]
+fn a_reused_verifier_reports_what_a_fresh_one_does() {
+    for (sg, seqs) in &pinned_corpus() {
+        for gpu in DEVICES {
+            let opts = VerifyOptions {
+                gpu,
+                ..VerifyOptions::default()
+            };
+            let mut verifier = Verifier::new(sg, &opts);
+            for (k, seq) in seqs.iter().enumerate() {
+                assert_eq!(
+                    verifier.check(seq),
+                    verify_with(sg, seq, &opts),
+                    "schedule {k} of `{}` under gpu={gpu:?}",
+                    sg.name
+                );
+            }
+        }
+    }
 }
