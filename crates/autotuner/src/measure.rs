@@ -69,34 +69,33 @@ impl std::fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
-/// Retry/backoff and outlier-rejection knobs of the measurement pipeline.
+/// Backoff before retry `k` (1-based): `BACKOFF_BASE_S · BACKOFF_MULT^(k-1)`
+/// simulated seconds, charged to the [`SimClock`].
+const BACKOFF_BASE_S: f64 = 0.5;
+
+/// Multiplier of the exponential backoff.
+const BACKOFF_MULT: f64 = 2.0;
+
+/// Simulated seconds a hung measurement burns before the measurer gives up
+/// on the attempt.
+const TIMEOUT_S: f64 = 10.0;
+
+/// MAD outlier rejection: repeats farther than `MAD_K · MAD` from the median
+/// are discarded before the median is taken.
+const MAD_K: f64 = 3.5;
+
+/// Retry knob of the measurement pipeline (backoff, timeout and outlier
+/// rejection are fixed constants of this module).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MeasurePolicy {
     /// Retries after a transient failure (injected build failure, timeout,
     /// device reset). `0` fails on the first fault.
     pub max_retries: u32,
-    /// Backoff before retry `k` (1-based): `backoff_base_s · backoff_mult^(k-1)`
-    /// simulated seconds, charged to the [`SimClock`].
-    pub backoff_base_s: f64,
-    /// Multiplier of the exponential backoff.
-    pub backoff_mult: f64,
-    /// Simulated seconds a hung measurement burns before the measurer gives
-    /// up on the attempt.
-    pub timeout_s: f64,
-    /// MAD outlier rejection: repeats farther than `mad_k · MAD` from the
-    /// median are discarded before the median is taken.
-    pub mad_k: f64,
 }
 
 impl Default for MeasurePolicy {
     fn default() -> Self {
-        MeasurePolicy {
-            max_retries: 2,
-            backoff_base_s: 0.5,
-            backoff_mult: 2.0,
-            timeout_s: 10.0,
-            mad_k: 3.5,
-        }
+        MeasurePolicy { max_retries: 2 }
     }
 }
 
@@ -253,7 +252,7 @@ impl Measurer {
                 }
                 InjectedFault::Timeout => {
                     self.clock
-                        .charge_simulated(self.cost.compile_only_seconds() + self.policy.timeout_s);
+                        .charge_simulated(self.cost.compile_only_seconds() + TIMEOUT_S);
                     MeasureError::Timeout
                 }
                 InjectedFault::DeviceReset => {
@@ -269,9 +268,8 @@ impl Measurer {
             }
             // Exponential backoff before the retry, charged as simulated
             // wall time (a real farm sleeps here too).
-            self.clock.charge_simulated(
-                self.policy.backoff_base_s * self.policy.backoff_mult.powi(attempt as i32),
-            );
+            self.clock
+                .charge_simulated(BACKOFF_BASE_S * BACKOFF_MULT.powi(attempt as i32));
             self.retries += 1;
             attempt += 1;
         }
@@ -295,7 +293,7 @@ impl Measurer {
             samples.push(s);
         }
         self.clock.charge_simulated(spent);
-        match mad_median(&mut samples, self.policy.mad_k) {
+        match mad_median(&mut samples, MAD_K) {
             Some(lat) => Ok(lat),
             None => Err(MeasureError::Outlier),
         }
@@ -465,10 +463,7 @@ mod tests {
         let mut m = Measurer::with_faults(
             false,
             FaultModel::for_platform(1, rates, &task.platform),
-            MeasurePolicy {
-                max_retries: 0,
-                ..MeasurePolicy::default()
-            },
+            MeasurePolicy { max_retries: 0 },
         );
         let seqs: Vec<ScheduleSequence> =
             (0..3).map(|i| candidate(&task, 10 + i).sequence).collect();

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of per-candidate cost-model pipelines: TLP's
 //! primitive-sequence feature extraction + NN inference vs the TenSet-MLP
-//! pipeline (program generation + feature extraction + MLP inference), plus
-//! an [`InferenceEngine`] throughput section (candidates/sec at batch
-//! 64/512/4096, cache-cold vs cache-warm vs the seed single-threaded
-//! extract-then-predict path) that writes `BENCH_inference.json`.
+//! pipeline (program generation + feature extraction + MLP inference).
 //!
 //! These support Figure 10's "execution speed" comparison with real
-//! measurements on this machine.
+//! measurements on this machine. Engine throughput (cold and warm
+//! candidates/sec, every score bit-compared to a dense reference) is the
+//! system benchmark's `score_cold` workload, not measured here.
 //!
 //! Run with `cargo bench -p tlp-bench --bench criterion_inference`.
 
@@ -15,16 +14,10 @@
 use criterion::{criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Serialize;
-use std::time::Instant;
 use tlp::baselines::{program_features, TenSetMlp};
-use tlp::engine::EngineConfig;
 use tlp::features::{FeatureBuf, FeatureExtractor};
-use tlp::search::TlpScorer;
-use tlp::{FeatureModel, TlpConfig, TlpModel};
-use tlp_autotuner::{Candidate, CostModel, ScoreRequest, SearchTask, SketchPolicy};
-use tlp_bench::write_json;
-use tlp_hwsim::Platform;
+use tlp::{TlpConfig, TlpModel};
+use tlp_autotuner::{Candidate, SketchPolicy};
 use tlp_nn::Workspace;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_workload::{AnchorOp, Subgraph};
@@ -119,165 +112,6 @@ fn bench_pipelines(c: &mut Criterion) {
 
 criterion_group!(benches, bench_pipelines);
 
-/// One engine-throughput measurement at a fixed batch size. Every row
-/// records the engine thread count and micro-batch size it ran with, so a
-/// single row read out of context still identifies its configuration.
-#[derive(Serialize)]
-struct ThroughputRow {
-    batch: usize,
-    reps: usize,
-    /// Seed path: single-threaded dense feature extraction + tape forward.
-    baseline_s: f64,
-    baseline_cand_per_s: f64,
-    /// Engine with an empty (invalidated) cache.
-    cold_s: f64,
-    cold_cand_per_s: f64,
-    /// Engine with every candidate already cached.
-    warm_s: f64,
-    warm_cand_per_s: f64,
-    cold_speedup_vs_baseline: f64,
-    warm_speedup_vs_baseline: f64,
-    engine_threads: u32,
-    micro_batch: usize,
-    cold_micro_batches: u32,
-    warm_cache_hits: u32,
-}
-
-#[derive(Serialize)]
-struct ThroughputSummary {
-    available_parallelism: usize,
-    micro_batch: usize,
-    rows: Vec<ThroughputRow>,
-}
-
-/// Best-of-`reps` wall time of `f`, seconds.
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn engine_throughput() {
-    let sg = conv_subgraph();
-    let all = candidates(&sg, 4096);
-    let extractor = extractor_for(&all);
-    let cfg = TlpConfig::default();
-    let model = TlpModel::new(cfg);
-    let task = SearchTask::new(sg, Platform::i7_10510u());
-
-    let engine_cfg = EngineConfig {
-        micro_batch: 64,
-        threads: 0, // auto-size from available_parallelism()
-        cache_capacity: 1 << 13,
-    };
-    let cost_model = FeatureModel::with_engine(
-        TlpScorer {
-            model: model.clone(),
-            extractor: extractor.clone(),
-        },
-        engine_cfg,
-    );
-
-    println!("\n=== engine throughput (candidates/sec) ===");
-    let mut rows = Vec::new();
-    let mut ws = Workspace::new();
-    let mut buf = FeatureBuf::new();
-    for &batch in &[64usize, 512, 4096] {
-        let seqs = &all[..batch];
-        // The tape baseline is seconds per pass at large batches — cap its
-        // reps; the engine passes are milliseconds, so best-of-5 denoises
-        // them for free.
-        let baseline_reps = (512 / batch).max(1);
-        let reps = baseline_reps.max(15);
-
-        let baseline_s = time_best(baseline_reps, || {
-            extractor.extract_batch_into(seqs, &mut buf);
-            criterion::black_box(model.predict_with(&mut ws, buf.data()));
-        });
-        // Reference scores from the dense tape path, for the bit-equality
-        // check below.
-        extractor.extract_batch_into(seqs, &mut buf);
-        let baseline_scores = model.predict_with(&mut ws, buf.data());
-
-        // Cold: invalidate between reps so every pass misses the cache.
-        let cold_s = time_best(reps, || {
-            cost_model.engine().invalidate();
-            criterion::black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
-        });
-        let cold_batch = {
-            cost_model.engine().invalidate();
-            cost_model.predict(ScoreRequest::new(&task, seqs))
-        };
-        // The fused zero-copy path must not change a single bit of any
-        // score relative to the dense reference forward.
-        assert_eq!(baseline_scores.len(), cold_batch.len());
-        for (i, (b, c)) in baseline_scores.iter().zip(cold_batch.scores()).enumerate() {
-            assert_eq!(
-                b.to_bits(),
-                c.to_bits(),
-                "batch {batch} candidate {i}: cold score {c} != baseline {b}"
-            );
-        }
-
-        // Warm: the pass above primed the cache; every pass now hits.
-        let warm_s = time_best(reps.max(3), || {
-            criterion::black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
-        });
-        let warm_batch = cost_model.predict(ScoreRequest::new(&task, seqs));
-        assert_eq!(
-            warm_batch.stats.cache_misses, 0,
-            "warm pass must be all hits"
-        );
-
-        let row = ThroughputRow {
-            batch,
-            reps: baseline_reps,
-            baseline_s,
-            baseline_cand_per_s: batch as f64 / baseline_s,
-            cold_s,
-            cold_cand_per_s: batch as f64 / cold_s,
-            warm_s,
-            warm_cand_per_s: batch as f64 / warm_s,
-            cold_speedup_vs_baseline: baseline_s / cold_s,
-            warm_speedup_vs_baseline: baseline_s / warm_s,
-            engine_threads: cold_batch.stats.threads,
-            micro_batch: engine_cfg.micro_batch,
-            cold_micro_batches: cold_batch.stats.micro_batches,
-            warm_cache_hits: warm_batch.stats.cache_hits,
-        };
-        println!(
-            "batch {:>4}: baseline {:>10.0}/s | cold {:>10.0}/s ({:>5.2}x) | warm {:>12.0}/s ({:>8.1}x) | threads {}",
-            row.batch,
-            row.baseline_cand_per_s,
-            row.cold_cand_per_s,
-            row.cold_speedup_vs_baseline,
-            row.warm_cand_per_s,
-            row.warm_speedup_vs_baseline,
-            row.engine_threads,
-        );
-        rows.push(row);
-    }
-
-    let summary = ThroughputSummary {
-        available_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        micro_batch: engine_cfg.micro_batch,
-        rows,
-    };
-    write_json("BENCH_inference", &summary);
-    // Also drop a copy at the repo root so the acceptance record travels
-    // with the source tree, not just the target directory.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_inference.json");
-    let body = serde_json::to_string_pretty(&summary).expect("serialize summary");
-    std::fs::write(&root, body).expect("write BENCH_inference.json");
-}
-
 fn main() {
     benches();
-    engine_throughput();
 }

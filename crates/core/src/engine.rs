@@ -3,7 +3,7 @@
 //! Evolutionary search scores the same schedules over and over: elites
 //! survive generations unchanged, mutations collide, and the tuner revisits
 //! tasks across rounds. The [`InferenceEngine`] sits between the search loop
-//! and any feature-based model and exploits that redundancy:
+//! and the one [`ScheduleScorer`] it owns, and exploits that redundancy:
 //!
 //! - **score cache** — a bounded LRU keyed by `(task fingerprint ^ salt,
 //!   schedule fingerprint)`, the salt a model-version counter so online
@@ -13,11 +13,12 @@
 //!   lock, by the engine or by a caller that already has them (the serving
 //!   layer hashes at admission and hands the same keys to
 //!   [`InferenceEngine::probe`] and [`InferenceEngine::score_keyed_into`]);
-//! - **micro-batching** — cache misses are chunked and dispatched to a
-//!   [`std::thread::scope`] worker pool sized from
-//!   [`std::thread::available_parallelism`], each worker reusing one
-//!   per-thread [`ScheduleScorer::Scratch`] (feature buffers, autodiff
-//!   tapes) across the micro-batches it claims;
+//! - **micro-batching** — cache misses are chunked and claimed off a shared
+//!   counter by workers — the calling thread alone when one suffices,
+//!   [`std::thread::scope`] threads otherwise, their number resolved once at
+//!   construction ([`EngineConfig::effective_threads`]) — each reusing one
+//!   pooled [`ScheduleScorer::Scratch`] (feature buffers, autodiff tapes)
+//!   across the micro-batches it claims;
 //! - **statistics** — per-call [`BatchStats`] plus cumulative
 //!   [`EngineStats`] (batches run, hit/miss counts, wall time per
 //!   micro-batch) for throughput reporting.
@@ -26,7 +27,6 @@
 //! depend on which micro-batch or thread it lands in — so the parallel path
 //! returns exactly what single-threaded scoring would.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -361,22 +361,28 @@ impl LruCache {
     }
 }
 
-/// Batched parallel scoring with a bounded LRU score cache.
+/// Batched parallel scoring with a bounded LRU score cache, over the one
+/// scorer the engine owns.
 ///
-/// One engine serves one model instance; [`crate::search::FeatureModel`]
-/// pairs them up behind the `CostModel` trait. The engine itself is `Sync` —
-/// all interior state is atomics plus a mutex-guarded cache — so a model
-/// stack can be shared across search threads.
-pub struct InferenceEngine {
+/// Owning the scorer is what makes the cache sound: every cached score was
+/// produced by `self.scorer`, and the only way to change that scorer is
+/// [`InferenceEngine::absorb`], which invalidates when the parameters moved.
+/// [`crate::search::FeatureModel`] is the engine's `CostModel` view. The
+/// engine is `Sync` — all interior state is atomics plus mutex-guarded pools
+/// — so a model stack can be shared across search threads.
+pub struct InferenceEngine<S: ScheduleScorer> {
+    scorer: S,
     config: EngineConfig,
+    /// Worker count `config` resolved to at construction.
+    threads: usize,
     cache: Mutex<LruCache>,
     /// Model-version salt mixed into every cache key; bumped on
     /// invalidation so stale entries can never be read back.
     salt: AtomicU64,
-    /// Pooled per-worker scorer scratch (type-erased; one entry per
-    /// concurrent worker ever needed). Reusing scratch across calls is what
-    /// lets the steady-state scoring loop allocate nothing.
-    scratch_pool: Mutex<Vec<Box<dyn Any + Send>>>,
+    /// Pooled worker contexts, one per concurrent worker ever needed.
+    /// Reusing scratch across calls is what lets the steady-state scoring
+    /// loop allocate nothing.
+    scratch_pool: Mutex<Vec<Pooled<S::Scratch>>>,
     /// Pooled per-call bookkeeping buffers (key set, miss indices).
     call_bufs: Mutex<Vec<CallBufs>>,
     requests: AtomicU64,
@@ -398,30 +404,28 @@ struct CallBufs {
 
 /// A pooled worker context: the scorer's scratch plus the micro-batch
 /// output buffer it writes into.
+#[derive(Default)]
 struct Pooled<T> {
     scratch: T,
     mb_out: Vec<Option<f32>>,
 }
 
-impl std::fmt::Debug for InferenceEngine {
+impl<S: ScheduleScorer> std::fmt::Debug for InferenceEngine<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferenceEngine")
+            .field("scorer", &self.scorer.name())
             .field("config", &self.config)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-impl Default for InferenceEngine {
-    fn default() -> Self {
-        InferenceEngine::new(EngineConfig::default())
-    }
-}
-
-impl InferenceEngine {
-    /// Creates an engine with the given sizing.
-    pub fn new(config: EngineConfig) -> Self {
+impl<S: ScheduleScorer> InferenceEngine<S> {
+    /// Creates an engine over `scorer` with the given sizing.
+    pub fn new(scorer: S, config: EngineConfig) -> Self {
         InferenceEngine {
+            scorer,
+            threads: config.effective_threads(),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             config,
             salt: AtomicU64::new(0x517c_c1b7_2722_0a95),
@@ -435,6 +439,34 @@ impl InferenceEngine {
             micro_batch_wall_ns: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
+    }
+
+    /// The scorer every score comes from.
+    pub fn scorer(&self) -> &S {
+        &self.scorer
+    }
+
+    /// Unwraps the scorer, dropping the cache and pools.
+    pub fn into_scorer(self) -> S {
+        self.scorer
+    }
+
+    /// Feeds measured latencies to the scorer ([`ScheduleScorer::absorb`])
+    /// and invalidates the score cache when that changed its parameters.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the scorer's `absorb` returns; the cache is untouched then.
+    pub fn absorb(
+        &mut self,
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        latencies: &[f64],
+    ) -> Result<(), UpdateError> {
+        if self.scorer.absorb(task, schedules, latencies)? {
+            self.invalidate();
+        }
+        Ok(())
     }
 
     /// The engine's sizing knobs.
@@ -457,7 +489,9 @@ impl InferenceEngine {
     }
 
     /// Drops every cached score by rotating the key salt (and clearing the
-    /// backing store). Called after a model update changes parameters.
+    /// backing store). [`InferenceEngine::absorb`] calls it when the
+    /// scorer's parameters changed; a registry hot swap calls it on the
+    /// displaced engine to release its cache memory.
     pub fn invalidate(&self) {
         // Golden-ratio increment: successive salts never repeat within any
         // realistic tuning run, so a key from salt N cannot alias salt N+1.
@@ -467,40 +501,8 @@ impl InferenceEngine {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Checks a matching pooled worker context out of the scratch pool, or
-    /// builds a fresh one. The pool is heterogeneous (one engine may serve
-    /// scorers of several types over its lifetime), so entries are matched
-    /// by their concrete `Pooled<T>` type.
-    fn take_scratch<S: ScheduleScorer>(&self) -> Box<Pooled<S::Scratch>> {
-        let mut pool = self
-            .scratch_pool
-            .lock()
-            .expect("engine scratch pool poisoned");
-        if let Some(pos) = pool.iter().position(|b| b.is::<Pooled<S::Scratch>>()) {
-            let boxed = pool.swap_remove(pos);
-            drop(pool);
-            boxed
-                .downcast::<Pooled<S::Scratch>>()
-                .expect("pool entry type checked above")
-        } else {
-            drop(pool);
-            Box::new(Pooled {
-                scratch: S::Scratch::default(),
-                mb_out: Vec::new(),
-            })
-        }
-    }
-
-    /// Returns a worker context to the pool for the next call.
-    fn give_scratch<T: Send + 'static>(&self, pooled: Box<Pooled<T>>) {
-        self.scratch_pool
-            .lock()
-            .expect("engine scratch pool poisoned")
-            .push(pooled);
-    }
-
-    /// Scores `schedules` for `task` through `scorer`, consulting the cache
-    /// first and micro-batching the misses across worker threads.
+    /// Scores `schedules` for `task`, consulting the cache first and
+    /// micro-batching the misses across worker threads.
     ///
     /// Returns per-candidate optional scores (in request order; `None` =
     /// unscoreable candidate) and the per-call execution stats.
@@ -508,33 +510,31 @@ impl InferenceEngine {
     /// Convenience wrapper over [`InferenceEngine::score_into`] that
     /// allocates the output vector; hot callers should hold a reusable
     /// buffer and call `score_into` directly.
-    pub fn score<S: ScheduleScorer>(
+    pub fn score(
         &self,
-        scorer: &S,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
     ) -> (Vec<Option<f32>>, BatchStats) {
         let mut out = Vec::new();
-        let stats = self.score_into(scorer, task, schedules, &mut out);
+        let stats = self.score_into(task, schedules, &mut out);
         (out, stats)
     }
 
-    /// Scores `schedules` for `task` through `scorer` into a caller-owned
-    /// buffer: `out` is cleared and refilled with one entry per candidate in
-    /// request order (`None` = unscoreable candidate).
+    /// Scores `schedules` for `task` into a caller-owned buffer: `out` is
+    /// cleared and refilled with one entry per candidate in request order
+    /// (`None` = unscoreable candidate).
     ///
     /// All engine-side working memory — the key set, miss indices, worker
     /// scratch, micro-batch outputs — comes from internal pools, so once the
     /// caller's `out` buffer and the pools have warmed up, a steady-state
     /// call performs no heap allocation on the single-threaded path.
-    pub fn score_into<S: ScheduleScorer>(
+    pub fn score_into(
         &self,
-        scorer: &S,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         out: &mut Vec<Option<f32>>,
     ) -> BatchStats {
-        self.run(scorer, task, schedules, None, out)
+        self.run(task, schedules, None, out)
     }
 
     /// [`InferenceEngine::score_into`] for a caller that already holds the
@@ -545,16 +545,15 @@ impl InferenceEngine {
     /// # Panics
     ///
     /// Panics if `keys` does not hold exactly one key per schedule.
-    pub fn score_keyed_into<S: ScheduleScorer>(
+    pub fn score_keyed_into(
         &self,
-        scorer: &S,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         keys: &ScoreKeys,
         out: &mut Vec<Option<f32>>,
     ) -> BatchStats {
         assert_eq!(keys.len(), schedules.len(), "one key per schedule");
-        self.run(scorer, task, schedules, Some(keys), out)
+        self.run(task, schedules, Some(keys), out)
     }
 
     /// Answers a request from the cache alone, or not at all: under one lock
@@ -624,10 +623,9 @@ impl InferenceEngine {
 
     /// The body of both scoring entries: probe the request's keys (the
     /// caller's, or taken here into pooled storage), micro-batch the misses
-    /// through `scorer`, insert what it scored.
-    fn run<S: ScheduleScorer>(
+    /// through the scorer, insert what it scored.
+    fn run(
         &self,
-        scorer: &S,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         keys: Option<&ScoreKeys>,
@@ -674,21 +672,35 @@ impl InferenceEngine {
 
         let mb = self.config.micro_batch.max(1);
         let n_batches = miss_idx.len().div_ceil(mb);
-        let threads = self.config.effective_threads().clamp(1, n_batches.max(1));
+        let threads = self.threads.clamp(1, n_batches.max(1));
 
         if n_batches > 0 {
             let batch_ns = AtomicU64::new(0);
-            if threads == 1 {
-                // Inline path: no worker threads, no output locking — the
-                // pooled micro-batch buffer scatters straight into `out`.
-                let mut pooled = self.take_scratch::<S>();
-                for b in 0..n_batches {
+            let next = AtomicUsize::new(0);
+            let miss_idx: &[usize] = miss_idx;
+            // Workers write disjoint index sets, so a plain mutex around
+            // the shared output is contention, not a correctness need.
+            let out_slots: Mutex<&mut [Option<f32>]> = Mutex::new(&mut out[..]);
+            // The one micro-batch loop: claim the next batch off the
+            // counter, score it into pooled scratch, scatter.
+            let worker = || {
+                let mut pooled = self
+                    .scratch_pool
+                    .lock()
+                    .expect("engine scratch pool poisoned")
+                    .pop()
+                    .unwrap_or_default();
+                loop {
+                    let b = next.fetch_add(1, Ordering::Relaxed);
+                    if b >= n_batches {
+                        break;
+                    }
                     let lo = b * mb;
                     let hi = (lo + mb).min(miss_idx.len());
                     let idx = &miss_idx[lo..hi];
                     let t = Instant::now();
                     pooled.mb_out.clear();
-                    scorer.score_micro_batch_into(
+                    self.scorer.score_micro_batch_into(
                         &mut pooled.scratch,
                         task,
                         schedules,
@@ -697,52 +709,22 @@ impl InferenceEngine {
                     );
                     batch_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     debug_assert_eq!(pooled.mb_out.len(), idx.len(), "scorer batch shape");
+                    let mut slots = out_slots.lock().expect("engine output poisoned");
                     for (off, &i) in idx.iter().enumerate() {
-                        out[i] = pooled.mb_out[off];
+                        slots[i] = pooled.mb_out[off];
                     }
                 }
-                self.give_scratch(pooled);
+                self.scratch_pool
+                    .lock()
+                    .expect("engine scratch pool poisoned")
+                    .push(pooled);
+            };
+            if threads == 1 {
+                worker();
             } else {
-                let next = AtomicUsize::new(0);
-                let miss_idx: &[usize] = miss_idx;
-                // Workers write disjoint index sets, so a plain mutex around
-                // the shared output is contention, not a correctness need.
-                let out_slots: Mutex<&mut [Option<f32>]> = Mutex::new(&mut out[..]);
                 std::thread::scope(|s| {
                     for _ in 0..threads {
-                        s.spawn(|| {
-                            let mut pooled = self.take_scratch::<S>();
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_batches {
-                                    break;
-                                }
-                                let lo = b * mb;
-                                let hi = (lo + mb).min(miss_idx.len());
-                                let idx = &miss_idx[lo..hi];
-                                let t = Instant::now();
-                                pooled.mb_out.clear();
-                                scorer.score_micro_batch_into(
-                                    &mut pooled.scratch,
-                                    task,
-                                    schedules,
-                                    idx,
-                                    &mut pooled.mb_out,
-                                );
-                                batch_ns
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                                debug_assert_eq!(
-                                    pooled.mb_out.len(),
-                                    idx.len(),
-                                    "scorer batch shape"
-                                );
-                                let mut slots = out_slots.lock().expect("engine output poisoned");
-                                for (off, &i) in idx.iter().enumerate() {
-                                    slots[i] = pooled.mb_out[off];
-                                }
-                            }
-                            self.give_scratch(pooled);
-                        });
+                        s.spawn(worker);
                     }
                 });
             }
@@ -861,6 +843,10 @@ mod tests {
         }
     }
 
+    fn counting_engine(config: EngineConfig) -> InferenceEngine<CountingScorer> {
+        InferenceEngine::new(CountingScorer::new(), config)
+    }
+
     fn distinct_schedules(n: usize) -> Vec<ScheduleSequence> {
         use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
         (0..n)
@@ -876,57 +862,54 @@ mod tests {
 
     #[test]
     fn second_request_is_all_hits() {
-        let engine = InferenceEngine::new(EngineConfig {
+        let engine = counting_engine(EngineConfig {
             micro_batch: 4,
             threads: 1,
             cache_capacity: 128,
         });
-        let scorer = CountingScorer::new();
         let t = task();
         let seqs = distinct_schedules(10);
-        let (first, s1) = engine.score(&scorer, &t, &seqs);
+        let (first, s1) = engine.score(&t, &seqs);
         assert_eq!(s1.cache_misses, 10);
         assert_eq!(s1.cache_hits, 0);
         assert_eq!(s1.micro_batches, 3);
-        let (second, s2) = engine.score(&scorer, &t, &seqs);
+        let (second, s2) = engine.score(&t, &seqs);
         assert_eq!(s2.cache_hits, 10);
         assert_eq!(s2.cache_misses, 0);
         assert_eq!(first, second);
-        assert_eq!(scorer.scored.load(Ordering::Relaxed), 10);
+        assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 10);
         assert_eq!(engine.stats().cache_len, 10);
     }
 
     #[test]
     fn cache_respects_capacity() {
-        let engine = InferenceEngine::new(EngineConfig {
+        let engine = counting_engine(EngineConfig {
             micro_batch: 8,
             threads: 1,
             cache_capacity: 4,
         });
-        let scorer = CountingScorer::new();
         let t = task();
         let seqs = distinct_schedules(12);
-        engine.score(&scorer, &t, &seqs);
+        engine.score(&t, &seqs);
         assert_eq!(engine.stats().cache_len, 4);
         // The four most recent survive; re-scoring them is pure hits.
         let tail = seqs[8..].to_vec();
-        let (_, s) = engine.score(&scorer, &t, &tail);
+        let (_, s) = engine.score(&t, &tail);
         assert_eq!(s.cache_hits, 4);
     }
 
     #[test]
     fn invalidate_forces_rescore() {
-        let engine = InferenceEngine::new(EngineConfig {
+        let engine = counting_engine(EngineConfig {
             micro_batch: 8,
             threads: 1,
             cache_capacity: 64,
         });
-        let scorer = CountingScorer::new();
         let t = task();
         let seqs = distinct_schedules(5);
-        engine.score(&scorer, &t, &seqs);
+        engine.score(&t, &seqs);
         engine.invalidate();
-        let (_, s) = engine.score(&scorer, &t, &seqs);
+        let (_, s) = engine.score(&t, &seqs);
         assert_eq!(s.cache_misses, 5);
         assert_eq!(engine.stats().invalidations, 1);
     }
@@ -935,29 +918,58 @@ mod tests {
     fn parallel_matches_sequential() {
         let t = task();
         let seqs = distinct_schedules(37);
-        let seq_engine = InferenceEngine::new(EngineConfig {
+        let seq_engine = counting_engine(EngineConfig {
             micro_batch: 5,
             threads: 1,
             cache_capacity: 0,
         });
-        let par_engine = InferenceEngine::new(EngineConfig {
+        let par_engine = counting_engine(EngineConfig {
             micro_batch: 5,
             threads: 4,
             cache_capacity: 0,
         });
-        let scorer = CountingScorer::new();
-        let (a, sa) = seq_engine.score(&scorer, &t, &seqs);
-        let (b, sb) = par_engine.score(&scorer, &t, &seqs);
+        let (a, sa) = seq_engine.score(&t, &seqs);
+        let (b, sb) = par_engine.score(&t, &seqs);
         assert_eq!(a, b);
         assert_eq!(sa.micro_batches, 8);
         assert!(sb.threads >= 2, "parallel path actually used threads");
+        // The one loop counts the same however many workers run it.
+        assert_eq!(
+            (sa.cache_hits, sa.cache_misses, sa.micro_batches),
+            (sb.cache_hits, sb.cache_misses, sb.micro_batches)
+        );
+        let (ca, cb) = (seq_engine.stats(), par_engine.stats());
+        assert_eq!(
+            (ca.requests, ca.micro_batches, ca.cache_misses),
+            (cb.requests, cb.micro_batches, cb.cache_misses)
+        );
+    }
+
+    #[test]
+    fn scratch_pool_is_reused_not_grown() {
+        let t = task();
+        let seqs = distinct_schedules(20);
+        for threads in [1, 2] {
+            let engine = counting_engine(EngineConfig {
+                micro_batch: 4,
+                threads,
+                cache_capacity: 0,
+            });
+            for _ in 0..50 {
+                engine.score(&t, &seqs);
+            }
+            let pooled = engine.scratch_pool.lock().expect("pool").len();
+            assert!(
+                (1..=threads).contains(&pooled),
+                "{threads} worker(s) left {pooled} pooled contexts"
+            );
+        }
     }
 
     #[test]
     fn empty_request_roundtrips() {
-        let engine = InferenceEngine::default();
-        let scorer = CountingScorer::new();
-        let (out, stats) = engine.score(&scorer, &task(), &[]);
+        let engine = counting_engine(EngineConfig::default());
+        let (out, stats) = engine.score(&task(), &[]);
         assert!(out.is_empty());
         assert_eq!(stats.micro_batches, 0);
         assert_eq!(stats.threads, 0);
@@ -965,8 +977,7 @@ mod tests {
 
     #[test]
     fn distinct_tasks_do_not_share_entries() {
-        let engine = InferenceEngine::default();
-        let scorer = CountingScorer::new();
+        let engine = counting_engine(EngineConfig::default());
         let t1 = task();
         let t2 = SearchTask::new(
             Subgraph::new(
@@ -980,8 +991,8 @@ mod tests {
             Platform::i7_10510u(),
         );
         let seqs = distinct_schedules(6);
-        engine.score(&scorer, &t1, &seqs);
-        let (_, s) = engine.score(&scorer, &t2, &seqs);
+        engine.score(&t1, &seqs);
+        let (_, s) = engine.score(&t2, &seqs);
         assert_eq!(
             s.cache_misses, 6,
             "different task must not hit t1's entries"
@@ -998,8 +1009,7 @@ mod tests {
             threads: 1,
             cache_capacity: 128,
         };
-        let (keyed, plain) = (InferenceEngine::new(config), InferenceEngine::new(config));
-        let scorer = CountingScorer::new();
+        let (keyed, plain) = (counting_engine(config), counting_engine(config));
         let t = task();
         let seqs = distinct_schedules(12);
         let mut mixed = seqs[4..].to_vec();
@@ -1010,8 +1020,8 @@ mod tests {
         let (mut got, mut want) = (Vec::new(), Vec::new());
         for (request, (hits, misses)) in requests.into_iter().zip([(0, 8), (8, 0), (5, 7)]) {
             let keys = ScoreKeys::new(&t, request);
-            let a = keyed.score_keyed_into(&scorer, &t, request, &keys, &mut got);
-            let b = plain.score_into(&scorer, &t, request, &mut want);
+            let a = keyed.score_keyed_into(&t, request, &keys, &mut got);
+            let b = plain.score_into(&t, request, &mut want);
             assert_eq!(got, want);
             assert_eq!((a.cache_hits, a.cache_misses), (hits, misses));
             assert_eq!(
@@ -1028,15 +1038,14 @@ mod tests {
 
     #[test]
     fn probe_is_all_or_nothing_and_counts_nothing_on_a_miss() {
-        let engine = InferenceEngine::new(EngineConfig {
+        let engine = counting_engine(EngineConfig {
             micro_batch: 4,
             threads: 1,
             cache_capacity: 128,
         });
-        let scorer = CountingScorer::new();
         let t = task();
         let seqs = distinct_schedules(9);
-        let (first, _) = engine.score(&scorer, &t, &seqs[..8]);
+        let (first, _) = engine.score(&t, &seqs[..8]);
         let counted = engine.stats();
         let mut out = Vec::new();
 
@@ -1062,20 +1071,20 @@ mod tests {
         assert_eq!(after.requests, counted.requests + 1);
         assert_eq!(after.cache_hits, counted.cache_hits + 8);
         assert_eq!(after.cache_misses, counted.cache_misses);
-        assert_eq!(scorer.scored.load(Ordering::Relaxed), 8);
+        assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 8);
 
         // The same keys after an invalidation name nothing any more, and
         // still key the rescoring correctly under the new salt.
         engine.invalidate();
         assert!(engine.probe(&keys, &mut out).is_none());
-        let rescored = engine.score_keyed_into(&scorer, &t, &seqs[..8], &keys, &mut out);
+        let rescored = engine.score_keyed_into(&t, &seqs[..8], &keys, &mut out);
         assert_eq!(rescored.cache_misses, 8);
         assert_eq!(out, first);
         assert!(engine.probe(&keys, &mut out).is_some());
 
         // An engine without a cache has nothing to probe.
-        let uncached = InferenceEngine::new(EngineConfig::sequential_uncached());
-        uncached.score(&scorer, &t, &seqs[..8]);
+        let uncached = counting_engine(EngineConfig::sequential_uncached());
+        uncached.score(&t, &seqs[..8]);
         assert!(uncached.probe(&keys, &mut out).is_none());
     }
 

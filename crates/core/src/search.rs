@@ -1,12 +1,11 @@
 //! Cost-model adapters plugging TLP and the baselines into the auto-tuner's
 //! search loop (paper §6.3).
 //!
-//! All model families share one adapter: [`FeatureModel`] pairs a
-//! [`ScheduleScorer`] (how this model family turns schedules into scores)
-//! with an [`InferenceEngine`] (batching, threading and score caching) and
-//! implements the `CostModel` trait exactly once. The historical per-model
-//! `impl CostModel` blocks — each duplicating the extract-features-then
-//! predict dance — are gone; model families differ only in their scorer.
+//! All model families share one adapter: [`FeatureModel`] is the
+//! `CostModel` view of an [`InferenceEngine`] (batching, threading and score
+//! caching) that owns a [`ScheduleScorer`] (how this model family turns
+//! schedules into scores), and implements the `CostModel` trait exactly
+//! once; model families differ only in their scorer.
 
 use crate::baselines::{program_features, AnsorOnlineModel, TenSetMlp, PROGRAM_FEATURE_DIM};
 use crate::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
@@ -30,54 +29,43 @@ pub const PROGRAM_GEN_COST: PipelineCost = PipelineCost::new(1.5e-3, 0.4e-3, 0.1
 /// ~6 s with no program generation at all (paper §6.3).
 pub const TLP_PIPELINE_COST: PipelineCost = PipelineCost::new(0.0, 0.5e-3, 0.1e-3);
 
-/// A cost model assembled from a [`ScheduleScorer`] and an
-/// [`InferenceEngine`]. This is the only `CostModel` implementation in the
-/// crate — every model family plugs in as a scorer.
+/// The `CostModel` view of an [`InferenceEngine`] — the only `CostModel`
+/// implementation in the crate; every model family plugs in as the engine's
+/// scorer.
 #[derive(Debug)]
-pub struct FeatureModel<S: ScheduleScorer> {
-    scorer: S,
-    engine: InferenceEngine,
-}
+pub struct FeatureModel<S: ScheduleScorer>(InferenceEngine<S>);
 
 impl<S: ScheduleScorer> FeatureModel<S> {
-    /// Wraps `scorer` with a default-sized engine.
+    /// Wraps `scorer` in a default-sized engine.
     pub fn from_scorer(scorer: S) -> Self {
-        FeatureModel {
-            scorer,
-            engine: InferenceEngine::default(),
-        }
+        FeatureModel::with_engine(scorer, EngineConfig::default())
     }
 
-    /// Wraps `scorer` with an explicitly sized engine.
+    /// Wraps `scorer` in an explicitly sized engine.
     pub fn with_engine(scorer: S, config: EngineConfig) -> Self {
-        FeatureModel {
-            scorer,
-            engine: InferenceEngine::new(config),
-        }
+        FeatureModel(InferenceEngine::new(scorer, config))
     }
 
     /// The underlying scorer.
     pub fn scorer(&self) -> &S {
-        &self.scorer
+        self.0.scorer()
     }
 
     /// The engine (for cumulative statistics).
-    pub fn engine(&self) -> &InferenceEngine {
-        &self.engine
+    pub fn engine(&self) -> &InferenceEngine<S> {
+        &self.0
     }
 
     /// Unwraps the scorer, dropping the engine and its cache.
     pub fn into_scorer(self) -> S {
-        self.scorer
+        self.0.into_scorer()
     }
 }
 
 impl<S: ScheduleScorer> CostModel for FeatureModel<S> {
     fn predict(&self, request: ScoreRequest<'_>) -> ScoreBatch {
-        let (scores, stats) = self
-            .engine
-            .score(&self.scorer, request.task, request.candidates);
-        let mut batch = ScoreBatch::masked(scores, self.scorer.pipeline_cost());
+        let (scores, stats) = self.0.score(request.task, request.candidates);
+        let mut batch = ScoreBatch::masked(scores, self.pipeline_cost());
         batch.stats = stats;
         batch
     }
@@ -89,18 +77,15 @@ impl<S: ScheduleScorer> CostModel for FeatureModel<S> {
         latencies: &[f64],
     ) -> Result<(), UpdateError> {
         check_update_shape(schedules, latencies)?;
-        if self.scorer.absorb(task, schedules, latencies)? {
-            self.engine.invalidate();
-        }
-        Ok(())
+        self.0.absorb(task, schedules, latencies)
     }
 
     fn name(&self) -> &str {
-        self.scorer.name()
+        self.scorer().name()
     }
 
     fn pipeline_cost(&self) -> PipelineCost {
-        self.scorer.pipeline_cost()
+        self.scorer().pipeline_cost()
     }
 }
 
@@ -565,7 +550,7 @@ mod tests {
         let cfg = TlpConfig::test_scale();
         let ex =
             FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let m = TlpCostModel::new(TlpModel::new(cfg), ex);
+        let mut m = TlpCostModel::new(TlpModel::new(cfg), ex);
         let t = task();
         let seqs = schedules(6);
         let first = m.predict(ScoreRequest::new(&t, &seqs));
@@ -576,5 +561,11 @@ mod tests {
             first.scores().eq(second.scores()),
             "cached scores bit-identical"
         );
+        // An offline scorer's `absorb` changes nothing, so an update keeps
+        // the cache.
+        m.update(&t, &seqs, &[1e-3; 6]).expect("update");
+        let third = m.predict(ScoreRequest::new(&t, &seqs));
+        assert_eq!(third.stats.cache_hits, 6);
+        assert_eq!(m.engine().stats().invalidations, 0);
     }
 }

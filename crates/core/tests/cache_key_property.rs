@@ -179,11 +179,14 @@ proptest! {
     /// separates caches for identical schedules.
     #[test]
     fn engine_cache_never_cross_serves(specs in arb_specs(), which in 0usize..16) {
-        let engine = InferenceEngine::new(EngineConfig {
-            micro_batch: 4,
-            threads: 1,
-            cache_capacity: 64,
-        });
+        let engine = InferenceEngine::new(
+            FingerprintScorer,
+            EngineConfig {
+                micro_batch: 4,
+                threads: 1,
+                cache_capacity: 64,
+            },
+        );
         let task = dense_task(64);
         let base = build(&specs);
 
@@ -193,9 +196,9 @@ proptest! {
         let mutated = build(&mutated);
 
         // Warm the cache with the base schedule…
-        let (warm, _) = engine.score(&FingerprintScorer, &task, std::slice::from_ref(&base));
+        let (warm, _) = engine.score(&task, std::slice::from_ref(&base));
         // …then score the mutant: it must get its own score, not A's.
-        let (got, _) = engine.score(&FingerprintScorer, &task, std::slice::from_ref(&mutated));
+        let (got, _) = engine.score(&task, std::slice::from_ref(&mutated));
         let want = Some((mutated.fingerprint() % 0xFFFF) as f32);
         prop_assert_eq!(got[0], want);
         prop_assert_eq!(warm[0], Some((base.fingerprint() % 0xFFFF) as f32));

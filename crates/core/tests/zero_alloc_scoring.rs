@@ -66,27 +66,30 @@ fn steady_state_scoring_allocates_nothing() {
         model: TlpModel::new(cfg),
         extractor,
     };
-    // Single-threaded, uncached: the inline path the throughput bench's hot
-    // loop exercises. Spawning workers and growing the cache's hash map are
-    // the two engine features that legitimately allocate.
-    let engine = InferenceEngine::new(EngineConfig {
-        micro_batch: 64,
-        threads: 1,
-        cache_capacity: 0,
-    });
+    // Single-threaded, uncached: the one worker loop, run on the calling
+    // thread. Spawning workers and growing the cache's hash map are the two
+    // engine features that legitimately allocate.
+    let engine = InferenceEngine::new(
+        scorer,
+        EngineConfig {
+            micro_batch: 64,
+            threads: 1,
+            cache_capacity: 0,
+        },
+    );
     let t = task();
     let mut out = Vec::new();
 
     // Warm every pool: the caller's output buffer, the engine's call
     // buffers and pooled scorer scratch, and the nn workspace arena.
     for _ in 0..3 {
-        engine.score_into(&scorer, &t, &seqs, &mut out);
+        engine.score_into(&t, &seqs, &mut out);
     }
     assert_eq!(out.len(), seqs.len());
     assert!(out.iter().all(Option::is_some));
 
     let before = counting_alloc::allocations();
-    let stats = engine.score_into(&scorer, &t, &seqs, &mut out);
+    let stats = engine.score_into(&t, &seqs, &mut out);
     let delta = counting_alloc::allocations() - before;
     assert_eq!(stats.cache_misses as usize, seqs.len());
     assert_eq!(

@@ -19,6 +19,7 @@
 
 use crate::error::ServeError;
 use crate::server::{ScoreReply, ServeClient};
+use crate::tenant::DEFAULT_TENANT;
 use serde::Serialize;
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
@@ -30,27 +31,27 @@ use tlp_schedule::ScheduleSequence;
 /// [`ServeClient`] for real serving and by
 /// [`FlakyTransport`](crate::chaos::FlakyTransport) for chaos testing.
 pub trait ScoreTransport {
-    /// Scores `schedules` against the named model, honoring `deadline` when
-    /// given.
-    fn score(
+    /// Scores `schedules` against the named model, attributed to `tenant`
+    /// for QoS accounting and honoring `deadline` when given. The one method
+    /// a transport implements, so none can drop the attribution by default.
+    fn score_as(
         &self,
+        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError>;
 
-    /// Like [`ScoreTransport::score`] but attributed to `tenant` for QoS
-    /// accounting. Transports without tenancy ignore the label.
-    fn score_as(
+    /// [`ScoreTransport::score_as`] for [`DEFAULT_TENANT`].
+    fn score(
         &self,
-        _tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError> {
-        self.score(model, task, schedules, deadline)
+        self.score_as(DEFAULT_TENANT, model, task, schedules, deadline)
     }
 
     /// Per-endpoint breaker state this transport maintains, one row per
@@ -63,19 +64,6 @@ pub trait ScoreTransport {
 }
 
 impl ScoreTransport for ServeClient {
-    fn score(
-        &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        match deadline {
-            None => ServeClient::score(self, model, task, schedules),
-            Some(d) => ServeClient::score_with_deadline(self, model, task, schedules, d),
-        }
-    }
-
     fn score_as(
         &self,
         tenant: &str,
@@ -102,26 +90,25 @@ pub(crate) fn is_transient(err: &ServeError) -> bool {
     )
 }
 
-/// Retry-with-backoff knobs for transient serving errors.
+/// Base backoff before retry 1; doubles each further retry.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Jitter fraction in `[0, 1]`: each backoff is scaled by a deterministic
+/// pseudo-random factor in `[1 - JITTER, 1 + JITTER]`, decorrelating retry
+/// storms across concurrent tuners.
+const JITTER: f64 = 0.5;
+
+/// Retry knob for transient serving errors (backoff base and jitter are
+/// fixed constants of this module).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first failed request (`0` disables retry).
     pub max_retries: u32,
-    /// Base backoff before retry 1; doubles each further retry.
-    pub backoff_base: Duration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic pseudo-random factor in `[1 - jitter, 1 + jitter]`,
-    /// decorrelating retry storms across concurrent tuners.
-    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(2),
-            jitter: 0.5,
-        }
+        RetryPolicy { max_retries: 2 }
     }
 }
 
@@ -405,7 +392,7 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         &self.transport
     }
 
-    /// Deterministic jitter factor in `[1 - jitter, 1 + jitter]` from a
+    /// Deterministic jitter factor in `[1 - JITTER, 1 + JITTER]` from a
     /// splitmix-mixed call counter (no RNG stream, no wall clock).
     fn jitter_factor(&self) -> f64 {
         let n = self.jitter_counter.get();
@@ -414,7 +401,7 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         let u = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        1.0 + self.retry.jitter * (2.0 * u - 1.0)
+        1.0 + JITTER * (2.0 * u - 1.0)
     }
 
     /// One request with bounded retry on transient errors.
@@ -434,13 +421,10 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
                     if !is_transient(&err) || attempt >= self.retry.max_retries {
                         return Err(err);
                     }
-                    let backoff = self
-                        .retry
-                        .backoff_base
-                        .mul_f64(f64::from(1u32 << attempt.min(16)) * self.jitter_factor());
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    std::thread::sleep(
+                        BACKOFF_BASE
+                            .mul_f64(f64::from(1u32 << attempt.min(16)) * self.jitter_factor()),
+                    );
                     self.retries.set(self.retries.get() + 1);
                     attempt += 1;
                 }

@@ -101,19 +101,6 @@ impl<T: ScoreTransport> FlakyTransport<T> {
 }
 
 impl<T: ScoreTransport> ScoreTransport for FlakyTransport<T> {
-    fn score(
-        &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        match self.draw_failure() {
-            Some(err) => Err(err),
-            None => self.inner.score(model, task, schedules, deadline),
-        }
-    }
-
     fn score_as(
         &self,
         tenant: &str,
@@ -143,8 +130,9 @@ mod tests {
     /// A transport that always succeeds with an empty reply.
     struct AlwaysOk;
     impl ScoreTransport for AlwaysOk {
-        fn score(
+        fn score_as(
             &self,
+            _tenant: &str,
             _model: &str,
             _task: &SearchTask,
             schedules: &[ScheduleSequence],

@@ -1,9 +1,9 @@
 //! Named, versioned cost models, hot-swappable under live traffic.
 //!
 //! The registry maps model names to [`ModelVersion`]s — an immutable bundle
-//! of (restored scorer, private [`InferenceEngine`], monotonic version tag)
-//! behind an `Arc`. Lookups clone the `Arc`, so a batch that resolved a
-//! model keeps scoring on exactly that version even if an
+//! of (private [`InferenceEngine`] owning the restored scorer, monotonic
+//! version tag) behind an `Arc`. Lookups clone the `Arc`, so a batch that
+//! resolved a model keeps scoring on exactly that version even if an
 //! [`ModelRegistry::install`] swaps the name mid-flight; the old version is
 //! freed when its last in-flight batch drops it. Each version owns its own
 //! engine (and score cache), so a swap can never serve version-N scores to
@@ -15,21 +15,19 @@ use crate::error::ServeError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use tlp::engine::{EngineConfig, InferenceEngine, ScoreKeys};
+use tlp::engine::{EngineConfig, InferenceEngine};
 use tlp::persist::{PersistError, SavedTlp};
 use tlp::search::MtlTlpScorer;
 use tlp::{FeatureExtractor, TlpModel};
-use tlp_autotuner::{BatchStats, SearchTask};
 use tlp_modelcheck::audit_store;
-use tlp_schedule::ScheduleSequence;
 
-/// One immutable installed model: scorer + private engine + version tag.
+/// One immutable installed model: a named, versioned engine. Scoring,
+/// probing and stats are the engine's own methods, reached through `Deref`.
 #[derive(Debug)]
 pub struct ModelVersion {
     name: String,
     version: u64,
-    scorer: MtlTlpScorer,
-    engine: InferenceEngine,
+    engine: InferenceEngine<MtlTlpScorer>,
 }
 
 impl ModelVersion {
@@ -42,53 +40,13 @@ impl ModelVersion {
     pub fn version(&self) -> u64 {
         self.version
     }
+}
 
-    /// This version's engine (for stats snapshots).
-    pub fn engine(&self) -> &InferenceEngine {
+impl std::ops::Deref for ModelVersion {
+    type Target = InferenceEngine<MtlTlpScorer>;
+
+    fn deref(&self) -> &Self::Target {
         &self.engine
-    }
-
-    /// Scores `schedules` for `task` through this version's engine
-    /// (batched, cached, parallel — identical semantics to direct
-    /// [`InferenceEngine::score`] calls).
-    pub fn score(
-        &self,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-    ) -> (Vec<Option<f32>>, BatchStats) {
-        self.engine.score(&self.scorer, task, schedules)
-    }
-
-    /// Like [`ModelVersion::score`] but writing into a caller-owned buffer,
-    /// so the serving batcher can reuse one output vector across batches.
-    pub fn score_into(
-        &self,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        out: &mut Vec<Option<f32>>,
-    ) -> BatchStats {
-        self.engine.score_into(&self.scorer, task, schedules, out)
-    }
-
-    /// [`ModelVersion::score_into`] under keys taken earlier
-    /// ([`InferenceEngine::score_keyed_into`]): the batcher scores queued
-    /// jobs with the keys admission took, whichever version it resolves.
-    pub fn score_keyed_into(
-        &self,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        keys: &ScoreKeys,
-        out: &mut Vec<Option<f32>>,
-    ) -> BatchStats {
-        self.engine
-            .score_keyed_into(&self.scorer, task, schedules, keys, out)
-    }
-
-    /// The all-or-nothing cache probe of this version's engine
-    /// ([`InferenceEngine::probe`]): the scores if every key is cached,
-    /// `None` (and nothing counted) otherwise.
-    pub fn probe(&self, keys: &ScoreKeys, out: &mut Vec<Option<f32>>) -> Option<BatchStats> {
-        self.engine.probe(keys, out)
     }
 }
 
@@ -212,8 +170,7 @@ impl ModelRegistry {
         let entry = Arc::new(ModelVersion {
             name: name.to_string(),
             version,
-            scorer,
-            engine: InferenceEngine::new(self.engine_config),
+            engine: InferenceEngine::new(scorer, self.engine_config),
         });
         let old = self
             .models
@@ -328,7 +285,7 @@ mod tests {
         assert_eq!(held.version(), v1);
         assert_eq!(reg.resolve("m").expect("v2").version(), v2);
         // Swap invalidated the displaced engine.
-        assert_eq!(held.engine().stats().invalidations, 1);
+        assert_eq!(held.stats().invalidations, 1);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use crate::chaos::{mix, FlakyTransport};
 use crate::error::ServeError;
 use crate::health::{HealthBoard, HealthPolicy, ShardHealth};
 use crate::server::{ScoreReply, ServeClient};
-use crate::tenant::DEFAULT_TENANT;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -358,17 +357,6 @@ impl FleetClient {
 }
 
 impl ScoreTransport for FleetClient {
-    fn score(
-        &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        self.score_detailed(DEFAULT_TENANT, model, task, schedules, deadline)
-            .map(|r| r.reply)
-    }
-
     fn score_as(
         &self,
         tenant: &str,

@@ -11,8 +11,9 @@
 //! batcher. Anything else queues whole, carrying its keys so the batcher
 //! hashes nothing again. Verification precedes the probe on purpose: the
 //! fingerprint is a fast non-cryptographic hash and the cache is writable by
-//! callers that never verified ([`ModelVersion::score`] is public), so a
-//! cached score proves nothing about the schedule in hand.
+//! callers that never verified (a resolved [`ModelVersion`] derefs to its
+//! engine, whose `score` is public), so a cached score proves nothing about
+//! the schedule in hand.
 //!
 //! Admission is bounded: a full queue rejects with
 //! [`ServeError::Overloaded`] *before* anything is copied or allocated, so

@@ -36,6 +36,9 @@ pub const DEFAULT_TENANT: &str = "default";
 /// so weight ratios up to `STRIDE` are represented exactly.
 const STRIDE: u64 = 1 << 20;
 
+/// Weight assigned to tenants first seen at submission time.
+const DEFAULT_WEIGHT: u32 = 1;
+
 /// One tenant's QoS class: a name and a relative weight.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct TenantSpec {
@@ -56,35 +59,18 @@ impl TenantSpec {
     }
 }
 
-/// Per-tenant QoS policy for a server.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+/// Per-tenant QoS policy for a server. Weighted admission quotas are always
+/// enforced.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct TenantPolicy {
     /// Pre-registered tenants with explicit weights.
     pub classes: Vec<TenantSpec>,
-    /// Weight assigned to tenants first seen at submission time.
-    pub default_weight: u32,
-    /// Enforce weighted admission quotas. Off, the table still tracks
-    /// per-tenant stats and drives fair-share dispatch, but never rejects.
-    pub enforce_quota: bool,
-}
-
-impl Default for TenantPolicy {
-    fn default() -> Self {
-        TenantPolicy {
-            classes: Vec::new(),
-            default_weight: 1,
-            enforce_quota: true,
-        }
-    }
 }
 
 impl TenantPolicy {
-    /// A policy with the given classes, quota enforcement on.
+    /// A policy with the given classes.
     pub fn with_classes(classes: Vec<TenantSpec>) -> Self {
-        TenantPolicy {
-            classes,
-            ..TenantPolicy::default()
-        }
+        TenantPolicy { classes }
     }
 }
 
@@ -123,8 +109,6 @@ struct TenantState {
 pub struct TenantTable {
     tenants: BTreeMap<String, TenantState>,
     total_weight: u64,
-    default_weight: u32,
-    enforce: bool,
     /// Global virtual time: the pass of the most recently dispatched job.
     /// A tenant returning from idle restarts at `gvt`, so it cannot bank
     /// credit while away and then monopolize the batcher.
@@ -137,8 +121,6 @@ impl TenantTable {
         let mut table = TenantTable {
             tenants: BTreeMap::new(),
             total_weight: 0,
-            default_weight: policy.default_weight.max(1),
-            enforce: policy.enforce_quota,
             gvt: 0,
         };
         for spec in &policy.classes {
@@ -171,8 +153,8 @@ impl TenantTable {
         let (weight, total) = match self.tenants.get(tenant) {
             Some(t) => (u64::from(t.weight), self.total_weight),
             None => (
-                u64::from(self.default_weight),
-                self.total_weight + u64::from(self.default_weight),
+                u64::from(DEFAULT_WEIGHT),
+                self.total_weight + u64::from(DEFAULT_WEIGHT),
             ),
         };
         if total == 0 {
@@ -183,21 +165,21 @@ impl TenantTable {
 
     /// Admits one job for `tenant` (registering it at the default weight on
     /// first sight). Returns the tenant's share as the error payload when
-    /// the tenant is already at it and quotas are enforced.
+    /// the tenant is already at it.
     ///
     /// # Errors
     ///
     /// Returns `Err(share)` when the tenant's queued jobs have reached its
     /// weighted share of `capacity`.
     pub fn admit(&mut self, tenant: &str, capacity: usize) -> Result<(), usize> {
-        self.register(tenant, self.default_weight);
+        self.register(tenant, DEFAULT_WEIGHT);
         let share = self.share(tenant, capacity);
         let gvt = self.gvt;
         let state = self
             .tenants
             .get_mut(tenant)
             .unwrap_or_else(|| unreachable!("tenant registered above"));
-        if self.enforce && state.queued >= share {
+        if state.queued >= share {
             state.rejected_quota += 1;
             return Err(share);
         }
@@ -244,7 +226,7 @@ impl TenantTable {
     /// advance and no queue slot is taken — the pass meters batcher time and
     /// the quota bounds queued jobs, and a cache hit consumes neither.
     pub fn on_answered(&mut self, tenant: &str, candidates: usize) {
-        self.register(tenant, self.default_weight);
+        self.register(tenant, DEFAULT_WEIGHT);
         if let Some(state) = self.tenants.get_mut(tenant) {
             state.dispatched_jobs += 1;
             state.dispatched_candidates += candidates as u64;
@@ -358,17 +340,5 @@ mod tests {
             2,
             "first seen through a cache hit, still listed"
         );
-    }
-
-    #[test]
-    fn quota_enforcement_can_be_disabled() {
-        let mut t = TenantTable::new(&TenantPolicy {
-            enforce_quota: false,
-            ..TenantPolicy::default()
-        });
-        for _ in 0..50 {
-            t.admit("x", 4).expect("quota off");
-        }
-        assert_eq!(t.snapshot()[0].queued, 50);
     }
 }

@@ -65,11 +65,13 @@ fn concurrent_clients_match_direct_engine_bit_for_bit() {
     let t = task();
     let (model, ex) = scorer(7);
     // Direct path: private engine, single thread.
-    let direct_engine = InferenceEngine::new(EngineConfig::default());
-    let direct_scorer = TlpScorer {
-        model,
-        extractor: ex,
-    };
+    let direct_engine = InferenceEngine::new(
+        TlpScorer {
+            model,
+            extractor: ex,
+        },
+        EngineConfig::default(),
+    );
     let server = Server::start(serving_registry(7), ServeConfig::default());
 
     const CLIENTS: usize = 8;
@@ -78,7 +80,7 @@ fn concurrent_clients_match_direct_engine_bit_for_bit() {
         .collect();
     let expected: Vec<Vec<Option<f32>>> = per_client
         .iter()
-        .map(|batch| direct_engine.score(&direct_scorer, &t, batch).0)
+        .map(|batch| direct_engine.score(&t, batch).0)
         .collect();
 
     let got: Vec<Vec<Option<f32>>> = std::thread::scope(|scope| {
@@ -147,12 +149,13 @@ fn hot_swap_under_load_fails_zero_requests() {
     // Ground truth from both versions, computed on private engines.
     let truth = |seed: u64| {
         let (model, ex) = scorer(seed);
-        let engine = InferenceEngine::new(EngineConfig::default());
         let s = TlpScorer {
             model,
             extractor: ex,
         };
-        engine.score(&s, &t, &pool).0
+        InferenceEngine::new(s, EngineConfig::default())
+            .score(&t, &pool)
+            .0
     };
     let v1_scores = truth(1);
     let v2_scores = truth(2);
@@ -456,8 +459,8 @@ fn invalid_schedule_is_rejected_at_admission() {
 /// score must equal bit for bit.
 fn direct_scores(seed: u64, t: &SearchTask, batch: &[ScheduleSequence]) -> Vec<Option<f32>> {
     let (model, extractor) = scorer(seed);
-    InferenceEngine::new(EngineConfig::default())
-        .score(&TlpScorer { model, extractor }, t, batch)
+    InferenceEngine::new(TlpScorer { model, extractor }, EngineConfig::default())
+        .score(t, batch)
         .0
 }
 
@@ -513,14 +516,7 @@ fn one_uncached_candidate_queues_the_whole_request() {
     let t = task();
     let pool = candidates(8, 53);
     let client = server.client();
-    let engine = || {
-        server
-            .registry()
-            .resolve("m")
-            .expect("installed")
-            .engine()
-            .stats()
-    };
+    let engine = || server.registry().resolve("m").expect("installed").stats();
 
     // Seven new candidates, then the same seven plus one more: neither is
     // all-hit, both queue whole, and the engine counts each candidate once.

@@ -51,7 +51,7 @@ echo "==> system benchmark (own workspace: cargo test --workspace never compiles
 cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml
 
 if command -v jq >/dev/null 2>&1; then
-    echo "==> system benchmark count gate (serve_warm never batches, serve_miss never hits)"
+    echo "==> system benchmark count gate (exact counts on all four workloads)"
     bash scripts/sysbench-gate.sh
 else
     echo "==> jq not installed; skipping the system benchmark count gate"

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Hard gate on counts the system benchmark's serve workloads repeat exactly
-# (no timing involved, ~5 s each): all-hit traffic is answered at admission
-# and never reaches a batcher; all-miss traffic never hits the cache and
-# always does. Run by CI and by scripts/check.sh.
+# Hard gate on counts the system benchmark's workloads repeat exactly (no
+# timing, no float from the hardware simulator, ~5 s each): all-hit traffic
+# is answered at admission and never reaches a batcher; all-miss traffic
+# never hits the cache and always does; cold scoring and the tuner loop
+# keep the micro-batch and search counts a change to the engine's loop or
+# the search gate moves first. Run by CI and by scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +16,13 @@ gate() {
         echo "sysbench-gate: $workload violates: correct, failed == 0, $counts" >&2
         jq -c '{correct, attempted, failed,
                 batches: .metrics["serve.batches"].value,
-                hit_ratio: .metrics["engine.hit_ratio"].value}' <<<"$result" >&2
+                hit_ratio: .metrics["engine.hit_ratio"].value,
+                micro_batches: .metrics["engine.micro_batches"].value,
+                generated: .metrics["search.generated"].value,
+                pruned: .metrics["search.pruned"].value,
+                full_scored: .metrics["search.full_scored"].value,
+                result_digest: .metrics["tuner.result_digest"].value,
+                oracle_digest: .metrics["bench.oracle_digest"].value}' <<<"$result" >&2
         exit 1
     fi
     echo "sysbench-gate: $workload ok ($counts)"
@@ -22,3 +30,5 @@ gate() {
 
 gate serve_warm '.metrics["serve.batches"].value == 0 and .metrics["engine.hit_ratio"].value == 1'
 gate serve_miss '.metrics["engine.hit_ratio"].value == 0 and .metrics["serve.batches"].value >= 1'
+gate score_cold '.metrics["engine.hit_ratio"].value == 0 and .metrics["engine.micro_batches"].value == 32'
+gate tune_search '.metrics["search.generated"].value == 6168 and .metrics["search.pruned"].value == 0 and .metrics["search.full_scored"].value == 7680 and .metrics["tuner.result_digest"].value == .metrics["bench.oracle_digest"].value'

@@ -166,10 +166,7 @@ fn breaker_trips_under_server_faults_and_recovers_when_healthy() {
     let server = Server::start(registry, ServeConfig::default());
 
     let remote = RemoteCostModel::new(FlakyTransport::new(server.client(), 99, 0.0), "m")
-        .with_retry(RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        })
+        .with_retry(RetryPolicy { max_retries: 0 })
         .with_breaker(BreakerConfig {
             failure_threshold: 3,
             cooldown_calls: 4,
@@ -298,10 +295,7 @@ fn breaker_recovery_racing_a_hot_swap_lands_on_the_new_version() {
     let server = Server::start(Arc::clone(&registry), ServeConfig::default());
 
     let remote = RemoteCostModel::new(FlakyTransport::new(server.client(), 41, 0.0), "m")
-        .with_retry(RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        })
+        .with_retry(RetryPolicy { max_retries: 0 })
         .with_breaker(BreakerConfig {
             failure_threshold: 2,
             cooldown_calls: 2,
@@ -366,10 +360,7 @@ fn graceful_drain_answers_every_admitted_job_while_breaker_is_tripped() {
         .map(|_| client.submit("m", &t, &cands, None).expect("admitted"))
         .collect();
     let remote = RemoteCostModel::new(FlakyTransport::new(server.client(), 17, 1.0), "m")
-        .with_retry(RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        })
+        .with_retry(RetryPolicy { max_retries: 0 })
         .with_breaker(BreakerConfig {
             failure_threshold: 1,
             cooldown_calls: 1000,
