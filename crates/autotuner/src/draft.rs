@@ -23,11 +23,10 @@
 //! the search RNG stream, which is what lets the speculation-off path stay
 //! bit-identical to a non-speculative search.
 
-use crate::sketch::Candidate;
 use crate::task::SearchTask;
 use serde::{Deserialize, Serialize};
 use tlp_nn::TinyHead;
-use tlp_schedule::PrimitiveKind;
+use tlp_schedule::{PrimitiveKind, ScheduleSequence};
 
 /// Speculative-search knobs, gated under
 /// [`EvolutionConfig::speculative`](crate::evolutionary::EvolutionConfig::speculative).
@@ -105,7 +104,7 @@ pub trait DraftFeatures: Send {
     fn extract_into(
         &mut self,
         task: &SearchTask,
-        pop: &[Candidate],
+        pop: &[ScheduleSequence],
         idx: &[usize],
         out: &mut Vec<f32>,
     );
@@ -132,13 +131,13 @@ impl DraftFeatures for ScheduleStatFeatures {
     fn extract_into(
         &mut self,
         _task: &SearchTask,
-        pop: &[Candidate],
+        pop: &[ScheduleSequence],
         idx: &[usize],
         out: &mut Vec<f32>,
     ) {
         let kinds = PrimitiveKind::ALL.len();
         for &i in idx {
-            let seq = &pop[i].sequence;
+            let seq = &pop[i];
             let base = out.len();
             out.resize(base + kinds + STAT_EXTRAS, 0.0);
             let row = &mut out[base..];
@@ -255,7 +254,7 @@ impl DraftScorer {
     /// Draft-scores the whole population with the task's head, appending one
     /// score per candidate to `out` (in population order). Deterministic and
     /// RNG-free.
-    pub fn score_into(&mut self, task: &SearchTask, pop: &[Candidate], out: &mut Vec<f32>) {
+    pub fn score_into(&mut self, task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
         self.idx_scratch.clear();
         self.idx_scratch.extend(0..pop.len());
         self.feat_scratch.clear();
@@ -272,7 +271,13 @@ impl DraftScorer {
     /// Distills one full-model batch into the head: `scores[j]` is the full
     /// model's score for `pop[idx[j]]`. Non-finite scores (unscoreable
     /// candidates) are dropped from the regression batch.
-    pub fn distill(&mut self, task: &SearchTask, pop: &[Candidate], idx: &[usize], scores: &[f32]) {
+    pub fn distill(
+        &mut self,
+        task: &SearchTask,
+        pop: &[ScheduleSequence],
+        idx: &[usize],
+        scores: &[f32],
+    ) {
         debug_assert_eq!(idx.len(), scores.len(), "draft distill shape");
         self.idx_scratch.clear();
         self.target_scratch.clear();
@@ -305,7 +310,7 @@ impl DraftScorer {
 mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
-    use crate::sketch::SketchPolicy;
+    use crate::sketch::{Candidate, SketchPolicy};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlp_hwsim::Platform;
@@ -325,11 +330,11 @@ mod tests {
         )
     }
 
-    fn pop(n: usize, seed: u64) -> Vec<Candidate> {
+    fn pop(n: usize, seed: u64) -> Vec<ScheduleSequence> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = task();
         (0..n)
-            .map(|_| Candidate::random(&SketchPolicy::cpu(), &t.subgraph, &mut rng))
+            .map(|_| Candidate::random(&SketchPolicy::cpu(), &t.subgraph, &mut rng).sequence)
             .collect()
     }
 

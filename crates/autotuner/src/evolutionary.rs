@@ -15,13 +15,14 @@
 //! the search RNG stream — so disabling it (or setting `draft_keep >= 1.0`)
 //! reproduces the non-speculative search bit-for-bit.
 
-use crate::cost_model::{CostModel, ScoreRequest};
+use crate::cost_model::{CostModel, ScoreBatch, ScoreRequest};
 use crate::draft::{DraftScorer, SpecConfig};
-use crate::sketch::{Candidate, SketchPolicy};
+use crate::sketch::{Candidate, ScheduleDecision, SketchPolicy};
 use crate::task::SearchTask;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use tlp_schedule::ScheduleSequence;
 
 /// Evolutionary-search knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -187,40 +188,41 @@ impl<'a> Searcher<'a> {
         let mut stats = SearchStats::default();
         let elite_target = (config.population / 4).max(2);
 
-        let mut population: Vec<Candidate> = (0..config.population)
-            .map(|_| {
-                gate.admit(&mut stats, rng, |rng| {
-                    Candidate::random(self.policy, &self.task.subgraph, rng)
-                })
-            })
-            .collect();
+        // The population as parallel vectors, so ranking borrows the
+        // sequences instead of cloning them out of `Candidate`s.
+        let mut population = Population::default();
+        for _ in 0..config.population {
+            population.push(gate.admit(&mut stats, rng, |rng| {
+                Candidate::random(self.policy, &self.task.subgraph, rng)
+            }));
+        }
 
         for generation in 0..config.generations {
             let ranked = self.rank(
-                &population,
+                &population.sequences,
                 generation as u32 + 1,
                 elite_target,
                 false,
                 &mut stats,
             );
-            // Elite survivors seed the next generation.
-            let elite: Vec<Candidate> = ranked
-                .iter()
-                .take(elite_target)
-                .map(|&i| population[i].clone())
-                .collect();
-            let mut next = elite.clone();
-            while next.len() < config.population {
+            // Elite survivors head the next generation, in ranked order;
+            // offspring read their parents from that prefix.
+            let mut next = Population::default();
+            for &i in ranked.iter().take(elite_target) {
+                next.push(population.candidate(i));
+            }
+            let n_elite = next.sequences.len();
+            while next.sequences.len() < config.population {
                 let offspring = gate.admit(&mut stats, rng, |rng| {
+                    let elite = &next.decisions[..n_elite];
                     let d = if rng.gen_bool(config.mutation_rate) {
-                        let parent = &elite[rng.gen_range(0..elite.len())];
-                        let mut d = parent.decision.clone();
+                        let mut d = elite[rng.gen_range(0..elite.len())].clone();
                         self.policy.mutate(&self.task.subgraph, &mut d, rng);
                         d
                     } else {
                         let a = &elite[rng.gen_range(0..elite.len())];
                         let b = &elite[rng.gen_range(0..elite.len())];
-                        self.policy.crossover(&a.decision, &b.decision, rng)
+                        self.policy.crossover(a, b, rng)
                     };
                     let sequence = self.policy.emit(&self.task.subgraph, &d);
                     Candidate {
@@ -234,7 +236,7 @@ impl<'a> Searcher<'a> {
         }
 
         let ranked = self.rank(
-            &population,
+            &population.sequences,
             config.generations as u32 + 1,
             k.max(1),
             true,
@@ -243,7 +245,7 @@ impl<'a> Searcher<'a> {
         let mut picked: Vec<Candidate> = ranked
             .into_iter()
             .take(k)
-            .map(|i| population[i].clone())
+            .map(|i| population.candidate(i))
             .collect();
         // ε-greedy exploration.
         let n_random = ((k as f64) * config.epsilon).round() as usize;
@@ -271,7 +273,7 @@ impl<'a> Searcher<'a> {
     /// exactly the non-speculative score-everything path.
     fn rank(
         &mut self,
-        pop: &[Candidate],
+        pop: &[ScheduleSequence],
         generation: u32,
         m_target: usize,
         is_final: bool,
@@ -291,7 +293,10 @@ impl<'a> Searcher<'a> {
                 .is_some_and(|d| d.warmed_up(self.task, spec.warmup_full_generations));
 
         if !speculate {
-            let scores = full_scores(self.model, self.task, pop, generation);
+            let batch = self
+                .model
+                .predict(ScoreRequest::new(self.task, pop).with_generation(generation));
+            let scores = scores_of(&batch, pop.len());
             stats.full_scored += pop.len() as u64;
             // Keep distilling even when the draft is not (yet) trusted:
             // warm-up batches and full-coverage rounds are free training
@@ -372,14 +377,11 @@ impl<'a> Searcher<'a> {
             }
         }
         kept.sort_unstable();
-        let kept_seqs: Vec<_> = kept.iter().map(|&i| pop[i].sequence.clone()).collect();
+        let kept_seqs: Vec<_> = kept.iter().map(|&i| pop[i].clone()).collect();
         let batch = self
             .model
             .predict(ScoreRequest::new(self.task, &kept_seqs).with_generation(generation));
-        debug_assert_eq!(batch.len(), kept.len(), "cost model batch shape");
-        let kept_scores: Vec<f32> = (0..kept.len())
-            .map(|j| batch.score_or(j, f32::NEG_INFINITY))
-            .collect();
+        let kept_scores = scores_of(&batch, kept.len());
         stats.full_scored += kept.len() as u64;
         draft.distill(self.task, pop, &kept, &kept_scores);
 
@@ -408,22 +410,36 @@ impl<'a> Searcher<'a> {
     }
 }
 
-/// Scores the whole population with the full model (the non-speculative
-/// path). Unscoreable candidates rank last but stay in the population: a
-/// later mutation can repair them, and the measurer independently rejects
-/// them.
-fn full_scores(
-    model: &dyn CostModel,
-    task: &SearchTask,
-    pop: &[Candidate],
-    generation: u32,
-) -> Vec<f32> {
-    let seqs: Vec<_> = pop.iter().map(|c| c.sequence.clone()).collect();
-    let batch = model.predict(ScoreRequest::new(task, &seqs).with_generation(generation));
-    debug_assert_eq!(batch.len(), pop.len(), "cost model batch shape");
-    (0..batch.len())
+/// One score per requested candidate. Unscoreable candidates rank last but
+/// stay in the population: a later mutation can repair them, and the
+/// measurer independently rejects them.
+fn scores_of(batch: &ScoreBatch, n: usize) -> Vec<f32> {
+    debug_assert_eq!(batch.len(), n, "cost model batch shape");
+    (0..n)
         .map(|i| batch.score_or(i, f32::NEG_INFINITY))
         .collect()
+}
+
+/// A generation's candidates, decisions and emitted sequences side by side
+/// (index `i` of each is one [`Candidate`]).
+#[derive(Default)]
+struct Population {
+    decisions: Vec<ScheduleDecision>,
+    sequences: Vec<ScheduleSequence>,
+}
+
+impl Population {
+    fn push(&mut self, c: Candidate) {
+        self.decisions.push(c.decision);
+        self.sequences.push(c.sequence);
+    }
+
+    fn candidate(&self, i: usize) -> Candidate {
+        Candidate {
+            decision: self.decisions[i].clone(),
+            sequence: self.sequences[i].clone(),
+        }
+    }
 }
 
 /// The static-verification gate in front of the scored population: every
@@ -694,5 +710,76 @@ mod tests {
         assert_eq!(fp(&baseline.candidates), fp(&spec.candidates));
         assert_eq!(baseline.stats, spec.stats);
         assert!(draft.updates() > 0, "full-coverage rounds still distill");
+    }
+
+    #[test]
+    fn seeded_search_reproduces_the_pinned_outcome() {
+        // Literals captured at the commit before the population became
+        // parallel decision/sequence vectors: same RNG draws, same
+        // population order, same outcome, with and without speculation.
+        let t = task();
+        let fp =
+            |c: &[Candidate]| -> Vec<u64> { c.iter().map(|x| x.sequence.fingerprint()).collect() };
+        let config = EvolutionConfig {
+            population: 32,
+            generations: 3,
+            ..EvolutionConfig::default()
+        };
+        let plain = search(&t, &RandomModel::new(3), &config, 6, 41);
+        assert_eq!(
+            fp(&plain.candidates),
+            [
+                9319024223050117701,
+                15837938532055243337,
+                11613326854033668019,
+                6014688537553413492,
+                1583579451771938141,
+                2798450452828589298
+            ]
+        );
+        assert_eq!(
+            plain.stats,
+            SearchStats {
+                generated: 105,
+                full_scored: 128,
+                ..SearchStats::default()
+            }
+        );
+
+        let spec_config = EvolutionConfig {
+            speculative: SpecConfig {
+                enabled: true,
+                draft_keep: 0.25,
+                warmup_full_generations: 1,
+            },
+            ..config
+        };
+        let mut draft = DraftScorer::with_stat_features();
+        let mut rng = SmallRng::seed_from_u64(41);
+        let spec = Searcher::new(&t, &SketchPolicy::cpu(), &Oracle, &spec_config)
+            .with_draft(&mut draft)
+            .run(6, &mut rng);
+        assert_eq!(
+            fp(&spec.candidates),
+            [
+                16901305721431003364,
+                16901305721431003364,
+                16901305721431003364,
+                16086051031070484097,
+                8338107873360760071,
+                2798450452828589298
+            ]
+        );
+        assert_eq!(
+            spec.stats,
+            SearchStats {
+                generated: 105,
+                pruned: 0,
+                full_scored: 64,
+                draft_scored: 64,
+                draft_accepted: 9,
+                draft_checked: 18,
+            }
+        );
     }
 }

@@ -87,7 +87,9 @@ pub trait ScheduleScorer: Sync {
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Candidates per micro-batch dispatched to one worker at a time.
+    /// Most candidates per micro-batch dispatched to one worker at a time:
+    /// a request's misses are cut into the fewest batches this allows, of
+    /// equal size.
     pub micro_batch: usize,
     /// Worker threads; `0` means use [`std::thread::available_parallelism`].
     /// `1` scores inline on the calling thread with no pool at all.
@@ -670,8 +672,11 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
         // model only when their key was evicted, and `valid` masks derive
         // from the scorer's answer either way.
 
-        let mb = self.config.micro_batch.max(1);
-        let n_batches = miss_idx.len().div_ceil(mb);
+        // As many batches as `micro_batch` demands, each an even share of
+        // the misses (73 → 37 + 36, not 64 + 9), so no worker idles behind
+        // a full-sized batch while another finishes a sliver.
+        let n_batches = miss_idx.len().div_ceil(self.config.micro_batch.max(1));
+        let mb = miss_idx.len().div_ceil(n_batches.max(1));
         let threads = self.threads.clamp(1, n_batches.max(1));
 
         if n_batches > 0 {
@@ -723,9 +728,10 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
                 worker();
             } else {
                 std::thread::scope(|s| {
-                    for _ in 0..threads {
+                    for _ in 0..threads - 1 {
                         s.spawn(worker);
                     }
+                    worker(); // the caller is the last worker, not a waiter
                 });
             }
             if self.config.cache_capacity > 0 {
@@ -803,15 +809,18 @@ mod tests {
         )
     }
 
-    /// Scores by fingerprint; counts how many candidates hit the model.
+    /// Scores by fingerprint; counts how many candidates hit the model, in
+    /// batches of what size.
     struct CountingScorer {
         scored: AtomicUsize,
+        batch_sizes: Mutex<Vec<usize>>,
     }
 
     impl CountingScorer {
         fn new() -> Self {
             CountingScorer {
                 scored: AtomicUsize::new(0),
+                batch_sizes: Mutex::new(Vec::new()),
             }
         }
     }
@@ -836,6 +845,7 @@ mod tests {
             out: &mut Vec<Option<f32>>,
         ) {
             self.scored.fetch_add(idx.len(), Ordering::Relaxed);
+            self.batch_sizes.lock().expect("sizes").push(idx.len());
             out.extend(
                 idx.iter()
                     .map(|&i| Some((schedules[i].fingerprint() >> 40) as f32)),
@@ -943,6 +953,21 @@ mod tests {
             (ca.requests, ca.micro_batches, ca.cache_misses),
             (cb.requests, cb.micro_batches, cb.cache_misses)
         );
+    }
+
+    #[test]
+    fn misses_are_cut_into_equal_micro_batches() {
+        let t = task();
+        for (misses, want) in [(73, vec![37, 36]), (512, vec![64; 8]), (50, vec![50])] {
+            let engine = counting_engine(EngineConfig {
+                micro_batch: 64,
+                threads: 1,
+                cache_capacity: 0,
+            });
+            let (_, stats) = engine.score(&t, &distinct_schedules(misses));
+            assert_eq!(stats.micro_batches as usize, misses.div_ceil(64));
+            assert_eq!(*engine.scorer().batch_sizes.lock().expect("sizes"), want);
+        }
     }
 
     #[test]

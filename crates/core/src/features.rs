@@ -197,6 +197,16 @@ impl FeatureBuf {
         self.seq_len * self.emb_size
     }
 
+    /// Every candidate's real (non-padding) rows, candidate-major — the
+    /// rows the fused forward computes on.
+    pub fn real_rows(&self) -> impl Iterator<Item = &[f32]> {
+        let e = self.emb_size.max(1);
+        self.data
+            .chunks_exact(self.feature_size().max(1))
+            .zip(&self.rows_used)
+            .flat_map(move |(block, &rows)| block[..rows * e].chunks_exact(e))
+    }
+
     /// One candidate's dense `seq_len × emb_size` block.
     ///
     /// # Panics

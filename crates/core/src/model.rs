@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use tlp_nn::{
     ragged_tail_sums, Binding, Epilogue, Fwd, Graph, LayerNorm, Linear, Lstm,
     MultiHeadSelfAttention, ParamId, ParamStore, Ragged, ResidualBlock, Tensor, Var, Workspace,
+    PAD_ROW,
 };
 
 /// The shared portion of the network: up-sampling linears + basic module +
@@ -456,7 +457,8 @@ impl TlpModel {
 }
 
 /// The fused, tape-free forward pass for attention backbones, operating on
-/// the compact (padding-free) representation of a [`FeatureBuf`].
+/// the compact representation of a [`FeatureBuf`]: no padding rows, and up
+/// to attention each distinct row of the micro-batch once (`tlp_nn::infer`).
 ///
 /// Stage by stage this replays the dense tape pipeline — up1 → relu → up2 →
 /// relu → attention + residual → residual blocks → head → sequence sum —
@@ -479,56 +481,43 @@ fn fused_forward(
     let ragged = Ragged::new(feats.rows_used(), l);
     let r = ragged.total_rows();
     let c = ragged.candidates();
-    let arena = &mut ws.arena;
+    let Workspace { arena, rows, .. } = ws;
 
-    // Gather the real rows, candidate-major. Real rows are a leading
-    // prefix of each candidate's dense block, so this is one copy per
-    // candidate — the only data movement between extraction and GEMM.
-    let mut x = arena.take(r * e);
-    let mut base = 0usize;
-    for (i, &ru) in feats.rows_used().iter().enumerate() {
-        let fs = l * e;
-        x[base * e..(base + ru) * e].copy_from_slice(&feats.data()[i * fs..i * fs + ru * e]);
-        base += ru;
+    // Intern the real rows (a leading prefix of each candidate's dense
+    // block): `x` receives each distinct row once — the all-zero padding row
+    // first, as `PAD_ROW` — and `rows.row_of()` maps the `r` real rows,
+    // candidate-major, onto them. This is the only data movement between
+    // extraction and GEMM.
+    let mut x = arena.take((r + 1) * e);
+    rows.begin(r, e, &mut x);
+    for row in feats.real_rows() {
+        rows.intern(row, &mut x);
     }
-    // The padding row is exactly zero; its image through each row-wise
-    // stage (the "pad trace") is shared by every candidate until attention.
-    let mut zero = arena.take(e);
-    zero.fill(0.0);
+    let d = x.len() / e;
+    let row_of = rows.row_of();
 
-    // Upsampling: relu(x·W + b), fused epilogue.
-    let mut h1 = arena.take(r * hidden);
-    let mut p1 = arena.take(hidden);
+    // Upsampling: relu(x·W + b), fused epilogue, once per distinct row.
+    let mut h1 = arena.take(d * hidden);
     backbone
         .up1
-        .infer_rows(store, &x, r, &mut h1, Epilogue::BiasRelu);
-    backbone
-        .up1
-        .infer_rows(store, &zero, 1, &mut p1, Epilogue::BiasRelu);
-    let mut h2 = arena.take(r * hidden);
-    let mut p2 = arena.take(hidden);
+        .infer_rows(store, &x, d, &mut h1, Epilogue::BiasRelu);
+    let mut h2 = arena.take(d * hidden);
     backbone
         .up2
-        .infer_rows(store, &h1, r, &mut h2, Epilogue::BiasRelu);
-    backbone
-        .up2
-        .infer_rows(store, &p1, 1, &mut p2, Epilogue::BiasRelu);
+        .infer_rows(store, &h1, d, &mut h2, Epilogue::BiasRelu);
 
-    // Attention over the ragged batch; pad queries mix candidate-specific
-    // keys, so from here on each candidate carries its own pad row (the
-    // last `c` rows).
+    // Attention over the ragged batch mixes each row with the rest of its
+    // candidate, so from here on nothing is shared: every real row has its
+    // own image and each candidate carries its own pad row (the last `c`
+    // rows).
     let mut h = arena.take((r + c) * hidden);
-    attn.infer_ragged(store, arena, &h2, &p2, &ragged, &mut h);
+    attn.infer_ragged(store, arena, &h2, row_of, &ragged, &mut h);
     // Residual connection around the module: h = up2 output + attention.
-    for (dst, &src) in h[..r * hidden].iter_mut().zip(h2.iter()) {
-        *dst += src;
-    }
-    for i in 0..c {
-        for (dst, &src) in h[(r + i) * hidden..(r + i + 1) * hidden]
-            .iter_mut()
-            .zip(p2.iter())
-        {
-            *dst += src;
+    let pads = std::iter::repeat_n(&PAD_ROW, c);
+    for (dst, &id) in h.chunks_exact_mut(hidden).zip(row_of.iter().chain(pads)) {
+        let src = &h2[id as usize * hidden..(id as usize + 1) * hidden];
+        for (dv, &sv) in dst.iter_mut().zip(src) {
+            *dv += sv;
         }
     }
 
@@ -550,11 +539,8 @@ fn fused_forward(
     arena.give(y);
     arena.give(t1);
     arena.give(h);
-    arena.give(p2);
     arena.give(h2);
-    arena.give(p1);
     arena.give(h1);
-    arena.give(zero);
     arena.give(x);
 }
 
@@ -626,7 +612,39 @@ mod tests {
     #[test]
     fn predict_into_matches_tape_bitwise() {
         use crate::features::{FeatureBuf, FeatureExtractor};
+        use rand::SeedableRng;
+        use tlp_autotuner::{Candidate, SketchPolicy};
         use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence, Vocabulary};
+        use tlp_workload::{AnchorOp, Subgraph};
+        // Near-all-distinct rows with varying real-row counts, including an
+        // empty schedule (all padding) and one cropped at seq_len.
+        let distinct: Vec<ScheduleSequence> = (0..7usize)
+            .map(|i| {
+                (0..i)
+                    .map(|j| {
+                        ConcretePrimitive::new(PrimitiveKind::Split, "d")
+                            .with_loops(["i"])
+                            .with_ints([j as i64 + 1, (i + 1) as i64])
+                    })
+                    .collect()
+            })
+            .collect();
+        // Random sketches of one task: mostly the same rows over and over.
+        let sg = Subgraph::new(
+            "d",
+            AnchorOp::Dense {
+                m: 64,
+                n: 64,
+                k: 64,
+            },
+        );
+        let mut rng = SmallRng::seed_from_u64(5);
+        let sketches: Vec<ScheduleSequence> = (0..24)
+            .map(|_| Candidate::random(&SketchPolicy::cpu(), &sg, &mut rng).sequence)
+            .collect();
+        // One candidate a copy of another: every one of its rows repeats.
+        let mut with_copy = distinct.clone();
+        with_copy.push(distinct[6].clone());
         for backbone in [Backbone::Attention, Backbone::Lstm, Backbone::Transformer] {
             let cfg = TlpConfig {
                 backbone,
@@ -637,36 +655,31 @@ mod tests {
                 cfg.seq_len,
                 cfg.emb_size,
             );
-            // Varying real-row counts, including an empty schedule (all
-            // padding) and one cropped at seq_len.
-            let seqs: Vec<ScheduleSequence> = (0..7usize)
-                .map(|i| {
-                    (0..i)
-                        .map(|j| {
-                            ConcretePrimitive::new(PrimitiveKind::Split, "d")
-                                .with_loops(["i"])
-                                .with_ints([j as i64 + 1, (i + 1) as i64])
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut buf = FeatureBuf::new();
-            ex.extract_batch_into(&seqs, &mut buf);
             let model = TlpModel::with_heads(cfg, 2);
             let mut ws = Workspace::new();
-            for task in 0..2 {
-                let dense = model.predict_task_with(&mut ws, buf.data(), task);
-                let mut fused = Vec::new();
-                // Twice: the second call runs on a warmed arena.
-                for _ in 0..2 {
-                    model.predict_task_into(&mut ws, &buf, task, &mut fused);
-                    assert_eq!(dense.len(), fused.len());
-                    for (i, (a, b)) in dense.iter().zip(&fused).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{backbone:?} head {task} score {i} differs: {a} vs {b}"
-                        );
+            let mut buf = FeatureBuf::new();
+            for (seqs, min_repeats) in [(&distinct, 0.0), (&sketches, 0.75), (&with_copy, 0.2)] {
+                ex.extract_batch_into(seqs, &mut buf);
+                let seen: std::collections::BTreeSet<Vec<u32>> = buf
+                    .real_rows()
+                    .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                let repeats = 1.0 - seen.len() as f64 / buf.real_rows().count() as f64;
+                assert!(repeats >= min_repeats, "only {repeats} of rows repeat");
+                for task in 0..2 {
+                    let dense = model.predict_task_with(&mut ws, buf.data(), task);
+                    let mut fused = Vec::new();
+                    // Twice: the second call runs on a warmed arena.
+                    for _ in 0..2 {
+                        model.predict_task_into(&mut ws, &buf, task, &mut fused);
+                        assert_eq!(dense.len(), fused.len());
+                        for (i, (a, b)) in dense.iter().zip(&fused).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{backbone:?} head {task} score {i} differs: {a} vs {b}"
+                            );
+                        }
                     }
                 }
             }

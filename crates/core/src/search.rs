@@ -12,7 +12,7 @@ use crate::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
 use crate::features::{FeatureBuf, FeatureExtractor};
 use crate::model::TlpModel;
 use tlp_autotuner::{
-    check_update_shape, Candidate, CostModel, DraftFeatures, DraftScorer, PipelineCost, ScoreBatch,
+    check_update_shape, CostModel, DraftFeatures, DraftScorer, PipelineCost, ScoreBatch,
     ScoreRequest, SearchTask, UpdateError,
 };
 use tlp_nn::Workspace;
@@ -355,12 +355,12 @@ impl DraftFeatures for TlpDraftFeatures {
     fn extract_into(
         &mut self,
         _task: &SearchTask,
-        pop: &[Candidate],
+        pop: &[ScheduleSequence],
         idx: &[usize],
         out: &mut Vec<f32>,
     ) {
         self.extractor
-            .extract_batch_into(idx.iter().map(|&i| &pop[i].sequence), &mut self.buf);
+            .extract_batch_into(idx.iter().map(|&i| &pop[i]), &mut self.buf);
         out.extend_from_slice(self.buf.data());
     }
 
@@ -515,8 +515,8 @@ mod tests {
             FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
         let t = task();
         let mut rng = SmallRng::seed_from_u64(6);
-        let pop: Vec<Candidate> = (0..4)
-            .map(|_| Candidate::random(&SketchPolicy::cpu(), &t.subgraph, &mut rng))
+        let pop: Vec<ScheduleSequence> = (0..4)
+            .map(|_| Candidate::random(&SketchPolicy::cpu(), &t.subgraph, &mut rng).sequence)
             .collect();
         let mut feats = TlpDraftFeatures::new(ex.clone());
         assert_eq!(feats.dim(), ex.feature_size());
@@ -525,7 +525,7 @@ mod tests {
         assert_eq!(out.len(), 2 * ex.feature_size());
         // Row 0 must be candidate 2's extractor block, verbatim.
         let mut buf = FeatureBuf::new();
-        ex.extract_batch_into(std::slice::from_ref(&pop[2].sequence), &mut buf);
+        ex.extract_batch_into(std::slice::from_ref(&pop[2]), &mut buf);
         assert_eq!(&out[..ex.feature_size()], buf.data());
 
         // And the scorer wrapper distills/scores deterministically.

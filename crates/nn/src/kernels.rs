@@ -15,7 +15,13 @@
 //! across block shapes — including the scalar tails used for odd sizes.
 //! The autovectorizer keeps IEEE semantics (Rust never enables FP
 //! contraction or reassociation), so vector width does not affect bits
-//! either.
+//! either. Two consequences the fused scoring path is built on: an output
+//! row depends only on its own input row (so a row that occurs many times
+//! in a micro-batch is multiplied once), and output columns are independent
+//! lanes (so the attention tiles pad their query-lane count to a multiple
+//! of the 8-wide panel with zero queries and never reach the scalar column
+//! tail, which is left for genuinely odd widths such as the one-column
+//! head).
 //!
 //! One deliberate divergence from the historical naive kernel: the old
 //! loop skipped `a == 0.0` terms. For finite `b` this is bitwise
@@ -28,8 +34,10 @@
 /// Columns per register block. Two j-panels cover the default hidden
 /// size (48) exactly; tails fall back to 8-wide then scalar columns.
 const NR: usize = 24;
-/// Narrow column block for tails (e.g. the `hidden = 16` test scale).
-const NR2: usize = 8;
+/// Narrow column block for tails (e.g. the `hidden = 16` test scale). The
+/// fused attention path pads its query-lane stride to a multiple of this,
+/// so its matmuls never reach the scalar column tail.
+pub(crate) const NR2: usize = 8;
 
 /// `out[m,n] = a[m,k] × b[k,n]`, overwriting `out`.
 ///

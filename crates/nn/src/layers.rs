@@ -5,7 +5,7 @@
 //! the store, and the parameter binding.
 
 use crate::graph::{Graph, Var};
-use crate::infer::Ragged;
+use crate::infer::{Ragged, PAD_ROW};
 use crate::init::{uniform, xavier_uniform};
 use crate::kernels::{self, Epilogue};
 use crate::params::{Binding, ParamId, ParamStore};
@@ -234,18 +234,22 @@ impl MultiHeadSelfAttention {
 
     /// Fused tape-free self-attention over a compact tail-padded batch.
     ///
-    /// `x` holds the `R` real rows (candidate-major, `R` =
-    /// `ragged.total_rows()`); `x_pad` is the shared padding row every
-    /// candidate's tail repeats. `out` receives `R + C` rows: the attention
-    /// output (including the output projection) for each real row, then one
-    /// pad-row output per candidate — pad queries are identical within a
-    /// candidate, so their shared output is computed once.
+    /// `x` holds the micro-batch's distinct rows, row [`PAD_ROW`] being the
+    /// padding row every candidate's tail repeats; `row_of` names the
+    /// distinct row behind each of the `R` real rows (candidate-major, `R`
+    /// = `ragged.total_rows()`). The Q/K/V projections run once per
+    /// distinct row and each candidate's tiles are packed through `row_of`.
+    /// `out` receives `R + C` rows: the attention output (including the
+    /// output projection) for each real row, then one pad-row output per
+    /// candidate — pad queries are identical within a candidate, so their
+    /// shared output is computed once.
     ///
     /// Bit-identical to [`MultiHeadSelfAttention::forward`] on the dense
-    /// `[C, l, dim]` tensor: scores, softmax, and weighted sums replay the
-    /// same f32 operations in the same order, with the padding tail's
-    /// repeated values computed once and re-added per position (see
-    /// [`crate::infer`] for the argument).
+    /// `[C, l, dim]` tensor: a projection's output row depends only on its
+    /// input row, and scores, softmax, and weighted sums replay the same
+    /// f32 operations in the same order, with the padding tail's repeated
+    /// values computed once and re-added per position (see [`crate::infer`]
+    /// for the argument).
     ///
     /// # Panics
     ///
@@ -255,83 +259,77 @@ impl MultiHeadSelfAttention {
         store: &ParamStore,
         arena: &mut Arena,
         x: &[f32],
-        x_pad: &[f32],
+        row_of: &[u32],
         ragged: &Ragged<'_>,
         out: &mut [f32],
     ) {
         let e = self.dim;
         let h = self.heads;
         let dh = e / h;
+        let d = x.len() / e;
         let r = ragged.total_rows();
         let c = ragged.candidates();
         let l = ragged.seq_len();
-        assert_eq!(x.len(), r * e, "compact input length mismatch");
-        assert_eq!(x_pad.len(), e, "pad row length mismatch");
+        assert_eq!(x.len(), d * e, "distinct-row input length mismatch");
+        assert_eq!(row_of.len(), r, "row map length mismatch");
         assert_eq!(out.len(), (r + c) * e, "output length mismatch");
 
-        let mut q = arena.take(r * e);
-        let mut k = arena.take(r * e);
-        let mut v = arena.take(r * e);
-        self.q.infer_rows(store, x, r, &mut q, Epilogue::Bias);
-        self.k.infer_rows(store, x, r, &mut k, Epilogue::Bias);
-        self.v.infer_rows(store, x, r, &mut v, Epilogue::Bias);
-        let mut q_pad = arena.take(e);
-        let mut k_pad = arena.take(e);
-        let mut v_pad = arena.take(e);
-        self.q
-            .infer_rows(store, x_pad, 1, &mut q_pad, Epilogue::Bias);
-        self.k
-            .infer_rows(store, x_pad, 1, &mut k_pad, Epilogue::Bias);
-        self.v
-            .infer_rows(store, x_pad, 1, &mut v_pad, Epilogue::Bias);
+        let mut q = arena.take(d * e);
+        let mut k = arena.take(d * e);
+        let mut v = arena.take(d * e);
+        self.q.infer_rows(store, x, d, &mut q, Epilogue::Bias);
+        self.k.infer_rows(store, x, d, &mut k, Epilogue::Bias);
+        self.v.infer_rows(store, x, d, &mut v, Epilogue::Bias);
+        let pad = PAD_ROW as usize * e;
 
         let mut ctx = arena.take((r + c) * e);
-        // Head-major packing scratch, sized for the longest candidate
-        // (`l` real rows plus the shared pad row/query).
+        // Head-major packing scratch, sized for the longest candidate (`l`
+        // real rows plus the shared pad row/query). Query lanes are the
+        // columns of both attention matmuls and of every softmax pass; their
+        // stride is rounded up to the kernel's panel width so none of them
+        // has a scalar remainder.
+        let lanes = |nq: usize| nq.div_ceil(kernels::NR2) * kernels::NR2;
+        let lmax = lanes(l + 1);
         let mut kh = arena.take((l + 1) * e);
-        let mut qt = arena.take((l + 1) * e);
+        let mut qt = arena.take(lmax * e);
         let mut vt = arena.take(l * e);
-        let mut st = arena.take((l + 1) * (l + 1));
-        let mut ot = arena.take(dh * (l + 1));
-        let mut pt = arena.take(dh * (l + 1));
-        let mut mx = arena.take(l + 1);
-        let mut sm = arena.take(l + 1);
+        let mut st = arena.take((l + 1) * lmax);
+        let mut ot = arena.take(dh * lmax);
+        let mut pt = arena.take(dh * lmax);
+        let mut mx = arena.take(lmax);
+        let mut sm = arena.take(lmax);
         let scale = 1.0 / (dh as f32).sqrt();
 
         let mut base = 0usize;
         for (i, &ru) in ragged.rows_used().iter().enumerate() {
-            let kc = &k[base * e..(base + ru) * e];
-            let vc = &v[base * e..(base + ru) * e];
-            let nq = ru + 1; // real query rows plus the candidate's pad query
+            let ids = &row_of[base..base + ru];
             let nk = ru + 1; // real keys plus the shared pad key
+            let nq = lanes(ru + 1); // real queries, the pad query, zero lanes
 
             // Pack this candidate head-major so both attention matmuls run
             // through the register-blocked [`kernels::gemm`]:
             //   kh[t]: [nk, dh]  real keys then the pad key;
-            //   qt[t]: [dh, nq]  queries transposed, pad query last;
+            //   qt[t]: [dh, nq]  queries transposed, pad query in lane `ru`,
+            //                    lanes past it zero (finite scores that are
+            //                    never scattered back);
             //   vt[t]: [dh, ru]  values transposed.
             for t in 0..h {
                 let ho = t * dh;
                 let khh = &mut kh[t * nk * dh..(t + 1) * nk * dh];
-                for (kidx, krow) in kc.chunks_exact(e).enumerate() {
-                    khh[kidx * dh..(kidx + 1) * dh].copy_from_slice(&krow[ho..ho + dh]);
-                }
-                khh[ru * dh..].copy_from_slice(&k_pad[ho..ho + dh]);
                 let qth = &mut qt[t * dh * nq..(t + 1) * dh * nq];
-                for j in 0..ru {
-                    let qrow = &q[(base + j) * e + ho..(base + j) * e + ho + dh];
-                    for (d, &qv) in qrow.iter().enumerate() {
-                        qth[d * nq + j] = qv;
-                    }
-                }
-                for d in 0..dh {
-                    qth[d * nq + ru] = q_pad[ho + d];
-                }
                 let vth = &mut vt[t * dh * ru..(t + 1) * dh * ru];
-                for (kidx, vrow) in vc.chunks_exact(e).enumerate() {
-                    for (d, &vv) in vrow[ho..ho + dh].iter().enumerate() {
-                        vth[d * ru + kidx] = vv;
+                for (j, &id) in ids.iter().enumerate() {
+                    let o = id as usize * e + ho;
+                    khh[j * dh..(j + 1) * dh].copy_from_slice(&k[o..o + dh]);
+                    for dd in 0..dh {
+                        qth[dd * nq + j] = q[o + dd];
+                        vth[dd * ru + j] = v[o + dd];
                     }
+                }
+                khh[ru * dh..].copy_from_slice(&k[pad + ho..pad + ho + dh]);
+                for (dd, lane) in qth.chunks_exact_mut(nq).enumerate() {
+                    lane[ru] = q[pad + ho + dd];
+                    lane[ru + 1..].fill(0.0);
                 }
             }
 
@@ -362,9 +360,9 @@ impl MultiHeadSelfAttention {
                 // tail position, as the dense loop would (each element's
                 // chain still receives its identical pad term `l - ru`
                 // times after the real keys).
-                for d in 0..dh {
-                    let pv = v_pad[ho + d];
-                    for (p, &a) in pt[d * nq..(d + 1) * nq]
+                for dd in 0..dh {
+                    let pv = v[pad + ho + dd];
+                    for (p, &a) in pt[dd * nq..(dd + 1) * nq]
                         .iter_mut()
                         .zip(&st[ru * nq..nk * nq])
                     {
@@ -376,15 +374,13 @@ impl MultiHeadSelfAttention {
                         *o += p;
                     }
                 }
-                // Scatter the head block back to row-major context rows.
-                for j in 0..ru {
-                    let row = base + j;
-                    for d in 0..dh {
-                        ctx[row * e + ho + d] = ot[d * nq + j];
+                // Scatter the head block back to row-major context rows:
+                // lanes `..ru` to the real rows, lane `ru` to the pad row.
+                for j in 0..=ru {
+                    let dst = if j < ru { base + j } else { r + i };
+                    for dd in 0..dh {
+                        ctx[dst * e + ho + dd] = ot[dd * nq + j];
                     }
-                }
-                for d in 0..dh {
-                    ctx[(r + i) * e + ho + d] = ot[d * nq + ru];
                 }
             }
             base += ru;
@@ -401,9 +397,6 @@ impl MultiHeadSelfAttention {
         arena.give(qt);
         arena.give(kh);
         arena.give(ctx);
-        arena.give(v_pad);
-        arena.give(k_pad);
-        arena.give(q_pad);
         arena.give(v);
         arena.give(k);
         arena.give(q);
@@ -411,8 +404,10 @@ impl MultiHeadSelfAttention {
 }
 
 /// Softmax down every column of the transposed score matrix `st`
-/// (`nq` query columns; `ru` real-key rows plus the pad-key row at index
-/// `ru`), normalizing each column in place over its dense row
+/// (`nq` query lanes, zero-query padding lanes included — lanes are
+/// independent, so a padding lane costs arithmetic and touches no score;
+/// `ru` real-key rows plus the pad-key row at index `ru`), normalizing each
+/// column in place over its dense row
 /// `[s_0 .. s_{ru-1}, s_pad × (l - ru)]`. Columns advance together so the
 /// max/sum/normalize passes vectorize across query lanes, while each
 /// lane's fold order stays exactly the dense row's: max then sum in
@@ -917,42 +912,46 @@ mod tests {
         let (mut g, mut store, mut bind, mut rng) = ctx();
         let e = 8;
         let heads = 2;
-        let l = 5;
+        let l = 20;
         let attn = MultiHeadSelfAttention::new(&mut store, &mut rng, "a", e, heads);
-        // Mix of tail lengths, including empty (all-pad) and full rows.
-        let rows_used = [3usize, 0, 5, 1];
+        // `ru + 1` query lanes below, on and above a lane multiple,
+        // including empty (all-pad) and full candidates.
+        let rows_used = [0usize, 1, 7, 8, 15, 16, l];
         let n = rows_used.len();
-        // Nonzero shared pad row, as produced by upsampling an all-zero
-        // feature row through biased linears.
-        let x_pad: Vec<f32> = (0..e).map(|_| rng.gen::<f32>() * 0.25).collect();
-        let mut dense = vec![0.0f32; n * l * e];
-        let mut compact = Vec::new();
-        for (i, &ru) in rows_used.iter().enumerate() {
+        // Distinct rows: a nonzero shared pad row first (as produced by
+        // upsampling an all-zero feature row through biased linears), then
+        // a few rows the candidates repeat within and across themselves.
+        let d = 12;
+        let x: Vec<f32> = (0..d * e).map(|_| rng.gen::<f32>() - 0.5).collect();
+        let row_of: Vec<u32> = (0..rows_used.iter().sum::<usize>())
+            .map(|p| 1 + (p * 7 % (d - 1)) as u32)
+            .collect();
+        let mut dense = Vec::with_capacity(n * l * e);
+        let mut base = 0usize;
+        for &ru in &rows_used {
             for j in 0..l {
-                for d in 0..e {
-                    let val = if j < ru {
-                        let val = rng.gen::<f32>() - 0.5;
-                        compact.push(val);
-                        val
-                    } else {
-                        x_pad[d]
-                    };
-                    dense[(i * l + j) * e + d] = val;
-                }
+                let id = if j < ru { row_of[base + j] } else { PAD_ROW } as usize;
+                dense.extend_from_slice(&x[id * e..(id + 1) * e]);
             }
+            base += ru;
         }
-        let x = g.constant(Tensor::from_vec(dense, &[n, l, e]));
+        let dense = g.constant(Tensor::from_vec(dense, &[n, l, e]));
         let y = {
             let mut f = Fwd::new(&mut g, &store, &mut bind);
-            attn.forward(&mut f, x)
+            attn.forward(&mut f, dense)
         };
         let yd = g.value(y).data().to_vec();
 
         let ragged = Ragged::new(&rows_used, l);
         let r = ragged.total_rows();
         let mut out = vec![0.0f32; (r + n) * e];
+        // Every scratch buffer starts out as NaN: whatever the padding
+        // lanes hold must never reach an output row.
         let mut arena = Arena::new();
-        attn.infer_ragged(&store, &mut arena, &compact, &x_pad, &ragged, &mut out);
+        for _ in 0..16 {
+            arena.give(vec![f32::NAN; (r + n + l) * e * 4]);
+        }
+        attn.infer_ragged(&store, &mut arena, &x, &row_of, &ragged, &mut out);
 
         let mut base = 0usize;
         for (i, &ru) in rows_used.iter().enumerate() {

@@ -53,7 +53,7 @@ pub mod workspace;
 
 pub use draft::TinyHead;
 pub use graph::{Graph, Var};
-pub use infer::{ragged_tail_sums, Ragged};
+pub use infer::{ragged_tail_sums, Ragged, RowInterner, PAD_ROW};
 pub use kernels::Epilogue;
 pub use layers::{
     Dropout, Embedding, Fwd, LayerNorm, Linear, Lstm, Mlp, MultiHeadSelfAttention, ResidualBlock,

@@ -1,6 +1,7 @@
 //! Reusable forward-pass buffers for repeated inference.
 
 use crate::graph::Graph;
+use crate::infer::RowInterner;
 use crate::params::Binding;
 
 /// A pool of reusable `f32` buffers for allocation-free inference.
@@ -94,6 +95,9 @@ pub struct Workspace {
     pub bind: Binding,
     /// Scratch-buffer pool for the fused (tape-free) inference path.
     pub arena: Arena,
+    /// The fused path's row-deduplication scratch (its `u32` side: the
+    /// distinct rows themselves live in an arena buffer).
+    pub rows: RowInterner,
 }
 
 impl Workspace {
@@ -106,8 +110,8 @@ impl Workspace {
     ///
     /// A binding caches `Var` handles into its tape, so the two must never
     /// reset independently — a stale binding would hand out dangling node
-    /// indices. The arena is left untouched: pooled scratch buffers are the
-    /// whole point of reuse across calls.
+    /// indices. The arena and the row interner are left untouched: pooled
+    /// scratch is the whole point of reuse across calls.
     pub fn reset(&mut self) {
         self.graph.reset();
         self.bind.reset();
