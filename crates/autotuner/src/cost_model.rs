@@ -105,7 +105,8 @@ pub struct BatchStats {
     pub micro_batches: u32,
     /// Candidates served from the score cache.
     pub cache_hits: u32,
-    /// Candidates that required model inference.
+    /// Candidates the score cache did not answer (an engine runs inference
+    /// once per distinct one).
     pub cache_misses: u32,
     /// Worker threads used for this batch.
     pub threads: u32,

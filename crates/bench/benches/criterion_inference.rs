@@ -13,13 +13,18 @@
 //! pairwise distinct (nothing to share — the bypass case). The share of rows
 //! that repeat an earlier row is printed beside each.
 //!
+//! `attention_softmax_8x13x16` times the one stage of the forward that is
+//! not a GEMM on its own: the column softmax over a 64-candidate
+//! micro-batch's attention tiles, with the `exp` the model runs
+//! (`tlp_nn::kernels::exp`) and with libm's, in ns per score element.
+//!
 //! Run with `cargo bench -p tlp-bench --bench criterion_inference`.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tlp::baselines::{program_features, TenSetMlp};
 use tlp::features::{FeatureBuf, FeatureExtractor};
 use tlp::{TlpConfig, TlpModel};
@@ -155,8 +160,80 @@ fn bench_pipelines(c: &mut Criterion) {
     group.finish();
 }
 
+/// The passes of the fused attention's column softmax over consecutive
+/// `keys × lanes` tiles of `st`: max down each column, `exp` and sum,
+/// reciprocal, normalize — every pass across the query lanes.
+fn softmax_tiles(st: &mut [f32], keys: usize, lanes: usize, exp: impl Fn(f32) -> f32) {
+    let mut mx = vec![0.0f32; lanes];
+    let mut sum = vec![0.0f32; lanes];
+    for tile in st.chunks_exact_mut(keys * lanes) {
+        mx.fill(f32::NEG_INFINITY);
+        for row in tile.chunks_exact(lanes) {
+            for (m, &s) in mx.iter_mut().zip(row) {
+                *m = m.max(s);
+            }
+        }
+        sum.fill(0.0);
+        for row in tile.chunks_exact_mut(lanes) {
+            for ((s, &m), acc) in row.iter_mut().zip(&mx).zip(sum.iter_mut()) {
+                *s = exp(*s - m);
+                *acc += *s;
+            }
+        }
+        for (m, &acc) in mx.iter_mut().zip(&sum) {
+            *m = 1.0 / acc;
+        }
+        for row in tile.chunks_exact_mut(lanes) {
+            for (s, &inv) in row.iter_mut().zip(&mx) {
+                *s *= inv;
+            }
+        }
+    }
+}
+
+/// Fastest of 400 passes of `pass` over a fresh copy of `scores`, in ns per
+/// element.
+fn ns_per_element(scores: &[f32], mut pass: impl FnMut(&mut [f32])) -> f64 {
+    let mut st = scores.to_vec();
+    let best = (0..400)
+        .map(|_| {
+            st.copy_from_slice(scores);
+            let t = std::time::Instant::now();
+            pass(criterion::black_box(&mut st));
+            t.elapsed()
+        })
+        .min()
+        .expect("at least one pass");
+    best.as_secs_f64() * 1e9 / scores.len() as f64
+}
+
+/// The attention tile shape the model runs on the conv2d pool — 8 heads,
+/// 12 real keys + the pad key, 16 query lanes — for 64 candidates.
+fn bench_softmax_exp() {
+    let (heads, keys, lanes, cands) = (8, 13, 16, 64);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let scores: Vec<f32> = (0..cands * heads * keys * lanes)
+        .map(|_| rng.gen::<f32>() * 8.0 - 4.0)
+        .collect();
+    for (name, ns) in [
+        (
+            "kernels_exp",
+            ns_per_element(&scores, |st| {
+                softmax_tiles(st, keys, lanes, tlp_nn::kernels::exp)
+            }),
+        ),
+        (
+            "libm_exp",
+            ns_per_element(&scores, |st| softmax_tiles(st, keys, lanes, f32::exp)),
+        ),
+    ] {
+        println!("attention_softmax_8x13x16/{name:<20} {ns:>9.2} ns/element");
+    }
+}
+
 criterion_group!(benches, bench_pipelines);
 
 fn main() {
     benches();
+    bench_softmax_exp();
 }

@@ -430,15 +430,18 @@ mod tests {
         };
         let bits = run(1);
         assert_eq!(bits, run(4), "worker count changed the result");
-        // FNV-1a over the value bits (names excluded), captured at the last
-        // commit with a separate multi-task model type: the round's batch
-        // stream and gradient mask are held to those numbers.
+        // FNV-1a over the value bits (names excluded): the round's batch
+        // stream and gradient mask are held to this number. First captured
+        // at the last commit with a separate multi-task model type (PR 16);
+        // re-captured when softmax moved to `tlp_nn::kernels::exp` (PR 20,
+        // old → new in CHANGES.md).
         let digest = bits
             .iter()
             .flatten()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-        assert_eq!(digest, 0x476d_e68c_b961_5baf);
+        let want = 0xced1_b916_298f_aa00u64;
+        assert_eq!(digest, want, "expected {want:#018x}, got {digest:#018x}");
     }
 }

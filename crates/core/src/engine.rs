@@ -13,8 +13,9 @@
 //!   lock, by the engine or by a caller that already has them (the serving
 //!   layer hashes at admission and hands the same keys to
 //!   [`InferenceEngine::probe`] and [`InferenceEngine::score_keyed_into`]);
-//! - **micro-batching** — cache misses are chunked and claimed off a shared
-//!   counter by workers — the calling thread alone when one suffices,
+//! - **micro-batching** — cache misses, collapsed to one per distinct key of
+//!   the request, are chunked and claimed off a shared counter by workers —
+//!   the calling thread alone when one suffices,
 //!   [`std::thread::scope`] threads otherwise, their number resolved once at
 //!   construction ([`EngineConfig::effective_threads`]) — each reusing one
 //!   pooled [`ScheduleScorer::Scratch`] (feature buffers, autodiff tapes)
@@ -27,6 +28,7 @@
 //! depend on which micro-batch or thread it lands in — so the parallel path
 //! returns exactly what single-threaded scoring would.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -141,7 +143,8 @@ pub struct EngineStats {
     pub micro_batches: u64,
     /// Candidates served from the score cache.
     pub cache_hits: u64,
-    /// Candidates scored by the model.
+    /// Candidates the cache did not answer; the model scored one per
+    /// distinct key of each request.
     pub cache_misses: u64,
     /// Total wall-clock seconds inside `score`.
     pub wall_s: f64,
@@ -397,11 +400,16 @@ pub struct InferenceEngine<S: ScheduleScorer> {
 }
 
 /// Reusable per-call bookkeeping: the key set `score_into` builds for
-/// itself, and cache-miss indices.
+/// itself, the cache-miss indices the scorer sees (one per distinct key),
+/// and the misses that repeat one of those.
 #[derive(Default)]
 struct CallBufs {
     keys: ScoreKeys,
     miss_idx: Vec<usize>,
+    /// Schedule fingerprint → index of the first miss carrying it.
+    first_miss: HashMap<u64, usize>,
+    /// `(index, index of the earlier miss with the same key)`.
+    repeats: Vec<(usize, usize)>,
 }
 
 /// A pooled worker context: the scorer's scratch plus the micro-batch
@@ -601,8 +609,8 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
     ///
     /// Duplicate keys inside one request each probe the cache individually:
     /// the first occurrence misses and the rest also miss (the score is not
-    /// inserted until after inference), so intra-request duplicates cost
-    /// duplicate inference but never produce inconsistent scores.
+    /// inserted until after inference); [`InferenceEngine::run`] then scores
+    /// the first and copies its score to the rest.
     fn lookup(
         &self,
         keys: &ScoreKeys,
@@ -625,7 +633,9 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
 
     /// The body of both scoring entries: probe the request's keys (the
     /// caller's, or taken here into pooled storage), micro-batch the misses
-    /// through the scorer, insert what it scored.
+    /// through the scorer — each distinct key once, the evolutionary search
+    /// hands in the same mutation several times per round — insert what it
+    /// scored.
     fn run(
         &self,
         task: &SearchTask,
@@ -647,6 +657,8 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
         let CallBufs {
             keys: own_keys,
             miss_idx,
+            first_miss,
+            repeats,
         } = &mut call;
         let keys: &ScoreKeys = match keys {
             Some(keys) => keys,
@@ -663,10 +675,24 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
                 miss_idx.push(i);
                 true
             });
+            // A miss whose key an earlier miss of this request carries is
+            // not scored again: per-candidate determinism makes its score
+            // the first one's bits. (No keys are taken without a cache.)
+            miss_idx.retain(|&i| match first_miss.entry(keys.schedule_fps[i]) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    true
+                }
+                Entry::Occupied(first) => {
+                    repeats.push((i, *first.get()));
+                    false
+                }
+            });
         } else {
             miss_idx.extend(0..n);
         }
-        let hits = n - miss_idx.len();
+        let misses = miss_idx.len() + repeats.len();
+        let hits = n - misses;
         // A cached `None` (unscoreable schedule) is indistinguishable from a
         // miss in `out`, which is fine: unscoreable candidates re-probe the
         // model only when their key was evicted, and `valid` masks derive
@@ -734,6 +760,9 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
                     worker(); // the caller is the last worker, not a waiter
                 });
             }
+            for &(i, first) in repeats.iter() {
+                out[i] = out[first];
+            }
             if self.config.cache_capacity > 0 {
                 let mut cache = self.cache.lock().expect("engine cache poisoned");
                 for &i in miss_idx.iter() {
@@ -750,19 +779,21 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
             .fetch_add(n_batches as u64, Ordering::Relaxed);
         self.cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
         self.cache_misses
-            .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
+            .fetch_add(misses as u64, Ordering::Relaxed);
         self.wall_ns
             .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
 
         let stats = BatchStats {
             micro_batches: n_batches as u32,
             cache_hits: hits as u32,
-            cache_misses: miss_idx.len() as u32,
+            cache_misses: misses as u32,
             threads: if n_batches == 0 { 0 } else { threads as u32 },
             wall_s: wall.as_secs_f64(),
         };
         call.keys.clear();
         call.miss_idx.clear();
+        call.first_miss.clear();
+        call.repeats.clear();
         self.call_bufs
             .lock()
             .expect("engine call-buffer pool poisoned")
@@ -889,6 +920,45 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 10);
         assert_eq!(engine.stats().cache_len, 10);
+    }
+
+    #[test]
+    fn repeated_keys_in_one_request_reach_the_scorer_once() {
+        let engine = counting_engine(EngineConfig {
+            micro_batch: 3,
+            threads: 1,
+            cache_capacity: 128,
+        });
+        let t = task();
+        let distinct = distinct_schedules(4);
+        let request: Vec<ScheduleSequence> = [0usize, 1, 0, 2, 1, 0, 3, 3, 2, 0]
+            .iter()
+            .map(|&d| distinct[d].clone())
+            .collect();
+        let reference = counting_engine(EngineConfig::sequential_uncached());
+        let (want, _) = reference.score(&t, &request);
+        assert_eq!(reference.scorer().scored.load(Ordering::Relaxed), 10);
+
+        let (got, s1) = engine.score(&t, &request);
+        assert_eq!(got, want);
+        // Ten candidates the cache did not answer, four of them scored: the
+        // first occurrences, in request order, cut 2 + 2.
+        assert_eq!((s1.cache_misses, s1.cache_hits), (10, 0));
+        assert_eq!(s1.micro_batches, 2);
+        assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 4);
+        assert_eq!(
+            *engine.scorer().batch_sizes.lock().expect("sizes"),
+            vec![2, 2]
+        );
+        assert_eq!(engine.stats().cache_len, 4);
+
+        let (again, s2) = engine.score(&t, &request);
+        assert_eq!(again, want);
+        assert_eq!((s2.cache_misses, s2.cache_hits), (0, 10));
+        assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 4);
+        let stats = engine.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (10, 10));
+        assert_eq!(stats.micro_batches, 2);
     }
 
     #[test]

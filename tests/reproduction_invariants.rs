@@ -211,3 +211,19 @@ fn more_random_trials_find_better_schedules() {
     let many = best_random_latency(&platform, &sg, 200, 23);
     assert!(many <= few, "more trials can't be worse: {many} vs {few}");
 }
+
+#[test]
+fn softmax_exp_computes_the_pinned_bits_on_this_build() {
+    // Platform canary. Every score, trained weight and digest in the repo
+    // rests on `tlp_nn::kernels::exp` being a fixed operation sequence: the
+    // same bits at any vector width, target CPU and opt level. FNV-1a over
+    // its outputs on the grid -104, -104 + 2⁻¹², .. < 96 (every point exact
+    // in `f32`; flush, clamp and 0.0 included); a build whose arithmetic
+    // differs fails here first.
+    let digest = (0..200 * 4096).fold(0xcbf2_9ce4_8422_2325u64, |h, i| {
+        let x = (i as f32 - 104.0 * 4096.0) / 4096.0;
+        (h ^ u64::from(tlp_nn::kernels::exp(x).to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let want = 0x5e3c_4e72_76d8_e7a0u64;
+    assert_eq!(digest, want, "expected {want:#018x}, got {digest:#018x}");
+}
