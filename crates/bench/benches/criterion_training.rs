@@ -1,7 +1,8 @@
-//! Training-throughput benchmark for the data-parallel `Trainer`
-//! (`criterion_inference`'s sibling): samples/sec at 1, 2, and 8 workers
-//! with a fixed `grad_accum`, against the legacy-equivalent sequential loop
-//! (1 worker, per-batch stepping). Writes `BENCH_training.json`.
+//! Training-throughput benchmark for the `Trainer` (`criterion_inference`'s
+//! sibling): samples/sec of one epoch at `TlpConfig::default()` width,
+//! batch 32 and 2 048 samples under the options every config-driven entry
+//! point runs (`TrainOptions::from_config`, one micro-batch per step) —
+//! the median of [`RUNS`] runs. Writes `BENCH_training.json`.
 //!
 //! Run with `cargo bench -p tlp-bench --bench criterion_training`.
 
@@ -43,15 +44,8 @@ fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize) -> TrainData {
     }
 }
 
-#[derive(Serialize)]
-struct TrainingRow {
-    workers: usize,
-    grad_accum: usize,
-    reps: usize,
-    wall_s: f64,
-    samples_per_s: f64,
-    speedup_vs_1_worker: f64,
-}
+/// Timed runs behind the recorded median.
+const RUNS: usize = 11;
 
 #[derive(Serialize)]
 struct TrainingSummary {
@@ -60,104 +54,69 @@ struct TrainingSummary {
     epochs: usize,
     batch_size: usize,
     hidden: usize,
-    /// The seed's per-batch sequential loop (workers 1, grad_accum 1).
-    legacy_baseline_samples_per_s: f64,
-    /// Whether every worker count produced bitwise-identical parameters.
-    deterministic_across_workers: bool,
-    rows: Vec<TrainingRow>,
+    grad_accum: usize,
+    runs: usize,
+    median_wall_s: f64,
+    q1_wall_s: f64,
+    q3_wall_s: f64,
+    samples_per_s: f64,
 }
 
-/// Best-of-`reps` wall time of `f`, seconds.
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+fn same_values(a: &ParamStore, b: &ParamStore) -> bool {
+    a.ids()
+        .zip(b.ids())
+        .all(|(x, y)| a.value(x).data() == b.value(y).data())
 }
 
 fn main() {
     let cfg = TlpConfig {
-        hidden: 32,
-        heads: 4,
-        res_blocks: 1,
         epochs: 1,
-        batch_size: 8,
+        batch_size: 32,
         ..TlpConfig::default()
     };
-    let data = synth_data(&cfg, 8, 32);
+    let data = synth_data(&cfg, 16, 128);
     let samples = data.num_samples();
-    let reps = 3usize;
-    const GRAD_ACCUM: usize = 8;
+    let opts = TrainOptions::from_config(&cfg).with_seed(1);
 
-    println!("\n=== training throughput (samples/sec) ===");
-
-    // Legacy-equivalent baseline: 1 worker, one optimizer step per batch.
-    let base_opts = TrainOptions::from_config(&cfg)
-        .with_seed(1)
-        .with_workers(1)
-        .with_grad_accum(1);
-    let legacy_s = time_best(reps, || {
+    let mut walls: Vec<f64> = Vec::with_capacity(RUNS);
+    let mut reference: Option<ParamStore> = None;
+    for _ in 0..RUNS {
         let mut model = TlpModel::new(cfg.clone());
-        train_tlp_with(&mut model, &data, &base_opts);
-    });
-    let legacy_rate = samples as f64 / legacy_s;
-    println!("legacy loop (1 worker, accum 1): {legacy_rate:>8.0} samples/s");
-
-    let mut rows = Vec::new();
-    let mut one_worker_s = f64::NAN;
-    let mut stores: Vec<ParamStore> = Vec::new();
-    for &workers in &[1usize, 2, 8] {
-        let opts = TrainOptions::from_config(&cfg)
-            .with_seed(1)
-            .with_workers(workers)
-            .with_grad_accum(GRAD_ACCUM);
-        let mut last_store = None;
-        let wall_s = time_best(reps, || {
-            let mut model = TlpModel::new(cfg.clone());
-            train_tlp_with(&mut model, &data, &opts);
-            last_store = Some(model.store);
-        });
-        stores.push(last_store.expect("at least one rep ran"));
-        if workers == 1 {
-            one_worker_s = wall_s;
+        let t = Instant::now();
+        train_tlp_with(&mut model, &data, &opts);
+        walls.push(t.elapsed().as_secs_f64());
+        match &reference {
+            None => reference = Some(model.store),
+            Some(first) => assert!(
+                same_values(first, &model.store),
+                "a repeated run changed the trained parameters"
+            ),
         }
-        let row = TrainingRow {
-            workers,
-            grad_accum: GRAD_ACCUM,
-            reps,
-            wall_s,
-            samples_per_s: samples as f64 / wall_s,
-            speedup_vs_1_worker: one_worker_s / wall_s,
-        };
-        println!(
-            "workers {:>2} (accum {GRAD_ACCUM}): {:>8.0} samples/s ({:>4.2}x vs 1 worker)",
-            row.workers, row.samples_per_s, row.speedup_vs_1_worker
-        );
-        rows.push(row);
     }
-
-    let deterministic = stores.iter().all(|s| {
-        s.ids()
-            .zip(stores[0].ids())
-            .all(|(a, b)| s.value(a).data() == stores[0].value(b).data())
-    });
-    assert!(deterministic, "worker count changed the trained parameters");
+    walls.sort_by(f64::total_cmp);
 
     let summary = TrainingSummary {
-        available_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         samples_per_epoch: samples,
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
         hidden: cfg.hidden,
-        legacy_baseline_samples_per_s: legacy_rate,
-        deterministic_across_workers: deterministic,
-        rows,
+        grad_accum: opts.grad_accum,
+        runs: RUNS,
+        median_wall_s: walls[RUNS / 2],
+        q1_wall_s: walls[RUNS / 4],
+        q3_wall_s: walls[RUNS - 1 - RUNS / 4],
+        samples_per_s: samples as f64 / walls[RUNS / 2],
     };
+    println!(
+        "\n=== training throughput (median of {RUNS}; hidden {}, batch {}, {samples} samples, accum {}) ===",
+        summary.hidden, summary.batch_size, summary.grad_accum
+    );
+    println!(
+        "{:.0} samples/s, wall {:.3} s [{:.3}, {:.3}]",
+        summary.samples_per_s, summary.median_wall_s, summary.q1_wall_s, summary.q3_wall_s
+    );
+
     tlp_bench::write_json("BENCH_training", &summary);
     // Also drop a copy at the repo root so the acceptance record travels
     // with the source tree, not just the target directory.

@@ -1,12 +1,11 @@
 //! Replay-mixed head adaptation on top of the shared [`Trainer`].
 //!
 //! [`adapt_round`] is *not* a new training loop: it implements
-//! [`Trainable`] and hands the model to the existing synchronous
-//! data-parallel [`Trainer`], inheriting its bitwise-deterministic
-//! index-ordered all-reduce, LR schedule, clipping, and early stopping.
-//! What continual learning adds is a **gradient mask** applied in the
-//! trainer's `postprocess_grads` hook — after micro-batch gradients are
-//! all-reduced and averaged, before the norm/clip/step:
+//! [`Trainable`] and hands the model to the existing [`Trainer`],
+//! inheriting its bitwise-deterministic step, LR schedule, clipping, and
+//! early stopping. What continual learning adds is a **gradient mask**
+//! applied in the trainer's `postprocess_grads` hook — after micro-batch
+//! gradients are accumulated and averaged, before the norm/clip/step:
 //!
 //! - [`TrunkMode::Frozen`] zeroes every gradient outside the adapting head.
 //!   Adam with zero weight decay takes a bitwise no-op step on a
@@ -19,17 +18,16 @@
 //!   platforms it already serves.
 //!
 //! Masking gradients rather than filtering optimizer state keeps the hot
-//! path untouched and works with gradient accumulation and any worker
-//! count, because the hook runs exactly once per optimizer step.
+//! path untouched and works with gradient accumulation, because the hook
+//! runs exactly once per optimizer step.
 
 use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use tlp::train::TrainData;
 use tlp::{
-    gather_rows, scored_loss, split_group_indices, TlpModel, TrainOptions, TrainReport, Trainable,
-    Trainer,
+    gather_rows, grouped_batches, scored_loss, split_group_indices, TlpModel, TrainOptions,
+    TrainReport, Trainable, Trainer,
 };
 use tlp_modelcheck::{CoverageSpec, TrainedHeads};
 use tlp_nn::{ParamId, ParamStore, Var, Workspace};
@@ -121,24 +119,19 @@ impl AdaptTask<'_> {
         }
     }
 
-    fn slot_batches(&self, s: SlotRef, order: &[usize], out: &mut Vec<AdaptBatch>) {
+    /// The micro-batch of rows `idx` of slot `s`.
+    fn batch(&self, s: SlotRef, idx: &[usize]) -> AdaptBatch {
         let (head, group) = self.slot(s);
-        for chunk in order.chunks(self.batch_size) {
-            // A singleton carries no ranking signal.
-            if chunk.len() < 2 {
-                continue;
-            }
-            let (feats, labels) = gather_rows(
-                &group.features,
-                &group.labels,
-                self.new_data.feature_size,
-                chunk,
-            );
-            out.push(AdaptBatch {
-                feats,
-                labels,
-                head,
-            });
+        let (feats, labels) = gather_rows(
+            &group.features,
+            &group.labels,
+            self.new_data.feature_size,
+            idx,
+        );
+        AdaptBatch {
+            feats,
+            labels,
+            head,
         }
     }
 }
@@ -169,14 +162,11 @@ impl Trainable for AdaptTask<'_> {
         for ri in 0..self.replay.len() {
             slots.push(SlotRef::Replay(ri));
         }
-        slots.shuffle(rng);
+        let lens: Vec<usize> = slots.iter().map(|&s| self.slot(s).1.labels.len()).collect();
         let mut out = Vec::new();
-        for s in slots {
-            let (_, group) = self.slot(s);
-            let mut order: Vec<usize> = (0..group.labels.len()).collect();
-            order.shuffle(rng);
-            self.slot_batches(s, &order, &mut out);
-        }
+        grouped_batches(&lens, self.batch_size, rng, |slot, idx| {
+            out.push(self.batch(slots[slot], idx));
+        });
         out
     }
 
@@ -204,12 +194,10 @@ impl Trainable for AdaptTask<'_> {
     fn valid_batches(&self) -> Vec<Self::Batch> {
         let mut out = Vec::new();
         for &gi in &self.valid_groups {
-            let n = self.new_data.groups[gi].labels.len();
-            if n < 2 {
-                continue;
+            let order: Vec<usize> = (0..self.new_data.groups[gi].labels.len()).collect();
+            for chunk in order.chunks(self.batch_size).filter(|c| c.len() >= 2) {
+                out.push(self.batch(SlotRef::New(gi), chunk));
             }
-            let order: Vec<usize> = (0..n).collect();
-            self.slot_batches(SlotRef::New(gi), &order, &mut out);
         }
         out
     }
@@ -252,8 +240,7 @@ impl Trainable for AdaptTask<'_> {
 /// shared deterministic [`Trainer`].
 ///
 /// Returns the trainer's [`TrainReport`]. For a fixed config the round is
-/// bit-reproducible for any worker count, like every other training loop in
-/// this workspace.
+/// bit-reproducible, like every other training loop in this workspace.
 ///
 /// # Panics
 ///
@@ -369,7 +356,6 @@ mod tests {
         TrainOptions::from_config(cfg)
             .with_epochs(2)
             .with_batch_size(8)
-            .with_workers(2)
             .with_seed(11)
     }
 
@@ -416,20 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn adaptation_is_bit_reproducible_across_worker_counts() {
+    fn adaptation_reproduces_the_pinned_digest() {
         let cfg = TlpConfig::test_scale();
         let new_data = synth_data(&cfg, 4, 3, 16);
         let mut replay = ReplayBuffer::reservoir(3, 5);
         replay.ingest_data(0, &synth_data(&cfg, 5, 2, 12));
-        let run = |workers: usize| {
+        let run = || {
             let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
-            let config = AdaptConfig::frozen(small_options(&cfg).with_workers(workers));
+            let config = AdaptConfig::frozen(small_options(&cfg));
             adapt_round(&mut model, 2, &new_data, &replay, &config);
             let all: Vec<tlp_nn::ParamId> = model.store.ids().collect();
             param_bits(&model, &all)
         };
-        let bits = run(1);
-        assert_eq!(bits, run(4), "worker count changed the result");
+        let bits = run();
+        assert_eq!(bits, run(), "a second run changed the result");
         // FNV-1a over the value bits (names excluded): the round's batch
         // stream and gradient mask are held to this number. First captured
         // at the last commit with a separate multi-task model type (PR 16);

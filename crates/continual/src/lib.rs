@@ -18,7 +18,7 @@
 //!   bitwise-invariant old platforms) or lets the trunk move at a scaled
 //!   learning rate ([`TrunkMode::LowLr`]). Both policies are implemented as
 //!   gradient masks in the trainer's `postprocess_grads` hook, so the
-//!   all-reduce, clipping, and Adam step stay byte-for-byte the shared code
+//!   accumulation, clipping, and Adam step stay byte-for-byte the shared code
 //!   path.
 //! - [`publish`]: a [`SnapshotPublisher`] emits versioned
 //!   [`tlp::persist::SavedTlp`] snapshots at gated intervals, hot-swaps them

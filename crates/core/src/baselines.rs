@@ -8,16 +8,13 @@
 
 use crate::config::TlpConfig;
 use crate::train::TrainData;
+use crate::trainer::{gather_rows, grouped_batches, TrainOptions, Trainable, Trainer};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlp_dataset::{Dataset, TaskData};
 use tlp_gbdt::{Gbdt, GbdtParams};
 use tlp_hwsim::lower;
-use tlp_nn::{
-    lambda_rank_loss, Adam, Binding, Graph, LrSchedule, Mlp, Optimizer, ParamStore, Tensor,
-    Workspace,
-};
+use tlp_nn::{lambda_rank_loss, Mlp, ParamStore, Tensor, Var, Workspace};
 use tlp_schedule::ScheduleSequence;
 use tlp_workload::Subgraph;
 
@@ -198,8 +195,14 @@ impl TenSetMlp {
         if features.is_empty() {
             return Vec::new();
         }
-        let n = features.len() / PROGRAM_FEATURE_DIM;
         ws.reset();
+        let y = self.forward(ws, features);
+        ws.graph.value(y).data().to_vec()
+    }
+
+    /// Scores a row-major feature batch on `ws`'s tape (shape `[n]`).
+    fn forward(&self, ws: &mut Workspace, features: &[f32]) -> Var {
+        let n = features.len() / PROGRAM_FEATURE_DIM;
         let g = &mut ws.graph;
         let x = g.constant(Tensor::from_vec(
             features.to_vec(),
@@ -207,70 +210,67 @@ impl TenSetMlp {
         ));
         let mut f = tlp_nn::Fwd::new(&mut *g, &self.store, &mut ws.bind);
         let y = self.mlp.forward(&mut f, x);
-        let y = g.reshape(y, &[n]);
-        g.value(y).data().to_vec()
+        g.reshape(y, &[n])
     }
 
-    /// Trains with rank loss on task-grouped program features, returning
-    /// per-epoch losses.
+    /// Trains with rank loss on task-grouped program features under TLP's
+    /// recipe ([`TrainOptions::from_config`]), returning per-epoch losses.
     pub fn train(&mut self, data: &TrainData) -> Vec<f32> {
         assert_eq!(data.feature_size, PROGRAM_FEATURE_DIM);
-        let mut opt = Adam::new(self.config.learning_rate);
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x515);
-        let bs = self.config.batch_size.max(2);
-        let mut epoch_losses = Vec::new();
-        let schedule = LrSchedule::paper_decay();
-        for epoch in 0..self.config.epochs {
-            opt.set_learning_rate(schedule.lr_at(self.config.learning_rate, epoch));
-            let mut order: Vec<usize> = (0..data.groups.len()).collect();
-            order.shuffle(&mut rng);
-            let mut total = 0.0f64;
-            let mut batches = 0usize;
-            for &gi in &order {
-                let group = &data.groups[gi];
-                let n = group.labels.len();
-                if n < 2 {
-                    continue;
-                }
-                let mut sample_order: Vec<usize> = (0..n).collect();
-                sample_order.shuffle(&mut rng);
-                for chunk in sample_order.chunks(bs) {
-                    if chunk.len() < 2 {
-                        continue;
-                    }
-                    let mut feats = Vec::with_capacity(chunk.len() * PROGRAM_FEATURE_DIM);
-                    let mut labels = Vec::with_capacity(chunk.len());
-                    for &i in chunk {
-                        feats.extend_from_slice(
-                            &group.features[i * PROGRAM_FEATURE_DIM..(i + 1) * PROGRAM_FEATURE_DIM],
-                        );
-                        labels.push(group.labels[i]);
-                    }
-                    let mut g = Graph::new();
-                    let mut bind = Binding::new();
-                    let x =
-                        g.constant(Tensor::from_vec(feats, &[chunk.len(), PROGRAM_FEATURE_DIM]));
-                    let scores = {
-                        let mut f = tlp_nn::Fwd::new(&mut g, &self.store, &mut bind);
-                        let y = self.mlp.forward(&mut f, x);
-                        g.reshape(y, &[chunk.len()])
-                    };
-                    let loss = lambda_rank_loss(&mut g, scores, &labels);
-                    g.backward(loss);
-                    bind.harvest(&g, &mut self.store);
-                    self.store.clip_grad_norm(5.0);
-                    opt.step(&mut self.store);
-                    total += g.value(loss).item() as f64;
-                    batches += 1;
-                }
-            }
-            epoch_losses.push(if batches > 0 {
-                (total / batches as f64) as f32
-            } else {
-                0.0
-            });
-        }
-        epoch_losses
+        // The salt pins this entry point's shuffle stream.
+        let options = TrainOptions::from_config(&self.config).with_seed(self.config.seed ^ 0x515);
+        let batch_size = options.batch_size.max(2);
+        let mut task = TenSetTask {
+            model: self,
+            data,
+            batch_size,
+        };
+        Trainer::new(options).fit(&mut task).epoch_losses()
+    }
+}
+
+/// [`Trainable`] adapter for the TenSet-MLP baseline: one slot per task
+/// group, a micro-batch is `(features, labels)`.
+struct TenSetTask<'a> {
+    model: &'a mut TenSetMlp,
+    data: &'a TrainData,
+    batch_size: usize,
+}
+
+impl Trainable for TenSetTask<'_> {
+    type Batch = (Vec<f32>, Vec<f32>);
+
+    fn store(&self) -> &ParamStore {
+        &self.model.store
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.model.store
+    }
+
+    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
+        let groups = &self.data.groups;
+        let lens: Vec<usize> = groups.iter().map(|g| g.labels.len()).collect();
+        let mut out = Vec::new();
+        grouped_batches(&lens, self.batch_size, rng, |gi, idx| {
+            let g = &groups[gi];
+            out.push(gather_rows(
+                &g.features,
+                &g.labels,
+                PROGRAM_FEATURE_DIM,
+                idx,
+            ));
+        });
+        out
+    }
+
+    fn batch_samples(&self, batch: &Self::Batch) -> usize {
+        batch.1.len()
+    }
+
+    fn loss(&self, ws: &mut Workspace, (feats, labels): &Self::Batch) -> Var {
+        let scores = self.model.forward(ws, feats);
+        lambda_rank_loss(&mut ws.graph, scores, labels)
     }
 }
 

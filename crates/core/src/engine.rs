@@ -158,15 +158,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Mean wall seconds per micro-batch, or 0 when none ran.
-    pub fn mean_micro_batch_wall_s(&self) -> f64 {
-        if self.micro_batches == 0 {
-            0.0
-        } else {
-            self.micro_batch_wall_s / self.micro_batches as f64
-        }
-    }
-
     /// Cache hit rate in [0, 1], or 0 before any candidate was seen.
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;

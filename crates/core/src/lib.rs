@@ -14,7 +14,7 @@
 //!   with more heads;
 //! - [`train`]: task-grouped training data with LambdaRank or MSE loss, one
 //!   batch provider for any head count;
-//! - [`trainer`]: the generic synchronous data-parallel training engine
+//! - [`trainer`]: the generic training engine
 //!   (`Trainer`/`TrainOptions`/`TrainReport`) behind every training loop;
 //! - [`metrics`]: the paper's top-k score (§6.1);
 //! - [`baselines`]: TenSet-MLP and Ansor's online GBDT over hand-extracted
@@ -82,6 +82,7 @@ pub use train::{
     TrainData,
 };
 pub use trainer::{
-    gather_rows, scored_loss, split_group_indices, EpochReport, StopReason, TrainCheckpoint,
-    TrainOptions, TrainReport, Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,
+    gather_rows, grouped_batches, scored_loss, split_group_indices, EpochReport, StopReason,
+    TrainCheckpoint, TrainOptions, TrainReport, Trainable, Trainer,
+    TRAIN_CHECKPOINT_FORMAT_VERSION,
 };

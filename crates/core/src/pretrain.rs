@@ -11,7 +11,7 @@
 //! next-token prediction, BERT with masked-token prediction (the full-token
 //! prediction variant: every position is predicted, 15% are corrupted).
 
-use crate::trainer::{TrainOptions, TrainReport, Trainable, Trainer};
+use crate::trainer::{grouped_batches, TrainOptions, TrainReport, Trainable, Trainer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -215,27 +215,22 @@ impl PretrainedLm {
         h
     }
 
-    /// Options equivalent to the historical `pretrain`/`fine_tune` loops:
-    /// constant learning rate, per-batch stepping.
-    fn legacy_options(&self, seed_salt: u64) -> TrainOptions {
+    /// The LM baselines' recipe: this config's sizes at a constant learning
+    /// rate, everything else [`TrainOptions`]' default.
+    fn options(&self, seed_salt: u64) -> TrainOptions {
         TrainOptions {
             epochs: self.config.epochs,
             batch_size: self.config.batch_size,
             learning_rate: self.config.learning_rate,
             lr_schedule: LrSchedule::Constant,
-            grad_clip: 5.0,
-            workers: 0,
-            grad_accum: 1,
-            patience: 0,
-            valid_frac: 0.0,
             seed: self.config.seed ^ seed_salt,
+            ..TrainOptions::default()
         }
     }
 
-    /// Pretrains on unlabeled token sequences with the historical loop's
-    /// options and batch stream.
+    /// Pretrains on unlabeled token sequences with this config's options.
     pub fn pretrain(&mut self, corpus: &[Vec<usize>]) -> TrainReport {
-        let options = self.legacy_options(0x9e);
+        let options = self.options(0x9e);
         self.pretrain_with(corpus, &options)
     }
 
@@ -281,9 +276,9 @@ impl PretrainedLm {
     }
 
     /// Fine-tunes the regression head (and encoder) on labelled token groups
-    /// with rank loss, using the historical loop's options and batch stream.
+    /// with rank loss, using this config's options for `epochs` epochs.
     pub fn fine_tune(&mut self, groups: &[(Vec<usize>, Vec<f32>)], epochs: usize) -> TrainReport {
-        let options = self.legacy_options(0xF1).with_epochs(epochs);
+        let options = self.options(0xF1).with_epochs(epochs);
         self.fine_tune_with(groups, &options)
     }
 
@@ -312,8 +307,7 @@ struct LmBatch {
 }
 
 /// [`Trainable`] adapter for LM pretraining: shuffled corpus chunks; BERT
-/// corruption is drawn while batches are built so the RNG stream matches the
-/// historical loop.
+/// corruption is drawn from the shuffle RNG while batches are built.
 struct LmPretrainTask<'a> {
     lm: &'a mut PretrainedLm,
     corpus: &'a [Vec<usize>],
@@ -412,30 +406,19 @@ impl Trainable for FineTuneTask<'_> {
 
     fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
         let l = self.lm.config.max_len;
-        let mut order: Vec<usize> = (0..self.groups.len()).collect();
-        order.shuffle(rng);
+        let lens: Vec<usize> = self.groups.iter().map(|(_, labels)| labels.len()).collect();
         let mut out = Vec::new();
-        for &gi in &order {
+        grouped_batches(&lens, self.batch_size, rng, |gi, idx| {
             let (tokens, labels) = &self.groups[gi];
-            let n = labels.len();
-            if n < 2 {
-                continue;
+            let mut toks = Vec::with_capacity(idx.len() * l);
+            for &i in idx {
+                toks.extend_from_slice(&tokens[i * l..(i + 1) * l]);
             }
-            let mut sample_order: Vec<usize> = (0..n).collect();
-            sample_order.shuffle(rng);
-            for chunk in sample_order.chunks(self.batch_size) {
-                if chunk.len() < 2 {
-                    continue;
-                }
-                let mut toks = Vec::with_capacity(chunk.len() * l);
-                let mut labs = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    toks.extend_from_slice(&tokens[i * l..(i + 1) * l]);
-                    labs.push(labels[i]);
-                }
-                out.push(FtBatch { toks, labels: labs });
-            }
-        }
+            out.push(FtBatch {
+                toks,
+                labels: idx.iter().map(|&i| labels[i]).collect(),
+            });
+        });
         out
     }
 

@@ -13,7 +13,8 @@
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
 use crate::trainer::{
-    gather_rows, scored_loss, split_group_indices, TrainOptions, TrainReport, Trainable, Trainer,
+    gather_rows, grouped_batches, scored_loss, split_group_indices, TrainOptions, TrainReport,
+    Trainable, Trainer,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -162,21 +163,15 @@ struct HeadTask<'a> {
 }
 
 impl HeadTask<'_> {
-    fn group_batches(&self, ti: usize, gi: usize, order: &[usize], out: &mut Vec<HeadBatch>) {
+    /// The micro-batch of rows `idx` of task `ti`'s group `gi`.
+    fn batch(&self, ti: usize, gi: usize, idx: &[usize]) -> HeadBatch {
         let data = &self.task_data[ti];
         let group = &data.groups[gi];
-        for chunk in order.chunks(self.batch_size) {
-            // A singleton carries no ranking signal.
-            if chunk.len() < 2 {
-                continue;
-            }
-            let (feats, labels) =
-                gather_rows(&group.features, &group.labels, data.feature_size, chunk);
-            out.push(HeadBatch {
-                feats,
-                labels,
-                task: ti,
-            });
+        let (feats, labels) = gather_rows(&group.features, &group.labels, data.feature_size, idx);
+        HeadBatch {
+            feats,
+            labels,
+            task: ti,
         }
     }
 }
@@ -202,17 +197,15 @@ impl Trainable for HeadTask<'_> {
                 slots.push((ti, gi));
             }
         }
-        slots.shuffle(rng);
+        let lens: Vec<usize> = slots
+            .iter()
+            .map(|&(ti, gi)| self.task_data[ti].groups[gi].labels.len())
+            .collect();
         let mut out = Vec::new();
-        for (ti, gi) in slots {
-            let n = self.task_data[ti].groups[gi].labels.len();
-            if n < 2 {
-                continue;
-            }
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(rng);
-            self.group_batches(ti, gi, &order, &mut out);
-        }
+        grouped_batches(&lens, self.batch_size, rng, |slot, idx| {
+            let (ti, gi) = slots[slot];
+            out.push(self.batch(ti, gi, idx));
+        });
         out
     }
 
@@ -240,12 +233,10 @@ impl Trainable for HeadTask<'_> {
     fn valid_batches(&self) -> Vec<Self::Batch> {
         let mut out = Vec::new();
         for &gi in &self.valid_target_groups {
-            let n = self.task_data[0].groups[gi].labels.len();
-            if n < 2 {
-                continue;
+            let order: Vec<usize> = (0..self.task_data[0].groups[gi].labels.len()).collect();
+            for chunk in order.chunks(self.batch_size).filter(|c| c.len() >= 2) {
+                out.push(self.batch(0, gi, chunk));
             }
-            let order: Vec<usize> = (0..n).collect();
-            self.group_batches(0, gi, &order, &mut out);
         }
         out
     }
@@ -258,10 +249,9 @@ impl Trainable for HeadTask<'_> {
 }
 
 /// Trains a one-head TLP model in place with options derived from its
-/// config (per-batch stepping, exponential LR decay — the historical loop's
-/// exact behaviour and batch stream).
+/// config (per-batch stepping, exponential LR decay).
 pub fn train_tlp(model: &mut TlpModel, data: &TrainData) -> TrainReport {
-    // The salt preserves the historical shuffle stream of this entry point.
+    // The salt pins this entry point's shuffle stream.
     let options = TrainOptions::from_config(&model.config).with_seed(model.config.seed ^ 0x7e41);
     train_tlp_with(model, data, &options)
 }
@@ -276,12 +266,11 @@ pub fn train_tlp_with(
 }
 
 /// Trains every head of `model` on per-task training sets (`task_data[i]`
-/// feeds head `i`) with options derived from the model's config — the
-/// historical MTL loop's exact behaviour and batch stream. The per-epoch
+/// feeds head `i`) with options derived from the model's config. The per-epoch
 /// loss is the mean over all heads' micro-batches (the paper's summed
 /// multi-task loss, normalized).
 pub fn train_mtl(model: &mut TlpModel, task_data: &[TrainData]) -> TrainReport {
-    // The salt preserves the historical shuffle stream of this entry point.
+    // The salt pins this entry point's shuffle stream.
     let options = TrainOptions::from_config(&model.config).with_seed(model.config.seed ^ 0x171);
     train_mtl_with(model, task_data, &options)
 }

@@ -1,35 +1,22 @@
-//! The synchronous data-parallel training engine behind every training loop.
+//! The training engine behind every training loop.
 //!
-//! PR 1 made inference batched and parallel; this module does the same for
-//! training. The four historical loops (`train_tlp`, `train_mtl`,
-//! [`crate::pretrain::PretrainedLm::pretrain`] and `fine_tune`) were
-//! single-threaded near-duplicates that allocated a fresh autograd
-//! [`tlp_nn::Graph`] per mini-batch. They now all delegate to one generic
-//! [`Trainer`] driven by a [`Trainable`] batch provider, so the learning-rate
-//! schedule, gradient clipping, shuffling, early stopping, and epoch
-//! accounting live in exactly one place.
+//! [`Trainer::fit`] is the only place in the workspace that owns an
+//! optimizer: TLP (any head count), TenSet-MLP, LM pretraining, rank
+//! fine-tuning and continual adaptation are each a [`Trainable`] batch
+//! provider, so the learning-rate schedule, gradient clipping, early
+//! stopping, checkpointing and epoch accounting live in exactly one place.
+//! The rank-loss providers also share one batch stream,
+//! [`grouped_batches`].
 //!
-//! # Data-parallel step
+//! # Optimizer step
 //!
-//! Each optimizer step covers `grad_accum` micro-batches. Scoped worker
-//! threads (sized from [`std::thread::available_parallelism`], the same
-//! policy as the PR 1 `InferenceEngine`) claim contiguous runs of those
-//! micro-batches; every worker reuses its own [`Workspace`] — the tape and
-//! parameter-leaf binding are reset, not reallocated, between micro-batches —
-//! and harvests backward-pass gradients into a per-micro-batch
-//! [`GradBuffer`]. The trainer then all-reduces the buffers into the shared
-//! [`ParamStore`] **in micro-batch index order**, averages, records the
-//! pre-clip gradient norm, clips, and applies one Adam step.
-//!
-//! Because each micro-batch's gradient is computed by the same instruction
-//! sequence regardless of which thread runs it, and the reduction order is
-//! fixed, a fixed seed produces **bitwise-identical** parameters for *any*
-//! worker count. Worker count is therefore a pure throughput knob;
-//! [`TrainOptions::grad_accum`] (not `workers`) is what changes optimizer
-//! semantics.
-//!
-//! With `grad_accum == 1` the engine degenerates to the historical
-//! sequential loop: same batch stream, same RNG consumption, same updates.
+//! Each optimizer step covers `grad_accum` micro-batches, run one after the
+//! other on the calling thread over one reused [`Workspace`] (the tape and
+//! parameter-leaf binding are reset, not reallocated, between micro-batches).
+//! Every backward pass adds its gradients straight into the shared
+//! [`ParamStore`]; the trainer then averages, records the pre-clip gradient
+//! norm, clips, and applies one Adam step. With `grad_accum == 1` — what
+//! every config-driven entry point runs — a step is one micro-batch.
 
 use crate::config::LossKind;
 use crate::persist::{atomic_write, ParamCheckpoint, PersistError};
@@ -41,17 +28,21 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tlp_modelcheck::CoverageSpec;
 use tlp_nn::{
-    lambda_rank_loss, mse_loss, Adam, GradBuffer, Graph, LrSchedule, Optimizer, ParamStore, Var,
-    Workspace,
+    lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, Optimizer, ParamStore, Var, Workspace,
 };
 
 use crate::config::TlpConfig;
 
+/// Global gradient-norm clip applied before every optimizer step — one value
+/// for every model in the workspace, so the TLP / TenSet-MLP comparisons run
+/// under the same recipe.
+const GRAD_CLIP: f32 = 5.0;
+
 /// Shared training knobs consumed by [`Trainer`].
 ///
-/// The legacy entry points (`train_tlp` etc.) derive their options from the
-/// model's [`TlpConfig`] via [`TrainOptions::from_config`]; the `*_with`
-/// variants accept explicit options.
+/// The config-driven entry points (`train_tlp` etc.) derive their options
+/// from the model's [`TlpConfig`] via [`TrainOptions::from_config`]; the
+/// `*_with` variants accept explicit options.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrainOptions {
     /// Number of passes over the training data.
@@ -62,15 +53,8 @@ pub struct TrainOptions {
     pub learning_rate: f32,
     /// Per-epoch learning-rate schedule applied to the base rate.
     pub lr_schedule: LrSchedule,
-    /// Global gradient-norm clip applied before each optimizer step.
-    pub grad_clip: f32,
-    /// Worker threads for the data-parallel step; `0` sizes from
-    /// [`std::thread::available_parallelism`]. Pure throughput knob — does
-    /// not change results.
-    pub workers: usize,
-    /// Micro-batches accumulated (averaged) per optimizer step; `0` follows
-    /// the effective worker count. This is the knob that changes optimizer
-    /// semantics; `1` reproduces the historical per-batch stepping.
+    /// Micro-batches accumulated (averaged) per optimizer step; `1` is
+    /// per-batch stepping.
     pub grad_accum: usize,
     /// Early stopping: stop after this many consecutive epochs without
     /// validation-loss improvement and restore the best epoch's weights.
@@ -80,23 +64,21 @@ pub struct TrainOptions {
     /// split; early stopping then watches the training loss).
     pub valid_frac: f64,
     /// Seed for the batch-shuffling RNG (weight init is the model's own
-    /// seed; the legacy wrappers salt this exactly like the loops they
-    /// replaced, preserving historical batch streams).
+    /// seed; the config-driven wrappers each salt this with their own
+    /// constant, which pins their batch streams).
     pub seed: u64,
 }
 
 impl TrainOptions {
-    /// Options equivalent to the historical `train_tlp` loop for `config`:
-    /// per-batch stepping (`grad_accum == 1`), exponential LR decay, no
-    /// early stopping.
+    /// The paper's recipe for `config`: per-batch stepping
+    /// (`grad_accum == 1`), `0.9^epoch` LR decay, no early stopping, no
+    /// validation split. Callers that differ override fields of this.
     pub fn from_config(config: &TlpConfig) -> Self {
         TrainOptions {
             epochs: config.epochs,
             batch_size: config.batch_size,
             learning_rate: config.learning_rate,
             lr_schedule: LrSchedule::paper_decay(),
-            grad_clip: 5.0,
-            workers: 0,
             grad_accum: 1,
             patience: 0,
             valid_frac: 0.0,
@@ -116,13 +98,7 @@ impl TrainOptions {
         self
     }
 
-    /// Sets the worker-thread count (`0` = auto).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets micro-batches per optimizer step (`0` = follow workers).
+    /// Sets micro-batches per optimizer step.
     pub fn with_grad_accum(mut self, grad_accum: usize) -> Self {
         self.grad_accum = grad_accum;
         self
@@ -150,26 +126,6 @@ impl TrainOptions {
     pub fn with_learning_rate(mut self, learning_rate: f32) -> Self {
         self.learning_rate = learning_rate;
         self
-    }
-
-    /// Worker count after resolving `0` to the machine's parallelism.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
-    }
-
-    /// Micro-batches per step after resolving `0` to the worker count.
-    pub fn effective_grad_accum(&self) -> usize {
-        if self.grad_accum == 0 {
-            self.effective_workers()
-        } else {
-            self.grad_accum
-        }
     }
 }
 
@@ -223,9 +179,7 @@ pub struct TrainReport {
     /// Epoch whose weights the model ended with (set when early stopping
     /// tracked a best checkpoint).
     pub best_epoch: Option<usize>,
-    /// Effective worker-thread count used for the run.
-    pub workers: usize,
-    /// Effective micro-batches per optimizer step.
+    /// Micro-batches per optimizer step.
     pub grad_accum: usize,
     /// Total wall-clock seconds.
     pub wall_s: f64,
@@ -237,7 +191,7 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Per-epoch mean training losses (the legacy `Vec<f32>` view).
+    /// Per-epoch mean training losses.
     pub fn epoch_losses(&self) -> Vec<f32> {
         self.epochs.iter().map(|e| e.train_loss).collect()
     }
@@ -261,16 +215,14 @@ impl TrainReport {
 /// a loss. Implementations exist for TLP's `(head, group)` interleaved slots
 /// (any head count), LM pretraining corpora, and rank fine-tuning.
 ///
-/// `Sync` is required because worker threads share `&self` while computing
-/// micro-batch gradients.
-pub trait Trainable: Sync {
-    /// One self-contained micro-batch, shareable across worker threads.
-    type Batch: Send + Sync;
+pub trait Trainable {
+    /// One self-contained micro-batch.
+    type Batch;
 
     /// The parameters being trained.
     fn store(&self) -> &ParamStore;
 
-    /// Mutable access for the all-reduce and optimizer step.
+    /// Mutable access for gradient accumulation and the optimizer step.
     fn store_mut(&mut self) -> &mut ParamStore;
 
     /// Builds the epoch's shuffled micro-batch stream. Implementations must
@@ -290,8 +242,8 @@ pub trait Trainable: Sync {
         Vec::new()
     }
 
-    /// Hook invoked once per optimizer step, after the ordered all-reduce
-    /// and gradient averaging but before the norm is recorded, clipping is
+    /// Hook invoked once per optimizer step, after gradient accumulation
+    /// and averaging but before the norm is recorded, clipping is
     /// applied, and Adam steps. The default does nothing — the historical
     /// training loops are bitwise unaffected.
     ///
@@ -396,8 +348,7 @@ impl TrainCheckpoint {
     }
 }
 
-/// The generic synchronous data-parallel training engine. See the module
-/// docs for the execution model and determinism guarantees.
+/// The generic training engine. See the module docs for the execution model.
 #[derive(Clone, Debug)]
 pub struct Trainer {
     options: TrainOptions,
@@ -478,16 +429,15 @@ impl Trainer {
                 "training objective fails gradient-coverage audit:\n{report}"
             );
         }
-        let workers = o.effective_workers();
-        let accum = o.effective_grad_accum().max(1);
+        assert!(
+            o.grad_accum >= 1,
+            "grad_accum counts micro-batches per step"
+        );
         let mut opt = Adam::new(o.learning_rate);
         let mut rng = SmallRng::seed_from_u64(o.seed);
         let t0 = Instant::now();
 
-        let mut workspaces: Vec<Workspace> =
-            (0..workers.max(1)).map(|_| Workspace::new()).collect();
-        let mut buffers: Vec<GradBuffer> = (0..accum).map(|_| GradBuffer::new()).collect();
-        let mut losses = vec![0.0f32; accum];
+        let mut ws = Workspace::new();
         let valid = task.valid_batches();
 
         let mut epochs: Vec<EpochReport> = Vec::with_capacity(o.epochs);
@@ -524,48 +474,35 @@ impl Trainer {
 
             let mut loss_sum = 0.0f64;
             let mut norm_sum = 0.0f64;
-            let mut micro = 0usize;
             let mut steps = 0usize;
             let mut samples = 0usize;
-            for step in batches.chunks(accum) {
-                let k = step.len();
-                run_step(
-                    task,
-                    step,
-                    &mut workspaces,
-                    &mut buffers[..k],
-                    &mut losses[..k],
-                    workers,
-                );
-                // Ordered all-reduce: micro-batch index order, never thread
-                // completion order — this is what makes the step bitwise
-                // worker-count-invariant.
-                for buf in &buffers[..k] {
-                    buf.reduce_into(task.store_mut());
+            for step in batches.chunks(o.grad_accum) {
+                for batch in step {
+                    ws.reset();
+                    let loss = task.loss(&mut ws, batch);
+                    ws.graph.backward(loss);
+                    ws.bind.harvest(&ws.graph, task.store_mut());
+                    loss_sum += ws.graph.value(loss).item() as f64;
+                    samples += task.batch_samples(batch);
                 }
-                if k > 1 {
-                    task.store_mut().scale_grads(1.0 / k as f32);
+                if step.len() > 1 {
+                    task.store_mut().scale_grads(1.0 / step.len() as f32);
                 }
                 task.postprocess_grads();
                 norm_sum += task.store().grad_norm() as f64;
-                task.store_mut().clip_grad_norm(o.grad_clip);
+                task.store_mut().clip_grad_norm(GRAD_CLIP);
                 opt.step(task.store_mut());
-                for (b, &l) in step.iter().zip(losses.iter()) {
-                    loss_sum += l as f64;
-                    samples += task.batch_samples(b);
-                }
-                micro += k;
                 steps += 1;
             }
             total_steps += steps;
             total_samples += samples;
 
-            let train_loss = if micro > 0 {
-                (loss_sum / micro as f64) as f32
+            let train_loss = if !batches.is_empty() {
+                (loss_sum / batches.len() as f64) as f32
             } else {
                 0.0
             };
-            let valid_loss = eval_batches(task, &mut workspaces[0], &valid);
+            let valid_loss = eval_batches(task, &mut ws, &valid);
             epochs.push(EpochReport {
                 epoch,
                 train_loss,
@@ -637,78 +574,12 @@ impl Trainer {
             epochs,
             stop,
             best_epoch,
-            workers,
-            grad_accum: accum,
+            grad_accum: o.grad_accum,
             wall_s: t0.elapsed().as_secs_f64(),
             samples: total_samples,
             checkpoints_written,
         }
     }
-}
-
-/// Computes one step's per-micro-batch gradients into `buffers` (and losses
-/// into `losses`), spreading the micro-batches over scoped worker threads.
-fn run_step<T: Trainable>(
-    task: &T,
-    step: &[T::Batch],
-    workspaces: &mut [Workspace],
-    buffers: &mut [GradBuffer],
-    losses: &mut [f32],
-    workers: usize,
-) {
-    let k = step.len();
-    for buf in buffers.iter_mut() {
-        buf.reset_for(task.store());
-    }
-    let n_workers = workers.min(k).max(1);
-    if n_workers <= 1 {
-        let ws = &mut workspaces[0];
-        for ((b, buf), loss) in step.iter().zip(buffers.iter_mut()).zip(losses.iter_mut()) {
-            *loss = grad_one(task, ws, b, buf);
-        }
-        return;
-    }
-    // Contiguous assignment: worker w takes micro-batches
-    // [w·per, (w+1)·per). Assignment affects only which thread fills which
-    // buffer, never the buffer contents.
-    let per = k.div_ceil(n_workers);
-    std::thread::scope(|scope| {
-        let mut bats = step;
-        let mut bufs = &mut buffers[..];
-        let mut lss = &mut losses[..];
-        for ws in workspaces.iter_mut().take(n_workers) {
-            let take = per.min(bats.len());
-            if take == 0 {
-                break;
-            }
-            let (b_now, b_rest) = bats.split_at(take);
-            let (g_now, g_rest) = bufs.split_at_mut(take);
-            let (l_now, l_rest) = lss.split_at_mut(take);
-            bats = b_rest;
-            bufs = g_rest;
-            lss = l_rest;
-            scope.spawn(move || {
-                for ((b, buf), loss) in b_now.iter().zip(g_now.iter_mut()).zip(l_now.iter_mut()) {
-                    *loss = grad_one(task, ws, b, buf);
-                }
-            });
-        }
-    });
-}
-
-/// Forward + backward for one micro-batch on a reusable workspace; gradients
-/// land in `buf`, the loss value is returned.
-fn grad_one<T: Trainable>(
-    task: &T,
-    ws: &mut Workspace,
-    batch: &T::Batch,
-    buf: &mut GradBuffer,
-) -> f32 {
-    ws.reset();
-    let loss = task.loss(ws, batch);
-    ws.graph.backward(loss);
-    ws.bind.harvest_into(&ws.graph, buf);
-    ws.graph.value(loss).item()
 }
 
 /// Mean loss over a deterministic batch list without touching gradients
@@ -744,6 +615,30 @@ pub fn scored_loss(
             let scaled = g.scale(scores, 1.0 / seq_len as f32);
             let squashed = g.sigmoid(scaled);
             mse_loss(g, squashed, labels)
+        }
+    }
+}
+
+/// The grouped rank-loss batch stream every task-grouped [`Trainable`]
+/// draws from: shuffles the slots, then each slot's `0..len` sample indices
+/// as its turn comes, and emits `(slot, indices)` once per `batch_size`
+/// chunk. LambdaRank compares samples of one group only, so a batch never
+/// crosses slots, and a one-sample chunk (or slot) carries no ranking signal
+/// and is dropped. Callers build the slot list — that, the seed and this
+/// draw order are what pin their trained weights.
+pub fn grouped_batches(
+    slot_lens: &[usize],
+    batch_size: usize,
+    rng: &mut SmallRng,
+    mut emit: impl FnMut(usize, &[usize]),
+) {
+    let mut slots: Vec<usize> = (0..slot_lens.len()).collect();
+    slots.shuffle(rng);
+    for slot in slots {
+        let mut order: Vec<usize> = (0..slot_lens[slot]).collect();
+        order.shuffle(rng);
+        for chunk in order.chunks(batch_size).filter(|c| c.len() >= 2) {
+            emit(slot, chunk);
         }
     }
 }
@@ -791,16 +686,6 @@ pub fn split_group_indices(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn options_resolve_auto_knobs() {
-        let o = TrainOptions::default().with_workers(0).with_grad_accum(0);
-        assert!(o.effective_workers() >= 1);
-        assert_eq!(o.effective_grad_accum(), o.effective_workers());
-        let o = o.with_workers(3).with_grad_accum(5);
-        assert_eq!(o.effective_workers(), 3);
-        assert_eq!(o.effective_grad_accum(), 5);
-    }
 
     #[test]
     fn checkpoint_load_rejects_corrupt_and_misversioned_files() {

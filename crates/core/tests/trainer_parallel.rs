@@ -1,19 +1,30 @@
-//! Correctness guarantees of the data-parallel training engine:
-//! parallel == sequential gradients, bitwise determinism across worker
-//! counts, and the `TrainReport`/early-stopping contract.
+//! Correctness guarantees of the training engine: pinned trained-weight
+//! digests for every batch stream, bit-identical resume, and the
+//! `TrainReport`/early-stopping contract.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{RngCore, SeedableRng};
+use tlp::baselines::{TenSetMlp, PROGRAM_FEATURE_DIM};
 use tlp::train::{
     resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
     GroupData, TrainData,
 };
-use tlp::{PersistError, StopReason, TlpConfig, TlpModel, TrainCheckpoint, TrainOptions};
+use tlp::{
+    grouped_batches, PersistError, StopReason, TlpConfig, TlpModel, TrainCheckpoint, TrainOptions,
+};
 use tlp_nn::ParamStore;
 
 /// Deterministic synthetic task-grouped data (no dataset generation).
 fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize, seed: u64) -> TrainData {
-    let fs = cfg.seq_len * cfg.emb_size;
+    synth_sized(cfg.seq_len * cfg.emb_size, &vec![per_group; groups], seed)
+}
+
+/// Like [`synth_data`] with an explicit feature width and per-group sizes.
+fn synth_sized(fs: usize, sizes: &[usize], seed: u64) -> TrainData {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -21,8 +32,9 @@ fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize, seed: u64) -> Tr
         state ^= state << 17;
         (state >> 40) as f32 / (1u64 << 24) as f32
     };
-    let groups = (0..groups)
-        .map(|_| {
+    let groups = sizes
+        .iter()
+        .map(|&per_group| {
             let mut features = Vec::with_capacity(per_group * fs);
             let mut labels = Vec::with_capacity(per_group);
             for _ in 0..per_group {
@@ -59,10 +71,9 @@ fn max_param_diff(a: &ParamStore, b: &ParamStore) -> f32 {
     worst
 }
 
-fn options(cfg: &TlpConfig, workers: usize) -> TrainOptions {
+fn options(cfg: &TlpConfig) -> TrainOptions {
     TrainOptions::from_config(cfg)
         .with_seed(42)
-        .with_workers(workers)
         .with_grad_accum(4)
 }
 
@@ -97,11 +108,6 @@ fn value_digest(store: &ParamStore) -> u64 {
 fn training_streams_match_the_pre_merge_digests() {
     let cfg = tiny_config();
     let [one, two] = head_inputs(&cfg);
-    let plain = options(&cfg, 2);
-    let split = options(&cfg, 2)
-        .with_epochs(4)
-        .with_valid_frac(0.3)
-        .with_patience(2);
     let pinned = |heads: usize, want: u64, train: &dyn Fn(&mut TlpModel) -> tlp::TrainReport| {
         let mut model = TlpModel::with_heads(cfg.clone(), heads);
         train(&mut model);
@@ -110,35 +116,86 @@ fn training_streams_match_the_pre_merge_digests() {
     };
     // `train_tlp` / `train_mtl` carry the historical salts 0x7e41 / 0x171.
     pinned(1, 0x43bb_8fbf_f811_3ea7, &|m| train_tlp(m, &one[0]));
+    pinned(2, 0x99ae_f11a_29d9_3a7a, &|m| train_mtl(m, &two));
+    // Four micro-batches accumulated per optimizer step.
+    let plain = options(&cfg);
+    let split = options(&cfg)
+        .with_epochs(4)
+        .with_valid_frac(0.3)
+        .with_patience(2);
     pinned(1, 0x6959_e913_8598_7433, &|m| {
         train_tlp_with(m, &one[0], &split)
     });
     pinned(2, 0x393e_4180_ec10_4c92, &|m| {
         train_mtl_with(m, &two, &plain)
     });
-    pinned(2, 0x99ae_f11a_29d9_3a7a, &|m| train_mtl(m, &two));
     pinned(2, 0x00e1_7bbc_cb67_11de, &|m| {
         train_mtl_with(m, &two, &split)
     });
 }
 
+/// Captured from the hand-rolled Adam/shuffle/clip loop `TenSetMlp::train`
+/// had before it moved onto the shared trainer: the group sizes cover a
+/// skipped 1-sample group, a dropped singleton tail (33 = 16 + 16 + 1) and
+/// ragged last chunks (40, 70, 9).
 #[test]
-fn fixed_seed_is_bitwise_deterministic_across_worker_counts() {
-    let cfg = tiny_config();
-    for tasks in head_inputs(&cfg) {
-        let run = |workers: usize| {
-            let mut model = TlpModel::with_heads(cfg.clone(), tasks.len());
-            let report = train_mtl_with(&mut model, &tasks, &options(&cfg, workers));
-            (model.store, report.epoch_losses())
-        };
-        let (sequential, seq_losses) = run(1);
-        for workers in [2usize, 3, 4] {
-            // Bitwise: the ordered all-reduce makes worker count a pure
-            // throughput knob — parallel == sequential for any head count.
-            let (parallel, par_losses) = run(workers);
-            assert_eq!(max_param_diff(&sequential, &parallel), 0.0);
-            assert_eq!(seq_losses, par_losses);
+fn tenset_mlp_training_matches_the_hand_loop_digest() {
+    let cfg = TlpConfig {
+        epochs: 3,
+        batch_size: 16,
+        ..TlpConfig::test_scale()
+    };
+    let data = synth_sized(PROGRAM_FEATURE_DIM, &[1, 40, 33, 70, 9], 17);
+    let mut model = TenSetMlp::new(cfg);
+    let losses: Vec<u32> = model.train(&data).iter().map(|l| l.to_bits()).collect();
+    assert_eq!(
+        losses,
+        [0x3dd8_b949, 0x3dd6_4c44, 0x3dbf_89f8],
+        "got {losses:#010x?}"
+    );
+    let got = value_digest(&model.store);
+    let want = 0x53e3_f7ad_544d_0b5eu64;
+    assert_eq!(got, want, "expected {want:#018x}, got {got:#018x}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `grouped_batches` against the double shuffle as the four training
+    /// loops used to spell it inline (kept here as the reference): same
+    /// `(slot, indices)` sequence, and the RNG left in the same state.
+    #[test]
+    fn grouped_batches_is_the_inline_double_shuffle(
+        lens in prop::collection::vec(0usize..40, 0..8),
+        batch_size in 2usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut got: Vec<(usize, Vec<usize>)> = Vec::new();
+        grouped_batches(&lens, batch_size, &mut rng, |slot, idx| {
+            got.push((slot, idx.to_vec()));
+        });
+
+        let mut reference = SmallRng::seed_from_u64(seed);
+        let mut want: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.shuffle(&mut reference);
+        for &slot in &order {
+            let n = lens[slot];
+            if n < 2 {
+                continue;
+            }
+            let mut sample_order: Vec<usize> = (0..n).collect();
+            sample_order.shuffle(&mut reference);
+            for chunk in sample_order.chunks(batch_size) {
+                if chunk.len() < 2 {
+                    continue;
+                }
+                want.push((slot, chunk.to_vec()));
+            }
         }
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
     }
 }
 
@@ -172,6 +229,7 @@ fn report_shape_and_early_stopping() {
     assert!(report.wall_s > 0.0);
     assert!(report.samples > 0);
     assert!(report.samples_per_s() > 0.0);
+    assert_eq!(report.grad_accum, 1);
 
     // Weight restore: with lr 0 the weights never move, so the restored
     // best-epoch parameters equal a fresh model's.
@@ -182,7 +240,7 @@ fn report_shape_and_early_stopping() {
 #[test]
 fn resumed_training_is_bitwise_identical_to_uninterrupted() {
     let cfg = tiny_config();
-    let opts = options(&cfg, 2).with_epochs(6);
+    let opts = options(&cfg).with_epochs(6);
     for tasks in head_inputs(&cfg) {
         let heads = tasks.len();
         let path = std::env::temp_dir().join(format!("tlp_trainer_resume_test_{heads}.json"));
@@ -230,22 +288,16 @@ fn resume_rejects_seed_mismatch_and_missing_checkpoint() {
     // Missing checkpoint -> Io error.
     let mut model = TlpModel::new(cfg.clone());
     assert!(matches!(
-        resume_tlp(&mut model, &data, &options(&cfg, 1), &path, 1),
+        resume_tlp(&mut model, &data, &options(&cfg), &path, 1),
         Err(PersistError::Io(_))
     ));
 
     // Checkpoint written with seed 42, resume configured with seed 43.
     let mut model = TlpModel::new(cfg.clone());
-    train_tlp_checkpointed(
-        &mut model,
-        &data,
-        &options(&cfg, 1).with_epochs(1),
-        &path,
-        1,
-    );
+    train_tlp_checkpointed(&mut model, &data, &options(&cfg).with_epochs(1), &path, 1);
     let mut other = TlpModel::new(cfg.clone());
     assert!(matches!(
-        resume_tlp(&mut other, &data, &options(&cfg, 1).with_seed(43), &path, 1),
+        resume_tlp(&mut other, &data, &options(&cfg).with_seed(43), &path, 1),
         Err(PersistError::SeedMismatch {
             found: 42,
             expected: 43
@@ -259,7 +311,7 @@ fn train_report_serializes() {
     let cfg = tiny_config();
     let data = synth_data(&cfg, 2, 6, 3);
     let mut model = TlpModel::new(cfg.clone());
-    let report = train_tlp_with(&mut model, &data, &options(&cfg, 1).with_epochs(1));
+    let report = train_tlp_with(&mut model, &data, &options(&cfg).with_epochs(1));
     let json = serde_json::to_string(&report).expect("report is serde data");
     assert!(json.contains("train_loss"));
     assert!(json.contains("Completed"));

@@ -81,11 +81,6 @@ impl Gbdt {
             .collect()
     }
 
-    /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.dim

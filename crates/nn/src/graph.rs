@@ -49,7 +49,6 @@ enum Op {
     /// Adds a `[last_dim]` bias vector over the last axis.
     AddBias(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var),
     Relu(Var),
     Sigmoid(Var),
     Tanh(Var),
@@ -224,13 +223,6 @@ impl Graph {
         let v = self.value(a).map(|x| x * s);
         let ng = self.needs(a);
         self.push(Op::Scale(a, s), v, ng)
-    }
-
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).map(|x| x + s);
-        let ng = self.needs(a);
-        self.push(Op::AddScalar(a), v, ng)
     }
 
     /// Rectified linear unit.
@@ -640,11 +632,6 @@ impl Graph {
                 if self.needs(*a) {
                     let s = *s;
                     out.push((*a, g.map(|x| x * s)));
-                }
-            }
-            Op::AddScalar(a) => {
-                if self.needs(*a) {
-                    out.push((*a, g.clone()));
                 }
             }
             Op::Relu(a) => {

@@ -13,15 +13,6 @@ pub fn xavier_uniform(rng: &mut SmallRng, fan_in: usize, fan_out: usize) -> Tens
     Tensor::from_vec(data, &[fan_in, fan_out])
 }
 
-/// Kaiming/He uniform initialization (for ReLU fan-in) of a `[fan_in, fan_out]` matrix.
-pub fn kaiming_uniform(rng: &mut SmallRng, fan_in: usize, fan_out: usize) -> Tensor {
-    let limit = (6.0 / fan_in as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-limit..limit))
-        .collect();
-    Tensor::from_vec(data, &[fan_in, fan_out])
-}
-
 /// Uniform initialization in `[-limit, limit]` with an arbitrary shape.
 pub fn uniform(rng: &mut SmallRng, shape: &[usize], limit: f32) -> Tensor {
     let n: usize = shape.iter().product();

@@ -60,6 +60,6 @@ pub use layers::{
 };
 pub use loss::{lambda_rank, lambda_rank_loss, mse_loss};
 pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
-pub use params::{Binding, GradBuffer, ParamId, ParamStore};
+pub use params::{Binding, ParamId, ParamStore};
 pub use tensor::Tensor;
 pub use workspace::{Arena, Workspace};

@@ -88,8 +88,8 @@ impl ParamStore {
 
     /// Mutable access to a parameter's accumulated gradient.
     ///
-    /// This is the hook gradient-masking policies use between the
-    /// all-reduce and the optimizer step — e.g. continual adaptation
+    /// This is the hook gradient-masking policies use between gradient
+    /// accumulation and the optimizer step — e.g. continual adaptation
     /// freezes the shared trunk by zeroing every non-head gradient
     /// (a zero gradient leaves Adam's moments at zero, so the parameter is
     /// bitwise unchanged), or runs a low-learning-rate trunk by scaling
@@ -149,87 +149,11 @@ impl ParamStore {
         self.params[id.0].value.add_assign(delta);
     }
 
-    /// Scales every accumulated gradient by `s` (gradient averaging after a
-    /// data-parallel all-reduce).
+    /// Scales every accumulated gradient by `s` (gradient averaging after
+    /// accumulating several micro-batches).
     pub fn scale_grads(&mut self, s: f32) {
         for p in &mut self.params {
             p.grad.scale_assign(s);
-        }
-    }
-}
-
-/// A thread-local gradient accumulator mirroring a [`ParamStore`]'s shapes.
-///
-/// Data-parallel training gives each worker its own `GradBuffer`: workers
-/// harvest backward-pass gradients into their buffer with
-/// [`Binding::harvest_into`], then the trainer reduces the buffers into the
-/// shared store ([`GradBuffer::reduce_into`]) in a fixed order — micro-batch
-/// index, not thread completion — so the summed gradient is
-/// bitwise-deterministic regardless of how many threads ran or how they were
-/// scheduled.
-///
-/// Buffers are reusable: [`GradBuffer::reset_for`] re-zeros (and on first use
-/// allocates) the per-parameter tensors without reallocating on later calls.
-#[derive(Clone, Debug, Default)]
-pub struct GradBuffer {
-    grads: Vec<Tensor>,
-}
-
-impl GradBuffer {
-    /// Creates an empty buffer; shapes are allocated on first
-    /// [`GradBuffer::reset_for`].
-    pub fn new() -> Self {
-        GradBuffer::default()
-    }
-
-    /// Zeroes the buffer, (re)allocating tensors to match `store`'s shapes
-    /// when the store changed since the last call.
-    pub fn reset_for(&mut self, store: &ParamStore) {
-        let matches = self.grads.len() == store.params.len()
-            && self
-                .grads
-                .iter()
-                .zip(&store.params)
-                .all(|(g, p)| g.shape() == p.value.shape());
-        if matches {
-            for g in &mut self.grads {
-                for x in g.data_mut() {
-                    *x = 0.0;
-                }
-            }
-        } else {
-            self.grads = store
-                .params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-    }
-
-    /// Adds `g` into this buffer's slot for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer was not sized for the store that issued `id`
-    /// (call [`GradBuffer::reset_for`] first) or on shape mismatch.
-    pub fn accumulate(&mut self, id: ParamId, g: &Tensor) {
-        self.grads[id.0].add_assign(g);
-    }
-
-    /// Adds this buffer's gradients into the store's accumulated gradients
-    /// (one shard of the all-reduce).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer shapes do not match the store.
-    pub fn reduce_into(&self, store: &mut ParamStore) {
-        assert_eq!(
-            self.grads.len(),
-            store.params.len(),
-            "grad buffer sized for a different store"
-        );
-        for (g, p) in self.grads.iter().zip(&mut store.params) {
-            p.grad.add_assign(g);
         }
     }
 }
@@ -275,19 +199,6 @@ impl Binding {
             }
         }
     }
-
-    /// Copies gradients from the tape into a thread-local [`GradBuffer`]
-    /// instead of the shared store (the data-parallel path).
-    ///
-    /// Each parameter's gradient lands in its own slot, so iteration order
-    /// here cannot affect the result (and is id-ordered anyway).
-    pub fn harvest_into(&self, g: &Graph, buf: &mut GradBuffer) {
-        for (&id, &var) in &self.bound {
-            if let Some(grad) = g.grad(var) {
-                buf.accumulate(id, grad);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,45 +220,10 @@ mod tests {
         g.backward(s2);
         bind.harvest(&g, &mut store);
         assert_eq!(store.grad(w).data(), &[3.0, 3.0]);
+        store.scale_grads(0.5);
+        assert_eq!(store.grad(w).data(), &[1.5, 1.5]);
         store.zero_grad();
         assert_eq!(store.grad(w).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn grad_buffer_matches_direct_harvest() {
-        let build = || {
-            let mut store = ParamStore::new();
-            let w = store.add("w", Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
-            (store, w)
-        };
-        let run = |store: &ParamStore, w: ParamId| {
-            let mut g = Graph::new();
-            let mut bind = Binding::new();
-            let wv = bind.var(&mut g, store, w);
-            let s = g.sum_all(wv);
-            let s2 = g.scale(s, 3.0);
-            g.backward(s2);
-            (g, bind)
-        };
-
-        // Direct path.
-        let (mut direct, w) = build();
-        let (g, bind) = run(&direct, w);
-        bind.harvest(&g, &mut direct);
-
-        // Buffered path, run twice to exercise buffer reuse.
-        let (mut buffered, w2) = build();
-        let mut buf = GradBuffer::new();
-        for _ in 0..2 {
-            buf.reset_for(&buffered);
-            let (g, bind) = run(&buffered, w2);
-            bind.harvest_into(&g, &mut buf);
-        }
-        buf.reduce_into(&mut buffered);
-
-        assert_eq!(direct.grad(w).data(), buffered.grad(w2).data());
-        buffered.scale_grads(0.5);
-        assert_eq!(buffered.grad(w2).data(), &[1.5, 1.5]);
     }
 
     #[test]

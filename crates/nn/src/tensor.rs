@@ -119,11 +119,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by multi-index.
     ///
     /// # Panics

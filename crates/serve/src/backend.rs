@@ -13,9 +13,9 @@
 //! - a [`CircuitBreaker`] trips after consecutive failed requests, stops
 //!   hammering the sick server, and probes it again after a cooldown
 //!   (half-open) before closing;
-//! - while the breaker is open, requests score through an optional local
-//!   fallback model, or degrade to all-invalid batches the tuner's
-//!   rank-last handling absorbs without aborting the search.
+//! - while the breaker is open, and when retries run out, a request
+//!   degrades to an all-invalid batch the tuner's rank-last handling absorbs
+//!   without aborting the search.
 
 use crate::error::ServeError;
 use crate::server::{ScoreReply, ServeClient};
@@ -138,7 +138,7 @@ impl Default for BreakerConfig {
 pub enum BreakerState {
     /// Requests flow normally.
     Closed,
-    /// Requests fail fast to the fallback; the server is not called.
+    /// Requests fail fast to a masked batch; the server is not called.
     Open,
     /// One probe request is in flight; its outcome decides the next state.
     HalfOpen,
@@ -284,7 +284,7 @@ pub struct EndpointBreaker {
 }
 
 /// A [`CostModel`] scoring through a serving transport, with retry, circuit
-/// breaking, and local fallback.
+/// breaking, and degradation to masked batches.
 pub struct RemoteCostModel<T: ScoreTransport = ServeClient> {
     transport: T,
     model: String,
@@ -292,7 +292,6 @@ pub struct RemoteCostModel<T: ScoreTransport = ServeClient> {
     deadline: Option<Duration>,
     retry: RetryPolicy,
     breaker: RefCell<CircuitBreaker>,
-    fallback: Option<Box<dyn CostModel>>,
     errors: Cell<u64>,
     retries: Cell<u64>,
     fallback_scores: Cell<u64>,
@@ -301,7 +300,7 @@ pub struct RemoteCostModel<T: ScoreTransport = ServeClient> {
 
 impl<T: ScoreTransport> RemoteCostModel<T> {
     /// A backend scoring against the model named `model` through
-    /// `transport`, with default retry and breaker settings and no fallback.
+    /// `transport`, with default retry and breaker settings.
     pub fn new(transport: T, model: impl Into<String>) -> Self {
         let model = model.into();
         RemoteCostModel {
@@ -311,7 +310,6 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
             deadline: None,
             retry: RetryPolicy::default(),
             breaker: RefCell::new(CircuitBreaker::new(BreakerConfig::default())),
-            fallback: None,
             errors: Cell::new(0),
             retries: Cell::new(0),
             fallback_scores: Cell::new(0),
@@ -339,17 +337,9 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         self
     }
 
-    /// Installs a local model scored while the breaker is open (and when a
-    /// request ultimately fails), instead of degrading to all-invalid
-    /// batches.
-    pub fn with_fallback(mut self, fallback: Box<dyn CostModel>) -> Self {
-        self.fallback = Some(fallback);
-        self
-    }
-
     /// Number of requests that ultimately failed (retries exhausted or
-    /// short-circuited by the open breaker) and were degraded to the
-    /// fallback path.
+    /// short-circuited by the open breaker) and were degraded to a masked
+    /// batch.
     pub fn errors(&self) -> u64 {
         self.errors.get()
     }
@@ -359,7 +349,7 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         self.retries.get()
     }
 
-    /// Batches answered by the local fallback model.
+    /// Batches degraded to all-invalid instead of scored by the server.
     pub fn fallback_scores(&self) -> u64 {
         self.fallback_scores.get()
     }
@@ -432,14 +422,10 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         }
     }
 
-    /// Scores through the fallback model (or degrades to an all-invalid
-    /// batch without one).
+    /// Degrades a request the server did not answer to an all-invalid batch.
     fn score_fallback(&self, request: ScoreRequest<'_>) -> ScoreBatch {
         self.fallback_scores.set(self.fallback_scores.get() + 1);
-        match &self.fallback {
-            Some(model) => model.predict(request),
-            None => ScoreBatch::masked(vec![None; request.len()], TLP_PIPELINE_COST),
-        }
+        ScoreBatch::masked(vec![None; request.len()], TLP_PIPELINE_COST)
     }
 }
 
@@ -456,8 +442,7 @@ impl RemoteCostModel<ServeClient> {
 impl<T: ScoreTransport> CostModel for RemoteCostModel<T> {
     fn predict(&self, request: ScoreRequest<'_>) -> ScoreBatch {
         if !self.breaker.borrow_mut().allow_request() {
-            // Open breaker: fail fast to the fallback, don't touch the
-            // server.
+            // Open breaker: fail fast, don't touch the server.
             return self.score_fallback(request);
         }
         match self.score_with_retry(request.task, request.candidates) {

@@ -244,11 +244,6 @@ impl FleetClient {
         self.shared.shards[shard].lock_breaker().snapshot()
     }
 
-    /// Force-opens `shard`'s breaker (operator-driven drain).
-    pub fn trip_shard(&self, shard: usize) {
-        self.shared.shards[shard].lock_breaker().trip();
-    }
-
     /// The latest published health snapshot per shard.
     pub fn health(&self) -> Vec<Option<ShardHealth>> {
         self.lock_health().snapshot()

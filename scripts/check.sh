@@ -34,18 +34,8 @@ cargo test -q --offline
 echo "==> workspace release build (covers every crate, incl. tlp-serve)"
 cargo build --release --offline --workspace
 
-echo "==> full workspace tests"
+echo "==> full workspace tests (incl. the chaos, fleet, continual and registry-stress suites)"
 cargo test -q --offline --workspace
-
-echo "==> chaos suite (fault injection across tuning, serving, training)"
-cargo test -q --offline --test chaos
-
-echo "==> fleet suite (sharded routing, failover, QoS, gossip health)"
-cargo test -q --offline -p tlp-serve --test fleet
-
-echo "==> continual suite (live adaptation, hot-swap, canary rollback)"
-cargo test -q --offline -p tlp-continual
-cargo test -q --offline -p tlp-serve --test registry_stress
 
 echo "==> system benchmark (own workspace: cargo test --workspace never compiles it)"
 cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml

@@ -146,11 +146,10 @@ fn cmd_train(path: Option<&str>) -> i32 {
     let report = train_tlp(&mut model, &data);
     println!("epoch losses: {:?}", report.epoch_losses());
     println!(
-        "trained {} samples in {:.2}s ({:.0} samples/s, {} workers)",
+        "trained {} samples in {:.2}s ({:.0} samples/s)",
         report.samples,
         report.wall_s,
-        report.samples_per_s(),
-        report.workers
+        report.samples_per_s()
     );
     let (t1, t5) = eval_tlp(&model, &extractor, &ds, target);
     println!("top-1 {t1:.4}  top-5 {t5:.4}");
