@@ -13,33 +13,36 @@
 //!    their draft ranks.
 //!
 //! The head is distilled online: every batch the full model does score
-//! becomes a regression target, so the draft tracks the live model with no
-//! offline training. Feature extraction is pluggable through
-//! [`DraftFeatures`]; the built-in [`ScheduleStatFeatures`] reads summary
-//! statistics straight off the schedule primitives, and the `tlp` crate
-//! plugs the real TLP feature extractor in for higher-fidelity drafts.
+//! becomes a ranking target, so the draft tracks the live model with no
+//! offline training. A pool's features are extracted once per ranking:
+//! [`DraftScorer::score`] keeps the rows and the head's activations, and
+//! [`DraftScorer::distill`] learns from the rows the full model verified.
+//! Feature extraction is pluggable through [`DraftFeatures`]; the built-in
+//! [`ScheduleStatFeatures`] reads summary statistics straight off the
+//! schedule primitives, and the `tlp` crate plugs the real TLP feature
+//! extractor in for higher-fidelity drafts.
 //!
 //! Everything here is RNG-free and deterministic: drafting never touches
-//! the search RNG stream, which is what lets the speculation-off path stay
-//! bit-identical to a non-speculative search.
+//! the search RNG stream, so `draft_keep >= 1.0` — the full model verifies
+//! every pool and no head is ever built — is the bit-exact
+//! score-everything reference.
 
 use crate::task::SearchTask;
 use serde::{Deserialize, Serialize};
-use tlp_nn::TinyHead;
+use tlp_nn::{DraftPass, TinyHead};
 use tlp_schedule::{PrimitiveKind, ScheduleSequence};
 
-/// Speculative-search knobs, gated under
-/// [`EvolutionConfig::speculative`](crate::evolutionary::EvolutionConfig::speculative).
+/// Draft-then-verify knobs
+/// ([`EvolutionConfig::speculative`](crate::evolutionary::EvolutionConfig::speculative)).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SpecConfig {
-    /// Master switch. Off (the default) reproduces the non-speculative
-    /// search bit-for-bit; so does `draft_keep >= 1.0` with the switch on.
-    pub enabled: bool,
     /// Fraction of each scored pool the full model verifies during
     /// generation rankings (clamped to at least one candidate); the final
     /// ranking verifies twice this fraction (see
     /// [`SpecConfig::final_keep_of`]). The remaining candidates inherit
-    /// their draft ranks below every verified candidate.
+    /// their draft ranks below every verified candidate. A pool verified
+    /// whole involves no head, so at `>= 1.0` none is ever consulted, built
+    /// or distilled: the score-everything reference.
     pub draft_keep: f64,
     /// Full-model batches the draft head must absorb *for the task being
     /// searched* before speculation starts. Until then every generation is
@@ -50,19 +53,11 @@ pub struct SpecConfig {
 }
 
 impl SpecConfig {
-    /// Speculation disabled (the non-speculative search, bit-identical).
-    pub const OFF: SpecConfig = SpecConfig {
-        enabled: false,
-        draft_keep: 0.25,
-        warmup_full_generations: 2,
-    };
-
-    /// Speculation enabled with the given keep fraction and default warm-up.
+    /// The given keep fraction with the default warm-up.
     pub fn keeping(draft_keep: f64) -> Self {
         SpecConfig {
-            enabled: true,
             draft_keep,
-            ..SpecConfig::OFF
+            ..SpecConfig::default()
         }
     }
 
@@ -86,28 +81,26 @@ impl SpecConfig {
 }
 
 impl Default for SpecConfig {
+    /// A quarter of each pool verified after two full batches per task.
     fn default() -> Self {
-        SpecConfig::OFF
+        SpecConfig {
+            draft_keep: 0.25,
+            warmup_full_generations: 2,
+        }
     }
 }
 
 /// Cheap per-candidate feature extraction for the draft head.
 ///
 /// Implementations must be deterministic and RNG-free; `extract_into`
-/// appends one `dim()`-wide row per selected candidate, in `idx` order.
+/// appends one `dim()`-wide row per candidate, in pool order.
 pub trait DraftFeatures: Send {
     /// Feature width of one candidate row.
     fn dim(&self) -> usize;
 
-    /// Appends features for `pop[idx[0]], pop[idx[1]], …` to `out`
-    /// (row-major, `idx.len() × dim()` values).
-    fn extract_into(
-        &mut self,
-        task: &SearchTask,
-        pop: &[ScheduleSequence],
-        idx: &[usize],
-        out: &mut Vec<f32>,
-    );
+    /// Appends features for every candidate of `pop` to `out` (row-major,
+    /// `pop.len() × dim()` values).
+    fn extract_into(&mut self, task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>);
 
     /// Human-readable feature-set name for reports.
     fn name(&self) -> &str;
@@ -128,16 +121,9 @@ impl DraftFeatures for ScheduleStatFeatures {
         PrimitiveKind::ALL.len() + STAT_EXTRAS
     }
 
-    fn extract_into(
-        &mut self,
-        _task: &SearchTask,
-        pop: &[ScheduleSequence],
-        idx: &[usize],
-        out: &mut Vec<f32>,
-    ) {
+    fn extract_into(&mut self, _task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
         let kinds = PrimitiveKind::ALL.len();
-        for &i in idx {
-            let seq = &pop[i];
+        for seq in pop {
             let base = out.len();
             out.resize(base + kinds + STAT_EXTRAS, 0.0);
             let row = &mut out[base..];
@@ -177,31 +163,33 @@ const DRAFT_BASE_LR: f32 = 0.2;
 /// The draft side of draft-then-verify: one [`TinyHead`] *per task* over a
 /// pluggable [`DraftFeatures`] set, distilled online from full-model scores.
 ///
-/// Heads are keyed by subgraph name and created zero-initialized on first
-/// contact with a task. Per-task heads matter: tasks have different feature
-/// geometry, and a single shared head distilled round-robin across tasks is
-/// dragged away from each task's ranking between its visits. The map is a
-/// `BTreeMap`, so iteration (and hence [`DraftScorer::updates`]) is
-/// deterministic.
+/// Heads are keyed by [`Subgraph::key`](tlp_workload::Subgraph::key) — the
+/// task's structure, not its name, which networks reuse across shapes — and
+/// created zero-initialized the first time a task's pool is scored. Per-task
+/// heads matter: tasks have different feature geometry, and a single shared
+/// head distilled round-robin across tasks is dragged away from each task's
+/// ranking between its visits.
 ///
 /// One scorer is meant to live across all rounds of a tuning run so the
 /// warm-up and the distilled weights amortize; the searcher borrows it per
 /// round via
 /// [`Searcher::with_draft`](crate::evolutionary::Searcher::with_draft).
 pub struct DraftScorer {
-    heads: std::collections::BTreeMap<String, TinyHead>,
-    dim: usize,
+    heads: std::collections::BTreeMap<u64, TinyHead>,
     features: Box<dyn DraftFeatures>,
-    feat_scratch: Vec<f32>,
-    idx_scratch: Vec<usize>,
-    target_scratch: Vec<f32>,
+    /// The pool last scored — its task's head key, its feature rows and the
+    /// head's pass over them: what [`DraftScorer::distill`] learns from.
+    scored: Option<u64>,
+    feats: Vec<f32>,
+    pass: DraftPass,
+    rows: Vec<usize>,
+    targets: Vec<f32>,
 }
 
 impl std::fmt::Debug for DraftScorer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DraftScorer")
             .field("features", &self.features.name())
-            .field("params_per_task", &(self.dim + 1))
             .field("tasks", &self.heads.len())
             .field("updates", &self.updates())
             .finish()
@@ -209,26 +197,22 @@ impl std::fmt::Debug for DraftScorer {
 }
 
 impl DraftScorer {
-    /// A zero-initialized scorer over the given feature set.
+    /// A scorer over the given feature set, with no head yet.
     pub fn new(features: Box<dyn DraftFeatures>) -> Self {
         DraftScorer {
             heads: std::collections::BTreeMap::new(),
-            dim: features.dim(),
             features,
-            feat_scratch: Vec::new(),
-            idx_scratch: Vec::new(),
-            target_scratch: Vec::new(),
+            scored: None,
+            feats: Vec::new(),
+            pass: DraftPass::default(),
+            rows: Vec::new(),
+            targets: Vec::new(),
         }
     }
 
     /// A scorer over the built-in [`ScheduleStatFeatures`].
     pub fn with_stat_features() -> Self {
         DraftScorer::new(Box::new(ScheduleStatFeatures))
-    }
-
-    /// Trainable parameter count of one per-task head.
-    pub fn param_count(&self) -> usize {
-        self.dim + 1
     }
 
     /// Full-model batches distilled so far, summed over all per-task heads.
@@ -245,64 +229,57 @@ impl DraftScorer {
     /// to rank a pool on its own.
     pub fn warmed_up(&self, task: &SearchTask, warmup_full_generations: u32) -> bool {
         self.heads
-            .get(&task.subgraph.name)
+            .get(&task.subgraph.key())
             .map_or(warmup_full_generations == 0, |h| {
                 h.updates() >= warmup_full_generations as u64
             })
     }
 
-    /// Draft-scores the whole population with the task's head, appending one
-    /// score per candidate to `out` (in population order). Deterministic and
-    /// RNG-free.
-    pub fn score_into(&mut self, task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
-        self.idx_scratch.clear();
-        self.idx_scratch.extend(0..pop.len());
-        self.feat_scratch.clear();
-        self.features
-            .extract_into(task, pop, &self.idx_scratch, &mut self.feat_scratch);
-        let feats = &self.feat_scratch;
-        let dim = self.dim;
+    /// Draft-scores the whole pool with the task's head: one score per
+    /// candidate, in pool order. This is the one feature extraction of a
+    /// ranking — the rows stay behind for [`DraftScorer::distill`].
+    /// Deterministic and RNG-free.
+    pub fn score(&mut self, task: &SearchTask, pop: &[ScheduleSequence]) -> &[f32] {
+        self.feats.clear();
+        self.features.extract_into(task, pop, &mut self.feats);
+        let key = task.subgraph.key();
+        self.scored = Some(key);
+        let dim = self.features.dim();
         self.heads
-            .entry(task.subgraph.name.clone())
+            .entry(key)
             .or_insert_with(|| TinyHead::new(dim))
-            .predict_into(feats, pop.len(), out);
+            .forward(&self.feats, pop.len(), &mut self.pass);
+        self.pass.scores()
     }
 
-    /// Distills one full-model batch into the head: `scores[j]` is the full
-    /// model's score for `pop[idx[j]]`. Non-finite scores (unscoreable
-    /// candidates) are dropped from the regression batch.
-    pub fn distill(
-        &mut self,
-        task: &SearchTask,
-        pop: &[ScheduleSequence],
-        idx: &[usize],
-        scores: &[f32],
-    ) {
-        debug_assert_eq!(idx.len(), scores.len(), "draft distill shape");
-        self.idx_scratch.clear();
-        self.target_scratch.clear();
-        for (&i, &s) in idx.iter().zip(scores) {
+    /// Distills one full-model batch into the head that produced the last
+    /// [`score`](DraftScorer::score): `scores[j]` is the full model's score
+    /// for candidate `rows[j]` of that pool. Non-finite scores (unscoreable
+    /// candidates) are dropped from the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless it follows a `score`, at most once per `score`.
+    pub fn distill(&mut self, rows: &[usize], scores: &[f32]) {
+        debug_assert_eq!(rows.len(), scores.len(), "draft distill shape");
+        self.rows.clear();
+        self.targets.clear();
+        for (&i, &s) in rows.iter().zip(scores) {
             if s.is_finite() {
-                self.idx_scratch.push(i);
-                self.target_scratch.push(s);
+                self.rows.push(i);
+                self.targets.push(s);
             }
         }
-        if self.idx_scratch.is_empty() {
-            return;
-        }
-        self.feat_scratch.clear();
-        self.features
-            .extract_into(task, pop, &self.idx_scratch, &mut self.feat_scratch);
-        let dim = self.dim;
-        self.heads
-            .entry(task.subgraph.name.clone())
-            .or_insert_with(|| TinyHead::new(dim))
-            .distill(
-                &self.feat_scratch,
-                &self.target_scratch,
-                self.idx_scratch.len(),
-                DRAFT_BASE_LR,
-            );
+        let Some(head) = self.scored.and_then(|key| self.heads.get_mut(&key)) else {
+            panic!("distill before any pool was scored");
+        };
+        head.distill(
+            &self.feats,
+            &mut self.pass,
+            &self.rows,
+            &self.targets,
+            DRAFT_BASE_LR,
+        );
     }
 }
 
@@ -349,7 +326,7 @@ mod tests {
         // The final ranking doubles the verified fraction, capped at n.
         assert_eq!(s.final_keep_of(16), 8);
         assert_eq!(SpecConfig::keeping(0.6).final_keep_of(10), 10);
-        assert!(!SpecConfig::default().enabled);
+        assert_eq!(SpecConfig::default(), s);
     }
 
     #[test]
@@ -357,11 +334,10 @@ mod tests {
         let t = task();
         let p = pop(6, 3);
         let mut f = ScheduleStatFeatures;
-        let idx: Vec<usize> = (0..p.len()).collect();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        f.extract_into(&t, &p, &idx, &mut a);
-        f.extract_into(&t, &p, &idx, &mut b);
+        f.extract_into(&t, &p, &mut a);
+        f.extract_into(&t, &p, &mut b);
         assert_eq!(a, b);
         assert_eq!(a.len(), p.len() * f.dim());
         assert!(a.iter().all(|x| x.is_finite()));
@@ -379,17 +355,18 @@ mod tests {
         let mut d = DraftScorer::with_stat_features();
         assert!(d.warmed_up(&t, 0));
         assert!(!d.warmed_up(&t, 1));
-        d.distill(&t, &p, &idx, &scores);
+        d.score(&t, &p);
+        d.distill(&idx, &scores);
         assert!(d.warmed_up(&t, 1));
         assert_eq!(d.updates(), 1);
-        // Warm-up is tracked per task: an unseen task starts cold.
+        // Warm-up is tracked per task: an unseen task starts cold, even one
+        // that reuses the name (as MobileNet's `expand`/`project` layers do).
         let other = SearchTask::new(
-            Subgraph::new("other", AnchorOp::Dense { m: 8, n: 8, k: 8 }),
+            Subgraph::new("d", AnchorOp::Dense { m: 8, n: 8, k: 8 }),
             Platform::i7_10510u(),
         );
         assert!(!d.warmed_up(&other, 1));
-        let mut out = Vec::new();
-        d.score_into(&t, &p, &mut out);
+        let out = d.score(&t, &p);
         assert_eq!(out.len(), p.len());
         assert!(out.iter().all(|s| s.is_finite()));
     }
@@ -399,14 +376,10 @@ mod tests {
         let t = task();
         let p = pop(4, 7);
         let mut d = DraftScorer::with_stat_features();
-        d.distill(&t, &p, &[0, 1, 2, 3], &[f32::NEG_INFINITY; 4]);
+        d.score(&t, &p);
+        d.distill(&[0, 1, 2, 3], &[f32::NEG_INFINITY; 4]);
         assert_eq!(d.updates(), 0, "all-invalid batch must be a no-op");
-        d.distill(
-            &t,
-            &p,
-            &[0, 1, 2, 3],
-            &[1.0, f32::NEG_INFINITY, 2.0, f32::NAN],
-        );
+        d.distill(&[0, 1, 2, 3], &[1.0, f32::NEG_INFINITY, 2.0, f32::NAN]);
         assert_eq!(d.updates(), 1);
     }
 }

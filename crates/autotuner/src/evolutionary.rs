@@ -6,16 +6,16 @@
 //! hardware measurement (ε-greedy: a fraction is random to keep exploring).
 //!
 //! The search entry point is the [`Searcher`]: build it from a task, sketch
-//! policy, cost model and [`EvolutionConfig`], optionally attach a
-//! [`DraftScorer`] for draft-then-verify speculative scoring, and
-//! [`run`](Searcher::run) it for a [`SearchOutcome`]. With speculation
-//! active, the near-free draft head ranks every pool and only the top
+//! policy, cost model and [`EvolutionConfig`], optionally lend it a
+//! [`DraftScorer`] that outlives the run, and [`run`](Searcher::run) it for
+//! a [`SearchOutcome`]. Ranking is draft-then-verify: once a task's draft
+//! head is warmed up, the near-free head ranks every pool and only the top
 //! [`SpecConfig::draft_keep`] slice is verified by the full model; the rest
-//! inherit their draft ranks. Speculation is RNG-neutral — it never touches
-//! the search RNG stream — so disabling it (or setting `draft_keep >= 1.0`)
-//! reproduces the non-speculative search bit-for-bit.
+//! inherit their draft ranks. Drafting is RNG-neutral — it never touches
+//! the search RNG stream — and `draft_keep >= 1.0` is the score-everything
+//! search, bit for bit, with no head built.
 
-use crate::cost_model::{CostModel, ScoreBatch, ScoreRequest};
+use crate::cost_model::{CostModel, ScoreRequest};
 use crate::draft::{DraftScorer, SpecConfig};
 use crate::sketch::{Candidate, ScheduleDecision, SketchPolicy};
 use crate::task::SearchTask;
@@ -36,9 +36,8 @@ pub struct EvolutionConfig {
     pub mutation_rate: f64,
     /// Fraction of the returned top-k replaced with random candidates.
     pub epsilon: f64,
-    /// Draft-then-verify speculative scoring (off by default). Requires a
-    /// [`DraftScorer`] attached via [`Searcher::with_draft`] to take
-    /// effect.
+    /// Draft-then-verify scoring: how much of each pool the full model
+    /// verifies. `draft_keep >= 1.0` scores everything.
     pub speculative: SpecConfig,
 }
 
@@ -49,7 +48,7 @@ impl Default for EvolutionConfig {
             generations: 4,
             mutation_rate: 0.85,
             epsilon: 0.1,
-            speculative: SpecConfig::OFF,
+            speculative: SpecConfig::default(),
         }
     }
 }
@@ -63,7 +62,8 @@ pub struct SearchStats {
     /// Candidates rejected by the static verifier before scoring.
     pub pruned: u64,
     /// Candidates scored by the full cost model (forward passes through the
-    /// expensive path), in all modes.
+    /// expensive path): whole pools while a draft head warms up or under
+    /// `draft_keep >= 1.0`, verified slices otherwise.
     pub full_scored: u64,
     /// Candidates ranked by the draft head instead of the full model
     /// (draft-only: the verified slice counts under `full_scored`).
@@ -127,8 +127,8 @@ pub struct SearchOutcome {
 /// invalid schedules.
 const MAX_PRUNE_RETRIES: usize = 8;
 
-/// One evolutionary-search run: task + policy + cost model + config,
-/// optionally carrying a draft scorer for speculative ranking.
+/// One evolutionary-search run: task + policy + cost model + config, and
+/// the draft scorer its rankings consult.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -140,23 +140,30 @@ const MAX_PRUNE_RETRIES: usize = 8;
 ///     Subgraph::new("d", AnchorOp::Dense { m: 64, n: 64, k: 64 }),
 ///     Platform::i7_10510u(),
 /// );
-/// let config = EvolutionConfig { population: 16, generations: 1, ..Default::default() };
+/// let config = EvolutionConfig { population: 16, generations: 3, ..Default::default() };
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
 /// let outcome = Searcher::new(&task, &SketchPolicy::cpu(), &RandomModel::new(1), &config)
 ///     .run(4, &mut rng);
 /// assert_eq!(outcome.candidates.len(), 4);
+/// // Two warm-up pools in full, then a quarter, then half of the last one.
+/// assert_eq!(outcome.stats.full_scored, 16 + 16 + 4 + 8);
 /// ```
 pub struct Searcher<'a> {
     task: &'a SearchTask,
     policy: &'a SketchPolicy,
     model: &'a dyn CostModel,
     config: &'a EvolutionConfig,
-    draft: Option<&'a mut DraftScorer>,
+    /// What rankings draft with: `lent` if the caller lent one, else `own`.
+    own: DraftScorer,
+    lent: Option<&'a mut DraftScorer>,
 }
 
 impl<'a> Searcher<'a> {
-    /// Builds a searcher; speculation stays inactive until a draft scorer
-    /// is attached.
+    /// Builds a searcher that drafts with a head of its own, over the
+    /// built-in schedule statistics: cold at the first ranking, gone with
+    /// the searcher. A one-off search behaves like the first round
+    /// [`tune_network`](crate::tuner::tune_network) gives a task — warm-up
+    /// pools scored in full, verified slices after.
     pub fn new(
         task: &'a SearchTask,
         policy: &'a SketchPolicy,
@@ -168,15 +175,15 @@ impl<'a> Searcher<'a> {
             policy,
             model,
             config,
-            draft: None,
+            own: DraftScorer::with_stat_features(),
+            lent: None,
         }
     }
 
-    /// Attaches a draft scorer. The scorer outlives the searcher so its
-    /// distilled weights and warm-up progress carry across rounds; it only
-    /// changes ranking when [`EvolutionConfig::speculative`] is enabled.
+    /// Drafts with the caller's scorer instead. It outlives the searcher,
+    /// so its distilled weights and warm-up progress carry across rounds.
     pub fn with_draft(mut self, draft: &'a mut DraftScorer) -> Self {
-        self.draft = Some(draft);
+        self.lent = Some(draft);
         self
     }
 
@@ -199,7 +206,7 @@ impl<'a> Searcher<'a> {
 
         for generation in 0..config.generations {
             let ranked = self.rank(
-                &population.sequences,
+                &mut population.sequences,
                 generation as u32 + 1,
                 elite_target,
                 false,
@@ -236,7 +243,7 @@ impl<'a> Searcher<'a> {
         }
 
         let ranked = self.rank(
-            &population.sequences,
+            &mut population.sequences,
             config.generations as u32 + 1,
             k.max(1),
             true,
@@ -260,66 +267,53 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Ranks the population best-first, speculatively when a warmed-up
-    /// draft is attached and the config asks for it. `m_target` is the size
-    /// of the slice downstream consumers act on (elite size during
-    /// evolution, `k` at the final ranking) — the scope of the
-    /// draft-acceptance check. The final ranking (`is_final`) verifies twice
-    /// the generation fraction: it decides what gets *measured*, where a
-    /// draft miss costs real hardware trials instead of one evolution step.
+    /// Ranks the population best-first: the draft head ranks the pool, the
+    /// full model verifies `keep` of it. `m_target` is the size of the
+    /// slice downstream consumers act on (elite size during evolution, `k`
+    /// at the final ranking) — the scope of the draft-acceptance check. The
+    /// final ranking (`is_final`) verifies twice the generation fraction: it
+    /// decides what gets *measured*, where a draft miss costs real hardware
+    /// trials instead of one evolution step.
     ///
-    /// Never consumes search RNG. With speculation off, or `draft_keep`
-    /// covering the whole pool, or the draft still warming up, this is
-    /// exactly the non-speculative score-everything path.
+    /// Never consumes search RNG. Where `keep` covers the pool there is
+    /// nothing to draft and the head is left alone (so `draft_keep >= 1.0`
+    /// never builds one); while the task's head is warming up the full
+    /// model scores everything and the head learns from all of it. `pop` is
+    /// only lent: it comes back as it was.
     fn rank(
         &mut self,
-        pop: &[ScheduleSequence],
+        pop: &mut [ScheduleSequence],
         generation: u32,
         m_target: usize,
         is_final: bool,
         stats: &mut SearchStats,
     ) -> Vec<usize> {
+        let (task, model) = (self.task, self.model);
         let spec = &self.config.speculative;
+        let n = pop.len();
         let keep = if is_final {
-            spec.final_keep_of(pop.len())
+            spec.final_keep_of(n)
         } else {
-            spec.keep_of(pop.len())
+            spec.keep_of(n)
         };
-        let speculate = spec.enabled
-            && keep < pop.len()
-            && self
-                .draft
-                .as_ref()
-                .is_some_and(|d| d.warmed_up(self.task, spec.warmup_full_generations));
-
-        if !speculate {
-            let batch = self
-                .model
-                .predict(ScoreRequest::new(self.task, pop).with_generation(generation));
-            let scores = scores_of(&batch, pop.len());
-            stats.full_scored += pop.len() as u64;
-            // Keep distilling even when the draft is not (yet) trusted:
-            // warm-up batches and full-coverage rounds are free training
-            // signal. Weight updates are invisible to ranking here, so the
-            // off / keep=1.0 paths stay bit-identical to no-draft runs.
-            if spec.enabled {
-                if let Some(d) = self.draft.as_deref_mut() {
-                    let idx: Vec<usize> = (0..pop.len()).collect();
-                    d.distill(self.task, pop, &idx, &scores);
-                }
-            }
-            return rank_indices(&scores);
+        if keep >= n {
+            return rank_indices(&verify(model, task, pop, generation, stats));
         }
 
-        let Some(draft) = self.draft.as_deref_mut() else {
-            panic!("speculate implies a draft scorer");
-        };
-
-        // 1. Draft: rank the whole pool with the tiny head.
-        let mut draft_scores = Vec::with_capacity(pop.len());
-        draft.score_into(self.task, pop, &mut draft_scores);
-        stats.draft_scored += (pop.len() - keep) as u64;
-        let draft_order = rank_indices(&draft_scores);
+        // 1. Draft: rank the whole pool with the tiny head. This is the one
+        // pass over the pool's draft features; distillation reuses its rows.
+        let draft = self.lent.as_deref_mut().unwrap_or(&mut self.own);
+        let updates = draft.updates() as usize;
+        let warm = draft.warmed_up(task, spec.warmup_full_generations);
+        let draft_scores = draft.score(task, pop);
+        if !warm {
+            let scores = verify(model, task, pop, generation, stats);
+            let all: Vec<usize> = (0..n).collect();
+            draft.distill(&all, &scores);
+            return rank_indices(&scores);
+        }
+        stats.draft_scored += (n - keep) as u64;
+        let draft_order = rank_indices(draft_scores);
 
         // 2. Verify: the verification budget is split between the draft's
         // top slice and a stratified sample of the rest — a quarter of the
@@ -329,7 +323,7 @@ impl<'a> Searcher<'a> {
         // never recover. Sampling is index-arithmetic only (RNG-free). The
         // slice goes to the model in ascending candidate order, so engine
         // batching sees a stable stream.
-        let explore = (keep / 4).min(pop.len() - keep);
+        let explore = (keep / 4).min(n - keep);
         let top = keep - explore;
         // After the first evolution step the leading population slots are
         // the previous generation's elites, cloned in that ranking's
@@ -343,7 +337,7 @@ impl<'a> Searcher<'a> {
         } else {
             0
         };
-        let mut in_kept = vec![false; pop.len()];
+        let mut in_kept = vec![false; n];
         let mut kept: Vec<usize> = Vec::with_capacity(keep);
         for (i, flag) in in_kept.iter_mut().enumerate().take(elite_carry) {
             kept.push(i);
@@ -371,19 +365,23 @@ impl<'a> Searcher<'a> {
             .collect();
         let explore = (keep - kept.len()).min(rest.len());
         if explore > 0 {
-            let phase = draft.updates() as usize % rest.len();
+            let phase = updates % rest.len();
             for i in 0..explore {
-                kept.push(rest[(phase + (2 * i + 1) * rest.len() / (2 * explore)) % rest.len()]);
+                let pick = rest[(phase + (2 * i + 1) * rest.len() / (2 * explore)) % rest.len()];
+                kept.push(pick);
+                in_kept[pick] = true;
             }
         }
         kept.sort_unstable();
-        let kept_seqs: Vec<_> = kept.iter().map(|&i| pop[i].clone()).collect();
-        let batch = self
-            .model
-            .predict(ScoreRequest::new(self.task, &kept_seqs).with_generation(generation));
-        let kept_scores = scores_of(&batch, kept.len());
-        stats.full_scored += kept.len() as u64;
-        draft.distill(self.task, pop, &kept, &kept_scores);
+        // The model reads a contiguous slice, so the verified sequences
+        // move out of the pool for the call and back after it.
+        let lent: Vec<ScheduleSequence> =
+            kept.iter().map(|&i| std::mem::take(&mut pop[i])).collect();
+        let kept_scores = verify(model, task, &lent, generation, stats);
+        for (&i, sequence) in kept.iter().zip(lent) {
+            pop[i] = sequence;
+        }
+        draft.distill(&kept, &kept_scores);
 
         // Verified slice ranked by the full model.
         let kept_order = rank_indices(&kept_scores);
@@ -404,18 +402,26 @@ impl<'a> Searcher<'a> {
         // 4. Final order: verified candidates by full score, then the
         // draft-rejected tail inheriting its draft ranks.
         let mut order: Vec<usize> = kept_order.into_iter().map(|j| kept[j]).collect();
-        order.extend(draft_order[keep..].iter().copied());
-        debug_assert_eq!(order.len(), pop.len());
+        order.extend(draft_order.into_iter().filter(|&i| !in_kept[i]));
+        debug_assert_eq!(order.len(), n);
         order
     }
 }
 
-/// One score per requested candidate. Unscoreable candidates rank last but
-/// stay in the population: a later mutation can repair them, and the
-/// measurer independently rejects them.
-fn scores_of(batch: &ScoreBatch, n: usize) -> Vec<f32> {
-    debug_assert_eq!(batch.len(), n, "cost model batch shape");
-    (0..n)
+/// The full model's score for every one of `seqs`. Unscoreable candidates
+/// rank last but stay in the population: a later mutation can repair them,
+/// and the measurer independently rejects them.
+fn verify(
+    model: &dyn CostModel,
+    task: &SearchTask,
+    seqs: &[ScheduleSequence],
+    generation: u32,
+    stats: &mut SearchStats,
+) -> Vec<f32> {
+    let batch = model.predict(ScoreRequest::new(task, seqs).with_generation(generation));
+    debug_assert_eq!(batch.len(), seqs.len(), "cost model batch shape");
+    stats.full_scored += seqs.len() as u64;
+    (0..seqs.len())
         .map(|i| batch.score_or(i, f32::NEG_INFINITY))
         .collect()
 }
@@ -505,6 +511,7 @@ mod tests {
     use super::*;
     use crate::cost_model::RandomModel;
     use crate::measure::Measurer;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use tlp_hwsim::Platform;
     use tlp_workload::{AnchorOp, Subgraph};
@@ -570,10 +577,12 @@ mod tests {
         assert_eq!(outcome.stats.pruned, 0);
         assert!(outcome.stats.generated >= 24);
         assert_eq!(outcome.stats.pruned_fraction(), 0.0);
-        // No draft attached: every scoring pass is a full-model pass.
-        assert_eq!(outcome.stats.full_scored, 24 * 3);
-        assert_eq!(outcome.stats.draft_scored, 0);
-        assert_eq!(outcome.stats.draft_acceptance(), 0.0);
+        // No scorer lent: the searcher drafts with its own head, cold at
+        // the start — two warm-up pools scored in full, then the final
+        // ranking verifies half of its pool.
+        assert_eq!(outcome.stats.full_scored, 24 + 24 + 12);
+        assert_eq!(outcome.stats.draft_scored, 12);
+        assert!(outcome.stats.draft_checked > 0);
     }
 
     #[test]
@@ -601,18 +610,6 @@ mod tests {
         // The hopeless candidate is still admitted; downstream layers
         // (scorer masking, measurer) reject it independently.
         assert!(tlp_verify::verify(&t.subgraph, &admitted.sequence).has_errors());
-    }
-
-    #[test]
-    fn returns_k_candidates() {
-        let t = task();
-        let config = EvolutionConfig {
-            population: 32,
-            generations: 2,
-            ..EvolutionConfig::default()
-        };
-        let outcome = search(&t, &RandomModel::new(3), &config, 10, 1);
-        assert_eq!(outcome.candidates.len(), 10);
     }
 
     #[test]
@@ -646,86 +643,133 @@ mod tests {
         );
     }
 
-    #[test]
-    fn speculative_search_cuts_full_model_invocations() {
-        let t = task();
-        let config = EvolutionConfig {
-            population: 32,
-            generations: 3,
-            speculative: SpecConfig {
-                enabled: true,
-                draft_keep: 0.25,
-                warmup_full_generations: 1,
-            },
-            ..EvolutionConfig::default()
-        };
-        let mut draft = DraftScorer::with_stat_features();
-        let mut rng = SmallRng::seed_from_u64(19);
-        let outcome = Searcher::new(&t, &SketchPolicy::cpu(), &Oracle, &config)
-            .with_draft(&mut draft)
-            .run(8, &mut rng);
-        assert_eq!(outcome.candidates.len(), 8);
-        // One warm-up generation full (32), two speculative generation
-        // passes verify ceil(0.25·32) = 8 each, and the final ranking
-        // verifies the doubled ceil(0.5·32) = 16.
-        assert_eq!(outcome.stats.full_scored, 32 + 2 * 8 + 16);
-        assert_eq!(outcome.stats.draft_scored, 2 * 24 + 16);
-        assert!(outcome.stats.draft_checked > 0);
-        assert!(outcome.stats.draft_acceptance() <= 1.0);
-        assert!(draft.updates() >= 4, "distilled every scored batch");
+    /// Scores by schedule fingerprint and records what it was asked about.
+    struct Recording(std::cell::RefCell<Vec<Vec<u64>>>);
+    impl Recording {
+        fn score(seq: &ScheduleSequence) -> f32 {
+            (seq.fingerprint() % 1009) as f32
+        }
+    }
+    impl CostModel for Recording {
+        fn predict(&self, request: ScoreRequest<'_>) -> crate::cost_model::ScoreBatch {
+            let asked = request.candidates.iter().map(|s| s.fingerprint()).collect();
+            self.0.borrow_mut().push(asked);
+            let scores = request.candidates.iter().map(Recording::score).collect();
+            crate::cost_model::ScoreBatch::dense(scores, crate::cost_model::PipelineCost::ZERO)
+        }
+        fn name(&self) -> &str {
+            "recording"
+        }
     }
 
-    #[test]
-    fn speculation_is_rng_neutral_with_full_keep() {
-        // draft_keep = 1.0 means the full model verifies everything, so the
-        // outcome must be bit-identical to a draft-free run with the same
-        // seed.
-        let t = task();
-        let base_config = EvolutionConfig {
-            population: 16,
-            generations: 2,
-            ..EvolutionConfig::default()
-        };
-        let spec_config = EvolutionConfig {
-            speculative: SpecConfig {
-                enabled: true,
-                draft_keep: 1.0,
-                warmup_full_generations: 0,
-            },
-            ..base_config
-        };
-        let baseline = search(&t, &RandomModel::new(23), &base_config, 5, 29);
-        let mut draft = DraftScorer::with_stat_features();
-        let mut rng = SmallRng::seed_from_u64(29);
-        let spec = Searcher::new(
-            &t,
-            &SketchPolicy::cpu(),
-            &RandomModel::new(23),
-            &spec_config,
-        )
-        .with_draft(&mut draft)
-        .run(5, &mut rng);
-        let fp =
-            |c: &[Candidate]| -> Vec<u64> { c.iter().map(|x| x.sequence.fingerprint()).collect() };
-        assert_eq!(fp(&baseline.candidates), fp(&spec.candidates));
-        assert_eq!(baseline.stats, spec.stats);
-        assert!(draft.updates() > 0, "full-coverage rounds still distill");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What every consumer of a speculative ranking relies on, over
+        /// random pools, keeps, generations and head states.
+        #[test]
+        fn speculative_rank_verifies_exactly_the_slice_it_ranks_first(
+            n in 2usize..48,
+            draft_keep in 0.02f64..0.98,
+            generation in 1u32..5,
+            is_final in 0u8..2,
+            m_target in 1usize..48,
+            prior_batches in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let t = task();
+            let policy = SketchPolicy::cpu();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut pop: Vec<ScheduleSequence> = (0..n)
+                .map(|_| Candidate::random(&policy, &t.subgraph, &mut rng).sequence)
+                .collect();
+            let before = pop.clone();
+            let config = EvolutionConfig {
+                population: n,
+                speculative: SpecConfig { draft_keep, warmup_full_generations: 0 },
+                ..EvolutionConfig::default()
+            };
+            let spec = config.speculative;
+            let is_final = is_final == 1;
+            let keep = if is_final { spec.final_keep_of(n) } else { spec.keep_of(n) };
+            if keep >= n {
+                return Ok(()); // nothing left for the draft to rank
+            }
+
+            // A head with some history: its update count rotates the
+            // stratified sample.
+            let mut draft = DraftScorer::with_stat_features();
+            let all: Vec<usize> = (0..n).collect();
+            let targets: Vec<f32> = pop.iter().map(Recording::score).collect();
+            for _ in 0..prior_batches {
+                draft.score(&t, &pop);
+                draft.distill(&all, &targets);
+            }
+
+            let model = Recording(Default::default());
+            let mut stats = SearchStats::default();
+            let order = Searcher::new(&t, &policy, &model, &config)
+                .with_draft(&mut draft)
+                .rank(&mut pop, generation, m_target, is_final, &mut stats);
+
+            // The pool was only lent.
+            prop_assert_eq!(&pop, &before);
+            // A permutation of the pool.
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, all);
+            // One model call, over exactly `keep` candidates: the ones
+            // ranked first, best-first by the model's own scores.
+            let asked = model.0.into_inner();
+            prop_assert_eq!(asked.len(), 1);
+            prop_assert_eq!(stats.full_scored, keep as u64);
+            prop_assert_eq!(stats.draft_scored, (n - keep) as u64);
+            let verified = &order[..keep];
+            let mut expected: Vec<u64> = verified.iter().map(|&i| pop[i].fingerprint()).collect();
+            let mut got = asked[0].clone();
+            expected.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, expected);
+            prop_assert!(verified
+                .windows(2)
+                .all(|w| Recording::score(&pop[w[0]]) >= Recording::score(&pop[w[1]])));
+            // Last generation's verified elites lead the pool and are
+            // re-verified, so a draft miss cannot evict them.
+            if generation >= 2 {
+                let carried = (keep / 4).min((n / 4).max(2));
+                prop_assert!((0..carried).all(|i| verified.contains(&i)));
+            }
+            // And the head learned from that one verified slice.
+            prop_assert_eq!(draft.updates(), prior_batches as u64 + 1);
+        }
     }
 
     #[test]
     fn seeded_search_reproduces_the_pinned_outcome() {
         // Literals captured at the commit before the population became
-        // parallel decision/sequence vectors: same RNG draws, same
-        // population order, same outcome, with and without speculation.
+        // parallel decision/sequence vectors, and held since — through
+        // extract-once drafting and the lent verified slice: same RNG
+        // draws, same population order, same outcome, at full keep (the
+        // score-everything search) and at a quarter.
         let t = task();
         let fp =
             |c: &[Candidate]| -> Vec<u64> { c.iter().map(|x| x.sequence.fingerprint()).collect() };
         let config = EvolutionConfig {
             population: 32,
             generations: 3,
+            speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         };
-        let plain = search(&t, &RandomModel::new(3), &config, 6, 41);
+        let mut draft = DraftScorer::with_stat_features();
+        let mut rng = SmallRng::seed_from_u64(41);
+        let plain = Searcher::new(&t, &SketchPolicy::cpu(), &RandomModel::new(3), &config)
+            .with_draft(&mut draft)
+            .run(6, &mut rng);
+        assert_eq!(
+            draft.updates(),
+            0,
+            "a head no ranking consults is not trained"
+        );
         assert_eq!(
             fp(&plain.candidates),
             [
@@ -748,7 +792,6 @@ mod tests {
 
         let spec_config = EvolutionConfig {
             speculative: SpecConfig {
-                enabled: true,
                 draft_keep: 0.25,
                 warmup_full_generations: 1,
             },
@@ -780,6 +823,11 @@ mod tests {
                 draft_accepted: 9,
                 draft_checked: 18,
             }
+        );
+        assert_eq!(
+            draft.updates(),
+            4,
+            "one warm-up pool, three verified slices"
         );
     }
 }

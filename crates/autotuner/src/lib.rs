@@ -11,9 +11,11 @@
 //!   crate);
 //! - [`Searcher`]: cost-model-guided evolution over candidates, returning a
 //!   [`SearchOutcome`] of ranked candidates plus [`SearchStats`] accounting;
-//! - [`DraftScorer`]: the near-free draft half of draft-then-verify
-//!   speculative search — a ~1K-parameter head distilled online from the
-//!   full model's own scores, gated behind [`EvolutionConfig::speculative`];
+//! - [`DraftScorer`]: the near-free draft half of draft-then-verify search
+//!   — a small per-task head distilled online from the full model's own
+//!   scores ranks every pool, and the full model verifies the slice
+//!   [`EvolutionConfig::speculative`] sizes (a quarter by default;
+//!   `draft_keep: 1.0` scores everything);
 //! - [`Measurer`]: "hardware" measurement against the simulator, charging
 //!   simulated search time — fault-tolerant via typed [`MeasureError`]s,
 //!   bounded retry with backoff, and MAD-median outlier rejection when a

@@ -146,15 +146,6 @@ impl TuningReport {
             .find(|r| r.seeded && r.workload_latency_s <= target)
             .map(|r| r.search_time_s)
     }
-
-    /// Per-round draft-acceptance rates (0 for rounds where speculation
-    /// never ranked a pool).
-    pub fn draft_acceptance_per_round(&self) -> Vec<f64> {
-        self.rounds
-            .iter()
-            .map(|r| r.stats.draft_acceptance())
-            .collect()
-    }
 }
 
 /// Tunes every subgraph of `network` for `platform` with the given cost model.
@@ -162,42 +153,30 @@ impl TuningReport {
 /// The first pass gives each task one round (the paper's "minimum times");
 /// remaining rounds go to the task with the largest weighted best latency —
 /// the simple impact-based task scheduler.
+///
+/// Rankings draft with per-task heads over the built-in schedule
+/// statistics, shared by all rounds of this run. Callers with a
+/// higher-fidelity feature set (e.g. the TLP extractor), or a scorer to
+/// reuse across runs, pass their own to [`tune_network_with_draft`].
 pub fn tune_network(
     network: &Network,
     platform: &Platform,
     model: &mut dyn CostModel,
     opts: &TuningOptions,
 ) -> TuningReport {
-    if opts.evolution.speculative.enabled {
-        // Default draft: the built-in schedule-statistics features. Callers
-        // with a higher-fidelity feature set (e.g. the TLP extractor) pass
-        // their own scorer through [`tune_network_with_draft`].
-        let mut draft = DraftScorer::with_stat_features();
-        tune_impl(network, platform, model, opts, Some(&mut draft))
-    } else {
-        tune_impl(network, platform, model, opts, None)
-    }
+    let mut draft = DraftScorer::with_stat_features();
+    tune_network_with_draft(network, platform, model, opts, &mut draft)
 }
 
-/// Like [`tune_network`], sharing the caller's [`DraftScorer`] across all
-/// rounds — the warm-up progress and distilled weights persist in it, so a
-/// scorer can even be reused across tuning runs.
+/// Like [`tune_network`], drafting with the caller's [`DraftScorer`]: the
+/// warm-up progress and distilled weights persist in it, so a scorer can
+/// even be reused across tuning runs.
 pub fn tune_network_with_draft(
     network: &Network,
     platform: &Platform,
     model: &mut dyn CostModel,
     opts: &TuningOptions,
     draft: &mut DraftScorer,
-) -> TuningReport {
-    tune_impl(network, platform, model, opts, Some(draft))
-}
-
-fn tune_impl(
-    network: &Network,
-    platform: &Platform,
-    model: &mut dyn CostModel,
-    opts: &TuningOptions,
-    mut draft: Option<&mut DraftScorer>,
 ) -> TuningReport {
     let tasks = SearchTask::from_network(network, platform);
     let policy = if platform.is_gpu() {
@@ -232,23 +211,19 @@ fn tune_impl(
         let task = &tasks[ti];
 
         let wall = Instant::now();
-        let outcome = {
-            let mut searcher = Searcher::new(task, &policy, &*model, &opts.evolution);
-            if let Some(d) = draft.as_deref_mut() {
-                searcher = searcher.with_draft(d);
-            }
-            searcher.run(opts.programs_per_round * 2, &mut rng)
-        };
+        let outcome = Searcher::new(task, &policy, &*model, &opts.evolution)
+            .with_draft(draft)
+            .run(opts.programs_per_round * 2, &mut rng);
         let (candidates, round_stats) = (outcome.candidates, outcome.stats);
         search_stats.merge(&round_stats);
         measurer.clock.charge_real(wall.elapsed().as_secs_f64());
         // Charge the cost model's per-candidate pipeline cost for the
         // reference-scale candidate pool (the reduced evolution population
-        // stands in for Ansor's ~10k-sequence rounds). Under speculation
-        // only the verified fraction pays the full pipeline; draft-ranked
-        // candidates cost [`DRAFT_COST_RATIO`] of a full score. With no
-        // draft scoring the factor is exactly 1.0, keeping the
-        // speculation-off clock bit-identical.
+        // stands in for Ansor's ~10k-sequence rounds). Only the verified
+        // fraction pays the full pipeline; draft-ranked candidates cost
+        // [`DRAFT_COST_RATIO`] of a full score. With no draft scoring the
+        // factor is exactly 1.0, so the `draft_keep >= 1.0` clock is the
+        // score-everything clock.
         let scored = round_stats.full_scored + round_stats.draft_scored;
         let full_fraction = if scored == 0 {
             1.0

@@ -16,7 +16,9 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp_autotuner::{tune_network, EvolutionConfig, RandomModel, TuningOptions, TuningReport};
+use tlp_autotuner::{
+    tune_network, EvolutionConfig, RandomModel, SpecConfig, TuningOptions, TuningReport,
+};
 use tlp_bench::{print_table, write_json};
 use tlp_hwsim::{FaultRates, Platform};
 use tlp_workload::bert_tiny;
@@ -48,6 +50,9 @@ fn tune_at(rate: f64) -> TuningReport {
         evolution: EvolutionConfig {
             population: 24,
             generations: 1,
+            // The score-everything reference: BENCH_chaos.json tracks
+            // fault handling, not the draft.
+            speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         },
         nominal_pool: 10_000,

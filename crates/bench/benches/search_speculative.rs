@@ -1,237 +1,203 @@
-//! Draft-then-verify speculative search: full-model forward-pass savings at
-//! matched search quality (ISSUE 7 acceptance — ≥ 4x fewer full-model
-//! scores per round at equal-or-better final weighted latency).
+//! Draft-then-verify search quality at equal *rounds*: the default
+//! configuration (the draft head ranks every pool, the full model verifies
+//! a quarter) against the `draft_keep: 1.0` score-everything reference.
 //!
-//! Fig. 10-style comparison at an equal simulated search-time budget. The
-//! baseline arm tunes for a fixed number of rounds with every pool fully
-//! scored by the cost model (Ansor's online GBDT here — meaningful scores
-//! that evolve during the run, like the TLP model's, while keeping the
-//! bench fast); its total simulated search time becomes the budget. The
-//! speculative arm — a ~1K-parameter draft head over the frozen TLP feature
-//! block ranks every pool, the full model verifies only the top `draft_keep`
-//! slice, and the head is distilled online from the verified batches — pays
-//! the scoring pipeline only for verified candidates, so each of its rounds
-//! is cheaper and it fits more rounds into the same budget. Both arms are
-//! compared where the speculative arm's clock crosses that budget.
+//! Both arms tune the five test networks for six rounds per task with
+//! Ansor's online GBDT as the full model — meaningful scores that evolve
+//! during the run, like the TLP model's, while keeping the bench fast —
+//! over the same seeds. Nothing here reads a clock: final weighted latency
+//! comes from the hardware simulator and full-model passes are counted, so
+//! every number in `BENCH_search.json` repeats exactly and CI gates on them.
 //!
-//! Speculation is RNG-neutral per search, so round for round both arms draw
-//! identical candidate pools; the per-round reduction in full-model forward
-//! passes is a pure verification-budget ratio, not a search-behavior change.
-//!
-//! Writes `BENCH_search.json`.
+//! The decision rule, fixed before the matrix was run: the pooled
+//! geometric-mean latency ratio (default / reference) is at most
+//! [`POOLED_MAX`] **and** no network's is above [`NETWORK_MAX`].
 //!
 //! Run with `cargo bench -p tlp-bench --bench search_speculative`.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use tlp::search::{AnsorCostModel, TlpDraftFeatures};
-use tlp::FeatureExtractor;
+use tlp::search::AnsorCostModel;
 use tlp_autotuner::{
-    tune_network, tune_network_with_draft, DraftScorer, EvolutionConfig, SpecConfig, TuningOptions,
-    TuningReport,
+    tune_network, CostModel, DraftScorer, EvolutionConfig, SpecConfig, TuningOptions, TuningReport,
 };
 use tlp_bench::{print_table, write_json};
 use tlp_hwsim::Platform;
-use tlp_schedule::Vocabulary;
-use tlp_workload::bert_tiny;
+use tlp_workload::{test_networks, Network};
+
+const SEEDS: std::ops::Range<u64> = 0x5EED0..0x5EEDC;
+const ROUNDS_PER_TASK: usize = 6;
+const POOLED_MAX: f64 = 1.02;
+const NETWORK_MAX: f64 = 1.05;
 
 #[derive(Serialize)]
 struct SeedRow {
     seed: u64,
-    /// The baseline arm's total simulated search time — the shared budget.
-    budget_s: f64,
-    baseline_rounds: usize,
-    baseline_final_latency_ms: f64,
-    /// Full-model forward passes per round, baseline arm.
-    baseline_full_per_round: f64,
-    /// Rounds the speculative arm completed within the same budget.
-    spec_rounds_in_budget: usize,
-    /// Full-model forward passes per round over those rounds (warm-up
-    /// included).
-    spec_full_per_round: f64,
-    /// Per-round reduction in full-model forward passes.
-    full_model_reduction: f64,
-    /// Speculative arm's weighted workload latency when its clock crossed
-    /// the budget.
-    spec_latency_ms_at_budget: f64,
-    /// `spec at budget / baseline final`; ≤ 1 means speculation matched or
-    /// beat the fully-scored search inside the same time budget.
+    reference_final_latency_ms: f64,
+    default_final_latency_ms: f64,
+    /// `default / reference`; ≤ 1 means drafting matched or beat the
+    /// fully-scored search in the same number of rounds.
     latency_ratio: f64,
     draft_acceptance: f64,
-    /// How much faster the speculative arm reached the baseline's final
-    /// latency (budget / time-to-parity; 0 when never reached).
-    time_to_parity_speedup: f64,
+}
+
+#[derive(Serialize)]
+struct NetworkRows {
+    network: String,
+    tasks: usize,
+    rounds: usize,
+    /// Full-model forward passes per round, exact (equal across seeds).
+    reference_full_per_round: f64,
+    default_full_per_round: f64,
+    latency_ratio_geomean: f64,
+    rows: Vec<SeedRow>,
 }
 
 #[derive(Serialize)]
 struct Results {
-    network: String,
     platform: String,
-    /// The exact shared knobs of both arms (`speculative` shows the
-    /// speculative arm's draft settings; the baseline runs with it off).
+    model: String,
+    rounds_per_task: usize,
+    /// The default arm's knobs; the reference differs in `draft_keep: 1.0`.
     evolution: EvolutionConfig,
-    draft_params: usize,
     draft_features: String,
-    rows: Vec<SeedRow>,
-    mean_full_model_reduction: f64,
-    mean_latency_ratio: f64,
-    /// Per-round draft-acceptance rates from the first seed's speculative
-    /// arm, over its in-budget rounds (0 while the head warms up).
-    acceptance_per_round: Vec<f64>,
+    networks: Vec<NetworkRows>,
+    pooled_latency_ratio_geomean: f64,
+    pooled_max: f64,
+    network_max: f64,
+    rule_holds: bool,
 }
 
-const SEEDS: [u64; 3] = [0x5EED0, 0x5EED1, 0x5EED2];
-
-/// Extra rounds granted to the speculative arm; its clock — not this cap —
-/// decides how many count. Must exceed the expected per-round cost ratio.
-const SPEC_ROUND_FACTOR: usize = 8;
-
-fn options(rounds: usize, seed: u64, spec: SpecConfig) -> TuningOptions {
-    TuningOptions {
-        rounds,
-        programs_per_round: 10,
-        evolution: EvolutionConfig {
-            speculative: spec,
-            ..EvolutionConfig::default()
-        },
+fn tune(net: &Network, seed: u64, evolution: EvolutionConfig) -> TuningReport {
+    let opts = TuningOptions {
+        rounds: net.num_tasks() * ROUNDS_PER_TASK,
         seed,
+        evolution,
         ..TuningOptions::default()
-    }
+    };
+    tune_network(
+        net,
+        &Platform::i7_10510u(),
+        &mut AnsorCostModel::new(),
+        &opts,
+    )
 }
 
-/// The high-fidelity draft: a linear head over the frozen TLP feature block
-/// (the same extraction pipeline the full TLP model reads).
-fn tlp_draft() -> DraftScorer {
-    let extractor = FeatureExtractor::with_vocab(Vocabulary::builder().build(), 25, 22);
-    TlpDraftFeatures::new(extractor).into_scorer()
+fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = ratios.fold((0.0, 0), |(s, n), r| (s + r.ln(), n + 1));
+    (sum / n as f64).exp()
 }
 
-fn run_arm(rounds: usize, seed: u64, spec: SpecConfig) -> TuningReport {
-    let net = bert_tiny(1, 64);
-    let platform = Platform::i7_10510u();
-    let mut model = AnsorCostModel::new();
-    let opts = options(rounds, seed, spec);
-    if spec.enabled {
-        let mut draft = tlp_draft();
-        tune_network_with_draft(&net, &platform, &mut model, &opts, &mut draft)
-    } else {
-        tune_network(&net, &platform, &mut model, &opts)
-    }
+/// Full passes per round of a run, asserted equal across the seeds of one
+/// arm: the count depends on the round schedule, not on what was found.
+fn full_per_round(reports: &[TuningReport]) -> f64 {
+    let per = |r: &TuningReport| r.search.full_scored as f64 / r.rounds.len() as f64;
+    let first = per(&reports[0]);
+    assert!(
+        reports.iter().all(|r| per(r) == first),
+        "full passes per round differ between seeds"
+    );
+    first
 }
 
 fn main() {
-    let net = bert_tiny(1, 64);
-    let baseline_rounds = net.num_tasks() * 6;
-    let spec = SpecConfig {
-        enabled: true,
-        draft_keep: 0.12,
-        warmup_full_generations: 6,
+    let reference = EvolutionConfig {
+        speculative: SpecConfig::keeping(1.0),
+        ..EvolutionConfig::default()
     };
-
-    let mut rows = Vec::new();
-    let mut acceptance_per_round = Vec::new();
-    for seed in SEEDS {
-        let baseline = run_arm(baseline_rounds, seed, SpecConfig::OFF);
-        let speculative = run_arm(baseline_rounds * SPEC_ROUND_FACTOR, seed, spec);
-        let budget_s = baseline.total_search_time_s();
-
-        // The speculative arm's state when its simulated clock crossed the
-        // baseline's budget.
-        let within: Vec<_> = speculative
-            .rounds
-            .iter()
-            .take_while(|r| r.search_time_s <= budget_s)
+    let mut networks = Vec::new();
+    for net in test_networks() {
+        let (references, defaults): (Vec<_>, Vec<_>) = SEEDS
+            .map(|seed| {
+                (
+                    tune(&net, seed, reference),
+                    tune(&net, seed, EvolutionConfig::default()),
+                )
+            })
+            .unzip();
+        let rows: Vec<SeedRow> = SEEDS
+            .zip(references.iter().zip(&defaults))
+            .map(|(seed, (r, d))| SeedRow {
+                seed,
+                reference_final_latency_ms: r.final_latency_s() * 1e3,
+                default_final_latency_ms: d.final_latency_s() * 1e3,
+                latency_ratio: d.final_latency_s() / r.final_latency_s(),
+                draft_acceptance: d.search.draft_acceptance(),
+            })
             .collect();
-        assert!(
-            within.len() < speculative.rounds.len(),
-            "speculative arm never exhausted the budget; raise SPEC_ROUND_FACTOR"
-        );
-        let last = within.last().expect("spec arm fits at least one round");
-        let spec_full: u64 = within.iter().map(|r| r.stats.full_scored).sum();
-        let spec_full_per_round = spec_full as f64 / within.len() as f64;
-        let base_full_per_round = baseline.search.full_scored as f64 / baseline_rounds as f64;
-
-        if acceptance_per_round.is_empty() {
-            acceptance_per_round = within.iter().map(|r| r.stats.draft_acceptance()).collect();
-        }
-
-        let base_ms = baseline.final_latency_s() * 1e3;
-        let spec_ms = last.workload_latency_s * 1e3;
-        let parity = speculative.time_to_reach(baseline.final_latency_s());
-        rows.push(SeedRow {
-            seed,
-            budget_s,
-            baseline_rounds,
-            baseline_final_latency_ms: base_ms,
-            baseline_full_per_round: base_full_per_round,
-            spec_rounds_in_budget: within.len(),
-            spec_full_per_round,
-            full_model_reduction: base_full_per_round / spec_full_per_round,
-            spec_latency_ms_at_budget: spec_ms,
-            latency_ratio: spec_ms / base_ms,
-            draft_acceptance: speculative.search.draft_acceptance(),
-            time_to_parity_speedup: parity.map_or(0.0, |t| budget_s / t.max(1e-9)),
+        eprintln!("[search_speculative] {} done", net.name);
+        networks.push(NetworkRows {
+            network: net.name.clone(),
+            tasks: net.num_tasks(),
+            rounds: net.num_tasks() * ROUNDS_PER_TASK,
+            reference_full_per_round: full_per_round(&references),
+            default_full_per_round: full_per_round(&defaults),
+            latency_ratio_geomean: geomean(rows.iter().map(|r| r.latency_ratio)),
+            rows,
         });
     }
 
+    let ratios = |n: &NetworkRows| -> Vec<f64> { n.rows.iter().map(|r| r.latency_ratio).collect() };
     print_table(
-        "draft-then-verify speculative search at equal simulated-time budget",
+        "draft-then-verify (default) vs score-everything (draft_keep 1.0) at equal rounds",
         &[
-            "seed",
-            "budget s",
-            "rounds base",
-            "rounds spec",
-            "full/rnd base",
-            "full/rnd spec",
-            "reduction",
+            "network",
+            "tasks",
+            "rounds",
+            "full/rnd ref",
+            "full/rnd default",
+            "ratio geomean",
+            "ratio min",
+            "ratio max",
             "acceptance",
-            "base ms",
-            "spec ms",
-            "ratio",
-            "parity speedup",
         ],
-        &rows
+        &networks
             .iter()
-            .map(|r| {
+            .map(|n| {
+                let r = ratios(n);
                 vec![
-                    format!("{:#x}", r.seed),
-                    format!("{:.0}", r.budget_s),
-                    r.baseline_rounds.to_string(),
-                    r.spec_rounds_in_budget.to_string(),
-                    format!("{:.0}", r.baseline_full_per_round),
-                    format!("{:.0}", r.spec_full_per_round),
-                    format!("{:.2}x", r.full_model_reduction),
-                    format!("{:.1}%", r.draft_acceptance * 100.0),
-                    format!("{:.4}", r.baseline_final_latency_ms),
-                    format!("{:.4}", r.spec_latency_ms_at_budget),
-                    format!("{:.3}", r.latency_ratio),
-                    format!("{:.1}x", r.time_to_parity_speedup),
+                    n.network.clone(),
+                    n.tasks.to_string(),
+                    n.rounds.to_string(),
+                    format!("{:.0}", n.reference_full_per_round),
+                    format!("{:.0}", n.default_full_per_round),
+                    format!("{:.3}", n.latency_ratio_geomean),
+                    format!("{:.3}", r.iter().copied().fold(f64::INFINITY, f64::min)),
+                    format!("{:.3}", r.iter().copied().fold(0.0, f64::max)),
+                    format!(
+                        "{:.1}%",
+                        100.0 * n.rows.iter().map(|r| r.draft_acceptance).sum::<f64>()
+                            / n.rows.len() as f64
+                    ),
                 ]
             })
             .collect::<Vec<_>>(),
     );
 
-    let mean_reduction =
-        rows.iter().map(|r| r.full_model_reduction).sum::<f64>() / rows.len() as f64;
-    let mean_ratio = rows.iter().map(|r| r.latency_ratio).sum::<f64>() / rows.len() as f64;
+    let pooled = geomean(networks.iter().flat_map(ratios));
+    let rule_holds = pooled <= POOLED_MAX
+        && networks
+            .iter()
+            .all(|n| n.latency_ratio_geomean <= NETWORK_MAX);
     println!(
-        "\nmean full-model reduction {mean_reduction:.2}x/round, mean latency ratio at budget {mean_ratio:.3}"
+        "\npooled latency ratio geomean {pooled:.4} (rule: pooled <= {POOLED_MAX}, every network <= {NETWORK_MAX}): {}",
+        if rule_holds { "holds" } else { "NOT MET" }
     );
 
-    let draft = tlp_draft();
     write_json(
         "BENCH_search",
         &Results {
-            network: net.name.clone(),
             platform: Platform::i7_10510u().name.clone(),
-            evolution: options(baseline_rounds, 0, spec).evolution,
-            draft_params: draft.param_count(),
-            draft_features: draft.feature_name().to_string(),
-            rows,
-            mean_full_model_reduction: mean_reduction,
-            mean_latency_ratio: mean_ratio,
-            acceptance_per_round,
+            model: AnsorCostModel::new().name().to_string(),
+            rounds_per_task: ROUNDS_PER_TASK,
+            evolution: EvolutionConfig::default(),
+            draft_features: DraftScorer::with_stat_features().feature_name().to_string(),
+            networks,
+            pooled_latency_ratio_geomean: pooled,
+            pooled_max: POOLED_MAX,
+            network_max: NETWORK_MAX,
+            rule_holds,
         },
     );
 }

@@ -12,7 +12,9 @@ use tlp::features::FeatureExtractor;
 use tlp::search::{AnsorCostModel, MtlTlpScorer, TenSetMlpCostModel, TlpCostModel};
 use tlp::train::{train_mtl, train_tlp, TrainData};
 use tlp::{FeatureModel, TlpModel};
-use tlp_autotuner::{tune_network, CostModel, EvolutionConfig, TuningOptions, TuningReport};
+use tlp_autotuner::{
+    tune_network, CostModel, EvolutionConfig, SpecConfig, TuningOptions, TuningReport,
+};
 use tlp_hwsim::Platform;
 use tlp_workload::test_networks;
 
@@ -58,6 +60,9 @@ fn tuning_options(num_tasks: usize) -> TuningOptions {
         evolution: EvolutionConfig {
             population: 24,
             generations: 2,
+            // Figs. 10–13 compare cost models, so every candidate is scored
+            // by the model under test: the score-everything reference.
+            speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         },
         nominal_pool: 10_000,

@@ -352,15 +352,8 @@ impl DraftFeatures for TlpDraftFeatures {
         self.extractor.feature_size()
     }
 
-    fn extract_into(
-        &mut self,
-        _task: &SearchTask,
-        pop: &[ScheduleSequence],
-        idx: &[usize],
-        out: &mut Vec<f32>,
-    ) {
-        self.extractor
-            .extract_batch_into(idx.iter().map(|&i| &pop[i]), &mut self.buf);
+    fn extract_into(&mut self, _task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
+        self.extractor.extract_batch_into(pop, &mut self.buf);
         out.extend_from_slice(self.buf.data());
     }
 
@@ -521,26 +514,28 @@ mod tests {
         let mut feats = TlpDraftFeatures::new(ex.clone());
         assert_eq!(feats.dim(), ex.feature_size());
         let mut out = Vec::new();
-        feats.extract_into(&t, &pop, &[2, 0], &mut out);
-        assert_eq!(out.len(), 2 * ex.feature_size());
-        // Row 0 must be candidate 2's extractor block, verbatim.
+        feats.extract_into(&t, &pop, &mut out);
+        assert_eq!(out.len(), pop.len() * ex.feature_size());
+        // Row 2 must be candidate 2's extractor block, verbatim.
         let mut buf = FeatureBuf::new();
         ex.extract_batch_into(std::slice::from_ref(&pop[2]), &mut buf);
-        assert_eq!(&out[..ex.feature_size()], buf.data());
+        assert_eq!(
+            &out[2 * ex.feature_size()..3 * ex.feature_size()],
+            buf.data()
+        );
 
         // And the scorer wrapper distills/scores deterministically.
         let mut a = TlpDraftFeatures::new(ex.clone()).into_scorer();
         let mut b = TlpDraftFeatures::new(ex).into_scorer();
-        assert!(a.param_count() > pop.len());
         let idx: Vec<usize> = (0..pop.len()).collect();
         let targets: Vec<f32> = (0..pop.len()).map(|i| -(i as f32)).collect();
         for _ in 0..3 {
-            a.distill(&t, &pop, &idx, &targets);
-            b.distill(&t, &pop, &idx, &targets);
+            a.score(&t, &pop);
+            a.distill(&idx, &targets);
+            b.score(&t, &pop);
+            b.distill(&idx, &targets);
         }
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        a.score_into(&t, &pop, &mut sa);
-        b.score_into(&t, &pop, &mut sb);
+        let (sa, sb) = (a.score(&t, &pop), b.score(&t, &pop));
         assert_eq!(sa, sb, "online distillation is deterministic");
         assert!(sa.iter().all(|s| s.is_finite()));
     }

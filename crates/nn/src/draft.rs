@@ -56,6 +56,31 @@ fn hash_unit(i: u64, tag: u64) -> f32 {
     ((h >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0) as f32
 }
 
+/// One [`TinyHead::forward`] over a feature batch: the scores the draft
+/// ranks by and the hidden activations behind them, kept so that
+/// [`TinyHead::distill`] over rows of the same batch recomputes neither.
+/// Owned by the caller, so its buffers are reused from pass to pass.
+#[derive(Clone, Debug, Default)]
+pub struct DraftPass {
+    scores: Vec<f32>,
+    /// `tanh(x W₁ + b₁)`, `n × DRAFT_HIDDEN` row-major.
+    hidden: Vec<f32>,
+    /// `hidden · w₂` before it is folded into `scores`.
+    interact: Vec<f32>,
+    /// Distillation scratch: standardized targets and the violated pairs
+    /// (as batch rows).
+    z: Vec<f32>,
+    violations: Vec<(usize, usize)>,
+}
+
+impl DraftPass {
+    /// One score per row of the batch last passed to [`TinyHead::forward`]
+    /// (empty once a distillation step has spent the pass).
+    pub fn scores(&self) -> &[f32] {
+        &self.scores
+    }
+}
+
 /// A two-layer draft scorer:
 /// `score = w · x + w₂ · tanh(W₁ x + b₁) + b` over `dim`-wide features.
 ///
@@ -101,65 +126,61 @@ impl TinyHead {
         }
     }
 
-    /// Feature width the head was built for.
-    pub fn dim(&self) -> usize {
-        self.w.len()
-    }
-
-    /// Trainable parameter count (`dim` direct weights + hidden read-out
-    /// weights + 1 bias). The frozen projection is not counted: it never
-    /// receives an update.
-    pub fn param_count(&self) -> usize {
-        self.w.len() + self.w2.len() + 1
-    }
-
     /// Distillation batches absorbed so far.
     pub fn updates(&self) -> u64 {
         self.updates
     }
 
-    /// Hidden activations `tanh(x W₁ + b₁)` for `n` feature rows, through
-    /// the same blocked [`gemm`] kernel as every other matmul.
-    fn hidden(&self, features: &[f32], n: usize) -> Vec<f32> {
-        let mut h = vec![0.0f32; n * DRAFT_HIDDEN];
-        gemm(features, &self.w1, &mut h, n, self.w.len(), DRAFT_HIDDEN);
-        for row in h.chunks_exact_mut(DRAFT_HIDDEN) {
-            for (v, &bias) in row.iter_mut().zip(&self.b1) {
-                *v = (*v + bias).tanh();
-            }
-        }
-        h
-    }
-
     /// Scores `n` candidates whose features are packed row-major in
-    /// `features` (`n × dim`), appending one score per candidate to `out`.
+    /// `features` (`n × dim`) into `pass`, replacing what it held.
     ///
-    /// Both the direct path and the hidden read-out run through the blocked
-    /// [`gemm`] kernel, so drafting reuses the same fixed-accumulation
-    /// contract as the full model's forward pass.
+    /// The direct path, the hidden layer and its read-out all run through
+    /// the blocked [`gemm`] kernel, so drafting shares the full model's
+    /// fixed-accumulation contract: a row's score does not depend on which
+    /// other rows are in the batch.
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != n × dim`.
-    pub fn predict_into(&self, features: &[f32], n: usize, out: &mut Vec<f32>) {
+    pub fn forward(&self, features: &[f32], n: usize, pass: &mut DraftPass) {
+        let dim = self.w.len();
         assert_eq!(
             features.len(),
-            n * self.w.len(),
+            n * dim,
             "draft feature batch shape mismatch"
         );
-        let base = out.len();
-        out.resize(base + n, 0.0);
-        gemm(features, &self.w, &mut out[base..], n, self.w.len(), 1);
-        let h = self.hidden(features, n);
-        let mut interact = vec![0.0f32; n];
-        gemm(&h, &self.w2, &mut interact, n, DRAFT_HIDDEN, 1);
-        for (s, hi) in out[base..].iter_mut().zip(&interact) {
+        pass.scores.clear();
+        pass.scores.resize(n, 0.0);
+        gemm(features, &self.w, &mut pass.scores, n, dim, 1);
+        pass.hidden.clear();
+        pass.hidden.resize(n * DRAFT_HIDDEN, 0.0);
+        gemm(features, &self.w1, &mut pass.hidden, n, dim, DRAFT_HIDDEN);
+        for row in pass.hidden.chunks_exact_mut(DRAFT_HIDDEN) {
+            for (v, &bias) in row.iter_mut().zip(&self.b1) {
+                *v = (*v + bias).tanh();
+            }
+        }
+        pass.interact.clear();
+        pass.interact.resize(n, 0.0);
+        gemm(
+            &pass.hidden,
+            &self.w2,
+            &mut pass.interact,
+            n,
+            DRAFT_HIDDEN,
+            1,
+        );
+        for (s, hi) in pass.scores.iter_mut().zip(&pass.interact) {
             *s += hi + self.b;
         }
     }
 
     /// One online distillation step: fits the head toward the full model's
-    /// *ranking* of the `n` feature rows with a pairwise margin update.
+    /// *ranking* of the batch rows `rows` (`targets[j]` is the full model's
+    /// score for row `rows[j]`) with a pairwise margin update. `pass` must
+    /// be this head's [`forward`](TinyHead::forward) over `features` at its
+    /// current weights; the step spends it (the weights it was computed at
+    /// are gone), leaving its scores empty.
     ///
     /// Targets are standardized per batch (zero mean, unit variance) first:
     /// raw transformer scores drift in scale as the model updates online,
@@ -183,63 +204,72 @@ impl TinyHead {
     ///
     /// # Panics
     ///
-    /// Panics if `features.len() != n × dim` or `targets.len() != n`.
-    pub fn distill(&mut self, features: &[f32], targets: &[f32], n: usize, base_lr: f32) {
+    /// Panics if `rows` and `targets` differ in length, a row lies outside
+    /// the pass, or the pass is spent or was not computed over `features`.
+    pub fn distill(
+        &mut self,
+        features: &[f32],
+        pass: &mut DraftPass,
+        rows: &[usize],
+        targets: &[f32],
+        base_lr: f32,
+    ) {
+        let dim = self.w.len();
+        let n = pass.scores.len();
         assert_eq!(
             features.len(),
-            n * self.w.len(),
-            "draft feature batch shape mismatch"
+            n * dim,
+            "draft pass spent or over other features"
         );
-        assert_eq!(targets.len(), n, "draft target batch shape mismatch");
-        if n == 0 {
+        assert_eq!(targets.len(), rows.len(), "draft target batch shape");
+        assert!(rows.iter().all(|&r| r < n), "draft row outside the pass");
+        if rows.is_empty() {
             return;
         }
-        let dim = self.w.len();
         // Standardize targets (ascending-index accumulation, deterministic).
+        let count = rows.len() as f32;
         let mut mean = 0.0f32;
         for &t in targets {
             mean += t;
         }
-        mean /= n as f32;
+        mean /= count;
         let mut var = 0.0f32;
         for &t in targets {
             let d = t - mean;
             var += d * d;
         }
-        var /= n as f32;
+        var /= count;
         let inv_sd = if var > 0.0 { 1.0 / var.sqrt() } else { 0.0 };
-        let z: Vec<f32> = targets.iter().map(|&t| (t - mean) * inv_sd).collect();
-
-        // Forward through the same gemm path as predict_into; keep the
-        // hidden activations for the w₂ update.
-        let mut pred = Vec::with_capacity(n);
-        self.predict_into(features, n, &mut pred);
-        let h = self.hidden(features, n);
+        pass.z.clear();
+        pass.z.extend(targets.iter().map(|&t| (t - mean) * inv_sd));
 
         // Margin-violated pairs, ascending (i, j) order for determinism.
-        let mut violations: Vec<(usize, usize)> = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if z[i] > z[j] + RANK_GAP && pred[i] - pred[j] < 1.0 {
-                    violations.push((i, j));
+        let (z, pred) = (&pass.z, &pass.scores);
+        pass.violations.clear();
+        for (i, &ri) in rows.iter().enumerate() {
+            for (j, &rj) in rows.iter().enumerate() {
+                if z[i] > z[j] + RANK_GAP && pred[ri] - pred[rj] < 1.0 {
+                    pass.violations.push((ri, rj));
                 }
             }
         }
         let decay = (1.0 + self.updates.min(LR_DECAY_FLOOR_BATCHES) as f32).sqrt();
-        let scale = (base_lr / decay) / violations.len().max(1) as f32;
-        for (i, j) in violations {
-            let hi_x = &features[i * dim..(i + 1) * dim];
-            let lo_x = &features[j * dim..(j + 1) * dim];
+        let scale = (base_lr / decay) / pass.violations.len().max(1) as f32;
+        let h = &pass.hidden;
+        for &(hi, lo) in &pass.violations {
+            let hi_x = &features[hi * dim..(hi + 1) * dim];
+            let lo_x = &features[lo * dim..(lo + 1) * dim];
             for ((wk, &xh), &xl) in self.w.iter_mut().zip(hi_x).zip(lo_x) {
                 *wk += scale * (xh - xl);
             }
-            let hi_h = &h[i * DRAFT_HIDDEN..(i + 1) * DRAFT_HIDDEN];
-            let lo_h = &h[j * DRAFT_HIDDEN..(j + 1) * DRAFT_HIDDEN];
+            let hi_h = &h[hi * DRAFT_HIDDEN..(hi + 1) * DRAFT_HIDDEN];
+            let lo_h = &h[lo * DRAFT_HIDDEN..(lo + 1) * DRAFT_HIDDEN];
             for ((wk, &ah), &al) in self.w2.iter_mut().zip(hi_h).zip(lo_h) {
                 *wk += scale * (ah - al);
             }
         }
         self.updates += 1;
+        pass.scores.clear();
     }
 }
 
@@ -252,10 +282,23 @@ mod tests {
         (0..n * dim).map(|i| f(i / dim, i % dim)).collect()
     }
 
+    fn predict(h: &TinyHead, feats: &[f32], n: usize) -> Vec<f32> {
+        let mut pass = DraftPass::default();
+        h.forward(feats, n, &mut pass);
+        pass.scores().to_vec()
+    }
+
+    /// One forward + distillation step over every row of the batch.
+    fn absorb(h: &mut TinyHead, feats: &[f32], targets: &[f32], lr: f32) {
+        let rows: Vec<usize> = (0..targets.len()).collect();
+        let mut pass = DraftPass::default();
+        h.forward(feats, rows.len(), &mut pass);
+        h.distill(feats, &mut pass, &rows, targets, lr);
+    }
+
     /// Fraction of meaningfully-gapped pairs the head orders like `targets`.
     fn concordance(h: &TinyHead, feats: &[f32], targets: &[f32], n: usize) -> (u32, u32) {
-        let mut pred = Vec::new();
-        h.predict_into(feats, n, &mut pred);
+        let pred = predict(h, feats, n);
         let (mut pairs, mut concordant) = (0u32, 0u32);
         for a in 0..n {
             for b in a + 1..n {
@@ -274,9 +317,7 @@ mod tests {
     #[test]
     fn zero_head_scores_uniformly() {
         let h = TinyHead::new(4);
-        assert_eq!(h.param_count(), 4 + DRAFT_HIDDEN + 1);
-        let mut out = Vec::new();
-        h.predict_into(&rows(3, 4, |i, j| (i + j) as f32), 3, &mut out);
+        let out = predict(&h, &rows(3, 4, |i, j| (i + j) as f32), 3);
         assert_eq!(out, vec![0.0; 3]);
     }
 
@@ -303,7 +344,7 @@ mod tests {
             })
             .collect();
         for _ in 0..300 {
-            h.distill(&feats, &targets, n, 0.5);
+            absorb(&mut h, &feats, &targets, 0.5);
         }
         let (pairs, concordant) = concordance(&h, &feats, &targets, n);
         assert!(pairs > 50, "degenerate target spread ({pairs} pairs)");
@@ -327,7 +368,7 @@ mod tests {
         let targets: Vec<f32> = feats.chunks_exact(dim).map(|r| r[0] * r[1]).collect();
         let mut h = TinyHead::new(dim);
         for _ in 0..600 {
-            h.distill(&feats, &targets, n, 0.5);
+            absorb(&mut h, &feats, &targets, 0.5);
         }
         let (pairs, concordant) = concordance(&h, &feats, &targets, n);
         assert!(pairs > 100, "degenerate target spread ({pairs} pairs)");
@@ -338,19 +379,57 @@ mod tests {
     }
 
     #[test]
-    fn distillation_is_deterministic() {
-        let dim = 5;
-        let feats = rows(16, dim, |i, j| ((i * 3 + j) % 7) as f32);
-        let targets: Vec<f32> = (0..16).map(|i| (i % 5) as f32).collect();
-        let run = || {
-            let mut h = TinyHead::new(dim);
-            for _ in 0..10 {
-                h.distill(&feats, &targets, 16, 0.1);
-            }
-            h
-        };
-        assert_eq!(run(), run());
-        assert_eq!(run().updates(), 10);
+    fn distilling_rows_of_a_pass_equals_distilling_the_gathered_batch() {
+        // The search scores a whole pool once and distills from the rows
+        // the full model verified. `gemm` fixes each row's accumulation
+        // order, so that must move the weights exactly as gathering those
+        // rows into a batch of their own does — which is what the digest,
+        // captured at the commit where every step did gather and re-run
+        // the forward, pins.
+        let (n, dim) = (24, 7);
+        let feats = rows(n, dim, |i, j| {
+            ((i * dim + j) as u32).wrapping_mul(2654435761) as f32 / u32::MAX as f32 * 2.0 - 1.0
+        });
+        let mut shared = TinyHead::new(dim);
+        let mut gathered = TinyHead::new(dim);
+        let mut pass = DraftPass::default();
+        for step in 0..12 {
+            let kept: Vec<usize> = (step % 5..n).step_by(step % 3 + 2).collect();
+            let targets: Vec<f32> = kept
+                .iter()
+                .map(|&r| feats[r * dim] * feats[r * dim + 1] + 0.05 * r as f32)
+                .collect();
+            shared.forward(&feats, n, &mut pass);
+            shared.distill(&feats, &mut pass, &kept, &targets, 0.2);
+            let batch: Vec<f32> = kept
+                .iter()
+                .flat_map(|&r| feats[r * dim..(r + 1) * dim].iter().copied())
+                .collect();
+            absorb(&mut gathered, &batch, &targets, 0.2);
+        }
+        assert_eq!(shared, gathered);
+        assert_eq!(shared.updates(), 12);
+        let digest = shared
+            .w
+            .iter()
+            .chain(&shared.w2)
+            .chain([&shared.b])
+            .fold(0xcbf2_9ce4_8422_2325_u64, |d, v| {
+                (d ^ v.to_bits() as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0xdbb9_ae16_afd4_a6fd, "got {digest:#x}");
+    }
+
+    #[test]
+    #[should_panic(expected = "draft pass spent")]
+    fn a_pass_is_spent_by_the_step_it_feeds() {
+        let feats = rows(4, 3, |i, j| (i * 3 + j) as f32);
+        let mut h = TinyHead::new(3);
+        let mut pass = DraftPass::default();
+        h.forward(&feats, 4, &mut pass);
+        h.distill(&feats, &mut pass, &[0, 2], &[1.0, 2.0], 0.1);
+        // The scores in `pass` predate the update: reusing it is a bug.
+        h.distill(&feats, &mut pass, &[0, 2], &[1.0, 2.0], 0.1);
     }
 
     #[test]
@@ -358,10 +437,12 @@ mod tests {
         let dim = 3;
         let mut h = TinyHead::new(dim);
         let feats = rows(8, dim, |i, j| (i + j) as f32);
-        h.distill(&feats, &[2.5; 8], 8, 0.5);
-        let mut out = Vec::new();
-        h.predict_into(&feats, 8, &mut out);
-        assert_eq!(out, vec![0.0; 8], "zero-variance batch must not move w");
+        absorb(&mut h, &feats, &[2.5; 8], 0.5);
+        assert_eq!(
+            predict(&h, &feats, 8),
+            vec![0.0; 8],
+            "zero-variance batch must not move w"
+        );
         assert_eq!(h.updates(), 1);
     }
 

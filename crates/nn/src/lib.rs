@@ -51,7 +51,7 @@ pub mod params;
 pub mod tensor;
 pub mod workspace;
 
-pub use draft::TinyHead;
+pub use draft::{DraftPass, TinyHead};
 pub use graph::{Graph, Var};
 pub use infer::{ragged_tail_sums, Ragged, RowInterner, PAD_ROW};
 pub use kernels::Epilogue;

@@ -41,10 +41,12 @@ echo "==> system benchmark (own workspace: cargo test --workspace never compiles
 cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml
 
 if command -v jq >/dev/null 2>&1; then
-    echo "==> system benchmark count gate (exact counts on all four workloads)"
+    echo "==> system benchmark count gate (exact counts on all four workloads; tune_search 6168 generated / 3840 full-scored)"
     bash scripts/sysbench-gate.sh
+    echo "==> search quality gate (committed BENCH_search.json from the search_speculative bench)"
+    bash scripts/search-quality-gate.sh
 else
-    echo "==> jq not installed; skipping the system benchmark count gate"
+    echo "==> jq not installed; skipping the system benchmark count gate and the search quality gate"
 fi
 
 if [ "$status" -ne 0 ]; then

@@ -1,16 +1,21 @@
-//! Speculative (draft-then-verify) search properties: RNG-neutrality of the
-//! speculation knobs, monotone full-model savings in `draft_keep`, and
-//! determinism of the online-distilled draft scorer.
+//! Draft-then-verify search properties: `draft_keep: 1.0` is the
+//! score-everything search, full-model savings are monotone in `draft_keep`,
+//! the candidate stream never depends on the draft, and results do not
+//! depend on how the full model batches or caches.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use tlp::engine::EngineConfig;
+use tlp::search::TlpScorer;
+use tlp::{FeatureExtractor, FeatureModel, TlpConfig, TlpModel};
 use tlp_autotuner::{
     tune_network, tune_network_with_draft, DraftScorer, EvolutionConfig, RandomModel, SearchTask,
     Searcher, SketchPolicy, SpecConfig, TuningOptions, TuningReport,
 };
 use tlp_hwsim::Platform;
+use tlp_schedule::Vocabulary;
 use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
 
 fn dense_task() -> SearchTask {
@@ -73,38 +78,100 @@ fn outcome_fingerprint(r: &TuningReport) -> String {
         .join("|")
 }
 
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |d, b| {
+        (d ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
-fn speculation_off_and_full_keep_are_bit_identical() {
-    // `enabled: false` and `draft_keep >= 1.0` must both reproduce the
-    // non-speculative search exactly: same candidates, same measurements,
-    // same per-round stats. The full-keep arm still distills its draft head
-    // (that work is invisible to the RNG stream and the report).
+fn full_keep_is_the_score_everything_search_and_trains_no_head() {
+    // `draft_keep >= 1.0` reproduces the search that never drafted: the
+    // digest was captured from the off switch at the last commit that
+    // had an off switch. The lent scorer comes back without a head.
     let net = bert_tiny(1, 64);
     let platform = Platform::i7_10510u();
-
     let mut model = RandomModel::new(8);
-    let off = tune_network(&net, &platform, &mut model, &opts(SpecConfig::OFF));
-
-    let mut model = RandomModel::new(8);
-    let full_keep = tune_network(
+    let mut draft = DraftScorer::with_stat_features();
+    let full_keep = tune_network_with_draft(
         &net,
         &platform,
         &mut model,
-        &opts(SpecConfig {
-            enabled: true,
-            draft_keep: 1.0,
-            warmup_full_generations: 0,
-        }),
+        &opts(SpecConfig::keeping(1.0)),
+        &mut draft,
     );
-
+    let digest = fnv(&outcome_fingerprint(&full_keep));
+    assert_eq!(digest, 0x2598_642f_4944_91fa, "got {digest:#x}");
+    assert_eq!(full_keep.search.draft_scored, 0);
+    assert_eq!(full_keep.search.draft_checked, 0);
+    assert_eq!(full_keep.search.full_scored, 9 * 16 * 3);
     assert_eq!(
-        outcome_fingerprint(&off),
-        outcome_fingerprint(&full_keep),
-        "draft_keep = 1.0 must be bit-identical to speculation off"
+        draft.updates(),
+        0,
+        "a head no ranking consults is not trained"
     );
-    assert_eq!(off.search.draft_scored, 0);
-    assert_eq!(off.search.draft_checked, 0);
-    assert!(off.search.full_scored > 0);
+}
+
+#[test]
+fn the_default_is_the_single_cause_of_the_sysbench_gate_rebaseline() {
+    // `scripts/sysbench-gate.sh` runs `tune_search --smoke --seed 1`: 12
+    // rounds of default options on BERT-tiny. Its `search.full_scored`
+    // literal moved 7680 -> 3840 with the default; at full keep the same
+    // configuration still counts what the gate counted before. (Counts do
+    // not depend on the model: each task's first round scores two warm-up
+    // pools whole, 2·128 + 2·32 + 64, every later round 4·32 + 64.)
+    let net = bert_tiny(1, 128);
+    let platform = Platform::i7_10510u();
+    let counts = |speculative: SpecConfig| {
+        let options = TuningOptions {
+            rounds: 12,
+            seed: 1,
+            evolution: EvolutionConfig {
+                speculative,
+                ..EvolutionConfig::default()
+            },
+            ..TuningOptions::default()
+        };
+        let report = tune_network(&net, &platform, &mut RandomModel::new(1), &options);
+        let s = report.search;
+        (s.generated, s.pruned, s.full_scored)
+    };
+    assert_eq!(counts(SpecConfig::keeping(1.0)), (6168, 0, 7680));
+    assert_eq!(counts(SpecConfig::default()), (6168, 0, 8 * 384 + 4 * 192));
+}
+
+#[test]
+fn drafted_tuning_does_not_depend_on_engine_batching_or_caching() {
+    // The system benchmark's oracle: default options through a parallel,
+    // cached engine and through a sequential, uncached one find the same
+    // schedules. Per-candidate score bits are the engine's contract; which
+    // candidates the full model is asked about must not break it.
+    let net = bert_tiny(1, 128);
+    let platform = Platform::i7_10510u();
+    let options = TuningOptions {
+        rounds: 2 * net.num_tasks(),
+        seed: 3,
+        ..TuningOptions::default()
+    };
+    let run = |engine: EngineConfig| {
+        let cfg = TlpConfig::default();
+        let scorer = TlpScorer {
+            model: TlpModel::new(cfg.clone()),
+            extractor: FeatureExtractor::with_vocab(
+                Vocabulary::builder().build(),
+                cfg.seq_len,
+                cfg.emb_size,
+            ),
+        };
+        let mut model = FeatureModel::with_engine(scorer, engine);
+        outcome_fingerprint(&tune_network(&net, &platform, &mut model, &options))
+    };
+    let cached = run(EngineConfig {
+        threads: 2,
+        ..EngineConfig::default()
+    });
+    assert!(cached.contains("\"draft_scored\":"));
+    assert_eq!(cached, run(EngineConfig::sequential_uncached()));
 }
 
 #[test]
@@ -121,7 +188,6 @@ fn lower_draft_keep_never_increases_full_model_scoring() {
             population: 32,
             generations: 3,
             speculative: SpecConfig {
-                enabled: true,
                 draft_keep: keep,
                 warmup_full_generations: 0,
             },
@@ -153,7 +219,7 @@ fn speculative_tuning_cuts_full_scoring_and_reports_acceptance() {
     let platform = Platform::i7_10510u();
 
     let mut model = RandomModel::new(4);
-    let baseline = tune_network(&net, &platform, &mut model, &opts(SpecConfig::OFF));
+    let baseline = tune_network(&net, &platform, &mut model, &opts(SpecConfig::keeping(1.0)));
 
     let mut model = RandomModel::new(4);
     let spec = tune_network(
@@ -164,7 +230,6 @@ fn speculative_tuning_cuts_full_scoring_and_reports_acceptance() {
         // round is a task's first visit — zero it so the accounting below
         // measures speculation, not warm-up.
         &opts(SpecConfig {
-            enabled: true,
             draft_keep: 0.25,
             warmup_full_generations: 0,
         }),
@@ -185,8 +250,6 @@ fn speculative_tuning_cuts_full_scoring_and_reports_acceptance() {
     let acc = spec.search.draft_acceptance();
     assert!((0.0..=1.0).contains(&acc), "acceptance {acc}");
     // Per-round acceptance is populated once the head is warmed up.
-    let per_round = spec.draft_acceptance_per_round();
-    assert_eq!(per_round.len(), spec.rounds.len());
     assert!(
         spec.rounds
             .iter()
