@@ -14,10 +14,19 @@
 //! inherit their draft ranks. Drafting is RNG-neutral — it never touches
 //! the search RNG stream — and `draft_keep >= 1.0` is the score-everything
 //! search, bit for bit, with no head built.
+//!
+//! A run compiles its task's [`Sketch`] once and evolves one population in
+//! place: after each ranking the candidates are moved into ranked order, so
+//! the elites lead, and every slot behind them takes an offspring — its
+//! decision copied over the loser's (`clone_from` a parent, then mutate or
+//! cross), its sequence written over the loser's
+//! ([`Sketch::emit_into`]) — with the verify gate regenerating into the
+//! same slot on a reject. The returned top-k are moved out of the
+//! population, not cloned.
 
 use crate::cost_model::{CostModel, ScoreRequest};
 use crate::draft::{DraftScorer, SpecConfig};
-use crate::sketch::{Candidate, ScheduleDecision, SketchPolicy};
+use crate::sketch::{Candidate, ScheduleDecision, Sketch, SketchPolicy};
 use crate::task::SearchTask;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -191,17 +200,16 @@ impl<'a> Searcher<'a> {
     /// accounting.
     pub fn run(&mut self, k: usize, rng: &mut SmallRng) -> SearchOutcome {
         let config = self.config;
+        let sketch = self.policy.compile(&self.task.subgraph);
         let mut gate = Gate::new(self.task, self.policy);
         let mut stats = SearchStats::default();
         let elite_target = (config.population / 4).max(2);
 
-        // The population as parallel vectors, so ranking borrows the
-        // sequences instead of cloning them out of `Candidate`s.
         let mut population = Population::default();
         for _ in 0..config.population {
-            population.push(gate.admit(&mut stats, rng, |rng| {
-                Candidate::random(self.policy, &self.task.subgraph, rng)
-            }));
+            let mut candidate = Candidate::default();
+            gate.admit_random(&mut stats, rng, &sketch, &mut candidate);
+            population.push(candidate);
         }
 
         for generation in 0..config.generations {
@@ -213,33 +221,28 @@ impl<'a> Searcher<'a> {
                 &mut stats,
             );
             // Elite survivors head the next generation, in ranked order;
-            // offspring read their parents from that prefix.
-            let mut next = Population::default();
-            for &i in ranked.iter().take(elite_target) {
-                next.push(population.candidate(i));
-            }
-            let n_elite = next.sequences.len();
-            while next.sequences.len() < config.population {
-                let offspring = gate.admit(&mut stats, rng, |rng| {
-                    let elite = &next.decisions[..n_elite];
-                    let d = if rng.gen_bool(config.mutation_rate) {
-                        let mut d = elite[rng.gen_range(0..elite.len())].clone();
-                        self.policy.mutate(&self.task.subgraph, &mut d, rng);
-                        d
+            // every slot behind them is overwritten with an offspring of
+            // that prefix.
+            population.reorder(&ranked);
+            let n_elite = elite_target.min(ranked.len());
+            let (elite, offspring) = population.decisions.split_at_mut(n_elite);
+            for (d, sequence) in offspring
+                .iter_mut()
+                .zip(&mut population.sequences[n_elite..])
+            {
+                gate.admit(&mut stats, rng, sequence, |rng, sequence| {
+                    if rng.gen_bool(config.mutation_rate) {
+                        d.clone_from(&elite[rng.gen_range(0..elite.len())]);
+                        sketch.mutate(d, rng);
                     } else {
                         let a = &elite[rng.gen_range(0..elite.len())];
                         let b = &elite[rng.gen_range(0..elite.len())];
-                        self.policy.crossover(a, b, rng)
-                    };
-                    let sequence = self.policy.emit(&self.task.subgraph, &d);
-                    Candidate {
-                        decision: d,
-                        sequence,
+                        d.clone_from(a);
+                        Sketch::crossover(d, b, rng);
                     }
+                    sketch.emit_into(d, sequence);
                 });
-                next.push(offspring);
             }
-            population = next;
         }
 
         let ranked = self.rank(
@@ -252,14 +255,12 @@ impl<'a> Searcher<'a> {
         let mut picked: Vec<Candidate> = ranked
             .into_iter()
             .take(k)
-            .map(|i| population.candidate(i))
+            .map(|i| population.take(i))
             .collect();
         // ε-greedy exploration.
         let n_random = ((k as f64) * config.epsilon).round() as usize;
         for slot in picked.iter_mut().rev().take(n_random) {
-            *slot = gate.admit(&mut stats, rng, |rng| {
-                Candidate::random(self.policy, &self.task.subgraph, rng)
-            });
+            gate.admit_random(&mut stats, rng, &sketch, slot);
         }
         SearchOutcome {
             candidates: picked,
@@ -326,8 +327,8 @@ impl<'a> Searcher<'a> {
         let explore = (keep / 4).min(n - keep);
         let top = keep - explore;
         // After the first evolution step the leading population slots are
-        // the previous generation's elites, cloned in that ranking's
-        // best-first order — and its prefix was *full-model* verified.
+        // the previous generation's elites, in that ranking's best-first
+        // order — and its prefix was *full-model* verified.
         // Anchoring the verified slice on the best of them costs nothing
         // extra and guarantees a draft miss on a known-good candidate can
         // never evict it from the elite (or, on the final ranking, from
@@ -426,8 +427,10 @@ fn verify(
         .collect()
 }
 
-/// A generation's candidates, decisions and emitted sequences side by side
-/// (index `i` of each is one [`Candidate`]).
+/// The candidates being evolved, decisions and emitted sequences side by
+/// side (index `i` of each is one [`Candidate`]) so that ranking borrows the
+/// sequences as one slice. One population lives through a whole run: its
+/// slots are reordered and overwritten, never cloned.
 #[derive(Default)]
 struct Population {
     decisions: Vec<ScheduleDecision>,
@@ -440,20 +443,35 @@ impl Population {
         self.sequences.push(c.sequence);
     }
 
-    fn candidate(&self, i: usize) -> Candidate {
+    /// Moves candidate `i` out, leaving an empty slot.
+    fn take(&mut self, i: usize) -> Candidate {
         Candidate {
-            decision: self.decisions[i].clone(),
-            sequence: self.sequences[i].clone(),
+            decision: std::mem::take(&mut self.decisions[i]),
+            sequence: std::mem::take(&mut self.sequences[i]),
         }
+    }
+
+    /// Moves the candidate in slot `order[j]` to slot `j`, for every `j`.
+    /// `order` must be a permutation of the slots.
+    fn reorder(&mut self, order: &[usize]) {
+        use std::mem::take;
+        debug_assert_eq!(order.len(), self.sequences.len());
+        self.decisions = order
+            .iter()
+            .map(|&i| take(&mut self.decisions[i]))
+            .collect();
+        self.sequences = order
+            .iter()
+            .map(|&i| take(&mut self.sequences[i]))
+            .collect();
     }
 }
 
 /// The static-verification gate in front of the scored population: every
-/// offspring is verified (one [`tlp_verify::Verifier`] per task) before it is
-/// scored,
-/// because pruning a doomed candidate costs one linear analyzer pass instead
-/// of a cost-model forward pass plus a guaranteed lowering rejection at
-/// measurement time.
+/// candidate is verified (one [`tlp_verify::Verifier`] per task) before it
+/// is scored, because pruning a doomed candidate costs one linear analyzer
+/// pass instead of a cost-model forward pass plus a guaranteed lowering
+/// rejection at measurement time.
 struct Gate<'a> {
     verifier: tlp_verify::Verifier<'a>,
 }
@@ -469,28 +487,43 @@ impl<'a> Gate<'a> {
         }
     }
 
-    /// Generates candidates with `generate` until one passes verification
-    /// (or the retry budget runs out — then the last one is admitted and the
-    /// downstream scorer/measurer deal with it).
+    /// Has `generate` write a candidate's sequence into `slot` until one
+    /// passes verification (or the retry budget runs out — then the last one
+    /// stays and the downstream scorer/measurer deal with it).
     fn admit(
         &mut self,
         stats: &mut SearchStats,
         rng: &mut SmallRng,
-        mut generate: impl FnMut(&mut SmallRng) -> Candidate,
-    ) -> Candidate {
-        let mut candidate = generate(rng);
+        slot: &mut ScheduleSequence,
+        mut generate: impl FnMut(&mut SmallRng, &mut ScheduleSequence),
+    ) {
+        generate(rng, slot);
         stats.generated += 1;
         let mut retries = 0;
-        while self.verifier.check(&candidate.sequence).has_errors() {
+        while self.verifier.check(slot).has_errors() {
             stats.pruned += 1;
             if retries >= MAX_PRUNE_RETRIES {
                 break;
             }
             retries += 1;
-            candidate = generate(rng);
+            generate(rng, slot);
             stats.generated += 1;
         }
-        candidate
+    }
+
+    /// Admits a fresh random candidate into `slot`.
+    fn admit_random(
+        &mut self,
+        stats: &mut SearchStats,
+        rng: &mut SmallRng,
+        sketch: &Sketch,
+        slot: &mut Candidate,
+    ) {
+        let Candidate { decision, sequence } = slot;
+        self.admit(stats, rng, sequence, |rng, sequence| {
+            *decision = sketch.random_decision(rng);
+            sketch.emit_into(decision, sequence);
+        });
     }
 }
 
@@ -597,19 +630,19 @@ mod tests {
         // A generator that only ever produces invalid schedules (dangling
         // fuse operands): the gate must give up after the retry budget
         // instead of looping forever.
-        let admitted = gate.admit(&mut stats, &mut rng, |rng| {
-            let mut c = Candidate::random(&policy, &t.subgraph, rng);
-            c.sequence.push(
+        let mut admitted = ScheduleSequence::new();
+        gate.admit(&mut stats, &mut rng, &mut admitted, |rng, slot| {
+            *slot = Candidate::random(&policy, &t.subgraph, rng).sequence;
+            slot.push(
                 ConcretePrimitive::new(PrimitiveKind::Fuse, "d").with_loops(["ghost_a", "ghost_b"]),
             );
-            c
         });
         assert_eq!(stats.generated, 1 + MAX_PRUNE_RETRIES as u64);
         assert_eq!(stats.pruned, stats.generated);
         assert!(stats.pruned_fraction() > 0.99);
         // The hopeless candidate is still admitted; downstream layers
         // (scorer masking, measurer) reject it independently.
-        assert!(tlp_verify::verify(&t.subgraph, &admitted.sequence).has_errors());
+        assert!(tlp_verify::verify(&t.subgraph, &admitted).has_errors());
     }
 
     #[test]
@@ -741,6 +774,48 @@ mod tests {
             }
             // And the head learned from that one verified slice.
             prop_assert_eq!(draft.updates(), prior_batches as u64 + 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The move that heads a generation with its elites loses and
+        /// duplicates nothing: slot `j` holds what `ranked[j]` held, so the
+        /// elites lead in ranked order and every loser is still there to be
+        /// overwritten.
+        #[test]
+        fn reordering_the_population_is_the_ranked_permutation(
+            n in 1usize..48,
+            seed in 0u64..1000,
+        ) {
+            let t = task();
+            let sketch = SketchPolicy::cpu().compile(&t.subgraph);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut population = Population::default();
+            for _ in 0..n {
+                population.push(sketch.random_candidate(&mut rng));
+            }
+            let before: Vec<Candidate> = (0..n)
+                .map(|i| Candidate {
+                    decision: population.decisions[i].clone(),
+                    sequence: population.sequences[i].clone(),
+                })
+                .collect();
+            let scores: Vec<f32> = (0..n).map(|_| rng.gen_range(0..8) as f32).collect();
+            let ranked = rank_indices(&scores);
+
+            population.reorder(&ranked);
+
+            prop_assert_eq!(population.decisions.len(), n);
+            prop_assert_eq!(population.sequences.len(), n);
+            for (j, &i) in ranked.iter().enumerate() {
+                prop_assert_eq!(&population.decisions[j], &before[i].decision);
+                prop_assert_eq!(&population.sequences[j], &before[i].sequence);
+            }
+            let mut sources = ranked.clone();
+            sources.sort_unstable();
+            prop_assert_eq!(sources, (0..n).collect::<Vec<_>>());
         }
     }
 

@@ -5,7 +5,8 @@
 //!
 //! - [`SketchPolicy`]: hierarchical sketch generation (multi-level "SSRSRS"
 //!   tiling on CPU, thread-bound tiles on GPU) with random annotations,
-//!   mutation and crossover;
+//!   mutation and crossover, compiled once per task into a [`Sketch`] that
+//!   writes each candidate's sequence in place;
 //! - [`CostModel`]: the pluggable cost-model interface ([`RandomModel`] is
 //!   the no-model baseline; TLP / TenSet-MLP / GBDT models live in the `tlp`
 //!   crate);
@@ -62,6 +63,6 @@ pub use cost_model::{
 pub use draft::{DraftFeatures, DraftScorer, ScheduleStatFeatures, SpecConfig};
 pub use evolutionary::{EvolutionConfig, SearchOutcome, SearchStats, Searcher};
 pub use measure::{FailureCounts, MeasureError, MeasurePolicy, MeasureRecord, Measurer};
-pub use sketch::{Candidate, ScheduleDecision, SketchPolicy, UNROLL_STEPS};
+pub use sketch::{Candidate, ScheduleDecision, Sketch, SketchPolicy, UNROLL_STEPS};
 pub use task::SearchTask;
 pub use tuner::{tune_network, tune_network_with_draft, RoundLog, TuningOptions, TuningReport};

@@ -263,9 +263,7 @@ pub fn tune_network_with_draft(
             // tuning (the next round redraws candidates).
             failed_rounds += 1;
         }
-        for r in &measured {
-            records.push((ti, r.clone()));
-        }
+        records.extend(measured.into_iter().map(|r| (ti, r)));
 
         let seeded = best.iter().all(|b| b.is_finite());
         let workload_latency: f64 = best

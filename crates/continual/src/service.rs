@@ -39,7 +39,7 @@ use tlp::features::FeatureBuf;
 use tlp::persist::PersistError;
 use tlp::train::{GroupData, TrainData};
 use tlp::{FeatureExtractor, TlpModel};
-use tlp_autotuner::{Candidate, MeasurePolicy, Measurer, SearchTask, SketchPolicy};
+use tlp_autotuner::{MeasurePolicy, Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
 use tlp_hwsim::{DeviceKind, FaultModel, FaultRates};
 
@@ -162,7 +162,7 @@ pub fn run_continual(
         .collect();
 
     let gpu = new_platform.device == DeviceKind::Gpu;
-    let sketch = if gpu {
+    let policy = if gpu {
         SketchPolicy::gpu()
     } else {
         SketchPolicy::cpu()
@@ -201,6 +201,7 @@ pub fn run_continual(
                     ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     ^ (ti as u64).wrapping_mul(0xa24b_aed4_963e_e407),
             );
+            let sketch = policy.compile(&acc.task.subgraph);
             let mut fresh = 0usize;
             // Dedup can stall on tiny decision spaces; bound the draws.
             let mut draws = 0usize;
@@ -208,7 +209,7 @@ pub fn run_continual(
                 && draws < config.per_task_candidates.saturating_mul(8)
             {
                 draws += 1;
-                let cand = Candidate::random(&sketch, &acc.task.subgraph, &mut rng);
+                let cand = sketch.random_candidate(&mut rng);
                 if !acc.seen.insert(cand.sequence.fingerprint()) {
                     continue;
                 }

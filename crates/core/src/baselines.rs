@@ -405,14 +405,14 @@ mod tests {
     #[test]
     fn tenset_mlp_trains() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let policy = SketchPolicy::cpu();
         let subgraph = sg();
+        let sketch = SketchPolicy::cpu().compile(&subgraph);
         let sim = tlp_hwsim::Simulator::new();
         let platform = tlp_hwsim::Platform::i7_10510u();
         let mut features = Vec::new();
         let mut lats = Vec::new();
         for _ in 0..40 {
-            let c = Candidate::random(&policy, &subgraph, &mut rng);
+            let c = sketch.random_candidate(&mut rng);
             if let Some(f) = program_features(&subgraph, &c.sequence) {
                 let spec = lower(&subgraph, &c.sequence).unwrap();
                 features.extend(f);
@@ -436,15 +436,15 @@ mod tests {
     #[test]
     fn ansor_online_learns_from_measurements() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let policy = SketchPolicy::cpu();
         let subgraph = sg();
+        let sketch = SketchPolicy::cpu().compile(&subgraph);
         let sim = tlp_hwsim::Simulator::new();
         let platform = tlp_hwsim::Platform::i7_10510u();
         let mut model = AnsorOnlineModel::new();
         let mut schedules = Vec::new();
         let mut lats = Vec::new();
         for _ in 0..60 {
-            let c = Candidate::random(&policy, &subgraph, &mut rng);
+            let c = sketch.random_candidate(&mut rng);
             if let Ok(spec) = lower(&subgraph, &c.sequence) {
                 lats.push(sim.latency(&platform, &subgraph, &spec, c.sequence.fingerprint()));
                 schedules.push(c.sequence);
@@ -557,7 +557,7 @@ mod transfer_tests {
     use crate::train::GroupData;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use tlp_autotuner::{Candidate, SketchPolicy};
+    use tlp_autotuner::SketchPolicy;
     use tlp_hwsim::{Platform, Simulator};
     use tlp_workload::AnchorOp;
 
@@ -571,13 +571,13 @@ mod transfer_tests {
                 k: 256,
             },
         );
-        let policy = SketchPolicy::cpu();
+        let sketch = SketchPolicy::cpu().compile(&sg);
         let sim = Simulator::new();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut features = Vec::new();
         let mut lats = Vec::new();
         while lats.len() < n {
-            let c = Candidate::random(&policy, &sg, &mut rng);
+            let c = sketch.random_candidate(&mut rng);
             if let Some(f) = program_features(&sg, &c.sequence) {
                 let spec = lower(&sg, &c.sequence).unwrap();
                 features.extend(f);

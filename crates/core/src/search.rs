@@ -409,7 +409,7 @@ mod tests {
     use crate::config::TlpConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use tlp_autotuner::{Candidate, SketchPolicy};
+    use tlp_autotuner::SketchPolicy;
     use tlp_hwsim::Platform;
     use tlp_schedule::Vocabulary;
     use tlp_workload::{AnchorOp, Subgraph};
@@ -430,8 +430,9 @@ mod tests {
 
     fn schedules(n: usize) -> Vec<ScheduleSequence> {
         let mut rng = SmallRng::seed_from_u64(4);
+        let sketch = SketchPolicy::cpu().compile(&task().subgraph);
         (0..n)
-            .map(|_| Candidate::random(&SketchPolicy::cpu(), &task().subgraph, &mut rng).sequence)
+            .map(|_| sketch.random_candidate(&mut rng).sequence)
             .collect()
     }
 
@@ -508,8 +509,9 @@ mod tests {
             FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
         let t = task();
         let mut rng = SmallRng::seed_from_u64(6);
+        let sketch = SketchPolicy::cpu().compile(&t.subgraph);
         let pop: Vec<ScheduleSequence> = (0..4)
-            .map(|_| Candidate::random(&SketchPolicy::cpu(), &t.subgraph, &mut rng).sequence)
+            .map(|_| sketch.random_candidate(&mut rng).sequence)
             .collect();
         let mut feats = TlpDraftFeatures::new(ex.clone());
         assert_eq!(feats.dim(), ex.feature_size());

@@ -138,13 +138,14 @@ fn sample_task_programs(
         ..tlp_verify::VerifyOptions::default()
     };
     let mut verifier = tlp_verify::Verifier::new(subgraph, &opts);
+    let sketch = policy.compile(subgraph);
     let mut seen = HashSet::new();
     let mut candidates: Vec<Candidate> = Vec::with_capacity(total);
 
     let mut tries = 0;
     while candidates.len() < n_random && tries < total * 20 {
         tries += 1;
-        let c = Candidate::random(policy, subgraph, rng);
+        let c = sketch.random_candidate(rng);
         if seen.insert(c.sequence.fingerprint()) {
             candidates.push(c);
         }
@@ -169,8 +170,8 @@ fn sample_task_programs(
         refine_tries += 1;
         let parent = &records[refine_tries % elite].0;
         let mut d = parent.decision.clone();
-        policy.mutate(subgraph, &mut d, rng);
-        let sequence = policy.emit(subgraph, &d);
+        sketch.mutate(&mut d, rng);
+        let sequence = sketch.emit(&d);
         if !seen.insert(sequence.fingerprint()) {
             continue;
         }

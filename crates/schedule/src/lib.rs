@@ -11,7 +11,8 @@
 //! - [`ConcretePrimitive`] / [`AbstractPrimitive`]: framework-level steps and
 //!   their preprocessed three-element form, with reversible [`preprocess`] /
 //!   [`recover`];
-//! - [`ScheduleSequence`]: ordered primitive sequences with fingerprinting;
+//! - [`ScheduleSequence`]: ordered primitive sequences with fingerprinting
+//!   and an in-place [`rewrite`](ScheduleSequence::rewrite);
 //! - [`Vocabulary`]: name-parameter tokenization.
 //!
 //! # Example
@@ -48,5 +49,5 @@ pub use primitive::{
     preprocess, preprocess_elements, recover, AbstractPrimitive, ConcretePrimitive, Element,
     ElementRef, RecoverPrimitiveError,
 };
-pub use sequence::ScheduleSequence;
+pub use sequence::{PrimitiveWriter, ScheduleSequence, SequenceWriter};
 pub use vocab::{Vocabulary, VocabularyBuilder};

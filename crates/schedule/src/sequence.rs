@@ -26,6 +26,18 @@ impl ScheduleSequence {
         self.primitives.push(p);
     }
 
+    /// Starts writing a new sequence over this one's buffers. Whatever the
+    /// writer wrote is the whole sequence once it drops; the value is the
+    /// one [`push`](Self::push)ing the same primitives onto an empty
+    /// sequence builds, but strings and vectors already here are refilled
+    /// instead of reallocated.
+    pub fn rewrite(&mut self) -> SequenceWriter<'_> {
+        SequenceWriter {
+            primitives: &mut self.primitives,
+            written: 0,
+        }
+    }
+
     /// The primitives in order.
     pub fn primitives(&self) -> &[ConcretePrimitive] {
         &self.primitives
@@ -83,6 +95,95 @@ impl ScheduleSequence {
             p.extras.hash(&mut h);
         }
         h.finish()
+    }
+}
+
+/// In-place writer over a [`ScheduleSequence`] (see
+/// [`ScheduleSequence::rewrite`]): primitive *i* written overwrites
+/// primitive *i* held, and dropping the writer cuts off what is left of the
+/// old sequence.
+pub struct SequenceWriter<'a> {
+    primitives: &'a mut Vec<ConcretePrimitive>,
+    written: usize,
+}
+
+impl SequenceWriter<'_> {
+    /// Starts the next primitive with its kind and stage; loop variables,
+    /// ints and extras follow through the returned writer.
+    pub fn primitive(&mut self, kind: PrimitiveKind, stage: &str) -> PrimitiveWriter<'_> {
+        if self.written == self.primitives.len() {
+            self.primitives.push(ConcretePrimitive::new(kind, stage));
+        } else {
+            let p = &mut self.primitives[self.written];
+            p.kind = kind;
+            stage.clone_into(&mut p.stage);
+            p.ints.clear();
+        }
+        self.written += 1;
+        PrimitiveWriter {
+            primitive: &mut self.primitives[self.written - 1],
+            loop_vars: 0,
+            extras: 0,
+        }
+    }
+}
+
+impl Drop for SequenceWriter<'_> {
+    fn drop(&mut self) {
+        self.primitives.truncate(self.written);
+    }
+}
+
+/// Fills in one primitive of a [`SequenceWriter`], reusing the strings the
+/// overwritten primitive held; unused ones are dropped with the writer.
+pub struct PrimitiveWriter<'a> {
+    primitive: &'a mut ConcretePrimitive,
+    loop_vars: usize,
+    extras: usize,
+}
+
+impl PrimitiveWriter<'_> {
+    /// Appends a loop variable.
+    pub fn loop_var(&mut self, name: &str) -> &mut Self {
+        refill_slot(&mut self.primitive.loop_vars, self.loop_vars, name);
+        self.loop_vars += 1;
+        self
+    }
+
+    /// Appends numeric parameters.
+    pub fn ints(&mut self, ints: impl IntoIterator<Item = i64>) -> &mut Self {
+        self.primitive.ints.extend(ints);
+        self
+    }
+
+    /// Appends an extra character parameter.
+    pub fn extra(&mut self, name: &str) -> &mut Self {
+        refill_slot(&mut self.primitive.extras, self.extras, name);
+        self.extras += 1;
+        self
+    }
+}
+
+impl Drop for PrimitiveWriter<'_> {
+    fn drop(&mut self) {
+        self.primitive.loop_vars.truncate(self.loop_vars);
+        self.primitive.extras.truncate(self.extras);
+    }
+}
+
+/// Writes `text` into slot `at` of a name list, over the string already
+/// there if there is one.
+fn refill_slot(slots: &mut Vec<String>, at: usize, text: &str) {
+    match slots.get_mut(at) {
+        Some(slot) => text.clone_into(slot),
+        None => {
+            // Most primitives name one loop or one extra: a fresh vector
+            // starts at exactly that, not at `push`'s minimum of four.
+            if slots.capacity() == 0 {
+                slots.reserve_exact(1);
+            }
+            slots.push(text.to_owned());
+        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! Property tests for the vocabulary and sequence fingerprinting.
+//! Property tests for the vocabulary, sequence fingerprinting and the
+//! in-place sequence writer.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
@@ -7,8 +8,68 @@ use tlp_schedule::{
     parse_schedule, ConcretePrimitive, PrimitiveKind, ScheduleSequence, Vocabulary,
 };
 
+prop_compose! {
+    /// Any primitive: any kind, 0–3 loop vars, 0–4 ints, 0–2 extras, names
+    /// of varying length.
+    fn any_primitive()(
+        kind in 0usize..14,
+        stage in "[a-z_]{1,8}",
+        vars in prop::collection::vec("[a-z@.0-9]{1,12}", 0..4),
+        ints in prop::collection::vec(0i64..10_000, 0..5),
+        extras in prop::collection::vec("[a-zA-Z_.]{1,10}", 0..3),
+    ) -> ConcretePrimitive {
+        ConcretePrimitive::new(PrimitiveKind::ALL[kind], stage)
+            .with_loops(vars)
+            .with_ints(ints)
+            .with_extras(extras)
+    }
+}
+
+prop_compose! {
+    fn any_sequence()(primitives in prop::collection::vec(any_primitive(), 0..8)) -> ScheduleSequence {
+        primitives.into_iter().collect()
+    }
+}
+
+/// Writes `source`'s primitives over whatever `target` holds.
+fn write_over(target: &mut ScheduleSequence, source: &ScheduleSequence) {
+    let mut writer = target.rewrite();
+    for p in source {
+        let mut w = writer.primitive(p.kind, &p.stage);
+        for v in &p.loop_vars {
+            w.loop_var(v);
+        }
+        w.ints(p.ints.iter().copied());
+        for e in &p.extras {
+            w.extra(e);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever a sequence held, rewriting it yields exactly the value built
+    /// from scratch — longer, shorter (the old tail is cut off) or empty.
+    #[test]
+    fn rewrite_over_any_sequence_equals_the_fresh_build(
+        old in any_sequence(),
+        new in any_sequence(),
+        newer in any_sequence(),
+    ) {
+        let mut target = old;
+        for source in [&new, &newer] {
+            write_over(&mut target, source);
+            prop_assert_eq!(&target, source);
+            prop_assert_eq!(target.fingerprint(), source.fingerprint());
+        }
+        let shorter: ScheduleSequence = newer.iter().take(newer.len() / 2).cloned().collect();
+        write_over(&mut target, &shorter);
+        prop_assert_eq!(&target, &shorter);
+        // A writer dropped unwritten leaves nothing behind.
+        drop(target.rewrite());
+        prop_assert!(target.is_empty());
+    }
 
     /// Distinct names receive distinct tokens; tokens are dense 1..=n.
     #[test]

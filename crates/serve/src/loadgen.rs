@@ -26,15 +26,15 @@ use crate::tenant::DEFAULT_TENANT;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
+use tlp_autotuner::{SearchTask, SketchPolicy};
 use tlp_schedule::ScheduleSequence;
 
 /// Pre-generates a shared pool of `n` random candidate schedules for `task`.
 pub fn random_pool(task: &SearchTask, n: usize, seed: u64) -> Vec<ScheduleSequence> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let policy = SketchPolicy::cpu();
+    let sketch = SketchPolicy::cpu().compile(&task.subgraph);
     (0..n)
-        .map(|_| Candidate::random(&policy, &task.subgraph, &mut rng).sequence)
+        .map(|_| sketch.random_candidate(&mut rng).sequence)
         .collect()
 }
 
