@@ -1,8 +1,8 @@
 //! Training-throughput benchmark for the `Trainer` (`criterion_inference`'s
 //! sibling): samples/sec of one epoch at `TlpConfig::default()` width,
 //! batch 32 and 2 048 samples under the options every config-driven entry
-//! point runs (`TrainOptions::from_config`, one micro-batch per step) —
-//! the median of [`RUNS`] runs. Writes `BENCH_training.json`.
+//! point runs (`TrainOptions::from_config`) — the median of [`RUNS`] runs.
+//! Writes `BENCH_training.json`.
 //!
 //! Run with `cargo bench -p tlp-bench --bench criterion_training`.
 
@@ -54,7 +54,6 @@ struct TrainingSummary {
     epochs: usize,
     batch_size: usize,
     hidden: usize,
-    grad_accum: usize,
     runs: usize,
     median_wall_s: f64,
     q1_wall_s: f64,
@@ -101,7 +100,6 @@ fn main() {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
         hidden: cfg.hidden,
-        grad_accum: opts.grad_accum,
         runs: RUNS,
         median_wall_s: walls[RUNS / 2],
         q1_wall_s: walls[RUNS / 4],
@@ -109,8 +107,8 @@ fn main() {
         samples_per_s: samples as f64 / walls[RUNS / 2],
     };
     println!(
-        "\n=== training throughput (median of {RUNS}; hidden {}, batch {}, {samples} samples, accum {}) ===",
-        summary.hidden, summary.batch_size, summary.grad_accum
+        "\n=== training throughput (median of {RUNS}; hidden {}, batch {}, {samples} samples) ===",
+        summary.hidden, summary.batch_size
     );
     println!(
         "{:.0} samples/s, wall {:.3} s [{:.3}, {:.3}]",

@@ -37,7 +37,7 @@ use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
     random_pool, run_fleet_sim, BatchPolicy, BreakerState, FleetConfig, FleetLoadOptions,
-    FleetLoadReport, ServeConfig, ServingFleet, SimLatencySummary, SimServiceModel, DEFAULT_TENANT,
+    FleetLoadReport, ServeConfig, ServingFleet, SimLatencySummary, SimServiceModel,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -119,7 +119,6 @@ fn run(
             clients: CLIENTS,
             requests_per_client: REQUESTS_PER_CLIENT,
             batch: BATCH,
-            tenants: Vec::new(),
         },
         &SimServiceModel::default(),
     )
@@ -276,7 +275,7 @@ fn failover_section(tasks: &[SearchTask], pools: &[Vec<ScheduleSequence>]) -> Fa
     client.fault(owner, 1.0);
     let mut lost = 0u64;
     for _ in 0..8 {
-        let reply = client.score_detailed(DEFAULT_TENANT, "m", task, &batch, None);
+        let reply = client.score_detailed("m", task, &batch, None);
         if reply.is_err() {
             lost += 1;
         }
@@ -290,7 +289,7 @@ fn failover_section(tasks: &[SearchTask], pools: &[Vec<ScheduleSequence>]) -> Fa
     client.fault(owner, 0.0);
     let mut recovered = false;
     for _ in 0..64 {
-        let _ = client.score_detailed(DEFAULT_TENANT, "m", task, &batch, None);
+        let _ = client.score_detailed("m", task, &batch, None);
         if client.breaker(owner).state == BreakerState::Closed {
             recovered = true;
             break;

@@ -2,10 +2,10 @@
 //!
 //! [`adapt_round`] is *not* a new training loop: it implements
 //! [`Trainable`] and hands the model to the existing [`Trainer`],
-//! inheriting its bitwise-deterministic step, LR schedule, clipping, and
-//! early stopping. What continual learning adds is a **gradient mask**
-//! applied in the trainer's `postprocess_grads` hook — after micro-batch
-//! gradients are accumulated and averaged, before the norm/clip/step:
+//! inheriting its bitwise-deterministic step, LR schedule and clipping.
+//! What continual learning adds is a **gradient mask** applied in the
+//! trainer's `postprocess_grads` hook — after the backward pass, before the
+//! norm/clip/step:
 //!
 //! - [`TrunkMode::Frozen`] zeroes every gradient outside the adapting head.
 //!   Adam with zero weight decay takes a bitwise no-op step on a
@@ -18,16 +18,15 @@
 //!   platforms it already serves.
 //!
 //! Masking gradients rather than filtering optimizer state keeps the hot
-//! path untouched and works with gradient accumulation, because the hook
-//! runs exactly once per optimizer step.
+//! path untouched: the hook runs exactly once per optimizer step.
 
 use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use tlp::train::TrainData;
 use tlp::{
-    gather_rows, grouped_batches, scored_loss, split_group_indices, TlpModel, TrainOptions,
-    TrainReport, Trainable, Trainer,
+    gather_rows, grouped_batches, scored_loss, TlpModel, TrainOptions, TrainReport, Trainable,
+    Trainer,
 };
 use tlp_modelcheck::{CoverageSpec, TrainedHeads};
 use tlp_nn::{ParamId, ParamStore, Var, Workspace};
@@ -92,15 +91,11 @@ enum SlotRef {
 }
 
 /// [`Trainable`] adapter mixing new-platform groups with replay groups.
-/// Validation (when enabled) holds out *new-platform* groups — the platform
-/// whose ranking quality gates publishing.
 struct AdaptTask<'a> {
     model: &'a mut TlpModel,
     head: usize,
     new_data: &'a TrainData,
     replay: &'a ReplayBuffer,
-    /// Sorted new-data group indices held out for validation.
-    valid_groups: Vec<usize>,
     batch_size: usize,
     /// Ids whose gradients are zeroed each step (bitwise-frozen params).
     frozen: Vec<ParamId>,
@@ -152,9 +147,6 @@ impl Trainable for AdaptTask<'_> {
         // can mix adaptation signal with rehearsal signal.
         let mut slots: Vec<SlotRef> = Vec::new();
         for gi in 0..self.new_data.groups.len() {
-            if self.valid_groups.binary_search(&gi).is_ok() {
-                continue;
-            }
             if self.new_data.groups[gi].labels.len() >= 2 {
                 slots.push(SlotRef::New(gi));
             }
@@ -189,17 +181,6 @@ impl Trainable for AdaptTask<'_> {
             self.model.config.loss,
             self.model.config.seq_len,
         )
-    }
-
-    fn valid_batches(&self) -> Vec<Self::Batch> {
-        let mut out = Vec::new();
-        for &gi in &self.valid_groups {
-            let order: Vec<usize> = (0..self.new_data.groups[gi].labels.len()).collect();
-            for chunk in order.chunks(self.batch_size).filter(|c| c.len() >= 2) {
-                out.push(self.batch(SlotRef::New(gi), chunk));
-            }
-        }
-        out
     }
 
     fn postprocess_grads(&mut self) {
@@ -281,18 +262,12 @@ pub fn adapt_round(
                 .collect(),
         ),
     };
-    let (_, valid_groups) = split_group_indices(
-        new_data.groups.len(),
-        config.train.valid_frac,
-        config.train.seed,
-    );
     let batch_size = config.train.batch_size.max(2);
     let mut task = AdaptTask {
         model,
         head,
         new_data,
         replay,
-        valid_groups,
         batch_size,
         frozen,
         scaled,

@@ -71,9 +71,7 @@ pub use engine::{EngineConfig, EngineStats, InferenceEngine, ScheduleScorer, Sco
 pub use features::FeatureExtractor;
 pub use metrics::top_k_score;
 pub use model::TlpModel;
-pub use persist::{
-    snapshot, store_checksum, ParamCheckpoint, PersistError, SavedTlp, SAVED_TLP_FORMAT_VERSION,
-};
+pub use persist::{snapshot, store_checksum, PersistError, SavedTlp, SAVED_TLP_FORMAT_VERSION};
 pub use search::{
     AnsorCostModel, FeatureModel, TenSetMlpCostModel, TlpCostModel, TlpDraftFeatures,
 };
@@ -82,7 +80,6 @@ pub use train::{
     TrainData,
 };
 pub use trainer::{
-    gather_rows, grouped_batches, scored_loss, split_group_indices, EpochReport, StopReason,
-    TrainCheckpoint, TrainOptions, TrainReport, Trainable, Trainer,
-    TRAIN_CHECKPOINT_FORMAT_VERSION,
+    gather_rows, grouped_batches, scored_loss, EpochReport, StopReason, TrainCheckpoint,
+    TrainOptions, TrainReport, Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,
 };

@@ -267,38 +267,6 @@ fn decode_context(body: &str, detail: String) -> PersistError {
     }
 }
 
-/// An in-memory snapshot of just the learnable parameters.
-///
-/// The training engine captures one of these at each best-so-far epoch and
-/// restores it when early stopping fires, so the model ends with the weights
-/// of its best validation epoch rather than its last one. The same
-/// serde-plain `ParamStore` clone that backs [`SavedTlp`] on disk backs this
-/// in memory.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ParamCheckpoint {
-    store: ParamStore,
-    /// 0-based epoch the checkpoint was captured after.
-    pub epoch: usize,
-    /// The early-stopping metric (validation or training loss) at capture.
-    pub metric: f32,
-}
-
-impl ParamCheckpoint {
-    /// Clones the store's current parameters into a checkpoint.
-    pub fn capture(store: &ParamStore, epoch: usize, metric: f32) -> Self {
-        ParamCheckpoint {
-            store: store.clone(),
-            epoch,
-            metric,
-        }
-    }
-
-    /// Writes the checkpointed parameters back into `store`.
-    pub fn restore(&self, store: &mut ParamStore) {
-        store.clone_from(&self.store);
-    }
-}
-
 /// Snapshots a model (all heads included; head 0 is the target).
 pub fn snapshot(model: &TlpModel, extractor: &FeatureExtractor) -> SavedTlp {
     SavedTlp {

@@ -216,7 +216,7 @@ impl PretrainedLm {
     }
 
     /// The LM baselines' recipe: this config's sizes at a constant learning
-    /// rate, everything else [`TrainOptions`]' default.
+    /// rate.
     fn options(&self, seed_salt: u64) -> TrainOptions {
         TrainOptions {
             epochs: self.config.epochs,
@@ -224,26 +224,18 @@ impl PretrainedLm {
             learning_rate: self.config.learning_rate,
             lr_schedule: LrSchedule::Constant,
             seed: self.config.seed ^ seed_salt,
-            ..TrainOptions::default()
         }
     }
 
     /// Pretrains on unlabeled token sequences with this config's options.
     pub fn pretrain(&mut self, corpus: &[Vec<usize>]) -> TrainReport {
         let options = self.options(0x9e);
-        self.pretrain_with(corpus, &options)
-    }
-
-    /// Pretrains with explicit [`TrainOptions`] (`valid_frac` is ignored —
-    /// the LM objective has no held-out rank metric).
-    pub fn pretrain_with(&mut self, corpus: &[Vec<usize>], options: &TrainOptions) -> TrainReport {
-        let batch_size = options.batch_size.max(1);
         let mut task = LmPretrainTask {
             lm: self,
             corpus,
-            batch_size,
+            batch_size: options.batch_size.max(1),
         };
-        Trainer::new(options.clone()).fit(&mut task)
+        Trainer::new(options).fit(&mut task)
     }
 
     /// Regression scores via mean-pooled encoder output (the downstream
@@ -279,22 +271,12 @@ impl PretrainedLm {
     /// with rank loss, using this config's options for `epochs` epochs.
     pub fn fine_tune(&mut self, groups: &[(Vec<usize>, Vec<f32>)], epochs: usize) -> TrainReport {
         let options = self.options(0xF1).with_epochs(epochs);
-        self.fine_tune_with(groups, &options)
-    }
-
-    /// Fine-tunes with explicit [`TrainOptions`].
-    pub fn fine_tune_with(
-        &mut self,
-        groups: &[(Vec<usize>, Vec<f32>)],
-        options: &TrainOptions,
-    ) -> TrainReport {
-        let batch_size = options.batch_size.max(2);
         let mut task = FineTuneTask {
             lm: self,
             groups,
-            batch_size,
+            batch_size: options.batch_size.max(2),
         };
-        Trainer::new(options.clone()).fit(&mut task)
+        Trainer::new(options).fit(&mut task)
     }
 }
 

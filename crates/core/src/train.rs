@@ -13,8 +13,7 @@
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
 use crate::trainer::{
-    gather_rows, grouped_batches, scored_loss, split_group_indices, TrainOptions, TrainReport,
-    Trainable, Trainer,
+    gather_rows, grouped_batches, scored_loss, TrainOptions, TrainReport, Trainable, Trainer,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -81,34 +80,6 @@ impl TrainData {
         self.groups.iter().map(|g| g.labels.len()).sum()
     }
 
-    /// Splits off a validation set by task (ratio `valid_frac` of groups).
-    pub fn split_valid(mut self, valid_frac: f64, seed: u64) -> (TrainData, TrainData) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut idx: Vec<usize> = (0..self.groups.len()).collect();
-        idx.shuffle(&mut rng);
-        let n_valid = ((self.groups.len() as f64) * valid_frac).round() as usize;
-        let valid_set: std::collections::HashSet<usize> = idx.into_iter().take(n_valid).collect();
-        let mut train_groups = Vec::new();
-        let mut valid_groups = Vec::new();
-        for (i, g) in self.groups.drain(..).enumerate() {
-            if valid_set.contains(&i) {
-                valid_groups.push(g);
-            } else {
-                train_groups.push(g);
-            }
-        }
-        (
-            TrainData {
-                feature_size: self.feature_size,
-                groups: train_groups,
-            },
-            TrainData {
-                feature_size: self.feature_size,
-                groups: valid_groups,
-            },
-        )
-    }
-
     /// Keeps roughly `fraction` of the samples (per group), modelling the
     /// paper's limited target-platform collections (500K of ~8.6M ≈ 6%).
     pub fn subsample(&self, fraction: f64, seed: u64) -> TrainData {
@@ -151,14 +122,10 @@ struct HeadBatch {
 /// The [`Trainable`] adapter behind every TLP entry point: `(task, group)`
 /// slots interleaved so backbone gradients mix platforms; each micro-batch
 /// comes from one platform's labelled pool and trains that platform's head.
-/// With one head this is the plain shuffled-task-group stream. A validation
-/// split (when enabled) holds out groups of the *target* task (head 0) — the
-/// platform whose ranking quality matters.
+/// With one head this is the plain shuffled-task-group stream.
 struct HeadTask<'a> {
     model: &'a mut TlpModel,
     task_data: &'a [TrainData],
-    /// Target-task group indices held out for validation.
-    valid_target_groups: Vec<usize>,
     batch_size: usize,
 }
 
@@ -191,9 +158,6 @@ impl Trainable for HeadTask<'_> {
         let mut slots: Vec<(usize, usize)> = Vec::new();
         for (ti, data) in self.task_data.iter().enumerate() {
             for gi in 0..data.groups.len() {
-                if ti == 0 && self.valid_target_groups.binary_search(&gi).is_ok() {
-                    continue;
-                }
                 slots.push((ti, gi));
             }
         }
@@ -228,17 +192,6 @@ impl Trainable for HeadTask<'_> {
             self.model.config.loss,
             self.model.config.seq_len,
         )
-    }
-
-    fn valid_batches(&self) -> Vec<Self::Batch> {
-        let mut out = Vec::new();
-        for &gi in &self.valid_target_groups {
-            let order: Vec<usize> = (0..self.task_data[0].groups[gi].labels.len()).collect();
-            for chunk in order.chunks(self.batch_size).filter(|c| c.len() >= 2) {
-                out.push(self.batch(0, gi, chunk));
-            }
-        }
-        out
     }
 
     fn coverage(&self) -> Option<CoverageSpec> {
@@ -276,8 +229,6 @@ pub fn train_mtl(model: &mut TlpModel, task_data: &[TrainData]) -> TrainReport {
 }
 
 /// Trains every head of `model` with explicit [`TrainOptions`].
-/// `valid_frac` holds out target-task (head 0) groups for the validation
-/// metric.
 pub fn train_mtl_with(
     model: &mut TlpModel,
     task_data: &[TrainData],
@@ -347,12 +298,9 @@ fn make_task<'a>(
             "extractor shape must match model config"
         );
     }
-    let (_, valid_target_groups) =
-        split_group_indices(task_data[0].groups.len(), options.valid_frac, options.seed);
     HeadTask {
         model,
         task_data,
-        valid_target_groups,
         batch_size: options.batch_size.max(2),
     }
 }
@@ -434,13 +382,11 @@ mod tests {
     }
 
     #[test]
-    fn split_and_subsample_preserve_shape() {
+    fn subsample_preserves_shape() {
         let ds = tiny_dataset();
         let ex = FeatureExtractor::fit(&ds, 25, 22);
         let data = TrainData::from_dataset(&ds, &ex, 0);
         let total = data.num_samples();
-        let (tr, va) = data.clone().split_valid(0.3, 1);
-        assert_eq!(tr.num_samples() + va.num_samples(), total);
         let sub = data.subsample(0.5, 2);
         let ratio = sub.num_samples() as f64 / total as f64;
         assert!((0.3..=0.7).contains(&ratio), "ratio {ratio}");

@@ -3,30 +3,27 @@
 //! [`Trainer::fit`] is the only place in the workspace that owns an
 //! optimizer: TLP (any head count), TenSet-MLP, LM pretraining, rank
 //! fine-tuning and continual adaptation are each a [`Trainable`] batch
-//! provider, so the learning-rate schedule, gradient clipping, early
-//! stopping, checkpointing and epoch accounting live in exactly one place.
-//! The rank-loss providers also share one batch stream,
-//! [`grouped_batches`].
+//! provider, so the learning-rate schedule, gradient clipping,
+//! checkpointing and epoch accounting live in exactly one place. The
+//! rank-loss providers also share one batch stream, [`grouped_batches`].
 //!
 //! # Optimizer step
 //!
-//! Each optimizer step covers `grad_accum` micro-batches, run one after the
-//! other on the calling thread over one reused [`Workspace`] (the tape and
-//! parameter-leaf binding are reset, not reallocated, between micro-batches).
-//! Every backward pass adds its gradients straight into the shared
-//! [`ParamStore`]; the trainer then averages, records the pre-clip gradient
-//! norm, clips, and applies one Adam step. With `grad_accum == 1` — what
-//! every config-driven entry point runs — a step is one micro-batch.
+//! A step is one micro-batch, run on the calling thread over one reused
+//! [`Workspace`] (the tape and parameter-leaf binding are reset, not
+//! reallocated, between steps): loss → backward → harvest the gradients
+//! into the [`ParamStore`] → [`Trainable::postprocess_grads`] → record the
+//! pre-clip gradient norm → clip → one Adam step.
 
 use crate::config::LossKind;
-use crate::persist::{atomic_write, ParamCheckpoint, PersistError};
+use crate::persist::{atomic_write, PersistError};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tlp_modelcheck::CoverageSpec;
+use tlp_modelcheck::{Code, CoverageSpec, Diagnostic, Severity};
 use tlp_nn::{
     lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, Optimizer, ParamStore, Var, Workspace,
 };
@@ -53,16 +50,6 @@ pub struct TrainOptions {
     pub learning_rate: f32,
     /// Per-epoch learning-rate schedule applied to the base rate.
     pub lr_schedule: LrSchedule,
-    /// Micro-batches accumulated (averaged) per optimizer step; `1` is
-    /// per-batch stepping.
-    pub grad_accum: usize,
-    /// Early stopping: stop after this many consecutive epochs without
-    /// validation-loss improvement and restore the best epoch's weights.
-    /// `0` disables early stopping.
-    pub patience: usize,
-    /// Fraction of task groups held out for validation (`0.0` disables the
-    /// split; early stopping then watches the training loss).
-    pub valid_frac: f64,
     /// Seed for the batch-shuffling RNG (weight init is the model's own
     /// seed; the config-driven wrappers each salt this with their own
     /// constant, which pins their batch streams).
@@ -70,18 +57,14 @@ pub struct TrainOptions {
 }
 
 impl TrainOptions {
-    /// The paper's recipe for `config`: per-batch stepping
-    /// (`grad_accum == 1`), `0.9^epoch` LR decay, no early stopping, no
-    /// validation split. Callers that differ override fields of this.
+    /// The paper's recipe for `config`: a fixed number of epochs with
+    /// `0.9^epoch` LR decay. Callers that differ override fields of this.
     pub fn from_config(config: &TlpConfig) -> Self {
         TrainOptions {
             epochs: config.epochs,
             batch_size: config.batch_size,
             learning_rate: config.learning_rate,
             lr_schedule: LrSchedule::paper_decay(),
-            grad_accum: 1,
-            patience: 0,
-            valid_frac: 0.0,
             seed: config.seed,
         }
     }
@@ -95,24 +78,6 @@ impl TrainOptions {
     /// Sets the micro-batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets micro-batches per optimizer step.
-    pub fn with_grad_accum(mut self, grad_accum: usize) -> Self {
-        self.grad_accum = grad_accum;
-        self
-    }
-
-    /// Enables early stopping with the given patience.
-    pub fn with_patience(mut self, patience: usize) -> Self {
-        self.patience = patience;
-        self
-    }
-
-    /// Holds out a fraction of task groups for validation.
-    pub fn with_valid_frac(mut self, valid_frac: f64) -> Self {
-        self.valid_frac = valid_frac;
         self
     }
 
@@ -140,9 +105,6 @@ impl Default for TrainOptions {
 pub enum StopReason {
     /// Every configured epoch ran.
     Completed,
-    /// The early-stopping metric failed to improve for `patience`
-    /// consecutive epochs; weights were restored to the best epoch.
-    EarlyStopped,
     /// The batch provider produced no trainable micro-batches.
     NoData,
 }
@@ -154,8 +116,6 @@ pub struct EpochReport {
     pub epoch: usize,
     /// Mean loss over the epoch's micro-batches.
     pub train_loss: f32,
-    /// Mean loss over held-out validation batches, when a split is active.
-    pub valid_loss: Option<f32>,
     /// Learning rate the schedule chose for this epoch.
     pub learning_rate: f32,
     /// Mean pre-clip global gradient norm over the epoch's optimizer steps.
@@ -176,11 +136,6 @@ pub struct TrainReport {
     pub epochs: Vec<EpochReport>,
     /// Why the run ended.
     pub stop: StopReason,
-    /// Epoch whose weights the model ended with (set when early stopping
-    /// tracked a best checkpoint).
-    pub best_epoch: Option<usize>,
-    /// Micro-batches per optimizer step.
-    pub grad_accum: usize,
     /// Total wall-clock seconds.
     pub wall_s: f64,
     /// Total training samples consumed across all epochs.
@@ -222,7 +177,7 @@ pub trait Trainable {
     /// The parameters being trained.
     fn store(&self) -> &ParamStore;
 
-    /// Mutable access for gradient accumulation and the optimizer step.
+    /// Mutable access for the gradient harvest and the optimizer step.
     fn store_mut(&mut self) -> &mut ParamStore;
 
     /// Builds the epoch's shuffled micro-batch stream. Implementations must
@@ -236,16 +191,10 @@ pub trait Trainable {
     /// Builds the loss node for one micro-batch on a reset workspace.
     fn loss(&self, ws: &mut Workspace, batch: &Self::Batch) -> Var;
 
-    /// Held-out validation micro-batches, in a deterministic order (no
-    /// shuffling). Empty when no validation split is active.
-    fn valid_batches(&self) -> Vec<Self::Batch> {
-        Vec::new()
-    }
-
-    /// Hook invoked once per optimizer step, after gradient accumulation
-    /// and averaging but before the norm is recorded, clipping is
-    /// applied, and Adam steps. The default does nothing — the historical
-    /// training loops are bitwise unaffected.
+    /// Hook invoked once per optimizer step, after the backward pass but
+    /// before the norm is recorded, clipping is applied, and Adam steps.
+    /// The default does nothing — the historical training loops are bitwise
+    /// unaffected.
     ///
     /// Implementations may zero or rescale per-parameter gradients through
     /// [`tlp_nn::ParamStore::grad_mut`]. Continual adaptation uses this to
@@ -267,15 +216,15 @@ pub trait Trainable {
 /// Format tag written into every [`TrainCheckpoint`] file.
 ///
 /// History: 1 = initial layout; 2 = a one-head TLP model's store names its
-/// head like every other head, so a v1 checkpoint fails with
-/// [`PersistError::Version`] instead of resuming into mismatched names.
-pub const TRAIN_CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// head like every other head; 3 = no early-stopping state. An older
+/// checkpoint fails with [`PersistError::Version`].
+pub const TRAIN_CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// A crash-safe snapshot of a [`Trainer::fit`] run after a whole number of
-/// epochs: parameters, Adam moments, early-stopping state, and epoch
-/// reports. Written periodically by [`Trainer::with_checkpointing`] via a
-/// sibling tempfile + atomic rename (a crash mid-spill can never corrupt
-/// the previous checkpoint), and consumed by [`Trainer::resume_from`].
+/// epochs: parameters, Adam moments, and epoch reports. Written
+/// periodically by [`Trainer::with_checkpointing`] via a sibling tempfile +
+/// atomic rename (a crash mid-spill can never corrupt the previous
+/// checkpoint), and consumed by [`Trainer::resume_from`].
 ///
 /// The shuffling RNG is *not* serialized: `SmallRng` exposes no state
 /// accessors. Resume instead replays [`Trainable::epoch_batches`] for the
@@ -295,10 +244,6 @@ pub struct TrainCheckpoint {
     pub store: ParamStore,
     /// Optimizer state (Adam moments and step count).
     pub optimizer: Adam,
-    /// Best early-stopping checkpoint captured so far, if any.
-    pub best: Option<ParamCheckpoint>,
-    /// Consecutive epochs without metric improvement at snapshot time.
-    pub bad_epochs: usize,
     /// Per-epoch reports for the completed epochs.
     pub reports: Vec<EpochReport>,
     /// Optimizer steps taken so far.
@@ -383,15 +328,17 @@ impl Trainer {
 
     /// Resumes an interrupted run from a [`TrainCheckpoint`] and trains to
     /// this trainer's configured epoch count. Parameters, optimizer
-    /// moments, early-stopping state, and the shuffle RNG stream are all
-    /// restored, so the continued run is bitwise-identical to one that was
-    /// never interrupted (same options required).
+    /// moments, and the shuffle RNG stream are all restored, so the
+    /// continued run is bitwise-identical to one that was never interrupted
+    /// (same options required).
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError`] if the checkpoint cannot be read or its
+    /// Returns [`PersistError`] if the checkpoint cannot be read, its
     /// recorded seed differs from this trainer's options (which would
-    /// silently break the bit-identical-resume guarantee).
+    /// silently break the bit-identical-resume guarantee), or its store does
+    /// not have the task's parameter layout ([`PersistError::Invalid`] with
+    /// M101 / M102 / M103 diagnostics; the task is left untouched).
     pub fn resume_from<T: Trainable>(
         &self,
         task: &mut T,
@@ -404,6 +351,7 @@ impl Trainer {
                 expected: self.options.seed,
             });
         }
+        check_layout(task.store(), &ckpt.store)?;
         Ok(self.fit_inner(task, Some(ckpt)))
     }
 
@@ -429,21 +377,12 @@ impl Trainer {
                 "training objective fails gradient-coverage audit:\n{report}"
             );
         }
-        assert!(
-            o.grad_accum >= 1,
-            "grad_accum counts micro-batches per step"
-        );
         let mut opt = Adam::new(o.learning_rate);
         let mut rng = SmallRng::seed_from_u64(o.seed);
         let t0 = Instant::now();
-
         let mut ws = Workspace::new();
-        let valid = task.valid_batches();
 
         let mut epochs: Vec<EpochReport> = Vec::with_capacity(o.epochs);
-        let mut stop = StopReason::Completed;
-        let mut best: Option<(f32, usize, ParamCheckpoint)> = None;
-        let mut bad_epochs = 0usize;
         let mut total_steps = 0usize;
         let mut total_samples = 0usize;
         let mut start_epoch = 0usize;
@@ -453,8 +392,6 @@ impl Trainer {
             start_epoch = ckpt.epochs_done.min(o.epochs);
             *task.store_mut() = ckpt.store;
             opt = ckpt.optimizer;
-            best = ckpt.best.map(|c| (c.metric, c.epoch, c));
-            bad_epochs = ckpt.bad_epochs;
             total_steps = ckpt.total_steps;
             total_samples = ckpt.total_samples;
             epochs = ckpt.reports;
@@ -472,69 +409,40 @@ impl Trainer {
             opt.set_learning_rate(lr);
             let batches = task.epoch_batches(epoch, &mut rng);
 
+            let steps = batches.len();
+            let mean = |sum: f64| {
+                if steps > 0 {
+                    (sum / steps as f64) as f32
+                } else {
+                    0.0
+                }
+            };
             let mut loss_sum = 0.0f64;
             let mut norm_sum = 0.0f64;
-            let mut steps = 0usize;
             let mut samples = 0usize;
-            for step in batches.chunks(o.grad_accum) {
-                for batch in step {
-                    ws.reset();
-                    let loss = task.loss(&mut ws, batch);
-                    ws.graph.backward(loss);
-                    ws.bind.harvest(&ws.graph, task.store_mut());
-                    loss_sum += ws.graph.value(loss).item() as f64;
-                    samples += task.batch_samples(batch);
-                }
-                if step.len() > 1 {
-                    task.store_mut().scale_grads(1.0 / step.len() as f32);
-                }
+            for batch in &batches {
+                ws.reset();
+                let loss = task.loss(&mut ws, batch);
+                ws.graph.backward(loss);
+                ws.bind.harvest(&ws.graph, task.store_mut());
+                loss_sum += ws.graph.value(loss).item() as f64;
+                samples += task.batch_samples(batch);
                 task.postprocess_grads();
                 norm_sum += task.store().grad_norm() as f64;
                 task.store_mut().clip_grad_norm(GRAD_CLIP);
                 opt.step(task.store_mut());
-                steps += 1;
             }
             total_steps += steps;
             total_samples += samples;
-
-            let train_loss = if !batches.is_empty() {
-                (loss_sum / batches.len() as f64) as f32
-            } else {
-                0.0
-            };
-            let valid_loss = eval_batches(task, &mut ws, &valid);
             epochs.push(EpochReport {
                 epoch,
-                train_loss,
-                valid_loss,
+                train_loss: mean(loss_sum),
                 learning_rate: lr,
-                grad_norm: if steps > 0 {
-                    (norm_sum / steps as f64) as f32
-                } else {
-                    0.0
-                },
+                grad_norm: mean(norm_sum),
                 wall_s: e0.elapsed().as_secs_f64(),
                 steps,
                 samples,
             });
-
-            if o.patience > 0 {
-                let metric = valid_loss.unwrap_or(train_loss);
-                if best.as_ref().is_none_or(|(m, _, _)| metric < *m) {
-                    best = Some((
-                        metric,
-                        epoch,
-                        ParamCheckpoint::capture(task.store(), epoch, metric),
-                    ));
-                    bad_epochs = 0;
-                } else {
-                    bad_epochs += 1;
-                    if bad_epochs >= o.patience {
-                        stop = StopReason::EarlyStopped;
-                        break;
-                    }
-                }
-            }
 
             if let Some(path) = &self.checkpoint_path {
                 let done = epoch + 1;
@@ -545,8 +453,6 @@ impl Trainer {
                         seed: o.seed,
                         store: task.store().clone(),
                         optimizer: opt.clone(),
-                        best: best.as_ref().map(|(_, _, c)| c.clone()),
-                        bad_epochs,
                         reports: epochs.clone(),
                         total_steps,
                         total_samples,
@@ -562,19 +468,13 @@ impl Trainer {
             }
         }
 
-        let mut best_epoch = None;
-        if let Some((_, be, ckpt)) = best {
-            ckpt.restore(task.store_mut());
-            best_epoch = Some(be);
-        }
-        if total_steps == 0 {
-            stop = StopReason::NoData;
-        }
         TrainReport {
             epochs,
-            stop,
-            best_epoch,
-            grad_accum: o.grad_accum,
+            stop: if total_steps == 0 {
+                StopReason::NoData
+            } else {
+                StopReason::Completed
+            },
             wall_s: t0.elapsed().as_secs_f64(),
             samples: total_samples,
             checkpoints_written,
@@ -582,19 +482,46 @@ impl Trainer {
     }
 }
 
-/// Mean loss over a deterministic batch list without touching gradients
-/// (validation evaluation). `None` when the list is empty.
-fn eval_batches<T: Trainable>(task: &T, ws: &mut Workspace, batches: &[T::Batch]) -> Option<f32> {
-    if batches.is_empty() {
-        return None;
+/// A checkpoint is outside input and the model addresses its parameters by
+/// position, so before anything is installed the checkpoint's store must
+/// list the task's own `(name, shape)` pairs in the task's order.
+fn check_layout(own: &ParamStore, found: &ParamStore) -> Result<(), PersistError> {
+    let error =
+        |code, name: &str, message: String| Diagnostic::at(code, Severity::Error, name, message);
+    let missing = |id| {
+        let shape = own.value(id).shape();
+        let message = format!("the model expects it here (shape {shape:?})");
+        error(Code::MissingParam, own.name(id), message)
+    };
+    let orphan = |id| {
+        let shape = found.value(id).shape();
+        let message = format!("the model has no such parameter here (shape {shape:?})");
+        error(Code::OrphanParam, found.name(id), message)
+    };
+    let mut diagnostics = Vec::new();
+    let (mut own_ids, mut found_ids) = (own.ids(), found.ids());
+    loop {
+        match (own_ids.next(), found_ids.next()) {
+            (None, None) => break,
+            (Some(o), None) => diagnostics.push(missing(o)),
+            (None, Some(f)) => diagnostics.push(orphan(f)),
+            (Some(o), Some(f)) if own.name(o) != found.name(f) => {
+                diagnostics.extend([missing(o), orphan(f)]);
+            }
+            (Some(o), Some(f)) => {
+                let (want, got) = (own.value(o).shape(), found.value(f).shape());
+                if want != got {
+                    let message = format!("the model holds shape {want:?}, the checkpoint {got:?}");
+                    diagnostics.push(error(Code::ShapeMismatch, own.name(o), message));
+                }
+            }
+        }
     }
-    let mut sum = 0.0f64;
-    for b in batches {
-        ws.reset();
-        let loss = task.loss(ws, b);
-        sum += ws.graph.value(loss).item() as f64;
+    if diagnostics.is_empty() {
+        Ok(())
+    } else {
+        Err(PersistError::Invalid { diagnostics })
     }
-    Some((sum / batches.len() as f64) as f32)
 }
 
 /// The TLP training loss over a scored micro-batch: LambdaRank, or
@@ -659,30 +586,6 @@ pub fn gather_rows(
     (f, l)
 }
 
-/// Splits group indices `0..n_groups` into (train, valid) index sets, both
-/// ascending. Uses its own RNG (salted from `seed`) so enabling a split
-/// leaves the training shuffle stream untouched.
-pub fn split_group_indices(
-    n_groups: usize,
-    valid_frac: f64,
-    seed: u64,
-) -> (Vec<usize>, Vec<usize>) {
-    if valid_frac <= 0.0 {
-        return ((0..n_groups).collect(), Vec::new());
-    }
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5a17);
-    let mut idx: Vec<usize> = (0..n_groups).collect();
-    idx.shuffle(&mut rng);
-    let n_valid = ((n_groups as f64) * valid_frac).round() as usize;
-    // Never hold out everything: training needs at least one group.
-    let n_valid = n_valid.min(n_groups.saturating_sub(1));
-    let mut valid: Vec<usize> = idx[..n_valid].to_vec();
-    let mut train: Vec<usize> = idx[n_valid..].to_vec();
-    valid.sort_unstable();
-    train.sort_unstable();
-    (train, valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,6 +602,16 @@ mod tests {
         assert!(matches!(
             TrainCheckpoint::load(&path),
             Err(PersistError::Version { found: 9999, .. })
+        ));
+        // What the previous format wrote, early-stopping state included.
+        let v2 = "{\"format_version\": 2, \"epochs_done\": 1, \"seed\": 42, \"best\": null, \"bad_epochs\": 0}";
+        std::fs::write(&path, v2).expect("write");
+        assert!(matches!(
+            TrainCheckpoint::load(&path),
+            Err(PersistError::Version {
+                found: 2,
+                expected: 3
+            })
         ));
         assert!(matches!(
             TrainCheckpoint::load("/nonexistent/ckpt.json"),
@@ -745,22 +658,5 @@ mod tests {
             store.add(name, tlp_nn::Tensor::zeros(&[2]));
         }
         Trainer::new(TrainOptions::default()).fit(&mut StrandedHead(store));
-    }
-
-    #[test]
-    fn split_group_indices_is_disjoint_and_salted() {
-        let (tr, va) = split_group_indices(10, 0.3, 7);
-        assert_eq!(tr.len(), 7);
-        assert_eq!(va.len(), 3);
-        let mut all: Vec<usize> = tr.iter().chain(&va).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        // No split leaves every group in training.
-        let (tr, va) = split_group_indices(4, 0.0, 7);
-        assert_eq!(tr, vec![0, 1, 2, 3]);
-        assert!(va.is_empty());
-        // A full split still keeps one training group.
-        let (tr, _) = split_group_indices(4, 1.0, 7);
-        assert_eq!(tr.len(), 1);
     }
 }

@@ -303,7 +303,6 @@ mod tests {
         let v = crate::stats::validity(&ds);
         assert_eq!(v.total, ds.num_programs());
         assert_eq!(v.valid, v.total);
-        assert_eq!(v.valid_fraction(), 1.0);
         assert_eq!(ds.retain_valid(), 0);
         assert_eq!(ds.num_programs(), v.total);
     }

@@ -74,18 +74,6 @@ pub struct ValidityStats {
     pub with_lints: usize,
 }
 
-impl ValidityStats {
-    /// The fraction of programs free of verifier errors (1 for an empty
-    /// dataset: nothing is invalid).
-    pub fn valid_fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.valid as f64 / self.total as f64
-        }
-    }
-}
-
 /// Aggregates the recorded validity labels across the whole dataset.
 pub fn validity(ds: &Dataset) -> ValidityStats {
     let mut out = ValidityStats::default();

@@ -1134,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_accumulates_over_shared_input() {
+    fn grads_sum_over_shared_input() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(vec![2.0], &[1]), true);
         let y = g.add(x, x);

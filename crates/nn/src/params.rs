@@ -148,14 +148,6 @@ impl ParamStore {
     pub fn apply_delta(&mut self, id: ParamId, delta: &Tensor) {
         self.params[id.0].value.add_assign(delta);
     }
-
-    /// Scales every accumulated gradient by `s` (gradient averaging after
-    /// accumulating several micro-batches).
-    pub fn scale_grads(&mut self, s: f32) {
-        for p in &mut self.params {
-            p.grad.scale_assign(s);
-        }
-    }
 }
 
 /// Per-tape cache binding store parameters to graph leaves.
@@ -220,8 +212,6 @@ mod tests {
         g.backward(s2);
         bind.harvest(&g, &mut store);
         assert_eq!(store.grad(w).data(), &[3.0, 3.0]);
-        store.scale_grads(0.5);
-        assert_eq!(store.grad(w).data(), &[1.5, 1.5]);
         store.zero_grad();
         assert_eq!(store.grad(w).data(), &[0.0, 0.0]);
     }

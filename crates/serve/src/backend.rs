@@ -19,7 +19,6 @@
 
 use crate::error::ServeError;
 use crate::server::{ScoreReply, ServeClient};
-use crate::tenant::DEFAULT_TENANT;
 use serde::Serialize;
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
@@ -31,28 +30,15 @@ use tlp_schedule::ScheduleSequence;
 /// [`ServeClient`] for real serving and by
 /// [`FlakyTransport`](crate::chaos::FlakyTransport) for chaos testing.
 pub trait ScoreTransport {
-    /// Scores `schedules` against the named model, attributed to `tenant`
-    /// for QoS accounting and honoring `deadline` when given. The one method
-    /// a transport implements, so none can drop the attribution by default.
-    fn score_as(
-        &self,
-        tenant: &str,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError>;
-
-    /// [`ScoreTransport::score_as`] for [`DEFAULT_TENANT`].
+    /// Scores `schedules` against the named model, honoring `deadline` when
+    /// given.
     fn score(
         &self,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        self.score_as(DEFAULT_TENANT, model, task, schedules, deadline)
-    }
+    ) -> Result<ScoreReply, ServeError>;
 
     /// Per-endpoint breaker state this transport maintains, one row per
     /// endpoint. Empty for single-endpoint transports (the default); a
@@ -64,15 +50,14 @@ pub trait ScoreTransport {
 }
 
 impl ScoreTransport for ServeClient {
-    fn score_as(
+    fn score(
         &self,
-        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError> {
-        ServeClient::score_as(self, tenant, model, task, schedules, deadline)
+        self.submit(model, task, schedules, deadline)?.wait()
     }
 }
 
@@ -83,7 +68,6 @@ pub(crate) fn is_transient(err: &ServeError) -> bool {
     matches!(
         err,
         ServeError::Overloaded { .. }
-            | ServeError::TenantOverQuota { .. }
             | ServeError::NoHealthyShard { .. }
             | ServeError::DeadlineExceeded
             | ServeError::Disconnected

@@ -101,9 +101,8 @@ impl<T: ScoreTransport> FlakyTransport<T> {
 }
 
 impl<T: ScoreTransport> ScoreTransport for FlakyTransport<T> {
-    fn score_as(
+    fn score(
         &self,
-        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
@@ -111,9 +110,7 @@ impl<T: ScoreTransport> ScoreTransport for FlakyTransport<T> {
     ) -> Result<ScoreReply, ServeError> {
         match self.draw_failure() {
             Some(err) => Err(err),
-            None => self
-                .inner
-                .score_as(tenant, model, task, schedules, deadline),
+            None => self.inner.score(model, task, schedules, deadline),
         }
     }
 
@@ -130,9 +127,8 @@ mod tests {
     /// A transport that always succeeds with an empty reply.
     struct AlwaysOk;
     impl ScoreTransport for AlwaysOk {
-        fn score_as(
+        fn score(
             &self,
-            _tenant: &str,
             _model: &str,
             _task: &SearchTask,
             schedules: &[ScheduleSequence],

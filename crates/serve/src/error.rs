@@ -27,17 +27,6 @@ pub enum ServeError {
         /// The queue capacity that was exhausted.
         capacity: usize,
     },
-    /// The submitting tenant is already using its weighted share of the
-    /// admission queue ([`TenantTable`](crate::tenant::TenantTable)); the
-    /// request was rejected before enqueueing so one greedy tenant cannot
-    /// crowd out the others. Back off and retry — other tenants' shares are
-    /// unaffected.
-    TenantOverQuota {
-        /// The tenant that exceeded its share.
-        tenant: String,
-        /// The tenant's admission share (queue slots) that was exhausted.
-        share: usize,
-    },
     /// Every shard in the routing order was either circuit-broken or failed
     /// transiently; the fleet router gave up on this request. Transient: a
     /// shard may recover (breaker half-open probe, fault clears).
@@ -76,13 +65,6 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "serving queue full (capacity {capacity}); request rejected"
-                )
-            }
-            ServeError::TenantOverQuota { tenant, share } => {
-                write!(
-                    f,
-                    "tenant `{tenant}` is at its admission share ({share} queued jobs); \
-                     request rejected"
                 )
             }
             ServeError::NoHealthyShard { attempted } => {

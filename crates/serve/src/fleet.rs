@@ -10,7 +10,7 @@
 //! [`FleetSnapshot`] is the fleet-wide view: router counters, per-shard
 //! breaker/health/chaos rows, and each shard's full [`ServeSnapshot`],
 //! with the fleet totals summed — one JSON document an operator (or the
-//! `fleet-bench` CLI) can read top-down.
+//! `serving_fleet` bench) can read top-down.
 
 use crate::backend::{BreakerConfig, BreakerSnapshot};
 use crate::health::{HealthPolicy, ShardHealth};
@@ -29,7 +29,7 @@ use tlp::{FeatureExtractor, TlpModel};
 pub struct FleetConfig {
     /// Number of server shards.
     pub shards: usize,
-    /// Per-shard server configuration (queue, batchers, QoS policy).
+    /// Per-shard server configuration (queue, batchers, batching policy).
     pub serve: ServeConfig,
     /// Per-shard engine configuration (cache, micro-batching).
     pub engine: EngineConfig,

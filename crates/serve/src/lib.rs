@@ -39,7 +39,7 @@
 //! Integration points: [`RemoteCostModel`] adapts a [`ServeClient`] to the
 //! autotuner's [`CostModel`](tlp_autotuner::CostModel) trait, and
 //! [`loadgen`] drives the simulated-time fleet harness behind the
-//! `fleet-bench` CLI subcommand and the `BENCH_fleet.json` benchmark.
+//! `serving_fleet` bench and its `BENCH_fleet.json`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -71,7 +71,6 @@ pub mod registry;
 pub mod router;
 pub mod server;
 pub mod stats;
-pub mod tenant;
 
 pub use backend::{
     BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, EndpointBreaker, RemoteCostModel,
@@ -91,4 +90,3 @@ pub use server::{BatchPolicy, PendingScore, ScoreReply, ServeClient, ServeConfig
 pub use stats::{
     HistogramSnapshot, LatencyHistogram, ModelStatsSnapshot, ServeSnapshot, ServeStats,
 };
-pub use tenant::{TenantPolicy, TenantSpec, TenantStatsSnapshot, DEFAULT_TENANT};

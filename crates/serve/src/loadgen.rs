@@ -22,7 +22,6 @@
 //! eyeballing noisy wall-clock numbers.
 
 use crate::router::FleetClient;
-use crate::tenant::DEFAULT_TENANT;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -83,9 +82,6 @@ pub struct FleetLoadOptions {
     pub requests_per_client: usize,
     /// Candidates per request.
     pub batch: usize,
-    /// Tenant labels, assigned to clients round-robin. Empty = every client
-    /// is the default tenant.
-    pub tenants: Vec<String>,
 }
 
 impl Default for FleetLoadOptions {
@@ -94,7 +90,6 @@ impl Default for FleetLoadOptions {
             clients: 64,
             requests_per_client: 8,
             batch: 16,
-            tenants: Vec::new(),
         }
     }
 }
@@ -215,16 +210,11 @@ pub fn run_fleet_sim(
         next_round[c] = round + 1;
         let task_idx = c % tasks.len();
         let pool = &pools[task_idx];
-        let tenant: &str = if opts.tenants.is_empty() {
-            DEFAULT_TENANT
-        } else {
-            &opts.tenants[c % opts.tenants.len()]
-        };
         let begin = (c * 17 + round * opts.batch) % pool.len();
         let batch: Vec<ScheduleSequence> = (0..opts.batch)
             .map(|i| pool[(begin + i) % pool.len()].clone())
             .collect();
-        let done_ns = match client.score_detailed(tenant, model, &tasks[task_idx], &batch, None) {
+        let done_ns = match client.score_detailed(model, &tasks[task_idx], &batch, None) {
             Ok(fr) => {
                 ok += 1;
                 failovers += u64::from(fr.failovers);

@@ -1,9 +1,9 @@
 //! The fleet router: consistent hashing, per-shard breakers, failover.
 //!
 //! A [`FleetClient`] fronts N server shards. Each request's routing key is
-//! a hash of `(model, task fingerprint)` — **never** the tenant — so all
-//! tenants scoring the same task land on the same shard and share its hot
-//! score cache, while distinct tasks spread across the fleet. The key walks
+//! a hash of `(model, task fingerprint)`, so every client scoring the same
+//! task lands on the same shard and shares its hot score cache, while
+//! distinct tasks spread across the fleet. The key walks
 //! a consistent-hash ring ([`HashRing`]) of virtual nodes: the first shard
 //! clockwise owns the key, and the distinct shards after it form the
 //! failover order, so adding or faulting one shard only remaps the keys it
@@ -23,10 +23,9 @@
 //!   trip), so the fleet reacts to an error *rate*, not only to consecutive
 //!   failures.
 //!
-//! Deterministic rejections (invalid schedule, unknown model, tenant over
-//! quota) are returned to the caller without failover: retrying them on
-//! another shard cannot succeed — and for quota rejections would let a
-//! greedy tenant escape its share by spilling across the fleet.
+//! Deterministic rejections (invalid schedule, unknown model) are returned
+//! to the caller without failover: retrying them on another shard cannot
+//! succeed.
 
 use crate::backend::{
     is_transient, BreakerConfig, BreakerState, CircuitBreaker, EndpointBreaker, ScoreTransport,
@@ -50,10 +49,7 @@ const VNODES: u64 = 64;
 /// Salt decorrelating ring-point hashes from other splitmix users.
 const RING_SALT: u64 = 0x72f3_9a1c_5bd6_e04d;
 
-/// The routing key for `(model, task fingerprint)`. Tenant-independent by
-/// construction: tenancy is a QoS label, and keying on it would shatter the
-/// per-shard score caches and let tenant identity move scores across
-/// shards.
+/// The routing key for `(model, task fingerprint)`.
 pub fn route_key(model: &str, task_fp: u64) -> u64 {
     // FNV-1a over the model name, then splitmix-fold the fingerprint.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -300,7 +296,6 @@ impl FleetClient {
     /// failed transiently.
     pub fn score_detailed(
         &self,
-        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
@@ -321,10 +316,7 @@ impl FleetClient {
                 self.shared.failovers.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            match ep
-                .transport
-                .score_as(tenant, model, task, schedules, deadline)
-            {
+            match ep.transport.score(model, task, schedules, deadline) {
                 Ok(reply) => {
                     ep.lock_breaker().on_success();
                     self.record_outcome(shard, true);
@@ -334,9 +326,7 @@ impl FleetClient {
                         reply,
                     });
                 }
-                Err(err)
-                    if is_transient(&err) && !matches!(err, ServeError::TenantOverQuota { .. }) =>
-                {
+                Err(err) if is_transient(&err) => {
                     // Infrastructure failure: count it against the shard and
                     // fail over to the next in key order.
                     ep.lock_breaker().on_failure();
@@ -352,15 +342,14 @@ impl FleetClient {
 }
 
 impl ScoreTransport for FleetClient {
-    fn score_as(
+    fn score(
         &self,
-        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError> {
-        self.score_detailed(tenant, model, task, schedules, deadline)
+        self.score_detailed(model, task, schedules, deadline)
             .map(|r| r.reply)
     }
 

@@ -40,7 +40,6 @@
 use crate::error::ServeError;
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::stats::{ServeSnapshot, ServeStats};
-use crate::tenant::{TenantPolicy, TenantTable, DEFAULT_TENANT};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -85,11 +84,6 @@ pub struct ServeConfig {
     pub batchers: usize,
     /// Coalescing policy.
     pub policy: BatchPolicy,
-    /// Per-tenant QoS: weighted admission shares and fair-share dispatch.
-    /// The default policy has a single auto-registered tenant class, which
-    /// reduces to plain FIFO + global capacity — identical to pre-tenant
-    /// behavior.
-    pub tenants: TenantPolicy,
 }
 
 impl Default for ServeConfig {
@@ -98,7 +92,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             batchers: 2,
             policy: BatchPolicy::default(),
-            tenants: TenantPolicy::default(),
         }
     }
 }
@@ -129,7 +122,6 @@ pub struct ScoreReply {
 }
 
 struct Job {
-    tenant: String,
     model: String,
     task: SearchTask,
     schedules: Vec<ScheduleSequence>,
@@ -142,7 +134,6 @@ struct Job {
 
 struct QueueState {
     queue: VecDeque<Job>,
-    tenants: TenantTable,
     shutdown: bool,
 }
 
@@ -164,15 +155,11 @@ impl Shared {
     }
 
     fn snapshot(&self) -> ServeSnapshot {
-        let (depth, tenants) = {
-            let st = self.lock_state();
-            (st.queue.len(), st.tenants.snapshot())
-        };
+        let depth = self.lock_state().queue.len();
         self.stats.snapshot(
             depth,
             self.registry.rejected_installs(),
             self.registry.stats(),
-            tenants,
         )
     }
 }
@@ -193,7 +180,6 @@ impl Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
-                tenants: TenantTable::new(&config.tenants),
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -289,26 +275,6 @@ impl ServeClient {
         self.submit(model, task, schedules, None)?.wait()
     }
 
-    /// Like [`ServeClient::score`] but attributed to `tenant` for QoS
-    /// accounting (weighted admission share, fair-share dispatch). Tenancy
-    /// never affects scores or cache keys — only scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`], including [`ServeError::TenantOverQuota`] when
-    /// the tenant is at its admission share.
-    pub fn score_as(
-        &self,
-        tenant: &str,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        self.submit_as(tenant, model, task, schedules, deadline)?
-            .wait()
-    }
-
     /// Like [`ServeClient::score`] with a deadline: the request fails with
     /// [`ServeError::DeadlineExceeded`] if scoring has not completed within
     /// `deadline` of submission (checked both server-side before scoring and
@@ -336,24 +302,6 @@ impl ServeClient {
     /// [`ServeError::ShuttingDown`] — all admission-time failures.
     pub fn submit(
         &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<PendingScore, ServeError> {
-        self.submit_as(DEFAULT_TENANT, model, task, schedules, deadline)
-    }
-
-    /// Like [`ServeClient::submit`] but attributed to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`], [`ServeError::Overloaded`],
-    /// [`ServeError::TenantOverQuota`], or [`ServeError::ShuttingDown`] —
-    /// all admission-time failures.
-    pub fn submit_as(
-        &self,
-        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
@@ -389,18 +337,13 @@ impl ServeClient {
         let deadline = deadline.map(|d| now + d);
         let mut scores = Vec::new();
         if let Some(stats) = version.probe(&keys, &mut scores) {
-            return self.answer(tenant, &version, scores, stats, now, deadline);
+            return self.answer(&version, scores, stats, now, deadline);
         }
 
         // Look before building the job: refused load copies nothing.
-        {
-            let mut st = self.shared.lock_state();
-            self.admit(&mut st, tenant)?;
-            st.tenants.cancel(tenant);
-        }
+        self.admit(&self.shared.lock_state())?;
         let (tx, rx) = mpsc::channel();
         let job = Job {
-            tenant: tenant.to_string(),
             model: model.to_string(),
             task: task.clone(),
             schedules: schedules.to_vec(),
@@ -413,7 +356,7 @@ impl ServeClient {
             // The authoritative check: the queue may have filled since the
             // look, and the bound is exact.
             let mut st = self.shared.lock_state();
-            self.admit(&mut st, tenant)?;
+            self.admit(&st)?;
             st.queue.push_back(job);
         }
         ServeStats::bump(&self.shared.stats.submitted);
@@ -421,9 +364,9 @@ impl ServeClient {
         Ok(PendingScore(Pending::Queued { rx, deadline }))
     }
 
-    /// Takes a queue slot for `tenant`, or says why not (bumping the
-    /// refusal's counter).
-    fn admit(&self, st: &mut QueueState, tenant: &str) -> Result<(), ServeError> {
+    /// Whether the queue has a free slot, or why not (bumping the refusal's
+    /// counter).
+    fn admit(&self, st: &QueueState) -> Result<(), ServeError> {
         let capacity = self.shared.capacity;
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
@@ -432,22 +375,14 @@ impl ServeClient {
             ServeStats::bump(&self.shared.stats.rejected_overload);
             return Err(ServeError::Overloaded { capacity });
         }
-        st.tenants.admit(tenant, capacity).map_err(|share| {
-            ServeStats::bump(&self.shared.stats.rejected_quota);
-            ServeError::TenantOverQuota {
-                tenant: tenant.to_string(),
-                share,
-            }
-        })
+        Ok(())
     }
 
     /// Completes, on the submitting thread, a request the cache probe
-    /// answered whole. It takes no queue slot and no batcher time, so
-    /// neither the tenant's quota nor its virtual pass is charged; shutdown
+    /// answered whole. It takes no queue slot and no batcher time; shutdown
     /// and the deadline are honoured as on the queued path.
     fn answer(
         &self,
-        tenant: &str,
         version: &ModelVersion,
         scores: Vec<Option<f32>>,
         stats: BatchStats,
@@ -455,12 +390,8 @@ impl ServeClient {
         deadline: Option<Instant>,
     ) -> Result<PendingScore, ServeError> {
         let shared = &self.shared;
-        {
-            let mut st = shared.lock_state();
-            if st.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            st.tenants.on_answered(tenant, scores.len());
+        if shared.lock_state().shutdown {
+            return Err(ServeError::ShuttingDown);
         }
         ServeStats::bump(&shared.stats.submitted);
         let done = Instant::now();
@@ -556,17 +487,12 @@ impl Group {
         }
     }
 
-    /// Moves matching queued jobs into the group until `max_batch`, charging
-    /// each move to its tenant. Coalescing crosses tenant boundaries on
-    /// purpose: replies are split per job, so sharing a batch shares compute
-    /// without sharing scores, and every coalesced job still advances its
-    /// own tenant's pass.
-    fn top_up(&mut self, queue: &mut VecDeque<Job>, tenants: &mut TenantTable, max_batch: usize) {
+    /// Moves matching queued jobs into the group until `max_batch`.
+    fn top_up(&mut self, queue: &mut VecDeque<Job>, max_batch: usize) {
         let mut i = 0;
         while i < queue.len() && self.candidates < max_batch {
             if queue[i].model == self.model && queue[i].keys.task_fp() == self.task_fp {
                 if let Some(job) = queue.remove(i) {
-                    tenants.on_dispatch(&job.tenant, job.schedules.len());
                     self.candidates += job.schedules.len();
                     self.jobs.push(job);
                 }
@@ -575,24 +501,6 @@ impl Group {
             }
         }
     }
-}
-
-/// Pops the queued job whose tenant currently has the lowest virtual pass
-/// (stride scheduling; FIFO within a tenant since the scan prefers the
-/// earliest index on ties), charging the dispatch to the tenant table. With
-/// one tenant this degenerates to `pop_front`.
-fn pick_fair(st: &mut QueueState) -> Option<Job> {
-    let mut best: Option<(u64, usize)> = None;
-    for (i, job) in st.queue.iter().enumerate() {
-        let pass = st.tenants.pass_of(&job.tenant);
-        if best.is_none_or(|(bp, _)| pass < bp) {
-            best = Some((pass, i));
-        }
-    }
-    let (_, idx) = best?;
-    let job = st.queue.remove(idx)?;
-    st.tenants.on_dispatch(&job.tenant, job.schedules.len());
-    Some(job)
 }
 
 /// Per-batcher-thread scratch reused across executed batches: the group's
@@ -609,24 +517,19 @@ fn batcher_loop(shared: &Shared, policy: BatchPolicy) {
     let mut scratch = ExecScratch::default();
     loop {
         let mut st = shared.lock_state();
-        // Sleep until there is work (or we are told to exit).
-        loop {
-            if !st.queue.is_empty() {
-                break;
+        // Take the oldest job, sleeping until there is one (or we are told
+        // to exit).
+        let first = loop {
+            if let Some(job) = st.queue.pop_front() {
+                break job;
             }
             if st.shutdown {
                 return;
             }
             st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        let Some(first) = pick_fair(&mut st) else {
-            continue; // Unreachable: the wait loop guarantees a non-empty queue.
         };
         let mut group = Group::seed(first);
-        {
-            let QueueState { queue, tenants, .. } = &mut *st;
-            group.top_up(queue, tenants, policy.max_batch);
-        }
+        group.top_up(&mut st.queue, policy.max_batch);
         // Below target size: hold the batch open for stragglers, measured
         // from the oldest job so no request waits more than max_wait here.
         // Shutdown flushes immediately.
@@ -641,10 +544,7 @@ fn batcher_loop(shared: &Shared, policy: BatchPolicy) {
                 .wait_timeout(st, wait_until - now)
                 .unwrap_or_else(|e| e.into_inner());
             st = guard;
-            {
-                let QueueState { queue, tenants, .. } = &mut *st;
-                group.top_up(queue, tenants, policy.max_batch);
-            }
+            group.top_up(&mut st.queue, policy.max_batch);
             if timed_out.timed_out() {
                 break;
             }

@@ -132,9 +132,6 @@ pub struct ServeStats {
     pub completed: AtomicU64,
     /// Requests rejected at admission because the queue was full.
     pub rejected_overload: AtomicU64,
-    /// Requests rejected at admission because the tenant was at its
-    /// weighted queue share.
-    pub rejected_quota: AtomicU64,
     /// Requests rejected at admission because a schedule failed static
     /// verification.
     pub rejected_invalid: AtomicU64,
@@ -169,7 +166,6 @@ impl ServeStats {
         queue_depth: usize,
         rejected_installs: u64,
         models: Vec<ModelStatsSnapshot>,
-        tenants: Vec<crate::tenant::TenantStatsSnapshot>,
     ) -> ServeSnapshot {
         let batches = self.batches.load(Ordering::Relaxed);
         let coalesced = self.coalesced_jobs.load(Ordering::Relaxed);
@@ -177,7 +173,7 @@ impl ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
+            rejected_quota: 0,
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             unknown_model: self.unknown_model.load(Ordering::Relaxed),
@@ -194,7 +190,6 @@ impl ServeStats {
             queue_depth,
             latency_us: self.latency.snapshot(),
             models,
-            tenants,
             breaker: None,
         }
     }
@@ -220,7 +215,8 @@ pub struct ServeSnapshot {
     pub completed: u64,
     /// Requests rejected at admission (queue full).
     pub rejected_overload: u64,
-    /// Requests rejected at admission (tenant at its weighted queue share).
+    /// Always 0 (per-tenant quotas are gone); kept for the system
+    /// benchmark's reader until ROADMAP item 2 next edits it.
     pub rejected_quota: u64,
     /// Requests rejected at admission (schedule failed static verification).
     pub rejected_invalid: u64,
@@ -249,9 +245,6 @@ pub struct ServeSnapshot {
     pub latency_us: HistogramSnapshot,
     /// Per-model engine counters.
     pub models: Vec<ModelStatsSnapshot>,
-    /// Per-tenant QoS accounting (queue occupancy, dispatch totals, quota
-    /// rejections), sorted by tenant name.
-    pub tenants: Vec<crate::tenant::TenantStatsSnapshot>,
     /// Client-side circuit-breaker state, filled in by
     /// [`RemoteCostModel::stats`](crate::RemoteCostModel::stats); `None` on
     /// server-side snapshots.
@@ -315,7 +308,7 @@ mod tests {
         stats.latency.record_ns(5_000);
         ServeStats::bump(&stats.submitted);
         ServeStats::bump(&stats.completed);
-        let snap = stats.snapshot(3, 0, vec![], vec![]);
+        let snap = stats.snapshot(3, 0, vec![]);
         let json = snap.to_json();
         assert!(json.contains("\"submitted\": 1"));
         assert!(json.contains("\"queue_depth\": 3"));

@@ -1,7 +1,6 @@
-//! Fleet integration suite: consistent-hash routing, tenant-independent
-//! keys, failover/failback through breakers and health gossip, quota
-//! behavior at the router, fleet-wide aggregation, and the property test
-//! that scores never mix across shards or tenants.
+//! Fleet integration suite: consistent-hash routing, failover/failback
+//! through breakers and health gossip, fleet-wide aggregation, and the
+//! property test that scores never mix across shards.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
@@ -16,8 +15,7 @@ use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
     BatchPolicy, BreakerConfig, BreakerState, FleetConfig, FleetLoadOptions, HealthPolicy,
-    RemoteCostModel, ServeConfig, ServeError, ServingFleet, SimServiceModel, TenantPolicy,
-    TenantSpec,
+    RemoteCostModel, ServeConfig, ServingFleet, SimServiceModel,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -94,23 +92,23 @@ fn fleet_scores_match_single_shard_bit_for_bit() {
     let quad = uniform_fleet(4);
     let want = single
         .client()
-        .score_detailed("a", "m", &t, &pool, None)
+        .score_detailed("m", &t, &pool, None)
         .expect("single shard")
         .reply
         .scores;
     let got = quad
         .client()
-        .score_detailed("b", "m", &t, &pool, None)
+        .score_detailed("m", &t, &pool, None)
         .expect("quad fleet")
         .reply
         .scores;
-    assert_eq!(want, got, "sharding and tenancy must not change scores");
+    assert_eq!(want, got, "sharding must not change scores");
     single.shutdown();
     quad.shutdown();
 }
 
 #[test]
-fn routing_is_sticky_and_tenant_independent() {
+fn routing_is_sticky() {
     let fleet = uniform_fleet(4);
     let client = fleet.client();
     for (i, (m, n, k)) in [(64, 64, 64), (128, 64, 32), (256, 128, 64), (32, 32, 256)]
@@ -120,11 +118,11 @@ fn routing_is_sticky_and_tenant_independent() {
         let t = dense_task(m, n, k);
         let pool = candidates(&t, 4, 100 + i as u64);
         let owner = client.owner_of("m", &t);
-        for tenant in ["alice", "bob", "default"] {
+        for _ in 0..3 {
             let r = client
-                .score_detailed(tenant, "m", &t, &pool, None)
+                .score_detailed("m", &t, &pool, None)
                 .expect("healthy fleet");
-            assert_eq!(r.shard, owner, "tenant `{tenant}` must not move the key");
+            assert_eq!(r.shard, owner, "a repeated request must not move the key");
             assert_eq!(r.failovers, 0);
         }
     }
@@ -156,7 +154,7 @@ fn failover_on_wedged_shard_then_failback_after_recovery() {
     client.fault(owner, 1.0);
     for i in 0..8 {
         let r = client
-            .score_detailed("alice", "m", &t, &pool, None)
+            .score_detailed("m", &t, &pool, None)
             .unwrap_or_else(|e| panic!("request {i} lost under failover: {e}"));
         assert_eq!(r.shard, backup, "request {i} must serve from the backup");
         assert_eq!(r.failovers, 1, "request {i} pays exactly one hop");
@@ -187,7 +185,7 @@ fn failover_on_wedged_shard_then_failback_after_recovery() {
     let mut failback_at = None;
     for i in 0..12 {
         let r = client
-            .score_detailed("alice", "m", &t, &pool, None)
+            .score_detailed("m", &t, &pool, None)
             .expect("request during recovery");
         if r.shard == owner {
             failback_at = Some(i);
@@ -229,7 +227,7 @@ fn health_gossip_trips_breaker_before_consecutive_failure_threshold() {
     client.fault(owner, 1.0);
     for _ in 0..8 {
         client
-            .score_detailed("x", "m", &t, &pool, None)
+            .score_detailed("m", &t, &pool, None)
             .expect("failover keeps requests alive");
     }
     assert_eq!(
@@ -247,53 +245,7 @@ fn health_gossip_trips_breaker_before_consecutive_failure_threshold() {
 }
 
 #[test]
-fn tenant_over_quota_is_returned_not_failed_over() {
-    let mut config = fleet_config(2);
-    config.serve = ServeConfig {
-        queue_capacity: 2,
-        batchers: 0, // paused: queued jobs sit so quota state is observable
-        tenants: TenantPolicy::with_classes(vec![
-            TenantSpec::new("greedy", 1),
-            TenantSpec::new("light", 1),
-        ]),
-        ..ServeConfig::default()
-    };
-    let fleet = ServingFleet::start(config);
-    let (model, ex) = scorer(7);
-    fleet.install_tlp("m", &model, &ex).expect("valid model");
-    let client = fleet.client();
-    let t = dense_task(72, 72, 72);
-    let pool = candidates(&t, 2, 31);
-    let owner = client.owner_of("m", &t);
-
-    // Fill greedy's share (2 * 1/2 = 1 slot) on the owner shard directly.
-    let _held = client
-        .shard_client(owner)
-        .submit_as("greedy", "m", &t, &pool, None)
-        .expect("first job fits the share");
-    let before = client.stats().failovers;
-    let err = client
-        .score_detailed("greedy", "m", &t, &pool, None)
-        .expect_err("greedy is at its share");
-    assert!(
-        matches!(err, ServeError::TenantOverQuota { ref tenant, .. } if tenant == "greedy"),
-        "got {err:?}"
-    );
-    assert_eq!(
-        client.stats().failovers,
-        before,
-        "quota rejection must not spill load onto other shards"
-    );
-    // The other tenant's share is untouched.
-    let _ok = client
-        .shard_client(owner)
-        .submit_as("light", "m", &t, &pool, None)
-        .expect("light tenant admits within its own share");
-    fleet.shutdown();
-}
-
-#[test]
-fn fleet_snapshot_aggregates_shards_and_tenants() {
+fn fleet_snapshot_aggregates_shards() {
     let fleet = uniform_fleet(3);
     let client = fleet.client();
     let tasks: Vec<SearchTask> = [(64, 64, 64), (96, 64, 32), (128, 96, 48)]
@@ -302,9 +254,9 @@ fn fleet_snapshot_aggregates_shards_and_tenants() {
         .collect();
     for (i, t) in tasks.iter().enumerate() {
         let pool = candidates(t, 4, 200 + i as u64);
-        for tenant in ["a", "b"] {
+        for _ in 0..2 {
             client
-                .score_detailed(tenant, "m", t, &pool, None)
+                .score_detailed("m", t, &pool, None)
                 .expect("healthy fleet");
         }
     }
@@ -316,12 +268,6 @@ fn fleet_snapshot_aggregates_shards_and_tenants() {
         snap.shards.iter().map(|s| s.serve.completed).sum::<u64>(),
         6
     );
-    let tenant_rows: Vec<&str> = snap
-        .shards
-        .iter()
-        .flat_map(|s| s.serve.tenants.iter().map(|r| r.tenant.as_str()))
-        .collect();
-    assert!(tenant_rows.contains(&"a") && tenant_rows.contains(&"b"));
     let json = snap.to_json();
     assert!(json.contains("\"router\"") && json.contains("\"gossip_trips\""));
     fleet.shutdown();
@@ -341,7 +287,6 @@ fn sim_completes_all_requests_under_chaos_and_rate_zero_is_bit_identical() {
         clients: 8,
         requests_per_client: 4,
         batch: 4,
-        tenants: vec!["a".into(), "b".into()],
     };
     let service = SimServiceModel::default();
     let run = |fault: Option<(usize, f64)>| {
@@ -372,17 +317,14 @@ fn sim_completes_all_requests_under_chaos_and_rate_zero_is_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The no-mixing property: for any task and any pair of tenants, the
-    /// fleet's reply is bit-identical to scoring directly on the shard it
-    /// reports — through a full fault → failover → recover → failback
-    /// cycle. Shards deliberately hold *divergent* models (different init
-    /// seeds), so any cross-shard blending or misrouting would change the
-    /// score bits; tenancy must never change bits or routing at all.
+    /// The no-mixing property: for any task, the fleet's reply is
+    /// bit-identical to scoring directly on the shard it reports — through a
+    /// full fault → failover → recover → failback cycle. Shards deliberately
+    /// hold *divergent* models (different init seeds), so any cross-shard
+    /// blending or misrouting would change the score bits.
     #[test]
-    fn scores_never_mix_across_shards_or_tenants(
+    fn scores_never_mix_across_shards(
         dim_idx in 0usize..4,
-        tenant_a in "[a-z]{1,8}",
-        tenant_b in "[a-z]{1,8}",
         cand_seed in 0u64..1000,
     ) {
         let mut config = fleet_config(3);
@@ -402,10 +344,11 @@ proptest! {
         let order = client.route_order("m", &t);
         let (owner, backup) = (order[0], order[1]);
 
-        // Healthy: both tenants land on the owner, bits match its model.
+        // Healthy: a request and its repeat land on the owner, bits match
+        // its model.
         let truth_owner = shard_truth(&fleet, owner, &t, &pool);
-        for tenant in [tenant_a.as_str(), tenant_b.as_str()] {
-            let r = client.score_detailed(tenant, "m", &t, &pool, None).expect("healthy");
+        for _ in 0..2 {
+            let r = client.score_detailed("m", &t, &pool, None).expect("healthy");
             prop_assert_eq!(r.shard, owner);
             prop_assert_eq!(&r.reply.scores, &truth_owner);
         }
@@ -413,8 +356,8 @@ proptest! {
         // Failover: replies now carry exactly the backup's model bits.
         client.fault(owner, 1.0);
         let truth_backup = shard_truth(&fleet, backup, &t, &pool);
-        for tenant in [tenant_a.as_str(), tenant_b.as_str()] {
-            let r = client.score_detailed(tenant, "m", &t, &pool, None).expect("failover");
+        for _ in 0..2 {
+            let r = client.score_detailed("m", &t, &pool, None).expect("failover");
             prop_assert_eq!(r.shard, backup);
             prop_assert_eq!(&r.reply.scores, &truth_backup);
         }
@@ -423,7 +366,7 @@ proptest! {
         client.fault(owner, 0.0);
         let mut failed_back = false;
         for _ in 0..8 {
-            let r = client.score_detailed(tenant_a.as_str(), "m", &t, &pool, None).expect("recovery");
+            let r = client.score_detailed("m", &t, &pool, None).expect("recovery");
             let want = shard_truth(&fleet, r.shard, &t, &pool);
             prop_assert_eq!(&r.reply.scores, &want, "every reply matches its serving shard");
             if r.shard == owner {

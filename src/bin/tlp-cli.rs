@@ -5,7 +5,6 @@
 //! tlp-cli train <model.json>            train TLP and snapshot it
 //! tlp-cli eval <model.json>             top-k of a snapshot on the test set
 //! tlp-cli tune <network> [model.json]   tune a workload (random or TLP-guided)
-//! tlp-cli fleet-bench [s] [c] [r] [b]   simulated load against a sharded fleet
 //! tlp-cli adapt [snapshot.json]         continual-adapt a head to ryzen-3950x
 //! tlp-cli verify-corpus [out.json]      static-verifier sweep over the dataset
 //! tlp-cli audit-model [out.json]        model-graph audit soundness suite (M-codes)
@@ -14,8 +13,8 @@
 //!
 //! Sizes follow `TLP_SCALE` (test|small|medium|paper; default small).
 //!
-//! Lives in the root package (not `crates/core`) because `fleet-bench`
-//! pulls in `tlp-serve`, which itself depends on the core crate.
+//! Lives in the root package (not `crates/core`) because `adapt` pulls in
+//! `tlp-serve`, which itself depends on the core crate.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 #![allow(clippy::disallowed_types)] // keyed lookups only; determinism-critical crates opt in (clippy.toml)
@@ -31,11 +30,7 @@ use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::{tune_network, CostModel, EvolutionConfig, RandomModel, TuningOptions};
 use tlp_hwsim::Platform;
 use tlp_schedule::Vocabulary;
-use tlp_serve::{
-    random_pool, run_fleet_sim, BatchPolicy, FleetConfig, FleetLoadOptions, ModelRegistry,
-    ServeConfig, ServingFleet, SimServiceModel,
-};
-use tlp_workload::{AnchorOp, Subgraph};
+use tlp_serve::ModelRegistry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,26 +42,19 @@ fn main() {
             args.get(1).map(String::as_str),
             args.get(2).map(String::as_str),
         ),
-        Some("fleet-bench") => cmd_fleet_bench(&args[1..]),
         Some("adapt") => cmd_adapt(args.get(1).map(String::as_str)),
         Some("verify-corpus") => cmd_verify_corpus(args.get(1).map(String::as_str)),
         Some("audit-model") => cmd_audit_model(args.get(1).map(String::as_str)),
         Some("platforms") => cmd_platforms(),
         _ => {
             eprintln!(
-                "usage: tlp-cli <stats|train|eval|tune|fleet-bench|adapt|verify-corpus|audit-model|platforms> [args]\n\
+                "usage: tlp-cli <stats|train|eval|tune|adapt|verify-corpus|audit-model|platforms> [args]\n\
                  \n\
                  stats                        dataset statistics\n\
                  train <model.json>           train TLP on the CPU dataset (i7 target)\n\
                  eval <model.json>            evaluate a snapshot's top-k\n\
                  tune <network> [model.json]  tune a workload (resnet-50, mobilenet-v2,\n\
                  \x20                            resnext-50, bert-tiny, bert-base)\n\
-                 fleet-bench [s] [c] [r] [b]  simulate c clients (default 64), r\n\
-                 \x20                            requests each (default 8) of b\n\
-                 \x20                            candidates (default 16) against an\n\
-                 \x20                            s-shard fleet (default 4), healthy and\n\
-                 \x20                            with one shard chaos-faulted at 0.2;\n\
-                 \x20                            prints a JSON report\n\
                  adapt [snapshot.json]        continual-adapt a warm-started head to\n\
                  \x20                            ryzen-3950x from fault-injected\n\
                  \x20                            measurements, hot-swapping canaried\n\
@@ -594,126 +582,6 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
         0
     } else {
         eprintln!("audit-model: soundness check FAILED (see report)");
-        1
-    }
-}
-
-fn cmd_fleet_bench(args: &[String]) -> i32 {
-    let parse = |i: usize, default: usize| -> Option<usize> {
-        match args.get(i) {
-            None => Some(default),
-            Some(s) => s.parse().ok(),
-        }
-    };
-    let (Some(shards), Some(clients), Some(requests), Some(batch)) =
-        (parse(0, 4), parse(1, 64), parse(2, 8), parse(3, 16))
-    else {
-        eprintln!("fleet-bench: arguments must be positive integers");
-        return 2;
-    };
-    if shards == 0 || clients == 0 || requests == 0 || batch == 0 {
-        eprintln!("fleet-bench: arguments must be positive integers");
-        return 2;
-    }
-
-    // One distinct task per client so the ring has enough routing keys to
-    // spread load; the scaling bottleneck is the most-loaded shard.
-    let tasks: Vec<tlp_autotuner::SearchTask> = (0..clients as i64)
-        .map(|i| {
-            tlp_autotuner::SearchTask::new(
-                Subgraph::new(
-                    "d",
-                    AnchorOp::Dense {
-                        m: 32 + 8 * i,
-                        n: 256 - 2 * i,
-                        k: 32 + 4 * (i % 8),
-                    },
-                ),
-                Platform::i7_10510u(),
-            )
-        })
-        .collect();
-    let pools: Vec<_> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| random_pool(t, 96, 0xF1EE_7000 + i as u64))
-        .collect();
-    let opts = FleetLoadOptions {
-        clients,
-        requests_per_client: requests,
-        batch,
-        tenants: Vec::new(),
-    };
-    let service = SimServiceModel::default();
-    let start_fleet = || {
-        let cfg = TlpConfig::test_scale();
-        let extractor =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let fleet = ServingFleet::start(FleetConfig {
-            shards,
-            serve: ServeConfig {
-                batchers: 1,
-                policy: BatchPolicy {
-                    max_wait: std::time::Duration::ZERO,
-                    ..BatchPolicy::default()
-                },
-                ..ServeConfig::default()
-            },
-            ..FleetConfig::default()
-        });
-        fleet
-            .install_tlp("tlp", &TlpModel::new(cfg), &extractor)
-            .expect("fresh model passes audit");
-        fleet
-    };
-
-    let healthy_fleet = start_fleet();
-    let healthy = run_fleet_sim(
-        &healthy_fleet.client(),
-        "tlp",
-        &tasks,
-        &pools,
-        &opts,
-        &service,
-    );
-    healthy_fleet.shutdown();
-
-    let chaos_fleet = start_fleet();
-    chaos_fleet.client().fault(shards - 1, 0.2);
-    let chaos = run_fleet_sim(
-        &chaos_fleet.client(),
-        "tlp",
-        &tasks,
-        &pools,
-        &opts,
-        &service,
-    );
-    let fleet_snapshot = chaos_fleet.shutdown();
-
-    #[derive(serde::Serialize)]
-    struct FleetBenchReport {
-        shards: usize,
-        chaos_fault_rate: f64,
-        chaos_p99_over_healthy: f64,
-        healthy: tlp_serve::FleetLoadReport,
-        chaos: tlp_serve::FleetLoadReport,
-        fleet: tlp_serve::FleetSnapshot,
-    }
-    let report = FleetBenchReport {
-        shards,
-        chaos_fault_rate: 0.2,
-        chaos_p99_over_healthy: chaos.latency_us.p99_us / healthy.latency_us.p99_us.max(1e-9),
-        healthy,
-        chaos,
-        fleet: fleet_snapshot,
-    };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&report).expect("serialize fleet report")
-    );
-    if report.healthy.errors == 0 && report.chaos.errors == 0 {
-        0
-    } else {
         1
     }
 }
