@@ -22,8 +22,8 @@
 //!   path.
 //! - [`publish`]: a [`SnapshotPublisher`] emits versioned
 //!   [`tlp::persist::SavedTlp`] snapshots at gated intervals, hot-swaps them
-//!   into a live [`tlp_serve::ModelRegistry`] (the atomic-`Arc` swap —
-//!   in-flight batches finish on the displaced version, so no request ever
+//!   into a live [`tlp_serve::ModelRegistry`] (the atomic-`Arc` swap — a
+//!   request is scored by the version that admitted it, so no request ever
 //!   fails), scores a canary set through the *installed* version, and rolls
 //!   back to the last good snapshot if the candidate regressed.
 //! - [`service`]: [`run_continual`] is the end-to-end closed loop —

@@ -5,8 +5,8 @@
 //! the training pipeline persists), restored (exercising the exact bytes a
 //! cold-started server would load), and hot-swapped into a live
 //! [`ModelRegistry`] under the new platform's head. The registry swap is the
-//! PR 3 atomic-`Arc` exchange: in-flight batches finish on the displaced
-//! version, so publishing never surfaces a request failure.
+//! atomic-`Arc` exchange: a request is scored by the version that admitted
+//! it, so publishing never surfaces a request failure.
 //!
 //! Publishing is *gated*: the freshly installed version scores a canary set
 //! (held-out schedules with known new-platform latencies) **through the

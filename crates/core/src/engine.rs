@@ -11,8 +11,8 @@
 //!   fingerprints themselves ([`ScoreKeys`]) are unsalted and
 //!   model-independent: they are taken once per request, before the cache
 //!   lock, by the engine or by a caller that already has them (the serving
-//!   layer hashes at admission and hands the same keys to
-//!   [`InferenceEngine::probe`] and [`InferenceEngine::score_keyed_into`]);
+//!   layer hashes and extracts at admission and hands the same keys to
+//!   [`InferenceEngine::probe`] and [`InferenceEngine::score_features_into`]);
 //! - **micro-batching** — cache misses, collapsed to one per distinct key of
 //!   the request, are chunked and claimed off a shared counter by workers —
 //!   the calling thread alone when one suffices,
@@ -390,6 +390,15 @@ pub struct InferenceEngine<S: ScheduleScorer> {
     invalidations: AtomicU64,
 }
 
+/// Where a scoring call's cache keys come from.
+pub(crate) enum Keys<'a> {
+    /// Taken by the engine from the request, when it has a cache to key.
+    Take(&'a SearchTask, &'a [ScheduleSequence]),
+    /// Taken by the caller (`ScoreKeys::new(task, schedules)`), possibly
+    /// under an earlier salt or for another engine: nothing is hashed again.
+    Given(&'a ScoreKeys),
+}
+
 /// Reusable per-call bookkeeping: the key set `score_into` builds for
 /// itself, the cache-miss indices the scorer sees (one per distinct key),
 /// and the misses that repeat one of those.
@@ -535,26 +544,10 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
         schedules: &[ScheduleSequence],
         out: &mut Vec<Option<f32>>,
     ) -> BatchStats {
-        self.run(task, schedules, None, out)
-    }
-
-    /// [`InferenceEngine::score_into`] for a caller that already holds the
-    /// request's [`ScoreKeys`] (taken by `ScoreKeys::new(task, schedules)`,
-    /// possibly under an earlier salt or for another engine): nothing is
-    /// hashed again. Scores and stats are those `score_into` would return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` does not hold exactly one key per schedule.
-    pub fn score_keyed_into(
-        &self,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        keys: &ScoreKeys,
-        out: &mut Vec<Option<f32>>,
-    ) -> BatchStats {
-        assert_eq!(keys.len(), schedules.len(), "one key per schedule");
-        self.run(task, schedules, Some(keys), out)
+        self.run(Keys::Take(task, schedules), out, |scratch, idx, mb_out| {
+            self.scorer
+                .score_micro_batch_into(scratch, task, schedules, idx, mb_out);
+        })
     }
 
     /// Answers a request from the cache alone, or not at all: under one lock
@@ -622,20 +615,23 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
         }
     }
 
-    /// The body of both scoring entries: probe the request's keys (the
+    /// The body of every scoring entry: probe the request's keys (the
     /// caller's, or taken here into pooled storage), micro-batch the misses
-    /// through the scorer — each distinct key once, the evolutionary search
+    /// through `score` — each distinct key once, the evolutionary search
     /// hands in the same mutation several times per round — insert what it
-    /// scored.
-    fn run(
+    /// scored. `score(scratch, idx, out)` appends one score per request index
+    /// in `idx`; it is the only thing an entry passes in.
+    pub(crate) fn run(
         &self,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        keys: Option<&ScoreKeys>,
+        keys: Keys<'_>,
         out: &mut Vec<Option<f32>>,
+        score: impl Fn(&mut S::Scratch, &[usize], &mut Vec<Option<f32>>) + Sync,
     ) -> BatchStats {
         let start = Instant::now();
-        let n = schedules.len();
+        let n = match keys {
+            Keys::Take(_, schedules) => schedules.len(),
+            Keys::Given(keys) => keys.len(),
+        };
         out.clear();
         out.resize(n, None);
 
@@ -652,8 +648,8 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
             repeats,
         } = &mut call;
         let keys: &ScoreKeys = match keys {
-            Some(keys) => keys,
-            None => {
+            Keys::Given(keys) => keys,
+            Keys::Take(task, schedules) => {
                 if self.config.cache_capacity > 0 {
                     own_keys.refill(task, schedules);
                 }
@@ -722,13 +718,7 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
                     let idx = &miss_idx[lo..hi];
                     let t = Instant::now();
                     pooled.mb_out.clear();
-                    self.scorer.score_micro_batch_into(
-                        &mut pooled.scratch,
-                        task,
-                        schedules,
-                        idx,
-                        &mut pooled.mb_out,
-                    );
+                    score(&mut pooled.scratch, idx, &mut pooled.mb_out);
                     batch_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     debug_assert_eq!(pooled.mb_out.len(), idx.len(), "scorer batch shape");
                     let mut slots = out_slots.lock().expect("engine output poisoned");
@@ -1083,95 +1073,6 @@ mod tests {
             s.cache_misses, 6,
             "different task must not hit t1's entries"
         );
-    }
-
-    /// A twin engine fed the same requests through `score_into` is the
-    /// reference for the keyed entry: score bits and per-call stats agree on
-    /// miss, hit and mixed requests, intra-request duplicates included.
-    #[test]
-    fn keyed_scoring_matches_score_into() {
-        let config = EngineConfig {
-            micro_batch: 4,
-            threads: 1,
-            cache_capacity: 128,
-        };
-        let (keyed, plain) = (counting_engine(config), counting_engine(config));
-        let t = task();
-        let seqs = distinct_schedules(12);
-        let mut mixed = seqs[4..].to_vec();
-        mixed.push(seqs[5].clone()); // a hit twice
-        mixed.extend(distinct_schedules(14)[12..].iter().cloned());
-        mixed.push(mixed[9].clone()); // a miss twice
-        let requests = [&seqs[..8], &seqs[..8], &mixed[..]];
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for (request, (hits, misses)) in requests.into_iter().zip([(0, 8), (8, 0), (5, 7)]) {
-            let keys = ScoreKeys::new(&t, request);
-            let a = keyed.score_keyed_into(&t, request, &keys, &mut got);
-            let b = plain.score_into(&t, request, &mut want);
-            assert_eq!(got, want);
-            assert_eq!((a.cache_hits, a.cache_misses), (hits, misses));
-            assert_eq!(
-                (a.cache_hits, a.cache_misses, a.micro_batches, a.threads),
-                (b.cache_hits, b.cache_misses, b.micro_batches, b.threads)
-            );
-        }
-        let (a, b) = (keyed.stats(), plain.stats());
-        assert_eq!(
-            (a.requests, a.cache_hits, a.cache_misses, a.cache_len),
-            (b.requests, b.cache_hits, b.cache_misses, b.cache_len)
-        );
-    }
-
-    #[test]
-    fn probe_is_all_or_nothing_and_counts_nothing_on_a_miss() {
-        let engine = counting_engine(EngineConfig {
-            micro_batch: 4,
-            threads: 1,
-            cache_capacity: 128,
-        });
-        let t = task();
-        let seqs = distinct_schedules(9);
-        let (first, _) = engine.score(&t, &seqs[..8]);
-        let counted = engine.stats();
-        let mut out = Vec::new();
-
-        // One absent key among eight present ones: no answer, no counter.
-        assert!(engine.probe(&ScoreKeys::new(&t, &seqs), &mut out).is_none());
-        assert!(engine.probe(&ScoreKeys::new(&t, &[]), &mut out).is_none());
-        assert_eq!(engine.stats(), counted);
-
-        // Every key present: the scores, counted as one all-hit request.
-        let keys = ScoreKeys::new(&t, &seqs[..8]);
-        let stats = engine.probe(&keys, &mut out).expect("all eight are cached");
-        assert_eq!(out, first);
-        assert_eq!(
-            (
-                stats.cache_hits,
-                stats.cache_misses,
-                stats.micro_batches,
-                stats.threads
-            ),
-            (8, 0, 0, 0)
-        );
-        let after = engine.stats();
-        assert_eq!(after.requests, counted.requests + 1);
-        assert_eq!(after.cache_hits, counted.cache_hits + 8);
-        assert_eq!(after.cache_misses, counted.cache_misses);
-        assert_eq!(engine.scorer().scored.load(Ordering::Relaxed), 8);
-
-        // The same keys after an invalidation name nothing any more, and
-        // still key the rescoring correctly under the new salt.
-        engine.invalidate();
-        assert!(engine.probe(&keys, &mut out).is_none());
-        let rescored = engine.score_keyed_into(&t, &seqs[..8], &keys, &mut out);
-        assert_eq!(rescored.cache_misses, 8);
-        assert_eq!(out, first);
-        assert!(engine.probe(&keys, &mut out).is_some());
-
-        // An engine without a cache has nothing to probe.
-        let uncached = counting_engine(EngineConfig::sequential_uncached());
-        uncached.score(&t, &seqs[..8]);
-        assert!(uncached.probe(&keys, &mut out).is_none());
     }
 
     #[test]

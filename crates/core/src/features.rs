@@ -82,12 +82,18 @@ impl FeatureExtractor {
     ///
     /// Accepts any iterator of schedule references, so the engine can feed
     /// a cache-miss subset (`idx.iter().map(|&i| &schedules[i])`) without
-    /// first materializing a contiguous slice.
+    /// first materializing a contiguous slice. A fresh buffer is sized
+    /// exactly from the iterator's lower size bound: one allocation per
+    /// field, however many candidates.
     pub fn extract_batch_into<'a, I>(&self, schedules: I, buf: &mut FeatureBuf)
     where
         I: IntoIterator<Item = &'a ScheduleSequence>,
     {
+        let schedules = schedules.into_iter();
+        let n = schedules.size_hint().0;
         buf.reset(self.seq_len, self.emb_size);
+        buf.data.reserve_exact(n * self.feature_size());
+        buf.rows_used.reserve_exact(n);
         for schedule in schedules {
             let out = buf.push_candidate(schedule.len().min(self.seq_len));
             for (row, p) in schedule.iter().take(self.seq_len).enumerate() {
@@ -123,9 +129,10 @@ impl FeatureExtractor {
 /// `FeatureBuf` is the hand-off point of the zero-copy scoring pipeline:
 /// [`FeatureExtractor::extract_batch_into`] writes candidates straight into
 /// it, and the model's fused forward pass reads from it — no intermediate
-/// per-candidate `Vec<f32>`, no batch concatenation copy. The engine owns
-/// one per worker; refilling reuses capacity, so steady-state extraction
-/// allocates nothing.
+/// per-candidate `Vec<f32>`. The engine owns one per worker; refilling
+/// reuses capacity, so steady-state extraction allocates nothing. Serving
+/// queues a request as the buffer admission extracted it into, and a
+/// batch gathers its requests' blocks with [`FeatureBuf::extend_from`].
 ///
 /// Padding rows are exactly zero, and real rows always form a leading
 /// prefix — the invariant the fused path's compact representation
@@ -160,6 +167,34 @@ impl FeatureBuf {
         self.data.resize(base + fs, 0.0);
         self.rows_used.push(rows);
         &mut self.data[base..]
+    }
+
+    /// Forgets every candidate, keeping the storage.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.rows_used.clear();
+    }
+
+    /// Copies candidates `idx` of `src` onto the end of this buffer; an
+    /// empty buffer first takes `src`'s shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this buffer holds candidates of another shape, or an index
+    /// is out of range.
+    pub fn extend_from(&mut self, src: &FeatureBuf, idx: impl IntoIterator<Item = usize>) {
+        if self.is_empty() {
+            (self.seq_len, self.emb_size) = (src.seq_len, src.emb_size);
+        }
+        assert_eq!(
+            (self.seq_len, self.emb_size),
+            (src.seq_len, src.emb_size),
+            "feature blocks of different shapes"
+        );
+        for i in idx {
+            self.data.extend_from_slice(src.candidate(i));
+            self.rows_used.push(src.rows_used[i]);
+        }
     }
 
     /// Number of candidates in the buffer.
@@ -345,5 +380,16 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.candidate(0), &extract_one(&ex, &seqs[3])[..]);
         assert_eq!(buf.candidate(1), &extract_one(&ex, &seqs[0])[..]);
+
+        // Gathering the same subset out of a whole-batch extraction is the
+        // same buffer.
+        let mut all = FeatureBuf::new();
+        ex.extract_batch_into(&seqs, &mut all);
+        let mut gathered = FeatureBuf::new();
+        gathered.extend_from(&all, idx);
+        assert_eq!(
+            (gathered.data(), gathered.rows_used()),
+            (buf.data(), buf.rows_used())
+        );
     }
 }

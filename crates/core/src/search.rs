@@ -8,12 +8,12 @@
 //! once; model families differ only in their scorer.
 
 use crate::baselines::{program_features, AnsorOnlineModel, TenSetMlp, PROGRAM_FEATURE_DIM};
-use crate::engine::{EngineConfig, InferenceEngine, ScheduleScorer};
+use crate::engine::{EngineConfig, InferenceEngine, Keys, ScheduleScorer, ScoreKeys};
 use crate::features::{FeatureBuf, FeatureExtractor};
 use crate::model::TlpModel;
 use tlp_autotuner::{
-    check_update_shape, CostModel, DraftFeatures, DraftScorer, PipelineCost, ScoreBatch,
-    ScoreRequest, SearchTask, UpdateError,
+    check_update_shape, BatchStats, CostModel, DraftFeatures, DraftScorer, PipelineCost,
+    ScoreBatch, ScoreRequest, SearchTask, UpdateError,
 };
 use tlp_nn::Workspace;
 use tlp_schedule::ScheduleSequence;
@@ -115,6 +115,26 @@ impl FeatureScratch {
         out: &mut Vec<Option<f32>>,
     ) {
         extractor.extract_batch_into(idx.iter().map(|&i| &schedules[i]), &mut self.feats);
+        self.predict(model, head, out);
+    }
+
+    /// [`FeatureScratch::score_head`] for candidates whose features were
+    /// extracted already: gathers blocks `idx` of `feats`.
+    fn score_gathered(
+        &mut self,
+        model: &TlpModel,
+        head: usize,
+        feats: &FeatureBuf,
+        idx: &[usize],
+        out: &mut Vec<Option<f32>>,
+    ) {
+        self.feats.clear();
+        self.feats.extend_from(feats, idx.iter().copied());
+        self.predict(model, head, out);
+    }
+
+    /// The one predict call: the buffered features through head `head`.
+    fn predict(&mut self, model: &TlpModel, head: usize, out: &mut Vec<Option<f32>>) {
         model.predict_task_into(&mut self.ws, &self.feats, head, &mut self.scores);
         out.extend(self.scores.iter().copied().map(Some));
     }
@@ -206,6 +226,30 @@ impl ScheduleScorer for MtlTlpScorer {
         out: &mut Vec<Option<f32>>,
     ) {
         scratch.score_head(&self.model, &self.extractor, self.head, schedules, idx, out);
+    }
+}
+
+impl InferenceEngine<MtlTlpScorer> {
+    /// [`InferenceEngine::score_into`] for a request already turned into the
+    /// model's input: `feats` holds one block per candidate, extracted by
+    /// this scorer's extractor, and `keys` the request's [`ScoreKeys`].
+    /// Nothing is hashed or extracted again; scores and stats are those
+    /// `score_into` returns for the schedules `feats` came from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` and `feats` count different candidates.
+    pub fn score_features_into(
+        &self,
+        feats: &FeatureBuf,
+        keys: &ScoreKeys,
+        out: &mut Vec<Option<f32>>,
+    ) -> BatchStats {
+        assert_eq!(keys.len(), feats.len(), "one key per feature block");
+        let MtlTlpScorer { model, head, .. } = self.scorer();
+        self.run(Keys::Given(keys), out, |scratch, idx, mb_out| {
+            scratch.score_gathered(model, *head, feats, idx, mb_out);
+        })
     }
 }
 

@@ -1,16 +1,17 @@
 //! Inference-engine equivalence suite: parallel micro-batched scoring must
 //! return exactly what single-threaded scoring would, for every backbone;
 //! the score cache must be bit-identical and capacity-bounded; empty and
-//! ragged batches must round-trip without panicking.
+//! ragged batches must round-trip without panicking; scoring features
+//! extracted up front must be scoring the schedules they came from.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlp::baselines::TenSetMlp;
-use tlp::engine::EngineConfig;
-use tlp::features::FeatureExtractor;
-use tlp::search::{TenSetMlpScorer, TlpScorer};
+use tlp::engine::{EngineConfig, InferenceEngine, ScoreKeys};
+use tlp::features::{FeatureBuf, FeatureExtractor};
+use tlp::search::{MtlTlpScorer, TenSetMlpScorer, TlpScorer};
 use tlp::{Backbone, FeatureModel, TlpConfig, TlpModel};
 use tlp_autotuner::{Candidate, CostModel, ScoreRequest, SearchTask, SketchPolicy};
 use tlp_hwsim::Platform;
@@ -229,4 +230,123 @@ fn score_batch_carries_pipeline_cost() {
     assert_eq!(batch.cost.program_gen_s, 0.0, "TLP never lowers programs");
     assert!(batch.cost.per_candidate_s() > 0.0);
     assert!(batch.stats.wall_s >= 0.0);
+}
+
+fn bits(scores: &[Option<f32>]) -> Vec<Option<u32>> {
+    scores.iter().map(|s| s.map(f32::to_bits)).collect()
+}
+
+/// Twin `MtlTlpScorer` engines, one fed schedules through `score_into`, the
+/// other what serving admission hands a batcher — features and keys —
+/// through `score_features_into`: the same score bits, per-call stats and
+/// cumulative counters on miss, all-hit, mixed and intra-request-duplicate
+/// requests, on one worker and on two.
+#[test]
+fn feature_path_matches_schedule_path_bit_for_bit() {
+    let (model, ex, seqs) = tlp_model(Backbone::Attention);
+    let fresh = candidates(4, 0xF1);
+    let mut mixed = seqs[4..12].to_vec();
+    mixed.push(seqs[5].clone()); // a hit twice
+    mixed.extend(fresh.iter().cloned());
+    mixed.push(fresh[1].clone()); // a miss twice
+    let requests: [(&[ScheduleSequence], (u32, u32)); 3] =
+        [(&seqs[..8], (0, 8)), (&seqs[..8], (8, 0)), (&mixed, (5, 9))];
+    let t = task();
+    for threads in [1, 2] {
+        let config = EngineConfig {
+            micro_batch: 3,
+            threads,
+            cache_capacity: 128,
+        };
+        let engine = || InferenceEngine::new(MtlTlpScorer::new(model.clone(), ex.clone()), config);
+        let (featured, plain) = (engine(), engine());
+        let (mut feats, mut got, mut want) = (FeatureBuf::new(), Vec::new(), Vec::new());
+        for (request, counts) in requests {
+            let keys = ScoreKeys::new(&t, request);
+            ex.extract_batch_into(request, &mut feats);
+            let a = featured.score_features_into(&feats, &keys, &mut got);
+            let b = plain.score_into(&t, request, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{threads} worker(s)");
+            assert_eq!((a.cache_hits, a.cache_misses), counts);
+            assert_eq!(
+                (a.cache_hits, a.cache_misses, a.micro_batches, a.threads),
+                (b.cache_hits, b.cache_misses, b.micro_batches, b.threads),
+                "{threads} worker(s)"
+            );
+            if counts.0 == 0 {
+                assert_eq!(a.threads as usize, threads, "the pool ran");
+            }
+        }
+        let (a, b) = (featured.stats(), plain.stats());
+        assert_eq!(
+            (a.requests, a.cache_hits, a.cache_misses, a.cache_len),
+            (b.requests, b.cache_hits, b.cache_misses, b.cache_len)
+        );
+    }
+}
+
+/// The admission probe answers from the cache all or nothing and counts
+/// nothing on a miss; keys taken before an invalidation still key the
+/// rescoring through the features-keyed entry under the new salt.
+#[test]
+fn probe_is_all_or_nothing_and_counts_nothing_on_a_miss() {
+    let (model, ex, seqs) = tlp_model(Backbone::Attention);
+    let engine = InferenceEngine::new(
+        MtlTlpScorer::new(model.clone(), ex.clone()),
+        EngineConfig {
+            micro_batch: 4,
+            threads: 1,
+            cache_capacity: 128,
+        },
+    );
+    let t = task();
+    let (first, _) = engine.score(&t, &seqs[..8]);
+    let counted = engine.stats();
+    let mut out = Vec::new();
+
+    // One absent key among eight present ones: no answer, no counter.
+    assert!(engine
+        .probe(&ScoreKeys::new(&t, &seqs[..9]), &mut out)
+        .is_none());
+    assert!(engine.probe(&ScoreKeys::new(&t, &[]), &mut out).is_none());
+    assert_eq!(engine.stats(), counted);
+
+    // Every key present: the scores, counted as one all-hit request that
+    // ran no micro-batch.
+    let keys = ScoreKeys::new(&t, &seqs[..8]);
+    let stats = engine.probe(&keys, &mut out).expect("all eight are cached");
+    assert_eq!(bits(&out), bits(&first));
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.micro_batches,
+            stats.threads
+        ),
+        (8, 0, 0, 0)
+    );
+    let after = engine.stats();
+    assert_eq!(after.requests, counted.requests + 1);
+    assert_eq!(after.cache_hits, counted.cache_hits + 8);
+    assert_eq!(after.cache_misses, counted.cache_misses);
+    assert_eq!(after.micro_batches, counted.micro_batches);
+
+    // The same keys after an invalidation name nothing any more, and still
+    // key the rescoring correctly under the new salt.
+    engine.invalidate();
+    assert!(engine.probe(&keys, &mut out).is_none());
+    let mut feats = FeatureBuf::new();
+    ex.extract_batch_into(&seqs[..8], &mut feats);
+    let rescored = engine.score_features_into(&feats, &keys, &mut out);
+    assert_eq!(rescored.cache_misses, 8);
+    assert_eq!(bits(&out), bits(&first));
+    assert!(engine.probe(&keys, &mut out).is_some());
+
+    // An engine without a cache has nothing to probe.
+    let uncached = InferenceEngine::new(
+        MtlTlpScorer::new(model, ex),
+        EngineConfig::sequential_uncached(),
+    );
+    uncached.score(&t, &seqs[..8]);
+    assert!(uncached.probe(&keys, &mut out).is_none());
 }

@@ -9,21 +9,21 @@
 //! the engine and lets any number of clients share it:
 //!
 //! - **Dynamic batching** ([`server`]): client jobs land on a bounded
-//!   queue; batcher threads coalesce jobs for the same `(model, task)`
-//!   into single engine batches under a [`BatchPolicy`]
-//!   (`max_batch`/`max_wait`), so many small requests amortize into the
-//!   engine's micro-batched parallel path. Scores are bit-identical to
-//!   direct engine calls — batching is a throughput optimization, never a
-//!   semantic one. A request whose every candidate is already cached never
-//!   queues: admission (verify → fingerprint once → probe) answers it on
-//!   the submitting thread.
+//!   queue as their extracted features; batcher threads coalesce jobs for
+//!   the same `(model version, task)` into single engine batches under a
+//!   [`BatchPolicy`] (`max_batch`/`max_wait`), so many small requests
+//!   amortize into the engine's micro-batched parallel path. Scores are
+//!   bit-identical to direct engine calls — batching is a throughput
+//!   optimization, never a semantic one. A request whose every candidate is
+//!   already cached never queues: admission (verify → fingerprint once →
+//!   probe) answers it on the submitting thread.
 //! - **Versioned hot-swap** ([`registry`]): models are installed by name
 //!   from [`SavedTlp`] snapshots (or in-memory); [`ModelRegistry::install`]
-//!   atomically replaces the current version while in-flight batches
-//!   finish on the version they resolved. Each version owns its own engine
-//!   and score cache, so a swap can never mix scores across versions.
+//!   atomically replaces the current version, and a request is scored by
+//!   the version that admitted it. Each version owns its own engine and
+//!   score cache, so a swap can never mix scores across versions.
 //! - **Admission control** ([`server`], [`error`]): a full queue rejects
-//!   with [`ServeError::Overloaded`] *before* anything is copied or
+//!   with [`ServeError::Overloaded`] *before* anything is extracted or
 //!   enqueued (bounded memory),
 //!   per-request deadlines expire with [`ServeError::DeadlineExceeded`],
 //!   and [`Server::shutdown`] drains every admitted job before returning.

@@ -2,10 +2,11 @@
 //!
 //! The registry maps model names to [`ModelVersion`]s — an immutable bundle
 //! of (private [`InferenceEngine`] owning the restored scorer, monotonic
-//! version tag) behind an `Arc`. Lookups clone the `Arc`, so a batch that
-//! resolved a model keeps scoring on exactly that version even if an
-//! [`ModelRegistry::install`] swaps the name mid-flight; the old version is
-//! freed when its last in-flight batch drops it. Each version owns its own
+//! version tag) behind an `Arc`. Lookups clone the `Arc`, and a request is
+//! scored by the version that admitted it, even if an
+//! [`ModelRegistry::install`] swaps the name or a [`ModelRegistry::remove`]
+//! drops it while the request is queued; the old version is freed when its
+//! last admitted request drops it. Each version owns its own
 //! engine (and score cache), so a swap can never serve version-N scores to
 //! version-N+1 requests; the displaced engine is additionally
 //! [`InferenceEngine::invalidate`]d at swap time so its cache memory is
@@ -152,9 +153,9 @@ impl ModelRegistry {
     /// The one way into the registry: `audited` is a scorer whose model
     /// passed the `tlp-modelcheck` audit, or the audit's rejection (counted
     /// in [`ModelRegistry::rejected_installs`]). An accepted scorer
-    /// atomically replaces any previous version under `name`; in-flight
-    /// batches holding the old `Arc` finish on the old version, whose cache
-    /// is invalidated immediately so the displaced entries stop occupying
+    /// atomically replaces any previous version under `name`; requests it
+    /// admitted are still scored by the old version, whose cache is
+    /// invalidated immediately so the displaced entries stop occupying
     /// memory.
     fn install_audited(
         &self,
@@ -202,8 +203,8 @@ impl ModelRegistry {
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
     }
 
-    /// Uninstalls `name`. In-flight batches on the removed version finish
-    /// normally.
+    /// Uninstalls `name`. Requests the removed version admitted are still
+    /// scored by it.
     pub fn remove(&self, name: &str) -> bool {
         self.models
             .write()

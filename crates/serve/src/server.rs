@@ -7,30 +7,33 @@
 //! [`tlp_verify::Verifier`] per request) → fingerprint the request once
 //! ([`ScoreKeys`]) → probe the resolved version's score cache, all or
 //! nothing. A request whose every candidate is cached is answered right
-//! there, on the submitting thread: no clone, no channel, no queue slot, no
-//! batcher. Anything else queues whole, carrying its keys so the batcher
-//! hashes nothing again. Verification precedes the probe on purpose: the
+//! there, on the submitting thread: no extraction, no channel, no queue
+//! slot, no batcher. Anything else has its features extracted by the
+//! resolved version's extractor and queues whole as those features, its
+//! keys and that version — no schedule, task or name — so the batcher
+//! hashes and extracts nothing and only runs the model. Verification
+//! precedes the probe on purpose: the
 //! fingerprint is a fast non-cryptographic hash and the cache is writable by
 //! callers that never verified (a resolved [`ModelVersion`] derefs to its
 //! engine, whose `score` is public), so a cached score proves nothing about
 //! the schedule in hand.
 //!
 //! Admission is bounded: a full queue rejects with
-//! [`ServeError::Overloaded`] *before* anything is copied or allocated, so
-//! refused load costs its verification and one hashing pass and server
+//! [`ServeError::Overloaded`] *before* anything is extracted or allocated,
+//! so refused load costs its verification and one hashing pass and server
 //! memory never grows with it. (Verification and the probe stay ahead of
 //! that look: an invalid request is `InvalidSchedule` even on a full queue,
 //! and an all-hit request needs no queue slot, so a full queue does not
 //! refuse it.)
 //!
 //! Batcher threads pull the oldest job, then coalesce every queued job for
-//! the same `(model, task)` into one engine batch — topping up for at most
-//! [`BatchPolicy::max_wait`] while the batch is below
+//! the same `(model version, task)` into one engine batch — topping up for
+//! at most [`BatchPolicy::max_wait`] while the batch is below
 //! [`BatchPolicy::max_batch`] candidates — so many small tuner requests
-//! amortize into the engine's micro-batched parallel path. Each batch scores
-//! on the [`ModelVersion`] resolved at execution time and carries that
-//! version tag back to the client; a hot-swap between two batches is
-//! invisible to in-flight work.
+//! amortize into the engine's micro-batched parallel path. A request is
+//! scored by the version that admitted it, and carries that version tag
+//! back to the client: a hot swap or a removal after admission changes
+//! nothing for it.
 //!
 //! Shutdown is graceful: new submissions fail with
 //! [`ServeError::ShuttingDown`] while batchers keep flushing (without the
@@ -47,6 +50,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tlp::engine::ScoreKeys;
+use tlp::features::FeatureBuf;
 use tlp_autotuner::{BatchStats, SearchTask};
 use tlp_schedule::ScheduleSequence;
 
@@ -122,9 +126,11 @@ pub struct ScoreReply {
 }
 
 struct Job {
-    model: String,
-    task: SearchTask,
-    schedules: Vec<ScheduleSequence>,
+    /// The version that verified, probed and extracted the request; it
+    /// scores it.
+    version: Arc<ModelVersion>,
+    /// The request's features, extracted once at admission.
+    feats: FeatureBuf,
     /// The request's cache keys, taken once at admission.
     keys: ScoreKeys,
     deadline: Option<Instant>,
@@ -340,13 +346,17 @@ impl ServeClient {
             return self.answer(&version, scores, stats, now, deadline);
         }
 
-        // Look before building the job: refused load copies nothing.
+        // Look before building the job: refused load extracts nothing.
         self.admit(&self.shared.lock_state())?;
+        let mut feats = FeatureBuf::new();
+        version
+            .scorer()
+            .extractor
+            .extract_batch_into(schedules, &mut feats);
         let (tx, rx) = mpsc::channel();
         let job = Job {
-            model: model.to_string(),
-            task: task.clone(),
-            schedules: schedules.to_vec(),
+            version,
+            feats,
             keys,
             deadline,
             enqueued: now,
@@ -467,10 +477,9 @@ impl PendingScore {
     }
 }
 
-/// One coalesced unit of work: jobs sharing a `(model, task)` key.
+/// One coalesced unit of work: jobs sharing the first job's
+/// `(model version, task)`.
 struct Group {
-    model: String,
-    task_fp: u64,
     jobs: Vec<Job>,
     candidates: usize,
     first_enqueued: Instant,
@@ -479,9 +488,7 @@ struct Group {
 impl Group {
     fn seed(job: Job) -> Group {
         Group {
-            model: job.model.clone(),
-            task_fp: job.keys.task_fp(),
-            candidates: job.schedules.len(),
+            candidates: job.keys.len(),
             first_enqueued: job.enqueued,
             jobs: vec![job],
         }
@@ -489,11 +496,13 @@ impl Group {
 
     /// Moves matching queued jobs into the group until `max_batch`.
     fn top_up(&mut self, queue: &mut VecDeque<Job>, max_batch: usize) {
+        let first = &self.jobs[0];
+        let (version, task_fp) = (Arc::as_ptr(&first.version), first.keys.task_fp());
         let mut i = 0;
         while i < queue.len() && self.candidates < max_batch {
-            if queue[i].model == self.model && queue[i].keys.task_fp() == self.task_fp {
+            if Arc::as_ptr(&queue[i].version) == version && queue[i].keys.task_fp() == task_fp {
                 if let Some(job) = queue.remove(i) {
-                    self.candidates += job.schedules.len();
+                    self.candidates += job.keys.len();
                     self.jobs.push(job);
                 }
             } else {
@@ -504,11 +513,11 @@ impl Group {
 }
 
 /// Per-batcher-thread scratch reused across executed batches: the group's
-/// gathered schedules and keys, and the engine output buffer. All warm up
+/// gathered features and keys, and the engine output buffer. All warm up
 /// once and then serve every subsequent batch without reallocating.
 #[derive(Default)]
 struct ExecScratch {
-    all: Vec<ScheduleSequence>,
+    feats: FeatureBuf,
     keys: ScoreKeys,
     scores: Vec<Option<f32>>,
 }
@@ -555,24 +564,10 @@ fn batcher_loop(shared: &Shared, policy: BatchPolicy) {
 }
 
 fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
-    let model = match shared.registry.resolve(&group.model) {
-        Some(m) => m,
-        None => {
-            // Uninstalled between admission and execution.
-            for job in group.jobs {
-                ServeStats::bump(&shared.stats.unknown_model);
-                let _ = job
-                    .reply
-                    .send(Err(ServeError::UnknownModel(group.model.clone())));
-            }
-            return;
-        }
-    };
-    // Each live job's schedules and keys are *moved* into the scratch slice
-    // the engine scores: the job's own copy is dead once it is scored, and
-    // only its length is needed to split the reply.
+    // Each live job's features and keys are gathered into the scratch the
+    // engine scores; only a job's length is needed to split the reply.
     let now = Instant::now();
-    scratch.all.clear();
+    scratch.feats.clear();
     scratch.keys.clear();
     let mut live: Vec<(Job, usize)> = Vec::with_capacity(group.jobs.len());
     for mut job in group.jobs {
@@ -580,8 +575,8 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
             ServeStats::bump(&shared.stats.expired);
             let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
         } else {
-            let n = job.schedules.len();
-            scratch.all.append(&mut job.schedules);
+            let n = job.keys.len();
+            scratch.feats.extend_from(&job.feats, 0..n);
             scratch.keys.append(&mut job.keys);
             live.push((job, n));
         }
@@ -589,15 +584,13 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
     let Some((first, _)) = live.first() else {
         return;
     };
-    // The engine writes into the pooled output buffer — no per-batch score
-    // vector — under the keys admission took: nothing is hashed here.
-    let stats = model.score_keyed_into(
-        &first.task,
-        &scratch.all,
-        &scratch.keys,
-        &mut scratch.scores,
-    );
-    let n_candidates = scratch.all.len();
+    // The version every job of the group was admitted under scores it into
+    // the pooled output buffer, under the keys and features admission took:
+    // nothing is hashed or extracted here.
+    let version = &first.version;
+    let model_version = version.version();
+    let stats = version.score_features_into(&scratch.feats, &scratch.keys, &mut scratch.scores);
+    let n_candidates = scratch.keys.len();
     let scores = &scratch.scores;
     let done = Instant::now();
     let batch_jobs = live.len();
@@ -618,7 +611,7 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
             .min(u64::MAX as u128) as u64;
         let reply = ScoreReply {
             scores: scores[offset..offset + n].to_vec(),
-            model_version: model.version(),
+            model_version,
             stats,
             queue_us,
             batch_jobs,

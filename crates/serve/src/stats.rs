@@ -137,7 +137,8 @@ pub struct ServeStats {
     pub rejected_invalid: AtomicU64,
     /// Requests dropped because their deadline expired before scoring.
     pub expired: AtomicU64,
-    /// Requests naming a model the registry does not hold.
+    /// Requests refused at admission for naming a model the registry does
+    /// not hold.
     pub unknown_model: AtomicU64,
     /// Engine batches executed by batcher threads.
     pub batches: AtomicU64,
@@ -222,7 +223,9 @@ pub struct ServeSnapshot {
     pub rejected_invalid: u64,
     /// Requests dropped on deadline expiry.
     pub expired: u64,
-    /// Requests naming an unknown model.
+    /// Requests refused at admission for naming an unknown model. Only
+    /// admission counts here: a queued request is scored by the version
+    /// that admitted it, so a later removal never fails it.
     pub unknown_model: u64,
     /// Model installs rejected by the registry's `tlp-modelcheck` audit
     /// gate (a corrupt or inconsistent model that never became resolvable).

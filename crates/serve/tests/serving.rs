@@ -1,6 +1,6 @@
 //! Serving-layer integration suite: concurrent equivalence with the direct
-//! engine path, hot-swap under load, admission control, deadlines,
-//! graceful shutdown, and the autotuner backend adapter.
+//! engine path, hot-swap under load, version pinning, admission control,
+//! deadlines, graceful shutdown, and the autotuner backend adapter.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
@@ -19,7 +19,9 @@ use tlp_autotuner::{
 };
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
-use tlp_serve::{BatchPolicy, ModelRegistry, RemoteCostModel, ServeConfig, ServeError, Server};
+use tlp_serve::{
+    BatchPolicy, ModelRegistry, PendingScore, RemoteCostModel, ServeConfig, ServeError, Server,
+};
 use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
 
 fn task() -> SearchTask {
@@ -596,4 +598,79 @@ fn one_uncached_candidate_queues_the_whole_request() {
         (snap.submitted, snap.completed, snap.candidates),
         (3, 3, 23)
     );
+}
+
+/// Starts a one-batcher server over `registry` and occupies its batcher with
+/// a large job of another task, so requests submitted next stay queued for
+/// a while. Returns the server and the large job's pending reply.
+fn busy_server(registry: &Arc<ModelRegistry>) -> (Server, PendingScore) {
+    let server = Server::start(
+        Arc::clone(registry),
+        ServeConfig {
+            batchers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let other = SearchTask::new(
+        Subgraph::new(
+            "d",
+            AnchorOp::Dense {
+                m: 64,
+                n: 64,
+                k: 64,
+            },
+        ),
+        Platform::i7_10510u(),
+    );
+    let large = tlp_serve::random_pool(&other, 2048, 67);
+    let pending = server
+        .client()
+        .submit("m", &other, &large, None)
+        .expect("admit the large job");
+    (server, pending)
+}
+
+#[test]
+fn a_request_is_scored_by_the_version_that_admitted_it() {
+    let t = task();
+    let pool = candidates(8, 59);
+    let v1_scores = direct_scores(17, &t, &pool);
+    let v2_scores = direct_scores(18, &t, &pool);
+    assert_ne!(
+        v1_scores, v2_scores,
+        "seeds must give distinguishable models"
+    );
+
+    // Installed after the request was admitted: the queued request is still
+    // answered by v1, with v1's tag, however the batcher's timing falls.
+    let reg = serving_registry(17);
+    let v1 = reg.resolve("m").expect("installed").version();
+    let (server, large) = busy_server(&reg);
+    let queued = server.client().submit("m", &t, &pool, None).expect("admit");
+    let (m2, e2) = scorer(18);
+    let v2 = reg.install_tlp("m", m2, e2).expect("valid model");
+    let reply = queued.wait().expect("scored");
+    assert_eq!(reply.scores, v1_scores);
+    assert_eq!(reply.model_version, v1);
+    // Admitted after the install: v2.
+    let reply = server.client().score("m", &t, &pool).expect("scored");
+    assert_eq!((reply.scores, reply.model_version), (v2_scores, v2));
+    large.wait().expect("the large job completes");
+    drop(server);
+
+    // Removed after the request was admitted: it still completes normally,
+    // and only the refused request after the removal counts as unknown.
+    let reg = serving_registry(17);
+    let (server, large) = busy_server(&reg);
+    let queued = server.client().submit("m", &t, &pool, None).expect("admit");
+    assert!(reg.remove("m"));
+    assert_eq!(
+        server.client().submit("m", &t, &pool, None).err(),
+        Some(ServeError::UnknownModel("m".to_string()))
+    );
+    assert_eq!(queued.wait().expect("scored").scores, v1_scores);
+    large.wait().expect("the large job completes");
+    let snap = server.shutdown();
+    assert_eq!(snap.unknown_model, 1, "admission refusals only");
+    assert_eq!(snap.completed, 2);
 }
