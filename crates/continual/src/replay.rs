@@ -14,16 +14,7 @@
 
 use std::collections::BTreeMap;
 use tlp::train::{GroupData, TrainData};
-
-/// splitmix64: a high-quality 64-bit mixer — one deterministic uniform draw
-/// per replacement decision without any RNG stream to perturb.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use tlp_schedule::hash::splitmix64;
 
 /// How the buffer allocates its bounded memory across ingested groups.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,7 +124,7 @@ impl ReplayBuffer {
                 } else {
                     // Algorithm R: the t-th arrival replaces a uniform slot
                     // with probability capacity/t.
-                    let j = (mix(self.seed ^ self.seen) % self.seen) as usize;
+                    let j = (splitmix64(self.seed ^ self.seen) % self.seen) as usize;
                     if j < self.capacity {
                         self.items[j] = ReplayItem {
                             head,
@@ -156,8 +147,9 @@ impl ReplayBuffer {
                 } else {
                     // Per-head algorithm R, salted by head so strata draw
                     // independent decision streams from one seed.
-                    let salt = mix(self.seed ^ (head as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-                    let j = (mix(salt ^ count) % count) as usize;
+                    let salt =
+                        splitmix64(self.seed ^ (head as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+                    let j = (splitmix64(salt ^ count) % count) as usize;
                     if j < self.capacity {
                         self.items[slots[j]].group = group.clone();
                     }

@@ -21,6 +21,7 @@
 
 use crate::lower::ProgramSpec;
 use crate::platform::{DeviceKind, Platform};
+use tlp_schedule::hash::splitmix64;
 use tlp_workload::{AnchorOp, Subgraph};
 
 /// Deterministic tensor-program latency simulator.
@@ -202,7 +203,7 @@ impl Simulator {
 
 /// Platform-preferred `auto_unroll_max_step` (one of Ansor's {0, 16, 64, 512}).
 pub fn preferred_unroll(quirk_seed: u64) -> i64 {
-    [16, 64, 512][(splitmix(quirk_seed) % 3) as usize]
+    [16, 64, 512][(splitmix64(quirk_seed) % 3) as usize]
 }
 
 fn unroll_efficiency(quirk_seed: u64, step: i64) -> f64 {
@@ -220,7 +221,7 @@ fn unroll_efficiency(quirk_seed: u64, step: i64) -> f64 {
 /// Small multiplicative preference for particular inner-tile parities,
 /// distinct per platform — part of the hardware domain gap.
 fn tile_parity_quirk(quirk_seed: u64, spec: &ProgramSpec) -> f64 {
-    let pref = 1 << (splitmix(quirk_seed.rotate_left(17)) % 3 + 2); // 4, 8 or 16
+    let pref = 1 << (splitmix64(quirk_seed.rotate_left(17)) % 3 + 2); // 4, 8 or 16
     let mut matches = 0usize;
     let mut total = 0usize;
     for a in spec.spatial_axes() {
@@ -249,17 +250,10 @@ fn blocking_tiles(spec: &ProgramSpec) -> (f64, f64, f64, f64) {
     (pick(0, 3), pick(1, 3), pick(0, 2), pick(1, 2))
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic log-normal-ish noise factor with amplitude `sigma`.
 fn deterministic_noise(seed: u64, sigma: f64) -> f64 {
-    let u1 = (splitmix(seed) >> 11) as f64 / (1u64 << 53) as f64;
-    let u2 = (splitmix(seed ^ 0xABCDEF) >> 11) as f64 / (1u64 << 53) as f64;
+    let u1 = (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64;
+    let u2 = (splitmix64(seed ^ 0xABCDEF) >> 11) as f64 / (1u64 << 53) as f64;
     let z = (-2.0 * (u1.max(1e-12)).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     (1.0 + sigma * z).clamp(0.85, 1.15)
 }

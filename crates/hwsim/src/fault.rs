@@ -17,6 +17,7 @@
 //! the bursty failure cascades a real tuning farm sees after a GPU hang.
 
 use serde::{Deserialize, Serialize};
+use tlp_schedule::hash::splitmix64;
 
 use crate::platform::Platform;
 
@@ -133,22 +134,13 @@ impl InjectedFault {
     }
 }
 
-/// splitmix64: a strong deterministic 64-bit mixer. Chaining it over the
-/// seed, fingerprint, platform salt and attempt index gives an independent
-/// uniform draw per decision without any RNG stream to perturb.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from a chain of mixed words.
+/// A uniform draw in `[0, 1)` from a splitmix64 chain over the seed,
+/// fingerprint, platform salt and attempt index: an independent draw per
+/// decision without any RNG stream to perturb.
 fn uniform(words: &[u64]) -> f64 {
     let mut h = 0x5DEECE66Du64;
     for &w in words {
-        h = mix(h ^ w);
+        h = splitmix64(h ^ w);
     }
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

@@ -41,7 +41,8 @@ const RANK_GAP: f32 = 0.25;
 /// Width of the frozen random-feature hidden layer.
 const DRAFT_HIDDEN: usize = 16;
 
-/// splitmix64 — the deterministic mixer behind the frozen projection.
+/// splitmix64 — the deterministic mixer behind the frozen projection. Same
+/// bits as `tlp_schedule::hash::splitmix64`, which this crate cannot reach.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

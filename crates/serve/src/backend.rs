@@ -24,6 +24,7 @@ use std::cell::{Cell, RefCell};
 use std::time::Duration;
 use tlp::search::TLP_PIPELINE_COST;
 use tlp_autotuner::{CostModel, PipelineCost, ScoreBatch, ScoreRequest, SearchTask};
+use tlp_schedule::hash::splitmix64;
 use tlp_schedule::ScheduleSequence;
 
 /// The request channel a [`RemoteCostModel`] scores through. Implemented by
@@ -39,14 +40,6 @@ pub trait ScoreTransport {
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError>;
-
-    /// Per-endpoint breaker state this transport maintains, one row per
-    /// endpoint. Empty for single-endpoint transports (the default); a
-    /// fleet router reports one row per shard so tests and operators can
-    /// see *which* shard tripped.
-    fn breaker_snapshots(&self) -> Vec<EndpointBreaker> {
-        Vec::new()
-    }
 }
 
 impl ScoreTransport for ServeClient {
@@ -217,20 +210,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Force-opens the breaker immediately — the health-gossip path: a
-    /// shard whose published error rate crosses the router's threshold is
-    /// tripped without waiting for this client to observe
-    /// `failure_threshold` consecutive failures itself. Starts a fresh
-    /// cooldown; counted as a trip unless already open.
-    pub fn trip(&mut self) {
-        if self.state != BreakerState::Open {
-            self.trips += 1;
-        }
-        self.state = BreakerState::Open;
-        self.calls_while_open = 0;
-        self.consecutive_failures = 0;
-    }
-
     /// Point-in-time view for observability.
     pub fn snapshot(&self) -> BreakerSnapshot {
         BreakerSnapshot {
@@ -242,8 +221,8 @@ impl CircuitBreaker {
     }
 }
 
-/// Serializable breaker state, reported in
-/// [`ServeSnapshot`](crate::ServeSnapshot).
+/// Serializable breaker state, from [`RemoteCostModel::breaker_snapshot`]
+/// or [`FleetClient::breaker`](crate::FleetClient::breaker).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct BreakerSnapshot {
     /// Current state.
@@ -254,17 +233,6 @@ pub struct BreakerSnapshot {
     pub trips: u64,
     /// Times a half-open probe succeeded and closed the breaker.
     pub recoveries: u64,
-}
-
-/// One endpoint's breaker state, labeled so multi-shard transports can
-/// report which shard is in which state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct EndpointBreaker {
-    /// Endpoint label (e.g. `shard-2`, or `client` for the
-    /// [`RemoteCostModel`]'s own breaker).
-    pub endpoint: String,
-    /// That endpoint's breaker counters.
-    pub breaker: BreakerSnapshot,
 }
 
 /// A [`CostModel`] scoring through a serving transport, with retry, circuit
@@ -348,19 +316,6 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
         self.breaker.borrow().snapshot()
     }
 
-    /// Per-endpoint breaker rows: this client's own breaker under the label
-    /// `client`, followed by any per-shard breakers the transport maintains
-    /// (a fleet router reports one row per shard). Fleet tests use this to
-    /// assert *which* shard tripped.
-    pub fn endpoint_breakers(&self) -> Vec<EndpointBreaker> {
-        let mut rows = vec![EndpointBreaker {
-            endpoint: "client".to_string(),
-            breaker: self.breaker.borrow().snapshot(),
-        }];
-        rows.extend(self.transport.breaker_snapshots());
-        rows
-    }
-
     /// The wrapped transport.
     pub fn transport(&self) -> &T {
         &self.transport
@@ -371,10 +326,7 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
     fn jitter_factor(&self) -> f64 {
         let n = self.jitter_counter.get();
         self.jitter_counter.set(n.wrapping_add(1));
-        let mut z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let u = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = (splitmix64(n) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         1.0 + JITTER * (2.0 * u - 1.0)
     }
 
@@ -413,16 +365,6 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
     }
 }
 
-impl RemoteCostModel<ServeClient> {
-    /// The server's stats snapshot with this client's circuit-breaker state
-    /// filled in.
-    pub fn stats(&self) -> crate::stats::ServeSnapshot {
-        let mut snap = self.transport.stats();
-        snap.breaker = Some(self.breaker.borrow().snapshot());
-        snap
-    }
-}
-
 impl<T: ScoreTransport> CostModel for RemoteCostModel<T> {
     fn predict(&self, request: ScoreRequest<'_>) -> ScoreBatch {
         if !self.breaker.borrow_mut().allow_request() {
@@ -437,7 +379,8 @@ impl<T: ScoreTransport> CostModel for RemoteCostModel<T> {
                 batch
             }
             Err(err) => {
-                debug_assert!(!matches!(err, ServeError::UnknownModel(_)));
+                // Deterministic rejections (invalid schedule, unknown model)
+                // degrade too, but never count against the breaker.
                 self.errors.set(self.errors.get() + 1);
                 if is_transient(&err) {
                     self.breaker.borrow_mut().on_failure();

@@ -14,16 +14,8 @@ use crate::server::ScoreReply;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tlp_autotuner::SearchTask;
+use tlp_schedule::hash::splitmix64;
 use tlp_schedule::ScheduleSequence;
-
-/// splitmix64 finalizer: one independent uniform draw per request. Also
-/// used by the fleet router to spread ring points.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A [`ScoreTransport`] that deterministically injects transient failures.
 ///
@@ -71,11 +63,6 @@ impl<T: ScoreTransport> FlakyTransport<T> {
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: ScoreTransport> FlakyTransport<T> {
@@ -84,7 +71,7 @@ impl<T: ScoreTransport> FlakyTransport<T> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed);
         let rate = self.fail_rate();
         if rate > 0.0 {
-            let u = (mix(self.seed ^ n) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            let u = (splitmix64(self.seed ^ n) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
             if u < rate {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 // Cycle the transient classes so retry handling sees all of
@@ -112,10 +99,6 @@ impl<T: ScoreTransport> ScoreTransport for FlakyTransport<T> {
             Some(err) => Err(err),
             None => self.inner.score(model, task, schedules, deadline),
         }
-    }
-
-    fn breaker_snapshots(&self) -> Vec<crate::backend::EndpointBreaker> {
-        self.inner.breaker_snapshots()
     }
 }
 

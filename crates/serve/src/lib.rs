@@ -35,11 +35,13 @@
 //!   [`CircuitBreaker`] (open → half-open probe → closed) and can fall
 //!   back to a local model while the server is sick;
 //!   [`FlakyTransport`] injects deterministic failures for chaos tests.
+//! - **Routing** ([`router`]): [`FleetClient`] spreads `(model, task)` keys
+//!   over N servers on a consistent-hash ring, with a breaker per shard and
+//!   failover to the next shard clockwise.
 //!
-//! Integration points: [`RemoteCostModel`] adapts a [`ServeClient`] to the
-//! autotuner's [`CostModel`](tlp_autotuner::CostModel) trait, and
-//! [`loadgen`] drives the simulated-time fleet harness behind the
-//! `serving_fleet` bench and its `BENCH_fleet.json`.
+//! Integration point: [`RemoteCostModel`] adapts a [`ServeClient`] (or a
+//! [`FleetClient`]) to the autotuner's
+//! [`CostModel`](tlp_autotuner::CostModel) trait.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -64,8 +66,6 @@
 pub mod backend;
 pub mod chaos;
 pub mod error;
-pub mod fleet;
-pub mod health;
 pub mod loadgen;
 pub mod registry;
 pub mod router;
@@ -73,17 +73,12 @@ pub mod server;
 pub mod stats;
 
 pub use backend::{
-    BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, EndpointBreaker, RemoteCostModel,
-    RetryPolicy, ScoreTransport,
+    BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, RemoteCostModel, RetryPolicy,
+    ScoreTransport,
 };
 pub use chaos::FlakyTransport;
 pub use error::ServeError;
-pub use fleet::{FleetConfig, FleetSnapshot, ServingFleet, ShardSnapshot};
-pub use health::{HealthBoard, HealthPolicy, ShardHealth};
-pub use loadgen::{
-    random_pool, run_fleet_sim, FleetLoadOptions, FleetLoadReport, SimLatencySummary,
-    SimServiceModel,
-};
+pub use loadgen::random_pool;
 pub use registry::{ModelRegistry, ModelVersion};
 pub use router::{route_key, FleetClient, FleetReply, HashRing, RouterStats};
 pub use server::{BatchPolicy, PendingScore, ScoreReply, ServeClient, ServeConfig, Server};

@@ -9,7 +9,7 @@
 //! failover order, so adding or faulting one shard only remaps the keys it
 //! owned.
 //!
-//! Failure handling is layered:
+//! Failure handling:
 //!
 //! - each shard sits behind a [`FlakyTransport`] (rate 0 by default — inert
 //!   and bit-identical to a bare client) so chaos tests can fault one shard
@@ -17,29 +17,24 @@
 //! - each shard has a router-side [`CircuitBreaker`]: transient failures
 //!   count toward tripping it, an open breaker skips the shard (failover to
 //!   the next in key order), and the call-count cooldown lets a half-open
-//!   probe through later — succeeding probes *fail back* to the owner;
-//! - every outcome feeds the [`HealthBoard`]; a published snapshot marking
-//!   a shard sick trips that shard's breaker immediately (gossip-driven
-//!   trip), so the fleet reacts to an error *rate*, not only to consecutive
-//!   failures.
+//!   probe through later — succeeding probes *fail back* to the owner.
 //!
 //! Deterministic rejections (invalid schedule, unknown model) are returned
 //! to the caller without failover: retrying them on another shard cannot
 //! succeed.
 
 use crate::backend::{
-    is_transient, BreakerConfig, BreakerState, CircuitBreaker, EndpointBreaker, ScoreTransport,
+    is_transient, BreakerConfig, BreakerSnapshot, CircuitBreaker, ScoreTransport,
 };
-use crate::chaos::{mix, FlakyTransport};
+use crate::chaos::FlakyTransport;
 use crate::error::ServeError;
-use crate::health::{HealthBoard, HealthPolicy, ShardHealth};
 use crate::server::{ScoreReply, ServeClient};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tlp::engine::task_fingerprint;
 use tlp_autotuner::SearchTask;
+use tlp_schedule::hash::splitmix64;
 use tlp_schedule::ScheduleSequence;
 
 /// Virtual nodes per shard: enough that key ownership is near-uniform for
@@ -57,7 +52,7 @@ pub fn route_key(model: &str, task_fp: u64) -> u64 {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    mix(h ^ task_fp)
+    splitmix64(h ^ task_fp)
 }
 
 /// A consistent-hash ring of `VNODES` points per shard.
@@ -72,7 +67,9 @@ impl HashRing {
     /// A ring over `shards` shards.
     pub fn new(shards: usize) -> Self {
         let mut points: Vec<(u64, usize)> = (0..shards)
-            .flat_map(|s| (0..VNODES).map(move |v| (mix(RING_SALT ^ ((s as u64) << 32) ^ v), s)))
+            .flat_map(|s| {
+                (0..VNODES).map(move |v| (splitmix64(RING_SALT ^ ((s as u64) << 32) ^ v), s))
+            })
             .collect();
         points.sort_unstable();
         HashRing { points, shards }
@@ -117,7 +114,6 @@ impl HashRing {
 /// One shard as the router sees it: a chaos-wrappable transport plus a
 /// router-side breaker.
 struct ShardEndpoint {
-    name: String,
     transport: FlakyTransport<ServeClient>,
     breaker: Mutex<CircuitBreaker>,
 }
@@ -129,25 +125,20 @@ impl ShardEndpoint {
 }
 
 /// Router-level counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Requests routed (each counted once, however many shards it tried).
     pub routed: u64,
     /// Failover hops: shards skipped (open breaker) or failed transiently
     /// before a request succeeded or gave up.
     pub failovers: u64,
-    /// Breaker trips driven by a sick published health snapshot (as opposed
-    /// to the breaker's own consecutive-failure count).
-    pub gossip_trips: u64,
 }
 
 struct RouterShared {
     ring: HashRing,
     shards: Vec<ShardEndpoint>,
-    health: Mutex<HealthBoard>,
     routed: AtomicU64,
     failovers: AtomicU64,
-    gossip_trips: AtomicU64,
 }
 
 /// A successful fleet request, annotated with where it was served.
@@ -170,27 +161,20 @@ pub struct FleetClient {
 
 impl FleetClient {
     /// A router over `clients` (one per shard), with per-shard breakers
-    /// configured by `breaker` and health gossip by `health`. Each shard's
-    /// chaos wrapper draws from `chaos_seed` plus the shard index and
-    /// starts at rate 0 (inert).
+    /// configured by `breaker`. Each shard's chaos wrapper draws from
+    /// `chaos_seed` plus the shard index and starts at rate 0 (inert).
     ///
     /// # Panics
     ///
     /// Panics if `clients` is empty.
-    pub fn new(
-        clients: Vec<ServeClient>,
-        chaos_seed: u64,
-        breaker: BreakerConfig,
-        health: HealthPolicy,
-    ) -> Self {
+    pub fn new(clients: Vec<ServeClient>, chaos_seed: u64, breaker: BreakerConfig) -> Self {
         assert!(!clients.is_empty(), "fleet needs at least one shard");
         let n = clients.len();
         let shards = clients
             .into_iter()
             .enumerate()
             .map(|(i, client)| ShardEndpoint {
-                name: format!("shard-{i}"),
-                transport: FlakyTransport::new(client, mix(chaos_seed ^ (i as u64)), 0.0),
+                transport: FlakyTransport::new(client, splitmix64(chaos_seed ^ (i as u64)), 0.0),
                 breaker: Mutex::new(CircuitBreaker::new(breaker)),
             })
             .collect();
@@ -198,17 +182,10 @@ impl FleetClient {
             shared: Arc::new(RouterShared {
                 ring: HashRing::new(n),
                 shards,
-                health: Mutex::new(HealthBoard::new(n, health)),
                 routed: AtomicU64::new(0),
                 failovers: AtomicU64::new(0),
-                gossip_trips: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Number of shards behind this router.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
     }
 
     /// The shard owning `(model, task)`'s routing key.
@@ -236,13 +213,8 @@ impl FleetClient {
     }
 
     /// The router-side breaker snapshot for `shard`.
-    pub fn breaker(&self, shard: usize) -> crate::backend::BreakerSnapshot {
+    pub fn breaker(&self, shard: usize) -> BreakerSnapshot {
         self.shared.shards[shard].lock_breaker().snapshot()
-    }
-
-    /// The latest published health snapshot per shard.
-    pub fn health(&self) -> Vec<Option<ShardHealth>> {
-        self.lock_health().snapshot()
     }
 
     /// Router counters.
@@ -250,39 +222,6 @@ impl FleetClient {
         RouterStats {
             routed: self.shared.routed.load(Ordering::Relaxed),
             failovers: self.shared.failovers.load(Ordering::Relaxed),
-            gossip_trips: self.shared.gossip_trips.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The per-shard server client (for installs and server-side stats).
-    pub fn shard_client(&self, shard: usize) -> &ServeClient {
-        self.shared.shards[shard].transport.inner()
-    }
-
-    fn lock_health(&self) -> std::sync::MutexGuard<'_, HealthBoard> {
-        self.shared.health.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Feeds one outcome into the health board; a published sick snapshot
-    /// trips the shard's breaker (the gossip → breaker edge).
-    fn record_outcome(&self, shard: usize, ok: bool) {
-        let ep = &self.shared.shards[shard];
-        let breaker_state = ep.lock_breaker().state();
-        let published = {
-            let mut board = self.lock_health();
-            let depth = if board.due(shard) {
-                ep.transport.inner().stats().queue_depth
-            } else {
-                0
-            };
-            board.record(shard, ok, depth, breaker_state)
-        };
-        if published.is_some_and(|h| h.sick) {
-            let mut breaker = ep.lock_breaker();
-            if breaker.state() != BreakerState::Open {
-                breaker.trip();
-                self.shared.gossip_trips.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -319,7 +258,6 @@ impl FleetClient {
             match ep.transport.score(model, task, schedules, deadline) {
                 Ok(reply) => {
                     ep.lock_breaker().on_success();
-                    self.record_outcome(shard, true);
                     return Ok(FleetReply {
                         shard,
                         failovers,
@@ -330,7 +268,6 @@ impl FleetClient {
                     // Infrastructure failure: count it against the shard and
                     // fail over to the next in key order.
                     ep.lock_breaker().on_failure();
-                    self.record_outcome(shard, false);
                     failovers += 1;
                     self.shared.failovers.fetch_add(1, Ordering::Relaxed);
                 }
@@ -351,17 +288,6 @@ impl ScoreTransport for FleetClient {
     ) -> Result<ScoreReply, ServeError> {
         self.score_detailed(model, task, schedules, deadline)
             .map(|r| r.reply)
-    }
-
-    fn breaker_snapshots(&self) -> Vec<EndpointBreaker> {
-        self.shared
-            .shards
-            .iter()
-            .map(|ep| EndpointBreaker {
-                endpoint: ep.name.clone(),
-                breaker: ep.lock_breaker().snapshot(),
-            })
-            .collect()
     }
 }
 
@@ -389,7 +315,7 @@ mod tests {
         let ring = HashRing::new(4);
         let mut counts = [0usize; 4];
         for i in 0..4000u64 {
-            counts[ring.owner(mix(i))] += 1;
+            counts[ring.owner(splitmix64(i))] += 1;
         }
         for (shard, &c) in counts.iter().enumerate() {
             assert!(

@@ -191,7 +191,6 @@ impl ServeStats {
             queue_depth,
             latency_us: self.latency.snapshot(),
             models,
-            breaker: None,
         }
     }
 }
@@ -248,10 +247,6 @@ pub struct ServeSnapshot {
     pub latency_us: HistogramSnapshot,
     /// Per-model engine counters.
     pub models: Vec<ModelStatsSnapshot>,
-    /// Client-side circuit-breaker state, filled in by
-    /// [`RemoteCostModel::stats`](crate::RemoteCostModel::stats); `None` on
-    /// server-side snapshots.
-    pub breaker: Option<crate::backend::BreakerSnapshot>,
 }
 
 impl ServeSnapshot {

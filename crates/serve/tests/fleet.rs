@@ -1,21 +1,23 @@
-//! Fleet integration suite: consistent-hash routing, failover/failback
-//! through breakers and health gossip, fleet-wide aggregation, and the
-//! property test that scores never mix across shards.
+//! Routing suite: consistent-hash stickiness, failover and failback through
+//! per-shard breakers, chaos on one shard, and the property test that
+//! scores never mix across shards. Every test drives real servers with
+//! sequential requests; nothing is timed.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
+use tlp::engine::EngineConfig;
 use tlp::features::FeatureExtractor;
 use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
-    BatchPolicy, BreakerConfig, BreakerState, FleetConfig, FleetLoadOptions, HealthPolicy,
-    RemoteCostModel, ServeConfig, ServingFleet, SimServiceModel,
+    BatchPolicy, BreakerConfig, BreakerState, FleetClient, ModelRegistry, ServeConfig, Server,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -42,75 +44,88 @@ fn scorer(seed: u64) -> (TlpModel, FeatureExtractor) {
     (TlpModel::new(cfg), ex)
 }
 
-/// A fleet of `shards` with one batcher each and no coalescing wait (the
-/// tests drive requests sequentially, so waiting for stragglers only adds
-/// wall-clock time).
-fn fleet_config(shards: usize) -> FleetConfig {
-    FleetConfig {
-        shards,
-        serve: ServeConfig {
-            batchers: 1,
-            policy: BatchPolicy {
-                max_wait: Duration::ZERO,
-                ..BatchPolicy::default()
-            },
-            ..ServeConfig::default()
+/// One batcher per shard and no coalescing wait: the tests drive requests
+/// sequentially, so waiting for stragglers only adds wall-clock time.
+fn shard_config() -> ServeConfig {
+    ServeConfig {
+        batchers: 1,
+        policy: BatchPolicy {
+            max_wait: Duration::ZERO,
+            ..BatchPolicy::default()
         },
-        ..FleetConfig::default()
+        ..ServeConfig::default()
     }
 }
 
-/// Starts a fleet with the *same* model (seed 7) on every shard.
-fn uniform_fleet(shards: usize) -> ServingFleet {
-    let f = ServingFleet::start(fleet_config(shards));
-    let (model, ex) = scorer(7);
-    f.install_tlp("m", &model, &ex).expect("valid model");
-    f
+/// Starts one server per seed, each holding that seed's model as "m" in a
+/// private registry, and one router in front of them.
+fn start_fleet(seeds: &[u64], breaker: BreakerConfig) -> (Vec<Server>, FleetClient) {
+    let servers: Vec<Server> = seeds
+        .iter()
+        .map(|&seed| {
+            let registry = Arc::new(ModelRegistry::new(EngineConfig::default()));
+            let (model, ex) = scorer(seed);
+            registry.install_tlp("m", model, ex).expect("valid model");
+            Server::start(registry, shard_config())
+        })
+        .collect();
+    let client = FleetClient::new(servers.iter().map(Server::client).collect(), 7, breaker);
+    (servers, client)
 }
 
 /// Ground truth for one shard: score directly through that shard's own
 /// registry engine, bypassing the router entirely.
 fn shard_truth(
-    fleet: &ServingFleet,
+    servers: &[Server],
     shard: usize,
     task: &SearchTask,
     batch: &[ScheduleSequence],
 ) -> Vec<Option<f32>> {
-    fleet
-        .registry(shard)
+    servers[shard]
+        .registry()
         .resolve("m")
         .expect("installed")
         .score(task, batch)
         .0
 }
 
+/// A routed trace: `requests` sequential requests cycling over `keys`
+/// distinct task keys, each a rotating window of 4 from its task's pool.
+fn trace(keys: usize, requests: usize) -> Vec<(SearchTask, Vec<ScheduleSequence>)> {
+    let tasks: Vec<SearchTask> = (0..keys as i64)
+        .map(|i| dense_task(32 + 16 * i, 64, 48))
+        .collect();
+    let pools: Vec<Vec<ScheduleSequence>> = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| candidates(t, 8, 500 + i as u64))
+        .collect();
+    (0..requests)
+        .map(|r| {
+            let (key, begin) = (r % keys, r / keys);
+            let batch = (0..4).map(|j| pools[key][(begin + j) % 8].clone());
+            (tasks[key].clone(), batch.collect())
+        })
+        .collect()
+}
+
 #[test]
 fn fleet_scores_match_single_shard_bit_for_bit() {
     let t = dense_task(128, 128, 128);
     let pool = candidates(&t, 8, 3);
-    let single = uniform_fleet(1);
-    let quad = uniform_fleet(4);
-    let want = single
-        .client()
-        .score_detailed("m", &t, &pool, None)
-        .expect("single shard")
-        .reply
-        .scores;
-    let got = quad
-        .client()
-        .score_detailed("m", &t, &pool, None)
-        .expect("quad fleet")
-        .reply
-        .scores;
-    assert_eq!(want, got, "sharding must not change scores");
-    single.shutdown();
-    quad.shutdown();
+    let (_single_servers, single) = start_fleet(&[7], BreakerConfig::default());
+    let (_quad_servers, quad) = start_fleet(&[7; 4], BreakerConfig::default());
+    let want = single.score_detailed("m", &t, &pool, None).expect("single");
+    let got = quad.score_detailed("m", &t, &pool, None).expect("quad");
+    assert_eq!(
+        want.reply.scores, got.reply.scores,
+        "sharding must not change scores"
+    );
 }
 
 #[test]
 fn routing_is_sticky() {
-    let fleet = uniform_fleet(4);
-    let client = fleet.client();
+    let (servers, client) = start_fleet(&[7; 4], BreakerConfig::default());
     for (i, (m, n, k)) in [(64, 64, 64), (128, 64, 32), (256, 128, 64), (32, 32, 256)]
         .into_iter()
         .enumerate()
@@ -126,24 +141,20 @@ fn routing_is_sticky() {
             assert_eq!(r.failovers, 0);
         }
     }
-    let snap = fleet.snapshot();
-    assert_eq!(snap.router.routed, 12);
-    assert_eq!(snap.router.failovers, 0);
-    assert_eq!(snap.completed, 12);
-    fleet.shutdown();
+    let stats = client.stats();
+    assert_eq!(stats.routed, 12);
+    assert_eq!(stats.failovers, 0);
+    let completed: u64 = servers.iter().map(|s| s.stats().completed).sum();
+    assert_eq!(completed, 12);
 }
 
 #[test]
 fn failover_on_wedged_shard_then_failback_after_recovery() {
-    let mut config = fleet_config(3);
-    config.breaker = BreakerConfig {
+    let breaker = BreakerConfig {
         failure_threshold: 2,
         cooldown_calls: 3,
     };
-    let fleet = ServingFleet::start(config);
-    let (model, ex) = scorer(7);
-    fleet.install_tlp("m", &model, &ex).expect("valid model");
-    let client = fleet.client();
+    let (_servers, client) = start_fleet(&[7; 3], breaker);
     let t = dense_task(96, 96, 96);
     let pool = candidates(&t, 4, 9);
     let order = client.route_order("m", &t);
@@ -160,24 +171,16 @@ fn failover_on_wedged_shard_then_failback_after_recovery() {
         assert_eq!(r.failovers, 1, "request {i} pays exactly one hop");
     }
 
-    // Satellite: per-endpoint breaker rows name the tripped shard.
-    let remote = RemoteCostModel::new(client.clone(), "m");
-    let rows = remote.endpoint_breakers();
-    assert_eq!(rows[0].endpoint, "client");
-    let owner_row = &rows[1 + owner];
-    assert_eq!(owner_row.endpoint, format!("shard-{owner}"));
-    assert_eq!(owner_row.breaker.state, BreakerState::Open);
-    assert!(owner_row.breaker.trips >= 1);
-    for (i, row) in rows.iter().enumerate().skip(1) {
-        if i != 1 + owner {
-            assert_eq!(
-                row.breaker.state,
-                BreakerState::Closed,
-                "only the faulted shard may trip ({})",
-                row.endpoint
-            );
-        }
+    // Only the faulted shard's breaker tripped.
+    for shard in 0..3 {
+        let want = if shard == owner {
+            BreakerState::Open
+        } else {
+            BreakerState::Closed
+        };
+        assert_eq!(client.breaker(shard).state, want, "shard {shard}");
     }
+    assert!(client.breaker(owner).trips >= 1);
 
     // Recovery: clear the fault and keep driving; the call-count cooldown
     // lets a half-open probe through, it succeeds, and traffic fails back.
@@ -199,119 +202,55 @@ fn failover_on_wedged_shard_then_failback_after_recovery() {
     let snap = client.breaker(owner);
     assert_eq!(snap.state, BreakerState::Closed);
     assert!(snap.recoveries >= 1, "half-open probe recovery is counted");
-    fleet.shutdown();
 }
 
 #[test]
-fn health_gossip_trips_breaker_before_consecutive_failure_threshold() {
-    let mut config = fleet_config(3);
-    // The breaker's own threshold is unreachable in this test: only the
-    // published health snapshot can trip it.
-    config.breaker = BreakerConfig {
-        failure_threshold: 1000,
-        cooldown_calls: 1000,
-    };
-    config.health = HealthPolicy {
-        publish_every: 6,
-        min_window: 6,
-        max_error_rate: 0.5,
-    };
-    let fleet = ServingFleet::start(config);
-    let (model, ex) = scorer(7);
-    fleet.install_tlp("m", &model, &ex).expect("valid model");
-    let client = fleet.client();
-    let t = dense_task(80, 80, 80);
-    let pool = candidates(&t, 4, 21);
-    let owner = client.owner_of("m", &t);
-
-    client.fault(owner, 1.0);
-    for _ in 0..8 {
-        client
-            .score_detailed("m", &t, &pool, None)
-            .expect("failover keeps requests alive");
+fn chaos_on_one_shard_loses_nothing_and_replies_match_their_shard() {
+    // Shards hold divergent models, so a reply matching "its" shard's engine
+    // proves it was scored there and nowhere else.
+    let (servers, client) = start_fleet(&[1000, 1001, 1002, 1003], BreakerConfig::default());
+    let requests = trace(16, 128);
+    let faulted = client.owner_of("m", &requests[0].0);
+    client.fault(faulted, 0.2);
+    let mut hops = 0u64;
+    for (i, (task, batch)) in requests.iter().enumerate() {
+        let r = client
+            .score_detailed("m", task, batch, None)
+            .unwrap_or_else(|e| panic!("request {i} lost under chaos: {e}"));
+        assert_eq!(
+            r.reply.scores,
+            shard_truth(&servers, r.shard, task, batch),
+            "request {i} differs from shard {}'s own engine",
+            r.shard
+        );
+        hops += u64::from(r.failovers);
     }
-    assert_eq!(
-        client.breaker(owner).state,
-        BreakerState::Open,
-        "published error rate 1.0 must trip the owner via gossip"
-    );
     let stats = client.stats();
-    assert!(stats.gossip_trips >= 1, "trip must be gossip-driven");
-    let health = client.health();
-    let h = health[owner].as_ref().expect("owner window published");
-    assert!(h.sick);
-    assert!(h.error_rate > 0.5);
-    fleet.shutdown();
+    assert_eq!(stats.routed, 128);
+    assert!(stats.failovers > 0, "rate 0.2 must force some failover");
+    assert_eq!(stats.failovers, hops);
+    assert!(client.injected(faulted) > 0);
 }
 
 #[test]
-fn fleet_snapshot_aggregates_shards() {
-    let fleet = uniform_fleet(3);
-    let client = fleet.client();
-    let tasks: Vec<SearchTask> = [(64, 64, 64), (96, 64, 32), (128, 96, 48)]
-        .into_iter()
-        .map(|(m, n, k)| dense_task(m, n, k))
-        .collect();
-    for (i, t) in tasks.iter().enumerate() {
-        let pool = candidates(t, 4, 200 + i as u64);
-        for _ in 0..2 {
-            client
-                .score_detailed("m", t, &pool, None)
-                .expect("healthy fleet");
+fn rate_zero_chaos_is_inert_on_a_routed_trace() {
+    let requests = trace(16, 64);
+    let run = |force_rate_zero: bool| {
+        let (_servers, client) = start_fleet(&[7; 4], BreakerConfig::default());
+        if force_rate_zero {
+            (0..4).for_each(|shard| client.fault(shard, 0.0));
         }
-    }
-    let snap = fleet.snapshot();
-    assert_eq!(snap.shards.len(), 3);
-    assert_eq!(snap.router.routed, 6);
-    assert_eq!(snap.completed, 6);
-    assert_eq!(
-        snap.shards.iter().map(|s| s.serve.completed).sum::<u64>(),
-        6
-    );
-    let json = snap.to_json();
-    assert!(json.contains("\"router\"") && json.contains("\"gossip_trips\""));
-    fleet.shutdown();
-}
-
-#[test]
-fn sim_completes_all_requests_under_chaos_and_rate_zero_is_bit_identical() {
-    let t1 = dense_task(64, 64, 64);
-    let t2 = dense_task(96, 96, 48);
-    let tasks = vec![t1, t2];
-    let pools: Vec<Vec<ScheduleSequence>> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| candidates(t, 24, 400 + i as u64))
-        .collect();
-    let opts = FleetLoadOptions {
-        clients: 8,
-        requests_per_client: 4,
-        batch: 4,
+        requests
+            .iter()
+            .map(|(task, batch)| {
+                let r = client.score_detailed("m", task, batch, None).expect("ok");
+                let bits: Vec<Option<u32>> =
+                    r.reply.scores.iter().map(|s| s.map(f32::to_bits)).collect();
+                (r.shard, bits)
+            })
+            .collect::<Vec<_>>()
     };
-    let service = SimServiceModel::default();
-    let run = |fault: Option<(usize, f64)>| {
-        let fleet = uniform_fleet(2);
-        let client = fleet.client();
-        if let Some((shard, rate)) = fault {
-            client.fault(shard, rate);
-        }
-        let report = tlp_serve::run_fleet_sim(&client, "m", &tasks, &pools, &opts, &service);
-        fleet.shutdown();
-        report
-    };
-    let clean = run(None);
-    let zero = run(Some((0, 0.0)));
-    assert_eq!(
-        clean.score_digest, zero.score_digest,
-        "rate 0 must be inert"
-    );
-    assert_eq!(clean.latency_digest, zero.latency_digest);
-    assert_eq!(clean.ok, 32);
-    assert_eq!(clean.errors, 0);
-
-    let chaotic = run(Some((0, 0.2)));
-    assert_eq!(chaotic.ok, 32, "chaos at rate 0.2 must lose no jobs");
-    assert_eq!(chaotic.errors, 0);
+    assert_eq!(run(false), run(true), "rate 0 must be inert");
 }
 
 proptest! {
@@ -327,17 +266,8 @@ proptest! {
         dim_idx in 0usize..4,
         cand_seed in 0u64..1000,
     ) {
-        let mut config = fleet_config(3);
-        config.breaker = BreakerConfig { failure_threshold: 1, cooldown_calls: 2 };
-        let fleet = ServingFleet::start(config);
-        for shard in 0..3 {
-            let (model, ex) = scorer(1000 + shard as u64);
-            fleet
-                .registry(shard)
-                .install_tlp("m", model, ex)
-                .expect("valid model");
-        }
-        let client = fleet.client();
+        let breaker = BreakerConfig { failure_threshold: 1, cooldown_calls: 2 };
+        let (servers, client) = start_fleet(&[1000, 1001, 1002], breaker);
         let dims = [(48i64, 48i64, 48i64), (64, 96, 32), (96, 64, 64), (128, 48, 96)][dim_idx];
         let t = dense_task(dims.0, dims.1, dims.2);
         let pool = candidates(&t, 4, cand_seed);
@@ -346,7 +276,7 @@ proptest! {
 
         // Healthy: a request and its repeat land on the owner, bits match
         // its model.
-        let truth_owner = shard_truth(&fleet, owner, &t, &pool);
+        let truth_owner = shard_truth(&servers, owner, &t, &pool);
         for _ in 0..2 {
             let r = client.score_detailed("m", &t, &pool, None).expect("healthy");
             prop_assert_eq!(r.shard, owner);
@@ -355,7 +285,7 @@ proptest! {
 
         // Failover: replies now carry exactly the backup's model bits.
         client.fault(owner, 1.0);
-        let truth_backup = shard_truth(&fleet, backup, &t, &pool);
+        let truth_backup = shard_truth(&servers, backup, &t, &pool);
         for _ in 0..2 {
             let r = client.score_detailed("m", &t, &pool, None).expect("failover");
             prop_assert_eq!(r.shard, backup);
@@ -367,7 +297,7 @@ proptest! {
         let mut failed_back = false;
         for _ in 0..8 {
             let r = client.score_detailed("m", &t, &pool, None).expect("recovery");
-            let want = shard_truth(&fleet, r.shard, &t, &pool);
+            let want = shard_truth(&servers, r.shard, &t, &pool);
             prop_assert_eq!(&r.reply.scores, &want, "every reply matches its serving shard");
             if r.shard == owner {
                 failed_back = true;
@@ -375,6 +305,5 @@ proptest! {
             }
         }
         prop_assert!(failed_back, "traffic must return to the owner");
-        fleet.shutdown();
     }
 }
