@@ -13,7 +13,7 @@
 //! pairwise distinct (nothing to share — the bypass case). The share of rows
 //! that repeat an earlier row is printed beside each.
 //!
-//! `attention_softmax_8x13x16` times the one stage of the forward that is
+//! `attention_softmax_13x128` times the one stage of the forward that is
 //! not a GEMM on its own: the column softmax over a 64-candidate
 //! micro-batch's attention tiles, with the `exp` the model runs
 //! (`tlp_nn::kernels::exp`) and with libm's, in ns per score element.
@@ -207,12 +207,13 @@ fn ns_per_element(scores: &[f32], mut pass: impl FnMut(&mut [f32])) -> f64 {
     best.as_secs_f64() * 1e9 / scores.len() as f64
 }
 
-/// The attention tile shape the model runs on the conv2d pool — 8 heads,
-/// 12 real keys + the pad key, 16 query lanes — for 64 candidates.
+/// The attention tile shape the model runs on the conv2d pool — 12 real
+/// keys + the pad key, 8 heads' 16 query lanes side by side — one tile per
+/// candidate, for 64 candidates.
 fn bench_softmax_exp() {
-    let (heads, keys, lanes, cands) = (8, 13, 16, 64);
+    let (keys, lanes, cands) = (13, 8 * 16, 64);
     let mut rng = SmallRng::seed_from_u64(7);
-    let scores: Vec<f32> = (0..cands * heads * keys * lanes)
+    let scores: Vec<f32> = (0..cands * keys * lanes)
         .map(|_| rng.gen::<f32>() * 8.0 - 4.0)
         .collect();
     for (name, ns) in [
@@ -227,7 +228,7 @@ fn bench_softmax_exp() {
             ns_per_element(&scores, |st| softmax_tiles(st, keys, lanes, f32::exp)),
         ),
     ] {
-        println!("attention_softmax_8x13x16/{name:<20} {ns:>9.2} ns/element");
+        println!("attention_softmax_13x128/{name:<20} {ns:>9.2} ns/element");
     }
 }
 

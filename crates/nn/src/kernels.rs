@@ -9,19 +9,21 @@
 //! > `mul` followed by one `add` per term, starting from `+0.0`. No FMA,
 //! > no reassociation, no pairwise/tree reductions.
 //!
-//! Register blocking (the `2×24` panels in [`gemm`]) changes which output
-//! elements are computed *together*, never the order of operations *within*
-//! one element's accumulation chain, so results are bitwise identical
-//! across block shapes — including the scalar tails used for odd sizes.
-//! The autovectorizer keeps IEEE semantics (Rust never enables FP
-//! contraction or reassociation), so vector width does not affect bits
-//! either. Two consequences the fused scoring path is built on: an output
-//! row depends only on its own input row (so a row that occurs many times
-//! in a micro-batch is multiplied once), and output columns are independent
-//! lanes (so the attention tiles pad their query-lane count to a multiple
-//! of the 8-wide panel with zero queries and never reach the scalar column
-//! tail, which is left for genuinely odd widths such as the one-column
-//! head).
+//! Register blocking (the 2-row panels, 24, 16 or 8 columns wide, in
+//! [`gemm`]) and leading dimensions ([`gemm_ld`]) change which output
+//! elements are computed *together* and where they are stored, never the
+//! order of operations *within* one element's accumulation chain, so
+//! results are bitwise identical across block shapes and layouts —
+//! including the scalar tails used for odd sizes. The autovectorizer keeps
+//! IEEE semantics (Rust never enables FP contraction or reassociation), so
+//! vector width does not affect bits either. Two consequences the fused
+//! scoring path is built on: an output row depends only on its own input
+//! row (so a row that occurs many times in a micro-batch is multiplied
+//! once), and output columns are independent lanes (so the attention tile
+//! sets every head's query lanes side by side, pads each head's lane count
+//! to a multiple of the 8-wide panel with zero queries, and never reaches
+//! the scalar column tail, which is left for genuinely odd widths such as
+//! the one-column head).
 //!
 //! [`exp`] — softmax's, and so the only transcendental in the model
 //! forward — is under the same contract in elementwise form: a fixed
@@ -44,19 +46,21 @@
 //! `acc + ±0.0 == acc` bit-for-bit. The property tests in this module
 //! pin that equivalence on inputs with explicit zeros.
 
-/// Columns per register block. Two j-panels cover the default hidden
-/// size (48) exactly; tails fall back to 8-wide then scalar columns.
-const NR: usize = 24;
-/// Narrow column block for tails (e.g. the `hidden = 16` test scale). The
-/// fused attention path pads its query-lane stride to a multiple of this,
-/// so its matmuls never reach the scalar column tail.
-pub(crate) const NR2: usize = 8;
+/// Panel widths: 24 (two cover the default hidden size, 48), then at most
+/// one 16 (a whole 16-lane attention tile) and one 8, then scalar columns.
+const NR24: usize = 24;
+const NR16: usize = 16;
+/// The narrowest panel. The fused attention path pads its query-lane count
+/// to a multiple of it, so its matmuls never reach the scalar column tail.
+pub(crate) const NR8: usize = 8;
 
 /// `out[m,n] = a[m,k] × b[k,n]`, overwriting `out`.
 ///
-/// Cache-blocked, autovectorization-friendly: 2-row × 24-column register
-/// panels with the per-element accumulation chain in ascending `k` order
-/// (see the module docs for the bit-identity contract).
+/// Cache-blocked, autovectorization-friendly: 2-row register panels 24,
+/// 16 or 8 columns wide, with the per-element accumulation chain in
+/// ascending `k` order (see the module docs for the bit-identity contract).
+/// The contiguous case of [`gemm_ld`] (`lda = k`, `ldb = ldc = n`), with
+/// its own inlined copy of the one GEMM body.
 ///
 /// # Panics
 ///
@@ -65,64 +69,96 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm out length mismatch");
-    let mut i = 0;
-    while i + 2 <= m {
-        gemm_rows::<2>(a, b, out, i, k, n);
-        i += 2;
-    }
-    if i < m {
-        gemm_rows::<1>(a, b, out, i, k, n);
-    }
+    Operands(a, b, out, [k, n, n, k]).run(m, n);
 }
 
-/// One `R`-row band of [`gemm`] starting at row `i`.
-fn gemm_rows<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], i: usize, k: usize, n: usize) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut acc = [[0.0f32; NR]; R];
+/// [`gemm`] over operands with leading dimensions:
+/// `out[i·ldc + j] = Σ_l a[i·lda + l] × b[l·ldb + j]` for `i < m`, `j < n`.
+/// Elements of `out` outside those `m` row windows of `n` are left
+/// untouched, so several products can write side by side into one tile.
+///
+/// # Panics
+///
+/// Panics if a leading dimension is shorter than its row, or a slice ends
+/// before its last row does.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_ld(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(lda >= k && ldb >= n && ldc >= n, "gemm stride below row");
+    assert!(m == 0 || a.len() >= (m - 1) * lda + k, "gemm a short");
+    assert!(k == 0 || b.len() >= (k - 1) * ldb + n, "gemm b short");
+    assert!(m == 0 || out.len() >= (m - 1) * ldc + n, "gemm out short");
+    Operands(a, b, out, [lda, ldb, ldc, k]).run(m, n);
+}
+
+/// One GEMM's operands: `(a, b, out, [lda, ldb, ldc, k])`.
+struct Operands<'a>(&'a [f32], &'a [f32], &'a mut [f32], [usize; 4]);
+
+impl Operands<'_> {
+    /// The one GEMM body: `m` rows of `n` columns, two rows at a time.
+    #[inline(always)]
+    fn run(mut self, m: usize, n: usize) {
+        let mut i = 0;
+        while i + 2 <= m {
+            self.rows::<2>(i, n);
+            i += 2;
+        }
+        if i < m {
+            self.rows::<1>(i, n);
+        }
+    }
+
+    /// The `R`-row band starting at row `i`, panel by panel.
+    #[inline(always)]
+    fn rows<const R: usize>(&mut self, i: usize, n: usize) {
+        let mut j = 0;
+        while j + NR24 <= n {
+            self.panel::<R, NR24>(i, j);
+            j += NR24;
+        }
+        if j + NR16 <= n {
+            self.panel::<R, NR16>(i, j);
+            j += NR16;
+        }
+        if j + NR8 <= n {
+            self.panel::<R, NR8>(i, j);
+            j += NR8;
+        }
+        while j < n {
+            self.panel::<R, 1>(i, j);
+            j += 1;
+        }
+    }
+
+    /// The `R × W` output block at row `i`, column `j`, accumulated in
+    /// registers over ascending `l`.
+    #[inline(always)]
+    fn panel<const R: usize, const W: usize>(&mut self, i: usize, j: usize) {
+        // `out` (`self.2`) is only touched at the end: borrowing it here
+        // costs the big GEMMs ~9 %.
+        let Operands(a, b, _, [lda, ldb, ldc, k]) = *self;
+        let mut acc = [[0.0f32; W]; R];
         for l in 0..k {
-            let br: &[f32; NR] = b[l * n + j..l * n + j + NR]
-                .try_into()
-                .unwrap_or(&[0.0; NR]); // length is NR by construction
+            let br = &b[l * ldb + j..l * ldb + j + W];
             for (r, accr) in acc.iter_mut().enumerate() {
-                let av = a[(i + r) * k + l];
+                let av = a[(i + r) * lda + l];
                 for (o, &bv) in accr.iter_mut().zip(br) {
                     *o += av * bv;
                 }
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(accr);
+            self.2[(i + r) * ldc + j..(i + r) * ldc + j + W].copy_from_slice(accr);
         }
-        j += NR;
-    }
-    while j + NR2 <= n {
-        let mut acc = [[0.0f32; NR2]; R];
-        for l in 0..k {
-            let br: &[f32; NR2] = b[l * n + j..l * n + j + NR2]
-                .try_into()
-                .unwrap_or(&[0.0; NR2]); // length is NR2 by construction
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = a[(i + r) * k + l];
-                for (o, &bv) in accr.iter_mut().zip(br) {
-                    *o += av * bv;
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * n + j..(i + r) * n + j + NR2].copy_from_slice(accr);
-        }
-        j += NR2;
-    }
-    while j < n {
-        for r in 0..R {
-            let mut acc = 0.0f32;
-            for l in 0..k {
-                acc += a[(i + r) * k + l] * b[l * n + j];
-            }
-            out[(i + r) * n + j] = acc;
-        }
-        j += 1;
     }
 }
 
@@ -559,6 +595,42 @@ mod tests {
             matmul_reference(&a, &b, &mut slow, m, k, n);
             for (x, y) in fast.iter().zip(&slow) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        /// `gemm_ld` over operands embedded in wider rows is bitwise-equal
+        /// to the reference on the packed operands and writes nothing
+        /// outside its `m` output windows. `a` and `b` end right after their
+        /// last row, so a read past it panics; `n` up to 48 runs every panel
+        /// combination (24, 16, 8, scalar tail).
+        #[test]
+        fn prop_gemm_ld_bits_match_reference_inside_its_windows(
+            m in 1usize..20,
+            k in 1usize..20,
+            n in 1usize..49,
+            pad_a in 1usize..9,
+            pad_b in 1usize..9,
+            pad_c in 1usize..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (lda, ldb, ldc) = (k + pad_a, n + pad_b, n + pad_c);
+            let a = fill(seed, (m - 1) * lda + k);
+            let b = fill(seed ^ 0xdead_beef, (k - 1) * ldb + n);
+            let packed_a: Vec<f32> = a.chunks(lda).flat_map(|row| &row[..k]).copied().collect();
+            let packed_b: Vec<f32> = b.chunks(ldb).flat_map(|row| &row[..n]).copied().collect();
+            let mut want = vec![0.0f32; m * n];
+            matmul_reference(&packed_a, &packed_b, &mut want, m, k, n);
+            // A NaN payload no product of finite values produces.
+            let sentinel = f32::from_bits(0x7fc0_1234);
+            let mut out = vec![sentinel; m * ldc];
+            gemm_ld(&a, lda, &b, ldb, &mut out, ldc, m, k, n);
+            for (row, want_row) in out.chunks(ldc).zip(want.chunks(n)) {
+                for (x, y) in row[..n].iter().zip(want_row) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+                for x in &row[n..] {
+                    prop_assert_eq!(x.to_bits(), sentinel.to_bits());
+                }
             }
         }
 

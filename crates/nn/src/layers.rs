@@ -7,7 +7,7 @@
 use crate::graph::{Graph, Var};
 use crate::infer::{Ragged, PAD_ROW};
 use crate::init::{uniform, xavier_uniform};
-use crate::kernels::{self, Epilogue};
+use crate::kernels::{self, gemm_ld, Epilogue};
 use crate::params::{Binding, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use crate::workspace::Arena;
@@ -238,11 +238,15 @@ impl MultiHeadSelfAttention {
     /// padding row every candidate's tail repeats; `row_of` names the
     /// distinct row behind each of the `R` real rows (candidate-major, `R`
     /// = `ragged.total_rows()`). The Q/K/V projections run once per
-    /// distinct row and each candidate's tiles are packed through `row_of`.
-    /// `out` receives `R + C` rows: the attention output (including the
-    /// output projection) for each real row, then one pad-row output per
-    /// candidate — pad queries are identical within a candidate, so their
-    /// shared output is computed once.
+    /// distinct row and each candidate's tiles are gathered through
+    /// `row_of`. Every per-candidate pass (gather, scale, softmax, tail
+    /// re-add, scatter) runs once over all heads: their query lanes sit side
+    /// by side in one score tile, and each head's two small GEMMs read and
+    /// write its share through leading dimensions. `out` receives `R + C`
+    /// rows: the attention output (including the output projection) for
+    /// each real row, then one pad-row output per candidate — pad queries
+    /// are identical within a candidate, so their shared output is computed
+    /// once.
     ///
     /// Bit-identical to [`MultiHeadSelfAttention::forward`] on the dense
     /// `[C, l, dim]` tensor: a projection's output row depends only on its
@@ -283,21 +287,21 @@ impl MultiHeadSelfAttention {
         let pad = PAD_ROW as usize * e;
 
         let mut ctx = arena.take((r + c) * e);
-        // Head-major packing scratch, sized for the longest candidate (`l`
-        // real rows plus the shared pad row/query). Query lanes are the
-        // columns of both attention matmuls and of every softmax pass; their
-        // stride is rounded up to the kernel's panel width so none of them
-        // has a scalar remainder.
-        let lanes = |nq: usize| nq.div_ceil(kernels::NR2) * kernels::NR2;
+        // Per-candidate scratch, sized for the longest candidate (`l` real
+        // rows plus the shared pad row/query). Query lanes are the columns of
+        // both attention matmuls and of the softmax; their count is rounded
+        // up to the kernel's narrowest panel so none of them has a scalar
+        // remainder. The score tile holds every head's lanes side by side.
+        let lanes = |nq: usize| nq.div_ceil(kernels::NR8) * kernels::NR8;
         let lmax = lanes(l + 1);
-        let mut kh = arena.take((l + 1) * e);
-        let mut qt = arena.take(lmax * e);
-        let mut vt = arena.take(l * e);
-        let mut st = arena.take((l + 1) * lmax);
-        let mut ot = arena.take(dh * lmax);
-        let mut pt = arena.take(dh * lmax);
-        let mut mx = arena.take(lmax);
-        let mut sm = arena.take(lmax);
+        let mut kr = arena.take((l + 1) * e);
+        let mut qt = arena.take(e * lmax);
+        let mut vt = arena.take(e * l);
+        let mut st = arena.take((l + 1) * h * lmax);
+        let mut ot = arena.take(e * lmax);
+        let mut pt = arena.take(e * lmax);
+        let mut mx = arena.take(h * lmax);
+        let mut sm = arena.take(h * lmax);
         let scale = 1.0 / (dh as f32).sqrt();
 
         let mut base = 0usize;
@@ -305,82 +309,79 @@ impl MultiHeadSelfAttention {
             let ids = &row_of[base..base + ru];
             let nk = ru + 1; // real keys plus the shared pad key
             let nq = lanes(ru + 1); // real queries, the pad query, zero lanes
+            let hq = h * nq; // score-tile lanes: head `t` owns `t·nq..`
+            let st = &mut st[..nk * hq];
+            let ot = &mut ot[..e * nq];
+            let pt = &mut pt[..e * nq];
 
-            // Pack this candidate head-major so both attention matmuls run
-            // through the register-blocked [`kernels::gemm`]:
-            //   kh[t]: [nk, dh]  real keys then the pad key;
-            //   qt[t]: [dh, nq]  queries transposed, pad query in lane `ru`,
-            //                    lanes past it zero (finite scores that are
-            //                    never scattered back);
-            //   vt[t]: [dh, ru]  values transposed.
-            for t in 0..h {
-                let ho = t * dh;
-                let khh = &mut kh[t * nk * dh..(t + 1) * nk * dh];
-                let qth = &mut qt[t * dh * nq..(t + 1) * dh * nq];
-                let vth = &mut vt[t * dh * ru..(t + 1) * dh * ru];
-                for (j, &id) in ids.iter().enumerate() {
-                    let o = id as usize * e + ho;
-                    khh[j * dh..(j + 1) * dh].copy_from_slice(&k[o..o + dh]);
-                    for dd in 0..dh {
-                        qth[dd * nq + j] = q[o + dd];
-                        vth[dd * ru + j] = v[o + dd];
-                    }
-                }
-                khh[ru * dh..].copy_from_slice(&k[pad + ho..pad + ho + dh]);
-                for (dd, lane) in qth.chunks_exact_mut(nq).enumerate() {
-                    lane[ru] = q[pad + ho + dd];
-                    lane[ru + 1..].fill(0.0);
+            // Gather once for all heads, so both attention matmuls of every
+            // head run through the register-blocked [`kernels::gemm_ld`]:
+            //   kr: [nk, e]  real keys then the pad key;
+            //   qt: [e, nq]  queries transposed, pad query in lane `ru`,
+            //                lanes past it zero (finite scores that are
+            //                never scattered back);
+            //   vt: [e, ru]  values transposed.
+            for (j, &id) in ids.iter().enumerate() {
+                let o = id as usize * e;
+                kr[j * e..(j + 1) * e].copy_from_slice(&k[o..o + e]);
+                for dd in 0..e {
+                    qt[dd * nq + j] = q[o + dd];
+                    vt[dd * ru + j] = v[o + dd];
                 }
             }
+            kr[ru * e..nk * e].copy_from_slice(&k[pad..pad + e]);
+            for (lane, &pq) in qt.chunks_exact_mut(nq).zip(&q[pad..pad + e]) {
+                lane[ru] = pq;
+                lane[ru + 1..].fill(0.0);
+            }
 
+            // Transposed scores st[key][t·nq + query] = k·q over head `t`'s
+            // columns, each element accumulated d-ascending like the dense
+            // bmm (f32 `mul` is operand-order insensitive, so k·q ≡ q·k
+            // bitwise). The pad key lands in row `ru`, the pad query in lane
+            // `ru` of each head.
             for t in 0..h {
-                let ho = t * dh;
-                let khh = &kh[t * nk * dh..(t + 1) * nk * dh];
-                let qth = &qt[t * dh * nq..(t + 1) * dh * nq];
-                let vth = &vt[t * dh * ru..(t + 1) * dh * ru];
-                // Transposed scores st[key][query] = k·q, each element
-                // accumulated d-ascending like the dense bmm (f32 `mul` is
-                // operand-order insensitive, so k·q ≡ q·k bitwise). The pad
-                // key lands in row `ru`, the pad query in column `ru`.
-                kernels::gemm(khh, qth, &mut st[..nk * nq], nk, dh, nq);
-                for s in st[..nk * nq].iter_mut() {
-                    *s *= scale;
+                let (kh, qh) = (&kr[t * dh..], &qt[t * dh * nq..]);
+                gemm_ld(kh, e, qh, nq, &mut st[t * nq..], hq, nk, dh, nq);
+            }
+            for s in st.iter_mut() {
+                *s *= scale;
+            }
+            // Per-query softmax down each column, every head's queries
+            // advanced together so every pass vectorizes across the `hq`
+            // lanes. Each lane replays the dense row's order — max fold and
+            // sum k-ascending, the `l - ru` identical tail terms deduplicated
+            // (the tail exp is added once per position) — and leaves the tail
+            // weight `a_pad` in the pad-key row.
+            softmax_cols(st, &mut mx[..hq], &mut sm[..hq], hq, ru, l);
+            // Weighted value sum over the real keys, k-ascending from +0.0 —
+            // the pad-key row is excluded from the matmul...
+            for t in 0..h {
+                let (vh, ah) = (&vt[t * dh * ru..], &st[t * nq..]);
+                gemm_ld(vh, ru, ah, hq, &mut ot[t * dh * nq..], nq, dh, ru, nq);
+            }
+            // ...and its term, computed once per query, is re-added per tail
+            // position, as the dense loop would (each element's chain still
+            // receives its identical pad term `l - ru` times after the real
+            // keys).
+            let a_pad = &st[ru * hq..];
+            for (dd, (p, &pv)) in pt.chunks_exact_mut(nq).zip(&v[pad..pad + e]).enumerate() {
+                for (p, &a) in p.iter_mut().zip(&a_pad[dd / dh * nq..]) {
+                    *p = a * pv;
                 }
-                // Per-query softmax down each column, all queries advanced
-                // together so every pass vectorizes across the `nq` lanes.
-                // Each lane replays the dense row's order — max fold and sum
-                // k-ascending, the `l - ru` identical tail terms
-                // deduplicated (the tail exp is added once per position) —
-                // and leaves the tail weight `a_pad` in the pad-key row.
-                softmax_cols(&mut st[..nk * nq], &mut mx[..nq], &mut sm[..nq], nq, ru, l);
-                // Weighted value sum over the real keys, k-ascending from
-                // +0.0 — the pad-key row is excluded from the matmul...
-                kernels::gemm(vth, &st[..ru * nq], &mut ot[..dh * nq], dh, ru, nq);
-                // ...and its term, computed once per query, is re-added per
-                // tail position, as the dense loop would (each element's
-                // chain still receives its identical pad term `l - ru`
-                // times after the real keys).
-                for dd in 0..dh {
-                    let pv = v[pad + ho + dd];
-                    for (p, &a) in pt[dd * nq..(dd + 1) * nq]
-                        .iter_mut()
-                        .zip(&st[ru * nq..nk * nq])
-                    {
-                        *p = a * pv;
-                    }
+            }
+            for _ in ru..l {
+                for (o, &p) in ot.iter_mut().zip(pt.iter()) {
+                    *o += p;
                 }
-                for _ in ru..l {
-                    for (o, &p) in ot[..dh * nq].iter_mut().zip(&pt[..dh * nq]) {
-                        *o += p;
-                    }
-                }
-                // Scatter the head block back to row-major context rows:
-                // lanes `..ru` to the real rows, lane `ru` to the pad row.
-                for j in 0..=ru {
-                    let dst = if j < ru { base + j } else { r + i };
-                    for dd in 0..dh {
-                        ctx[dst * e + ho + dd] = ot[dd * nq + j];
-                    }
+            }
+            // Scatter back to row-major context rows: lanes `..ru` to the
+            // real rows, lane `ru` to the pad row.
+            for j in 0..=ru {
+                let dst = if j < ru { base + j } else { r + i };
+                let row = &mut ctx[dst * e..(dst + 1) * e];
+                for (cv, o) in row.iter_mut().zip(ot.chunks_exact(nq)) {
+                    *cv = o[j];
                 }
             }
             base += ru;
@@ -395,7 +396,7 @@ impl MultiHeadSelfAttention {
         arena.give(st);
         arena.give(vt);
         arena.give(qt);
-        arena.give(kh);
+        arena.give(kr);
         arena.give(ctx);
         arena.give(v);
         arena.give(k);
@@ -994,6 +995,62 @@ mod tests {
                     &out[(r + i) * e..(r + i + 1) * e]
                 };
                 assert_bits_eq(dense_row, fused_row, "attention row");
+            }
+            base += ru;
+        }
+    }
+
+    /// The model's own attention shape — width 48, 8 heads side by side in
+    /// one score tile, `l = 25` — against the dense tape forward, bit for
+    /// bit. `ru + 1` query lanes fill 8-, 16-, 24- and 32-lane tiles, at
+    /// and between lane multiples, including empty and full candidates.
+    #[test]
+    fn ragged_attention_matches_dense_forward_bitwise_at_model_shape() {
+        let (mut g, mut store, mut bind, mut rng) = ctx();
+        let (e, heads, l) = (48, 8, 25);
+        let attn = MultiHeadSelfAttention::new(&mut store, &mut rng, "a", e, heads);
+        let rows_used = [0usize, 1, 7, 8, 12, 15, 16, 23, 24, l];
+        let n = rows_used.len();
+        let r: usize = rows_used.iter().sum();
+        // A nonzero shared pad row (row 0), then rows the candidates repeat.
+        let d = 40;
+        let x: Vec<f32> = (0..d * e).map(|_| rng.gen::<f32>() - 0.5).collect();
+        let row_of: Vec<u32> = (0..r).map(|p| 1 + (p * 7 % (d - 1)) as u32).collect();
+        let mut rows = row_of.iter();
+        let mut dense = Vec::with_capacity(n * l * e);
+        for &ru in &rows_used {
+            for j in 0..l {
+                let id = if j < ru {
+                    *rows.next().unwrap()
+                } else {
+                    PAD_ROW
+                } as usize;
+                dense.extend_from_slice(&x[id * e..(id + 1) * e]);
+            }
+        }
+        let dense = g.constant(Tensor::from_vec(dense, &[n, l, e]));
+        let y = {
+            let mut f = Fwd::new(&mut g, &store, &mut bind);
+            attn.forward(&mut f, dense)
+        };
+        let yd = g.value(y).data();
+
+        let ragged = Ragged::new(&rows_used, l);
+        let mut out = vec![0.0f32; (r + n) * e];
+        // Every scratch buffer starts out as NaN, so a lane or a head share
+        // the passes fail to write reaches an output row.
+        let mut arena = Arena::new();
+        for _ in 0..16 {
+            arena.give(vec![f32::NAN; (r + n + l) * e * 4]);
+        }
+        attn.infer_ragged(&store, &mut arena, &x, &row_of, &ragged, &mut out);
+
+        let mut base = 0usize;
+        for (i, &ru) in rows_used.iter().enumerate() {
+            for (j, dense_row) in yd[i * l * e..(i + 1) * l * e].chunks(e).enumerate() {
+                let fused = if j < ru { base + j } else { r + i };
+                let what = format!("candidate {i} (ru = {ru}), row {j}");
+                assert_bits_eq(dense_row, &out[fused * e..(fused + 1) * e], &what);
             }
             base += ru;
         }
