@@ -17,10 +17,8 @@
 //! offline training. A pool's features are extracted once per ranking:
 //! [`DraftScorer::score`] keeps the rows and the head's activations, and
 //! [`DraftScorer::distill`] learns from the rows the full model verified.
-//! Feature extraction is pluggable through [`DraftFeatures`]; the built-in
-//! [`ScheduleStatFeatures`] reads summary statistics straight off the
-//! schedule primitives, and the `tlp` crate plugs the real TLP feature
-//! extractor in for higher-fidelity drafts.
+//! The features are summary statistics read straight off the schedule
+//! primitives.
 //!
 //! Everything here is RNG-free and deterministic: drafting never touches
 //! the search RNG stream, so `draft_keep >= 1.0` — the full model verifies
@@ -90,69 +88,43 @@ impl Default for SpecConfig {
     }
 }
 
-/// Cheap per-candidate feature extraction for the draft head.
-///
-/// Implementations must be deterministic and RNG-free; `extract_into`
-/// appends one `dim()`-wide row per candidate, in pool order.
-pub trait DraftFeatures: Send {
-    /// Feature width of one candidate row.
-    fn dim(&self) -> usize;
-
-    /// Appends features for every candidate of `pop` to `out` (row-major,
-    /// `pop.len() × dim()` values).
-    fn extract_into(&mut self, task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>);
-
-    /// Human-readable feature-set name for reports.
-    fn name(&self) -> &str;
-}
-
-/// Built-in draft features: summary statistics read straight off the
-/// schedule primitives — per-kind step counts plus log-scaled numeric
-/// aggregates. No lowering, no vocabulary, no allocation beyond the output
-/// row; roughly the analytic end of the draft-feature spectrum.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScheduleStatFeatures;
-
 /// Extra aggregate slots appended after the per-kind counts.
 const STAT_EXTRAS: usize = 4;
 
-impl DraftFeatures for ScheduleStatFeatures {
-    fn dim(&self) -> usize {
-        PrimitiveKind::ALL.len() + STAT_EXTRAS
-    }
+/// Width of one draft feature row.
+const STAT_DIM: usize = PrimitiveKind::ALL.len() + STAT_EXTRAS;
 
-    fn extract_into(&mut self, _task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
-        let kinds = PrimitiveKind::ALL.len();
-        for seq in pop {
-            let base = out.len();
-            out.resize(base + kinds + STAT_EXTRAS, 0.0);
-            let row = &mut out[base..];
-            let mut int_log_sum = 0.0f32;
-            let mut int_log_max = 0.0f32;
-            let mut loops = 0usize;
-            for p in seq.iter() {
-                row[p.kind.index()] += 1.0;
-                loops += p.loop_vars.len();
-                for &v in &p.ints {
-                    let l = (1.0 + v.max(0) as f32).ln();
-                    int_log_sum += l;
-                    int_log_max = int_log_max.max(l);
-                }
+/// Appends one [`STAT_DIM`]-wide draft row per candidate of `pop` to `out`,
+/// in pool order: summary statistics read straight off the schedule
+/// primitives — per-kind step counts plus log-scaled numeric aggregates. No
+/// lowering, no vocabulary, no allocation beyond the output rows.
+fn stat_features_into(pop: &[ScheduleSequence], out: &mut Vec<f32>) {
+    let kinds = PrimitiveKind::ALL.len();
+    for seq in pop {
+        let base = out.len();
+        out.resize(base + STAT_DIM, 0.0);
+        let row = &mut out[base..];
+        let mut int_log_sum = 0.0f32;
+        let mut int_log_max = 0.0f32;
+        let mut loops = 0usize;
+        for p in seq.iter() {
+            row[p.kind.index()] += 1.0;
+            loops += p.loop_vars.len();
+            for &v in &p.ints {
+                let l = (1.0 + v.max(0) as f32).ln();
+                int_log_sum += l;
+                int_log_max = int_log_max.max(l);
             }
-            // Same ln(1+x) squashing the TLP extractor uses, so counts and
-            // sums stay in comparable ranges for the linear head.
-            for c in row[..kinds].iter_mut() {
-                *c = (1.0 + *c).ln();
-            }
-            row[kinds] = (1.0 + seq.len() as f32).ln();
-            row[kinds + 1] = (1.0 + loops as f32).ln();
-            row[kinds + 2] = int_log_sum;
-            row[kinds + 3] = int_log_max;
         }
-    }
-
-    fn name(&self) -> &str {
-        "schedule-stats"
+        // Same ln(1+x) squashing the TLP extractor uses, so counts and
+        // sums stay in comparable ranges for the linear head.
+        for c in row[..kinds].iter_mut() {
+            *c = (1.0 + *c).ln();
+        }
+        row[kinds] = (1.0 + seq.len() as f32).ln();
+        row[kinds + 1] = (1.0 + loops as f32).ln();
+        row[kinds + 2] = int_log_sum;
+        row[kinds + 3] = int_log_max;
     }
 }
 
@@ -160,8 +132,8 @@ impl DraftFeatures for ScheduleStatFeatures {
 /// inside [`TinyHead::distill`]).
 const DRAFT_BASE_LR: f32 = 0.2;
 
-/// The draft side of draft-then-verify: one [`TinyHead`] *per task* over a
-/// pluggable [`DraftFeatures`] set, distilled online from full-model scores.
+/// The draft side of draft-then-verify: one [`TinyHead`] *per task* over
+/// schedule statistics, distilled online from full-model scores.
 ///
 /// Heads are keyed by [`Subgraph::key`](tlp_workload::Subgraph::key) — the
 /// task's structure, not its name, which networks reuse across shapes — and
@@ -174,9 +146,9 @@ const DRAFT_BASE_LR: f32 = 0.2;
 /// warm-up and the distilled weights amortize; the searcher borrows it per
 /// round via
 /// [`Searcher::with_draft`](crate::evolutionary::Searcher::with_draft).
+#[derive(Default)]
 pub struct DraftScorer {
     heads: std::collections::BTreeMap<u64, TinyHead>,
-    features: Box<dyn DraftFeatures>,
     /// The pool last scored — its task's head key, its feature rows and the
     /// head's pass over them: what [`DraftScorer::distill`] learns from.
     scored: Option<u64>,
@@ -189,7 +161,6 @@ pub struct DraftScorer {
 impl std::fmt::Debug for DraftScorer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DraftScorer")
-            .field("features", &self.features.name())
             .field("tasks", &self.heads.len())
             .field("updates", &self.updates())
             .finish()
@@ -197,32 +168,9 @@ impl std::fmt::Debug for DraftScorer {
 }
 
 impl DraftScorer {
-    /// A scorer over the given feature set, with no head yet.
-    pub fn new(features: Box<dyn DraftFeatures>) -> Self {
-        DraftScorer {
-            heads: std::collections::BTreeMap::new(),
-            features,
-            scored: None,
-            feats: Vec::new(),
-            pass: DraftPass::default(),
-            rows: Vec::new(),
-            targets: Vec::new(),
-        }
-    }
-
-    /// A scorer over the built-in [`ScheduleStatFeatures`].
-    pub fn with_stat_features() -> Self {
-        DraftScorer::new(Box::new(ScheduleStatFeatures))
-    }
-
     /// Full-model batches distilled so far, summed over all per-task heads.
     pub fn updates(&self) -> u64 {
         self.heads.values().map(TinyHead::updates).sum()
-    }
-
-    /// Feature-set name, for reports.
-    pub fn feature_name(&self) -> &str {
-        self.features.name()
     }
 
     /// Whether the head for `task` has absorbed enough full-model batches
@@ -241,13 +189,12 @@ impl DraftScorer {
     /// Deterministic and RNG-free.
     pub fn score(&mut self, task: &SearchTask, pop: &[ScheduleSequence]) -> &[f32] {
         self.feats.clear();
-        self.features.extract_into(task, pop, &mut self.feats);
+        stat_features_into(pop, &mut self.feats);
         let key = task.subgraph.key();
         self.scored = Some(key);
-        let dim = self.features.dim();
         self.heads
             .entry(key)
-            .or_insert_with(|| TinyHead::new(dim))
+            .or_insert_with(|| TinyHead::new(STAT_DIM))
             .forward(&self.feats, pop.len(), &mut self.pass);
         self.pass.scores()
     }
@@ -331,18 +278,16 @@ mod tests {
 
     #[test]
     fn stat_features_are_deterministic_and_shaped() {
-        let t = task();
         let p = pop(6, 3);
-        let mut f = ScheduleStatFeatures;
         let mut a = Vec::new();
         let mut b = Vec::new();
-        f.extract_into(&t, &p, &mut a);
-        f.extract_into(&t, &p, &mut b);
+        stat_features_into(&p, &mut a);
+        stat_features_into(&p, &mut b);
         assert_eq!(a, b);
-        assert_eq!(a.len(), p.len() * f.dim());
+        assert_eq!(a.len(), p.len() * STAT_DIM);
         assert!(a.iter().all(|x| x.is_finite()));
         // Different schedules produce different rows.
-        let d = f.dim();
+        let d = STAT_DIM;
         assert!((0..p.len() - 1).any(|i| a[i * d..(i + 1) * d] != a[(i + 1) * d..(i + 2) * d]));
     }
 
@@ -352,7 +297,7 @@ mod tests {
         let p = pop(8, 5);
         let idx: Vec<usize> = (0..p.len()).collect();
         let scores: Vec<f32> = (0..p.len()).map(|i| i as f32).collect();
-        let mut d = DraftScorer::with_stat_features();
+        let mut d = DraftScorer::default();
         assert!(d.warmed_up(&t, 0));
         assert!(!d.warmed_up(&t, 1));
         d.score(&t, &p);
@@ -375,7 +320,7 @@ mod tests {
     fn non_finite_targets_are_dropped_from_distillation() {
         let t = task();
         let p = pop(4, 7);
-        let mut d = DraftScorer::with_stat_features();
+        let mut d = DraftScorer::default();
         d.score(&t, &p);
         d.distill(&[0, 1, 2, 3], &[f32::NEG_INFINITY; 4]);
         assert_eq!(d.updates(), 0, "all-invalid batch must be a no-op");

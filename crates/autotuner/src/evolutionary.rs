@@ -184,7 +184,7 @@ impl<'a> Searcher<'a> {
             policy,
             model,
             config,
-            own: DraftScorer::with_stat_features(),
+            own: DraftScorer::default(),
             lent: None,
         }
     }
@@ -731,7 +731,7 @@ mod tests {
 
             // A head with some history: its update count rotates the
             // stratified sample.
-            let mut draft = DraftScorer::with_stat_features();
+            let mut draft = DraftScorer::default();
             let all: Vec<usize> = (0..n).collect();
             let targets: Vec<f32> = pop.iter().map(Recording::score).collect();
             for _ in 0..prior_batches {
@@ -835,7 +835,7 @@ mod tests {
             speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         };
-        let mut draft = DraftScorer::with_stat_features();
+        let mut draft = DraftScorer::default();
         let mut rng = SmallRng::seed_from_u64(41);
         let plain = Searcher::new(&t, &SketchPolicy::cpu(), &RandomModel::new(3), &config)
             .with_draft(&mut draft)
@@ -872,7 +872,7 @@ mod tests {
             },
             ..config
         };
-        let mut draft = DraftScorer::with_stat_features();
+        let mut draft = DraftScorer::default();
         let mut rng = SmallRng::seed_from_u64(41);
         let spec = Searcher::new(&t, &SketchPolicy::cpu(), &Oracle, &spec_config)
             .with_draft(&mut draft)

@@ -60,7 +60,7 @@ pub use cost_model::{
     check_update_shape, BatchStats, CostModel, PipelineCost, RandomModel, ScoreBatch, ScoreRequest,
     UpdateError,
 };
-pub use draft::{DraftFeatures, DraftScorer, ScheduleStatFeatures, SpecConfig};
+pub use draft::{DraftScorer, SpecConfig};
 pub use evolutionary::{EvolutionConfig, SearchOutcome, SearchStats, Searcher};
 pub use measure::{FailureCounts, MeasureError, MeasurePolicy, MeasureRecord, Measurer};
 pub use sketch::{Candidate, ScheduleDecision, Sketch, SketchPolicy, UNROLL_STEPS};

@@ -164,7 +164,7 @@ pub fn tune_network(
     model: &mut dyn CostModel,
     opts: &TuningOptions,
 ) -> TuningReport {
-    let mut draft = DraftScorer::with_stat_features();
+    let mut draft = DraftScorer::default();
     tune_network_with_draft(network, platform, model, opts, &mut draft)
 }
 

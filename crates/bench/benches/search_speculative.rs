@@ -20,7 +20,7 @@
 use serde::Serialize;
 use tlp::search::AnsorCostModel;
 use tlp_autotuner::{
-    tune_network, CostModel, DraftScorer, EvolutionConfig, SpecConfig, TuningOptions, TuningReport,
+    tune_network, CostModel, EvolutionConfig, SpecConfig, TuningOptions, TuningReport,
 };
 use tlp_bench::{print_table, write_json};
 use tlp_hwsim::Platform;
@@ -192,7 +192,7 @@ fn main() {
             model: AnsorCostModel::new().name().to_string(),
             rounds_per_task: ROUNDS_PER_TASK,
             evolution: EvolutionConfig::default(),
-            draft_features: DraftScorer::with_stat_features().feature_name().to_string(),
+            draft_features: "schedule-stats".to_string(),
             networks,
             pooled_latency_ratio_geomean: pooled,
             pooled_max: POOLED_MAX,

@@ -11,7 +11,7 @@
 use serde::Serialize;
 use tlp::experiments::{capped_train_tasks, eval_tlp, train_and_eval_with_aux};
 use tlp::features::FeatureExtractor;
-use tlp::metrics::top_k_score;
+use tlp::metrics::top_k_scores;
 use tlp::pretrain::{tokenize, PretrainConfig, PretrainKind, PretrainedLm};
 use tlp::train::{train_tlp, TrainData};
 use tlp::TlpModel;
@@ -105,10 +105,8 @@ fn lm_experiment(
         }
         lm.predict(&toks)
     };
-    (
-        top_k_score(ds, target, 1, scorer),
-        top_k_score(ds, target, 5, scorer),
-    )
+    let [top1, top5] = top_k_scores(ds, target, [1, 5], scorer);
+    (top1, top5)
 }
 
 fn main() {

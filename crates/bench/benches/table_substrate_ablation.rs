@@ -18,7 +18,7 @@ use tlp::baselines::{
     program_features, program_features_oracle, ORACLE_FEATURE_DIM, PROGRAM_FEATURE_DIM,
 };
 use tlp::experiments::{capped_train_tasks, train_and_eval_tlp};
-use tlp::top_k_score;
+use tlp::top_k_scores;
 use tlp_bench::{bench_scale, print_table, write_json};
 use tlp_dataset::{Dataset, TaskData};
 use tlp_gbdt::{Gbdt, GbdtParams};
@@ -72,10 +72,8 @@ fn gbdt_eval(
             })
             .collect()
     };
-    (
-        top_k_score(ds, platform, 1, scorer),
-        top_k_score(ds, platform, 5, scorer),
-    )
+    let [top1, top5] = top_k_scores(ds, platform, [1, 5], scorer);
+    (top1, top5)
 }
 
 fn main() {

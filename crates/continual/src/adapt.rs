@@ -1,11 +1,11 @@
-//! Replay-mixed head adaptation on top of the shared [`Trainer`].
+//! Replay-mixed head adaptation on top of the shared [`Trainer`](tlp::Trainer).
 //!
-//! [`adapt_round`] is *not* a new training loop: it implements
-//! [`Trainable`] and hands the model to the existing [`Trainer`],
-//! inheriting its bitwise-deterministic step, LR schedule and clipping.
-//! What continual learning adds is a **gradient mask** applied in the
-//! trainer's `postprocess_grads` hook — after the backward pass, before the
-//! norm/clip/step:
+//! [`adapt_round`] is *not* a new training loop: it hands `tlp`'s one
+//! head-routed task ([`train_slots`]) a slot list — the new platform's
+//! groups, then the replay items through their original heads — and a
+//! [`GradMask`], inheriting the trainer's bitwise-deterministic step, LR
+//! schedule and clipping. The mask runs in the trainer's `postprocess_grads`
+//! hook — after the backward pass, before the norm/clip/step:
 //!
 //! - [`TrunkMode::Frozen`] zeroes every gradient outside the adapting head.
 //!   Adam with zero weight decay takes a bitwise no-op step on a
@@ -21,15 +21,10 @@
 //! path untouched: the hook runs exactly once per optimizer step.
 
 use crate::replay::ReplayBuffer;
-use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use tlp::train::TrainData;
-use tlp::{
-    gather_rows, grouped_batches, scored_loss, TlpModel, TrainOptions, TrainReport, Trainable,
-    Trainer,
-};
-use tlp_modelcheck::{CoverageSpec, TrainedHeads};
-use tlp_nn::{ParamId, ParamStore, Var, Workspace};
+use tlp::train::{train_slots, GradMask, TrainData};
+use tlp::{TlpModel, TrainOptions, TrainReport};
+use tlp_modelcheck::TrainedHeads;
 
 /// What the shared trunk (and the non-adapting heads) do during adaptation.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -49,7 +44,7 @@ pub enum TrunkMode {
 /// Configuration of one adaptation round.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AdaptConfig {
-    /// Knobs forwarded verbatim to the shared [`Trainer`].
+    /// Knobs forwarded verbatim to the shared [`Trainer`](tlp::Trainer).
     pub train: TrainOptions,
     /// Trunk policy (frozen vs low-LR).
     pub trunk: TrunkMode,
@@ -73,152 +68,9 @@ impl AdaptConfig {
     }
 }
 
-/// One micro-batch routed to a specific head (new-platform or replay).
-#[derive(Clone, Debug)]
-struct AdaptBatch {
-    feats: Vec<f32>,
-    labels: Vec<f32>,
-    head: usize,
-}
-
-/// Where an epoch slot's samples come from.
-#[derive(Clone, Copy)]
-enum SlotRef {
-    /// Group index into the new-platform data.
-    New(usize),
-    /// Item index into the replay buffer.
-    Replay(usize),
-}
-
-/// [`Trainable`] adapter mixing new-platform groups with replay groups.
-struct AdaptTask<'a> {
-    model: &'a mut TlpModel,
-    head: usize,
-    new_data: &'a TrainData,
-    replay: &'a ReplayBuffer,
-    batch_size: usize,
-    /// Ids whose gradients are zeroed each step (bitwise-frozen params).
-    frozen: Vec<ParamId>,
-    /// Ids whose gradients are scaled each step (low-LR trunk).
-    scaled: Vec<(ParamId, f32)>,
-}
-
-impl AdaptTask<'_> {
-    fn slot(&self, s: SlotRef) -> (usize, &tlp::train::GroupData) {
-        match s {
-            SlotRef::New(gi) => (self.head, &self.new_data.groups[gi]),
-            SlotRef::Replay(ri) => {
-                let item = &self.replay.items()[ri];
-                (item.head, &item.group)
-            }
-        }
-    }
-
-    /// The micro-batch of rows `idx` of slot `s`.
-    fn batch(&self, s: SlotRef, idx: &[usize]) -> AdaptBatch {
-        let (head, group) = self.slot(s);
-        let (feats, labels) = gather_rows(
-            &group.features,
-            &group.labels,
-            self.new_data.feature_size,
-            idx,
-        );
-        AdaptBatch {
-            feats,
-            labels,
-            head,
-        }
-    }
-}
-
-impl Trainable for AdaptTask<'_> {
-    type Batch = AdaptBatch;
-
-    fn store(&self) -> &ParamStore {
-        &self.model.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.model.store
-    }
-
-    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
-        // Interleave new-platform and replay slots so every optimizer step
-        // can mix adaptation signal with rehearsal signal.
-        let mut slots: Vec<SlotRef> = Vec::new();
-        for gi in 0..self.new_data.groups.len() {
-            if self.new_data.groups[gi].labels.len() >= 2 {
-                slots.push(SlotRef::New(gi));
-            }
-        }
-        for ri in 0..self.replay.len() {
-            slots.push(SlotRef::Replay(ri));
-        }
-        let lens: Vec<usize> = slots.iter().map(|&s| self.slot(s).1.labels.len()).collect();
-        let mut out = Vec::new();
-        grouped_batches(&lens, self.batch_size, rng, |slot, idx| {
-            out.push(self.batch(slots[slot], idx));
-        });
-        out
-    }
-
-    fn batch_samples(&self, batch: &Self::Batch) -> usize {
-        batch.labels.len()
-    }
-
-    fn loss(&self, ws: &mut Workspace, batch: &Self::Batch) -> Var {
-        let scores = self.model.forward_task(
-            &mut ws.graph,
-            &mut ws.bind,
-            &batch.feats,
-            batch.labels.len(),
-            batch.head,
-        );
-        scored_loss(
-            &mut ws.graph,
-            scores,
-            &batch.labels,
-            self.model.config.loss,
-            self.model.config.seq_len,
-        )
-    }
-
-    fn postprocess_grads(&mut self) {
-        for &id in &self.frozen {
-            self.model.store.grad_mut(id).scale_assign(0.0);
-        }
-        for &(id, scale) in &self.scaled {
-            self.model.store.grad_mut(id).scale_assign(scale);
-        }
-    }
-
-    fn coverage(&self) -> Option<CoverageSpec> {
-        let head_prefixes = self.model.head_prefixes();
-        let spec = if self.frozen.is_empty() {
-            // Low-LR trunk: nothing is frozen and replay batches route
-            // through every old head, so the loss reaches everything.
-            CoverageSpec {
-                head_prefixes,
-                trained: TrainedHeads::All,
-                frozen: Vec::new(),
-            }
-        } else {
-            // Frozen trunk: only the adapting head is trainable; declaring
-            // the old heads untrained is the conservative truth the mask
-            // enforces (their replay gradients are zeroed every step).
-            CoverageSpec {
-                head_prefixes,
-                trained: TrainedHeads::Heads(vec![self.head]),
-                frozen: self.frozen.clone(),
-            }
-        };
-        Some(spec)
-    }
-}
-
 /// Runs one adaptation round: trains head `head` (and, per
 /// [`TrunkMode`], the trunk) on `new_data` mixed with `replay`, using the
-/// shared deterministic [`Trainer`].
+/// shared deterministic [`Trainer`](tlp::Trainer).
 ///
 /// Returns the trainer's [`TrainReport`]. For a fixed config the round is
 /// bit-reproducible, like every other training loop in this workspace.
@@ -243,36 +95,45 @@ pub fn adapt_round(
     for item in replay.items() {
         assert!(item.head < model.num_tasks(), "replay head out of range");
     }
-    let (frozen, scaled) = match config.trunk {
+    // New-platform groups first, then the replay items: this order (and
+    // the ≥ 2-label filter) fixes the round's shuffle stream.
+    let mut slots: Vec<_> = new_data
+        .groups
+        .iter()
+        .filter(|g| g.labels.len() >= 2)
+        .map(|g| (head, g))
+        .collect();
+    slots.extend(replay.items().iter().map(|item| (item.head, &item.group)));
+    let mask = match config.trunk {
         TrunkMode::Frozen => {
-            let mut frozen = model.trunk_param_ids();
+            let mut zeroed = model.trunk_param_ids();
             for t in 0..model.num_tasks() {
                 if t != head {
-                    frozen.extend(model.head_param_ids(t));
+                    zeroed.extend(model.head_param_ids(t));
                 }
             }
-            (frozen, Vec::new())
+            // Only the adapting head is trainable; declaring the old heads
+            // untrained is the conservative truth the mask enforces (their
+            // replay gradients are zeroed every step).
+            GradMask {
+                zeroed,
+                scaled: Vec::new(),
+                trained: TrainedHeads::Heads(vec![head]),
+            }
         }
-        TrunkMode::LowLr { scale } => (
-            Vec::new(),
-            model
+        // Nothing is frozen and replay batches route through every old
+        // head, so the loss reaches everything.
+        TrunkMode::LowLr { scale } => GradMask {
+            zeroed: Vec::new(),
+            scaled: model
                 .trunk_param_ids()
                 .into_iter()
                 .map(|id| (id, scale))
                 .collect(),
-        ),
+            trained: TrainedHeads::All,
+        },
     };
-    let batch_size = config.train.batch_size.max(2);
-    let mut task = AdaptTask {
-        model,
-        head,
-        new_data,
-        replay,
-        batch_size,
-        frozen,
-        scaled,
-    };
-    Trainer::new(config.train.clone()).fit(&mut task)
+    train_slots(model, slots, Some(mask), &config.train)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use crate::baselines::{program_feature_data, TenSetMlp};
 use crate::config::TlpConfig;
 use crate::features::FeatureExtractor;
-use crate::metrics::top_k_score;
+use crate::metrics::top_k_scores;
 use crate::model::TlpModel;
 use crate::train::{train_mtl, train_tlp, TrainData};
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig, TaskData};
@@ -189,21 +189,18 @@ pub fn eval_head(
     platform_idx: usize,
     head: usize,
 ) -> (f64, f64) {
-    // One workspace + feature buffer reused across every test task (and
-    // both top-k passes); features are extracted straight into the buffer
-    // instead of cloning each schedule first.
-    let scratch = std::cell::RefCell::new((Workspace::new(), crate::features::FeatureBuf::new()));
-    let scorer = |t: &TaskData| {
-        let (ws, feats) = &mut *scratch.borrow_mut();
-        extractor.extract_batch_into(t.programs.iter().map(|r| &r.schedule), feats);
+    // One workspace + feature buffer reused across every test task; features
+    // are extracted straight into the buffer instead of cloning each
+    // schedule first.
+    let mut ws = Workspace::new();
+    let mut feats = crate::features::FeatureBuf::new();
+    let [top1, top5] = top_k_scores(ds, platform_idx, [1, 5], |t| {
+        extractor.extract_batch_into(t.programs.iter().map(|r| &r.schedule), &mut feats);
         let mut out = Vec::new();
-        model.predict_task_into(ws, feats, head, &mut out);
+        model.predict_task_into(&mut ws, &feats, head, &mut out);
         out
-    };
-    (
-        top_k_score(ds, platform_idx, 1, scorer),
-        top_k_score(ds, platform_idx, 5, scorer),
-    )
+    });
+    (top1, top5)
 }
 
 /// Trains MTL-TLP with a small slice of target-platform data (head 0) plus
@@ -250,21 +247,18 @@ pub fn train_and_eval_tenset_mlp(
 
 /// Top-1/top-5 of a trained TenSet-MLP on test tasks.
 pub fn eval_tenset_mlp(model: &TenSetMlp, ds: &Dataset, platform_idx: usize) -> (f64, f64) {
-    let scratch = std::cell::RefCell::new(Workspace::new());
-    let scorer = |t: &TaskData| {
+    let mut ws = Workspace::new();
+    let [top1, top5] = top_k_scores(ds, platform_idx, [1, 5], |t| {
         t.programs
             .iter()
             .map(|r| {
                 crate::baselines::program_features(&t.subgraph, &r.schedule)
-                    .map(|f| model.predict_with(&mut scratch.borrow_mut(), &f)[0])
+                    .map(|f| model.predict_with(&mut ws, &f)[0])
                     .unwrap_or(f32::NEG_INFINITY)
             })
             .collect()
-    };
-    (
-        top_k_score(ds, platform_idx, 1, scorer),
-        top_k_score(ds, platform_idx, 5, scorer),
-    )
+    });
+    (top1, top5)
 }
 
 #[cfg(test)]
@@ -318,7 +312,7 @@ mod tests {
                 })
                 .collect()
         };
-        let rnd_top1 = top_k_score(&ds, 0, 1, rnd);
+        let rnd_top1 = crate::metrics::top_k_score(&ds, 0, 1, rnd);
 
         assert!(top5 >= top1);
         assert!(

@@ -69,17 +69,15 @@ pub mod trainer;
 pub use config::{Backbone, LossKind, TlpConfig};
 pub use engine::{EngineConfig, EngineStats, InferenceEngine, ScheduleScorer, ScoreKeys};
 pub use features::FeatureExtractor;
-pub use metrics::top_k_score;
+pub use metrics::{top_k_score, top_k_scores};
 pub use model::TlpModel;
 pub use persist::{snapshot, store_checksum, PersistError, SavedTlp, SAVED_TLP_FORMAT_VERSION};
-pub use search::{
-    AnsorCostModel, FeatureModel, TenSetMlpCostModel, TlpCostModel, TlpDraftFeatures,
-};
+pub use search::{AnsorCostModel, FeatureModel, TenSetMlpCostModel, TlpCostModel};
 pub use train::{
     resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
     TrainData,
 };
 pub use trainer::{
-    gather_rows, grouped_batches, scored_loss, EpochReport, StopReason, TrainCheckpoint,
-    TrainOptions, TrainReport, Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,
+    grouped_batches, EpochReport, StopReason, TrainCheckpoint, TrainOptions, TrainReport,
+    Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,
 };

@@ -12,8 +12,8 @@ use crate::engine::{EngineConfig, InferenceEngine, Keys, ScheduleScorer, ScoreKe
 use crate::features::{FeatureBuf, FeatureExtractor};
 use crate::model::TlpModel;
 use tlp_autotuner::{
-    check_update_shape, BatchStats, CostModel, DraftFeatures, DraftScorer, PipelineCost,
-    ScoreBatch, ScoreRequest, SearchTask, UpdateError,
+    check_update_shape, BatchStats, CostModel, PipelineCost, ScoreBatch, ScoreRequest, SearchTask,
+    UpdateError,
 };
 use tlp_nn::Workspace;
 use tlp_schedule::ScheduleSequence;
@@ -362,50 +362,6 @@ impl ScheduleScorer for AnsorScorer {
     }
 }
 
-/// Draft features for speculative search built on the real TLP extraction
-/// pipeline: the same frozen [`FeatureExtractor`] that feeds the full
-/// transformer fills an owned [`FeatureBuf`], and the flattened
-/// `seq_len × emb_size` block becomes the draft head's input row. At the
-/// paper's 25 × 22 shape the resulting linear head carries 551 parameters —
-/// the "distilled ~1K-parameter head" end of the draft-feature spectrum,
-/// higher-fidelity than the autotuner's built-in schedule statistics.
-#[derive(Clone, Debug)]
-pub struct TlpDraftFeatures {
-    extractor: FeatureExtractor,
-    buf: FeatureBuf,
-}
-
-impl TlpDraftFeatures {
-    /// Wraps a frozen extractor (typically the same one the full model
-    /// scores with, so draft and verifier read identical features).
-    pub fn new(extractor: FeatureExtractor) -> Self {
-        TlpDraftFeatures {
-            extractor,
-            buf: FeatureBuf::new(),
-        }
-    }
-
-    /// A ready-to-attach [`DraftScorer`] over these features.
-    pub fn into_scorer(self) -> DraftScorer {
-        DraftScorer::new(Box::new(self))
-    }
-}
-
-impl DraftFeatures for TlpDraftFeatures {
-    fn dim(&self) -> usize {
-        self.extractor.feature_size()
-    }
-
-    fn extract_into(&mut self, _task: &SearchTask, pop: &[ScheduleSequence], out: &mut Vec<f32>) {
-        self.extractor.extract_batch_into(pop, &mut self.buf);
-        out.extend_from_slice(self.buf.data());
-    }
-
-    fn name(&self) -> &str {
-        "tlp-features"
-    }
-}
-
 /// TLP (target head) as a search cost model.
 pub type TlpCostModel = FeatureModel<TlpScorer>;
 
@@ -544,46 +500,6 @@ mod tests {
         let batch = m.predict(ScoreRequest::new(&t, &ss));
         assert_eq!(batch.stats.cache_hits, 0);
         assert_eq!(batch.stats.cache_misses, 12);
-    }
-
-    #[test]
-    fn tlp_draft_features_flatten_the_extractor_block() {
-        let cfg = TlpConfig::test_scale();
-        let ex =
-            FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-        let t = task();
-        let mut rng = SmallRng::seed_from_u64(6);
-        let sketch = SketchPolicy::cpu().compile(&t.subgraph);
-        let pop: Vec<ScheduleSequence> = (0..4)
-            .map(|_| sketch.random_candidate(&mut rng).sequence)
-            .collect();
-        let mut feats = TlpDraftFeatures::new(ex.clone());
-        assert_eq!(feats.dim(), ex.feature_size());
-        let mut out = Vec::new();
-        feats.extract_into(&t, &pop, &mut out);
-        assert_eq!(out.len(), pop.len() * ex.feature_size());
-        // Row 2 must be candidate 2's extractor block, verbatim.
-        let mut buf = FeatureBuf::new();
-        ex.extract_batch_into(std::slice::from_ref(&pop[2]), &mut buf);
-        assert_eq!(
-            &out[2 * ex.feature_size()..3 * ex.feature_size()],
-            buf.data()
-        );
-
-        // And the scorer wrapper distills/scores deterministically.
-        let mut a = TlpDraftFeatures::new(ex.clone()).into_scorer();
-        let mut b = TlpDraftFeatures::new(ex).into_scorer();
-        let idx: Vec<usize> = (0..pop.len()).collect();
-        let targets: Vec<f32> = (0..pop.len()).map(|i| -(i as f32)).collect();
-        for _ in 0..3 {
-            a.score(&t, &pop);
-            a.distill(&idx, &targets);
-            b.score(&t, &pop);
-            b.distill(&idx, &targets);
-        }
-        let (sa, sb) = (a.score(&t, &pop), b.score(&t, &pop));
-        assert_eq!(sa, sb, "online distillation is deterministic");
-        assert!(sa.iter().all(|s| s.is_finite()));
     }
 
     #[test]

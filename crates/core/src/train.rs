@@ -6,9 +6,11 @@
 //!
 //! The actual epoch/step loop lives in [`crate::trainer`]; this module
 //! contributes the task-grouped batch provider and the data containers.
-//! One provider serves any head count: `task_data[i]` feeds head `i` (every
-//! entry point panics unless there is exactly one training set per head),
-//! and `train_tlp`/`train_tlp_with` are its one-head forms.
+//! One provider serves any head count and every caller: the TLP entry points
+//! feed `task_data[i]` to head `i` (each panics unless there is exactly one
+//! training set per head; `train_tlp`/`train_tlp_with` are the one-head
+//! forms), and [`train_slots`] takes an explicit `(head, group)` slot list
+//! and an optional [`GradMask`] (continual adaptation).
 
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
@@ -19,8 +21,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlp_dataset::Dataset;
-use tlp_modelcheck::CoverageSpec;
-use tlp_nn::{ParamStore, Var, Workspace};
+use tlp_modelcheck::{CoverageSpec, TrainedHeads};
+use tlp_nn::{ParamId, ParamStore, Var, Workspace};
 
 /// One task's training samples: features and labels, row-aligned.
 #[derive(Clone, Debug, Default)]
@@ -111,34 +113,53 @@ impl TrainData {
     }
 }
 
+/// A gradient mask the trainer applies after every backward pass, before
+/// the norm is recorded, clipping is applied and Adam steps.
+#[derive(Clone, Debug)]
+pub struct GradMask {
+    /// Ids whose gradients are zeroed every step. Adam with zero weight
+    /// decay takes a bitwise no-op step on a zero gradient, so these
+    /// parameters stay bitwise unchanged.
+    pub zeroed: Vec<ParamId>,
+    /// Ids whose gradients are scaled every step (a lower effective
+    /// learning rate).
+    pub scaled: Vec<(ParamId, f32)>,
+    /// The heads the masked loss still trains, as declared to the
+    /// gradient-coverage check.
+    pub trained: TrainedHeads,
+}
+
 /// One task-grouped micro-batch routed to a specific head.
 #[derive(Clone, Debug)]
 struct HeadBatch {
     feats: Vec<f32>,
     labels: Vec<f32>,
-    task: usize,
+    head: usize,
 }
 
-/// The [`Trainable`] adapter behind every TLP entry point: `(task, group)`
-/// slots interleaved so backbone gradients mix platforms; each micro-batch
-/// comes from one platform's labelled pool and trains that platform's head.
-/// With one head this is the plain shuffled-task-group stream.
+/// The [`Trainable`] behind every TLP training loop: `(head, group)` slots
+/// interleaved so backbone gradients mix platforms; each micro-batch comes
+/// from one slot's labelled pool and trains that slot's head. With one head
+/// and no mask this is the plain shuffled-task-group stream.
 struct HeadTask<'a> {
     model: &'a mut TlpModel,
-    task_data: &'a [TrainData],
+    slots: Vec<(usize, &'a GroupData)>,
+    mask: Option<GradMask>,
     batch_size: usize,
 }
 
-impl HeadTask<'_> {
-    /// The micro-batch of rows `idx` of task `ti`'s group `gi`.
-    fn batch(&self, ti: usize, gi: usize, idx: &[usize]) -> HeadBatch {
-        let data = &self.task_data[ti];
-        let group = &data.groups[gi];
-        let (feats, labels) = gather_rows(&group.features, &group.labels, data.feature_size, idx);
-        HeadBatch {
-            feats,
-            labels,
-            task: ti,
+impl<'a> HeadTask<'a> {
+    fn new(
+        model: &'a mut TlpModel,
+        slots: Vec<(usize, &'a GroupData)>,
+        mask: Option<GradMask>,
+        options: &TrainOptions,
+    ) -> Self {
+        HeadTask {
+            model,
+            slots,
+            mask,
+            batch_size: options.batch_size.max(2),
         }
     }
 }
@@ -155,20 +176,17 @@ impl Trainable for HeadTask<'_> {
     }
 
     fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
-        let mut slots: Vec<(usize, usize)> = Vec::new();
-        for (ti, data) in self.task_data.iter().enumerate() {
-            for gi in 0..data.groups.len() {
-                slots.push((ti, gi));
-            }
-        }
-        let lens: Vec<usize> = slots
-            .iter()
-            .map(|&(ti, gi)| self.task_data[ti].groups[gi].labels.len())
-            .collect();
+        let fs = self.model.config.seq_len * self.model.config.emb_size;
+        let lens: Vec<usize> = self.slots.iter().map(|(_, g)| g.labels.len()).collect();
         let mut out = Vec::new();
         grouped_batches(&lens, self.batch_size, rng, |slot, idx| {
-            let (ti, gi) = slots[slot];
-            out.push(self.batch(ti, gi, idx));
+            let (head, group) = self.slots[slot];
+            let (feats, labels) = gather_rows(&group.features, &group.labels, fs, idx);
+            out.push(HeadBatch {
+                feats,
+                labels,
+                head,
+            });
         });
         out
     }
@@ -183,7 +201,7 @@ impl Trainable for HeadTask<'_> {
             &mut ws.bind,
             &batch.feats,
             batch.labels.len(),
-            batch.task,
+            batch.head,
         );
         scored_loss(
             &mut ws.graph,
@@ -194,11 +212,43 @@ impl Trainable for HeadTask<'_> {
         )
     }
 
-    fn coverage(&self) -> Option<CoverageSpec> {
-        // Every head draws micro-batches from its own platform's pool, so
-        // the loss reaches all heads; nothing is masked.
-        Some(CoverageSpec::full(self.model.head_prefixes()))
+    fn postprocess_grads(&mut self) {
+        let Some(mask) = &self.mask else { return };
+        for &id in &mask.zeroed {
+            self.model.store.grad_mut(id).scale_assign(0.0);
+        }
+        for &(id, scale) in &mask.scaled {
+            self.model.store.grad_mut(id).scale_assign(scale);
+        }
     }
+
+    fn coverage(&self) -> Option<CoverageSpec> {
+        let head_prefixes = self.model.head_prefixes();
+        Some(match &self.mask {
+            // Every head draws micro-batches from its own pool, so the loss
+            // reaches all heads; nothing is masked.
+            None => CoverageSpec::full(head_prefixes),
+            Some(mask) => CoverageSpec {
+                head_prefixes,
+                trained: mask.trained.clone(),
+                frozen: mask.zeroed.clone(),
+            },
+        })
+    }
+}
+
+/// Trains `model` in place on an explicit `(head, group)` slot list,
+/// optionally under a gradient mask. The slot order fixes the shuffle
+/// stream, so callers filter and order their slots deliberately. Every
+/// group's rows are `seq_len × emb_size` wide.
+pub fn train_slots(
+    model: &mut TlpModel,
+    slots: Vec<(usize, &GroupData)>,
+    mask: Option<GradMask>,
+    options: &TrainOptions,
+) -> TrainReport {
+    let mut task = HeadTask::new(model, slots, mask, options);
+    Trainer::new(options.clone()).fit(&mut task)
 }
 
 /// Trains a one-head TLP model in place with options derived from its
@@ -279,8 +329,8 @@ pub fn resume_tlp(
         .resume_from(&mut task, &path)
 }
 
-/// Builds the `(task, group)`-slot batch provider shared by every entry
-/// point.
+/// Builds the `(task, group)`-slot batch provider shared by the TLP entry
+/// points: every group of `task_data[i]` trains head `i`, unmasked.
 fn make_task<'a>(
     model: &'a mut TlpModel,
     task_data: &'a [TrainData],
@@ -298,11 +348,12 @@ fn make_task<'a>(
             "extractor shape must match model config"
         );
     }
-    HeadTask {
-        model,
-        task_data,
-        batch_size: options.batch_size.max(2),
-    }
+    let slots = task_data
+        .iter()
+        .enumerate()
+        .flat_map(|(head, data)| data.groups.iter().map(move |g| (head, g)))
+        .collect();
+    HeadTask::new(model, slots, None, options)
 }
 
 #[cfg(test)]

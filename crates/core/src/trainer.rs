@@ -24,9 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tlp_modelcheck::{Code, CoverageSpec, Diagnostic, Severity};
-use tlp_nn::{
-    lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, Optimizer, ParamStore, Var, Workspace,
-};
+use tlp_nn::{lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, ParamStore, Var, Workspace};
 
 use crate::config::TlpConfig;
 
@@ -526,10 +524,8 @@ fn check_layout(own: &ParamStore, found: &ParamStore) -> Result<(), PersistError
 
 /// The TLP training loss over a scored micro-batch: LambdaRank, or
 /// sigmoid-squashed MSE (monotone, so prediction-time rankings are
-/// unaffected). Public so out-of-crate [`Trainable`] implementations (the
-/// continual-adaptation task) build the exact same loss the in-crate loops
-/// use.
-pub fn scored_loss(
+/// unaffected).
+pub(crate) fn scored_loss(
     g: &mut Graph,
     scores: Var,
     labels: &[f32],
@@ -571,7 +567,7 @@ pub fn grouped_batches(
 }
 
 /// Copies the rows of `idx` out of a row-major feature/label group.
-pub fn gather_rows(
+pub(crate) fn gather_rows(
     features: &[f32],
     labels: &[f32],
     fs: usize,

@@ -79,8 +79,6 @@ enum Op {
     Embedding(Var, Vec<usize>),
     /// Mean negative log-likelihood of `targets` under row-wise log-probs.
     NllLoss(Var, Vec<usize>),
-    /// Elementwise multiply by a constant mask (dropout).
-    MaskMul(Var, Tensor),
     /// A scalar loss with an externally supplied gradient w.r.t. its input
     /// (used for listwise ranking losses whose gradient is computed directly).
     CustomGrad(Var, Tensor),
@@ -476,13 +474,6 @@ impl Graph {
         self.push(Op::NllLoss(logp, targets.to_vec()), v, ng)
     }
 
-    /// Multiplies elementwise by a fixed mask (used for dropout).
-    pub fn mask_mul(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = self.value(a).zip(&mask, |x, m| x * m);
-        let ng = self.needs(a);
-        self.push(Op::MaskMul(a, mask), v, ng)
-    }
-
     /// Records a scalar loss whose gradient w.r.t. `input` was computed
     /// externally (e.g. LambdaRank lambdas).
     ///
@@ -846,11 +837,6 @@ impl Graph {
                         dl.data_mut()[r * c + t] = -scale;
                     }
                     out.push((*logp, dl));
-                }
-            }
-            Op::MaskMul(a, mask) => {
-                if self.needs(*a) {
-                    out.push((*a, g.zip(mask, |gx, m| gx * m)));
                 }
             }
             Op::CustomGrad(a, grad) => {

@@ -12,7 +12,6 @@ use crate::params::{Binding, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use crate::workspace::Arena;
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Forward-pass context: the tape, the parameter store, and the binding
 /// that maps parameters to tape leaves.
@@ -651,47 +650,6 @@ impl LayerNorm {
     }
 }
 
-/// Inverted-dropout layer; active only when `train` is true.
-#[derive(Clone, Debug)]
-pub struct Dropout {
-    p: f32,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p` in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1)`.
-    pub fn new(p: f32) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
-        Dropout { p }
-    }
-
-    /// Applies dropout using `rng` when `train`, otherwise the identity.
-    pub fn forward(&self, f: &mut Fwd<'_>, rng: &mut SmallRng, x: Var, train: bool) -> Var {
-        if !train || self.p == 0.0 {
-            return x;
-        }
-        let keep = 1.0 - self.p;
-        let shape = f.g.value(x).shape().to_vec();
-        let n: usize = shape.iter().product();
-        let mask = Tensor::from_vec(
-            (0..n)
-                .map(|_| {
-                    if rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-            &shape,
-        );
-        f.g.mask_mul(x, mask)
-    }
-}
-
 /// Token embedding table.
 #[derive(Clone, Debug)]
 pub struct Embedding {
@@ -765,7 +723,7 @@ impl Mlp {
 mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn ctx() -> (Graph, ParamStore, Binding, SmallRng) {
         (
@@ -864,22 +822,6 @@ mod tests {
         let mut f = Fwd::new(&mut g, &store, &mut bind);
         let y = block.forward(&mut f, x);
         assert_eq!(g.value(y).data(), &[1.0, 0.0, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn dropout_eval_is_identity_and_train_masks() {
-        let (mut g, store, mut bind, mut rng) = ctx();
-        let d = Dropout::new(0.5);
-        let x = g.constant(Tensor::full(&[100], 1.0));
-        let mut f = Fwd::new(&mut g, &store, &mut bind);
-        let y_eval = d.forward(&mut f, &mut rng, x, false);
-        assert_eq!(y_eval, x);
-        let y_train = d.forward(&mut f, &mut rng, x, true);
-        let data = g.value(y_train).data();
-        let zeros = data.iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros > 10 && zeros < 90, "mask should drop roughly half");
-        // Kept units are scaled by 1/keep.
-        assert!(data.iter().any(|&v| (v - 2.0).abs() < 1e-6));
     }
 
     fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {

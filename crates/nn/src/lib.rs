@@ -7,8 +7,8 @@
 //! - [`Tensor`]: dense row-major `f32` tensors with matmul kernels;
 //! - [`Graph`]: tape-based reverse-mode autodiff;
 //! - [`layers`]: `Linear`, multi-head self-attention, LSTM, residual blocks,
-//!   layer norm, dropout, embeddings, MLP;
-//! - [`optim`]: SGD and Adam over a [`ParamStore`];
+//!   layer norm, embeddings, MLP;
+//! - [`optim`]: Adam over a [`ParamStore`];
 //! - [`loss`]: MSE and LambdaRank (the paper's two loss options).
 //!
 //! # Example
@@ -16,7 +16,7 @@
 //! Train a one-parameter model:
 //!
 //! ```
-//! use tlp_nn::{Adam, Binding, Graph, Optimizer, ParamStore, Tensor};
+//! use tlp_nn::{Adam, Binding, Graph, ParamStore, Tensor};
 //! let mut store = ParamStore::new();
 //! let w = store.add("w", Tensor::scalar(0.0));
 //! let mut opt = Adam::new(0.1);
@@ -56,10 +56,10 @@ pub use graph::{Graph, Var};
 pub use infer::{ragged_tail_sums, Ragged, RowInterner, PAD_ROW};
 pub use kernels::Epilogue;
 pub use layers::{
-    Dropout, Embedding, Fwd, LayerNorm, Linear, Lstm, Mlp, MultiHeadSelfAttention, ResidualBlock,
+    Embedding, Fwd, LayerNorm, Linear, Lstm, Mlp, MultiHeadSelfAttention, ResidualBlock,
 };
 pub use loss::{lambda_rank, lambda_rank_loss, mse_loss};
-pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
+pub use optim::{Adam, LrSchedule};
 pub use params::{Binding, ParamId, ParamStore};
 pub use tensor::Tensor;
 pub use workspace::{Arena, Workspace};

@@ -1,21 +1,8 @@
-//! First-order optimizers over a [`ParamStore`].
+//! The Adam optimizer and the learning-rate schedule over a [`ParamStore`].
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// An optimizer that consumes accumulated gradients and updates parameters.
-pub trait Optimizer {
-    /// Applies one update step using the store's accumulated gradients,
-    /// then zeroes them.
-    fn step(&mut self, store: &mut ParamStore);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
 
 /// Per-epoch learning-rate schedule applied on top of a base rate.
 ///
@@ -46,55 +33,6 @@ impl LrSchedule {
             LrSchedule::Constant => base_lr,
             LrSchedule::Exponential { decay } => base_lr * decay.powi(epoch as i32),
         }
-    }
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and momentum coefficient `momentum`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<ParamId> = store.ids().collect();
-        if self.velocity.len() != ids.len() {
-            self.velocity = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).shape()))
-                .collect();
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            let grad = store.grad(id).clone();
-            let v = &mut self.velocity[i];
-            for (vx, gx) in v.data_mut().iter_mut().zip(grad.data()) {
-                *vx = self.momentum * *vx - self.lr * gx;
-            }
-            let delta = v.clone();
-            store.apply_delta(id, &delta);
-        }
-        store.zero_grad();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -130,10 +68,10 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one update step using the store's accumulated gradients,
+    /// then zeroes them.
+    pub fn step(&mut self, store: &mut ParamStore) {
         let ids: Vec<ParamId> = store.ids().collect();
         if self.m.len() != ids.len() {
             self.m = ids
@@ -167,11 +105,13 @@ impl Optimizer for Adam {
         store.zero_grad();
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// The current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (for schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -184,7 +124,7 @@ mod tests {
     use crate::params::Binding;
 
     /// Minimizes (w - 3)^2 and checks convergence.
-    fn converges(mut opt: impl Optimizer) -> f32 {
+    fn converges(mut opt: Adam) -> f32 {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::scalar(0.0));
         for _ in 0..400 {
@@ -200,12 +140,6 @@ mod tests {
             opt.step(&mut store);
         }
         store.value(w).item()
-    }
-
-    #[test]
-    fn sgd_converges_to_minimum() {
-        let w = converges(Sgd::new(0.05, 0.9));
-        assert!((w - 3.0).abs() < 1e-3, "got {w}");
     }
 
     #[test]

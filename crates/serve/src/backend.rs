@@ -60,10 +60,7 @@ impl ScoreTransport for ServeClient {
 pub(crate) fn is_transient(err: &ServeError) -> bool {
     matches!(
         err,
-        ServeError::Overloaded { .. }
-            | ServeError::NoHealthyShard { .. }
-            | ServeError::DeadlineExceeded
-            | ServeError::Disconnected
+        ServeError::Overloaded { .. } | ServeError::DeadlineExceeded | ServeError::Disconnected
     )
 }
 
@@ -221,8 +218,7 @@ impl CircuitBreaker {
     }
 }
 
-/// Serializable breaker state, from [`RemoteCostModel::breaker_snapshot`]
-/// or [`FleetClient::breaker`](crate::FleetClient::breaker).
+/// Serializable breaker state, from [`RemoteCostModel::breaker_snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct BreakerSnapshot {
     /// Current state.

@@ -20,8 +20,8 @@ use tlp_schedule::ScheduleSequence;
 /// A [`ScoreTransport`] that deterministically injects transient failures.
 ///
 /// All state is atomic (the rate is stored as `f64` bits), so one
-/// `FlakyTransport` can sit in front of a fleet shard shared across
-/// threads; the failure draw stays a pure function of `(seed, counter)`.
+/// `FlakyTransport` can be shared across threads; the failure draw stays a
+/// pure function of `(seed, counter)`.
 pub struct FlakyTransport<T: ScoreTransport> {
     inner: T,
     seed: u64,

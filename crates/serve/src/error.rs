@@ -27,13 +27,6 @@ pub enum ServeError {
         /// The queue capacity that was exhausted.
         capacity: usize,
     },
-    /// Every shard in the routing order was either circuit-broken or failed
-    /// transiently; the fleet router gave up on this request. Transient: a
-    /// shard may recover (breaker half-open probe, fault clears).
-    NoHealthyShard {
-        /// Shards the router attempted (or skipped open-breakered).
-        attempted: usize,
-    },
     /// The request's deadline expired before scoring completed — either in
     /// the queue (the server dropped it unscored) or while the client waited
     /// for the reply.
@@ -65,12 +58,6 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "serving queue full (capacity {capacity}); request rejected"
-                )
-            }
-            ServeError::NoHealthyShard { attempted } => {
-                write!(
-                    f,
-                    "no healthy shard answered (attempted {attempted}); fleet request failed"
                 )
             }
             ServeError::DeadlineExceeded => write!(f, "request deadline expired before scoring"),

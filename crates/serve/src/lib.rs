@@ -35,12 +35,9 @@
 //!   [`CircuitBreaker`] (open → half-open probe → closed) and can fall
 //!   back to a local model while the server is sick;
 //!   [`FlakyTransport`] injects deterministic failures for chaos tests.
-//! - **Routing** ([`router`]): [`FleetClient`] spreads `(model, task)` keys
-//!   over N servers on a consistent-hash ring, with a breaker per shard and
-//!   failover to the next shard clockwise.
 //!
-//! Integration point: [`RemoteCostModel`] adapts a [`ServeClient`] (or a
-//! [`FleetClient`]) to the autotuner's
+//! Integration point: [`RemoteCostModel`] adapts a [`ServeClient`] to the
+//! autotuner's
 //! [`CostModel`](tlp_autotuner::CostModel) trait.
 //!
 //! ```
@@ -68,7 +65,6 @@ pub mod chaos;
 pub mod error;
 pub mod loadgen;
 pub mod registry;
-pub mod router;
 pub mod server;
 pub mod stats;
 
@@ -80,7 +76,6 @@ pub use chaos::FlakyTransport;
 pub use error::ServeError;
 pub use loadgen::random_pool;
 pub use registry::{ModelRegistry, ModelVersion};
-pub use router::{route_key, FleetClient, FleetReply, HashRing, RouterStats};
 pub use server::{BatchPolicy, PendingScore, ScoreReply, ServeClient, ServeConfig, Server};
 pub use stats::{
     HistogramSnapshot, LatencyHistogram, ModelStatsSnapshot, ServeSnapshot, ServeStats,

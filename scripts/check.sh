@@ -34,7 +34,7 @@ cargo test -q --offline
 echo "==> workspace release build (covers every crate, incl. tlp-serve)"
 cargo build --release --offline --workspace
 
-echo "==> full workspace tests (incl. the chaos, routing, continual and registry-stress suites)"
+echo "==> full workspace tests (incl. the chaos, continual and registry-stress suites)"
 cargo test -q --offline --workspace
 
 echo "==> system benchmark (own workspace: cargo test --workspace never compiles it)"

@@ -6,8 +6,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tlp_nn::{
-    mse_loss, Adam, Binding, Fwd, Graph, Linear, Lstm, Mlp, MultiHeadSelfAttention, Optimizer,
-    ParamStore, Tensor,
+    mse_loss, Adam, Binding, Fwd, Graph, Linear, Lstm, Mlp, MultiHeadSelfAttention, ParamStore,
+    Tensor,
 };
 
 /// An MLP learns XOR (not linearly separable).

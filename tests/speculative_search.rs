@@ -92,7 +92,7 @@ fn full_keep_is_the_score_everything_search_and_trains_no_head() {
     let net = bert_tiny(1, 64);
     let platform = Platform::i7_10510u();
     let mut model = RandomModel::new(8);
-    let mut draft = DraftScorer::with_stat_features();
+    let mut draft = DraftScorer::default();
     let full_keep = tune_network_with_draft(
         &net,
         &platform,
@@ -204,7 +204,7 @@ fn lower_draft_keep_never_increases_full_model_scoring() {
             ..EvolutionConfig::default()
         };
         let model = RandomModel::new(7);
-        let mut draft = DraftScorer::with_stat_features();
+        let mut draft = DraftScorer::default();
         let mut rng = SmallRng::seed_from_u64(11);
         let outcome = Searcher::new(&task, &policy, &model, &config)
             .with_draft(&mut draft)
@@ -281,7 +281,7 @@ fn shared_draft_scorer_is_deterministic_across_runs() {
     let platform = Platform::i7_10510u();
     let run = || {
         let mut model = RandomModel::new(6);
-        let mut draft = DraftScorer::with_stat_features();
+        let mut draft = DraftScorer::default();
         let report = tune_network_with_draft(
             &net,
             &platform,
