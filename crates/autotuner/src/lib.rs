@@ -62,7 +62,7 @@ pub use cost_model::{
 };
 pub use draft::{DraftScorer, SpecConfig};
 pub use evolutionary::{EvolutionConfig, SearchOutcome, SearchStats, Searcher};
-pub use measure::{FailureCounts, MeasureError, MeasurePolicy, MeasureRecord, Measurer};
+pub use measure::{FailureCounts, MeasureError, MeasureRecord, Measurer, MAX_RETRIES};
 pub use sketch::{Candidate, ScheduleDecision, Sketch, SketchPolicy, UNROLL_STEPS};
 pub use task::SearchTask;
 pub use tuner::{tune_network, tune_network_with_draft, RoundLog, TuningOptions, TuningReport};

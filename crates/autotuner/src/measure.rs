@@ -84,20 +84,9 @@ const TIMEOUT_S: f64 = 10.0;
 /// are discarded before the median is taken.
 const MAD_K: f64 = 3.5;
 
-/// Retry knob of the measurement pipeline (backoff, timeout and outlier
-/// rejection are fixed constants of this module).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MeasurePolicy {
-    /// Retries after a transient failure (injected build failure, timeout,
-    /// device reset). `0` fails on the first fault.
-    pub max_retries: u32,
-}
-
-impl Default for MeasurePolicy {
-    fn default() -> Self {
-        MeasurePolicy { max_retries: 2 }
-    }
-}
+/// Retries after a transient failure (injected build failure, timeout,
+/// device reset, all-outlier repeats) before the measurement fails.
+pub const MAX_RETRIES: u32 = 2;
 
 /// Per-class counts of fault events observed during measurement. Events are
 /// counted per *attempt*, so a measurement that failed twice and then
@@ -158,7 +147,6 @@ pub struct Measurer {
     sim: Simulator,
     cost: MeasureCost,
     faults: FaultModel,
-    policy: MeasurePolicy,
     /// Simulated + real time spent so far.
     pub clock: SimClock,
     /// Total number of measurements requested (successes and failures).
@@ -175,12 +163,11 @@ impl Measurer {
     /// Creates a fault-free measurer for a task's platform (CPU vs GPU
     /// measurement cost).
     pub fn new(gpu: bool) -> Self {
-        Measurer::with_faults(gpu, FaultModel::inert(), MeasurePolicy::default())
+        Measurer::with_faults(gpu, FaultModel::inert())
     }
 
-    /// Creates a measurer that draws faults from `faults` and recovers
-    /// according to `policy`.
-    pub fn with_faults(gpu: bool, faults: FaultModel, policy: MeasurePolicy) -> Self {
+    /// Creates a measurer that draws faults from `faults`.
+    pub fn with_faults(gpu: bool, faults: FaultModel) -> Self {
         Measurer {
             sim: Simulator::new(),
             cost: if gpu {
@@ -189,7 +176,6 @@ impl Measurer {
                 MeasureCost::cpu()
             },
             faults,
-            policy,
             clock: SimClock::new(),
             count: 0,
             count_failed: 0,
@@ -206,10 +192,10 @@ impl Measurer {
     /// Measures one schedule.
     ///
     /// Transient faults (injected build failures, timeouts, device resets)
-    /// are retried up to [`MeasurePolicy::max_retries`] times with
-    /// exponential backoff; every attempt's cost — compile time, timeout
-    /// budget, backoff — is charged to the [`SimClock`] so search-time
-    /// accounting stays honest under faults. Noisy repeats are aggregated
+    /// are retried up to [`MAX_RETRIES`] times with exponential backoff;
+    /// every attempt's cost — compile time, timeout budget, backoff — is
+    /// charged to the [`SimClock`] so search-time accounting stays honest
+    /// under faults. Noisy repeats are aggregated
     /// by MAD-filtered median.
     ///
     /// # Errors
@@ -262,7 +248,7 @@ impl Measurer {
                 }
             };
             self.failures.bump(error.class());
-            if attempt >= self.policy.max_retries {
+            if attempt >= MAX_RETRIES {
                 self.count_failed += 1;
                 return Err(error);
             }
@@ -411,7 +397,6 @@ mod tests {
         let mut faulty = Measurer::with_faults(
             false,
             FaultModel::for_platform(0x7190, FaultRates::ZERO, &task.platform),
-            MeasurePolicy::default(),
         );
         let a = plain.measure(&task, &c.sequence).expect("plain");
         let b = faulty.measure(&task, &c.sequence).expect("rate-0");
@@ -431,19 +416,15 @@ mod tests {
             build_fail: 1.0,
             ..FaultRates::ZERO
         };
-        let policy = MeasurePolicy::default();
-        let mut m = Measurer::with_faults(
-            false,
-            FaultModel::for_platform(1, rates, &task.platform),
-            policy,
-        );
+        let mut m =
+            Measurer::with_faults(false, FaultModel::for_platform(1, rates, &task.platform));
         let err = m
             .measure(&task, &c.sequence)
             .expect_err("all attempts fail");
         assert_eq!(err, MeasureError::BuildError { injected: true });
         assert_eq!(m.count_failed, 1);
-        assert_eq!(m.retries, policy.max_retries as u64);
-        assert_eq!(m.failures.build, policy.max_retries as u64 + 1);
+        assert_eq!(m.retries, u64::from(MAX_RETRIES));
+        assert_eq!(m.failures.build, u64::from(MAX_RETRIES) + 1);
         // Charged: (retries+1) compiles + backoff 0.5 + 1.0.
         let expected = 3.0 * MeasureCost::cpu().compile_s + 0.5 + 1.0;
         assert!(
@@ -460,11 +441,8 @@ mod tests {
             device_reset: 1.0,
             ..FaultRates::ZERO
         };
-        let mut m = Measurer::with_faults(
-            false,
-            FaultModel::for_platform(1, rates, &task.platform),
-            MeasurePolicy { max_retries: 0 },
-        );
+        let mut m =
+            Measurer::with_faults(false, FaultModel::for_platform(1, rates, &task.platform));
         let seqs: Vec<ScheduleSequence> =
             (0..3).map(|i| candidate(&task, 10 + i).sequence).collect();
         let records = m.measure_batch(&task, &seqs);
@@ -473,6 +451,7 @@ mod tests {
             .iter()
             .all(|r| r.error == Some(FaultClass::DeviceReset)));
         assert_eq!(m.count_failed, 3);
+        assert_eq!(m.retries, 3 * u64::from(MAX_RETRIES));
     }
 
     #[test]
@@ -487,11 +466,8 @@ mod tests {
             noise: 0.05,
             ..FaultRates::ZERO
         };
-        let mut noisy = Measurer::with_faults(
-            false,
-            FaultModel::for_platform(5, rates, &task.platform),
-            MeasurePolicy::default(),
-        );
+        let mut noisy =
+            Measurer::with_faults(false, FaultModel::for_platform(5, rates, &task.platform));
         let lat = noisy.measure(&task, &c.sequence).expect("recovers");
         assert!(
             (lat - true_lat).abs() / true_lat < 0.1,

@@ -9,7 +9,7 @@
 use crate::cost_model::CostModel;
 use crate::draft::DraftScorer;
 use crate::evolutionary::{EvolutionConfig, SearchStats, Searcher};
-use crate::measure::{FailureCounts, MeasurePolicy, MeasureRecord, Measurer};
+use crate::measure::{FailureCounts, MeasureRecord, Measurer};
 use crate::sketch::SketchPolicy;
 use crate::task::SearchTask;
 use rand::rngs::SmallRng;
@@ -50,8 +50,6 @@ pub struct TuningOptions {
     /// ([`FaultRates::ZERO`] — the default — reproduces the fault-free path
     /// bit-for-bit).
     pub faults: FaultRates,
-    /// Retry/backoff and outlier-rejection policy of the measurer.
-    pub measure: MeasurePolicy,
 }
 
 impl Default for TuningOptions {
@@ -63,7 +61,6 @@ impl Default for TuningOptions {
             nominal_pool: 10_000,
             seed: 0x7190,
             faults: FaultRates::ZERO,
-            measure: MeasurePolicy::default(),
         }
     }
 }
@@ -186,7 +183,7 @@ pub fn tune_network_with_draft(
     };
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let fault_model = FaultModel::for_platform(opts.seed ^ FAULT_SEED_SALT, opts.faults, platform);
-    let mut measurer = Measurer::with_faults(platform.is_gpu(), fault_model, opts.measure);
+    let mut measurer = Measurer::with_faults(platform.is_gpu(), fault_model);
     let mut best: Vec<f64> = vec![f64::INFINITY; tasks.len()];
     let mut seen: Vec<HashSet<u64>> = vec![HashSet::new(); tasks.len()];
     let mut rounds = Vec::with_capacity(opts.rounds);

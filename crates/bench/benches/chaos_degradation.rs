@@ -58,7 +58,6 @@ fn tune_at(rate: f64) -> TuningReport {
         nominal_pool: 10_000,
         seed: 0xC4A0,
         faults: FaultRates::uniform(rate),
-        ..TuningOptions::default()
     };
     tune_network(&net, &Platform::i7_10510u(), &mut model, &opts)
 }

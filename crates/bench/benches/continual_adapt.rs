@@ -124,7 +124,6 @@ fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
         per_task_candidates,
         max_tasks,
         fault_rates: FaultRates::uniform(FAULT_RATE),
-        measure: Default::default(),
         adapt: AdaptConfig::frozen(
             TrainOptions::from_config(cfg)
                 .with_epochs(4)

@@ -39,7 +39,7 @@ use tlp::features::FeatureBuf;
 use tlp::persist::PersistError;
 use tlp::train::{GroupData, TrainData};
 use tlp::{FeatureExtractor, TlpModel};
-use tlp_autotuner::{MeasurePolicy, Measurer, SearchTask, SketchPolicy};
+use tlp_autotuner::{Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
 use tlp_hwsim::{DeviceKind, FaultModel, FaultRates};
 
@@ -54,8 +54,6 @@ pub struct ContinualConfig {
     pub max_tasks: usize,
     /// Fault injection rates for the new platform's measurer.
     pub fault_rates: FaultRates,
-    /// Retry/backoff policy of the measurer.
-    pub measure: MeasurePolicy,
     /// Per-round adaptation configuration (trainer knobs + trunk mode).
     pub adapt: AdaptConfig,
     /// Master seed for candidate sampling and fault injection.
@@ -170,7 +168,6 @@ pub fn run_continual(
     let mut measurer = Measurer::with_faults(
         gpu,
         FaultModel::for_platform(config.seed, config.fault_rates, new_platform),
-        config.measure,
     );
 
     let take = if config.max_tasks == 0 {

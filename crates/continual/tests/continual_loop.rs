@@ -71,7 +71,6 @@ fn loop_config(trunk_frozen: bool) -> ContinualConfig {
         per_task_candidates: 4,
         max_tasks: 3,
         fault_rates: FaultRates::uniform(0.05),
-        measure: Default::default(),
         adapt: if trunk_frozen {
             AdaptConfig::frozen(train)
         } else {

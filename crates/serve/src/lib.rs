@@ -30,15 +30,10 @@
 //! - **Observability** ([`stats`]): lock-free latency histograms
 //!   (p50/p95/p99), queue/throughput counters, and per-model
 //!   [`EngineStats`](tlp::EngineStats), all serializable to JSON.
-//! - **Fault tolerance** ([`backend`], [`chaos`]): [`RemoteCostModel`]
-//!   retries transient errors with jittered backoff behind a
-//!   [`CircuitBreaker`] (open → half-open probe → closed) and can fall
-//!   back to a local model while the server is sick;
-//!   [`FlakyTransport`] injects deterministic failures for chaos tests.
 //!
 //! Integration point: [`RemoteCostModel`] adapts a [`ServeClient`] to the
-//! autotuner's
-//! [`CostModel`](tlp_autotuner::CostModel) trait.
+//! autotuner's [`CostModel`](tlp_autotuner::CostModel) trait; a request
+//! the server answers with an error degrades to an all-invalid batch.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -61,18 +56,13 @@
 #![warn(clippy::disallowed_types)] // std HashMap/HashSet ban: deterministic iteration only
 
 pub mod backend;
-pub mod chaos;
 pub mod error;
 pub mod loadgen;
 pub mod registry;
 pub mod server;
 pub mod stats;
 
-pub use backend::{
-    BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, RemoteCostModel, RetryPolicy,
-    ScoreTransport,
-};
-pub use chaos::FlakyTransport;
+pub use backend::RemoteCostModel;
 pub use error::ServeError;
 pub use loadgen::random_pool;
 pub use registry::{ModelRegistry, ModelVersion};

@@ -20,8 +20,7 @@ use tlp_autotuner::{
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
-    BatchPolicy, BreakerState, ModelRegistry, PendingScore, RemoteCostModel, ServeConfig,
-    ServeError, Server,
+    BatchPolicy, ModelRegistry, PendingScore, RemoteCostModel, ServeConfig, ServeError, Server,
 };
 use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
 
@@ -480,7 +479,7 @@ fn remote_cost_model_degrades_on_serve_errors() {
     );
     let t = task();
     let pool = candidates(4, 41);
-    let remote = RemoteCostModel::new(server.client(), "m").with_deadline(Duration::from_millis(5));
+    let remote = RemoteCostModel::new(server.client(), "m");
     let batch = remote.predict(ScoreRequest::new(&t, &pool));
     assert_eq!(batch.len(), pool.len());
     assert_eq!(batch.num_invalid(), pool.len());
@@ -489,8 +488,8 @@ fn remote_cost_model_degrades_on_serve_errors() {
 
 #[test]
 fn remote_cost_model_degrades_on_a_removed_model() {
-    // An unknown model is a deterministic rejection: one masked batch, no
-    // retry, and the breaker never hears of it.
+    // An unknown model degrades like any other serve error: one masked
+    // batch, counted once.
     let server = Server::start(serving_registry(11), ServeConfig::default());
     assert!(server.registry().remove("m"));
     let t = task();
@@ -499,9 +498,6 @@ fn remote_cost_model_degrades_on_a_removed_model() {
     let batch = remote.predict(ScoreRequest::new(&t, &pool));
     assert_eq!(batch.num_invalid(), pool.len());
     assert_eq!(remote.errors(), 1);
-    assert_eq!(remote.fallback_scores(), 1);
-    assert_eq!(remote.retries(), 0);
-    assert_eq!(remote.breaker_state(), BreakerState::Closed);
     assert_eq!(server.shutdown().unknown_model, 1);
 }
 

@@ -37,8 +37,8 @@ cargo build --release --offline --workspace
 echo "==> full workspace tests (incl. the chaos, continual and registry-stress suites)"
 cargo test -q --offline --workspace
 
-echo "==> system benchmark (own workspace: cargo test --workspace never compiles it)"
-cargo test --release --offline --manifest-path tlp-sysbench/Cargo.toml
+echo "==> system benchmark (own workspace: cargo test --workspace never compiles it; --locked: its Cargo.lock is frozen)"
+cargo test --release --offline --locked --manifest-path tlp-sysbench/Cargo.toml
 
 if command -v jq >/dev/null 2>&1; then
     echo "==> system benchmark count gate (exact counts on all four workloads; tune_search 6168 generated / 3840 full-scored)"

@@ -300,7 +300,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         per_task_candidates: 4,
         max_tasks: 3,
         fault_rates: FaultRates::uniform(0.05),
-        measure: Default::default(),
         adapt: AdaptConfig::frozen(
             TrainOptions::from_config(&cfg)
                 .with_epochs(4)
@@ -431,22 +430,18 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
     }
 }
 
-/// One M-code's occurrence count in the `audit-model` JSON report.
-#[derive(serde::Serialize)]
-struct McodeCount {
-    code: String,
-    count: u32,
-}
+/// `(M-code, occurrences)` pairs in code order: the entries of
+/// [`tlp_modelcheck::AuditReport::code_counts`] (the vendored serde
+/// serializes no `BTreeMap`).
+type McodeCounts = Vec<(&'static str, u32)>;
 
 /// One golden model's audit outcome in the `audit-model` JSON report.
 #[derive(serde::Serialize)]
 struct ModelAudit {
     model: String,
     params: usize,
-    errors: u32,
-    warnings: u32,
-    lints: u32,
-    codes: Vec<McodeCount>,
+    summary: tlp_modelcheck::AuditSummary,
+    codes: McodeCounts,
 }
 
 /// One adversarial mutation's audit outcome.
@@ -454,19 +449,7 @@ struct ModelAudit {
 struct AdversarialAudit {
     case: String,
     caught: bool,
-    codes: Vec<McodeCount>,
-}
-
-/// Renders [`AuditReport::code_counts`](tlp_modelcheck::AuditReport) rows.
-fn mcode_counts(report: &tlp_modelcheck::AuditReport) -> Vec<McodeCount> {
-    report
-        .code_counts()
-        .into_iter()
-        .map(|(code, count)| McodeCount {
-            code: code.to_string(),
-            count,
-        })
-        .collect()
+    codes: McodeCounts,
 }
 
 /// JSON report emitted by `audit-model`.
@@ -493,7 +476,7 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
         AdversarialAudit {
             case,
             caught: report.has_errors() && snap.restore().is_err(),
-            codes: mcode_counts(&report),
+            codes: report.code_counts().into_iter().collect(),
         }
     };
 
@@ -506,14 +489,11 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
         let snap = fresh(heads);
         golden_restore &= snap.restore().is_ok();
         let report = snap.audit();
-        let summary = report.summary();
         golden.push(ModelAudit {
             model: format!("tlp-{heads}"),
             params: param_count(&snap),
-            errors: summary.errors,
-            warnings: summary.warnings,
-            lints: summary.lints,
-            codes: mcode_counts(&report),
+            summary: report.summary(),
+            codes: report.code_counts().into_iter().collect(),
         });
 
         // Adversarial mutations: each corrupts a fresh golden snapshot in a
@@ -552,7 +532,7 @@ fn cmd_audit_model(out_path: Option<&str>) -> i32 {
     let params_per_s = (param_count(&timed) as f64 * f64::from(iters)) / elapsed.max(1e-9);
 
     let sound = golden_restore
-        && golden.iter().all(|g| g.errors == 0)
+        && golden.iter().all(|g| g.summary.is_valid())
         && adversarial.iter().all(|a| a.caught);
     let report = AuditModelReport {
         golden,
