@@ -28,8 +28,7 @@ use tlp::{
 };
 use tlp_bench::{print_table, write_json};
 use tlp_continual::{
-    run_continual, AdaptConfig, AdaptReport, CanarySet, ContinualConfig, PublishPolicy,
-    ReplayBuffer, SnapshotPublisher,
+    run_continual, AdaptReport, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher,
 };
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig};
 use tlp_hwsim::{FaultRates, Platform};
@@ -124,14 +123,12 @@ fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
         per_task_candidates,
         max_tasks,
         fault_rates: FaultRates::uniform(FAULT_RATE),
-        adapt: AdaptConfig::frozen(
-            TrainOptions::from_config(cfg)
-                .with_epochs(4)
-                .with_batch_size(16)
-                // Fine-tune gently: the head is warm-started, not cold.
-                .with_learning_rate(1e-3)
-                .with_seed(0x5EED),
-        ),
+        adapt: TrainOptions::from_config(cfg)
+            .with_epochs(4)
+            .with_batch_size(16)
+            // Fine-tune gently: the head is warm-started, not cold.
+            .with_learning_rate(1e-3)
+            .with_seed(0x5EED),
         seed: 0xADA7,
     }
 }
@@ -155,13 +152,7 @@ fn hot_swap_arm(
     let registry = Arc::new(ModelRegistry::default());
     let canaries = CanarySet::from_dataset(ds, 2, 0);
     let pool = canaries.first().expect("canary tasks exist").clone();
-    let mut publisher = SnapshotPublisher::new(
-        registry.clone(),
-        "ryzen-3950x",
-        2,
-        PublishPolicy::default(),
-        canaries,
-    );
+    let mut publisher = SnapshotPublisher::new(registry.clone(), "ryzen-3950x", 2, canaries);
     let mut model = grown_model(ds, ex, cfg);
     let replay = replay_from(ds, ex);
 

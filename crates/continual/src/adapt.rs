@@ -1,78 +1,28 @@
 //! Replay-mixed head adaptation on top of the shared [`Trainer`](tlp::Trainer).
 //!
 //! [`adapt_round`] is *not* a new training loop: it hands `tlp`'s one
-//! head-routed task ([`train_slots`]) a slot list — the new platform's
-//! groups, then the replay items through their original heads — and a
-//! [`GradMask`], inheriting the trainer's bitwise-deterministic step, LR
-//! schedule and clipping. The mask runs in the trainer's `postprocess_grads`
-//! hook — after the backward pass, before the norm/clip/step:
+//! head-routed task ([`train_head`]) a slot list — the new platform's
+//! groups, then the replay items through their original heads — inheriting
+//! the trainer's bitwise-deterministic step, LR schedule and clipping.
 //!
-//! - [`TrunkMode::Frozen`] zeroes every gradient outside the adapting head.
-//!   Adam with zero weight decay takes a bitwise no-op step on a
-//!   zero-gradient parameter (moments stay zero, delta is zero), so frozen
-//!   parameters — the trunk *and* every old head — are **bitwise unchanged**
-//!   by adaptation, and old-platform forgetting is exactly zero.
-//! - [`TrunkMode::LowLr`] scales trunk gradients by a factor instead:
-//!   the trunk absorbs new-platform signal slowly while replay batches
-//!   (routed through their original heads) keep pulling it back toward the
-//!   platforms it already serves.
-//!
-//! Masking gradients rather than filtering optimizer state keeps the hot
-//! path untouched: the hook runs exactly once per optimizer step.
+//! Only the adapting head trains. The trainer zeroes every other gradient
+//! after the backward pass, before the norm/clip/step, and Adam with zero
+//! weight decay takes a bitwise no-op step on a zero-gradient parameter
+//! (moments stay zero, delta is zero). So the trunk *and* every old head are
+//! **bitwise unchanged** by adaptation, and old-platform forgetting is
+//! exactly zero. A replay batch routes through its old head, so its whole
+//! gradient is zeroed: it moves no parameter, it only advances Adam's step
+//! count (and with it the new head's momentum).
 
 use crate::replay::ReplayBuffer;
-use serde::{Deserialize, Serialize};
-use tlp::train::{train_slots, GradMask, TrainData};
+use tlp::train::{train_head, TrainData};
 use tlp::{TlpModel, TrainOptions, TrainReport};
-use tlp_modelcheck::TrainedHeads;
 
-/// What the shared trunk (and the non-adapting heads) do during adaptation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TrunkMode {
-    /// Freeze everything except the adapting head. Old-platform predictions
-    /// are bitwise-invariant under this mode.
-    Frozen,
-    /// Let the trunk learn at `scale ×` the configured learning rate
-    /// (implemented as a gradient scale; old heads still learn from their
-    /// own replay batches at full rate).
-    LowLr {
-        /// Multiplier applied to trunk gradients, typically `0.1` or less.
-        scale: f32,
-    },
-}
-
-/// Configuration of one adaptation round.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AdaptConfig {
-    /// Knobs forwarded verbatim to the shared [`Trainer`](tlp::Trainer).
-    pub train: TrainOptions,
-    /// Trunk policy (frozen vs low-LR).
-    pub trunk: TrunkMode,
-}
-
-impl AdaptConfig {
-    /// Head-only adaptation: the trunk and old heads stay bitwise fixed.
-    pub fn frozen(train: TrainOptions) -> Self {
-        AdaptConfig {
-            train,
-            trunk: TrunkMode::Frozen,
-        }
-    }
-
-    /// Low-LR trunk adaptation with the given gradient scale.
-    pub fn low_lr(train: TrainOptions, scale: f32) -> Self {
-        AdaptConfig {
-            train,
-            trunk: TrunkMode::LowLr { scale },
-        }
-    }
-}
-
-/// Runs one adaptation round: trains head `head` (and, per
-/// [`TrunkMode`], the trunk) on `new_data` mixed with `replay`, using the
-/// shared deterministic [`Trainer`](tlp::Trainer).
+/// Runs one adaptation round: trains head `head` alone on `new_data` mixed
+/// with `replay`, using the shared deterministic [`Trainer`](tlp::Trainer)
+/// with `options`.
 ///
-/// Returns the trainer's [`TrainReport`]. For a fixed config the round is
+/// Returns the trainer's [`TrainReport`]. For fixed options the round is
 /// bit-reproducible, like every other training loop in this workspace.
 ///
 /// # Panics
@@ -84,7 +34,7 @@ pub fn adapt_round(
     head: usize,
     new_data: &TrainData,
     replay: &ReplayBuffer,
-    config: &AdaptConfig,
+    options: &TrainOptions,
 ) -> TrainReport {
     assert!(head < model.num_tasks(), "adapting head out of range");
     let fs = model.config.seq_len * model.config.emb_size;
@@ -104,36 +54,7 @@ pub fn adapt_round(
         .map(|g| (head, g))
         .collect();
     slots.extend(replay.items().iter().map(|item| (item.head, &item.group)));
-    let mask = match config.trunk {
-        TrunkMode::Frozen => {
-            let mut zeroed = model.trunk_param_ids();
-            for t in 0..model.num_tasks() {
-                if t != head {
-                    zeroed.extend(model.head_param_ids(t));
-                }
-            }
-            // Only the adapting head is trainable; declaring the old heads
-            // untrained is the conservative truth the mask enforces (their
-            // replay gradients are zeroed every step).
-            GradMask {
-                zeroed,
-                scaled: Vec::new(),
-                trained: TrainedHeads::Heads(vec![head]),
-            }
-        }
-        // Nothing is frozen and replay batches route through every old
-        // head, so the loss reaches everything.
-        TrunkMode::LowLr { scale } => GradMask {
-            zeroed: Vec::new(),
-            scaled: model
-                .trunk_param_ids()
-                .into_iter()
-                .map(|id| (id, scale))
-                .collect(),
-            trained: TrainedHeads::All,
-        },
-    };
-    train_slots(model, slots, Some(mask), &config.train)
+    train_head(model, head, slots, options)
 }
 
 #[cfg(test)]
@@ -211,8 +132,13 @@ mod tests {
         replay.ingest_data(0, &synth_data(&cfg, 7, 2, 12));
         replay.ingest_data(1, &synth_data(&cfg, 8, 2, 12));
         let new_data = synth_data(&cfg, 9, 3, 16);
-        let config = AdaptConfig::frozen(small_options(&cfg));
-        let report = adapt_round(&mut model, new_head, &new_data, &replay, &config);
+        let report = adapt_round(
+            &mut model,
+            new_head,
+            &new_data,
+            &replay,
+            &small_options(&cfg),
+        );
         assert_eq!(report.epochs.len(), 2);
         assert!(report.samples > 0);
 
@@ -225,35 +151,39 @@ mod tests {
     }
 
     #[test]
-    fn low_lr_mode_moves_the_trunk() {
+    fn replay_only_round_is_a_bitwise_no_op() {
+        // Replay routes through the old heads, whose gradients are zeroed
+        // like the trunk's, and each round starts a fresh Adam: zero moments
+        // give a zero delta everywhere, the new head included.
         let cfg = TlpConfig::test_scale();
         let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
-        let trunk = model.trunk_param_ids();
-        let before = param_bits(&model, &trunk);
-        let replay = ReplayBuffer::reservoir(4, 3);
-        let new_data = synth_data(&cfg, 9, 3, 16);
-        let config = AdaptConfig::low_lr(small_options(&cfg), 0.1);
-        adapt_round(&mut model, 2, &new_data, &replay, &config);
-        assert_ne!(param_bits(&model, &trunk), before, "trunk never moved");
+        let all: Vec<tlp_nn::ParamId> = model.store.ids().collect();
+        let before = param_bits(&model, &all);
+        let mut replay = ReplayBuffer::stratified(2, 3);
+        replay.ingest_data(0, &synth_data(&cfg, 7, 2, 12));
+        replay.ingest_data(1, &synth_data(&cfg, 8, 2, 12));
+        let empty = synth_data(&cfg, 9, 0, 0);
+        let report = adapt_round(&mut model, 2, &empty, &replay, &small_options(&cfg));
+        assert!(report.samples > 0, "replay batches ran");
+        assert_eq!(param_bits(&model, &all), before, "replay moved a parameter");
     }
 
     #[test]
     fn adaptation_reproduces_the_pinned_digest() {
         let cfg = TlpConfig::test_scale();
         let new_data = synth_data(&cfg, 4, 3, 16);
-        let mut replay = ReplayBuffer::reservoir(3, 5);
+        let mut replay = ReplayBuffer::stratified(3, 5);
         replay.ingest_data(0, &synth_data(&cfg, 5, 2, 12));
         let run = || {
             let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
-            let config = AdaptConfig::frozen(small_options(&cfg));
-            adapt_round(&mut model, 2, &new_data, &replay, &config);
+            adapt_round(&mut model, 2, &new_data, &replay, &small_options(&cfg));
             let all: Vec<tlp_nn::ParamId> = model.store.ids().collect();
             param_bits(&model, &all)
         };
         let bits = run();
         assert_eq!(bits, run(), "a second run changed the result");
         // FNV-1a over the value bits (names excluded): the round's batch
-        // stream and gradient mask are held to this number. First captured
+        // stream and frozen set are held to this number. First captured
         // at the last commit with a separate multi-task model type (PR 16);
         // re-captured when softmax moved to `tlp_nn::kernels::exp` (PR 20,
         // old → new in CHANGES.md).

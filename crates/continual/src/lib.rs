@@ -9,23 +9,22 @@
 //! The subsystem has four parts, one per module:
 //!
 //! - [`replay`]: a seeded, deterministic [`ReplayBuffer`] over prior
-//!   platforms' task groups (reservoir or stratified-by-task sampling).
-//!   Replay batches are mixed into every adaptation step so trunk updates
-//!   cannot silently forget the platforms the model already knows.
+//!   platforms' task groups, a bounded sample per head. Replay batches are
+//!   mixed into every adaptation epoch, routed through their old heads.
 //! - [`adapt`]: [`adapt_round`] drives the existing bitwise-deterministic
-//!   [`tlp::Trainer`] — not a new training loop — with an [`AdaptConfig`]
-//!   that either freezes the shared trunk (head-only updates, provably
-//!   bitwise-invariant old platforms) or lets the trunk move at a scaled
-//!   learning rate ([`TrunkMode::LowLr`]). Both policies are implemented as
-//!   gradient masks in the trainer's `postprocess_grads` hook, so the
-//!   accumulation, clipping, and Adam step stay byte-for-byte the shared code
-//!   path.
+//!   [`tlp::Trainer`] — not a new training loop — through
+//!   [`tlp::train::train_head`], which trains the new head alone: the trunk
+//!   and every old head have their gradients zeroed in the trainer's
+//!   `postprocess_grads` hook, so old platforms are provably
+//!   bitwise-invariant and the accumulation, clipping, and Adam step stay
+//!   byte-for-byte the shared code path.
 //! - [`publish`]: a [`SnapshotPublisher`] emits versioned
-//!   [`tlp::persist::SavedTlp`] snapshots at gated intervals, hot-swaps them
+//!   [`tlp::persist::SavedTlp`] snapshots after every round, hot-swaps them
 //!   into a live [`tlp_serve::ModelRegistry`] (the atomic-`Arc` swap — a
 //!   request is scored by the version that admitted it, so no request ever
 //!   fails), scores a canary set through the *installed* version, and rolls
-//!   back to the last good snapshot if the candidate regressed.
+//!   back to the last good snapshot if the candidate regressed by more than
+//!   [`CANARY_TOLERANCE`].
 //! - [`service`]: [`run_continual`] is the end-to-end closed loop —
 //!   candidate generation, fallible measurement under an injected
 //!   [`tlp_hwsim::FaultModel`], label accumulation, adaptation, evaluation
@@ -42,7 +41,7 @@ pub mod publish;
 pub mod replay;
 pub mod service;
 
-pub use adapt::{adapt_round, AdaptConfig, TrunkMode};
-pub use publish::{rank_accuracy, CanarySet, PublishOutcome, PublishPolicy, SnapshotPublisher};
-pub use replay::{ReplayBuffer, ReplayItem, ReplayStrategy};
+pub use adapt::adapt_round;
+pub use publish::{rank_accuracy, CanarySet, PublishOutcome, SnapshotPublisher, CANARY_TOLERANCE};
+pub use replay::{ReplayBuffer, ReplayItem};
 pub use service::{run_continual, AdaptReport, ContinualConfig, RoundReport};

@@ -1,6 +1,6 @@
 //! Validation-gated snapshot publishing with canary rollback.
 //!
-//! After adaptation rounds, the candidate model is snapshotted
+//! After every adaptation round, the candidate model is snapshotted
 //! ([`tlp::persist::snapshot`] — the same versioned [`SavedTlp`] format
 //! the training pipeline persists), restored (exercising the exact bytes a
 //! cold-started server would load), and hot-swapped into a live
@@ -11,7 +11,7 @@
 //! Publishing is *gated*: the freshly installed version scores a canary set
 //! (held-out schedules with known new-platform latencies) **through the
 //! registry** — the same engine path real traffic takes — and if ranking
-//! accuracy regressed beyond the policy's tolerance, the previous good
+//! accuracy regressed beyond [`CANARY_TOLERANCE`], the previous good
 //! snapshot is reinstalled (another atomic swap) and the candidate is
 //! discarded.
 
@@ -24,25 +24,9 @@ use tlp_dataset::Dataset;
 use tlp_schedule::ScheduleSequence;
 use tlp_serve::ModelRegistry;
 
-/// When to publish and how much canary regression to tolerate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PublishPolicy {
-    /// Publish after every `every_rounds` adaptation rounds (`1` = every
-    /// round). `0` disables publishing entirely.
-    pub every_rounds: usize,
-    /// A candidate whose canary rank accuracy is more than this far below
-    /// the last good snapshot's is rolled back.
-    pub canary_tolerance: f64,
-}
-
-impl Default for PublishPolicy {
-    fn default() -> Self {
-        PublishPolicy {
-            every_rounds: 1,
-            canary_tolerance: 0.02,
-        }
-    }
-}
+/// A candidate whose canary rank accuracy is more than this far below the
+/// last good snapshot's is rolled back.
+pub const CANARY_TOLERANCE: f64 = 0.02;
 
 /// One canary task: schedules with ground-truth latencies on the new
 /// platform, scored through the installed model at publish time.
@@ -83,11 +67,9 @@ impl CanarySet {
     }
 }
 
-/// What one [`SnapshotPublisher::maybe_publish`] call did.
+/// What one [`SnapshotPublisher::publish`] call did.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PublishOutcome {
-    /// The round is not on the publishing cadence.
-    Skipped,
     /// The candidate passed the canary gate and is now serving.
     Published {
         /// Registry version tag of the installed candidate.
@@ -121,7 +103,6 @@ pub struct SnapshotPublisher {
     registry: Arc<ModelRegistry>,
     name: String,
     head: usize,
-    policy: PublishPolicy,
     canaries: Vec<CanarySet>,
     /// Last accepted snapshot and its canary accuracy.
     last_good: Option<(SavedTlp, f64)>,
@@ -129,20 +110,18 @@ pub struct SnapshotPublisher {
 }
 
 impl SnapshotPublisher {
-    /// A publisher that installs under `name`, serving head `head`, gated by
-    /// `policy` against `canaries`.
+    /// A publisher that installs under `name`, serving head `head`, gated
+    /// against `canaries`.
     pub fn new(
         registry: Arc<ModelRegistry>,
         name: impl Into<String>,
         head: usize,
-        policy: PublishPolicy,
         canaries: Vec<CanarySet>,
     ) -> Self {
         SnapshotPublisher {
             registry,
             name: name.into(),
             head,
-            policy,
             canaries,
             last_good: None,
             events: Vec::new(),
@@ -159,7 +138,7 @@ impl SnapshotPublisher {
         &self.name
     }
 
-    /// Every outcome so far, in round order.
+    /// Every outcome so far, in call order.
     pub fn events(&self) -> &[PublishOutcome] {
         &self.events
     }
@@ -197,8 +176,7 @@ impl SnapshotPublisher {
     }
 
     /// Snapshot → audited restore + install → canary-score →
-    /// keep-or-rollback, when `round` (0-based) is on the policy cadence. A
-    /// candidate the audit rejects is reported as
+    /// keep-or-rollback. A candidate the audit rejects is reported as
     /// [`PublishOutcome::RejectedInvalid`], not as an error.
     ///
     /// # Errors
@@ -206,16 +184,11 @@ impl SnapshotPublisher {
     /// Propagates any other [`PersistError`] from snapshot restore —
     /// impossible for a well-formed model but surfaced rather than
     /// swallowed.
-    pub fn maybe_publish(
+    pub fn publish(
         &mut self,
-        round: usize,
         model: &TlpModel,
         extractor: &FeatureExtractor,
     ) -> Result<PublishOutcome, PersistError> {
-        if self.policy.every_rounds == 0 || !(round + 1).is_multiple_of(self.policy.every_rounds) {
-            self.events.push(PublishOutcome::Skipped);
-            return Ok(PublishOutcome::Skipped);
-        }
         let candidate = snapshot(model, extractor);
         let version = match self.install(&candidate) {
             Ok(version) => version,
@@ -240,9 +213,7 @@ impl SnapshotPublisher {
         };
         let outcome = match &self.last_good {
             // The reinstall may fail (typed error); last_good stays intact.
-            Some((good, good_accuracy))
-                if accuracy + self.policy.canary_tolerance < *good_accuracy =>
-            {
+            Some((good, good_accuracy)) if accuracy + CANARY_TOLERANCE < *good_accuracy => {
                 PublishOutcome::RolledBack {
                     rejected_accuracy: accuracy,
                     restored_version: self.install(good)?,

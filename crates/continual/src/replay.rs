@@ -1,31 +1,21 @@
 //! Deterministic replay buffer over prior platforms' training groups.
 //!
-//! Continual adaptation streams measurements from the *new* platform only;
-//! without rehearsal, trunk updates drift the representation the old heads
-//! were fit to (catastrophic forgetting). The [`ReplayBuffer`] keeps a
-//! bounded, seeded sample of old-platform task groups and contributes them
-//! to every adaptation epoch, routed through their original heads.
+//! The [`ReplayBuffer`] keeps a bounded, seeded sample of old-platform task
+//! groups — at most `capacity` per head, so a data-poor platform is never
+//! crowded out by a data-rich one — and contributes them to every
+//! adaptation epoch, routed through their original heads. Adaptation trains
+//! the new head alone, so a replay batch's gradient is zeroed everywhere:
+//! replay shapes the batch stream and Adam's step count, not the weights.
 //!
-//! Sampling is classic algorithm R driven by a splitmix64 hash of
-//! `(seed, counter)` instead of a stateful RNG, so buffer contents depend
-//! only on the seed and the ingestion order — re-running a loop reproduces
-//! the buffer exactly, and ingesting the same data twice yields identical
-//! buffers regardless of what else the process did in between.
+//! Sampling is classic algorithm R per head, driven by a splitmix64 hash of
+//! `(seed, head, counter)` instead of a stateful RNG, so buffer contents
+//! depend only on the seed and the ingestion order — re-running a loop
+//! reproduces the buffer exactly, and ingesting the same data twice yields
+//! identical buffers regardless of what else the process did in between.
 
 use std::collections::BTreeMap;
 use tlp::train::{GroupData, TrainData};
 use tlp_schedule::hash::splitmix64;
-
-/// How the buffer allocates its bounded memory across ingested groups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplayStrategy {
-    /// One global reservoir: every ingested group competes for the same
-    /// `capacity` slots, so heads with more data hold more slots.
-    Reservoir,
-    /// One reservoir of `capacity` slots *per head*, so a data-poor platform
-    /// is never crowded out of rehearsal by a data-rich one.
-    StratifiedByTask,
-}
 
 /// One retained rehearsal group: the head it trains and its samples.
 #[derive(Clone, Debug)]
@@ -36,49 +26,33 @@ pub struct ReplayItem {
     pub group: GroupData,
 }
 
-/// A bounded, deterministic sample of old-platform task groups.
+/// A bounded, deterministic per-head sample of old-platform task groups.
 #[derive(Debug)]
 pub struct ReplayBuffer {
-    strategy: ReplayStrategy,
+    /// Groups retained per head.
     capacity: usize,
     seed: u64,
     feature_size: Option<usize>,
-    /// Groups ingested so far (global for reservoir; per head below).
-    seen: u64,
+    /// Groups ingested so far, per head.
     per_head_seen: BTreeMap<usize, u64>,
-    /// Indices into `items` per head (stratified replacement targets).
+    /// Indices into `items` per head (replacement targets).
     strata: BTreeMap<usize, Vec<usize>>,
     items: Vec<ReplayItem>,
 }
 
 impl ReplayBuffer {
-    /// A global reservoir of at most `capacity` groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reservoir(capacity: usize, seed: u64) -> Self {
-        ReplayBuffer::new(ReplayStrategy::Reservoir, capacity, seed)
-    }
-
-    /// A stratified buffer holding at most `per_head_capacity` groups for
-    /// every ingested head.
+    /// A buffer holding at most `per_head_capacity` groups for every
+    /// ingested head.
     ///
     /// # Panics
     ///
     /// Panics if `per_head_capacity` is zero.
     pub fn stratified(per_head_capacity: usize, seed: u64) -> Self {
-        ReplayBuffer::new(ReplayStrategy::StratifiedByTask, per_head_capacity, seed)
-    }
-
-    fn new(strategy: ReplayStrategy, capacity: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "replay capacity must be positive");
+        assert!(per_head_capacity > 0, "replay capacity must be positive");
         ReplayBuffer {
-            strategy,
-            capacity,
+            capacity: per_head_capacity,
             seed,
             feature_size: None,
-            seen: 0,
             per_head_seen: BTreeMap::new(),
             strata: BTreeMap::new(),
             items: Vec::new(),
@@ -113,47 +87,24 @@ impl ReplayBuffer {
             None => self.feature_size = Some(feature_size),
             Some(fs) => assert_eq!(fs, feature_size, "replay feature size mismatch"),
         }
-        match self.strategy {
-            ReplayStrategy::Reservoir => {
-                self.seen += 1;
-                if self.items.len() < self.capacity {
-                    self.items.push(ReplayItem {
-                        head,
-                        group: group.clone(),
-                    });
-                } else {
-                    // Algorithm R: the t-th arrival replaces a uniform slot
-                    // with probability capacity/t.
-                    let j = (splitmix64(self.seed ^ self.seen) % self.seen) as usize;
-                    if j < self.capacity {
-                        self.items[j] = ReplayItem {
-                            head,
-                            group: group.clone(),
-                        };
-                    }
-                }
-            }
-            ReplayStrategy::StratifiedByTask => {
-                let seen = self.per_head_seen.entry(head).or_insert(0);
-                *seen += 1;
-                let count = *seen;
-                let slots = self.strata.entry(head).or_default();
-                if slots.len() < self.capacity {
-                    slots.push(self.items.len());
-                    self.items.push(ReplayItem {
-                        head,
-                        group: group.clone(),
-                    });
-                } else {
-                    // Per-head algorithm R, salted by head so strata draw
-                    // independent decision streams from one seed.
-                    let salt =
-                        splitmix64(self.seed ^ (head as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-                    let j = (splitmix64(salt ^ count) % count) as usize;
-                    if j < self.capacity {
-                        self.items[slots[j]].group = group.clone();
-                    }
-                }
+        let seen = self.per_head_seen.entry(head).or_insert(0);
+        *seen += 1;
+        let count = *seen;
+        let slots = self.strata.entry(head).or_default();
+        if slots.len() < self.capacity {
+            slots.push(self.items.len());
+            self.items.push(ReplayItem {
+                head,
+                group: group.clone(),
+            });
+        } else {
+            // Algorithm R: the t-th arrival replaces a uniform slot with
+            // probability capacity/t. Salted by head so heads draw
+            // independent decision streams from one seed.
+            let salt = splitmix64(self.seed ^ (head as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+            let j = (splitmix64(salt ^ count) % count) as usize;
+            if j < self.capacity {
+                self.items[slots[j]].group = group.clone();
             }
         }
     }
@@ -217,27 +168,25 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_respects_capacity_and_determinism() {
-        let mut a = ReplayBuffer::reservoir(4, 7);
-        let mut b = ReplayBuffer::reservoir(4, 7);
-        for buf in [&mut a, &mut b] {
+    fn per_head_capacity_determinism_and_seed_sensitivity() {
+        let filled = |seed: u64| {
+            let mut buf = ReplayBuffer::stratified(4, seed);
             for head in 0..3usize {
                 for g in 0..10usize {
                     buf.ingest_group(head, 3, &group(head * 10 + g, 4));
                 }
             }
-        }
-        assert_eq!(a.len(), 4);
-        assert!(a.seen == 30);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        // A different seed retains a different sample.
-        let mut c = ReplayBuffer::reservoir(4, 8);
+            buf
+        };
+        let a = filled(7);
+        assert_eq!(a.len(), 12);
         for head in 0..3usize {
-            for g in 0..10usize {
-                c.ingest_group(head, 3, &group(head * 10 + g, 4));
-            }
+            assert_eq!(a.items().iter().filter(|i| i.head == head).count(), 4);
+            assert_eq!(a.per_head_seen[&head], 10);
         }
-        assert_ne!(fingerprint(&a), fingerprint(&c));
+        assert_eq!(fingerprint(&a), fingerprint(&filled(7)));
+        // A different seed retains a different sample.
+        assert_ne!(fingerprint(&a), fingerprint(&filled(8)));
     }
 
     #[test]
@@ -256,7 +205,7 @@ mod tests {
 
     #[test]
     fn singleton_groups_are_ignored() {
-        let mut buf = ReplayBuffer::reservoir(4, 1);
+        let mut buf = ReplayBuffer::stratified(4, 1);
         buf.ingest_group(0, 3, &group(1, 1));
         assert!(buf.is_empty());
         assert_eq!(buf.feature_size(), None);
@@ -269,7 +218,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "replay feature size mismatch")]
     fn feature_size_mismatch_panics() {
-        let mut buf = ReplayBuffer::reservoir(4, 1);
+        let mut buf = ReplayBuffer::stratified(4, 1);
         buf.ingest_group(0, 3, &group(1, 2));
         buf.ingest_group(0, 5, &group(1, 2));
     }

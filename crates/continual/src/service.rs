@@ -13,8 +13,7 @@
 //! 3. **Label**: accumulate per-task latency pools and re-normalize labels
 //!    (`min_latency / latency`) as new minima arrive.
 //! 4. **Adapt**: one [`adapt_round`] over the accumulated data mixed with
-//!    the old-platform [`ReplayBuffer`], under the configured
-//!    [`TrunkMode`](crate::TrunkMode).
+//!    the old-platform [`ReplayBuffer`]; only the new head trains.
 //! 5. **Publish**: optionally hand the model to a [`SnapshotPublisher`] for
 //!    a canary-gated hot-swap into live serving.
 //!
@@ -27,7 +26,7 @@
 //! loop (measurements, labels, final parameters, metrics) is
 //! bit-reproducible.
 
-use crate::adapt::{adapt_round, AdaptConfig};
+use crate::adapt::adapt_round;
 use crate::publish::SnapshotPublisher;
 use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
@@ -38,7 +37,7 @@ use tlp::experiments::eval_head;
 use tlp::features::FeatureBuf;
 use tlp::persist::PersistError;
 use tlp::train::{GroupData, TrainData};
-use tlp::{FeatureExtractor, TlpModel};
+use tlp::{FeatureExtractor, TlpModel, TrainOptions};
 use tlp_autotuner::{Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
 use tlp_hwsim::{DeviceKind, FaultModel, FaultRates};
@@ -54,8 +53,9 @@ pub struct ContinualConfig {
     pub max_tasks: usize,
     /// Fault injection rates for the new platform's measurer.
     pub fault_rates: FaultRates,
-    /// Per-round adaptation configuration (trainer knobs + trunk mode).
-    pub adapt: AdaptConfig,
+    /// Trainer knobs of every adaptation round; each round re-derives the
+    /// seed from this one and the round index.
+    pub adapt: TrainOptions,
     /// Master seed for candidate sampling and fault injection.
     pub seed: u64,
 }
@@ -239,15 +239,13 @@ pub fn run_continual(
         // 4: adapt on everything measured so far, mixed with replay.
         let mut train_loss = 0.0f32;
         if new_data.num_samples() >= 4 {
-            let mut adapt_cfg = config.adapt.clone();
-            adapt_cfg.train = adapt_cfg.train.with_seed(
+            let options = config.adapt.clone().with_seed(
                 config
                     .adapt
-                    .train
                     .seed
                     .wrapping_add((round as u64).wrapping_mul(0xd1b5_4a32_d192_ed03)),
             );
-            let report = adapt_round(model, new_head, &new_data, replay, &adapt_cfg);
+            let report = adapt_round(model, new_head, &new_data, replay, &options);
             train_loss = report.final_loss();
         }
 
@@ -255,7 +253,7 @@ pub fn run_continual(
 
         // 5: canary-gated hot-swap into serving.
         if let Some(p) = publisher.as_deref_mut() {
-            p.maybe_publish(round, model, extractor)?;
+            p.publish(model, extractor)?;
         }
 
         rounds.push(RoundReport {

@@ -473,169 +473,3 @@ mod tests {
         assert!(acc > 0.7, "pairwise accuracy {acc}");
     }
 }
-
-/// TenSet's transfer-learning scheme (paper §6.3/§7): keep a model trained on
-/// a *source* platform and fit a lightweight local model that corrects it
-/// toward the *target* platform from a handful of target measurements.
-///
-/// The local model is a GBDT over the program features plus the source
-/// model's score (stacking) — the closest dataset-based analogue of TenSet's
-/// "local model that predicts the gap between the source and target".
-#[derive(Debug)]
-pub struct TenSetTransfer {
-    source: TenSetMlp,
-    local: Option<Gbdt>,
-}
-
-impl TenSetTransfer {
-    /// Wraps a source-platform-trained TenSet-MLP.
-    pub fn new(source: TenSetMlp) -> Self {
-        TenSetTransfer {
-            source,
-            local: None,
-        }
-    }
-
-    /// Whether the local correction model has been fit.
-    pub fn has_local(&self) -> bool {
-        self.local.is_some()
-    }
-
-    fn stacked_features(&self, program_feats: &[f32]) -> Vec<f32> {
-        let n = program_feats.len() / PROGRAM_FEATURE_DIM;
-        let src = self.source.predict(program_feats);
-        let mut out = Vec::with_capacity(n * (PROGRAM_FEATURE_DIM + 1));
-        for (row, &s) in program_feats.chunks(PROGRAM_FEATURE_DIM).zip(&src) {
-            out.extend_from_slice(row);
-            out.push(s);
-        }
-        out
-    }
-
-    /// Fits the local model on target-platform labelled data (task-grouped
-    /// program features, as produced by [`program_feature_data`]).
-    pub fn fit_local(&mut self, target: &crate::train::TrainData) {
-        assert_eq!(target.feature_size, PROGRAM_FEATURE_DIM);
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
-        for g in &target.groups {
-            let stacked = self.stacked_features(&g.features);
-            features.extend(stacked);
-            labels.extend_from_slice(&g.labels);
-        }
-        if labels.len() >= 8 {
-            self.local = Some(Gbdt::fit(
-                &features,
-                PROGRAM_FEATURE_DIM + 1,
-                &labels,
-                &GbdtParams {
-                    n_trees: 40,
-                    ..GbdtParams::default()
-                },
-            ));
-        }
-    }
-
-    /// Scores a batch of program-feature rows for the target platform
-    /// (higher = predicted faster). Falls back to the raw source model until
-    /// the local model is fit.
-    pub fn predict(&self, program_feats: &[f32]) -> Vec<f32> {
-        match &self.local {
-            Some(local) => {
-                let stacked = self.stacked_features(program_feats);
-                local.predict_batch(&stacked)
-            }
-            None => self.source.predict(program_feats),
-        }
-    }
-}
-
-#[cfg(test)]
-mod transfer_tests {
-    use super::*;
-    use crate::config::TlpConfig;
-    use crate::train::GroupData;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use tlp_autotuner::SketchPolicy;
-    use tlp_hwsim::{Platform, Simulator};
-    use tlp_workload::AnchorOp;
-
-    /// Program features + labels for one subgraph on one platform.
-    fn task_data(platform: &Platform, seed: u64, n: usize) -> crate::train::TrainData {
-        let sg = Subgraph::new(
-            "d",
-            AnchorOp::Dense {
-                m: 256,
-                n: 256,
-                k: 256,
-            },
-        );
-        let sketch = SketchPolicy::cpu().compile(&sg);
-        let sim = Simulator::new();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut features = Vec::new();
-        let mut lats = Vec::new();
-        while lats.len() < n {
-            let c = sketch.random_candidate(&mut rng);
-            if let Some(f) = program_features(&sg, &c.sequence) {
-                let spec = lower(&sg, &c.sequence).unwrap();
-                features.extend(f);
-                lats.push(sim.latency(platform, &sg, &spec, c.sequence.fingerprint()));
-            }
-        }
-        let min = lats.iter().cloned().fold(f64::INFINITY, f64::min);
-        let labels = lats.iter().map(|&l| (min / l) as f32).collect();
-        crate::train::TrainData {
-            feature_size: PROGRAM_FEATURE_DIM,
-            groups: vec![GroupData { features, labels }],
-        }
-    }
-
-    #[test]
-    fn local_model_improves_target_ranking() {
-        let source_platform = Platform::platinum_8272();
-        let target_platform = Platform::graviton2(); // very different arch
-                                                     // Train the source model on source-platform labels.
-        let source_data = task_data(&source_platform, 1, 80);
-        let mut source = TenSetMlp::new(TlpConfig {
-            epochs: 8,
-            ..TlpConfig::test_scale()
-        });
-        source.train(&source_data);
-        let mut transfer = TenSetTransfer::new(source);
-        assert!(!transfer.has_local());
-
-        // Evaluate pairwise ranking accuracy on fresh target data.
-        let eval = task_data(&target_platform, 2, 60);
-        let pairwise = |scores: &[f32], labels: &[f32]| -> f64 {
-            let mut hit = 0usize;
-            let mut total = 0usize;
-            for i in 0..labels.len() {
-                for j in (i + 1)..labels.len() {
-                    if (labels[i] - labels[j]).abs() < 1e-6 {
-                        continue;
-                    }
-                    total += 1;
-                    if (scores[i] > scores[j]) == (labels[i] > labels[j]) {
-                        hit += 1;
-                    }
-                }
-            }
-            hit as f64 / total.max(1) as f64
-        };
-        let g = &eval.groups[0];
-        let before = pairwise(&transfer.predict(&g.features), &g.labels);
-
-        // Fit the local gap model with a small target slice.
-        let target_small = task_data(&target_platform, 3, 30);
-        transfer.fit_local(&target_small);
-        assert!(transfer.has_local());
-        let after = pairwise(&transfer.predict(&g.features), &g.labels);
-        assert!(
-            after >= before - 0.02,
-            "local model must not hurt: {before:.3} -> {after:.3}"
-        );
-        assert!(after > 0.55, "transferred ranking accuracy {after:.3}");
-    }
-}

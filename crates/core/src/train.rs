@@ -9,8 +9,8 @@
 //! One provider serves any head count and every caller: the TLP entry points
 //! feed `task_data[i]` to head `i` (each panics unless there is exactly one
 //! training set per head; `train_tlp`/`train_tlp_with` are the one-head
-//! forms), and [`train_slots`] takes an explicit `(head, group)` slot list
-//! and an optional [`GradMask`] (continual adaptation).
+//! forms), and [`train_head`] takes an explicit `(head, group)` slot list and
+//! trains one head with everything else frozen (continual adaptation).
 
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
@@ -113,22 +113,6 @@ impl TrainData {
     }
 }
 
-/// A gradient mask the trainer applies after every backward pass, before
-/// the norm is recorded, clipping is applied and Adam steps.
-#[derive(Clone, Debug)]
-pub struct GradMask {
-    /// Ids whose gradients are zeroed every step. Adam with zero weight
-    /// decay takes a bitwise no-op step on a zero gradient, so these
-    /// parameters stay bitwise unchanged.
-    pub zeroed: Vec<ParamId>,
-    /// Ids whose gradients are scaled every step (a lower effective
-    /// learning rate).
-    pub scaled: Vec<(ParamId, f32)>,
-    /// The heads the masked loss still trains, as declared to the
-    /// gradient-coverage check.
-    pub trained: TrainedHeads,
-}
-
 /// One task-grouped micro-batch routed to a specific head.
 #[derive(Clone, Debug)]
 struct HeadBatch {
@@ -140,11 +124,13 @@ struct HeadBatch {
 /// The [`Trainable`] behind every TLP training loop: `(head, group)` slots
 /// interleaved so backbone gradients mix platforms; each micro-batch comes
 /// from one slot's labelled pool and trains that slot's head. With one head
-/// and no mask this is the plain shuffled-task-group stream.
+/// and nothing frozen this is the plain shuffled-task-group stream.
 struct HeadTask<'a> {
     model: &'a mut TlpModel,
     slots: Vec<(usize, &'a GroupData)>,
-    mask: Option<GradMask>,
+    /// The one head a [`train_head`] run trains, and the ids whose gradients
+    /// it zeroes every step; `None` trains every head and freezes nothing.
+    only: Option<(usize, Vec<ParamId>)>,
     batch_size: usize,
 }
 
@@ -152,13 +138,13 @@ impl<'a> HeadTask<'a> {
     fn new(
         model: &'a mut TlpModel,
         slots: Vec<(usize, &'a GroupData)>,
-        mask: Option<GradMask>,
+        only: Option<(usize, Vec<ParamId>)>,
         options: &TrainOptions,
     ) -> Self {
         HeadTask {
             model,
             slots,
-            mask,
+            only,
             batch_size: options.batch_size.max(2),
         }
     }
@@ -213,41 +199,47 @@ impl Trainable for HeadTask<'_> {
     }
 
     fn postprocess_grads(&mut self) {
-        let Some(mask) = &self.mask else { return };
-        for &id in &mask.zeroed {
+        let Some((_, frozen)) = &self.only else {
+            return;
+        };
+        for &id in frozen {
             self.model.store.grad_mut(id).scale_assign(0.0);
-        }
-        for &(id, scale) in &mask.scaled {
-            self.model.store.grad_mut(id).scale_assign(scale);
         }
     }
 
     fn coverage(&self) -> Option<CoverageSpec> {
         let head_prefixes = self.model.head_prefixes();
-        Some(match &self.mask {
+        Some(match &self.only {
             // Every head draws micro-batches from its own pool, so the loss
-            // reaches all heads; nothing is masked.
+            // reaches all heads; nothing is frozen.
             None => CoverageSpec::full(head_prefixes),
-            Some(mask) => CoverageSpec {
+            Some((head, frozen)) => CoverageSpec {
                 head_prefixes,
-                trained: mask.trained.clone(),
-                frozen: mask.zeroed.clone(),
+                trained: TrainedHeads::Heads(vec![*head]),
+                frozen: frozen.clone(),
             },
         })
     }
 }
 
-/// Trains `model` in place on an explicit `(head, group)` slot list,
-/// optionally under a gradient mask. The slot order fixes the shuffle
-/// stream, so callers filter and order their slots deliberately. Every
-/// group's rows are `seq_len × emb_size` wide.
-pub fn train_slots(
+/// Trains head `head` of `model` in place on an explicit `(head, group)` slot
+/// list, with the trunk and every other head frozen: their gradients are
+/// zeroed after every backward pass, and Adam with zero weight decay takes a
+/// bitwise no-op step on a zero gradient, so they stay bitwise unchanged.
+/// Slots routed through another head therefore move nothing. The slot order
+/// fixes the shuffle stream, so callers filter and order their slots
+/// deliberately. Every group's rows are `seq_len × emb_size` wide.
+pub fn train_head(
     model: &mut TlpModel,
+    head: usize,
     slots: Vec<(usize, &GroupData)>,
-    mask: Option<GradMask>,
     options: &TrainOptions,
 ) -> TrainReport {
-    let mut task = HeadTask::new(model, slots, mask, options);
+    let mut frozen = model.trunk_param_ids();
+    for t in (0..model.num_tasks()).filter(|&t| t != head) {
+        frozen.extend(model.head_param_ids(t));
+    }
+    let mut task = HeadTask::new(model, slots, Some((head, frozen)), options);
     Trainer::new(options.clone()).fit(&mut task)
 }
 

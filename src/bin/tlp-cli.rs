@@ -242,8 +242,7 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
     use tlp::experiments::eval_head;
     use tlp::{train_mtl_with, TrainOptions};
     use tlp_continual::{
-        run_continual, AdaptConfig, CanarySet, ContinualConfig, PublishPolicy, ReplayBuffer,
-        SnapshotPublisher,
+        run_continual, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher,
     };
     use tlp_hwsim::FaultRates;
 
@@ -292,7 +291,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         registry.clone(),
         "ryzen-3950x",
         2,
-        PublishPolicy::default(),
         CanarySet::from_dataset(&ds, 2, 0),
     );
     let config = ContinualConfig {
@@ -300,13 +298,11 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         per_task_candidates: 4,
         max_tasks: 3,
         fault_rates: FaultRates::uniform(0.05),
-        adapt: AdaptConfig::frozen(
-            TrainOptions::from_config(&cfg)
-                .with_epochs(4)
-                .with_batch_size(16)
-                .with_learning_rate(1e-3)
-                .with_seed(0x5EED),
-        ),
+        adapt: TrainOptions::from_config(&cfg)
+            .with_epochs(4)
+            .with_batch_size(16)
+            .with_learning_rate(1e-3)
+            .with_seed(0x5EED),
         seed: 0xADA7,
     };
     println!(
