@@ -1,4 +1,5 @@
-//! Replay-mixed head adaptation on top of the shared [`Trainer`](tlp::Trainer).
+//! Replay-mixed head adaptation on top of the shared training loop,
+//! [`tlp::trainer::fit`].
 //!
 //! [`adapt_round`] is *not* a new training loop: it hands `tlp`'s one
 //! head-routed task ([`train_head`]) a slot list — the new platform's
@@ -19,8 +20,8 @@ use tlp::train::{train_head, TrainData};
 use tlp::{TlpModel, TrainOptions, TrainReport};
 
 /// Runs one adaptation round: trains head `head` alone on `new_data` mixed
-/// with `replay`, using the shared deterministic [`Trainer`](tlp::Trainer)
-/// with `options`.
+/// with `replay`, using the shared deterministic [`tlp::trainer::fit`] with
+/// `options`.
 ///
 /// Returns the trainer's [`TrainReport`]. For fixed options the round is
 /// bit-reproducible, like every other training loop in this workspace.

@@ -12,12 +12,12 @@
 //!   platforms' task groups, a bounded sample per head. Replay batches are
 //!   mixed into every adaptation epoch, routed through their old heads.
 //! - [`adapt`]: [`adapt_round`] drives the existing bitwise-deterministic
-//!   [`tlp::Trainer`] — not a new training loop — through
+//!   training loop, [`tlp::trainer::fit`] — not a new one — through
 //!   [`tlp::train::train_head`], which trains the new head alone: the trunk
 //!   and every old head have their gradients zeroed in the trainer's
 //!   `postprocess_grads` hook, so old platforms are provably
-//!   bitwise-invariant and the accumulation, clipping, and Adam step stay
-//!   byte-for-byte the shared code path.
+//!   bitwise-invariant and the clipping and Adam step stay byte-for-byte
+//!   the shared code path.
 //! - [`publish`]: a [`SnapshotPublisher`] emits versioned
 //!   [`tlp::persist::SavedTlp`] snapshots after every round, hot-swaps them
 //!   into a live [`tlp_serve::ModelRegistry`] (the atomic-`Arc` swap — a

@@ -53,7 +53,7 @@ pub struct ContinualConfig {
     pub max_tasks: usize,
     /// Fault injection rates for the new platform's measurer.
     pub fault_rates: FaultRates,
-    /// Trainer knobs of every adaptation round; each round re-derives the
+    /// Training knobs of every adaptation round; each round re-derives the
     /// seed from this one and the round index.
     pub adapt: TrainOptions,
     /// Master seed for candidate sampling and fault injection.

@@ -8,7 +8,7 @@
 
 use crate::config::TlpConfig;
 use crate::train::TrainData;
-use crate::trainer::{gather_rows, grouped_batches, TrainOptions, Trainable, Trainer};
+use crate::trainer::{fit, gather_rows, grouped_batches, TrainOptions, Trainable};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlp_dataset::{Dataset, TaskData};
@@ -225,7 +225,7 @@ impl TenSetMlp {
             data,
             batch_size,
         };
-        Trainer::new(options).fit(&mut task).epoch_losses()
+        fit(&options, &mut task).epoch_losses()
     }
 }
 
@@ -248,7 +248,7 @@ impl Trainable for TenSetTask<'_> {
         &mut self.model.store
     }
 
-    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
+    fn epoch_batches(&self, rng: &mut SmallRng) -> Vec<Self::Batch> {
         let groups = &self.data.groups;
         let lens: Vec<usize> = groups.iter().map(|g| g.labels.len()).collect();
         let mut out = Vec::new();

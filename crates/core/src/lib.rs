@@ -14,8 +14,8 @@
 //!   with more heads;
 //! - [`train`]: task-grouped training data with LambdaRank or MSE loss, one
 //!   batch provider for any head count;
-//! - [`trainer`]: the generic training engine
-//!   (`Trainer`/`TrainOptions`/`TrainReport`) behind every training loop;
+//! - [`trainer`]: the one training loop, [`trainer::fit`], with its
+//!   `TrainOptions`/`TrainReport`;
 //! - [`metrics`]: the paper's top-k score (§6.1);
 //! - [`baselines`]: TenSet-MLP and Ansor's online GBDT over hand-extracted
 //!   program features;
@@ -73,11 +73,5 @@ pub use metrics::{top_k_score, top_k_scores};
 pub use model::TlpModel;
 pub use persist::{snapshot, store_checksum, PersistError, SavedTlp, SAVED_TLP_FORMAT_VERSION};
 pub use search::{AnsorCostModel, FeatureModel, TenSetMlpCostModel, TlpCostModel};
-pub use train::{
-    resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
-    TrainData,
-};
-pub use trainer::{
-    grouped_batches, EpochReport, StopReason, TrainCheckpoint, TrainOptions, TrainReport,
-    Trainable, Trainer, TRAIN_CHECKPOINT_FORMAT_VERSION,
-};
+pub use train::{train_mtl, train_mtl_with, train_tlp, train_tlp_with, TrainData};
+pub use trainer::{grouped_batches, EpochReport, StopReason, TrainOptions, TrainReport, Trainable};

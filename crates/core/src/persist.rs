@@ -95,15 +95,6 @@ pub enum PersistError {
         /// Minimum head count of a model.
         expected: usize,
     },
-    /// A training checkpoint's recorded shuffle seed differs from the
-    /// resuming trainer's options, which would silently break the
-    /// bit-identical-resume guarantee.
-    SeedMismatch {
-        /// Seed recorded in the checkpoint.
-        found: u64,
-        /// Seed the resuming trainer is configured with.
-        expected: u64,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -146,10 +137,6 @@ impl std::fmt::Display for PersistError {
             PersistError::HeadCount { found, expected } => write!(
                 f,
                 "model snapshot has {found} head(s), expected at least {expected}"
-            ),
-            PersistError::SeedMismatch { found, expected } => write!(
-                f,
-                "training checkpoint seed {found} does not match trainer seed {expected}"
             ),
         }
     }
@@ -224,7 +211,7 @@ pub fn store_checksum(store: &ParamStore) -> u64 {
 /// Writes `body` to `path` via a sibling tempfile + atomic rename, so a
 /// crash mid-write can never leave a torn file at `path`: readers see
 /// either the old complete content or the new complete content.
-pub(crate) fn atomic_write(path: &Path, body: &str) -> std::io::Result<()> {
+fn atomic_write(path: &Path, body: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);

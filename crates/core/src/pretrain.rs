@@ -11,7 +11,7 @@
 //! next-token prediction, BERT with masked-token prediction (the full-token
 //! prediction variant: every position is predicted, 15% are corrupted).
 
-use crate::trainer::{grouped_batches, TrainOptions, TrainReport, Trainable, Trainer};
+use crate::trainer::{fit, grouped_batches, TrainOptions, TrainReport, Trainable};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -235,7 +235,7 @@ impl PretrainedLm {
             corpus,
             batch_size: options.batch_size.max(1),
         };
-        Trainer::new(options).fit(&mut task)
+        fit(&options, &mut task)
     }
 
     /// Regression scores via mean-pooled encoder output (the downstream
@@ -276,7 +276,7 @@ impl PretrainedLm {
             groups,
             batch_size: options.batch_size.max(2),
         };
-        Trainer::new(options).fit(&mut task)
+        fit(&options, &mut task)
     }
 }
 
@@ -307,7 +307,7 @@ impl Trainable for LmPretrainTask<'_> {
         &mut self.lm.store
     }
 
-    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
+    fn epoch_batches(&self, rng: &mut SmallRng) -> Vec<Self::Batch> {
         let l = self.lm.config.max_len;
         let mut order: Vec<usize> = (0..self.corpus.len()).collect();
         order.shuffle(rng);
@@ -386,7 +386,7 @@ impl Trainable for FineTuneTask<'_> {
         &mut self.lm.store
     }
 
-    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
+    fn epoch_batches(&self, rng: &mut SmallRng) -> Vec<Self::Batch> {
         let l = self.lm.config.max_len;
         let lens: Vec<usize> = self.groups.iter().map(|(_, labels)| labels.len()).collect();
         let mut out = Vec::new();

@@ -15,7 +15,7 @@
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
 use crate::trainer::{
-    gather_rows, grouped_batches, scored_loss, TrainOptions, TrainReport, Trainable, Trainer,
+    fit, gather_rows, grouped_batches, scored_loss, TrainOptions, TrainReport, Trainable,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -161,7 +161,7 @@ impl Trainable for HeadTask<'_> {
         &mut self.model.store
     }
 
-    fn epoch_batches(&self, _epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch> {
+    fn epoch_batches(&self, rng: &mut SmallRng) -> Vec<Self::Batch> {
         let fs = self.model.config.seq_len * self.model.config.emb_size;
         let lens: Vec<usize> = self.slots.iter().map(|(_, g)| g.labels.len()).collect();
         let mut out = Vec::new();
@@ -224,8 +224,8 @@ impl Trainable for HeadTask<'_> {
 
 /// Trains head `head` of `model` in place on an explicit `(head, group)` slot
 /// list, with the trunk and every other head frozen: their gradients are
-/// zeroed after every backward pass, and Adam with zero weight decay takes a
-/// bitwise no-op step on a zero gradient, so they stay bitwise unchanged.
+/// zeroed after every backward pass, and Adam takes a bitwise no-op step on a
+/// zero gradient, so they stay bitwise unchanged.
 /// Slots routed through another head therefore move nothing. The slot order
 /// fixes the shuffle stream, so callers filter and order their slots
 /// deliberately. Every group's rows are `seq_len × emb_size` wide.
@@ -240,7 +240,7 @@ pub fn train_head(
         frozen.extend(model.head_param_ids(t));
     }
     let mut task = HeadTask::new(model, slots, Some((head, frozen)), options);
-    Trainer::new(options.clone()).fit(&mut task)
+    fit(options, &mut task)
 }
 
 /// Trains a one-head TLP model in place with options derived from its
@@ -270,64 +270,13 @@ pub fn train_mtl(model: &mut TlpModel, task_data: &[TrainData]) -> TrainReport {
     train_mtl_with(model, task_data, &options)
 }
 
-/// Trains every head of `model` with explicit [`TrainOptions`].
+/// Trains every head of `model` with explicit [`TrainOptions`]: every group
+/// of `task_data[i]` trains head `i`, nothing frozen.
 pub fn train_mtl_with(
     model: &mut TlpModel,
     task_data: &[TrainData],
     options: &TrainOptions,
 ) -> TrainReport {
-    let mut task = make_task(model, task_data, options);
-    Trainer::new(options.clone()).fit(&mut task)
-}
-
-/// Trains like [`train_mtl_with`], but spills a crash-safe
-/// [`TrainCheckpoint`](crate::TrainCheckpoint) to `checkpoint_path` every
-/// `every_epochs` epochs (atomic tempfile + rename). An interrupted run can
-/// be continued bit-identically with [`resume_tlp`].
-pub fn train_tlp_checkpointed(
-    model: &mut TlpModel,
-    task_data: &[TrainData],
-    options: &TrainOptions,
-    checkpoint_path: impl Into<std::path::PathBuf>,
-    every_epochs: usize,
-) -> TrainReport {
-    let mut task = make_task(model, task_data, options);
-    Trainer::new(options.clone())
-        .with_checkpointing(checkpoint_path, every_epochs)
-        .fit(&mut task)
-}
-
-/// Resumes an interrupted [`train_tlp_checkpointed`] run from its
-/// checkpoint and trains to `options.epochs`, continuing to spill to the
-/// same path. `model` must be freshly constructed with the same config and
-/// head count, and `options` must match the interrupted run; the result is
-/// then bitwise-identical to a never-interrupted run.
-///
-/// # Errors
-///
-/// Returns [`PersistError`](crate::PersistError) if the checkpoint is
-/// unreadable, has a wrong format version, or records a different seed.
-pub fn resume_tlp(
-    model: &mut TlpModel,
-    task_data: &[TrainData],
-    options: &TrainOptions,
-    checkpoint_path: impl Into<std::path::PathBuf>,
-    every_epochs: usize,
-) -> Result<TrainReport, crate::PersistError> {
-    let path = checkpoint_path.into();
-    let mut task = make_task(model, task_data, options);
-    Trainer::new(options.clone())
-        .with_checkpointing(path.clone(), every_epochs)
-        .resume_from(&mut task, &path)
-}
-
-/// Builds the `(task, group)`-slot batch provider shared by the TLP entry
-/// points: every group of `task_data[i]` trains head `i`, unmasked.
-fn make_task<'a>(
-    model: &'a mut TlpModel,
-    task_data: &'a [TrainData],
-    options: &TrainOptions,
-) -> HeadTask<'a> {
     assert_eq!(
         task_data.len(),
         model.num_tasks(),
@@ -345,7 +294,8 @@ fn make_task<'a>(
         .enumerate()
         .flat_map(|(head, data)| data.groups.iter().map(move |g| (head, g)))
         .collect();
-    HeadTask::new(model, slots, None, options)
+    let mut task = HeadTask::new(model, slots, None, options);
+    fit(options, &mut task)
 }
 
 #[cfg(test)]

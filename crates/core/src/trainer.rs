@@ -1,11 +1,11 @@
 //! The training engine behind every training loop.
 //!
-//! [`Trainer::fit`] is the only place in the workspace that owns an
-//! optimizer: TLP (any head count), TenSet-MLP, LM pretraining, rank
-//! fine-tuning and continual adaptation are each a [`Trainable`] batch
-//! provider, so the learning-rate schedule, gradient clipping,
-//! checkpointing and epoch accounting live in exactly one place. The
-//! rank-loss providers also share one batch stream, [`grouped_batches`].
+//! [`fit`] is the only place in the workspace that owns an optimizer: TLP
+//! (any head count), TenSet-MLP, LM pretraining, rank fine-tuning and
+//! continual adaptation are each a [`Trainable`] batch provider, so the
+//! learning-rate schedule, gradient clipping and epoch accounting live in
+//! exactly one place. The rank-loss providers also share one batch stream,
+//! [`grouped_batches`].
 //!
 //! # Optimizer step
 //!
@@ -16,14 +16,12 @@
 //! pre-clip gradient norm → clip → one Adam step.
 
 use crate::config::LossKind;
-use crate::persist::{atomic_write, PersistError};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tlp_modelcheck::{Code, CoverageSpec, Diagnostic, Severity};
+use tlp_modelcheck::CoverageSpec;
 use tlp_nn::{lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, ParamStore, Var, Workspace};
 
 use crate::config::TlpConfig;
@@ -33,7 +31,7 @@ use crate::config::TlpConfig;
 /// under the same recipe.
 const GRAD_CLIP: f32 = 5.0;
 
-/// Shared training knobs consumed by [`Trainer`].
+/// Shared training knobs consumed by [`fit`].
 ///
 /// The config-driven entry points (`train_tlp` etc.) derive their options
 /// from the model's [`TlpConfig`] via [`TrainOptions::from_config`]; the
@@ -138,9 +136,6 @@ pub struct TrainReport {
     pub wall_s: f64,
     /// Total training samples consumed across all epochs.
     pub samples: usize,
-    /// Checkpoints spilled to disk during the run (0 unless
-    /// [`Trainer::with_checkpointing`] is configured).
-    pub checkpoints_written: usize,
 }
 
 impl TrainReport {
@@ -164,10 +159,9 @@ impl TrainReport {
     }
 }
 
-/// A training task the generic [`Trainer`] can drive: a batch provider plus
-/// a loss. Implementations exist for TLP's `(head, group)` interleaved slots
-/// (any head count), LM pretraining corpora, and rank fine-tuning.
-///
+/// A training task [`fit`] can drive: a batch provider plus a loss.
+/// Implementations exist for TLP's `(head, group)` interleaved slots (any
+/// head count), TenSet-MLP, LM pretraining corpora, and rank fine-tuning.
 pub trait Trainable {
     /// One self-contained micro-batch.
     type Batch;
@@ -181,7 +175,7 @@ pub trait Trainable {
     /// Builds the epoch's shuffled micro-batch stream. Implementations must
     /// draw shuffles from `rng` exactly like the loop they replaced so
     /// fixed-seed runs reproduce historical batch streams.
-    fn epoch_batches(&self, epoch: usize, rng: &mut SmallRng) -> Vec<Self::Batch>;
+    fn epoch_batches(&self, rng: &mut SmallRng) -> Vec<Self::Batch>;
 
     /// Sample count of a micro-batch (throughput accounting).
     fn batch_samples(&self, batch: &Self::Batch) -> usize;
@@ -196,9 +190,9 @@ pub trait Trainable {
     ///
     /// Implementations may zero or rescale per-parameter gradients through
     /// [`tlp_nn::ParamStore::grad_mut`]. Continual adaptation uses this to
-    /// freeze the shared trunk (zeroing a gradient every step keeps Adam's
-    /// moments at zero, so the frozen parameter is bitwise unchanged) or to
-    /// run the trunk at a reduced effective learning rate.
+    /// freeze everything but the new head (zeroing a gradient every step
+    /// keeps Adam's moments at zero, so the frozen parameter is bitwise
+    /// unchanged).
     fn postprocess_grads(&mut self) {}
 
     /// Declares the task's training objective for the `tlp-modelcheck`
@@ -211,314 +205,83 @@ pub trait Trainable {
     }
 }
 
-/// Format tag written into every [`TrainCheckpoint`] file.
+/// Trains `task` in place under `options` and reports per-epoch
+/// statistics. See the module docs for the execution model.
 ///
-/// History: 1 = initial layout; 2 = a one-head TLP model's store names its
-/// head like every other head; 3 = no early-stopping state. An older
-/// checkpoint fails with [`PersistError::Version`].
-pub const TRAIN_CHECKPOINT_FORMAT_VERSION: u32 = 3;
-
-/// A crash-safe snapshot of a [`Trainer::fit`] run after a whole number of
-/// epochs: parameters, Adam moments, and epoch reports. Written
-/// periodically by [`Trainer::with_checkpointing`] via a sibling tempfile +
-/// atomic rename (a crash mid-spill can never corrupt the previous
-/// checkpoint), and consumed by [`Trainer::resume_from`].
+/// # Panics
 ///
-/// The shuffling RNG is *not* serialized: `SmallRng` exposes no state
-/// accessors. Resume instead replays [`Trainable::epoch_batches`] for the
-/// completed epochs, which consumes the stream identically — so a resumed
-/// run draws exactly the batches the uninterrupted run would have, and
-/// finishes with bitwise-identical parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TrainCheckpoint {
-    /// Snapshot format tag; see [`TRAIN_CHECKPOINT_FORMAT_VERSION`].
-    format_version: u32,
-    /// Epochs fully completed when the snapshot was taken.
-    pub epochs_done: usize,
-    /// Shuffling seed of the interrupted run; [`Trainer::resume_from`]
-    /// refuses a checkpoint whose seed differs from its own options.
-    pub seed: u64,
-    /// The trained parameters after `epochs_done` epochs.
-    pub store: ParamStore,
-    /// Optimizer state (Adam moments and step count).
-    pub optimizer: Adam,
-    /// Per-epoch reports for the completed epochs.
-    pub reports: Vec<EpochReport>,
-    /// Optimizer steps taken so far.
-    pub total_steps: usize,
-    /// Training samples consumed so far.
-    pub total_samples: usize,
-}
-
-impl TrainCheckpoint {
-    /// Writes the checkpoint as JSON via tempfile + atomic rename.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on filesystem or serialization failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let body = serde_json::to_string(self)?;
-        atomic_write(path.as_ref(), &body)?;
-        Ok(())
+/// Panics if the task's declared [`Trainable::coverage`] fails the
+/// gradient-coverage audit.
+pub fn fit(options: &TrainOptions, task: &mut impl Trainable) -> TrainReport {
+    // A mask that silently trains nothing or strands a trainable
+    // parameter is a bug, not a run to complete (read-only, RNG-neutral).
+    if let Some(cov) = task.coverage() {
+        let report = tlp_modelcheck::check_coverage(task.store(), &cov);
+        assert!(
+            !report.has_errors(),
+            "training objective fails gradient-coverage audit:\n{report}"
+        );
     }
+    let mut opt = Adam::new(options.learning_rate);
+    let mut rng = SmallRng::seed_from_u64(options.seed);
+    let t0 = Instant::now();
+    let mut ws = Workspace::new();
 
-    /// Reads and version-checks a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on filesystem failure, version mismatch, or
-    /// deserialization failure (e.g. a truncated or corrupted file).
-    pub fn load(path: impl AsRef<Path>) -> Result<TrainCheckpoint, PersistError> {
-        let body = std::fs::read_to_string(path)?;
-        let tree: serde::Value = serde_json::from_str(&body)?;
-        let found = tree
-            .get("format_version")
-            .and_then(serde::Value::as_u64)
-            .unwrap_or(0) as u32;
-        if found != TRAIN_CHECKPOINT_FORMAT_VERSION {
-            return Err(PersistError::Version {
-                found,
-                expected: TRAIN_CHECKPOINT_FORMAT_VERSION,
-            });
-        }
-        serde::Deserialize::deserialize_value(&tree)
-            .map_err(|e| PersistError::Format(serde_json::Error::from(e)))
-    }
+    let mut epochs: Vec<EpochReport> = Vec::with_capacity(options.epochs);
+    let mut total_steps = 0usize;
+    let mut total_samples = 0usize;
 
-    /// The checkpoint's format version tag.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-}
+    for epoch in 0..options.epochs {
+        let e0 = Instant::now();
+        let lr = options.lr_schedule.lr_at(options.learning_rate, epoch);
+        opt.set_learning_rate(lr);
+        let batches = task.epoch_batches(&mut rng);
 
-/// The generic training engine. See the module docs for the execution model.
-#[derive(Clone, Debug)]
-pub struct Trainer {
-    options: TrainOptions,
-    checkpoint_path: Option<PathBuf>,
-    checkpoint_every: usize,
-}
-
-impl Trainer {
-    /// Creates a trainer with the given options.
-    pub fn new(options: TrainOptions) -> Self {
-        Trainer {
-            options,
-            checkpoint_path: None,
-            checkpoint_every: 1,
-        }
-    }
-
-    /// The trainer's options.
-    pub fn options(&self) -> &TrainOptions {
-        &self.options
-    }
-
-    /// Enables periodic checkpoint spills: after every `every_epochs`
-    /// completed epochs (and after the final one) a [`TrainCheckpoint`] is
-    /// written to `path` atomically. A spill failure is reported on stderr
-    /// and training continues — crash safety must not break training.
-    pub fn with_checkpointing(mut self, path: impl Into<PathBuf>, every_epochs: usize) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self.checkpoint_every = every_epochs.max(1);
-        self
-    }
-
-    /// Resumes an interrupted run from a [`TrainCheckpoint`] and trains to
-    /// this trainer's configured epoch count. Parameters, optimizer
-    /// moments, and the shuffle RNG stream are all restored, so the
-    /// continued run is bitwise-identical to one that was never interrupted
-    /// (same options required).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] if the checkpoint cannot be read, its
-    /// recorded seed differs from this trainer's options (which would
-    /// silently break the bit-identical-resume guarantee), or its store does
-    /// not have the task's parameter layout ([`PersistError::Invalid`] with
-    /// M101 / M102 / M103 diagnostics; the task is left untouched).
-    pub fn resume_from<T: Trainable>(
-        &self,
-        task: &mut T,
-        path: impl AsRef<Path>,
-    ) -> Result<TrainReport, PersistError> {
-        let ckpt = TrainCheckpoint::load(path)?;
-        if ckpt.seed != self.options.seed {
-            return Err(PersistError::SeedMismatch {
-                found: ckpt.seed,
-                expected: self.options.seed,
-            });
-        }
-        check_layout(task.store(), &ckpt.store)?;
-        Ok(self.fit_inner(task, Some(ckpt)))
-    }
-
-    /// Trains `task` in place and reports per-epoch statistics.
-    pub fn fit<T: Trainable>(&self, task: &mut T) -> TrainReport {
-        self.fit_inner(task, None)
-    }
-
-    /// The shared training loop: a fresh run when `resume` is `None`,
-    /// otherwise a continuation that first restores the checkpoint's state.
-    fn fit_inner<T: Trainable>(
-        &self,
-        task: &mut T,
-        resume: Option<TrainCheckpoint>,
-    ) -> TrainReport {
-        let o = &self.options;
-        // A mask that silently trains nothing or strands a trainable
-        // parameter is a bug, not a run to complete (read-only, RNG-neutral).
-        if let Some(cov) = task.coverage() {
-            let report = tlp_modelcheck::check_coverage(task.store(), &cov);
-            assert!(
-                !report.has_errors(),
-                "training objective fails gradient-coverage audit:\n{report}"
-            );
-        }
-        let mut opt = Adam::new(o.learning_rate);
-        let mut rng = SmallRng::seed_from_u64(o.seed);
-        let t0 = Instant::now();
-        let mut ws = Workspace::new();
-
-        let mut epochs: Vec<EpochReport> = Vec::with_capacity(o.epochs);
-        let mut total_steps = 0usize;
-        let mut total_samples = 0usize;
-        let mut start_epoch = 0usize;
-        let mut checkpoints_written = 0usize;
-
-        if let Some(ckpt) = resume {
-            start_epoch = ckpt.epochs_done.min(o.epochs);
-            *task.store_mut() = ckpt.store;
-            opt = ckpt.optimizer;
-            total_steps = ckpt.total_steps;
-            total_samples = ckpt.total_samples;
-            epochs = ckpt.reports;
-            // Replay the shuffle stream for the completed epochs so the
-            // continuation draws exactly the batches an uninterrupted run
-            // would have (SmallRng state itself is not serializable).
-            for e in 0..start_epoch {
-                let _ = task.epoch_batches(e, &mut rng);
-            }
-        }
-
-        for epoch in start_epoch..o.epochs {
-            let e0 = Instant::now();
-            let lr = o.lr_schedule.lr_at(o.learning_rate, epoch);
-            opt.set_learning_rate(lr);
-            let batches = task.epoch_batches(epoch, &mut rng);
-
-            let steps = batches.len();
-            let mean = |sum: f64| {
-                if steps > 0 {
-                    (sum / steps as f64) as f32
-                } else {
-                    0.0
-                }
-            };
-            let mut loss_sum = 0.0f64;
-            let mut norm_sum = 0.0f64;
-            let mut samples = 0usize;
-            for batch in &batches {
-                ws.reset();
-                let loss = task.loss(&mut ws, batch);
-                ws.graph.backward(loss);
-                ws.bind.harvest(&ws.graph, task.store_mut());
-                loss_sum += ws.graph.value(loss).item() as f64;
-                samples += task.batch_samples(batch);
-                task.postprocess_grads();
-                norm_sum += task.store().grad_norm() as f64;
-                task.store_mut().clip_grad_norm(GRAD_CLIP);
-                opt.step(task.store_mut());
-            }
-            total_steps += steps;
-            total_samples += samples;
-            epochs.push(EpochReport {
-                epoch,
-                train_loss: mean(loss_sum),
-                learning_rate: lr,
-                grad_norm: mean(norm_sum),
-                wall_s: e0.elapsed().as_secs_f64(),
-                steps,
-                samples,
-            });
-
-            if let Some(path) = &self.checkpoint_path {
-                let done = epoch + 1;
-                if done % self.checkpoint_every == 0 || done == o.epochs {
-                    let ckpt = TrainCheckpoint {
-                        format_version: TRAIN_CHECKPOINT_FORMAT_VERSION,
-                        epochs_done: done,
-                        seed: o.seed,
-                        store: task.store().clone(),
-                        optimizer: opt.clone(),
-                        reports: epochs.clone(),
-                        total_steps,
-                        total_samples,
-                    };
-                    match ckpt.save(path) {
-                        Ok(()) => checkpoints_written += 1,
-                        Err(e) => eprintln!(
-                            "trainer: checkpoint spill to {} failed: {e}",
-                            path.display()
-                        ),
-                    }
-                }
-            }
-        }
-
-        TrainReport {
-            epochs,
-            stop: if total_steps == 0 {
-                StopReason::NoData
+        let steps = batches.len();
+        let mean = |sum: f64| {
+            if steps > 0 {
+                (sum / steps as f64) as f32
             } else {
-                StopReason::Completed
-            },
-            wall_s: t0.elapsed().as_secs_f64(),
-            samples: total_samples,
-            checkpoints_written,
+                0.0
+            }
+        };
+        let mut loss_sum = 0.0f64;
+        let mut norm_sum = 0.0f64;
+        let mut samples = 0usize;
+        for batch in &batches {
+            ws.reset();
+            let loss = task.loss(&mut ws, batch);
+            ws.graph.backward(loss);
+            ws.bind.harvest(&ws.graph, task.store_mut());
+            loss_sum += ws.graph.value(loss).item() as f64;
+            samples += task.batch_samples(batch);
+            task.postprocess_grads();
+            norm_sum += task.store().grad_norm() as f64;
+            task.store_mut().clip_grad_norm(GRAD_CLIP);
+            opt.step(task.store_mut());
         }
+        total_steps += steps;
+        total_samples += samples;
+        epochs.push(EpochReport {
+            epoch,
+            train_loss: mean(loss_sum),
+            learning_rate: lr,
+            grad_norm: mean(norm_sum),
+            wall_s: e0.elapsed().as_secs_f64(),
+            steps,
+            samples,
+        });
     }
-}
 
-/// A checkpoint is outside input and the model addresses its parameters by
-/// position, so before anything is installed the checkpoint's store must
-/// list the task's own `(name, shape)` pairs in the task's order.
-fn check_layout(own: &ParamStore, found: &ParamStore) -> Result<(), PersistError> {
-    let error =
-        |code, name: &str, message: String| Diagnostic::at(code, Severity::Error, name, message);
-    let missing = |id| {
-        let shape = own.value(id).shape();
-        let message = format!("the model expects it here (shape {shape:?})");
-        error(Code::MissingParam, own.name(id), message)
-    };
-    let orphan = |id| {
-        let shape = found.value(id).shape();
-        let message = format!("the model has no such parameter here (shape {shape:?})");
-        error(Code::OrphanParam, found.name(id), message)
-    };
-    let mut diagnostics = Vec::new();
-    let (mut own_ids, mut found_ids) = (own.ids(), found.ids());
-    loop {
-        match (own_ids.next(), found_ids.next()) {
-            (None, None) => break,
-            (Some(o), None) => diagnostics.push(missing(o)),
-            (None, Some(f)) => diagnostics.push(orphan(f)),
-            (Some(o), Some(f)) if own.name(o) != found.name(f) => {
-                diagnostics.extend([missing(o), orphan(f)]);
-            }
-            (Some(o), Some(f)) => {
-                let (want, got) = (own.value(o).shape(), found.value(f).shape());
-                if want != got {
-                    let message = format!("the model holds shape {want:?}, the checkpoint {got:?}");
-                    diagnostics.push(error(Code::ShapeMismatch, own.name(o), message));
-                }
-            }
-        }
-    }
-    if diagnostics.is_empty() {
-        Ok(())
-    } else {
-        Err(PersistError::Invalid { diagnostics })
+    TrainReport {
+        epochs,
+        stop: if total_steps == 0 {
+            StopReason::NoData
+        } else {
+            StopReason::Completed
+        },
+        wall_s: t0.elapsed().as_secs_f64(),
+        samples: total_samples,
     }
 }
 
@@ -586,36 +349,6 @@ pub(crate) fn gather_rows(
 mod tests {
     use super::*;
 
-    #[test]
-    fn checkpoint_load_rejects_corrupt_and_misversioned_files() {
-        let path = std::env::temp_dir().join("tlp_train_ckpt_corrupt.json");
-        std::fs::write(&path, "{\"format_ver").expect("write");
-        assert!(matches!(
-            TrainCheckpoint::load(&path),
-            Err(PersistError::Format(_))
-        ));
-        std::fs::write(&path, "{\"format_version\": 9999}").expect("write");
-        assert!(matches!(
-            TrainCheckpoint::load(&path),
-            Err(PersistError::Version { found: 9999, .. })
-        ));
-        // What the previous format wrote, early-stopping state included.
-        let v2 = "{\"format_version\": 2, \"epochs_done\": 1, \"seed\": 42, \"best\": null, \"bad_epochs\": 0}";
-        std::fs::write(&path, v2).expect("write");
-        assert!(matches!(
-            TrainCheckpoint::load(&path),
-            Err(PersistError::Version {
-                found: 2,
-                expected: 3
-            })
-        ));
-        assert!(matches!(
-            TrainCheckpoint::load("/nonexistent/ckpt.json"),
-            Err(PersistError::Io(_))
-        ));
-        let _ = std::fs::remove_file(path);
-    }
-
     /// Two heads over a shared trunk whose objective only reaches head 0.
     struct StrandedHead(ParamStore);
 
@@ -628,7 +361,7 @@ mod tests {
         fn store_mut(&mut self) -> &mut ParamStore {
             &mut self.0
         }
-        fn epoch_batches(&self, _epoch: usize, _rng: &mut SmallRng) -> Vec<()> {
+        fn epoch_batches(&self, _rng: &mut SmallRng) -> Vec<()> {
             Vec::new()
         }
         fn batch_samples(&self, _batch: &()) -> usize {
@@ -653,6 +386,6 @@ mod tests {
         for name in ["backbone.w", "head0.w", "head1.w"] {
             store.add(name, tlp_nn::Tensor::zeros(&[2]));
         }
-        Trainer::new(TrainOptions::default()).fit(&mut StrandedHead(store));
+        fit(&TrainOptions::default(), &mut StrandedHead(store));
     }
 }

@@ -1,6 +1,5 @@
 //! Correctness guarantees of the training engine: pinned trained-weight
-//! digests for every batch stream, bit-identical resume, the checkpoint
-//! layout check, and the `TrainReport` contract.
+//! digests for every batch stream and the `TrainReport` contract.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
@@ -9,13 +8,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use tlp::baselines::{TenSetMlp, PROGRAM_FEATURE_DIM};
-use tlp::train::{
-    resume_tlp, train_mtl, train_mtl_with, train_tlp, train_tlp_checkpointed, train_tlp_with,
-    GroupData, TrainData,
-};
-use tlp::{
-    grouped_batches, PersistError, StopReason, TlpConfig, TlpModel, TrainCheckpoint, TrainOptions,
-};
+use tlp::train::{train_mtl, train_mtl_with, train_tlp, train_tlp_with, GroupData, TrainData};
+use tlp::{grouped_batches, StopReason, TlpConfig, TlpModel, TrainOptions};
 use tlp_nn::ParamStore;
 
 /// Deterministic synthetic task-grouped data (no dataset generation).
@@ -58,17 +52,6 @@ fn tiny_config() -> TlpConfig {
         batch_size: 4,
         ..TlpConfig::test_scale()
     }
-}
-
-fn max_param_diff(a: &ParamStore, b: &ParamStore) -> f32 {
-    assert_eq!(a.len(), b.len());
-    let mut worst = 0.0f32;
-    for id in a.ids() {
-        for (x, y) in a.value(id).data().iter().zip(b.value(id).data()) {
-            worst = worst.max((x - y).abs());
-        }
-    }
-    worst
 }
 
 fn options(cfg: &TlpConfig) -> TrainOptions {
@@ -225,121 +208,6 @@ fn report_shape() {
 }
 
 #[test]
-fn resumed_training_is_bitwise_identical_to_uninterrupted() {
-    let cfg = tiny_config();
-    let opts = options(&cfg).with_epochs(6);
-    for tasks in head_inputs(&cfg) {
-        let heads = tasks.len();
-        let path = std::env::temp_dir().join(format!("tlp_trainer_resume_test_{heads}.json"));
-        let _ = std::fs::remove_file(&path);
-
-        // Straight-through run: 6 epochs, no interruption.
-        let mut straight = TlpModel::with_heads(cfg.clone(), heads);
-        let straight_report = train_mtl_with(&mut straight, &tasks, &opts);
-
-        // Interrupted run: 3 epochs with checkpointing, then a fresh model +
-        // resume carries it to 6. The fresh model simulates a process restart
-        // (all in-memory state lost; only the checkpoint file survives).
-        let mut interrupted = TlpModel::with_heads(cfg.clone(), heads);
-        let partial = train_tlp_checkpointed(
-            &mut interrupted,
-            &tasks,
-            &opts.clone().with_epochs(3),
-            &path,
-            3,
-        );
-        assert!(partial.checkpoints_written >= 1, "spill must have happened");
-        let ckpt = TrainCheckpoint::load(&path).expect("checkpoint readable");
-        assert_eq!(ckpt.epochs_done, 3);
-
-        let mut resumed_model = TlpModel::with_heads(cfg.clone(), heads);
-        let resumed = resume_tlp(&mut resumed_model, &tasks, &opts, &path, 3).expect("resume");
-
-        // Bitwise-identical parameters (ParamStore has no PartialEq; tensors do).
-        assert_eq!(max_param_diff(&straight.store, &resumed_model.store), 0.0);
-        // Same per-epoch losses over all 6 epochs, first 3 from the checkpoint.
-        assert_eq!(resumed.epochs.len(), 6);
-        assert_eq!(straight_report.epoch_losses(), resumed.epoch_losses());
-        assert_eq!(resumed.stop, StopReason::Completed);
-        let _ = std::fs::remove_file(&path);
-    }
-}
-
-#[test]
-fn resume_rejects_seed_mismatch_and_missing_checkpoint() {
-    let cfg = tiny_config();
-    let data = [synth_data(&cfg, 3, 8, 29)];
-    let path = std::env::temp_dir().join("tlp_trainer_seed_mismatch_test.json");
-    let _ = std::fs::remove_file(&path);
-
-    // Missing checkpoint -> Io error.
-    let mut model = TlpModel::new(cfg.clone());
-    assert!(matches!(
-        resume_tlp(&mut model, &data, &options(&cfg), &path, 1),
-        Err(PersistError::Io(_))
-    ));
-
-    // Checkpoint written with seed 42, resume configured with seed 43.
-    let mut model = TlpModel::new(cfg.clone());
-    train_tlp_checkpointed(&mut model, &data, &options(&cfg).with_epochs(1), &path, 1);
-    let mut other = TlpModel::new(cfg.clone());
-    assert!(matches!(
-        resume_tlp(&mut other, &data, &options(&cfg).with_seed(43), &path, 1),
-        Err(PersistError::SeedMismatch {
-            found: 42,
-            expected: 43
-        })
-    ));
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A checkpoint is outside input: one written by a model with another head
-/// count or width is refused before anything is installed.
-#[test]
-fn resume_rejects_a_checkpoint_with_another_parameter_layout() {
-    let cfg = tiny_config();
-    let wide = TlpConfig {
-        hidden: cfg.hidden * 2,
-        ..cfg.clone()
-    };
-    let [one, two] = head_inputs(&cfg);
-    let opts = options(&cfg).with_epochs(1);
-    // (checkpoint writer, resuming model, the code its diagnostics carry)
-    let cases = [
-        (
-            TlpModel::with_heads(cfg.clone(), 2),
-            TlpModel::new(cfg.clone()),
-            "M102",
-        ),
-        (
-            TlpModel::new(cfg.clone()),
-            TlpModel::with_heads(cfg.clone(), 2),
-            "M101",
-        ),
-        (TlpModel::new(wide), TlpModel::new(cfg.clone()), "M103"),
-    ];
-    for (mut writer, mut resuming, code) in cases {
-        let path = std::env::temp_dir().join(format!("tlp_trainer_layout_test_{code}.json"));
-        let data = |m: &TlpModel| if m.num_tasks() == 2 { &two } else { &one };
-        let tasks = data(&writer);
-        train_tlp_checkpointed(&mut writer, tasks, &opts, &path, 1);
-        let before = value_digest(&resuming.store);
-        let tasks = data(&resuming);
-        match resume_tlp(&mut resuming, tasks, &opts, &path, 1) {
-            Err(PersistError::Invalid { diagnostics }) => {
-                assert!(
-                    diagnostics.iter().all(|d| d.code.as_str() == code),
-                    "expected only {code}: {diagnostics:?}"
-                );
-            }
-            other => panic!("expected Invalid, got {:?}", other.map(|r| r.stop)),
-        }
-        assert_eq!(before, value_digest(&resuming.store), "nothing installed");
-        let _ = std::fs::remove_file(&path);
-    }
-}
-
-#[test]
 fn train_report_serializes() {
     let cfg = tiny_config();
     let data = synth_data(&cfg, 2, 6, 3);
@@ -348,4 +216,93 @@ fn train_report_serializes() {
     let json = serde_json::to_string(&report).expect("report is serde data");
     assert!(json.contains("train_loss"));
     assert!(json.contains("Completed"));
+}
+
+/// The LM baselines' two training paths — GPT and BERT pretraining (salt
+/// `0x9e`) and rank fine-tuning of the GPT-pretrained model (salt `0xF1`),
+/// all at a constant learning rate — pinned by per-epoch loss bits and
+/// trained-weight digest. Every literal was captured at the parent of the
+/// change that removed the trainer's checkpoint/resume path and Adam's
+/// configurable hyper-parameters, before any other edit of that change.
+#[test]
+fn lm_pretraining_and_fine_tuning_match_their_digests() {
+    use tlp::pretrain::{PretrainConfig, PretrainKind, PretrainedLm, BOS};
+    let cfg = PretrainConfig {
+        d_model: 16,
+        heads: 2,
+        layers: 1,
+        max_len: 12,
+        name_cap: 8,
+        epochs: 2,
+        batch_size: 4,
+        ..PretrainConfig::default()
+    };
+    let vocab = cfg.vocab_size() as u64;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // `n` sequences of `max_len` tokens, each `BOS` then non-reserved ids.
+    let mut tokens = |n: usize| -> Vec<usize> {
+        (0..n)
+            .flat_map(|_| {
+                let body: Vec<usize> = (1..cfg.max_len)
+                    .map(|_| (3 + next() % (vocab - 3)) as usize)
+                    .collect();
+                std::iter::once(BOS).chain(body)
+            })
+            .collect()
+    };
+    let corpus: Vec<Vec<usize>> = tokens(10)
+        .chunks(cfg.max_len)
+        .map(<[usize]>::to_vec)
+        .collect();
+    // A one-sample group carries no ranking signal and is skipped.
+    let groups: Vec<(Vec<usize>, Vec<f32>)> = [5usize, 1, 7]
+        .iter()
+        .enumerate()
+        .map(|(g, &n)| {
+            let labels = (0..n)
+                .map(|i| ((g * 7 + i * 3) % 10 + 1) as f32 / 10.0)
+                .collect();
+            (tokens(n), labels)
+        })
+        .collect();
+    let check =
+        |what: &str, lm: &PretrainedLm, report: tlp::TrainReport, losses: &[u32], want: u64| {
+            let bits: Vec<u32> = report.epoch_losses().iter().map(|l| l.to_bits()).collect();
+            assert_eq!(bits, losses, "{what}: got {bits:#010x?}");
+            let got = value_digest(&lm.store);
+            assert_eq!(got, want, "{what}: expected {want:#018x}, got {got:#018x}");
+        };
+
+    let mut gpt = PretrainedLm::new(PretrainKind::Gpt, cfg.clone());
+    let report = gpt.pretrain(&corpus);
+    check(
+        "gpt pretrain",
+        &gpt,
+        report,
+        &[0x4073_87b5, 0x4073_1c9e],
+        0xb555_e542_6a8a_684e,
+    );
+    let report = gpt.fine_tune(&groups, 3);
+    check(
+        "fine-tune",
+        &gpt,
+        report,
+        &[0x3e08_bb8f, 0x3dda_9412, 0x3e17_07eb],
+        0x180a_58e3_1c99_2e08,
+    );
+    let mut bert = PretrainedLm::new(PretrainKind::Bert, cfg);
+    let report = bert.pretrain(&corpus);
+    check(
+        "bert pretrain",
+        &bert,
+        report,
+        &[0x4072_bd6b, 0x4072_2b11],
+        0x11bc_da25_eb1a_e2c2,
+    );
 }

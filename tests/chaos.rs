@@ -1,5 +1,5 @@
-//! The chaos harness: drives tuning and training under injected faults and
-//! asserts the robustness contract end to end.
+//! The chaos harness: drives tuning under injected faults and asserts the
+//! robustness contract end to end.
 //!
 //! Contract (see DESIGN.md §8):
 //! - **No panics, no stalls**: tuning at fault rates up to 0.2 completes
@@ -11,15 +11,10 @@
 //! - **Serving degrades, never aborts**: a request the server answers with
 //!   an error becomes an all-invalid batch the tuner ranks last
 //!   (`crates/serve/tests/serving.rs`, `remote_cost_model_degrades_on_*`).
-//! - **Training is crash-safe**: a checkpointed run interrupted mid-way and
-//!   resumed in a fresh process finishes bitwise-identical to an
-//!   uninterrupted one.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use proptest::prelude::*;
-use tlp::train::{resume_tlp, train_tlp_checkpointed, train_tlp_with, GroupData, TrainData};
-use tlp::{TlpConfig, TlpModel, TrainOptions};
 use tlp_autotuner::{tune_network, EvolutionConfig, RandomModel, TuningOptions, TuningReport};
 use tlp_hwsim::{FaultModel, FaultRates, InjectedFault, Platform};
 use tlp_workload::bert_tiny;
@@ -113,69 +108,6 @@ fn faulty_tuning_is_deterministic() {
     assert_eq!(a.failures, b.failures);
     assert_eq!(a.retries, b.retries);
     assert_eq!(a.best_per_task, b.best_per_task);
-}
-
-// -------------------------------------------------------------- training --
-
-/// Deterministic synthetic task-grouped data (no dataset generation).
-fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize, seed: u64) -> TrainData {
-    let fs = cfg.seq_len * cfg.emb_size;
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 40) as f32 / (1u64 << 24) as f32
-    };
-    let groups = (0..groups)
-        .map(|_| {
-            let mut features = Vec::with_capacity(per_group * fs);
-            let mut labels = Vec::with_capacity(per_group);
-            for _ in 0..per_group {
-                for _ in 0..fs {
-                    features.push(next() - 0.5);
-                }
-                labels.push(next().clamp(1e-3, 1.0));
-            }
-            GroupData { features, labels }
-        })
-        .collect();
-    TrainData {
-        feature_size: fs,
-        groups,
-    }
-}
-
-#[test]
-fn interrupted_training_resumes_bit_identically() {
-    let cfg = TlpConfig {
-        epochs: 4,
-        batch_size: 4,
-        ..TlpConfig::test_scale()
-    };
-    let data = [synth_data(&cfg, 4, 8, 13)];
-    let opts = TrainOptions::from_config(&cfg).with_seed(7).with_epochs(4);
-    let path = std::env::temp_dir().join("tlp_chaos_resume.json");
-    let _ = std::fs::remove_file(&path);
-
-    let mut straight = TlpModel::new(cfg.clone());
-    let straight_report = train_tlp_with(&mut straight, &data[0], &opts);
-
-    // "Crash" after epoch 2 (only the checkpoint file survives), then
-    // resume into a fresh model.
-    let mut victim = TlpModel::new(cfg.clone());
-    train_tlp_checkpointed(&mut victim, &data, &opts.clone().with_epochs(2), &path, 2);
-    let mut resumed_model = TlpModel::new(cfg.clone());
-    let resumed = resume_tlp(&mut resumed_model, &data, &opts, &path, 2).expect("resume");
-
-    assert_eq!(straight_report.epoch_losses(), resumed.epoch_losses());
-    // ParamStore has no PartialEq; its serde form is bit-faithful.
-    assert_eq!(
-        serde_json::to_string(&straight.store).expect("serialize"),
-        serde_json::to_string(&resumed_model.store).expect("serialize"),
-        "resumed parameters must be bitwise identical"
-    );
-    let _ = std::fs::remove_file(&path);
 }
 
 // ------------------------------------------------------------ properties --

@@ -234,7 +234,7 @@ fn nan_gradients_warn_but_do_not_fail() {
     assert!(report.passes(), "gradient residue must not gate: {report}");
 }
 
-/// Trainer-produced models audit clean, and training behind the coverage
+/// Trained models audit clean, and training behind the coverage
 /// gate is reproducible: two runs end on the same store checksum.
 #[test]
 fn trained_models_audit_clean_and_training_is_reproducible() {
