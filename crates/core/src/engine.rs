@@ -784,26 +784,38 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
 }
 
 /// Stable fingerprint of a search task for cache keying. Covers the
-/// subgraph (which scoring depends on) and the platform's debug rendering
-/// (so identical subgraphs tuned for different targets never share entries).
+/// subgraph (which scoring depends on) and every field of the platform (so
+/// identical subgraphs tuned for different targets never share entries).
 ///
 /// Public so layers above the engine (the serving batcher) can group work by
 /// the same task identity the score cache uses.
 pub fn task_fingerprint(task: &SearchTask) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     task.subgraph.hash(&mut h);
-    // Stream the platform's debug rendering straight into the hasher instead
-    // of materializing a `String`; fingerprinting sits on the scoring hot
-    // path and must not allocate.
-    struct HashWriter<'a, H: Hasher>(&'a mut H);
-    impl<H: Hasher> std::fmt::Write for HashWriter<'_, H> {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0.write(s.as_bytes());
-            Ok(())
-        }
+    // Exhaustive, so a field added to `Platform` does not compile until it
+    // is hashed here; floats hash by their bits.
+    let tlp_hwsim::Platform {
+        name,
+        arch,
+        device,
+        cores,
+        freq_ghz,
+        vector_lanes,
+        fma_units,
+        l1_kb,
+        l2_kb,
+        l3_kb,
+        dram_gbps,
+        launch_overhead_us,
+        quirk_seed,
+    } = &task.platform;
+    name.hash(&mut h);
+    arch.hash(&mut h);
+    device.hash(&mut h);
+    (cores, vector_lanes, fma_units, quirk_seed).hash(&mut h);
+    for x in [freq_ghz, l1_kb, l2_kb, l3_kb, dram_gbps, launch_overhead_us] {
+        x.to_bits().hash(&mut h);
     }
-    use std::fmt::Write as _;
-    write!(HashWriter(&mut h), "{:?}", task.platform).expect("debug formatting never fails");
     h.finish()
 }
 
@@ -819,6 +831,36 @@ mod tests {
             Subgraph::new("d", AnchorOp::Dense { m: 8, n: 8, k: 8 }),
             Platform::i7_10510u(),
         )
+    }
+
+    #[test]
+    fn every_platform_field_moves_the_task_fingerprint() {
+        use tlp_hwsim::{Arch, DeviceKind};
+        let base = task();
+        let edits: [fn(&mut Platform); 13] = [
+            |p| p.name.push('x'),
+            |p| p.arch = Arch::Arm,
+            |p| p.device = DeviceKind::Gpu,
+            |p| p.cores += 1,
+            |p| p.freq_ghz += 0.1,
+            |p| p.vector_lanes += 1,
+            |p| p.fma_units += 1,
+            |p| p.l1_kb += 1.0,
+            |p| p.l2_kb += 1.0,
+            |p| p.l3_kb += 1.0,
+            |p| p.dram_gbps += 1.0,
+            |p| p.launch_overhead_us += 1.0,
+            |p| p.quirk_seed ^= 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut edited = base.clone();
+            edit(&mut edited.platform);
+            assert_ne!(
+                task_fingerprint(&edited),
+                task_fingerprint(&base),
+                "field {i}"
+            );
+        }
     }
 
     /// Scores by fingerprint; counts how many candidates hit the model, in

@@ -93,13 +93,21 @@ impl Vocabulary {
 /// Accumulates names before freezing them into a [`Vocabulary`].
 #[derive(Clone, Debug, Default)]
 pub struct VocabularyBuilder {
-    counts: HashMap<String, u64>,
+    // Fx-hashed like `Vocabulary`'s map: `observe` runs once per name
+    // parameter of every schedule a vocabulary is fitted on.
+    counts: HashMap<String, u64, FxBuildHasher>,
 }
 
 impl VocabularyBuilder {
-    /// Records one occurrence of `name`.
+    /// Records one occurrence of `name`. Only a name seen for the first time
+    /// is copied.
     pub fn observe(&mut self, name: &str) {
-        *self.counts.entry(name.to_string()).or_insert(0) += 1;
+        match self.counts.get_mut(name) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(name.to_string(), 1);
+            }
+        }
     }
 
     /// Freezes the builder. Tokens are assigned by descending frequency

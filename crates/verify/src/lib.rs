@@ -22,12 +22,18 @@
 //!    duplicate hardware axes, occupancy, device-annotation mixing.
 //!
 //! All four passes run inside one [`Verifier`], built once per
-//! `(subgraph, options)` and reused for every schedule checked against it:
-//! it owns the resolved subgraph facts and the dataflow pass's loop-variable
-//! environment (an arena of name bytes plus a flat table scanned linearly —
-//! a schedule keeps a few dozen names alive at most), so a schedule with no
-//! findings allocates nothing once the verifier is warm. [`verify_with`] is
-//! the one-shot form: `Verifier::new(..).check(..)`.
+//! `(subgraph, options)` and reused for every schedule checked against it.
+//! Passes 1–3 share one walk over the steps, which compares each step's
+//! stage with the anchor once and resolves an anchor split's target axis
+//! once for all three; pass 4 then reads what pass 2 collected. The
+//! verifier owns the resolved subgraph facts and the dataflow pass's
+//! loop-variable environment: one entry per name, found through an
+//! open-addressed index keyed on the name's first eight bytes and its
+//! length, so a name of at most eight bytes is compared as one word and
+//! never copied. The index grows with the schedule, and its storage is
+//! reused, so a schedule with no findings allocates nothing once the
+//! verifier is warm. [`verify_with`] is the one-shot form:
+//! `Verifier::new(..).check(..)`.
 //!
 //! # Error-code table
 //!
@@ -101,7 +107,7 @@ mod wellformed;
 
 pub use diagnostic::{Code, Diagnostic, Report, Severity, ValiditySummary};
 
-use tlp_schedule::ScheduleSequence;
+use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
 use tlp_workload::{FusedOp, LoopSpec, Subgraph};
 
 /// Analyzer configuration.
@@ -128,37 +134,46 @@ impl Default for VerifyOptions {
 /// Shared facts about the subgraph, resolved once per [`Verifier`].
 pub(crate) struct Ctx<'a> {
     pub anchor: &'a str,
+    anchor_key: dataflow::Key,
     pub axes: Vec<LoopSpec>,
     fused: &'a [FusedOp],
 }
 
 impl<'a> Ctx<'a> {
     fn new(subgraph: &'a Subgraph) -> Self {
+        let anchor = subgraph.anchor.name();
         Ctx {
-            anchor: subgraph.anchor.name(),
+            anchor,
+            anchor_key: dataflow::Key::of(anchor.as_bytes()),
             axes: subgraph.loops(),
             fused: &subgraph.fused,
         }
     }
 
-    /// Whether `stage` is the anchor, a fused stage, or one of the mirror
-    /// stages cache-write / cache-read declarations create.
-    pub(crate) fn knows_stage(&self, stage: &str) -> bool {
-        stage == self.anchor
-            || stage == "cache"
-            || stage == "shared"
-            || self.fused.iter().any(|f| f.stage_name() == stage)
+    /// Whether `stage`, whose key is `key`, is the anchor stage.
+    fn is_anchor(&self, key: dataflow::Key, stage: &str) -> bool {
+        key == self.anchor_key && (key.len() <= 8 || stage == self.anchor)
     }
 
-    /// Position of the original axis named `var`, if any.
-    pub(crate) fn axis_index(&self, var: &str) -> Option<usize> {
-        self.axes.iter().position(|a| a.name == var)
+    /// Whether `stage` is a fused stage or one of the mirror stages
+    /// cache-write / cache-read declarations create.
+    pub(crate) fn knows_other_stage(&self, stage: &str) -> bool {
+        stage == "cache" || stage == "shared" || self.fused.iter().any(|f| f.stage_name() == stage)
     }
+}
 
-    /// The original axis named `var`, if any.
-    pub(crate) fn axis(&self, var: &str) -> Option<&LoopSpec> {
-        self.axis_index(var).map(|i| &self.axes[i])
-    }
+/// One step of a schedule, with what the walk resolves once for every pass.
+#[derive(Clone, Copy)]
+pub(crate) struct Step<'s> {
+    /// The step's position in the schedule.
+    pub at: usize,
+    pub p: &'s ConcretePrimitive,
+    /// The key of `p`'s stage name.
+    pub stage: dataflow::Key,
+    /// Whether `p` applies to the anchor stage.
+    pub anchor: bool,
+    /// For an anchor split, the original axis its loop variable names.
+    pub split_axis: Option<usize>,
 }
 
 /// The analyzer for one `(subgraph, options)` pair: the four-pass pipeline
@@ -173,8 +188,7 @@ pub struct Verifier<'a> {
     ctx: Ctx<'a>,
     opts: VerifyOptions,
     flow: dataflow::Flow,
-    /// Anchor splits seen per original axis (pass 3), parallel to `ctx.axes`.
-    split_counts: Vec<usize>,
+    structure: structural::Structure,
 }
 
 impl<'a> Verifier<'a> {
@@ -184,16 +198,45 @@ impl<'a> Verifier<'a> {
             ctx: Ctx::new(subgraph),
             opts: *opts,
             flow: dataflow::Flow::default(),
-            split_counts: Vec::new(),
+            structure: structural::Structure::default(),
         }
     }
 
-    /// Runs all four passes over `schedule`.
+    /// Runs all four passes over `schedule`: passes 1–3 in one walk over
+    /// its steps, then pass 4 over what pass 2 collected. The report orders
+    /// findings by step and code, so interleaving the passes step by step
+    /// reports what running them one after another would.
     pub fn check(&mut self, schedule: &ScheduleSequence) -> Report {
         let mut diags = Vec::new();
-        wellformed::check(&self.ctx, schedule, &mut diags);
-        self.flow.check(&self.ctx, schedule, &mut diags);
-        structural::check(&self.ctx, schedule, &mut self.split_counts, &mut diags);
+        let steps = schedule.primitives();
+        self.flow.start(&self.ctx);
+        self.structure.start(&self.ctx);
+        for (at, p) in steps.iter().enumerate() {
+            let stage = dataflow::Key::of(p.stage.as_bytes());
+            let anchor = self.ctx.is_anchor(stage, &p.stage);
+            let split_axis = match p.kind {
+                PrimitiveKind::Split
+                | PrimitiveKind::FollowSplit
+                | PrimitiveKind::FollowFusedSplit
+                    if anchor =>
+                {
+                    p.loop_vars.first().and_then(|v| self.flow.axis_index(v))
+                }
+                _ => None,
+            };
+            let s = Step {
+                at,
+                p,
+                stage,
+                anchor,
+                split_axis,
+            };
+            wellformed::check(&self.ctx, s, &mut diags);
+            self.flow.step(&self.ctx, steps, s, &mut diags);
+            let flow = &self.flow;
+            self.structure
+                .step(&self.ctx, |var| flow.axis_index(var), s, &mut diags);
+        }
         gpu::check(&self.opts, schedule, self.flow.facts(), &mut diags);
         Report::new(diags)
     }

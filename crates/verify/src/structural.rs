@@ -7,29 +7,51 @@
 //! stage.
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
-use crate::Ctx;
-use tlp_schedule::{PrimitiveKind, ScheduleSequence};
+use crate::{Ctx, Step};
+use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
 use tlp_workload::LoopKind;
 
-/// `split_counts` is the caller's reusable per-axis counter, reset here.
-pub(crate) fn check(
-    ctx: &Ctx<'_>,
-    schedule: &ScheduleSequence,
-    split_counts: &mut Vec<usize>,
-    out: &mut Vec<Diagnostic>,
-) {
-    split_counts.clear();
-    split_counts.resize(ctx.axes.len(), 0);
-    // Whether a cache-write / cache-read has declared the mirror stage yet.
-    let (mut cache_declared, mut shared_declared) = (false, false);
+/// The pass's state within one schedule: anchor splits seen per original
+/// axis (parallel to `ctx.axes`) and whether a cache-write / cache-read has
+/// declared the mirror stage yet. The counter's storage is reused.
+#[derive(Default)]
+pub(crate) struct Structure {
+    split_counts: Vec<usize>,
+    cache_declared: bool,
+    shared_declared: bool,
+}
 
-    for (step, p) in schedule.iter().enumerate() {
+impl Structure {
+    pub(crate) fn start(&mut self, ctx: &Ctx<'_>) {
+        self.split_counts.clear();
+        self.split_counts.resize(ctx.axes.len(), 0);
+        self.cache_declared = false;
+        self.shared_declared = false;
+    }
+
+    /// Checks one step; `axis_index` finds the original axis a name denotes.
+    pub(crate) fn step(
+        &mut self,
+        ctx: &Ctx<'_>,
+        axis_index: impl Fn(&str) -> Option<usize>,
+        s: Step<'_>,
+        out: &mut Vec<Diagnostic>,
+    ) {
+        let Step {
+            at: step,
+            p,
+            anchor,
+            split_axis,
+            ..
+        } = s;
         match p.kind {
-            PrimitiveKind::CacheWrite => cache_declared = true,
-            PrimitiveKind::CacheRead => shared_declared = true,
+            PrimitiveKind::CacheWrite => self.cache_declared = true,
+            PrimitiveKind::CacheRead => self.shared_declared = true,
             _ => {}
         }
-        if (p.stage == "cache" && !cache_declared) || (p.stage == "shared" && !shared_declared) {
+        if (s.stage.is("cache") && !self.cache_declared)
+            || (s.stage.is("shared") && !self.shared_declared)
+        {
             out.push(Diagnostic::at(
                 Code::CacheStageUndeclared,
                 Severity::Warn,
@@ -43,20 +65,22 @@ pub(crate) fn check(
         }
         match p.kind {
             PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit
-                if p.stage == ctx.anchor =>
+                if anchor =>
             {
-                check_anchor_split(ctx, step, p, split_counts, out);
+                check_anchor_split(ctx, split_axis, step, p, &mut self.split_counts, out);
             }
-            PrimitiveKind::Rfactor => check_rfactor(ctx, step, p, out),
+            PrimitiveKind::Rfactor => check_rfactor(ctx, &axis_index, step, p, out),
             _ => {}
         }
     }
 }
 
+/// `split_axis` is the original axis the split's loop variable names.
 fn check_anchor_split(
     ctx: &Ctx<'_>,
+    split_axis: Option<usize>,
     step: usize,
-    p: &tlp_schedule::ConcretePrimitive,
+    p: &ConcretePrimitive,
     split_counts: &mut [usize],
     out: &mut Vec<Diagnostic>,
 ) {
@@ -64,7 +88,7 @@ fn check_anchor_split(
     let Some(var) = p.loop_vars.first() else {
         return;
     };
-    let Some(index) = ctx.axis_index(var) else {
+    let Some(index) = split_axis else {
         // The lowerer's axis table keeps original names only, so splitting
         // anything else (a sub-loop, a fused var, garbage) cannot lower.
         out.push(Diagnostic::at(
@@ -126,8 +150,9 @@ fn check_anchor_split(
 
 fn check_rfactor(
     ctx: &Ctx<'_>,
+    axis_index: impl Fn(&str) -> Option<usize>,
     step: usize,
-    p: &tlp_schedule::ConcretePrimitive,
+    p: &ConcretePrimitive,
     out: &mut Vec<Diagnostic>,
 ) {
     let Some(var) = p.loop_vars.first() else {
@@ -140,9 +165,9 @@ fn check_rfactor(
     let mut any_reduction = false;
     for part in var.split('@') {
         let base = part.split('.').next().unwrap_or(part);
-        if let Some(axis) = ctx.axis(base) {
+        if let Some(index) = axis_index(base) {
             any_known = true;
-            any_reduction |= axis.kind == LoopKind::Reduction;
+            any_reduction |= ctx.axes[index].kind == LoopKind::Reduction;
         }
     }
     if any_known && !any_reduction {

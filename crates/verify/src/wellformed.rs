@@ -7,8 +7,8 @@
 //! observations are lints.
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
-use crate::Ctx;
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
+use crate::{Ctx, Step};
+use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
 
 /// Annotation names the lowerer understands (including the `*.z` GPU axes,
 /// which it accepts and ignores).
@@ -28,64 +28,69 @@ pub(crate) const KNOWN_ANNOTATIONS: [&str; 10] = [
 /// Pragma keys the lowerer understands.
 pub(crate) const KNOWN_PRAGMAS: [&str; 1] = ["auto_unroll_max_step"];
 
-pub(crate) fn check(ctx: &Ctx<'_>, schedule: &ScheduleSequence, out: &mut Vec<Diagnostic>) {
-    for (step, p) in schedule.iter().enumerate() {
-        if !ctx.knows_stage(&p.stage) {
-            out.push(Diagnostic::at(
-                Code::UnknownStage,
-                Severity::Warn,
-                step,
-                format!(
-                    "stage `{}` is not the anchor `{}`, a fused stage, or a cache stage",
-                    p.stage, ctx.anchor
-                ),
-            ));
+/// Checks one step on its own.
+pub(crate) fn check(ctx: &Ctx<'_>, s: Step<'_>, out: &mut Vec<Diagnostic>) {
+    let Step {
+        at: step,
+        p,
+        anchor,
+        ..
+    } = s;
+    if !anchor && !ctx.knows_other_stage(&p.stage) {
+        out.push(Diagnostic::at(
+            Code::UnknownStage,
+            Severity::Warn,
+            step,
+            format!(
+                "stage `{}` is not the anchor `{}`, a fused stage, or a cache stage",
+                p.stage, ctx.anchor
+            ),
+        ));
+    }
+    match p.kind {
+        PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit => {
+            check_split(step, p, anchor, out)
         }
-        match p.kind {
-            PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit => {
-                check_split(ctx, step, p, out)
+        PrimitiveKind::Annotation => check_annotation(step, p, out),
+        PrimitiveKind::Pragma => check_pragma(step, p, out),
+        PrimitiveKind::Reorder => {
+            if p.loop_vars.is_empty() {
+                out.push(Diagnostic::at(
+                    Code::MissingLoopVar,
+                    Severity::Warn,
+                    step,
+                    "reorder names no loop variables",
+                ));
             }
-            PrimitiveKind::Annotation => check_annotation(step, p, out),
-            PrimitiveKind::Pragma => check_pragma(step, p, out),
-            PrimitiveKind::Reorder => {
-                if p.loop_vars.is_empty() {
-                    out.push(Diagnostic::at(
-                        Code::MissingLoopVar,
-                        Severity::Warn,
-                        step,
-                        "reorder names no loop variables",
-                    ));
-                }
-                if !p.ints.is_empty() || !p.extras.is_empty() {
-                    out.push(unexpected(step, p, "reorder takes only loop variables"));
-                }
+            if !p.ints.is_empty() || !p.extras.is_empty() {
+                out.push(unexpected(step, p, "reorder takes only loop variables"));
             }
-            PrimitiveKind::Fuse => {
-                // An empty fuse is the dataflow pass's V203.
-                if !p.ints.is_empty() || !p.extras.is_empty() {
-                    out.push(unexpected(step, p, "fuse takes only loop variables"));
-                }
-            }
-            PrimitiveKind::ComputeAt | PrimitiveKind::Rfactor => {
-                if p.loop_vars.is_empty() {
-                    out.push(Diagnostic::at(
-                        Code::MissingLoopVar,
-                        Severity::Warn,
-                        step,
-                        format!("{} names no target loop variable", p.kind.abbrev()),
-                    ));
-                }
-            }
-            PrimitiveKind::CacheWrite
-            | PrimitiveKind::CacheRead
-            | PrimitiveKind::ComputeRoot
-            | PrimitiveKind::ComputeInline => {
-                if !p.loop_vars.is_empty() || !p.ints.is_empty() || !p.extras.is_empty() {
-                    out.push(unexpected(step, p, "takes a stage and nothing else"));
-                }
-            }
-            PrimitiveKind::StorageAlign => {}
         }
+        PrimitiveKind::Fuse => {
+            // An empty fuse is the dataflow pass's V203.
+            if !p.ints.is_empty() || !p.extras.is_empty() {
+                out.push(unexpected(step, p, "fuse takes only loop variables"));
+            }
+        }
+        PrimitiveKind::ComputeAt | PrimitiveKind::Rfactor => {
+            if p.loop_vars.is_empty() {
+                out.push(Diagnostic::at(
+                    Code::MissingLoopVar,
+                    Severity::Warn,
+                    step,
+                    format!("{} names no target loop variable", p.kind.abbrev()),
+                ));
+            }
+        }
+        PrimitiveKind::CacheWrite
+        | PrimitiveKind::CacheRead
+        | PrimitiveKind::ComputeRoot
+        | PrimitiveKind::ComputeInline => {
+            if !p.loop_vars.is_empty() || !p.ints.is_empty() || !p.extras.is_empty() {
+                out.push(unexpected(step, p, "takes a stage and nothing else"));
+            }
+        }
+        PrimitiveKind::StorageAlign => {}
     }
 }
 
@@ -101,8 +106,7 @@ fn unexpected(step: usize, p: &ConcretePrimitive, why: &str) -> Diagnostic {
 /// Splits on the anchor stage restructure the loop nest, so their parameter
 /// errors are fatal in the lowerer; splits on mirror stages (cache/shared)
 /// only have their signs validated there.
-fn check_split(ctx: &Ctx<'_>, step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic>) {
-    let anchor = p.stage == ctx.anchor;
+fn check_split(step: usize, p: &ConcretePrimitive, anchor: bool, out: &mut Vec<Diagnostic>) {
     let arity_severity = if anchor {
         Severity::Error
     } else {
