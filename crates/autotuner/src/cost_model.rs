@@ -6,14 +6,14 @@
 //! pre-trained and may ignore updates.
 //!
 //! Scoring goes through a request/response pair rather than bare slices:
-//! a [`ScoreRequest`] bundles the task, the candidate batch and a
-//! search-generation tag, and the returned [`ScoreBatch`] carries per
-//! candidate scores *and* a validity mask, the model's simulated
-//! [`PipelineCost`], and [`BatchStats`] describing how the batch was
-//! actually executed (micro-batches, cache hits, wall time). This lets
-//! engine-backed models surface caching/parallelism accounting without a
-//! side channel, and lets candidates that fail to lower be reported
-//! explicitly instead of smuggled through sentinel scores.
+//! a [`ScoreRequest`] bundles the task and the candidate batch, and the
+//! returned [`ScoreBatch`] carries per candidate scores *and* a validity
+//! mask, the model's simulated [`PipelineCost`], and [`BatchStats`]
+//! describing how the batch was actually executed (micro-batches, cache
+//! hits, wall time). This lets engine-backed models surface
+//! caching/parallelism accounting without a side channel, and lets
+//! candidates that fail to lower be reported explicitly instead of
+//! smuggled through sentinel scores.
 
 use crate::task::SearchTask;
 use std::fmt;
@@ -27,26 +27,12 @@ pub struct ScoreRequest<'a> {
     pub task: &'a SearchTask,
     /// The candidate schedules to score, in request order.
     pub candidates: &'a [ScheduleSequence],
-    /// Evolutionary-search generation the batch came from (0 for one-shot
-    /// scoring outside the GA loop). Diagnostic: engines use it to attribute
-    /// cache behaviour to search rounds, never to change scores.
-    pub generation: u32,
 }
 
 impl<'a> ScoreRequest<'a> {
-    /// A request outside any evolutionary generation (tag 0).
+    /// A request to score `candidates` for `task`.
     pub fn new(task: &'a SearchTask, candidates: &'a [ScheduleSequence]) -> Self {
-        ScoreRequest {
-            task,
-            candidates,
-            generation: 0,
-        }
-    }
-
-    /// Tags the request with an evolutionary-search generation.
-    pub fn with_generation(mut self, generation: u32) -> Self {
-        self.generation = generation;
-        self
+        ScoreRequest { task, candidates }
     }
 
     /// Number of candidates in the request.
@@ -62,7 +48,7 @@ impl<'a> ScoreRequest<'a> {
 
 /// Simulated per-candidate pipeline cost (seconds), broken down by stage.
 ///
-/// The tuner charges `per_candidate_s() × nominal_pool` of simulated wall
+/// The tuner charges `per_candidate_s() × NOMINAL_POOL` of simulated wall
 /// time per round on top of real inference time, reproducing the paper's
 /// §6.3 observation that program-level feature models (Ansor, TenSet MLP)
 /// pay for tensor-program generation on every candidate while TLP reads

@@ -33,6 +33,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlp_schedule::ScheduleSequence;
 
+/// Fraction of each new generation produced by mutation (the rest is
+/// crossover).
+const MUTATION_RATE: f64 = 0.85;
+
 /// Evolutionary-search knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EvolutionConfig {
@@ -40,9 +44,6 @@ pub struct EvolutionConfig {
     pub population: usize,
     /// Number of evolution generations.
     pub generations: usize,
-    /// Fraction of each new generation produced by mutation (the rest is
-    /// crossover).
-    pub mutation_rate: f64,
     /// Fraction of the returned top-k replaced with random candidates.
     pub epsilon: f64,
     /// Draft-then-verify scoring: how much of each pool the full model
@@ -55,7 +56,6 @@ impl Default for EvolutionConfig {
         EvolutionConfig {
             population: 128,
             generations: 4,
-            mutation_rate: 0.85,
             epsilon: 0.1,
             speculative: SpecConfig::default(),
         }
@@ -231,7 +231,7 @@ impl<'a> Searcher<'a> {
                 .zip(&mut population.sequences[n_elite..])
             {
                 gate.admit(&mut stats, rng, sequence, |rng, sequence| {
-                    if rng.gen_bool(config.mutation_rate) {
+                    if rng.gen_bool(MUTATION_RATE) {
                         d.clone_from(&elite[rng.gen_range(0..elite.len())]);
                         sketch.mutate(d, rng);
                     } else {
@@ -298,7 +298,7 @@ impl<'a> Searcher<'a> {
             spec.keep_of(n)
         };
         if keep >= n {
-            return rank_indices(&verify(model, task, pop, generation, stats));
+            return rank_indices(&verify(model, task, pop, stats));
         }
 
         // 1. Draft: rank the whole pool with the tiny head. This is the one
@@ -308,7 +308,7 @@ impl<'a> Searcher<'a> {
         let warm = draft.warmed_up(task, spec.warmup_full_generations);
         let draft_scores = draft.score(task, pop);
         if !warm {
-            let scores = verify(model, task, pop, generation, stats);
+            let scores = verify(model, task, pop, stats);
             let all: Vec<usize> = (0..n).collect();
             draft.distill(&all, &scores);
             return rank_indices(&scores);
@@ -378,7 +378,7 @@ impl<'a> Searcher<'a> {
         // move out of the pool for the call and back after it.
         let lent: Vec<ScheduleSequence> =
             kept.iter().map(|&i| std::mem::take(&mut pop[i])).collect();
-        let kept_scores = verify(model, task, &lent, generation, stats);
+        let kept_scores = verify(model, task, &lent, stats);
         for (&i, sequence) in kept.iter().zip(lent) {
             pop[i] = sequence;
         }
@@ -416,10 +416,9 @@ fn verify(
     model: &dyn CostModel,
     task: &SearchTask,
     seqs: &[ScheduleSequence],
-    generation: u32,
     stats: &mut SearchStats,
 ) -> Vec<f32> {
-    let batch = model.predict(ScoreRequest::new(task, seqs).with_generation(generation));
+    let batch = model.predict(ScoreRequest::new(task, seqs));
     debug_assert_eq!(batch.len(), seqs.len(), "cost model batch shape");
     stats.full_scored += seqs.len() as u64;
     (0..seqs.len())
@@ -480,7 +479,6 @@ impl<'a> Gate<'a> {
     fn new(task: &'a SearchTask, policy: &SketchPolicy) -> Self {
         let opts = tlp_verify::VerifyOptions {
             gpu: Some(policy.gpu),
-            ..tlp_verify::VerifyOptions::default()
         };
         Gate {
             verifier: tlp_verify::Verifier::new(&task.subgraph, &opts),

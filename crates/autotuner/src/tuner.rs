@@ -30,6 +30,12 @@ const FAULT_SEED_SALT: u64 = 0xFA17_5EED_0BAD_C0DE;
 /// per-candidate cost is charged at this ratio of the full model's.
 const DRAFT_COST_RATIO: f64 = 1e-3;
 
+/// Candidates the cost model scores per round in the reference system
+/// (Ansor evaluates ~10,000 schedule sequences per subgraph per round,
+/// paper §6.3). The per-candidate pipeline cost is charged for this pool
+/// regardless of the reduced evolution population actually searched.
+const NOMINAL_POOL: f64 = 10_000.0;
+
 /// Knobs of a tuning run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TuningOptions {
@@ -39,11 +45,6 @@ pub struct TuningOptions {
     pub programs_per_round: usize,
     /// Evolutionary-search configuration.
     pub evolution: EvolutionConfig,
-    /// Candidates the cost model scores per round in the reference system
-    /// (Ansor evaluates ~10,000 schedule sequences per subgraph per round,
-    /// paper §6.3). The per-candidate pipeline cost is charged for this pool
-    /// regardless of the reduced evolution population actually searched.
-    pub nominal_pool: usize,
     /// RNG seed.
     pub seed: u64,
     /// Fault-injection rates for the measurement pipeline
@@ -58,7 +59,6 @@ impl Default for TuningOptions {
             rounds: 200,
             programs_per_round: 10,
             evolution: EvolutionConfig::default(),
-            nominal_pool: 10_000,
             seed: 0x7190,
             faults: FaultRates::ZERO,
         }
@@ -228,9 +228,9 @@ pub fn tune_network_with_draft(
             round_stats.full_scored as f64 / scored as f64
         };
         let pool_cost_factor = full_fraction + (1.0 - full_fraction) * DRAFT_COST_RATIO;
-        measurer.clock.charge_real(
-            model.pipeline_cost().per_candidate_s() * opts.nominal_pool as f64 * pool_cost_factor,
-        );
+        measurer
+            .clock
+            .charge_real(model.pipeline_cost().per_candidate_s() * NOMINAL_POOL * pool_cost_factor);
 
         // Measure up to `programs_per_round` unseen candidates.
         let mut batch = Vec::new();

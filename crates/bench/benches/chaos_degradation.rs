@@ -55,7 +55,6 @@ fn tune_at(rate: f64) -> TuningReport {
             speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 0xC4A0,
         faults: FaultRates::uniform(rate),
     };

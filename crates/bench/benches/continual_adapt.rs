@@ -29,14 +29,14 @@ use tlp::{
 use tlp_bench::{print_table, write_json};
 use tlp_continual::{
     run_continual, AdaptReport, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher,
+    FAULT_RATE,
 };
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig};
-use tlp_hwsim::{FaultRates, Platform};
+use tlp_hwsim::Platform;
 use tlp_serve::ModelRegistry;
 use tlp_workload::bert_tiny;
 
 const HOT_SWAP_READERS: usize = 2;
-const FAULT_RATE: f64 = 0.05;
 
 #[derive(Serialize)]
 struct ContinualSummary {
@@ -75,7 +75,6 @@ fn dataset() -> Dataset {
             programs_per_task: 96,
             refined_fraction: 0.25,
             seed: 0xC0A7,
-            ..DatasetConfig::default()
         },
     )
 }
@@ -122,7 +121,6 @@ fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
         rounds,
         per_task_candidates,
         max_tasks,
-        fault_rates: FaultRates::uniform(FAULT_RATE),
         adapt: TrainOptions::from_config(cfg)
             .with_epochs(4)
             .with_batch_size(16)

@@ -65,7 +65,6 @@ fn tuning_options(num_tasks: usize) -> TuningOptions {
             speculative: SpecConfig::keeping(1.0),
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 0x5EA,
         ..TuningOptions::default()
     }

@@ -44,4 +44,4 @@ pub mod service;
 pub use adapt::adapt_round;
 pub use publish::{rank_accuracy, CanarySet, PublishOutcome, SnapshotPublisher, CANARY_TOLERANCE};
 pub use replay::{ReplayBuffer, ReplayItem};
-pub use service::{run_continual, AdaptReport, ContinualConfig, RoundReport};
+pub use service::{run_continual, AdaptReport, ContinualConfig, RoundReport, FAULT_RATE};

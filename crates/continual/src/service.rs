@@ -7,8 +7,8 @@
 //!    (deduplicated by schedule fingerprint, seeded per `(round, task)`).
 //! 2. **Measure**: run them through the fault-injecting [`Measurer`] on the
 //!    new platform — transient build failures, timeouts, device resets, and
-//!    noisy repeats per the configured [`FaultRates`]. Failures yield no
-//!    label and are simply skipped; the loop's accounting keeps them
+//!    noisy repeats under `FaultRates::uniform(FAULT_RATE)`. Failures yield
+//!    no label and are simply skipped; the loop's accounting keeps them
 //!    visible.
 //! 3. **Label**: accumulate per-task latency pools and re-normalize labels
 //!    (`min_latency / latency`) as new minima arrive.
@@ -42,6 +42,10 @@ use tlp_autotuner::{Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
 use tlp_hwsim::{DeviceKind, FaultModel, FaultRates};
 
+/// Chaos rate of the new platform's measurer: it injects faults under
+/// `FaultRates::uniform(FAULT_RATE)`, so 5 % of measurement attempts fail.
+pub const FAULT_RATE: f64 = 0.05;
+
 /// Knobs of the closed continual-learning loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ContinualConfig {
@@ -51,8 +55,6 @@ pub struct ContinualConfig {
     pub per_task_candidates: usize,
     /// Tuning tasks sampled from the dataset's training tasks (`0` = all).
     pub max_tasks: usize,
-    /// Fault injection rates for the new platform's measurer.
-    pub fault_rates: FaultRates,
     /// Training knobs of every adaptation round; each round re-derives the
     /// seed from this one and the round index.
     pub adapt: TrainOptions,
@@ -167,7 +169,7 @@ pub fn run_continual(
     };
     let mut measurer = Measurer::with_faults(
         gpu,
-        FaultModel::for_platform(config.seed, config.fault_rates, new_platform),
+        FaultModel::for_platform(config.seed, FaultRates::uniform(FAULT_RATE), new_platform),
     );
 
     let take = if config.max_tasks == 0 {

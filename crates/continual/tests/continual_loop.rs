@@ -12,7 +12,7 @@ use tlp_continual::{
     run_continual, CanarySet, ContinualConfig, PublishOutcome, ReplayBuffer, SnapshotPublisher,
 };
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig};
-use tlp_hwsim::{FaultRates, Platform};
+use tlp_hwsim::Platform;
 use tlp_serve::ModelRegistry;
 use tlp_workload::bert_tiny;
 
@@ -31,7 +31,6 @@ fn continual_dataset() -> Dataset {
             programs_per_task: 16,
             refined_fraction: 0.25,
             seed: 41,
-            ..DatasetConfig::default()
         },
     )
 }
@@ -65,7 +64,6 @@ fn loop_config() -> ContinualConfig {
         rounds: 3,
         per_task_candidates: 4,
         max_tasks: 3,
-        fault_rates: FaultRates::uniform(0.05),
         adapt: TrainOptions::from_config(&cfg)
             .with_epochs(2)
             .with_batch_size(8)

@@ -89,7 +89,6 @@ mod tests {
                     schedule: ScheduleSequence::new(),
                     latencies: vec![l],
                     validity: Default::default(),
-                    error: None,
                 })
                 .collect(),
         }

@@ -364,15 +364,10 @@ impl TlpModel {
         self.heads[task].forward(&mut f, h)
     }
 
-    /// Inference through head `task`: scores for a feature batch (higher =
-    /// predicted faster).
-    pub fn predict_task(&self, features: &[f32], task: usize) -> Vec<f32> {
-        self.predict_task_with(&mut Workspace::new(), features, task)
-    }
-
-    /// Like [`TlpModel::predict_task`], but reuses a caller-owned
-    /// [`Workspace`] so repeated calls (engine micro-batches) recycle the
-    /// tape storage.
+    /// Inference through head `task`: scores for a dense feature batch
+    /// (higher = predicted faster) on the tape — the reference the fused
+    /// path is checked against. The caller-owned [`Workspace`] recycles the
+    /// tape storage across calls.
     pub fn predict_task_with(&self, ws: &mut Workspace, features: &[f32], task: usize) -> Vec<f32> {
         if features.is_empty() {
             return Vec::new();
@@ -382,11 +377,6 @@ impl TlpModel {
         ws.reset();
         let scores = self.forward_task(&mut ws.graph, &mut ws.bind, features, n, task);
         ws.graph.value(scores).data().to_vec()
-    }
-
-    /// Inference through the target-platform head (task 0).
-    pub fn predict(&self, features: &[f32]) -> Vec<f32> {
-        self.predict_task(features, 0)
     }
 
     /// [`TlpModel::predict_task_with`] through the target-platform head.
@@ -555,7 +545,7 @@ mod tests {
         let model = TlpModel::new(cfg.clone());
         let fs = cfg.seq_len * cfg.emb_size;
         let feats = vec![0.1f32; 3 * fs];
-        let scores = model.predict(&feats);
+        let scores = model.predict_with(&mut Workspace::new(), &feats);
         assert_eq!(scores.len(), 3);
         // Identical inputs yield identical scores.
         assert!((scores[0] - scores[1]).abs() < 1e-6);
@@ -570,7 +560,7 @@ mod tests {
         };
         let model = TlpModel::new(cfg.clone());
         let fs = cfg.seq_len * cfg.emb_size;
-        let scores = model.predict(&vec![0.2f32; 2 * fs]);
+        let scores = model.predict_with(&mut Workspace::new(), &vec![0.2f32; 2 * fs]);
         assert_eq!(scores.len(), 2);
     }
 
@@ -582,7 +572,7 @@ mod tests {
         };
         let model = TlpModel::new(cfg.clone());
         let fs = cfg.seq_len * cfg.emb_size;
-        let scores = model.predict(&vec![0.3f32; 2 * fs]);
+        let scores = model.predict_with(&mut Workspace::new(), &vec![0.3f32; 2 * fs]);
         assert_eq!(scores.len(), 2);
         assert!(scores.iter().all(|s| s.is_finite()));
         // The encoder layer adds weights over the plain attention backbone.
@@ -599,14 +589,14 @@ mod tests {
         for x in feats[..fs].iter_mut() {
             *x = 1.0;
         }
-        let scores = model.predict(&feats);
+        let scores = model.predict_with(&mut Workspace::new(), &feats);
         assert!((scores[0] - scores[1]).abs() > 1e-6);
     }
 
     #[test]
     fn predict_empty_is_empty() {
         let model = TlpModel::new(TlpConfig::test_scale());
-        assert!(model.predict(&[]).is_empty());
+        assert!(model.predict_with(&mut Workspace::new(), &[]).is_empty());
     }
 
     #[test]
@@ -692,17 +682,23 @@ mod tests {
         let model = TlpModel::with_heads(cfg.clone(), 2);
         let fs = cfg.seq_len * cfg.emb_size;
         let feats = vec![0.3f32; fs];
-        let s0 = model.predict_task(&feats, 0);
-        let s1 = model.predict_task(&feats, 1);
+        let mut ws = Workspace::new();
+        let s0 = model.predict_task_with(&mut ws, &feats, 0);
+        let s1 = model.predict_task_with(&mut ws, &feats, 1);
         // Different random head init → different outputs for same input.
         assert!((s0[0] - s1[0]).abs() > 1e-7);
-        // The head-0 forms are exactly head 0.
-        assert_eq!(model.predict(&feats)[0].to_bits(), s0[0].to_bits());
+        // The head-0 form is exactly head 0.
+        assert_eq!(
+            model.predict_with(&mut ws, &feats)[0].to_bits(),
+            s0[0].to_bits()
+        );
     }
 
     fn assert_heads_bitwise_equal(a: &TlpModel, b: &TlpModel, heads: usize, feats: &[f32]) {
+        let mut ws = Workspace::new();
         for task in 0..heads {
-            let (x, y) = (a.predict_task(feats, task), b.predict_task(feats, task));
+            let x = a.predict_task_with(&mut ws, feats, task);
+            let y = b.predict_task_with(&mut ws, feats, task);
             for (x, y) in x.iter().zip(&y) {
                 assert_eq!(x.to_bits(), y.to_bits(), "head {task} drifted");
             }
@@ -722,10 +718,11 @@ mod tests {
             assert_heads_bitwise_equal(&base, &grown, heads, &feats);
             // The new head is freshly initialized, not a copy of head 0, and
             // growing is deterministic.
-            let s0 = grown.predict_task(&feats, 0);
-            let new = grown.predict_task(&feats, heads);
+            let mut ws = Workspace::new();
+            let s0 = grown.predict_task_with(&mut ws, &feats, 0);
+            let new = grown.predict_task_with(&mut ws, &feats, heads);
             assert!((s0[0] - new[0]).abs() > 1e-7);
-            let again = base.grow_head().predict_task(&feats, heads);
+            let again = base.grow_head().predict_task_with(&mut ws, &feats, heads);
             assert_eq!(new[0].to_bits(), again[0].to_bits());
         }
     }
@@ -741,8 +738,9 @@ mod tests {
             let grown = base.grow_head_from(src);
             assert_eq!(grown.num_tasks(), heads + 1);
             // The new head scores exactly like its source head...
-            let from = grown.predict_task(&feats, src);
-            let new = grown.predict_task(&feats, heads);
+            let mut ws = Workspace::new();
+            let from = grown.predict_task_with(&mut ws, &feats, src);
+            let new = grown.predict_task_with(&mut ws, &feats, heads);
             for (x, y) in from.iter().zip(&new) {
                 assert_eq!(x.to_bits(), y.to_bits(), "warm start is not bitwise");
             }

@@ -13,7 +13,7 @@
 //! restored model's parameters are bitwise the snapshot's. There is no
 //! unaudited restore, and one restore serves any head count.
 
-use crate::config::TlpConfig;
+use crate::config::{Backbone, TlpConfig};
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
 use serde::{Deserialize, Serialize};
@@ -347,16 +347,74 @@ impl SavedTlp {
         self.heads = heads;
     }
 
-    /// Rejects a recorded head count of zero — it describes no model, and
-    /// must be caught before anything tries to construct one.
-    fn check_heads(&self) -> Result<(), PersistError> {
+    /// Rejects a recorded layout that no store of this size can back,
+    /// before anything builds the model it declares: building one would
+    /// panic or allocate without bound. Zero heads describe no model
+    /// ([`PersistError::HeadCount`]). Each head and residual block
+    /// registers at least one parameter, every backbone registers an
+    /// `emb_size × hidden` and a `hidden × hidden` up-projection, attention
+    /// splits the width evenly across its heads, and the extractor must
+    /// produce the rows the config reads; a layout that breaks one of these
+    /// is [`PersistError::Invalid`] with one error diagnostic.
+    fn check_layout(&self) -> Result<(), PersistError> {
         if self.heads == 0 {
             return Err(PersistError::HeadCount {
                 found: 0,
                 expected: 1,
             });
         }
-        Ok(())
+        let c = &self.config;
+        let params = self.store.len();
+        let weights = self.store.num_weights();
+        let up_weights = c
+            .hidden
+            .checked_add(c.emb_size)
+            .and_then(|w| w.checked_mul(c.hidden));
+        let (code, detail) = if self.heads > params {
+            (
+                Code::HeadIndexOutOfRange,
+                format!("{} heads declared over {params} parameters", self.heads),
+            )
+        } else if c.res_blocks > params {
+            (
+                Code::MissingParam,
+                format!(
+                    "{} residual blocks declared over {params} parameters",
+                    c.res_blocks
+                ),
+            )
+        } else if up_weights.is_none_or(|w| w > weights) {
+            (
+                Code::MissingParam,
+                format!(
+                    "width {} over embedding {} needs more than the store's {weights} weights",
+                    c.hidden, c.emb_size
+                ),
+            )
+        } else if c.backbone != Backbone::Lstm
+            && (c.heads == 0 || !c.hidden.is_multiple_of(c.heads))
+        {
+            (
+                Code::ShapeMismatch,
+                format!(
+                    "width {} does not split across {} attention heads",
+                    c.hidden, c.heads
+                ),
+            )
+        } else if (self.seq_len, self.emb_size) != (c.seq_len, c.emb_size) {
+            (
+                Code::ShapeMismatch,
+                format!(
+                    "extractor rows {}x{} differ from the config's {}x{}",
+                    self.seq_len, self.emb_size, c.seq_len, c.emb_size
+                ),
+            )
+        } else {
+            return Ok(());
+        };
+        Err(PersistError::Invalid {
+            diagnostics: vec![Diagnostic::global(code, Severity::Error, detail)],
+        })
     }
 
     /// Audits the snapshot against `spec`: the analyzer's structural passes
@@ -381,17 +439,18 @@ impl SavedTlp {
     /// Runs the full `tlp-modelcheck` audit of this snapshot: shape/arity,
     /// trunk/head partition, numeric sanity, and checksum verification,
     /// against the parameter layout its own config and head count declare.
-    /// A recorded head count of zero is reported as one error-severity
-    /// diagnostic.
+    /// A layout [`SavedTlp::restore`] would refuse to build is reported as
+    /// one error-severity diagnostic.
     pub fn audit(&self) -> AuditReport {
-        if let Err(e) = self.check_heads() {
-            return AuditReport::new(vec![Diagnostic::global(
+        match self.check_layout() {
+            Ok(()) => self.audit_against(&crate::audit::spec(&self.config, self.heads)),
+            Err(PersistError::Invalid { diagnostics }) => AuditReport::new(diagnostics),
+            Err(e) => AuditReport::new(vec![Diagnostic::global(
                 Code::HeadIndexOutOfRange,
                 Severity::Error,
                 e.to_string(),
-            )]);
+            )]),
         }
-        self.audit_against(&crate::audit::spec(&self.config, self.heads))
     }
 
     /// Rebuilds the model and extractor, auditing the snapshot first. The
@@ -403,9 +462,10 @@ impl SavedTlp {
     ///
     /// Returns [`PersistError::HeadCount`] if the snapshot records no heads
     /// at all (a corrupt or hand-edited file), or
-    /// [`PersistError::Invalid`] if the audit finds errors.
+    /// [`PersistError::Invalid`] if its layout cannot back a model or the
+    /// audit finds errors.
     pub fn restore(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
-        self.check_heads()?;
+        self.check_layout()?;
         let mut model = TlpModel::with_heads(self.config.clone(), self.heads);
         PersistError::reject_errors(&self.audit_against(&crate::audit::spec_of(&model)))?;
         model.store = self.store.clone();
@@ -419,6 +479,7 @@ impl SavedTlp {
 mod tests {
     use super::*;
     use crate::model::TlpHead;
+    use tlp_nn::Workspace;
     use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
 
     fn sample_sequence() -> ScheduleSequence {
@@ -468,10 +529,11 @@ mod tests {
             let (model2, ex2) = loaded.restore().expect("valid snapshot");
             assert_eq!(model2.num_tasks(), heads);
             let feats2 = sample_features(&ex2);
+            let mut ws = Workspace::new();
             for head in 0..heads {
                 assert_eq!(
-                    model.predict_task(&feats, head),
-                    model2.predict_task(&feats2, head)
+                    model.predict_task_with(&mut ws, &feats, head),
+                    model2.predict_task_with(&mut ws, &feats2, head)
                 );
             }
             // Any snapshot drives the search through head 0 — what
@@ -490,7 +552,7 @@ mod tests {
             let seq = sample_sequence();
             let served = TlpCostModel::new(model2, ex2)
                 .predict(ScoreRequest::new(&task, std::slice::from_ref(&seq)));
-            let direct = model.predict(&feats);
+            let direct = model.predict_with(&mut ws, &feats);
             assert_eq!(
                 served.scores().map(f32::to_bits).collect::<Vec<_>>(),
                 vec![direct[0].to_bits()]
@@ -664,6 +726,30 @@ mod tests {
             snap.restore(),
             Err(PersistError::HeadCount { found: 0, .. })
         ));
+
+        // More heads than the store has parameters: rejected before the
+        // model is built, not by allocating a head per count.
+        snap.set_heads(usize::MAX);
+        assert!(snap.audit().has_code(Code::HeadIndexOutOfRange));
+        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_a_config_no_model_can_have() {
+        // Each edit would panic or allocate without bound inside
+        // `TlpModel::with_heads`; the restore must refuse it first.
+        let edits: [fn(&mut TlpConfig); 4] = [
+            |c| c.heads = 3,
+            |c| c.heads = 0,
+            |c| c.hidden = usize::MAX,
+            |c| c.res_blocks = usize::MAX,
+        ];
+        for edit in edits {
+            let (_, mut snap) = fresh(2);
+            edit(&mut snap.config);
+            assert!(snap.audit().has_errors());
+            assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+        }
     }
 
     #[test]

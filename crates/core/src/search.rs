@@ -512,7 +512,7 @@ mod tests {
         let seqs = schedules(6);
         let first = m.predict(ScoreRequest::new(&t, &seqs));
         assert_eq!(first.stats.cache_misses, 6);
-        let second = m.predict(ScoreRequest::new(&t, &seqs).with_generation(1));
+        let second = m.predict(ScoreRequest::new(&t, &seqs));
         assert_eq!(second.stats.cache_hits, 6);
         assert!(
             first.scores().eq(second.scores()),

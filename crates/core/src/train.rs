@@ -316,7 +316,6 @@ mod tests {
                 programs_per_task,
                 refined_fraction: 0.25,
                 seed,
-                ..DatasetConfig::default()
             },
         )
     }

@@ -74,7 +74,7 @@ fn parallel_matches_sequential_all_backbones() {
         let (model, ex, seqs) = tlp_model(backbone);
         let mut buf = tlp::features::FeatureBuf::new();
         ex.extract_batch_into(&seqs, &mut buf);
-        let reference = model.predict(buf.data());
+        let reference = model.predict_with(&mut tlp_nn::Workspace::new(), buf.data());
 
         let sequential = FeatureModel::with_engine(
             TlpScorer {

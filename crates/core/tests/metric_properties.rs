@@ -31,7 +31,6 @@ fn dataset_from(lats: Vec<Vec<f64>>) -> Dataset {
                         schedule: ScheduleSequence::new(),
                         latencies: vec![l],
                         validity: Default::default(),
-                        error: None,
                     })
                     .collect(),
             })

@@ -38,10 +38,7 @@ fn warm_verifier_checks_clean_schedules_without_allocating() {
     let schedules: Vec<_> = (0..64)
         .map(|_| Candidate::random(&SketchPolicy::cpu(), &subgraph, &mut rng).sequence)
         .collect();
-    let opts = VerifyOptions {
-        gpu: Some(false),
-        ..VerifyOptions::default()
-    };
+    let opts = VerifyOptions { gpu: Some(false) };
     let mut verifier = Verifier::new(&subgraph, &opts);
 
     // Warm-up: the verifier's buffers grow to the largest schedule's needs.

@@ -11,12 +11,10 @@ use crate::record::{Dataset, ProgramRecord, TaskData};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use tlp_autotuner::{Candidate, SketchPolicy};
-use tlp_hwsim::{lower, FaultModel, FaultRates, Platform, Simulator};
+use tlp_autotuner::{Candidate, ScheduleDecision, SketchPolicy};
+use tlp_hwsim::{lower, Platform, Simulator};
+use tlp_schedule::ScheduleSequence;
 use tlp_workload::{distinct_subgraphs, test_networks, training_networks, Network};
-
-/// Salt xor-ed into the per-task seed to derive the fault-model seed.
-const FAULT_SEED_SALT: u64 = 0x0C01_1EC7_FA17;
 
 /// Dataset-generation knobs.
 #[derive(Clone, Debug)]
@@ -28,10 +26,6 @@ pub struct DatasetConfig {
     pub refined_fraction: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Fault-injection rates for collection ([`FaultRates::ZERO`] — the
-    /// default — reproduces the fault-free dataset bit-for-bit). Failed
-    /// collections become records with error-class labels, TenSet-style.
-    pub faults: FaultRates,
 }
 
 impl Default for DatasetConfig {
@@ -40,7 +34,6 @@ impl Default for DatasetConfig {
             programs_per_task: 96,
             refined_fraction: 0.3,
             seed: 0xDA7A,
-            faults: FaultRates::ZERO,
         }
     }
 }
@@ -98,16 +91,8 @@ pub fn generate_dataset_for(
             }
             let from_test_set = is_test || test_keys.contains(&key);
             let mut rng = SmallRng::seed_from_u64(config.seed ^ key);
-            let mut faults = FaultModel::new(config.seed ^ key ^ FAULT_SEED_SALT, config.faults);
-            let programs = sample_task_programs(
-                &policy,
-                &inst.subgraph,
-                platforms,
-                &sim,
-                config,
-                &mut faults,
-                &mut rng,
-            );
+            let programs =
+                sample_task_programs(&policy, &inst.subgraph, platforms, &sim, config, &mut rng);
             tasks.push(TaskData {
                 subgraph: inst.subgraph.clone(),
                 weight: inst.weight,
@@ -128,14 +113,12 @@ fn sample_task_programs(
     platforms: &[Platform],
     sim: &Simulator,
     config: &DatasetConfig,
-    faults: &mut FaultModel,
     rng: &mut SmallRng,
 ) -> Vec<ProgramRecord> {
     let total = config.programs_per_task;
     let n_random = ((total as f64) * (1.0 - config.refined_fraction)).ceil() as usize;
     let opts = tlp_verify::VerifyOptions {
         gpu: Some(platforms[0].is_gpu()),
-        ..tlp_verify::VerifyOptions::default()
     };
     let mut verifier = tlp_verify::Verifier::new(subgraph, &opts);
     let sketch = policy.compile(subgraph);
@@ -153,90 +136,56 @@ fn sample_task_programs(
 
     // Measure the random wave, then refine mutants of the best ones so the
     // dataset contains the near-optimal region a search would visit.
-    let mut records: Vec<(Candidate, f64)> = candidates
+    let mut wave: Vec<(ScheduleDecision, ProgramRecord)> = candidates
         .into_iter()
-        .filter_map(|c| measure_all(sim, subgraph, platforms, &c).map(|l| (c, l)))
+        .filter_map(|c| {
+            let record = make_record(sim, subgraph, platforms, &mut verifier, c.sequence)?;
+            Some((c.decision, record))
+        })
         .collect();
-    records.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    wave.sort_by(|a, b| {
+        a.1.latencies[0]
+            .partial_cmp(&b.1.latencies[0])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let (parents, mut out): (Vec<ScheduleDecision>, Vec<ProgramRecord>) = wave.into_iter().unzip();
 
-    let mut out: Vec<ProgramRecord> = records
-        .iter()
-        .filter_map(|(c, _)| make_record(sim, subgraph, platforms, faults, &mut verifier, c))
-        .collect();
-
-    let elite = records.len().clamp(1, 8);
+    let elite = parents.len().clamp(1, 8);
     let mut refine_tries = 0;
-    while out.len() < total && !records.is_empty() && refine_tries < total * 20 {
+    while out.len() < total && !parents.is_empty() && refine_tries < total * 20 {
         refine_tries += 1;
-        let parent = &records[refine_tries % elite].0;
-        let mut d = parent.decision.clone();
+        let mut d = parents[refine_tries % elite].clone();
         sketch.mutate(&mut d, rng);
         let sequence = sketch.emit(&d);
         if !seen.insert(sequence.fingerprint()) {
             continue;
         }
-        let c = Candidate {
-            decision: d,
-            sequence,
-        };
-        if let Some(record) = make_record(sim, subgraph, platforms, faults, &mut verifier, &c) {
+        if let Some(record) = make_record(sim, subgraph, platforms, &mut verifier, sequence) {
             out.push(record);
         }
     }
     out
 }
 
-/// Returns the first-platform latency if the candidate lowers, else `None`.
-fn measure_all(
-    sim: &Simulator,
-    subgraph: &tlp_workload::Subgraph,
-    platforms: &[Platform],
-    c: &Candidate,
-) -> Option<f64> {
-    let spec = lower(subgraph, &c.sequence).ok()?;
-    Some(sim.latency(&platforms[0], subgraph, &spec, c.sequence.fingerprint()))
-}
-
+/// Lowers `schedule` once and records its latency on every platform, or
+/// `None` if it does not lower.
 fn make_record(
     sim: &Simulator,
     subgraph: &tlp_workload::Subgraph,
     platforms: &[Platform],
-    faults: &mut FaultModel,
     verifier: &mut tlp_verify::Verifier<'_>,
-    c: &Candidate,
+    schedule: ScheduleSequence,
 ) -> Option<ProgramRecord> {
-    let spec = lower(subgraph, &c.sequence).ok()?;
-    let fp = c.sequence.fingerprint();
-    let validity = verifier.check(&c.sequence).summary();
-    // A TenSet-style collection failure: keep the record, label the error
-    // class, and leave the latencies unusable.
-    if let Some(class) = faults.draw(fp, 0).class() {
-        return Some(ProgramRecord {
-            schedule: c.sequence.clone(),
-            latencies: vec![f64::INFINITY; platforms.len()],
-            validity,
-            error: Some(class),
-        });
-    }
+    let spec = lower(subgraph, &schedule).ok()?;
+    let fp = schedule.fingerprint();
     let latencies = platforms
         .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let lat = sim.latency(p, subgraph, &spec, fp);
-            if faults.perturbs_samples() {
-                // Collection records one (noisy) sample per platform; the
-                // platform index stands in for the repeat coordinate.
-                lat * faults.sample_factor(fp, 0, i as u32)
-            } else {
-                lat
-            }
-        })
+        .map(|p| sim.latency(p, subgraph, &spec, fp))
         .collect();
     Some(ProgramRecord {
-        schedule: c.sequence.clone(),
+        validity: verifier.check(&schedule).summary(),
+        schedule,
         latencies,
-        validity,
-        error: None,
     })
 }
 
@@ -250,7 +199,6 @@ mod tests {
             programs_per_task: 12,
             refined_fraction: 0.25,
             seed: 42,
-            ..DatasetConfig::default()
         }
     }
 
@@ -320,57 +268,6 @@ mod tests {
         };
         assert_eq!(ds.retain_valid(), 1);
         assert_eq!(ds.num_programs(), before - 1);
-    }
-
-    #[test]
-    fn zero_fault_rates_are_bit_identical_to_default_generation() {
-        let platforms = [Platform::i7_10510u()];
-        let nets = [bert_tiny(1, 64)];
-        let plain = generate_dataset_for(&nets, &[], &platforms, &tiny_config());
-        let zeroed = generate_dataset_for(
-            &nets,
-            &[],
-            &platforms,
-            &DatasetConfig {
-                faults: FaultRates::ZERO,
-                ..tiny_config()
-            },
-        );
-        assert_eq!(plain.tasks, zeroed.tasks);
-    }
-
-    #[test]
-    fn faulty_collection_labels_failures_and_retain_measured_drops_them() {
-        let platforms = [Platform::i7_10510u(), Platform::e5_2673()];
-        let mut ds = generate_dataset_for(
-            &[bert_tiny(1, 64)],
-            &[],
-            &platforms,
-            &DatasetConfig {
-                faults: FaultRates::uniform(0.4),
-                ..tiny_config()
-            },
-        );
-        let failed: Vec<&ProgramRecord> = ds
-            .tasks
-            .iter()
-            .flat_map(|t| t.programs.iter())
-            .filter(|r| !r.is_measured())
-            .collect();
-        assert!(!failed.is_empty(), "40% chaos must fail some collections");
-        for r in &failed {
-            assert!(r.latencies.iter().all(|l| l.is_infinite()));
-            assert!(r.error.is_some());
-        }
-        let n_failed = failed.len();
-        let before = ds.num_programs();
-        assert_eq!(ds.retain_measured(), n_failed);
-        assert_eq!(ds.num_programs(), before - n_failed);
-        assert!(ds
-            .tasks
-            .iter()
-            .flat_map(|t| t.programs.iter())
-            .all(|r| r.is_measured() && r.latencies.iter().all(|l| l.is_finite())));
     }
 
     #[test]

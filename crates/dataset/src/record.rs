@@ -1,7 +1,7 @@
 //! Dataset record types.
 
 use serde::{Deserialize, Serialize};
-use tlp_hwsim::{FaultClass, Platform};
+use tlp_hwsim::Platform;
 use tlp_schedule::ScheduleSequence;
 use tlp_verify::ValiditySummary;
 use tlp_workload::Subgraph;
@@ -20,19 +20,6 @@ pub struct ProgramRecord {
     /// recorded at generation time so consumers can filter or stratify
     /// without re-running the analyzer.
     pub validity: ValiditySummary,
-    /// Measurement error class, TenSet-style: `None` for a clean
-    /// measurement; `Some` when collection failed (latencies are then
-    /// [`f64::INFINITY`]). Filter with
-    /// [`Dataset::retain_measured`](crate::Dataset::retain_measured) before
-    /// training.
-    pub error: Option<FaultClass>,
-}
-
-impl ProgramRecord {
-    /// Whether the record carries usable latencies.
-    pub fn is_measured(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 /// All sampled programs of one tuning task (subgraph).
@@ -111,18 +98,6 @@ impl Dataset {
         }
         removed
     }
-
-    /// Drops every program whose measurement failed (carries an error-class
-    /// label instead of usable latencies), returning how many were removed.
-    pub fn retain_measured(&mut self) -> usize {
-        let mut removed = 0;
-        for t in &mut self.tasks {
-            let before = t.programs.len();
-            t.programs.retain(|r| r.is_measured());
-            removed += before - t.programs.len();
-        }
-        removed
-    }
 }
 
 #[cfg(test)]
@@ -141,19 +116,16 @@ mod tests {
                     schedule: ScheduleSequence::new(),
                     latencies: vec![2.0e-3],
                     validity: Default::default(),
-                    error: None,
                 },
                 ProgramRecord {
                     schedule: ScheduleSequence::new(),
                     latencies: vec![1.0e-3],
                     validity: Default::default(),
-                    error: None,
                 },
                 ProgramRecord {
                     schedule: ScheduleSequence::new(),
                     latencies: vec![4.0e-3],
                     validity: Default::default(),
-                    error: None,
                 },
             ],
         };

@@ -146,7 +146,6 @@ mod tests {
                 programs_per_task: 16,
                 refined_fraction: 0.25,
                 seed: 3,
-                ..DatasetConfig::default()
             },
         )
     }

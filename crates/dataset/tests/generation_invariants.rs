@@ -62,7 +62,6 @@ fn refinement_skews_toward_fast_programs() {
             programs_per_task: 32,
             refined_fraction: 0.0,
             seed: 9,
-            ..DatasetConfig::default()
         },
     );
     let refined = generate_dataset_for(
@@ -73,7 +72,6 @@ fn refinement_skews_toward_fast_programs() {
             programs_per_task: 32,
             refined_fraction: 0.5,
             seed: 9,
-            ..DatasetConfig::default()
         },
     );
     let near_optimal_share = |ds: &tlp_dataset::Dataset| -> f64 {
@@ -155,4 +153,47 @@ fn test_set_flagging_follows_network_pools() {
         // MobileNet tasks are convs/pools, never dense/batch-matmul.
         assert_ne!(t.subgraph.anchor.name(), "dense_bert");
     }
+}
+
+#[test]
+fn two_platform_generation_matches_the_pinned_digest() {
+    // Pins every byte a small two-CPU collection produces: per task, each
+    // record's schedule fingerprint, latency bits on both platforms and
+    // verifier summary, in record order. A change to sampling, refinement,
+    // ranking or measurement moves it.
+    fn fold(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let ds = generate_dataset_for(
+        &[bert_tiny(1, 64)],
+        &[],
+        &[Platform::i7_10510u(), Platform::e5_2673()],
+        &DatasetConfig {
+            programs_per_task: 16,
+            seed: 7,
+            ..DatasetConfig::default()
+        },
+    );
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for t in &ds.tasks {
+        fold(&mut digest, t.programs.len() as u64);
+        for r in &t.programs {
+            fold(&mut digest, r.schedule.fingerprint());
+            for l in &r.latencies {
+                fold(&mut digest, l.to_bits());
+            }
+            let v = r.validity;
+            fold(&mut digest, u64::from(v.errors));
+            fold(&mut digest, u64::from(v.warnings));
+            fold(&mut digest, u64::from(v.lints));
+        }
+    }
+    assert_eq!(
+        (ds.tasks.len(), ds.num_programs(), digest),
+        (7, 108, 0x3a23_b0e5_1e19_9640),
+        "expected the pinned (tasks, programs, digest), got {:?}",
+        (ds.tasks.len(), ds.num_programs(), format!("{digest:#x}"))
+    );
 }

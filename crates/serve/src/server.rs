@@ -325,7 +325,6 @@ impl ServeClient {
         // warnings and lints never do.
         let opts = tlp_verify::VerifyOptions {
             gpu: Some(task.platform.is_gpu()),
-            ..tlp_verify::VerifyOptions::default()
         };
         let mut verifier = tlp_verify::Verifier::new(&task.subgraph, &opts);
         for (index, schedule) in schedules.iter().enumerate() {

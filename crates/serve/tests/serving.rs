@@ -454,7 +454,6 @@ fn remote_cost_model_matches_local_scorer_and_tunes() {
                 generations: 1,
                 ..EvolutionConfig::default()
             },
-            nominal_pool: 100,
             seed: 37,
             ..TuningOptions::default()
         },

@@ -14,6 +14,9 @@ use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::VerifyOptions;
 use tlp_schedule::ScheduleSequence;
 
+/// Hardware limit for the per-block thread product (V404).
+const MAX_THREADS_PER_BLOCK: i128 = 1024;
+
 pub(crate) fn check(
     opts: &VerifyOptions,
     schedule: &ScheduleSequence,
@@ -66,14 +69,11 @@ pub(crate) fn check(
     let threads: i128 = binds.iter().filter(|b| b.thread).fold(1i128, |acc, b| {
         acc.saturating_mul(b.extent.unwrap_or(1) as i128)
     });
-    if threads > opts.max_threads_per_block as i128 {
+    if threads > MAX_THREADS_PER_BLOCK {
         out.push(Diagnostic::global(
             Code::OccupancyExceeded,
             Severity::Warn,
-            format!(
-                "{threads} threads per block exceed the limit of {}",
-                opts.max_threads_per_block
-            ),
+            format!("{threads} threads per block exceed the limit of {MAX_THREADS_PER_BLOCK}"),
         ));
     }
 

@@ -111,24 +111,13 @@ use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
 use tlp_workload::{FusedOp, LoopSpec, Subgraph};
 
 /// Analyzer configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Whether the schedule targets a GPU. `None` infers the device from
     /// the presence of `blockIdx.*`/`threadIdx.*` bindings; `Some` pins it
     /// (e.g. from the serving request's platform) and makes binding
     /// coverage mandatory or forbidden.
     pub gpu: Option<bool>,
-    /// Hardware limit for the per-block thread product (V404).
-    pub max_threads_per_block: i64,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            gpu: None,
-            max_threads_per_block: 1024,
-        }
-    }
 }
 
 /// Shared facts about the subgraph, resolved once per [`Verifier`].
@@ -444,19 +433,13 @@ mod tests {
         )
         .with_loops(["i"])
         .with_extras(["parallel"])]);
-        let gpu_opts = VerifyOptions {
-            gpu: Some(true),
-            ..VerifyOptions::default()
-        };
+        let gpu_opts = VerifyOptions { gpu: Some(true) };
         let r = verify_with(&dense(), &cpu_sched, &gpu_opts);
         let c = codes(&r);
         assert!(c.contains(&Code::MissingThreadBinding));
         assert!(c.contains(&Code::MissingBlockBinding));
 
-        let cpu_opts = VerifyOptions {
-            gpu: Some(false),
-            ..VerifyOptions::default()
-        };
+        let cpu_opts = VerifyOptions { gpu: Some(false) };
         assert!(verify_with(&dense(), &cpu_sched, &cpu_opts).is_clean());
     }
 

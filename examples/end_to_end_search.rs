@@ -32,7 +32,6 @@ fn run(
             generations: 2,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 0xE2E,
         ..TuningOptions::default()
     };

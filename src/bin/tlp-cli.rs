@@ -242,9 +242,8 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
     use tlp::experiments::eval_head;
     use tlp::{train_mtl_with, TrainOptions};
     use tlp_continual::{
-        run_continual, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher,
+        run_continual, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher, FAULT_RATE,
     };
-    use tlp_hwsim::FaultRates;
 
     let cfg = TlpConfig {
         epochs: 6,
@@ -262,7 +261,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
             programs_per_task: 48,
             refined_fraction: 0.25,
             seed: 0xC11,
-            ..tlp_dataset::DatasetConfig::default()
         },
     );
     let extractor = FeatureExtractor::fit(&ds, cfg.seq_len, cfg.emb_size);
@@ -297,7 +295,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         rounds: 4,
         per_task_candidates: 4,
         max_tasks: 3,
-        fault_rates: FaultRates::uniform(0.05),
         adapt: TrainOptions::from_config(&cfg)
             .with_epochs(4)
             .with_batch_size(16)
@@ -306,8 +303,8 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         seed: 0xADA7,
     };
     println!(
-        "adapting: {} rounds x {} tasks x {} candidates at fault rate 0.05…",
-        config.rounds, config.max_tasks, config.per_task_candidates
+        "adapting: {} rounds x {} tasks x {} candidates at fault rate {}…",
+        config.rounds, config.max_tasks, config.per_task_candidates, FAULT_RATE
     );
     let report = match run_continual(
         &mut model,
@@ -361,10 +358,7 @@ struct CorpusReport {
 fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
     let scale = Scale::from_env();
     let ds = scale.cpu_dataset();
-    let opts = tlp_verify::VerifyOptions {
-        gpu: Some(false),
-        ..tlp_verify::VerifyOptions::default()
-    };
+    let opts = tlp_verify::VerifyOptions { gpu: Some(false) };
     let mut counts: std::collections::BTreeMap<tlp_verify::Code, u64> =
         std::collections::BTreeMap::new();
     let mut severities = std::collections::HashMap::new();

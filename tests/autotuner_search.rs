@@ -41,7 +41,6 @@ fn tuner_never_measures_the_same_program_twice_per_task() {
             generations: 1,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 21,
         ..TuningOptions::default()
     };
@@ -88,7 +87,6 @@ fn task_scheduler_prioritizes_heavy_tasks_after_seeding() {
             generations: 1,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 5,
         ..TuningOptions::default()
     };
@@ -137,7 +135,6 @@ fn ansor_online_model_improves_search_over_random() {
             epsilon: 0.1,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 31,
         ..TuningOptions::default()
     };

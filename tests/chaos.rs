@@ -30,7 +30,6 @@ fn tuning_opts(rate: f64) -> TuningOptions {
             generations: 1,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 77,
         faults: FaultRates::uniform(rate),
     }

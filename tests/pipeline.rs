@@ -87,7 +87,6 @@ fn trained_tlp_guides_search_at_least_as_well_as_random() {
             epsilon: 0.0,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 99,
         ..TuningOptions::default()
     };

@@ -129,7 +129,6 @@ proptest! {
                 schedule: ScheduleSequence::new(),
                 latencies: vec![l],
                 validity: Default::default(),
-                error: None,
             }).collect(),
         };
         let labels = task.labels(0);

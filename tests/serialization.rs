@@ -110,7 +110,6 @@ fn tuning_report_roundtrips() {
             generations: 1,
             ..EvolutionConfig::default()
         },
-        nominal_pool: 10_000,
         seed: 3,
         ..TuningOptions::default()
     };

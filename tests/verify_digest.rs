@@ -303,10 +303,7 @@ fn every_diagnostic_on_the_corpus_matches_the_pinned_digest() {
     let (mut schedules, mut findings) = (0u64, 0u64);
     for (sg, seqs) in &corpus() {
         for gpu in DEVICES {
-            let opts = VerifyOptions {
-                gpu,
-                ..VerifyOptions::default()
-            };
+            let opts = VerifyOptions { gpu };
             let mut reused = Verifier::new(sg, &opts);
             for seq in seqs {
                 let report = verify_with(sg, seq, &opts);

@@ -227,10 +227,7 @@ fn mutated_schedule_text_yields_a_parse_failure_or_a_report_and_never_panics() {
     let mut rng = Lcg(0x5EED_F022);
     let (mut parsed, mut unparsed) = (0usize, 0usize);
     for gpu in [None, Some(false), Some(true)] {
-        let opts = VerifyOptions {
-            gpu,
-            ..VerifyOptions::default()
-        };
+        let opts = VerifyOptions { gpu };
         for (s, sg) in pool.iter().enumerate() {
             let mut reused = Verifier::new(sg, &opts);
             for base in &texts[s] {

@@ -65,7 +65,6 @@ fn subgraph_pool() -> Vec<Subgraph> {
 fn options_for(policy: &SketchPolicy) -> VerifyOptions {
     VerifyOptions {
         gpu: Some(policy.gpu),
-        ..VerifyOptions::default()
     }
 }
 
@@ -353,10 +352,7 @@ fn diagnostics_on_a_seeded_corpus_match_the_pinned_digest() {
     for (sg, seqs) in &pinned_corpus() {
         for seq in seqs {
             for gpu in DEVICES {
-                let opts = VerifyOptions {
-                    gpu,
-                    ..VerifyOptions::default()
-                };
+                let opts = VerifyOptions { gpu };
                 for d in &verify_with(sg, seq, &opts).diagnostics {
                     fold(&mut digest, &schedules.to_le_bytes());
                     fold(&mut digest, d.code.as_str().as_bytes());
@@ -387,10 +383,7 @@ fn diagnostics_on_a_seeded_corpus_match_the_pinned_digest() {
 fn a_reused_verifier_reports_what_a_fresh_one_does() {
     for (sg, seqs) in &pinned_corpus() {
         for gpu in DEVICES {
-            let opts = VerifyOptions {
-                gpu,
-                ..VerifyOptions::default()
-            };
+            let opts = VerifyOptions { gpu };
             let mut verifier = Verifier::new(sg, &opts);
             for (k, seq) in seqs.iter().enumerate() {
                 assert_eq!(
