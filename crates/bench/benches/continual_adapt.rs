@@ -6,8 +6,8 @@
 //!    training collection — the paper's "collect a new dataset" cost.
 //! 2. **Continual arm**: a 2-head model trained only on the old CPUs,
 //!    grown a third head, adapted online from fault-injected measurements
-//!    capped at ≤ 10 % of the baseline's sample count, rehearsing old
-//!    platforms from a stratified replay buffer.
+//!    capped at ≤ 10 % of the baseline's sample count; only the new head
+//!    trains, on the new platform's measured groups alone.
 //! 3. **Hot-swap arm**: the same loop publishing canary-gated snapshots
 //!    into a live registry while reader threads score continuously — counts
 //!    request failures (must be zero).
@@ -28,8 +28,7 @@ use tlp::{
 };
 use tlp_bench::{print_table, write_json};
 use tlp_continual::{
-    run_continual, AdaptReport, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher,
-    FAULT_RATE,
+    run_continual, AdaptReport, CanarySet, ContinualConfig, SnapshotPublisher, FAULT_RATE,
 };
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig};
 use tlp_hwsim::Platform;
@@ -103,13 +102,6 @@ fn grown_model(ds: &Dataset, ex: &FeatureExtractor, cfg: &TlpConfig) -> TlpModel
     base.grow_head_from(1)
 }
 
-fn replay_from(ds: &Dataset, ex: &FeatureExtractor) -> ReplayBuffer {
-    let mut replay = ReplayBuffer::stratified(3, 17);
-    replay.ingest_data(0, &TrainData::from_dataset(ds, ex, 0));
-    replay.ingest_data(1, &TrainData::from_dataset(ds, ex, 1));
-    replay
-}
-
 /// Loop config sized so the measurement budget stays ≤ 10 % of
 /// `scratch_samples` by construction.
 fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
@@ -152,7 +144,6 @@ fn hot_swap_arm(
     let pool = canaries.first().expect("canary tasks exist").clone();
     let mut publisher = SnapshotPublisher::new(registry.clone(), "ryzen-3950x", 2, canaries);
     let mut model = grown_model(ds, ex, cfg);
-    let replay = replay_from(ds, ex);
 
     let done = AtomicBool::new(false);
     let batches = AtomicU64::new(0);
@@ -188,7 +179,7 @@ fn hot_swap_arm(
                 }
             }));
         }
-        let report = run_continual(&mut model, ex, ds, &replay, config, Some(&mut publisher))
+        let report = run_continual(&mut model, ex, ds, config, Some(&mut publisher))
             .expect("continual loop");
         done.store(true, Ordering::SeqCst);
         for r in readers {
@@ -227,11 +218,10 @@ fn main() {
         hot_swap_arm(&ds, &ex, &cfg, &config);
     let (adapted_top1, adapted_top5) = eval_head(&model, &ex, &ds, 2, 2);
 
-    // Arm 4: bit-reproducibility of the loop (publisher-free replays).
+    // Arm 4: bit-reproducibility of the loop (publisher-free reruns).
     let rerun = |_: usize| {
         let mut m = grown_model(&ds, &ex, &cfg);
-        let replay = replay_from(&ds, &ex);
-        let rep = run_continual(&mut m, &ex, &ds, &replay, &config, None).expect("replay loop");
+        let rep = run_continual(&mut m, &ex, &ds, &config, None).expect("rerun loop");
         (
             store_bits(&m),
             serde_json::to_string(&rep).expect("serialize"),

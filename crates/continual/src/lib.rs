@@ -6,18 +6,16 @@
 //! trained model ([`tlp::TlpModel::grow_head`]) and adapts it online from
 //! streamed measurements, while the model keeps serving its old platforms.
 //!
-//! The subsystem has four parts, one per module:
+//! Adaptation trains the new head alone, on nothing but the new platform's
+//! measured groups, through the existing bitwise-deterministic training
+//! loop ([`tlp::train::train_head`] over [`tlp::trainer::fit`]), not a new
+//! one. The trunk and every old head have their gradients zeroed in the
+//! trainer's `postprocess_grads` hook, so old platforms are provably
+//! bitwise-invariant (forgetting is exactly zero) and the clipping and Adam
+//! step stay byte-for-byte the shared code path.
 //!
-//! - [`replay`]: a seeded, deterministic [`ReplayBuffer`] over prior
-//!   platforms' task groups, a bounded sample per head. Replay batches are
-//!   mixed into every adaptation epoch, routed through their old heads.
-//! - [`adapt`]: [`adapt_round`] drives the existing bitwise-deterministic
-//!   training loop, [`tlp::trainer::fit`] — not a new one — through
-//!   [`tlp::train::train_head`], which trains the new head alone: the trunk
-//!   and every old head have their gradients zeroed in the trainer's
-//!   `postprocess_grads` hook, so old platforms are provably
-//!   bitwise-invariant and the clipping and Adam step stay byte-for-byte
-//!   the shared code path.
+//! The subsystem has two parts, one per module:
+//!
 //! - [`publish`]: a [`SnapshotPublisher`] emits versioned
 //!   [`tlp::persist::SavedTlp`] snapshots after every round, hot-swaps them
 //!   into a live [`tlp_serve::ModelRegistry`] (the atomic-`Arc` swap — a
@@ -36,12 +34,8 @@
 #![warn(clippy::disallowed_methods)]
 #![warn(clippy::disallowed_types)] // std HashMap/HashSet ban: deterministic iteration only
 
-pub mod adapt;
 pub mod publish;
-pub mod replay;
 pub mod service;
 
-pub use adapt::adapt_round;
 pub use publish::{rank_accuracy, CanarySet, PublishOutcome, SnapshotPublisher, CANARY_TOLERANCE};
-pub use replay::{ReplayBuffer, ReplayItem};
 pub use service::{run_continual, AdaptReport, ContinualConfig, RoundReport, FAULT_RATE};

@@ -12,8 +12,9 @@
 //!    visible.
 //! 3. **Label**: accumulate per-task latency pools and re-normalize labels
 //!    (`min_latency / latency`) as new minima arrive.
-//! 4. **Adapt**: one [`adapt_round`] over the accumulated data mixed with
-//!    the old-platform [`ReplayBuffer`]; only the new head trains.
+//! 4. **Adapt**: one [`train_head`] run over the accumulated data; only the
+//!    new head trains, so the trunk and every old head stay bitwise
+//!    unchanged.
 //! 5. **Publish**: optionally hand the model to a [`SnapshotPublisher`] for
 //!    a canary-gated hot-swap into live serving.
 //!
@@ -26,9 +27,7 @@
 //! loop (measurements, labels, final parameters, metrics) is
 //! bit-reproducible.
 
-use crate::adapt::adapt_round;
 use crate::publish::SnapshotPublisher;
-use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -36,7 +35,7 @@ use std::collections::BTreeSet;
 use tlp::experiments::eval_head;
 use tlp::features::FeatureBuf;
 use tlp::persist::PersistError;
-use tlp::train::{GroupData, TrainData};
+use tlp::train::{train_head, GroupData, TrainData};
 use tlp::{FeatureExtractor, TlpModel, TrainOptions};
 use tlp_autotuner::{Measurer, SearchTask, SketchPolicy};
 use tlp_dataset::Dataset;
@@ -122,8 +121,8 @@ struct TaskAccum {
 ///
 /// `model` must already be grown ([`TlpModel::grow_head`]): its last head is
 /// the one adapted, and `ds.platforms` must carry one latency column per
-/// head with the new platform last. `replay` holds old-platform rehearsal
-/// groups; `publisher` (optional) receives the model after every round.
+/// head with the new platform last. `publisher` (optional) receives the
+/// model after every round.
 ///
 /// # Errors
 ///
@@ -134,12 +133,11 @@ struct TaskAccum {
 /// # Panics
 ///
 /// Panics if the dataset platform count disagrees with the model's head
-/// count, or on feature-shape mismatches (see [`adapt_round`]).
+/// count, or on feature-shape mismatches (see [`train_head`]).
 pub fn run_continual(
     model: &mut TlpModel,
     extractor: &FeatureExtractor,
     ds: &Dataset,
-    replay: &ReplayBuffer,
     config: &ContinualConfig,
     mut publisher: Option<&mut SnapshotPublisher>,
 ) -> Result<AdaptReport, PersistError> {
@@ -238,7 +236,7 @@ pub fn run_continual(
             groups,
         };
 
-        // 4: adapt on everything measured so far, mixed with replay.
+        // 4: adapt on everything measured so far (groups of ≥ 2 labels).
         let mut train_loss = 0.0f32;
         if new_data.num_samples() >= 4 {
             let options = config.adapt.clone().with_seed(
@@ -247,7 +245,7 @@ pub fn run_continual(
                     .seed
                     .wrapping_add((round as u64).wrapping_mul(0xd1b5_4a32_d192_ed03)),
             );
-            let report = adapt_round(model, new_head, &new_data, replay, &options);
+            let report = train_head(model, new_head, &new_data, &options);
             train_loss = report.final_loss();
         }
 

@@ -7,7 +7,7 @@
 //!
 //! Restores are **audited**: [`SavedTlp::restore`] runs the
 //! `tlp-modelcheck` static analyzer (shape/arity, trunk/head partition,
-//! numeric sanity, store checksum) against the snapshot before handing a
+//! numeric sanity, snapshot checksum) against the snapshot before handing a
 //! model back, rejecting corrupt or inconsistent snapshots with
 //! [`PersistError::Invalid`]. The audit is read-only and RNG-neutral: a
 //! restored model's parameters are bitwise the snapshot's. There is no
@@ -33,8 +33,10 @@ use tlp_schedule::Vocabulary;
 /// History: 1 = initial versioned layout; 2 = added the `checksum` field
 /// over the parameter store (names, shapes, and value bit patterns); 3 =
 /// the head of a one-head model is registered under head 0's prefix like
-/// every other head (it had a prefix of its own).
-pub const SAVED_TLP_FORMAT_VERSION: u32 = 3;
+/// every other head (it had a prefix of its own); 4 = the checksum covers
+/// every field a restore reads (head count, extractor shape, vocabulary and
+/// config), not the store alone.
+pub const SAVED_TLP_FORMAT_VERSION: u32 = 4;
 
 /// A serializable snapshot of a trained TLP model + its feature extractor.
 #[derive(Debug, Serialize, Deserialize)]
@@ -48,7 +50,8 @@ pub struct SavedTlp {
     store: ParamStore,
     /// Number of heads (head 0 is the target platform).
     heads: usize,
-    /// Integrity checksum over the store; see [`store_checksum`].
+    /// Integrity checksum over every other field but the format tag; see
+    /// [`SavedTlp::content_checksum`].
     checksum: u64,
 }
 
@@ -256,16 +259,18 @@ fn decode_context(body: &str, detail: String) -> PersistError {
 
 /// Snapshots a model (all heads included; head 0 is the target).
 pub fn snapshot(model: &TlpModel, extractor: &FeatureExtractor) -> SavedTlp {
-    SavedTlp {
+    let mut snap = SavedTlp {
         format_version: SAVED_TLP_FORMAT_VERSION,
         config: model.config.clone(),
         vocab: extractor.vocab().clone(),
         seq_len: extractor.seq_len,
         emb_size: extractor.emb_size,
-        checksum: store_checksum(&model.store),
         store: model.store.clone(),
         heads: model.num_tasks(),
-    }
+        checksum: 0,
+    };
+    snap.checksum = snap.content_checksum();
+    snap
 }
 
 impl SavedTlp {
@@ -340,11 +345,66 @@ impl SavedTlp {
         &mut self.store
     }
 
-    /// Overrides the recorded head count without touching the store — a
-    /// head-partition corruption the audit's M2xx pass must catch (the
-    /// checksum stays valid, since the store itself is untouched).
+    /// Overrides the recorded head count without touching the store and
+    /// re-seals the checksum — a head-partition forgery by someone who
+    /// knows the checksum, which the audit's structural passes (not M106)
+    /// must catch.
     pub fn set_heads(&mut self, heads: usize) {
         self.heads = heads;
+        self.checksum = self.content_checksum();
+    }
+
+    /// Checksum of every field [`SavedTlp::restore`] reads: the store (see
+    /// [`store_checksum`]), the head count, the extractor's row shape, the
+    /// vocabulary (name-ordered) and every config field. A config edit that
+    /// keeps the store's layout (attention heads 4 → 2 over a width of 16)
+    /// would otherwise restore and silently change every score.
+    fn content_checksum(&self) -> u64 {
+        // Exhaustive, so a field added to `TlpConfig` does not compile until
+        // it is hashed here.
+        let TlpConfig {
+            seq_len,
+            emb_size,
+            hidden,
+            heads,
+            res_blocks,
+            backbone,
+            loss,
+            learning_rate,
+            epochs,
+            batch_size,
+            seed,
+        } = &self.config;
+        let mut h = store_checksum(&self.store);
+        for v in [
+            self.heads,
+            self.seq_len,
+            self.emb_size,
+            *seq_len,
+            *emb_size,
+            *hidden,
+            *heads,
+            *res_blocks,
+            *backbone as usize,
+            *loss as usize,
+            *epochs,
+            *batch_size,
+        ] {
+            h = mix(h, v as u64);
+        }
+        h = mix(h, u64::from(learning_rate.to_bits()));
+        h = mix(h, *seed);
+        let mut words: Vec<(&str, u32)> = self.vocab.iter().collect();
+        words.sort_unstable();
+        h = mix(h, words.len() as u64);
+        for (name, token) in words {
+            h = mix(h, name.len() as u64);
+            for b in name.bytes() {
+                h = mix(h, u64::from(b));
+            }
+            h = mix(h, u64::from(token));
+        }
+        h
     }
 
     /// Rejects a recorded layout that no store of this size can back,
@@ -418,10 +478,10 @@ impl SavedTlp {
     }
 
     /// Audits the snapshot against `spec`: the analyzer's structural passes
-    /// plus the store-checksum verification (M106).
+    /// plus the snapshot-checksum verification (M106).
     fn audit_against(&self, spec: &ModelSpec) -> AuditReport {
         let report = tlp_modelcheck::audit_store(spec, &self.store);
-        let computed = store_checksum(&self.store);
+        let computed = self.content_checksum();
         if computed == self.checksum {
             report
         } else {
@@ -429,7 +489,7 @@ impl SavedTlp {
                 Code::ChecksumMismatch,
                 Severity::Error,
                 format!(
-                    "store checksum {computed:#018x} does not match recorded {:#018x}",
+                    "snapshot checksum {computed:#018x} does not match recorded {:#018x}",
                     self.checksum
                 ),
             )]))
@@ -749,6 +809,53 @@ mod tests {
             edit(&mut snap.config);
             assert!(snap.audit().has_errors());
             assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_config_edit_that_keeps_the_layout() {
+        // 4 → 2 attention heads over a width of 16 registers the same
+        // parameters, so every structural pass agrees; only the checksum
+        // sees that the scores would change.
+        let (_, mut snap) = fresh(2);
+        assert_eq!((snap.config.hidden, snap.config.heads), (16, 4));
+        snap.config.heads = 2;
+        assert!(snap.check_layout().is_ok(), "the edit keeps the layout");
+        assert!(snap.audit().has_code(Code::ChecksumMismatch));
+        let Err(PersistError::Invalid { diagnostics }) = snap.restore() else {
+            panic!("the heads edit restored");
+        };
+        assert!(diagnostics.iter().any(|d| d.code == Code::ChecksumMismatch));
+    }
+
+    #[test]
+    fn every_restored_field_moves_the_checksum() {
+        let edits: [fn(&mut SavedTlp); 15] = [
+            |s| s.heads += 1,
+            |s| s.seq_len += 1,
+            |s| s.emb_size += 1,
+            |s| {
+                let mut b = Vocabulary::builder();
+                b.observe("dense");
+                s.vocab = b.build();
+            },
+            |s| s.config.seq_len += 1,
+            |s| s.config.emb_size += 1,
+            |s| s.config.hidden += 1,
+            |s| s.config.heads += 1,
+            |s| s.config.res_blocks += 1,
+            |s| s.config.backbone = Backbone::Lstm,
+            |s| s.config.loss = crate::config::LossKind::Mse,
+            |s| s.config.learning_rate *= 2.0,
+            |s| s.config.epochs += 1,
+            |s| s.config.batch_size += 1,
+            |s| s.config.seed += 1,
+        ];
+        let base = fresh(2).1.content_checksum();
+        for (i, edit) in edits.iter().enumerate() {
+            let (_, mut snap) = fresh(2);
+            edit(&mut snap);
+            assert_ne!(snap.content_checksum(), base, "edit {i} is not covered");
         }
     }
 

@@ -9,8 +9,8 @@
 //! One provider serves any head count and every caller: the TLP entry points
 //! feed `task_data[i]` to head `i` (each panics unless there is exactly one
 //! training set per head; `train_tlp`/`train_tlp_with` are the one-head
-//! forms), and [`train_head`] takes an explicit `(head, group)` slot list and
-//! trains one head with everything else frozen (continual adaptation).
+//! forms), and [`train_head`] trains one head on its own groups with
+//! everything else frozen (continual adaptation).
 
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
@@ -222,23 +222,33 @@ impl Trainable for HeadTask<'_> {
     }
 }
 
-/// Trains head `head` of `model` in place on an explicit `(head, group)` slot
-/// list, with the trunk and every other head frozen: their gradients are
-/// zeroed after every backward pass, and Adam takes a bitwise no-op step on a
-/// zero gradient, so they stay bitwise unchanged.
-/// Slots routed through another head therefore move nothing. The slot order
-/// fixes the shuffle stream, so callers filter and order their slots
-/// deliberately. Every group's rows are `seq_len × emb_size` wide.
+/// Trains head `head` of `model` in place on `data`, one head's task groups,
+/// with the trunk and every other head frozen: their gradients are zeroed
+/// after every backward pass, and Adam takes a bitwise no-op step on a zero
+/// gradient, so they stay bitwise unchanged. The group order fixes the
+/// shuffle stream.
+///
+/// # Panics
+///
+/// Panics if `head` is out of range or `data`'s rows are not
+/// `seq_len × emb_size` wide.
 pub fn train_head(
     model: &mut TlpModel,
     head: usize,
-    slots: Vec<(usize, &GroupData)>,
+    data: &TrainData,
     options: &TrainOptions,
 ) -> TrainReport {
+    assert!(head < model.num_tasks(), "trained head out of range");
+    assert_eq!(
+        data.feature_size,
+        model.config.seq_len * model.config.emb_size,
+        "extractor shape must match model config"
+    );
     let mut frozen = model.trunk_param_ids();
     for t in (0..model.num_tasks()).filter(|&t| t != head) {
         frozen.extend(model.head_param_ids(t));
     }
+    let slots = data.groups.iter().map(|g| (head, g)).collect();
     let mut task = HeadTask::new(model, slots, Some((head, frozen)), options);
     fit(options, &mut task)
 }
@@ -371,6 +381,99 @@ mod tests {
                 groups: vec![],
             }],
         );
+    }
+
+    /// Deterministic synthetic groups of `n` samples: features
+    /// hash-derived, labels favor larger feature sums, shaped like
+    /// normalized latencies in (0, 1].
+    fn synth_data(cfg: &TlpConfig, tag: u64, groups: usize, n: usize) -> TrainData {
+        let fs = cfg.seq_len * cfg.emb_size;
+        let group = |tag: u64| {
+            let mut g = GroupData::default();
+            for i in 0..n {
+                let mut sum = 0.0f32;
+                for j in 0..fs {
+                    let h = (tag
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add((i * fs + j) as u64))
+                    .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    let v = ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
+                    g.features.push(v);
+                    sum += v;
+                }
+                let label = 0.5 + 0.4 * (sum / (fs as f32).sqrt()).tanh();
+                g.labels.push(label.clamp(0.05, 1.0));
+            }
+            g
+        };
+        TrainData {
+            feature_size: fs,
+            groups: (0..groups).map(|g| group(tag * 1000 + g as u64)).collect(),
+        }
+    }
+
+    fn param_bits(model: &TlpModel, ids: &[ParamId]) -> Vec<u32> {
+        let values = ids.iter().flat_map(|&id| model.store.value(id).data());
+        values.map(|v| v.to_bits()).collect()
+    }
+
+    fn head_options(cfg: &TlpConfig) -> TrainOptions {
+        TrainOptions::from_config(cfg)
+            .with_epochs(2)
+            .with_batch_size(8)
+            .with_seed(11)
+    }
+
+    #[test]
+    fn train_head_moves_only_the_trained_head() {
+        let cfg = TlpConfig::test_scale();
+        let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
+        let new_head = 2;
+        let mut fixed = model.trunk_param_ids();
+        fixed.extend(model.head_param_ids(0));
+        fixed.extend(model.head_param_ids(1));
+        let before = param_bits(&model, &fixed);
+        let head_before = param_bits(&model, &model.head_param_ids(new_head));
+
+        let data = synth_data(&cfg, 9, 3, 16);
+        let report = train_head(&mut model, new_head, &data, &head_options(&cfg));
+        // Every micro-batch is one of `data`'s: each epoch consumes exactly
+        // its samples (16-sample groups split evenly at batch 8), so nothing
+        // is routed through another head.
+        assert_eq!(report.epochs.len(), 2);
+        for epoch in &report.epochs {
+            assert_eq!(epoch.samples, data.num_samples(), "{epoch:?}");
+        }
+
+        assert_eq!(param_bits(&model, &fixed), before, "frozen params moved");
+        assert_ne!(
+            param_bits(&model, &model.head_param_ids(new_head)),
+            head_before,
+            "trained head failed to learn"
+        );
+    }
+
+    #[test]
+    fn train_head_reproduces_the_pinned_digest() {
+        let cfg = TlpConfig::test_scale();
+        let data = synth_data(&cfg, 4, 3, 16);
+        let run = || {
+            let mut model = TlpModel::with_heads(cfg.clone(), 2).grow_head();
+            train_head(&mut model, 2, &data, &head_options(&cfg));
+            let all: Vec<ParamId> = model.store.ids().collect();
+            param_bits(&model, &all)
+        };
+        let bits = run();
+        assert_eq!(bits, run(), "a second run changed the result");
+        // FNV-1a over the value bits (names excluded): the run's batch
+        // stream and frozen set are held to this number. Re-captured when
+        // continual adaptation stopped mixing other heads' groups into the
+        // slot list (old → new in CHANGES.md).
+        let digest = bits.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let want = 0x5644_bb83_b124_2ff9u64;
+        assert_eq!(digest, want, "expected {want:#018x}, got {digest:#018x}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! The only stateful behaviour is device-reset poisoning: a
 //! [`InjectedFault::DeviceReset`] leaves the (simulated) device wedged, so
-//! the next [`FaultModel::reset_poison_k`] measurement attempts — whatever
+//! the next [`RESET_POISON_K`] measurement attempts — whatever
 //! schedule they belong to — also fail with `DeviceReset`. This reproduces
 //! the bursty failure cascades a real tuning farm sees after a GPU hang.
 
@@ -35,7 +35,7 @@ pub struct FaultRates {
     /// budget expires.
     pub timeout: f64,
     /// Probability that a measurement attempt wedges the device; the next
-    /// [`FaultModel::reset_poison_k`] attempts also fail.
+    /// [`RESET_POISON_K`] attempts also fail.
     pub device_reset: f64,
     /// Per-repeat probability of an outlier latency spike (3–23× the true
     /// latency), the kind MAD filtering exists to reject.
@@ -145,6 +145,10 @@ fn uniform(words: &[u64]) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Measurement attempts a device reset poisons (the "next K" of the fault
+/// taxonomy).
+pub const RESET_POISON_K: u32 = 3;
+
 /// Deterministic fault injector for one measurement context (one tuning run
 /// or one dataset-collection task on one platform).
 ///
@@ -156,9 +160,6 @@ pub struct FaultModel {
     rates: FaultRates,
     seed: u64,
     platform_salt: u64,
-    /// Measurement attempts a device reset poisons (the "next K" of the
-    /// fault taxonomy). Default 3.
-    pub reset_poison_k: u32,
     poisoned: u32,
 }
 
@@ -169,7 +170,6 @@ impl FaultModel {
             rates,
             seed,
             platform_salt: 0,
-            reset_poison_k: 3,
             poisoned: 0,
         }
     }
@@ -240,7 +240,7 @@ impl FaultModel {
         } else if u < r.build_fail + r.timeout {
             InjectedFault::Timeout
         } else if u < r.attempt_failure() {
-            self.poisoned = self.reset_poison_k;
+            self.poisoned = RESET_POISON_K;
             InjectedFault::DeviceReset
         } else {
             InjectedFault::None
@@ -352,9 +352,9 @@ mod tests {
         };
         let mut m = FaultModel::new(1, rates);
         assert_eq!(m.draw(42, 0), InjectedFault::DeviceReset);
-        assert_eq!(m.poisoned_remaining(), m.reset_poison_k);
+        assert_eq!(m.poisoned_remaining(), RESET_POISON_K);
         // The next K draws fail regardless of fingerprint, consuming poison.
-        for i in 0..m.reset_poison_k {
+        for i in 0..RESET_POISON_K {
             let left = m.poisoned_remaining();
             assert_eq!(m.draw(1000 + i as u64, 0), InjectedFault::DeviceReset);
             assert_eq!(m.poisoned_remaining(), left - 1);

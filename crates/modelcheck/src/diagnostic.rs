@@ -54,7 +54,7 @@ pub enum Code {
     DuplicateParamName,
     /// A parameter tensor with zero elements.
     EmptyParam,
-    /// The snapshot's stored checksum disagrees with the store contents.
+    /// The snapshot's stored checksum disagrees with its contents.
     ChecksumMismatch,
     /// A parameter name matches more than one head prefix.
     HeadOverlap,

@@ -83,6 +83,11 @@ impl Vocabulary {
         self.map.is_empty()
     }
 
+    /// Every known `(name, token)` pair, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Token)> {
+        self.map.iter().map(|(name, &token)| (name.as_str(), token))
+    }
+
     /// Total token count including the reserved unknown slot
     /// (useful for sizing embedding tables).
     pub fn size_with_unknown(&self) -> usize {

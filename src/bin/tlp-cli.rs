@@ -241,9 +241,7 @@ fn cmd_tune(network: Option<&str>, model_path: Option<&str>) -> i32 {
 fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
     use tlp::experiments::eval_head;
     use tlp::{train_mtl_with, TrainOptions};
-    use tlp_continual::{
-        run_continual, CanarySet, ContinualConfig, ReplayBuffer, SnapshotPublisher, FAULT_RATE,
-    };
+    use tlp_continual::{run_continual, CanarySet, ContinualConfig, SnapshotPublisher, FAULT_RATE};
 
     let cfg = TlpConfig {
         epochs: 6,
@@ -280,10 +278,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
     let (zero_shot, _) = eval_head(&model, &extractor, &ds, 2, 2);
     println!("warm-started ryzen-3950x head from e5-2673 (zero-shot top-1 {zero_shot:.4})");
 
-    let mut replay = ReplayBuffer::stratified(3, 17);
-    replay.ingest_data(0, &data[0]);
-    replay.ingest_data(1, &data[1]);
-
     let registry = Arc::new(ModelRegistry::new(EngineConfig::default()));
     let mut publisher = SnapshotPublisher::new(
         registry.clone(),
@@ -306,14 +300,7 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
         "adapting: {} rounds x {} tasks x {} candidates at fault rate {}…",
         config.rounds, config.max_tasks, config.per_task_candidates, FAULT_RATE
     );
-    let report = match run_continual(
-        &mut model,
-        &extractor,
-        &ds,
-        &replay,
-        &config,
-        Some(&mut publisher),
-    ) {
+    let report = match run_continual(&mut model, &extractor, &ds, &config, Some(&mut publisher)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("adapt: {e}");

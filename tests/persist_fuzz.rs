@@ -15,7 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tlp::features::{FeatureBuf, FeatureExtractor};
-use tlp::persist::{snapshot, SavedTlp};
+use tlp::persist::{snapshot, PersistError, SavedTlp};
 use tlp::{TlpConfig, TlpModel};
 use tlp_nn::{ParamStore, Workspace};
 use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
@@ -371,4 +371,45 @@ fn mutated_snapshots_fail_typed_or_restore_bit_equal() {
         restored > 0 && rejected > restored,
         "restored {restored}, rejected {rejected}"
     );
+}
+
+/// Two edits that keep every parameter's name and shape, so only the
+/// snapshot checksum can see them: 4 → 2 attention heads over a width of
+/// 16, and one name moved to another token. Either would restore a model
+/// that scores differently from the one saved; both must be refused.
+#[test]
+fn layout_keeping_edits_are_refused() {
+    let cfg = TlpConfig::test_scale();
+    assert_eq!((cfg.hidden, cfg.heads), (16, 4));
+    let mut vocab = tlp_schedule::Vocabulary::builder();
+    for name in ["dense", "dense", "i"] {
+        vocab.observe(name);
+    }
+    let ex = FeatureExtractor::with_vocab(vocab.build(), cfg.seq_len, cfg.emb_size);
+    let model = TlpModel::with_heads(cfg, 2);
+    let base = serde_json::to_string(&snapshot(&model, &ex)).expect("serialize");
+    let dir = std::env::temp_dir().join(format!("tlp_persist_edits_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // The config comes before the top-level head count, so the first
+    // `heads` entry is the attention heads.
+    let edits: [(&str, &str, &str); 2] = [("heads", "4", "2"), ("dense", "1", "2")];
+    for (key, from, to) in edits {
+        let mut text = base.clone();
+        let (_, value, end) = entries(&text, key)[0];
+        assert_eq!(&text[value..end], from, "{key} in {base}");
+        text.replace_range(value..end, to);
+        let path = dir.join(format!("{key}.json"));
+        std::fs::write(&path, &text).expect("write input");
+        let snap = SavedTlp::load(&path).expect("the edit keeps the format");
+        let _ = std::fs::remove_file(&path);
+        assert!(snap.audit().has_errors(), "audit missed the {key} edit");
+        match snap.restore().err() {
+            Some(PersistError::Invalid { diagnostics }) => assert!(
+                diagnostics.iter().any(|d| d.code.as_str() == "M106"),
+                "{key} edit: {diagnostics:?}"
+            ),
+            other => panic!("{key} edit restored as {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir(&dir);
 }
