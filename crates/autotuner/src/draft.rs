@@ -110,7 +110,7 @@ fn stat_features_into(pop: &[ScheduleSequence], out: &mut Vec<f32>) {
         for p in seq.iter() {
             row[p.kind.index()] += 1.0;
             loops += p.loop_vars.len();
-            for &v in &p.ints {
+            for &v in p.ints {
                 let l = (1.0 + v.max(0) as f32).ln();
                 int_log_sum += l;
                 int_log_max = int_log_max.max(l);

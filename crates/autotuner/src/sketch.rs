@@ -11,8 +11,9 @@
 //! the primitive sequence of a decision over a sequence the caller already
 //! holds ([`Sketch::emit_into`]), so a search that compiles once per task
 //! formats no name per candidate and allocates only where the buffers it
-//! writes over are too short. The `SketchPolicy` methods that take a
-//! subgraph are the one-shot spelling: compile, then one call.
+//! writes over are too short; a fresh sequence gets each of its four
+//! buffers sized once. The `SketchPolicy` methods that take a subgraph are
+//! the one-shot spelling: compile, then one call.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -120,7 +121,7 @@ impl SketchPolicy {
             })
             .collect();
         let heavy = Self::is_compute_heavy(subgraph);
-        Sketch {
+        let mut sketch = Sketch {
             gpu: self.gpu,
             heavy,
             samples_rfactor: heavy && !reduction.is_empty() && subgraph.output_elems() < 4096.0,
@@ -132,7 +133,10 @@ impl SketchPolicy {
             }),
             spatial,
             reduction,
-        }
+            largest: ScheduleSequence::new(),
+        };
+        sketch.largest = sketch.emit(&sketch.largest_decision());
+        sketch
     }
 
     /// Samples a random schedule decision for `subgraph`.
@@ -167,7 +171,7 @@ impl SketchPolicy {
 /// A spatial loop with the names of its four tile levels, `"{name}.{level}"`.
 #[derive(Clone, Debug)]
 struct SpatialAxis {
-    name: String,
+    name: &'static str,
     extent: i64,
     levels: [String; 4],
 }
@@ -176,7 +180,7 @@ struct SpatialAxis {
 /// `"{name}.1"`.
 #[derive(Clone, Debug)]
 struct ReductionAxis {
-    name: String,
+    name: &'static str,
     extent: i64,
     outer: String,
     inner: String,
@@ -202,6 +206,9 @@ pub struct Sketch {
     /// What fusing every spatial axis at tile level 0, 1, 2 is called:
     /// the level's names joined by `@`.
     fused: [String; 3],
+    /// The sequence of [`largest_decision`](Self::largest_decision):
+    /// emission reserves its buffer lengths up front.
+    largest: ScheduleSequence,
 }
 
 impl Sketch {
@@ -231,6 +238,22 @@ impl Sketch {
             cache_write: self.heavy && rng.gen_bool(0.5),
             cache_read: self.gpu && self.heavy && rng.gen_bool(0.6),
             rfactor: self.samples_rfactor && rng.gen_bool(0.3),
+        }
+    }
+
+    /// A decision that emits every optional primitive and splits every
+    /// reduction axis: no decision emits more primitives, names, name bytes
+    /// or ints than this one (a split reduction axis is named by its longer
+    /// `.0` part in the reorder).
+    fn largest_decision(&self) -> ScheduleDecision {
+        ScheduleDecision {
+            spatial_factors: vec![[1; 3]; self.spatial.len()],
+            reduction_factors: vec![2; self.reduction.len()],
+            vectorize: true,
+            unroll_step: 1,
+            cache_write: true,
+            cache_read: true,
+            rfactor: true,
         }
     }
 
@@ -320,6 +343,7 @@ impl Sketch {
     pub fn emit_into(&self, d: &ScheduleDecision, out: &mut ScheduleSequence) {
         use PrimitiveKind::*;
         let stage = self.stage;
+        out.reserve_like(&self.largest);
         let mut seq = out.rewrite();
         for inlined in &self.inlined {
             seq.primitive(ComputeInline, inlined);
@@ -334,7 +358,7 @@ impl Sketch {
         }
         if d.rfactor {
             if let Some(r) = self.reduction.first() {
-                seq.primitive(Rfactor, stage).loop_var(&r.name).ints([1]);
+                seq.primitive(Rfactor, stage).loop_var(r.name).ints([1]);
             }
         }
 
@@ -344,13 +368,13 @@ impl Sketch {
             // extent puts the subgraph's computational parameters into the
             // schedule sequence itself (paper §4.3).
             seq.primitive(Split, stage)
-                .loop_var(&l.name)
+                .loop_var(l.name)
                 .ints([l.extent, f[0], f[1], f[2]]);
         }
         for (r, &f) in reduction() {
             if f > 1 {
                 seq.primitive(Split, stage)
-                    .loop_var(&r.name)
+                    .loop_var(r.name)
                     .ints([r.extent, f]);
             }
         }
@@ -361,7 +385,7 @@ impl Sketch {
             for level in 0..4 {
                 if level == 2 {
                     for (r, &f) in reduction() {
-                        reorder.loop_var(if f > 1 { &r.outer } else { &r.name });
+                        reorder.loop_var(if f > 1 { &r.outer } else { r.name });
                     }
                 }
                 if level == 3 {
@@ -394,7 +418,7 @@ impl Sketch {
                 if let Some((r, &f)) = reduction().next() {
                     if f > 1 {
                         seq.primitive(FollowSplit, "shared")
-                            .loop_var(&r.name)
+                            .loop_var(r.name)
                             .ints([r.extent, f]);
                     }
                     seq.primitive(ComputeAt, "shared").loop_var(&self.fused[2]);
@@ -411,7 +435,7 @@ impl Sketch {
                 seq.primitive(ComputeAt, "cache").loop_var(&self.fused[0]);
                 if let Some((l, f)) = self.spatial.iter().zip(&d.spatial_factors).next_back() {
                     seq.primitive(FollowSplit, "cache")
-                        .loop_var(&l.name)
+                        .loop_var(l.name)
                         .ints([l.extent, f[1] * f[2]]);
                 }
             }
@@ -448,7 +472,7 @@ impl Sketch {
         for (l, f) in self.spatial.iter().zip(&d.spatial_factors) {
             let inner = f[2].min(l.extent).max(1);
             seq.primitive(Split, stage)
-                .loop_var(&l.name)
+                .loop_var(l.name)
                 .ints([l.extent, inner]);
         }
         self.fuse_level(seq, 0);
@@ -467,7 +491,7 @@ impl Sketch {
         }
         if d.rfactor {
             if let Some(r) = self.reduction.first() {
-                seq.primitive(Rfactor, stage).loop_var(&r.name).ints([1]);
+                seq.primitive(Rfactor, stage).loop_var(r.name).ints([1]);
             }
         }
     }

@@ -105,3 +105,72 @@ proptest! {
         }
     }
 }
+
+/// The seeded sketch corpus whose fingerprints `tlp-schedule`'s
+/// `fingerprint_pins.rs` digests: CPU-heavy (conv2d, dense), CPU-light
+/// (softmax) and GPU candidates, each with its label.
+fn sketch_corpus() -> Vec<(String, ScheduleSequence)> {
+    use tlp_workload::{AnchorOp, FusedOp};
+    let conv2d = Subgraph::new(
+        "conv",
+        AnchorOp::Conv2d {
+            n: 1,
+            cin: 64,
+            hw: 56,
+            cout: 64,
+            khw: 3,
+            stride: 1,
+            pad: 1,
+            groups: 1,
+        },
+    )
+    .with_fused([FusedOp::BiasAdd, FusedOp::Relu]);
+    let dense = Subgraph::new(
+        "fc",
+        AnchorOp::Dense {
+            m: 16,
+            n: 1000,
+            k: 512,
+        },
+    )
+    .with_fused([FusedOp::BiasAdd]);
+    let softmax = Subgraph::new(
+        "attn",
+        AnchorOp::Softmax {
+            rows: 512,
+            cols: 128,
+        },
+    );
+    let mut corpus = Vec::new();
+    for (label, policy, sg, seed) in [
+        ("cpu conv2d", SketchPolicy::cpu(), &conv2d, 11),
+        ("cpu dense", SketchPolicy::cpu(), &dense, 12),
+        ("cpu softmax", SketchPolicy::cpu(), &softmax, 13),
+        ("gpu conv2d", SketchPolicy::gpu(), &conv2d, 14),
+        ("gpu dense", SketchPolicy::gpu(), &dense, 15),
+    ] {
+        let sketch = policy.compile(sg);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in 0..6 {
+            let candidate = sketch.random_candidate(&mut rng);
+            corpus.push((format!("{label} {i}"), candidate.sequence));
+        }
+    }
+    corpus
+}
+
+#[test]
+fn seeded_sketches_emit_the_pinned_corpus() {
+    // The fixture is the corpus's text, one `// label` header per
+    // sequence; each sequence must also read back as the one emitted, so
+    // the digest over the parsed fixture pins the emitted fingerprints.
+    let mut text = String::new();
+    for (label, sequence) in sketch_corpus() {
+        text.push_str(&format!("// {label}\n{sequence}\n"));
+        let parsed = tlp_schedule::parse_schedule(&sequence.to_string()).unwrap();
+        assert_eq!(parsed, sequence, "{label}");
+        assert_eq!(parsed.fingerprint(), sequence.fingerprint(), "{label}");
+    }
+    let pinned = include_str!("../../schedule/tests/fixtures/sketch_corpus.txt");
+    assert_eq!(text, pinned);
+}

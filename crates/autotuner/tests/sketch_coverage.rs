@@ -78,11 +78,7 @@ fn gpu_sketches_bind_and_cache() {
     let mut saw_vthread = false;
     for _ in 0..200 {
         let c = Candidate::random(&policy, &sg, &mut rng);
-        let anns: Vec<&str> = c
-            .sequence
-            .iter()
-            .flat_map(|p| p.extras.iter().map(String::as_str))
-            .collect();
+        let anns: Vec<&str> = c.sequence.iter().flat_map(|p| p.extras.iter()).collect();
         assert!(
             anns.contains(&"blockIdx.x"),
             "every GPU schedule binds blocks"
@@ -148,7 +144,7 @@ fn split_records_carry_extents() {
     let mut checked = 0;
     for p in c.sequence.iter() {
         if p.kind == PrimitiveKind::Split && p.stage == "dense" {
-            let var = p.loop_vars[0].as_str();
+            let var = p.loop_vars.first().unwrap();
             assert_eq!(p.ints[0], extents[var], "split of {var}");
             checked += 1;
         }

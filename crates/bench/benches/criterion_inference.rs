@@ -95,7 +95,7 @@ fn extractor_for(seqs: &[ScheduleSequence]) -> FeatureExtractor {
     let mut vb = Vocabulary::builder();
     for s in seqs {
         for p in s.iter() {
-            vb.observe(&p.stage);
+            vb.observe(p.stage);
             for v in &p.loop_vars {
                 vb.observe(v);
             }

@@ -39,7 +39,7 @@ fn lm_experiment(
     for t in &ds.tasks {
         for r in &t.programs {
             for p in r.schedule.iter() {
-                vb.observe(&p.stage);
+                vb.observe(p.stage);
                 for v in &p.loop_vars {
                     vb.observe(v);
                 }

@@ -2,8 +2,10 @@
 //! sketch once and evolves one population in place, so in steady state an
 //! offspring costs no heap traffic beyond the strings a differently shaped
 //! loser's slot is short of; what is left is mostly the run's fresh initial
-//! population. Before the compiled sketch this run made 95.3 allocations
-//! per generated candidate.
+//! population, whose sequences are four buffers each. Before the compiled
+//! sketch this run made 95.3 allocations per generated candidate, and 24.0
+//! while each primitive of a sequence owned its strings and vectors; it
+//! makes 1.8.
 //!
 //! The counting allocator (`counting_alloc`) is a `#[global_allocator]`, so —
 //! like `zero_alloc_verify.rs` — this test lives in its own binary with a
@@ -41,7 +43,7 @@ fn a_default_search_stays_inside_its_allocation_budget() {
     let per_candidate = delta as f64 / generated as f64;
     println!("{delta} allocations over {generated} generated candidates: {per_candidate:.1} each");
     assert!(
-        per_candidate <= 30.0,
+        per_candidate <= 2.0,
         "{delta} allocations over {generated} generated candidates: {per_candidate:.1} each"
     );
 

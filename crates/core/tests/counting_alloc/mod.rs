@@ -1,34 +1,41 @@
-//! A counting `#[global_allocator]` for the zero-allocation tests. A global
-//! allocator is per binary and any sibling test running concurrently would
-//! pollute the counter, so each test that includes this module lives in a
-//! binary of its own with a single `#[test]`.
+//! A counting `#[global_allocator]` for the zero-allocation and footprint
+//! tests. A global allocator is per binary and any sibling test running
+//! concurrently would pollute the counters, so each test that includes this
+//! module lives in a binary of its own with a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Forwards to the system allocator, counting every allocation (including
-/// reallocs, which also acquire fresh memory).
+/// reallocs, which also acquire fresh memory) and the bytes requested and
+/// not yet freed.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,4 +46,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Heap allocations this binary has made so far.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested from the heap and not yet freed, allocator overhead
+/// not included.
+#[allow(dead_code)] // not every test binary that includes this module reads it
+pub fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }

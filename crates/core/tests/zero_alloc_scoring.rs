@@ -52,7 +52,7 @@ fn steady_state_scoring_allocates_nothing() {
     let mut vb = Vocabulary::builder();
     for s in &seqs {
         for p in s.iter() {
-            vb.observe(&p.stage);
+            vb.observe(p.stage);
             for v in &p.loop_vars {
                 vb.observe(v);
             }

@@ -2,7 +2,9 @@
 //! resolved subgraph facts, the dataflow pass's name arena and table, and the
 //! per-axis counters are all owned by the verifier and reused, and a report
 //! with no findings is an empty `Vec`. This is what lets serving admission
-//! and the search gate verify every candidate, every time.
+//! and the search gate verify every candidate, every time. Building a
+//! verifier, once per serving request, allocates only the subgraph's axis
+//! list: axis names are static.
 //!
 //! The counting allocator (`counting_alloc`) is a `#[global_allocator]`, so —
 //! like `zero_alloc_scoring.rs` — this test lives in its own binary with a
@@ -39,7 +41,10 @@ fn warm_verifier_checks_clean_schedules_without_allocating() {
         .map(|_| Candidate::random(&SketchPolicy::cpu(), &subgraph, &mut rng).sequence)
         .collect();
     let opts = VerifyOptions { gpu: Some(false) };
+    let before = counting_alloc::allocations();
     let mut verifier = Verifier::new(&subgraph, &opts);
+    let delta = counting_alloc::allocations() - before;
+    assert!(delta <= 1, "building a verifier allocated {delta} times");
 
     // Warm-up: the verifier's buffers grow to the largest schedule's needs.
     for s in &schedules {

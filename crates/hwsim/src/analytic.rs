@@ -324,7 +324,7 @@ mod tests {
         let unvectorized: ScheduleSequence = good
             .iter()
             .filter(|pr| !pr.extras.iter().any(|e| e == "vectorize"))
-            .cloned()
+            .map(|pr| pr.to_concrete())
             .collect();
         assert!(lat(&p, &good) * 2.0 < lat(&p, &unvectorized));
     }
@@ -336,7 +336,7 @@ mod tests {
         let serial: ScheduleSequence = good
             .iter()
             .filter(|pr| !pr.extras.iter().any(|e| e == "parallel"))
-            .cloned()
+            .map(|pr| pr.to_concrete())
             .collect();
         assert!(lat(&p, &good) * 4.0 < lat(&p, &serial));
     }
@@ -354,7 +354,7 @@ mod tests {
         let prims: Vec<_> = huge
             .iter()
             .map(|pr| {
-                let mut pr = pr.clone();
+                let mut pr = pr.to_concrete();
                 if pr.kind == PrimitiveKind::Split && pr.loop_vars[0] == "k" {
                     pr.ints = vec![512, 512];
                 }

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
+use tlp_schedule::{Primitive, PrimitiveKind, ScheduleSequence};
 use tlp_workload::{LoopKind, Subgraph};
 
 /// Per-original-axis tiling information after lowering.
@@ -138,7 +138,7 @@ pub fn lower(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Result<Program
         .loops()
         .into_iter()
         .map(|l| AxisTiles {
-            name: l.name.clone(),
+            name: l.name.to_owned(),
             kind: l.kind,
             extent: l.extent,
             tiles: vec![l.extent],
@@ -173,10 +173,10 @@ pub fn lower(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Result<Program
                     // Cache/shared stages mirror the anchor's tiling; their
                     // splits don't change the anchor loop structure, but the
                     // factors are still validated.
-                    for &f in &p.ints {
+                    for &f in p.ints {
                         if f <= 0 {
                             return Err(LowerError::BadFactor(
-                                p.loop_vars.first().cloned().unwrap_or_default(),
+                                p.loop_vars.first().unwrap_or_default().to_owned(),
                                 f,
                             ));
                         }
@@ -188,10 +188,10 @@ pub fn lower(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Result<Program
                 for v in &p.loop_vars {
                     let e = *live
                         .get(v)
-                        .ok_or_else(|| LowerError::UnknownLoopVar(v.clone()))?;
+                        .ok_or_else(|| LowerError::UnknownLoopVar(v.to_owned()))?;
                     product = product.saturating_mul(e);
                 }
-                let fused_name = p.loop_vars.join("@");
+                let fused_name = p.loop_vars.iter().collect::<Vec<_>>().join("@");
                 live.insert(fused_name, product);
             }
             PrimitiveKind::Annotation => {
@@ -201,9 +201,9 @@ pub fn lower(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Result<Program
                     .ok_or_else(|| LowerError::UnknownLoopVar("<missing>".into()))?;
                 let extent = *live
                     .get(var)
-                    .ok_or_else(|| LowerError::UnknownLoopVar(var.clone()))?;
-                for ann in &p.extras {
-                    match ann.as_str() {
+                    .ok_or_else(|| LowerError::UnknownLoopVar(var.to_owned()))?;
+                for ann in p.extras {
+                    match ann {
                         "parallel" => spec.parallel_extent = spec.parallel_extent.max(extent),
                         "vectorize" => spec.vector_len = extent,
                         "unroll" => {
@@ -247,7 +247,7 @@ pub fn lower(subgraph: &Subgraph, schedule: &ScheduleSequence) -> Result<Program
 fn apply_split(
     axes: &mut [AxisTiles],
     live: &mut HashMap<String, i64>,
-    p: &ConcretePrimitive,
+    p: Primitive<'_>,
 ) -> Result<(), LowerError> {
     let var = p
         .loop_vars
@@ -257,19 +257,19 @@ fn apply_split(
     // the inner tile lengths. The extent makes the schedule sequence carry
     // the subgraph's computational parameters (paper §4.3).
     if p.ints.len() < 2 {
-        return Err(LowerError::EmptySplit(var.clone()));
+        return Err(LowerError::EmptySplit(var.to_owned()));
     }
     let factors = &p.ints[1..];
     for &f in p.ints.iter() {
         if f <= 0 {
-            return Err(LowerError::BadFactor(var.clone(), f));
+            return Err(LowerError::BadFactor(var.to_owned(), f));
         }
     }
     // Splits target original axes (the sketch splits each axis once).
     let axis = axes
         .iter_mut()
-        .find(|a| &a.name == var)
-        .ok_or_else(|| LowerError::UnknownLoopVar(var.clone()))?;
+        .find(|a| a.name == var)
+        .ok_or_else(|| LowerError::UnknownLoopVar(var.to_owned()))?;
     let inner_product: i64 = factors.iter().product();
     let outer = (axis.extent + inner_product - 1) / inner_product;
     let mut tiles = Vec::with_capacity(factors.len() + 1);
@@ -287,6 +287,7 @@ fn apply_split(
 mod tests {
     #![allow(clippy::disallowed_methods)]
     use super::*;
+    use tlp_schedule::ConcretePrimitive;
     use tlp_workload::AnchorOp;
 
     fn dense() -> Subgraph {

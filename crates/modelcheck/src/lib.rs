@@ -3,7 +3,7 @@
 //!
 //! The schedule language has a verifier (`tlp-verify`, V-codes); this crate
 //! is its counterpart for the *model* layer. It audits a
-//! [`ParamStore`](tlp_nn::ParamStore) against the architecture's
+//! [`tlp_nn::ParamStore`] against the architecture's
 //! [`ModelSpec`] and emits typed [`Diagnostic`]s with append-only stable
 //! M-codes:
 //!

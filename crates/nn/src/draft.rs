@@ -21,7 +21,7 @@
 //!
 //! Determinism contract: the trained parameters are zero-initialized, the
 //! frozen projection is a pure hash of its indices, the forward pass goes
-//! through the fixed-accumulation-order [`gemm`](crate::kernels::gemm)
+//! through the fixed-accumulation-order [`crate::kernels::gemm`]
 //! kernel, and the update path uses plain ascending-index loops, so two
 //! heads fed the same `(features, targets)` stream are bitwise identical —
 //! the property the search layer's RNG-neutrality discipline relies on.
@@ -186,7 +186,7 @@ impl TinyHead {
     /// Targets are standardized per batch (zero mean, unit variance) first:
     /// raw transformer scores drift in scale as the model updates online,
     /// and only their order matters downstream. Every ordered pair whose
-    /// standardized gap exceeds [`RANK_GAP`] and whose predicted gap is
+    /// standardized gap exceeds `RANK_GAP` and whose predicted gap is
     /// still inside the unit margin gets a hinge step — `w += lr·(xᵢ − xⱼ)`
     /// on the direct path and `w₂ += lr·(hᵢ − hⱼ)` on the hidden read-out
     /// (averaged over violated pairs). Because the hidden layer is frozen,

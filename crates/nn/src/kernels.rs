@@ -10,7 +10,7 @@
 //! > no reassociation, no pairwise/tree reductions.
 //!
 //! Register blocking (the 2-row panels, 24, 16 or 8 columns wide, in
-//! [`gemm`]) and leading dimensions ([`gemm_ld`]) change which output
+//! [`gemm`]) and leading dimensions (`gemm_ld`) change which output
 //! elements are computed *together* and where they are stored, never the
 //! order of operations *within* one element's accumulation chain, so
 //! results are bitwise identical across block shapes and layouts —
@@ -59,7 +59,7 @@ pub(crate) const NR8: usize = 8;
 /// Cache-blocked, autovectorization-friendly: 2-row register panels 24,
 /// 16 or 8 columns wide, with the per-element accumulation chain in
 /// ascending `k` order (see the module docs for the bit-identity contract).
-/// The contiguous case of [`gemm_ld`] (`lda = k`, `ldb = ldc = n`), with
+/// The contiguous case of `gemm_ld` (`lda = k`, `ldb = ldc = n`), with
 /// its own inlined copy of the one GEMM body.
 ///
 /// # Panics

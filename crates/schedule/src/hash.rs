@@ -55,9 +55,7 @@ impl Hasher for FxHasher {
         if !rem.is_empty() {
             // Tag the zero-padded tail with its length (byte 7 is unused:
             // the remainder is at most 7 bytes) so prefixes stay distinct.
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.add(u64::from_le_bytes(tail) | ((rem.len() as u64) << 56));
+            self.add(tail_word(rem) | ((rem.len() as u64) << 56));
         }
     }
 
@@ -82,9 +80,40 @@ impl Hasher for FxHasher {
     }
 }
 
+/// `tail` (1 to 7 bytes) as a zero-padded little-endian word, read in at
+/// most three loads that may overlap instead of copied byte by byte: most
+/// names a schedule hashes are shorter than a word.
+#[inline]
+fn tail_word(tail: &[u8]) -> u64 {
+    let len = tail.len();
+    if len >= 4 {
+        let lo = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        let hi = u32::from_le_bytes([tail[len - 4], tail[len - 3], tail[len - 2], tail[len - 1]]);
+        u64::from(lo) | u64::from(hi) << (8 * (len - 4))
+    } else {
+        u64::from(tail[0])
+            | u64::from(tail[len / 2]) << (8 * (len / 2))
+            | u64::from(tail[len - 1]) << (8 * (len - 1))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tail_words_are_the_zero_padded_bytes() {
+        let bytes = b"abcdefg";
+        for len in 1..8 {
+            let mut padded = [0u8; 8];
+            padded[..len].copy_from_slice(&bytes[..len]);
+            assert_eq!(
+                tail_word(&bytes[..len]),
+                u64::from_le_bytes(padded),
+                "{len} bytes"
+            );
+        }
+    }
 
     fn hash_bytes(b: &[u8]) -> u64 {
         let mut h = FxHasher::default();

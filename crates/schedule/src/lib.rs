@@ -11,8 +11,9 @@
 //! - [`ConcretePrimitive`] / [`AbstractPrimitive`]: framework-level steps and
 //!   their preprocessed three-element form, with reversible [`preprocess`] /
 //!   [`recover`];
-//! - [`ScheduleSequence`]: ordered primitive sequences with fingerprinting
-//!   and an in-place [`rewrite`](ScheduleSequence::rewrite);
+//! - [`ScheduleSequence`]: ordered primitive sequences in four flat buffers,
+//!   read as [`Primitive`] views, with fingerprinting and an in-place
+//!   [`rewrite`](ScheduleSequence::rewrite);
 //! - [`Vocabulary`]: name-parameter tokenization.
 //!
 //! # Example
@@ -47,7 +48,7 @@ pub use kind::PrimitiveKind;
 pub use parse::{parse_primitive, parse_schedule, ParsePrimitiveError};
 pub use primitive::{
     preprocess, preprocess_elements, recover, AbstractPrimitive, ConcretePrimitive, Element,
-    ElementRef, RecoverPrimitiveError,
+    ElementRef, Names, NamesIter, Primitive, RecoverPrimitiveError,
 };
-pub use sequence::{PrimitiveWriter, ScheduleSequence, SequenceWriter};
+pub use sequence::{PrimitiveWriter, Primitives, ScheduleSequence, SequenceWriter};
 pub use vocab::{Vocabulary, VocabularyBuilder};

@@ -233,7 +233,8 @@ SP(dense, j, [64, 8])
 AN(dense, i.0, \"parallel\")";
         let seq = parse_schedule(text).unwrap();
         assert_eq!(seq.len(), 3);
-        assert_eq!(seq.primitives()[2].extras, vec!["parallel"]);
+        let extras: Vec<&str> = seq.get(2).unwrap().extras.iter().collect();
+        assert_eq!(extras, ["parallel"]);
     }
 
     #[test]

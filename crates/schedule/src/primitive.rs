@@ -2,9 +2,12 @@
 //!
 //! A [`ConcretePrimitive`] is what an automatic search framework emits — a
 //! step with a stage, loop variables, numeric parameters, and annotation
-//! strings. The TLP preprocessor (paper Fig. 4a) strips extraneous syntax,
-//! keeping only the three basic elements: primitive type, numeric parameters,
-//! and character (name) parameters — an [`AbstractPrimitive`].
+//! strings. It owns its parts, for building and editing; a primitive inside
+//! a [`ScheduleSequence`](crate::ScheduleSequence) is read through the
+//! borrowed view [`Primitive`], which has the same fields. The TLP
+//! preprocessor (paper Fig. 4a) strips extraneous syntax, keeping only the
+//! three basic elements: primitive type, numeric parameters, and character
+//! (name) parameters — an [`AbstractPrimitive`].
 
 use crate::kind::PrimitiveKind;
 use serde::{Deserialize, Serialize};
@@ -67,26 +70,188 @@ impl ConcretePrimitive {
 
 impl fmt::Display for ConcretePrimitive {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({}", self.kind.abbrev(), self.stage)?;
-        for v in &self.loop_vars {
-            write!(f, ", {v}")?;
-        }
-        if !self.ints.is_empty() {
-            write!(f, ", [")?;
-            for (i, n) in self.ints.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{n}")?;
-            }
-            write!(f, "]")?;
-        }
-        for e in &self.extras {
-            write!(f, ", \"{e}\"")?;
-        }
-        write!(f, ")")
+        write_primitive(
+            f,
+            self.kind,
+            &self.stage,
+            self.loop_vars.iter().map(String::as_str),
+            &self.ints,
+            self.extras.iter().map(String::as_str),
+        )
     }
 }
+
+/// Writes a primitive's pseudo-code, `KIND(stage, var, [ints], "extra")`.
+fn write_primitive<'n>(
+    f: &mut fmt::Formatter<'_>,
+    kind: PrimitiveKind,
+    stage: &str,
+    loop_vars: impl Iterator<Item = &'n str>,
+    ints: &[i64],
+    extras: impl Iterator<Item = &'n str>,
+) -> fmt::Result {
+    write!(f, "{}({stage}", kind.abbrev())?;
+    for v in loop_vars {
+        write!(f, ", {v}")?;
+    }
+    if !ints.is_empty() {
+        write!(f, ", [")?;
+        for (i, n) in ints.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{n}")?;
+        }
+        write!(f, "]")?;
+    }
+    for e in extras {
+        write!(f, ", \"{e}\"")?;
+    }
+    write!(f, ")")
+}
+
+/// One primitive of a [`ScheduleSequence`](crate::ScheduleSequence), read in
+/// place: the fields of a [`ConcretePrimitive`], borrowed from the
+/// sequence's buffers.
+#[derive(Clone, Copy, Debug)]
+pub struct Primitive<'a> {
+    /// The primitive type.
+    pub kind: PrimitiveKind,
+    /// The stage (tensor/buffer) the primitive applies to.
+    pub stage: &'a str,
+    /// Loop variables named by the primitive, in order.
+    pub loop_vars: Names<'a>,
+    /// Numeric parameters (tile factors, pragma values, alignments).
+    pub ints: &'a [i64],
+    /// Extra character parameters (annotation names, pragma keys).
+    pub extras: Names<'a>,
+}
+
+impl Primitive<'_> {
+    /// An owned copy, for editing.
+    pub fn to_concrete(self) -> ConcretePrimitive {
+        ConcretePrimitive::new(self.kind, self.stage)
+            .with_loops(self.loop_vars)
+            .with_ints(self.ints.iter().copied())
+            .with_extras(self.extras)
+    }
+}
+
+impl fmt::Display for Primitive<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_primitive(
+            f,
+            self.kind,
+            self.stage,
+            self.loop_vars.iter(),
+            self.ints,
+            self.extras.iter(),
+        )
+    }
+}
+
+/// A list of names inside a sequence's name buffer: the names' bytes lie
+/// back to back in `text`, the first starting at `start`, and `ends` holds
+/// where each one ends.
+#[derive(Clone, Copy)]
+pub struct Names<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) start: u32,
+    pub(crate) ends: &'a [u32],
+}
+
+impl<'a> Names<'a> {
+    /// How many names there are.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are none.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The first name.
+    #[inline]
+    pub fn first(&self) -> Option<&'a str> {
+        self.iter().next()
+    }
+
+    /// The name at `index`.
+    #[inline]
+    pub fn get(&self, index: usize) -> Option<&'a str> {
+        let end = *self.ends.get(index)?;
+        let start = match index.checked_sub(1) {
+            Some(before) => self.ends[before],
+            None => self.start,
+        };
+        Some(&self.text[start as usize..end as usize])
+    }
+
+    /// The names in order.
+    #[inline]
+    pub fn iter(&self) -> NamesIter<'a> {
+        NamesIter {
+            rest: &self.text[self.start as usize..],
+            start: self.start,
+            ends: self.ends.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Names<'a> {
+    type Item = &'a str;
+    type IntoIter = NamesIter<'a>;
+    #[inline]
+    fn into_iter(self) -> NamesIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Names<'a> {
+    type Item = &'a str;
+    type IntoIter = NamesIter<'a>;
+    #[inline]
+    fn into_iter(self) -> NamesIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Names<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over [`Names`].
+#[derive(Clone)]
+pub struct NamesIter<'a> {
+    /// The name buffer from the next name on, which starts at `start`.
+    rest: &'a str,
+    start: u32,
+    ends: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for NamesIter<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let end = *self.ends.next()?;
+        let (name, rest) = self.rest.split_at((end - self.start) as usize);
+        (self.rest, self.start) = (rest, end);
+        Some(name)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for NamesIter<'_> {}
 
 /// One element of an abstract primitive: a number or a name parameter.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -139,24 +304,24 @@ pub enum ElementRef<'a> {
 /// allocating: stage, loop-var count, loop vars, int count, ints, extras —
 /// element-for-element identical to [`preprocess`]'s `elements`. The scoring
 /// hot path uses this to keep steady-state feature extraction heap-free.
-pub fn preprocess_elements(p: &ConcretePrimitive) -> impl Iterator<Item = ElementRef<'_>> {
+pub fn preprocess_elements(p: Primitive<'_>) -> impl Iterator<Item = ElementRef<'_>> {
     use std::iter::once;
     // Loop-var count is recorded so recovery knows where vars end and extras
     // begin (both are name parameters).
-    once(ElementRef::Name(p.stage.as_str()))
+    once(ElementRef::Name(p.stage))
         .chain(once(ElementRef::Num(p.loop_vars.len() as f64)))
-        .chain(p.loop_vars.iter().map(|v| ElementRef::Name(v)))
+        .chain(p.loop_vars.iter().map(ElementRef::Name))
         .chain(once(ElementRef::Num(p.ints.len() as f64)))
         .chain(p.ints.iter().map(|&n| ElementRef::Num(n as f64)))
-        .chain(p.extras.iter().map(|e| ElementRef::Name(e)))
+        .chain(p.extras.iter().map(ElementRef::Name))
 }
 
-/// Preprocesses a concrete primitive into its abstract three-element form.
+/// Preprocesses a primitive into its abstract three-element form.
 ///
 /// Only the primitive type, numeric parameters, and character parameters are
 /// retained; everything else (syntax, separators) is already absent from the
 /// structured representation.
-pub fn preprocess(p: &ConcretePrimitive) -> AbstractPrimitive {
+pub fn preprocess(p: Primitive<'_>) -> AbstractPrimitive {
     let elements = preprocess_elements(p)
         .map(|e| match e {
             ElementRef::Num(n) => Element::Num(n),
@@ -266,6 +431,12 @@ mod tests {
             .with_ints([8, 4, 2])
     }
 
+    /// Preprocesses `p` as the one primitive of a sequence.
+    fn preprocess_one(p: &ConcretePrimitive) -> AbstractPrimitive {
+        let seq: crate::ScheduleSequence = [p.clone()].into_iter().collect();
+        seq.to_abstract().remove(0)
+    }
+
     #[test]
     fn display_pseudocode() {
         let p = sample();
@@ -278,7 +449,7 @@ mod tests {
 
     #[test]
     fn preprocess_keeps_three_basic_elements() {
-        let a = preprocess(&sample());
+        let a = preprocess_one(&sample());
         assert_eq!(a.kind, PrimitiveKind::Split);
         assert_eq!(a.num_names(), 2); // stage + 1 loop var
         assert_eq!(a.num_nums(), 5); // var count + int count + 3 ints
@@ -296,7 +467,7 @@ mod tests {
                 .with_extras(["auto_unroll_max_step"]),
             ConcretePrimitive::new(PrimitiveKind::ComputeInline, "relu"),
         ] {
-            let back = recover(&preprocess(&p)).expect("recover");
+            let back = recover(&preprocess_one(&p)).expect("recover");
             assert_eq!(back, p);
         }
     }

@@ -31,19 +31,37 @@ prop_compose! {
     }
 }
 
-/// Writes `source`'s primitives over whatever `target` holds.
-fn write_over(target: &mut ScheduleSequence, source: &ScheduleSequence) {
+/// Writes `source`'s primitives over whatever `target` holds, each
+/// primitive's extras first when `extras_first` (a loop variable written
+/// after an extra still lands before it).
+fn write_over_in_order(
+    target: &mut ScheduleSequence,
+    source: &ScheduleSequence,
+    extras_first: bool,
+) {
     let mut writer = target.rewrite();
     for p in source {
-        let mut w = writer.primitive(p.kind, &p.stage);
+        let mut w = writer.primitive(p.kind, p.stage);
+        if extras_first {
+            for e in &p.extras {
+                w.extra(e);
+            }
+        }
+        w.ints(p.ints.iter().copied());
         for v in &p.loop_vars {
             w.loop_var(v);
         }
-        w.ints(p.ints.iter().copied());
-        for e in &p.extras {
-            w.extra(e);
+        if !extras_first {
+            for e in &p.extras {
+                w.extra(e);
+            }
         }
     }
+}
+
+/// Writes `source`'s primitives over whatever `target` holds.
+fn write_over(target: &mut ScheduleSequence, source: &ScheduleSequence) {
+    write_over_in_order(target, source, false);
 }
 
 proptest! {
@@ -63,12 +81,52 @@ proptest! {
             prop_assert_eq!(&target, source);
             prop_assert_eq!(target.fingerprint(), source.fingerprint());
         }
-        let shorter: ScheduleSequence = newer.iter().take(newer.len() / 2).cloned().collect();
+        let shorter: ScheduleSequence = newer
+            .iter()
+            .take(newer.len() / 2)
+            .map(|p| p.to_concrete())
+            .collect();
         write_over(&mut target, &shorter);
         prop_assert_eq!(&target, &shorter);
-        // A writer dropped unwritten leaves nothing behind.
-        drop(target.rewrite());
+        // A writer that writes nothing leaves nothing behind.
+        let _ = target.rewrite();
         prop_assert!(target.is_empty());
+    }
+
+    /// The order a primitive's parts are written in does not matter: loop
+    /// variables written after extras still come first.
+    #[test]
+    fn parts_written_in_any_order_build_the_same_sequence(
+        old in any_sequence(),
+        new in any_sequence(),
+    ) {
+        for extras_first in [false, true] {
+            let mut target = old.clone();
+            write_over_in_order(&mut target, &new, extras_first);
+            prop_assert_eq!(&target, &new);
+            prop_assert_eq!(target.fingerprint(), new.fingerprint());
+            prop_assert_eq!(target.to_string(), new.to_string());
+        }
+    }
+
+    /// Every view reads back the owned primitive it was built from.
+    #[test]
+    fn views_read_back_the_pushed_primitives(primitives in prop::collection::vec(any_primitive(), 0..8)) {
+        let seq: ScheduleSequence = primitives.iter().cloned().collect();
+        prop_assert_eq!(seq.len(), primitives.len());
+        for (i, p) in primitives.iter().enumerate() {
+            let view = seq.get(i).unwrap();
+            prop_assert_eq!(&view.to_concrete(), p);
+            prop_assert_eq!(view.loop_vars.len(), p.loop_vars.len());
+            prop_assert_eq!(view.loop_vars.first(), p.loop_vars.first().map(String::as_str));
+            for (j, v) in p.loop_vars.iter().enumerate() {
+                prop_assert_eq!(view.loop_vars.get(j), Some(v.as_str()));
+            }
+            prop_assert_eq!(view.extras.get(p.extras.len()), None);
+        }
+        prop_assert!(seq.get(primitives.len()).is_none());
+        let back: Vec<_> = seq.clone().into_iter().collect();
+        prop_assert_eq!(back, primitives);
     }
 
     /// Distinct names receive distinct tokens; tokens are dense 1..=n.

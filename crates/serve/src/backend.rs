@@ -3,7 +3,7 @@
 //! [`RemoteCostModel`] wraps a [`ServeClient`] in the [`CostModel`] trait,
 //! so `tune_network` can score through the shared server — coalescing its
 //! batches with other concurrent tuners — instead of owning a private
-//! engine. A request the server does not answer (any [`ServeError`])
+//! engine. A request the server does not answer (any [`ServeError`](crate::ServeError))
 //! degrades to an all-invalid batch the tuner's rank-last handling absorbs
 //! without aborting the search.
 

@@ -64,7 +64,7 @@ fn a_queued_miss_stays_inside_its_allocation_budget() {
     let pool = random_pool(&task, REQUESTS * (16 + 16 + 64), 71);
     let mut vocab = Vocabulary::builder();
     for p in pool.iter().flat_map(ScheduleSequence::iter) {
-        vocab.observe(&p.stage);
+        vocab.observe(p.stage);
         for name in p.loop_vars.iter().chain(&p.extras) {
             vocab.observe(name);
         }

@@ -31,7 +31,7 @@
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::{Ctx, Step};
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
+use tlp_schedule::{Names, PrimitiveKind, ScheduleSequence};
 
 /// A `blockIdx.*` / `threadIdx.*` binding observed while threading the
 /// environment, with the bound loop's extent when it was resolvable.
@@ -47,7 +47,9 @@ pub(crate) struct Bind {
 impl Bind {
     /// The hardware axis this binding names, e.g. `threadIdx.x`.
     pub(crate) fn axis<'s>(&self, schedule: &'s ScheduleSequence) -> &'s str {
-        &schedule.primitives()[self.step].extras[self.extra]
+        let p = schedule.get(self.step);
+        // The step and the extra were read off this schedule.
+        p.and_then(|p| p.extras.get(self.extra)).unwrap_or_default()
     }
 }
 
@@ -160,6 +162,7 @@ const MIN_SLOTS: usize = 64;
 /// share a slot cost at most one probe per entry, what a linear scan costs.
 /// The buffers are cleared, not freed, between schedules, and the index
 /// shrinks back to [`MIN_SLOTS`] without giving up its allocation.
+#[derive(Default)]
 struct Env {
     /// The subgraph's axes are the first `axes` entries, in order.
     axes: usize,
@@ -170,24 +173,16 @@ struct Env {
     slots: Vec<usize>,
 }
 
-impl Default for Env {
-    /// Room for a typical schedule's names up front: a verifier built for
-    /// one check (`verify_with`) should not pay for growing its buffers step
-    /// by step.
-    fn default() -> Self {
-        Env {
-            axes: 0,
-            names: Vec::with_capacity(256),
-            vars: Vec::with_capacity(MIN_SLOTS / 2),
-            slots: Vec::with_capacity(MIN_SLOTS),
-        }
-    }
-}
-
 impl Env {
+    /// Empties the environment. The first call also makes room for a
+    /// typical schedule's names, so a verifier built for one check
+    /// (`verify_with`) does not grow its buffers step by step, and building
+    /// a verifier allocates nothing here.
     fn clear(&mut self) {
         self.names.clear();
+        self.names.reserve(256);
         self.vars.clear();
+        self.vars.reserve(MIN_SLOTS / 2);
         self.slots.clear();
         self.slots.resize(MIN_SLOTS, 0);
     }
@@ -304,7 +299,7 @@ impl Env {
     }
 
     /// Defines the `@`-joined name of a fuse's operands.
-    fn define_fused(&mut self, operands: &[String], extent: i64) {
+    fn define_fused(&mut self, operands: Names<'_>, extent: i64) {
         let start = self.names.len();
         for (i, v) in operands.iter().enumerate() {
             if i > 0 {
@@ -347,8 +342,9 @@ impl Env {
 #[derive(Default)]
 pub(crate) struct Flow {
     env: Env,
-    /// Steps of the first compute-inline of each stage.
-    inlined: Vec<usize>,
+    /// Steps of the first compute-inline of each stage, with the stage's
+    /// key: a stage of at most eight bytes is told apart by its key alone.
+    inlined: Vec<(usize, Key)>,
     facts: Facts,
 }
 
@@ -379,11 +375,11 @@ impl Flow {
         self.facts.first_cpu_annotation = None;
     }
 
-    /// Threads the environment through step `s` of `steps`.
+    /// Threads the environment through step `s` of `schedule`.
     pub(crate) fn step(
         &mut self,
         ctx: &Ctx<'_>,
-        steps: &[ConcretePrimitive],
+        schedule: &ScheduleSequence,
         s: Step<'_>,
         out: &mut Vec<Diagnostic>,
     ) {
@@ -395,10 +391,15 @@ impl Flow {
         let Step {
             at: step,
             p,
+            var,
+            stage,
             split_axis,
             ..
         } = s;
-        if let Some(&at) = inlined.iter().find(|&&at| steps[at].stage == p.stage) {
+        let inlined_here = |&(at, key): &(usize, Key)| {
+            key == stage && (key.len <= 8 || schedule.get(at).is_some_and(|q| q.stage == p.stage))
+        };
+        if let Some(&(at, _)) = inlined.iter().find(|i| inlined_here(i)) {
             out.push(Diagnostic::at(
                 Code::InlinedStageReuse,
                 Severity::Warn,
@@ -411,8 +412,8 @@ impl Flow {
                 // Mirror-stage splits (cache/shared) replay the anchor's
                 // tiling over the original axis names and never touch the
                 // anchor's environment; only anchor splits restructure it.
-                if let Some(index) = split_axis {
-                    apply_anchor_split(ctx, env, index, step, p);
+                if let (Some(index), Some(var)) = (split_axis, var) {
+                    apply_anchor_split(ctx, env, index, step, var, p.ints);
                 }
             }
             PrimitiveKind::Fuse => {
@@ -433,11 +434,11 @@ impl Flow {
                 for v in &p.loop_vars {
                     env.consume(v, step);
                 }
-                env.define_fused(&p.loop_vars, product);
+                env.define_fused(p.loop_vars, product);
             }
             PrimitiveKind::Annotation => {
                 // Missing loop var is the well-formedness pass's V101.
-                let extent = p.loop_vars.first().and_then(|v| env.resolve(v, step, out));
+                let extent = var.and_then(|v| env.resolve(v, step, out));
                 for (extra, ann) in p.extras.iter().enumerate() {
                     let thread = ann.starts_with("threadIdx.");
                     if thread || ann.starts_with("blockIdx.") {
@@ -458,13 +459,13 @@ impl Flow {
                 }
             }
             PrimitiveKind::ComputeAt | PrimitiveKind::Rfactor => {
-                if let Some(v) = p.loop_vars.first() {
+                if let Some(v) = var {
                     env.resolve(v, step, out);
                 }
             }
             PrimitiveKind::ComputeInline => {
-                if !inlined.iter().any(|&at| steps[at].stage == p.stage) {
-                    inlined.push(step);
+                if !inlined.iter().any(inlined_here) {
+                    inlined.push((step, stage));
                 }
             }
             PrimitiveKind::Pragma
@@ -477,25 +478,23 @@ impl Flow {
 }
 
 /// Mirrors `tlp_hwsim::lower`'s split handling: valid splits of an original
-/// axis (the axis at `index`) consume the axis name and define `var.0`
-/// (outer) through `var.k`. Invalid splits (wrong arity, non-positive
-/// factors) leave the environment untouched — passes 1 and 3 already reject
-/// them.
+/// axis (the axis at `index`, named `var`) consume the axis name and define
+/// `var.0` (outer) through `var.k`. Invalid splits (wrong arity,
+/// non-positive factors in `ints`) leave the environment untouched — passes
+/// 1 and 3 already reject them.
 fn apply_anchor_split(
     ctx: &Ctx<'_>,
     env: &mut Env,
     index: usize,
     step: usize,
-    p: &ConcretePrimitive,
+    var: &str,
+    ints: &[i64],
 ) {
-    let Some(var) = p.loop_vars.first() else {
-        return;
-    };
-    if p.ints.len() < 2 || p.ints.iter().any(|&f| f <= 0) {
+    if ints.len() < 2 || ints.iter().any(|&f| f <= 0) {
         return;
     }
     let extent = ctx.axes[index].extent;
-    let factors = &p.ints[1..];
+    let factors = &ints[1..];
     let inner_product = factors
         .iter()
         .fold(1i64, |acc, &f| acc.saturating_mul(f))

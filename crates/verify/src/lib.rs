@@ -107,7 +107,7 @@ mod wellformed;
 
 pub use diagnostic::{Code, Diagnostic, Report, Severity, ValiditySummary};
 
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
+use tlp_schedule::{Primitive, PrimitiveKind, ScheduleSequence};
 use tlp_workload::{FusedOp, LoopSpec, Subgraph};
 
 /// Analyzer configuration.
@@ -156,7 +156,9 @@ impl<'a> Ctx<'a> {
 pub(crate) struct Step<'s> {
     /// The step's position in the schedule.
     pub at: usize,
-    pub p: &'s ConcretePrimitive,
+    pub p: &'s Primitive<'s>,
+    /// `p`'s first loop variable, which most kinds name their target by.
+    pub var: Option<&'s str>,
     /// The key of `p`'s stage name.
     pub stage: dataflow::Key,
     /// Whether `p` applies to the anchor stage.
@@ -197,31 +199,32 @@ impl<'a> Verifier<'a> {
     /// reports what running them one after another would.
     pub fn check(&mut self, schedule: &ScheduleSequence) -> Report {
         let mut diags = Vec::new();
-        let steps = schedule.primitives();
         self.flow.start(&self.ctx);
         self.structure.start(&self.ctx);
-        for (at, p) in steps.iter().enumerate() {
+        for (at, p) in schedule.iter().enumerate() {
             let stage = dataflow::Key::of(p.stage.as_bytes());
-            let anchor = self.ctx.is_anchor(stage, &p.stage);
+            let anchor = self.ctx.is_anchor(stage, p.stage);
+            let var = p.loop_vars.first();
             let split_axis = match p.kind {
                 PrimitiveKind::Split
                 | PrimitiveKind::FollowSplit
                 | PrimitiveKind::FollowFusedSplit
                     if anchor =>
                 {
-                    p.loop_vars.first().and_then(|v| self.flow.axis_index(v))
+                    var.and_then(|v| self.flow.axis_index(v))
                 }
                 _ => None,
             };
             let s = Step {
                 at,
-                p,
+                p: &p,
+                var,
                 stage,
                 anchor,
                 split_axis,
             };
             wellformed::check(&self.ctx, s, &mut diags);
-            self.flow.step(&self.ctx, steps, s, &mut diags);
+            self.flow.step(&self.ctx, schedule, s, &mut diags);
             let flow = &self.flow;
             self.structure
                 .step(&self.ctx, |var| flow.axis_index(var), s, &mut diags);

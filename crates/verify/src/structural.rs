@@ -8,7 +8,7 @@
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::{Ctx, Step};
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
+use tlp_schedule::PrimitiveKind;
 use tlp_workload::LoopKind;
 
 /// The pass's state within one schedule: anchor splits seen per original
@@ -41,7 +41,6 @@ impl Structure {
             at: step,
             p,
             anchor,
-            split_axis,
             ..
         } = s;
         match p.kind {
@@ -67,25 +66,29 @@ impl Structure {
             PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit
                 if anchor =>
             {
-                check_anchor_split(ctx, split_axis, step, p, &mut self.split_counts, out);
+                check_anchor_split(ctx, s, &mut self.split_counts, out);
             }
-            PrimitiveKind::Rfactor => check_rfactor(ctx, &axis_index, step, p, out),
+            PrimitiveKind::Rfactor => check_rfactor(ctx, &axis_index, step, s.var, out),
             _ => {}
         }
     }
 }
 
-/// `split_axis` is the original axis the split's loop variable names.
 fn check_anchor_split(
     ctx: &Ctx<'_>,
-    split_axis: Option<usize>,
-    step: usize,
-    p: &ConcretePrimitive,
+    s: Step<'_>,
     split_counts: &mut [usize],
     out: &mut Vec<Diagnostic>,
 ) {
+    let Step {
+        at: step,
+        p,
+        var,
+        split_axis,
+        ..
+    } = s;
     // Missing loop var is pass 1's V101.
-    let Some(var) = p.loop_vars.first() else {
+    let Some(var) = var else {
         return;
     };
     let Some(index) = split_axis else {
@@ -100,7 +103,7 @@ fn check_anchor_split(
                 ctx.anchor,
                 ctx.axes
                     .iter()
-                    .map(|a| a.name.as_str())
+                    .map(|a| a.name)
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
@@ -152,10 +155,10 @@ fn check_rfactor(
     ctx: &Ctx<'_>,
     axis_index: impl Fn(&str) -> Option<usize>,
     step: usize,
-    p: &ConcretePrimitive,
+    var: Option<&str>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let Some(var) = p.loop_vars.first() else {
+    let Some(var) = var else {
         return;
     };
     // Classify the variable by the original axes its name derives from:

@@ -8,7 +8,7 @@
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::{Ctx, Step};
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind};
+use tlp_schedule::{Primitive, PrimitiveKind};
 
 /// Annotation names the lowerer understands (including the `*.z` GPU axes,
 /// which it accepts and ignores).
@@ -36,7 +36,7 @@ pub(crate) fn check(ctx: &Ctx<'_>, s: Step<'_>, out: &mut Vec<Diagnostic>) {
         anchor,
         ..
     } = s;
-    if !anchor && !ctx.knows_other_stage(&p.stage) {
+    if !anchor && !ctx.knows_other_stage(p.stage) {
         out.push(Diagnostic::at(
             Code::UnknownStage,
             Severity::Warn,
@@ -94,7 +94,7 @@ pub(crate) fn check(ctx: &Ctx<'_>, s: Step<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn unexpected(step: usize, p: &ConcretePrimitive, why: &str) -> Diagnostic {
+fn unexpected(step: usize, p: &Primitive<'_>, why: &str) -> Diagnostic {
     Diagnostic::at(
         Code::UnexpectedParams,
         Severity::Lint,
@@ -106,7 +106,7 @@ fn unexpected(step: usize, p: &ConcretePrimitive, why: &str) -> Diagnostic {
 /// Splits on the anchor stage restructure the loop nest, so their parameter
 /// errors are fatal in the lowerer; splits on mirror stages (cache/shared)
 /// only have their signs validated there.
-fn check_split(step: usize, p: &ConcretePrimitive, anchor: bool, out: &mut Vec<Diagnostic>) {
+fn check_split(step: usize, p: &Primitive<'_>, anchor: bool, out: &mut Vec<Diagnostic>) {
     let arity_severity = if anchor {
         Severity::Error
     } else {
@@ -144,7 +144,7 @@ fn check_split(step: usize, p: &ConcretePrimitive, anchor: bool, out: &mut Vec<D
     }
 }
 
-fn check_annotation(step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic>) {
+fn check_annotation(step: usize, p: &Primitive<'_>, out: &mut Vec<Diagnostic>) {
     if p.loop_vars.is_empty() {
         // The lowerer rejects annotations without a loop variable.
         out.push(Diagnostic::at(
@@ -169,7 +169,7 @@ fn check_annotation(step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic
         ));
     }
     for ann in &p.extras {
-        if !KNOWN_ANNOTATIONS.contains(&ann.as_str()) {
+        if !KNOWN_ANNOTATIONS.contains(&ann) {
             out.push(Diagnostic::at(
                 Code::UnknownAnnotation,
                 Severity::Warn,
@@ -180,7 +180,7 @@ fn check_annotation(step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic
     }
 }
 
-fn check_pragma(step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic>) {
+fn check_pragma(step: usize, p: &Primitive<'_>, out: &mut Vec<Diagnostic>) {
     if p.extras.is_empty() {
         out.push(Diagnostic::at(
             Code::UnknownPragma,
@@ -191,7 +191,7 @@ fn check_pragma(step: usize, p: &ConcretePrimitive, out: &mut Vec<Diagnostic>) {
         return;
     }
     for key in &p.extras {
-        if !KNOWN_PRAGMAS.contains(&key.as_str()) {
+        if !KNOWN_PRAGMAS.contains(&key) {
             out.push(Diagnostic::at(
                 Code::UnknownPragma,
                 Severity::Lint,

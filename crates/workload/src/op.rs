@@ -18,10 +18,10 @@ pub enum LoopKind {
 }
 
 /// One loop of an anchor operator's nest.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct LoopSpec {
     /// Loop variable name (e.g. `i`, `oc`, `k`).
-    pub name: String,
+    pub name: &'static str,
     /// Trip count.
     pub extent: i64,
     /// Spatial or reduction.
@@ -30,18 +30,18 @@ pub struct LoopSpec {
 
 impl LoopSpec {
     /// Creates a spatial loop.
-    pub fn spatial(name: &str, extent: i64) -> Self {
+    pub fn spatial(name: &'static str, extent: i64) -> Self {
         LoopSpec {
-            name: name.to_string(),
+            name,
             extent,
             kind: LoopKind::Spatial,
         }
     }
 
     /// Creates a reduction loop.
-    pub fn reduction(name: &str, extent: i64) -> Self {
+    pub fn reduction(name: &'static str, extent: i64) -> Self {
         LoopSpec {
-            name: name.to_string(),
+            name,
             extent,
             kind: LoopKind::Reduction,
         }
@@ -165,17 +165,21 @@ impl AnchorOp {
             } => {
                 let ohw = Self::out_hw(hw, khw, stride, pad);
                 let rc = cin / groups;
-                let mut loops = vec![
+                // Sized once: a verifier is built per serving request.
+                let mut loops = Vec::with_capacity(7);
+                loops.extend([
                     LoopSpec::spatial("n", n),
                     LoopSpec::spatial("oc", cout),
                     LoopSpec::spatial("oh", ohw),
                     LoopSpec::spatial("ow", ohw),
-                ];
+                ]);
                 if rc > 1 {
                     loops.push(LoopSpec::reduction("ic", rc));
                 }
-                loops.push(LoopSpec::reduction("kh", khw));
-                loops.push(LoopSpec::reduction("kw", khw));
+                loops.extend([
+                    LoopSpec::reduction("kh", khw),
+                    LoopSpec::reduction("kw", khw),
+                ]);
                 loops
             }
             AnchorOp::Pool {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: formatting, lints, and the tier-1 build/test suite.
+# Repo-wide check gate: formatting, lints, rustdoc links, and the tier-1
+# build/test suite.
 #
 # Usage: scripts/check.sh
 #
@@ -24,6 +25,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy not installed; skipping lint check"
 fi
+
+echo "==> cargo doc --workspace --no-deps (offline, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline || status=1
 
 echo "==> tier-1: cargo build --release (offline)"
 cargo build --release --offline
@@ -50,7 +54,7 @@ else
 fi
 
 if [ "$status" -ne 0 ]; then
-    echo "check.sh: fmt/clippy reported problems" >&2
+    echo "check.sh: fmt/clippy/rustdoc reported problems" >&2
     exit "$status"
 fi
 echo "check.sh: all checks passed"

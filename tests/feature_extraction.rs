@@ -91,7 +91,7 @@ fn features_separate_good_from_bad_schedules_linearly_somewhat() {
         .collect();
     for c in &cands {
         for p in c.sequence.iter() {
-            vocab.observe(&p.stage);
+            vocab.observe(p.stage);
             for v in &p.loop_vars {
                 vocab.observe(v);
             }

@@ -38,7 +38,9 @@ proptest! {
     /// Preprocessing keeps all three basic elements: it is exactly invertible.
     #[test]
     fn preprocess_roundtrips(p in arb_primitive()) {
-        let back = recover(&preprocess(&p)).expect("canonical streams recover");
+        let seq: ScheduleSequence = [p.clone()].into_iter().collect();
+        let view = seq.get(0).expect("one primitive");
+        let back = recover(&preprocess(view)).expect("canonical streams recover");
         prop_assert_eq!(back, p);
     }
 

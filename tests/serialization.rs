@@ -118,3 +118,25 @@ fn tuning_report_roundtrips() {
     assert_eq!(back.rounds.len(), report.rounds.len());
     assert_eq!(back.final_latency_s(), report.final_latency_s());
 }
+
+#[test]
+fn schedule_sequence_json_text_is_pinned() {
+    let seq: ScheduleSequence = [
+        ConcretePrimitive::new(PrimitiveKind::Split, "dense")
+            .with_loops(["i"])
+            .with_ints([64, 8, 4]),
+        ConcretePrimitive::new(PrimitiveKind::Fuse, "dense").with_loops(["i.0", "j.0"]),
+        ConcretePrimitive::new(PrimitiveKind::Pragma, "dense")
+            .with_ints([512])
+            .with_extras(["auto_unroll_max_step"]),
+    ]
+    .into_iter()
+    .collect();
+    let json = serde_json::to_string(&seq).expect("serialize");
+    assert_eq!(
+        json,
+        r#"{"primitives":[{"kind":"Split","stage":"dense","loop_vars":["i"],"ints":[64,8,4],"extras":[]},{"kind":"Fuse","stage":"dense","loop_vars":["i.0","j.0"],"ints":[],"extras":[]},{"kind":"Pragma","stage":"dense","loop_vars":[],"ints":[512],"extras":["auto_unroll_max_step"]}]}"#
+    );
+    let back: ScheduleSequence = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back, seq);
+}

@@ -72,7 +72,7 @@ fn subgraphs() -> Vec<Subgraph> {
 /// The eight corruptions of `verify_soundness.rs`, in its order; `None` when
 /// the schedule has no step the corruption applies to.
 fn corrupted(seq: &ScheduleSequence, strategy: usize, seed: u64) -> Option<ScheduleSequence> {
-    let mut steps: Vec<ConcretePrimitive> = seq.iter().cloned().collect();
+    let mut steps: Vec<ConcretePrimitive> = seq.clone().into_iter().collect();
     // A step of `kind` chosen by the seed, if it also satisfies `ok`.
     let pick = |kind: PrimitiveKind, ok: fn(&ConcretePrimitive) -> bool| {
         let hits: Vec<usize> = (0..steps.len())

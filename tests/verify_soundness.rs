@@ -89,7 +89,7 @@ fn corrupt(seq: &mut ScheduleSequence, strategy: usize, seed: u64) -> bool {
             Some(hits[seed as usize % hits.len()])
         }
     }
-    let mut steps: Vec<ConcretePrimitive> = seq.iter().cloned().collect();
+    let mut steps: Vec<ConcretePrimitive> = seq.clone().into_iter().collect();
     let applied = match strategy {
         // Zero a tile factor: lower rejects non-positive split extents.
         0 => match pick(&steps, PrimitiveKind::Split, seed) {
