@@ -27,12 +27,13 @@
 //! stage with the anchor once and resolves an anchor split's target axis
 //! once for all three; pass 4 then reads what pass 2 collected. The
 //! verifier owns the resolved subgraph facts and the dataflow pass's
-//! loop-variable environment: one entry per name, found through an
-//! open-addressed index keyed on the name's first eight bytes and its
-//! length, so a name of at most eight bytes is compared as one word and
-//! never copied. The index grows with the schedule, and its storage is
-//! reused, so a schedule with no findings allocates nothing once the
-//! verifier is warm. [`verify_with`] is the one-shot form:
+//! loop-variable environment: one row of slots per subgraph axis, holding
+//! the axis and its split parts `oc.0` … `oc.7`, which a check resets by
+//! bumping a generation stamp; and, for every other name (fused `@` names,
+//! later parts), an open-addressed index keyed on the name's first eight
+//! bytes and its length. The index grows with the schedule, and all of the
+//! storage is reused, so a schedule with no findings allocates nothing once
+//! the verifier is warm. [`verify_with`] is the one-shot form:
 //! `Verifier::new(..).check(..)`.
 //!
 //! # Error-code table

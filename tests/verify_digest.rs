@@ -20,6 +20,15 @@
 //! indexed, when every lookup scanned the environment backwards; any change
 //! to how the environment stores or finds names must reproduce every
 //! finding, its text and its order.
+//!
+//! A second corpus, folded the same way under its own literal, aims at how
+//! split parts (`oc.2`) are told apart from other names on the dense,
+//! batch-matmul and conv2d subgraphs: parts referenced or consumed before
+//! their axis is split, an axis split twice, splits of parts, names shaped
+//! almost like parts (`oc.00`, `oc.`, `.0`, `oc..1`), parts around every
+//! plausible table width (`.7` to `.65`), cache-stage follow-splits, GPU
+//! bindings whose extents come from parts, and rfactor on parts. Its literal
+//! was captured before split parts moved out of the index.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
@@ -28,7 +37,7 @@ use rand::SeedableRng;
 use tlp_autotuner::SketchPolicy;
 use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence};
 use tlp_verify::{verify_with, Verifier, VerifyOptions};
-use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
+use tlp_workload::{bert_tiny, AnchorOp, LoopKind, Subgraph};
 
 const DEVICES: [Option<bool>; 3] = [None, Some(false), Some(true)];
 
@@ -290,8 +299,10 @@ fn corpus() -> Vec<(Subgraph, Vec<ScheduleSequence>)> {
     corpus
 }
 
-#[test]
-fn every_diagnostic_on_the_corpus_matches_the_pinned_digest() {
+/// Folds every finding over `corpus` — checked by a fresh verifier and by
+/// one reused per `(subgraph, options)` pair, which must agree — into
+/// `(schedules, findings, digest)`.
+fn pin(corpus: &[(Subgraph, Vec<ScheduleSequence>)]) -> (u64, u64, u64) {
     fn fold(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
             *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -301,7 +312,7 @@ fn every_diagnostic_on_the_corpus_matches_the_pinned_digest() {
     }
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let (mut schedules, mut findings) = (0u64, 0u64);
-    for (sg, seqs) in &corpus() {
+    for (sg, seqs) in corpus {
         for gpu in DEVICES {
             let opts = VerifyOptions { gpu };
             let mut reused = Verifier::new(sg, &opts);
@@ -323,9 +334,237 @@ fn every_diagnostic_on_the_corpus_matches_the_pinned_digest() {
             }
         }
     }
+    (schedules, findings, digest)
+}
+
+#[test]
+fn every_diagnostic_on_the_corpus_matches_the_pinned_digest() {
+    let (schedules, findings, digest) = pin(&corpus());
     assert_eq!(
         (schedules, findings, digest),
         (6504, 29_723, 0x73a3_75b0_cb01_3a8e),
+        "digest {digest:#018x}"
+    );
+}
+
+/// Schedules that probe how split parts (`oc.2`) are told apart from every
+/// other name, against `sg`: `s` is its widest spatial axis, `t` its last
+/// other spatial axis and `r` its first reduction axis.
+fn split_part_edges(sg: &Subgraph) -> Vec<ScheduleSequence> {
+    use PrimitiveKind::{Annotation, CacheWrite, FollowSplit, Fuse, Reorder, Rfactor, Split};
+    let anchor = sg.anchor.name();
+    let axes = sg.loops();
+    let spatial: Vec<_> = axes
+        .iter()
+        .filter(|a| a.kind == LoopKind::Spatial)
+        .collect();
+    let widest = spatial
+        .iter()
+        .max_by_key(|a| a.extent)
+        .expect("a spatial axis");
+    let (s, se) = (widest.name, widest.extent);
+    let other = spatial
+        .iter()
+        .rev()
+        .find(|a| a.name != s)
+        .expect("two spatial axes");
+    let (t, te) = (other.name, other.extent);
+    let red = axes
+        .iter()
+        .find(|a| a.kind == LoopKind::Reduction)
+        .expect("a reduction axis");
+    let (r, re) = (red.name, red.extent);
+    let p = |kind: PrimitiveKind, loops: &[&str]| prim(kind, anchor, loops);
+    let on = |var: &str, ann: &str| p(Annotation, &[var]).with_extras([ann]);
+    let split = |var: &str, extent: i64, factors: &[i64]| {
+        p(Split, &[var]).with_ints(std::iter::once(extent).chain(factors.iter().copied()))
+    };
+    let part = |k: usize| format!("{s}.{k}");
+    let mut out: Vec<Vec<ConcretePrimitive>> = Vec::new();
+
+    // A part referenced before its axis is split, then after.
+    out.push(vec![
+        on(&part(1), "unroll"),
+        p(Reorder, &[&part(0), s, &part(1)]),
+        split(s, se, &[4]),
+        on(&part(1), "vectorize"),
+        p(Reorder, &[&part(0), &part(1), &part(2), s]),
+    ]);
+
+    // A fuse consumes `s.1` (and `s.0`) before the split that defines
+    // them; `s.1` is referenced before and after that split.
+    out.push(vec![
+        p(Fuse, &[&part(1), &part(0)]),
+        on(&part(1), "parallel"),
+        on(&format!("{s}.1@{s}.0"), "unroll"),
+        split(s, se, &[4]),
+        on(&part(1), "vectorize"),
+        p(Fuse, &[&part(1)]),
+        on(&part(1), "unroll"),
+        p(Fuse, &[&part(1), &part(1)]),
+        on(&part(1), "unroll"),
+    ]);
+
+    // An axis split twice, the second time into fewer parts: the first
+    // split's higher parts stay live, the axis stays consumed at the first.
+    out.push(vec![
+        split(s, se, &[2, 2, 2]),
+        split(s, se, &[4]),
+        on(&part(3), "vectorize"),
+        on(&part(2), "unroll"),
+        on(&part(1), "unroll"),
+        on(s, "parallel"),
+        p(Fuse, &[&part(0), &part(3)]),
+        split(s, se, &[2, 2, 2, 2]),
+        on(&part(3), "vectorize"),
+        on(&part(4), "vectorize"),
+    ]);
+
+    // A split of a part (V301), references to a part of a part.
+    out.push(vec![
+        split(s, se, &[4]),
+        split(&part(0), se, &[2]),
+        on(&format!("{s}.0.1"), "unroll"),
+        on(&format!("{s}.0.0"), "unroll"),
+        on(&part(0), "parallel"),
+        p(Fuse, &[&format!("{s}.0.1")]),
+        on(&format!("{s}.0.1"), "unroll"),
+    ]);
+
+    // Names shaped almost like parts: a leading zero, no digits, no axis,
+    // two dots, digits glued to the axis, another axis's prefix, a sign.
+    let near = [
+        format!("{s}.00"),
+        format!("{s}.01"),
+        format!("{s}."),
+        ".0".to_string(),
+        ".".to_string(),
+        format!("{s}..1"),
+        format!("{s}1"),
+        format!("{s}.1."),
+        format!("{s}.+1"),
+        format!("{s}.-1"),
+        format!("{s}.1a"),
+        format!("{s}{s}.1"),
+        format!("x{s}.1"),
+        format!("{}.1", &s[..s.len() - 1]),
+        format!("{s}.٣"),
+        format!("{s}.0"),
+    ];
+    let mut near_steps = vec![split(s, se, &[2, 2])];
+    for n in &near {
+        near_steps.push(on(n, "unroll"));
+    }
+    for n in &near {
+        near_steps.push(p(Fuse, &[n]));
+        near_steps.push(on(n, "parallel"));
+    }
+    near_steps.push(p(
+        Reorder,
+        &near.iter().map(String::as_str).collect::<Vec<_>>(),
+    ));
+    out.push(near_steps);
+
+    // Parts just below, at and past every width a dense part table might
+    // pick, each from one split with that many parts.
+    for parts in [7usize, 8, 9, 15, 16, 17, 63, 64, 65] {
+        let mut steps = vec![split(s, se, &vec![1; parts - 1])];
+        for k in [parts - 2, parts - 1, parts, parts + 1] {
+            steps.push(on(&part(k), "unroll"));
+        }
+        steps.push(p(Fuse, &[&part(parts - 2), &part(parts - 1)]));
+        steps.push(on(&part(parts - 1), "unroll"));
+        steps.push(on(
+            &format!("{}@{}", part(parts - 2), part(parts - 1)),
+            "parallel",
+        ));
+        steps.push(p(Fuse, &[&part(parts)]));
+        steps.push(on(&part(parts), "unroll"));
+        steps.push(split(s, se, &[2]));
+        steps.push(on(&part(parts - 1), "unroll"));
+        steps.push(on(&part(1), "unroll"));
+        out.push(steps);
+    }
+
+    // A cache-stage follow-split defines nothing; parts only an anchor
+    // split defines are referenced before and after it.
+    out.push(vec![
+        prim(CacheWrite, anchor, &[]),
+        prim(FollowSplit, "cache", &[s]).with_ints([se, 4]),
+        prim(Annotation, "cache", &[&part(1)]).with_extras(["unroll"]),
+        on(&part(0), "parallel"),
+        prim(FollowSplit, anchor, &[s]).with_ints([se, 2, 2]),
+        on(&part(2), "vectorize"),
+        prim(Annotation, "cache", &[&part(1)]).with_extras(["unroll"]),
+        prim(FollowSplit, "cache", &[t]).with_ints([te, 2]),
+        on(&format!("{t}.1"), "unroll"),
+    ]);
+
+    // Thread and block bindings on split parts: V404 takes its extents from
+    // the parts, one of them past any dense table's width.
+    out.push(vec![
+        split(s, se, &[2, 16]),
+        split(
+            t,
+            te,
+            &[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 64],
+        ),
+        on(&part(0), "blockIdx.x"),
+        on(&part(2), "threadIdx.x"),
+        on(&format!("{t}.18"), "threadIdx.y"),
+        on(&part(1), "threadIdx.z"),
+    ]);
+    out.push(vec![
+        split(s, se, &[2, 16]),
+        on(&part(0), "blockIdx.x"),
+        on(&part(2), "threadIdx.x"),
+        on(&part(7), "threadIdx.y"),
+    ]);
+
+    // rfactor on parts of a spatial and of a reduction axis, on a part not
+    // yet defined, and on a fused name of both.
+    out.push(vec![
+        split(s, se, &[4]),
+        p(Rfactor, &[&part(1)]).with_ints([1]),
+        p(Rfactor, &[&format!("{r}.1")]).with_ints([1]),
+        split(r, re, &[2]),
+        p(Rfactor, &[&format!("{r}.1")]).with_ints([1]),
+        p(Rfactor, &[&format!("{r}.01")]).with_ints([1]),
+        p(Fuse, &[&part(0), &format!("{r}.0")]),
+        p(Rfactor, &[&format!("{s}.0@{r}.0")]).with_ints([1]),
+        p(Rfactor, &[&part(9)]).with_ints([1]),
+    ]);
+
+    // A one-operand fuse of an axis consumes it and defines it again; the
+    // axis can still be split, and its parts are live.
+    out.push(vec![
+        p(Fuse, &[t]),
+        on(t, "parallel"),
+        split(t, te, &[1]),
+        on(t, "parallel"),
+        on(&format!("{t}.1"), "unroll"),
+        on(&format!("{t}.0"), "unroll"),
+    ]);
+
+    out.into_iter()
+        .map(|steps| steps.into_iter().collect())
+        .collect()
+}
+
+#[test]
+fn split_part_edge_cases_match_their_pinned_digest() {
+    let corpus: Vec<_> = subgraphs()
+        .into_iter()
+        .take(3)
+        .map(|sg| {
+            let seqs = split_part_edges(&sg);
+            (sg, seqs)
+        })
+        .collect();
+    let (schedules, findings, digest) = pin(&corpus);
+    assert_eq!(
+        (schedules, findings, digest),
+        (171, 1116, 0x0cba_f064_91f6_2474),
         "digest {digest:#018x}"
     );
 }
