@@ -471,12 +471,12 @@ impl Population {
 /// is scored, because pruning a doomed candidate costs one linear analyzer
 /// pass instead of a cost-model forward pass plus a guaranteed lowering
 /// rejection at measurement time.
-struct Gate<'a> {
-    verifier: tlp_verify::Verifier<'a>,
+struct Gate {
+    verifier: tlp_verify::Verifier,
 }
 
-impl<'a> Gate<'a> {
-    fn new(task: &'a SearchTask, policy: &SketchPolicy) -> Self {
+impl Gate {
+    fn new(task: &SearchTask, policy: &SketchPolicy) -> Self {
         let opts = tlp_verify::VerifyOptions {
             gpu: Some(policy.gpu),
         };

@@ -5,7 +5,8 @@
 //! population, whose sequences are four buffers each. Before the compiled
 //! sketch this run made 95.3 allocations per generated candidate, and 24.0
 //! while each primitive of a sequence owned its strings and vectors; it
-//! makes 1.8.
+//! makes 1.8 (944 over 514 candidates, of which the gate verifier's plans,
+//! one per skeleton it passed, take 6).
 //!
 //! The counting allocator (`counting_alloc`) is a `#[global_allocator]`, so —
 //! like `zero_alloc_verify.rs` — this test lives in its own binary with a

@@ -173,7 +173,7 @@ fn make_record(
     sim: &Simulator,
     subgraph: &tlp_workload::Subgraph,
     platforms: &[Platform],
-    verifier: &mut tlp_verify::Verifier<'_>,
+    verifier: &mut tlp_verify::Verifier,
     schedule: ScheduleSequence,
 ) -> Option<ProgramRecord> {
     let spec = lower(subgraph, &schedule).ok()?;

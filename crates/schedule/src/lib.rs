@@ -14,6 +14,8 @@
 //! - [`ScheduleSequence`]: ordered primitive sequences in four flat buffers,
 //!   read as [`Primitive`] views, with fingerprinting and an in-place
 //!   [`rewrite`](ScheduleSequence::rewrite);
+//! - [`Skeletons`]: a set of sequence skeletons (a sequence without its int
+//!   values), found by comparing buffers;
 //! - [`Vocabulary`]: name-parameter tokenization.
 //!
 //! # Example
@@ -42,6 +44,7 @@ pub mod kind;
 pub mod parse;
 pub mod primitive;
 pub mod sequence;
+pub mod skeleton;
 pub mod vocab;
 
 pub use kind::PrimitiveKind;
@@ -51,4 +54,5 @@ pub use primitive::{
     ElementRef, Names, NamesIter, Primitive, RecoverPrimitiveError,
 };
 pub use sequence::{PrimitiveWriter, Primitives, ScheduleSequence, SequenceWriter};
+pub use skeleton::Skeletons;
 pub use vocab::{Vocabulary, VocabularyBuilder};

@@ -34,8 +34,8 @@ pub struct ScheduleSequence {
 
 /// One primitive's kind and where its parts begin; they end where the next
 /// primitive's begin (the buffers' ends, for the last primitive).
-#[derive(Clone, Copy, PartialEq)]
-struct Record {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Record {
     kind: PrimitiveKind,
     /// Index of the stage in `name_ends`; the loop variables follow it.
     stage: u32,
@@ -157,6 +157,19 @@ impl ScheduleSequence {
                 &self.name_ends[extras..names_end],
             ),
         })
+    }
+
+    /// Every primitive's ints, back to back in sequence order.
+    #[inline]
+    pub fn ints(&self) -> &[i64] {
+        &self.ints
+    }
+
+    /// The buffers that make up the sequence's skeleton: everything but the
+    /// int values (see [`Skeletons`](crate::Skeletons)).
+    #[inline]
+    pub(crate) fn skeleton(&self) -> (&[Record], &str, &[u32]) {
+        (&self.records, &self.names, &self.name_ends)
     }
 
     /// Iterates over primitives.

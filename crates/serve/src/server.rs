@@ -3,20 +3,20 @@
 //!
 //! Clients submit `(model name, task, candidates)` jobs through a
 //! [`ServeClient`]. Admission does each per-candidate job once, in one
-//! order: resolve the model → verify every schedule (one
-//! [`tlp_verify::Verifier`] per request) → fingerprint the request once
-//! ([`ScoreKeys`]) → probe the resolved version's score cache, all or
-//! nothing. A request whose every candidate is cached is answered right
-//! there, on the submitting thread: no extraction, no channel, no queue
-//! slot, no batcher. Anything else has its features extracted by the
-//! resolved version's extractor and queues whole as those features, its
-//! keys and that version — no schedule, task or name — so the batcher
-//! hashes and extracts nothing and only runs the model. Verification
-//! precedes the probe on purpose: the
-//! fingerprint is a fast non-cryptographic hash and the cache is writable by
-//! callers that never verified (a resolved [`ModelVersion`] derefs to its
-//! engine, whose `score` is public), so a cached score proves nothing about
-//! the schedule in hand.
+//! order: resolve the model → verify every schedule (with a warm
+//! [`tlp_verify::Verifier`] for the task, kept across requests) →
+//! fingerprint the request once ([`ScoreKeys`]) → probe the resolved
+//! version's score cache, all or nothing. A request whose every candidate
+//! is cached is answered right there, on the submitting thread: no
+//! extraction, no channel, no queue slot, no batcher. Anything else has its
+//! features extracted by the resolved version's extractor and queues whole
+//! as those features, its keys and that version — no schedule, task or name
+//! — so the batcher hashes and extracts nothing and only runs the model.
+//! Verification precedes the probe on purpose: the fingerprint is a fast
+//! non-cryptographic hash and the cache is writable by callers that never
+//! verified (a resolved [`ModelVersion`] derefs to its engine, whose
+//! `score` is public), so a cached score proves nothing about the schedule
+//! in hand.
 //!
 //! Admission is bounded: a full queue rejects with
 //! [`ServeError::Overloaded`] *before* anything is extracted or allocated,
@@ -53,6 +53,8 @@ use tlp::engine::ScoreKeys;
 use tlp::features::FeatureBuf;
 use tlp_autotuner::{BatchStats, SearchTask};
 use tlp_schedule::ScheduleSequence;
+use tlp_verify::{Verifier, VerifyOptions};
+use tlp_workload::Subgraph;
 
 /// Dynamic-batching policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,6 +151,62 @@ struct Shared {
     capacity: usize,
     stats: ServeStats,
     registry: Arc<ModelRegistry>,
+    verifiers: Verifiers,
+}
+
+/// Warm verifiers admission keeps at most; returning one to a full set
+/// drops the one returned longest ago.
+const MAX_WARM_VERIFIERS: usize = 16;
+
+/// A verifier kept between requests, with the subgraph and options it was
+/// built for.
+struct WarmVerifier {
+    subgraph: Subgraph,
+    opts: VerifyOptions,
+    verifier: Verifier,
+}
+
+/// The verifiers admission lends out, oldest return first. A request takes
+/// one built for exactly its subgraph and options, or builds one, and gives
+/// it back when its schedules are checked; requests on one task at once
+/// each hold their own. A verifier's reports do not depend on what it
+/// checked before, so which one a request gets changes no reply.
+#[derive(Default)]
+struct Verifiers(Mutex<Vec<WarmVerifier>>);
+
+impl Verifiers {
+    /// Locks the set, recovering from poisoning: the set is only read and
+    /// moved under the lock, never left half written.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<WarmVerifier>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn take(&self, subgraph: &Subgraph, opts: VerifyOptions) -> WarmVerifier {
+        let mut warm = self.lock();
+        match warm
+            .iter()
+            .rposition(|w| w.opts == opts && w.subgraph == *subgraph)
+        {
+            Some(i) => warm.remove(i),
+            None => {
+                drop(warm);
+                WarmVerifier {
+                    subgraph: subgraph.clone(),
+                    opts,
+                    verifier: Verifier::new(subgraph, &opts),
+                }
+            }
+        }
+    }
+
+    fn give_back(&self, verifier: WarmVerifier) {
+        let mut warm = self.lock();
+        let dropped = (warm.len() == MAX_WARM_VERIFIERS).then(|| warm.remove(0));
+        warm.push(verifier);
+        // The dropped verifier's buffers are freed after the lock is.
+        drop(warm);
+        drop(dropped);
+    }
 }
 
 impl Shared {
@@ -192,6 +250,7 @@ impl Server {
             capacity: config.queue_capacity,
             stats: ServeStats::default(),
             registry,
+            verifiers: Verifiers::default(),
         });
         let handles = (0..config.batchers)
             .map(|i| {
@@ -323,19 +382,21 @@ impl ServeClient {
         // request: an invalid schedule costs O(verify) and reaches neither
         // the cache probe nor a batcher. Only verifier *errors* reject;
         // warnings and lints never do.
-        let opts = tlp_verify::VerifyOptions {
+        let opts = VerifyOptions {
             gpu: Some(task.platform.is_gpu()),
         };
-        let mut verifier = tlp_verify::Verifier::new(&task.subgraph, &opts);
-        for (index, schedule) in schedules.iter().enumerate() {
-            let report = verifier.check(schedule);
-            if report.has_errors() {
-                ServeStats::bump(&self.shared.stats.rejected_invalid);
-                return Err(ServeError::InvalidSchedule {
-                    index,
-                    diagnostics: report.diagnostics,
-                });
-            }
+        let mut warm = self.shared.verifiers.take(&task.subgraph, opts);
+        let rejected = schedules.iter().enumerate().find_map(|(index, schedule)| {
+            let report = warm.verifier.check(schedule);
+            report.has_errors().then_some((index, report))
+        });
+        self.shared.verifiers.give_back(warm);
+        if let Some((index, report)) = rejected {
+            ServeStats::bump(&self.shared.stats.rejected_invalid);
+            return Err(ServeError::InvalidSchedule {
+                index,
+                diagnostics: report.diagnostics,
+            });
         }
         let keys = ScoreKeys::new(task, schedules);
         let now = Instant::now();

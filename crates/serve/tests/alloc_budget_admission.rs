@@ -1,9 +1,10 @@
 //! The allocation budget of a queued miss. Admission hands the batcher the
 //! request's features — one exactly sized `FeatureBuf` — and its keys,
 //! never a copy of its schedules, so what a queued request allocates does
-//! not grow with candidates × primitives: 18 allocations at 16 candidates
-//! and at 64. (Deep-copying the schedules into the queue cost 1 146 and
-//! 4 469.)
+//! not grow with candidates × primitives: 5.0 allocations at 16 candidates
+//! and 5.1 at 64, since admission verifies with a warm verifier it keeps
+//! for the task (18 at both while it built one per request; deep-copying
+//! the schedules into the queue cost 1 146 and 4 469).
 //!
 //! The counting allocator (`counting_alloc`, shared with the core crate's
 //! budget tests) is a `#[global_allocator]`, so this test lives in its own

@@ -688,3 +688,43 @@ fn a_request_is_scored_by_the_version_that_admitted_it() {
     assert_eq!(snap.unknown_model, 1, "admission refusals only");
     assert_eq!(snap.completed, 2);
 }
+
+#[test]
+fn an_int_only_corruption_of_an_admitted_schedule_gets_the_full_report() {
+    use tlp_schedule::PrimitiveKind;
+    use tlp_verify::{verify_with, VerifyOptions};
+
+    let server = Server::start(serving_registry(13), ServeConfig::default());
+    let client = server.client();
+    let t = task();
+    let pool = candidates(1, 53);
+    // Admitting the clean schedule leaves its skeleton planned in the warm
+    // verifier the next request on this task is lent.
+    client
+        .score("m", &t, &pool)
+        .expect("a sketch schedule is clean");
+    let zeroed: ScheduleSequence = pool[0]
+        .iter()
+        .map(|p| {
+            let mut c = p.to_concrete();
+            if c.kind == PrimitiveKind::Split {
+                c.ints[1] = 0;
+            }
+            c
+        })
+        .collect();
+    let opts = VerifyOptions {
+        gpu: Some(t.platform.is_gpu()),
+    };
+    let expected = verify_with(&t.subgraph, &zeroed, &opts);
+    assert!(expected.has_errors());
+    match client.score("m", &t, &[zeroed]).unwrap_err() {
+        ServeError::InvalidSchedule { index, diagnostics } => {
+            assert_eq!(index, 0);
+            assert_eq!(diagnostics, expected.diagnostics);
+        }
+        other => panic!("expected InvalidSchedule, got {other:?}"),
+    }
+    let snap = server.shutdown();
+    assert_eq!((snap.completed, snap.rejected_invalid), (1, 1));
+}

@@ -559,6 +559,9 @@ pub(crate) struct Flow {
     /// Steps of the first compute-inline of each stage, with the stage's
     /// key: a stage of at most eight bytes is told apart by its key alone.
     inlined: Vec<(usize, Key)>,
+    /// Whether `inlined` holds the anchor stage. Until it does, an anchor
+    /// step, most of a schedule, skips the V204 scan: no entry can match.
+    anchor_inlined: bool,
     facts: Facts,
 }
 
@@ -574,9 +577,10 @@ impl Flow {
     }
 
     /// Resets the environment to the subgraph's axes, all live.
-    pub(crate) fn start(&mut self, ctx: &Ctx<'_>) {
+    pub(crate) fn start(&mut self, ctx: &Ctx) {
         self.env.start(&ctx.axes);
         self.inlined.clear();
+        self.anchor_inlined = false;
         self.facts.binds.clear();
         self.facts.first_cpu_annotation = None;
     }
@@ -584,7 +588,7 @@ impl Flow {
     /// Threads the environment through step `s` of `schedule`.
     pub(crate) fn step(
         &mut self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx,
         schedule: &ScheduleSequence,
         s: Step<'_>,
         out: &mut Vec<Diagnostic>,
@@ -592,6 +596,7 @@ impl Flow {
         let Flow {
             env,
             inlined,
+            anchor_inlined,
             facts,
         } = self;
         let Step {
@@ -599,13 +604,18 @@ impl Flow {
             p,
             var,
             stage,
+            anchor,
             split_axis,
-            ..
         } = s;
         let inlined_here = |&(at, key): &(usize, Key)| {
             key == stage && (key.len <= 8 || schedule.get(at).is_some_and(|q| q.stage == p.stage))
         };
-        if let Some(&(at, _)) = inlined.iter().find(|i| inlined_here(i)) {
+        let earlier = if anchor && !*anchor_inlined {
+            None
+        } else {
+            inlined.iter().find(|i| inlined_here(i))
+        };
+        if let Some(&(at, _)) = earlier {
             out.push(Diagnostic::at(
                 Code::InlinedStageReuse,
                 Severity::Warn,
@@ -672,6 +682,7 @@ impl Flow {
             PrimitiveKind::ComputeInline => {
                 if !inlined.iter().any(inlined_here) {
                     inlined.push((step, stage));
+                    *anchor_inlined |= anchor;
                 }
             }
             PrimitiveKind::Pragma
@@ -713,7 +724,7 @@ fn bucket(key: Key, m: u64) -> usize {
 /// valid. Invalid splits (wrong arity, non-positive factors in `ints`) leave
 /// the environment untouched — passes 1 and 3 already reject them.
 fn apply_anchor_split(
-    ctx: &Ctx<'_>,
+    ctx: &Ctx,
     env: &mut Env,
     index: usize,
     step: usize,

@@ -33,8 +33,23 @@
 //! later parts), an open-addressed index keyed on the name's first eight
 //! bytes and its length. The index grows with the schedule, and all of the
 //! storage is reused, so a schedule with no findings allocates nothing once
-//! the verifier is warm. [`verify_with`] is the one-shot form:
-//! `Verifier::new(..).check(..)`.
+//! the verifier is warm. [`verify_with`] is the one-shot form.
+//!
+//! # Plans
+//!
+//! A schedule's *skeleton* is the schedule without its int values
+//! ([`tlp_schedule::Skeletons`]), and candidates drawn from one sketch
+//! share a few dozen skeletons at most. Only a few findings read int
+//! values: a split's arity and signs (V102/V103), an `auto_unroll_max_step`
+//! value (V107/V108), an anchor split's extent and tile product
+//! (V302/V303), and the loop extents bindings read (V404). So when a
+//! verifier's full check of a schedule without `blockIdx`/`threadIdx`
+//! bindings finds nothing, it keeps a *plan* for the skeleton: those
+//! predicates, each the function the full check calls, at the steps' ints.
+//! A later schedule whose skeleton buffers equal the plan's, byte for byte,
+//! and whose ints pass them gets the empty report without a walk; any other
+//! schedule gets the full check. A verifier keeps at most 64 plans, in a
+//! few growable buffers.
 //!
 //! # Error-code table
 //!
@@ -103,6 +118,7 @@
 mod dataflow;
 mod diagnostic;
 mod gpu;
+mod plan;
 mod structural;
 mod wellformed;
 
@@ -121,22 +137,23 @@ pub struct VerifyOptions {
     pub gpu: Option<bool>,
 }
 
-/// Shared facts about the subgraph, resolved once per [`Verifier`].
-pub(crate) struct Ctx<'a> {
-    pub anchor: &'a str,
+/// Shared facts about the subgraph, resolved once per [`Verifier`] and
+/// owned by it.
+pub(crate) struct Ctx {
+    pub anchor: &'static str,
     anchor_key: dataflow::Key,
     pub axes: Vec<LoopSpec>,
-    fused: &'a [FusedOp],
+    fused: Vec<FusedOp>,
 }
 
-impl<'a> Ctx<'a> {
-    fn new(subgraph: &'a Subgraph) -> Self {
+impl Ctx {
+    fn new(subgraph: &Subgraph) -> Self {
         let anchor = subgraph.anchor.name();
         Ctx {
             anchor,
             anchor_key: dataflow::Key::of(anchor.as_bytes()),
             axes: subgraph.loops(),
-            fused: &subgraph.fused,
+            fused: subgraph.fused.clone(),
         }
     }
 
@@ -172,50 +189,98 @@ pub(crate) struct Step<'s> {
 /// plus the state it reuses from one schedule to the next.
 ///
 /// Callers that check many schedules against one subgraph (serving
-/// admission per request, the search gate per task, dataset generation per
-/// subgraph) hold one verifier; every [`Verifier::check`] starts from a
-/// reset environment, so a rejected schedule leaves nothing behind for the
-/// next one.
-pub struct Verifier<'a> {
-    ctx: Ctx<'a>,
+/// admission, which keeps warm verifiers per task; the search gate per
+/// task; dataset generation per subgraph) hold one verifier; every
+/// [`Verifier::check`] starts from a reset environment, so a rejected
+/// schedule leaves nothing behind for the next one. The verifier owns what
+/// it resolved of the subgraph and borrows nothing.
+///
+/// It also keeps the plans its own clean checks made (see the crate docs'
+/// *Plans*), so a schedule of a planned skeleton has only its ints checked,
+/// and every report is still the one the full check gives.
+pub struct Verifier {
+    ctx: Ctx,
     opts: VerifyOptions,
     flow: dataflow::Flow,
     structure: structural::Structure,
+    plans: plan::Plans,
 }
 
-impl<'a> Verifier<'a> {
+impl Verifier {
     /// Resolves `subgraph`'s loop nest and stage names once.
-    pub fn new(subgraph: &'a Subgraph, opts: &VerifyOptions) -> Self {
+    pub fn new(subgraph: &Subgraph, opts: &VerifyOptions) -> Self {
         Verifier {
             ctx: Ctx::new(subgraph),
             opts: *opts,
             flow: dataflow::Flow::default(),
             structure: structural::Structure::default(),
+            plans: plan::Plans::default(),
         }
+    }
+
+    /// Whether the verifier holds a plan for `schedule`'s skeleton, so that
+    /// [`Verifier::check`] reads only its ints when they pass.
+    pub fn planned(&self, schedule: &ScheduleSequence) -> bool {
+        self.plans.find(schedule).is_some()
+    }
+
+    /// Checks `schedule`: by its plan's int predicates, when its skeleton
+    /// has a plan and they hold, and otherwise with every pass. A full
+    /// check of an unplanned skeleton that finds nothing and sees no GPU
+    /// binding leaves a plan for it.
+    pub fn check(&mut self, schedule: &ScheduleSequence) -> Report {
+        let plan = self.plans.find(schedule);
+        if let Some(plan) = plan {
+            if self.plans.holds(plan, schedule) {
+                return Report::default();
+            }
+        }
+        self.check_all(schedule, plan.is_none())
     }
 
     /// Runs all four passes over `schedule`: passes 1–3 in one walk over
     /// its steps, then pass 4 over what pass 2 collected. The report orders
     /// findings by step and code, so interleaving the passes step by step
-    /// reports what running them one after another would.
-    pub fn check(&mut self, schedule: &ScheduleSequence) -> Report {
+    /// reports what running them one after another would. With `planning`,
+    /// the walk records each step's int predicates and a clean schedule
+    /// without bindings gets a plan.
+    fn check_all(&mut self, schedule: &ScheduleSequence, planning: bool) -> Report {
         let mut diags = Vec::new();
         self.flow.start(&self.ctx);
         self.structure.start(&self.ctx);
+        if planning {
+            self.plans.start();
+        }
+        let mut ints_at = 0;
         for (at, p) in schedule.iter().enumerate() {
             let stage = dataflow::Key::of(p.stage.as_bytes());
             let anchor = self.ctx.is_anchor(stage, p.stage);
             let var = p.loop_vars.first();
-            let split_axis = match p.kind {
-                PrimitiveKind::Split
-                | PrimitiveKind::FollowSplit
-                | PrimitiveKind::FollowFusedSplit
-                    if anchor =>
-                {
-                    var.and_then(|v| self.flow.axis_index(v))
-                }
+            let split = matches!(
+                p.kind,
+                PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit
+            );
+            let split_axis = match var {
+                Some(v) if split && anchor => self.flow.axis_index(v),
                 _ => None,
             };
+            if planning {
+                let ints = ints_at..ints_at + p.ints.len();
+                let predicate = match split_axis {
+                    Some(index) => Some(plan::Predicate::AnchorSplit {
+                        extent: self.ctx.axes[index].extent,
+                    }),
+                    None if split => Some(plan::Predicate::Split),
+                    None if p.kind == PrimitiveKind::Pragma && wellformed::is_unroll_pragma(&p) => {
+                        Some(plan::Predicate::Unroll)
+                    }
+                    None => None,
+                };
+                if let Some(predicate) = predicate {
+                    self.plans.record(ints, predicate);
+                }
+            }
+            ints_at += p.ints.len();
             let s = Step {
                 at,
                 p: &p,
@@ -231,6 +296,9 @@ impl<'a> Verifier<'a> {
                 .step(&self.ctx, |var| flow.axis_index(var), s, &mut diags);
         }
         gpu::check(&self.opts, schedule, self.flow.facts(), &mut diags);
+        if planning && diags.is_empty() && self.flow.facts().binds.is_empty() {
+            self.plans.commit(schedule);
+        }
         Report::new(diags)
     }
 }
@@ -247,7 +315,8 @@ pub fn verify_with(
     schedule: &ScheduleSequence,
     opts: &VerifyOptions,
 ) -> Report {
-    Verifier::new(subgraph, opts).check(schedule)
+    // A plan would outlive nothing here, so none is recorded.
+    Verifier::new(subgraph, opts).check_all(schedule, false)
 }
 
 /// Parses schedule text and verifies it, surfacing parse failures as `V001`

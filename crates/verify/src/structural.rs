@@ -22,7 +22,7 @@ pub(crate) struct Structure {
 }
 
 impl Structure {
-    pub(crate) fn start(&mut self, ctx: &Ctx<'_>) {
+    pub(crate) fn start(&mut self, ctx: &Ctx) {
         self.split_counts.clear();
         self.split_counts.resize(ctx.axes.len(), 0);
         self.cache_declared = false;
@@ -32,7 +32,7 @@ impl Structure {
     /// Checks one step; `axis_index` finds the original axis a name denotes.
     pub(crate) fn step(
         &mut self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx,
         axis_index: impl Fn(&str) -> Option<usize>,
         s: Step<'_>,
         out: &mut Vec<Diagnostic>,
@@ -75,7 +75,7 @@ impl Structure {
 }
 
 fn check_anchor_split(
-    ctx: &Ctx<'_>,
+    ctx: &Ctx,
     s: Step<'_>,
     split_counts: &mut [usize],
     out: &mut Vec<Diagnostic>,
@@ -120,39 +120,74 @@ fn check_anchor_split(
             format!("axis `{var}` is split more than once; later tiling overwrites earlier"),
         ));
     }
-    if let Some(&recorded) = p.ints.first() {
-        if recorded > 0 && recorded != axis.extent {
-            out.push(Diagnostic::at(
-                Code::SplitExtentMismatch,
-                Severity::Warn,
-                step,
-                format!(
-                    "split records extent {recorded} but axis `{var}` has extent {}",
-                    axis.extent
-                ),
-            ));
-        }
+    if let Some(recorded) = extent_mismatch(p.ints, axis.extent) {
+        out.push(Diagnostic::at(
+            Code::SplitExtentMismatch,
+            Severity::Warn,
+            step,
+            format!(
+                "split records extent {recorded} but axis `{var}` has extent {}",
+                axis.extent
+            ),
+        ));
     }
-    if p.ints.len() >= 2 && p.ints[1..].iter().all(|&f| f > 0) {
-        let product = p.ints[1..]
-            .iter()
-            .fold(1i128, |acc, &f| acc.saturating_mul(f as i128));
-        if product > axis.extent as i128 {
-            out.push(Diagnostic::at(
-                Code::OversizedTileProduct,
-                Severity::Warn,
-                step,
-                format!(
-                    "inner tile product {product} exceeds axis `{var}` extent {}",
-                    axis.extent
-                ),
-            ));
-        }
+    if let Some(product) = oversized_product(p.ints, axis.extent) {
+        out.push(Diagnostic::at(
+            Code::OversizedTileProduct,
+            Severity::Warn,
+            step,
+            format!(
+                "inner tile product {product} exceeds axis `{var}` extent {}",
+                axis.extent
+            ),
+        ));
     }
 }
 
+/// The extent an anchor split records, when it is positive and is not the
+/// axis's `extent` (V302).
+fn extent_mismatch(ints: &[i64], extent: i64) -> Option<i64> {
+    ints.first().copied().filter(|&r| r > 0 && r != extent)
+}
+
+/// The inner tile product of a split whose factors are all positive, when
+/// it exceeds the axis's `extent` (V303).
+fn oversized_product(ints: &[i64], extent: i64) -> Option<i128> {
+    let factors = ints
+        .get(1..)
+        .filter(|f| !f.is_empty() && f.iter().all(|&f| f > 0))?;
+    if tile_product_fits(factors, extent) {
+        return None;
+    }
+    Some(
+        factors
+            .iter()
+            .fold(1i128, |acc, &f| acc.saturating_mul(f as i128)),
+    )
+}
+
+/// Whether the product of positive `factors` is at most `extent`. Partial
+/// products only grow, so the first one past `extent`, or past `i64`,
+/// decides.
+fn tile_product_fits(factors: &[i64], extent: i64) -> bool {
+    let mut product: i64 = 1;
+    for &f in factors {
+        match product.checked_mul(f) {
+            Some(p) if p <= extent => product = p,
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// Whether an anchor split of an axis of `extent` raises neither V302 nor
+/// V303.
+pub(crate) fn anchor_split_ints_hold(ints: &[i64], extent: i64) -> bool {
+    extent_mismatch(ints, extent).is_none() && oversized_product(ints, extent).is_none()
+}
+
 fn check_rfactor(
-    ctx: &Ctx<'_>,
+    ctx: &Ctx,
     axis_index: impl Fn(&str) -> Option<usize>,
     step: usize,
     var: Option<&str>,

@@ -29,7 +29,7 @@ pub(crate) const KNOWN_ANNOTATIONS: [&str; 10] = [
 pub(crate) const KNOWN_PRAGMAS: [&str; 1] = ["auto_unroll_max_step"];
 
 /// Checks one step on its own.
-pub(crate) fn check(ctx: &Ctx<'_>, s: Step<'_>, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, s: Step<'_>, out: &mut Vec<Diagnostic>) {
     let Step {
         at: step,
         p,
@@ -122,7 +122,7 @@ fn check_split(step: usize, p: &Primitive<'_>, anchor: bool, out: &mut Vec<Diagn
     } else if p.loop_vars.len() > 1 {
         out.push(unexpected(step, p, "a split targets exactly one loop"));
     }
-    if p.ints.len() < 2 {
+    if !split_arity_holds(p.ints) {
         out.push(Diagnostic::at(
             Code::MissingSplitFactors,
             arity_severity,
@@ -134,7 +134,7 @@ fn check_split(step: usize, p: &Primitive<'_>, anchor: bool, out: &mut Vec<Diagn
         ));
     }
     // Sign errors are fatal on every stage.
-    if let Some(&bad) = p.ints.iter().find(|&&f| f <= 0) {
+    if let Some(bad) = non_positive(p.ints) {
         out.push(Diagnostic::at(
             Code::NonPositiveFactor,
             Severity::Error,
@@ -142,6 +142,28 @@ fn check_split(step: usize, p: &Primitive<'_>, anchor: bool, out: &mut Vec<Diagn
             format!("split parameter {bad} must be positive"),
         ));
     }
+}
+
+/// Whether a split carries the `[extent, factor, ...]` ints it needs (else
+/// V102).
+fn split_arity_holds(ints: &[i64]) -> bool {
+    ints.len() >= 2
+}
+
+/// A split's first parameter that is not positive (V103).
+fn non_positive(ints: &[i64]) -> Option<i64> {
+    ints.iter().copied().find(|&f| f <= 0)
+}
+
+/// Whether a split's ints raise neither V102 nor V103.
+pub(crate) fn split_ints_hold(ints: &[i64]) -> bool {
+    split_arity_holds(ints) && non_positive(ints).is_none()
+}
+
+/// Whether an `auto_unroll_max_step` pragma carries a value that is not
+/// negative (else V107 or V108).
+pub(crate) fn unroll_value_holds(ints: &[i64]) -> bool {
+    ints.first().is_some_and(|&v| v >= 0)
 }
 
 fn check_annotation(step: usize, p: &Primitive<'_>, out: &mut Vec<Diagnostic>) {
@@ -200,21 +222,26 @@ fn check_pragma(step: usize, p: &Primitive<'_>, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-    if p.extras.iter().any(|k| k == "auto_unroll_max_step") {
-        match p.ints.first() {
-            None => out.push(Diagnostic::at(
+    if is_unroll_pragma(p) && !unroll_value_holds(p.ints) {
+        out.push(match p.ints.first() {
+            None => Diagnostic::at(
                 Code::PragmaMissingValue,
                 Severity::Warn,
                 step,
                 "auto_unroll_max_step needs a value",
-            )),
-            Some(&v) if v < 0 => out.push(Diagnostic::at(
+            ),
+            Some(v) => Diagnostic::at(
                 Code::NegativePragmaValue,
                 Severity::Warn,
                 step,
                 format!("auto_unroll_max_step value {v} is negative"),
-            )),
-            Some(_) => {}
-        }
+            ),
+        });
     }
+}
+
+/// Whether a pragma sets `auto_unroll_max_step`, whose value its first int
+/// is.
+pub(crate) fn is_unroll_pragma(p: &Primitive<'_>) -> bool {
+    p.extras.iter().any(|k| k == "auto_unroll_max_step")
 }

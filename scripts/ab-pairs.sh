@@ -8,8 +8,11 @@
 #   pairs defaults to 10, seed to 1. Needs jq.
 #
 # The parent's tlp-sysbench is built from `git archive <parent-rev>` in a
-# temporary directory (nothing is added to the repository or its .git); the
-# change's is built from the working tree. The two binaries then run in
+# temporary directory (nothing is added to the repository or its .git) and
+# cached per resolved commit as `target/ab-pairs/<sha>/tlp-sysbench`, under
+# the ignored `target/` tree; a later call on the same commit reuses that
+# binary instead of rebuilding it (delete the directory to force a rebuild).
+# The change's is built from the working tree on every call. The two binaries then run in
 # alternating pairs, the parent first in odd pairs and the change first in
 # even ones, so a drift in machine speed lands on both sides. For every
 # end-to-end metric the script prints each side's median and interquartile
@@ -32,13 +35,25 @@ seconds=$(jq -r .run_seconds BENCHMARK.json)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "ab-pairs: building the parent ($parent_rev) and the change" >&2
-mkdir "$tmp/parent"
-git archive "$parent_rev" | tar -x -C "$tmp/parent"
-CARGO_TARGET_DIR="$tmp/target-parent" cargo build --release --offline --quiet \
-    --manifest-path "$tmp/parent/tlp-sysbench/Cargo.toml"
+parent_sha=$(git rev-parse --verify "$parent_rev^{commit}")
+parent_bin=target/ab-pairs/$parent_sha/tlp-sysbench
+if [ -x "$parent_bin" ]; then
+    echo "ab-pairs: reusing the parent ($parent_rev = $parent_sha) from $parent_bin" >&2
+else
+    echo "ab-pairs: building the parent ($parent_rev = $parent_sha)" >&2
+    mkdir "$tmp/parent"
+    git archive "$parent_sha" | tar -x -C "$tmp/parent"
+    CARGO_TARGET_DIR="$tmp/target-parent" cargo build --release --offline --quiet \
+        --manifest-path "$tmp/parent/tlp-sysbench/Cargo.toml"
+    mkdir -p "$(dirname "$parent_bin")"
+    # Copied under a temporary name and renamed, so an interrupted copy
+    # never leaves a binary the next call would trust.
+    cp "$tmp/target-parent/release/tlp-sysbench" "$parent_bin.partial"
+    mv "$parent_bin.partial" "$parent_bin"
+fi
+echo "ab-pairs: building the change" >&2
 cargo build --release --offline --quiet --manifest-path tlp-sysbench/Cargo.toml
-cp "$tmp/target-parent/release/tlp-sysbench" "$tmp/parent.bin"
+cp "$parent_bin" "$tmp/parent.bin"
 cp "${CARGO_TARGET_DIR:-tlp-sysbench/target}/release/tlp-sysbench" "$tmp/change.bin"
 
 run() {

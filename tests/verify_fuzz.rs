@@ -9,13 +9,18 @@
 //! punctuation character. Every input must come back either unparsed with a
 //! lone `V001` error or parsed with a report that carries no `V001`, no input
 //! may panic, and a `Verifier` reused across all inputs must report exactly
-//! what the fresh one inside `check_text` does.
+//! what the fresh one inside `check_text` does. A parsed input that differs
+//! from its base in int values only (its skeleton is the base's) is also
+//! checked by a verifier that checked the base first, and so holds the
+//! base's plan when the base is clean: it too must report what the fresh
+//! one does.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlp_autotuner::SketchPolicy;
+use tlp_schedule::{parse_schedule, Skeletons};
 use tlp_verify::{check_text, Code, Severity, Verifier, VerifyOptions};
 use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
 
@@ -226,11 +231,17 @@ fn mutated_schedule_text_yields_a_parse_failure_or_a_report_and_never_panics() {
 
     let mut rng = Lcg(0x5EED_F022);
     let (mut parsed, mut unparsed) = (0usize, 0usize);
+    let (mut int_only, mut planned) = (0usize, 0usize);
     for gpu in [None, Some(false), Some(true)] {
         let opts = VerifyOptions { gpu };
         for (s, sg) in pool.iter().enumerate() {
             let mut reused = Verifier::new(sg, &opts);
             for base in &texts[s] {
+                let base_seq = parse_schedule(&base.join("\n")).expect("emitted text parses");
+                let mut skeleton = Skeletons::default();
+                skeleton.insert(&base_seq);
+                let mut warmed = Verifier::new(sg, &opts);
+                warmed.check(&base_seq);
                 let donor = &texts[(s + 1) % pool.len()][rng.below(texts[0].len())];
                 for _ in 0..MUTANTS {
                     let mut lines = base.clone();
@@ -255,6 +266,11 @@ fn mutated_schedule_text_yields_a_parse_failure_or_a_report_and_never_panics() {
                             parsed += 1;
                             assert_eq!(v001, 0, "{text}");
                             assert_eq!(reused.check(&seq), report, "{text}");
+                            if skeleton.find(&seq).is_some() {
+                                int_only += 1;
+                                planned += usize::from(warmed.planned(&seq));
+                                assert_eq!(warmed.check(&seq), report, "{text}");
+                            }
                         }
                     }
                 }
@@ -262,7 +278,11 @@ fn mutated_schedule_text_yields_a_parse_failure_or_a_report_and_never_panics() {
         }
     }
     // Both outcomes must be well represented, or the fuzz is not reaching
-    // one of the two paths.
+    // one of the two paths; and int-only inputs must meet planned verifiers.
+    assert!(
+        planned >= 50,
+        "{planned} of {int_only} int-only inputs met a plan"
+    );
     let total = parsed + unparsed;
     assert!(parsed * 4 > total, "{parsed} of {total} inputs parsed");
     assert!(
