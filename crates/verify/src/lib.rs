@@ -27,13 +27,13 @@
 //! stage with the anchor once and resolves an anchor split's target axis
 //! once for all three; pass 4 then reads what pass 2 collected. The
 //! verifier owns the resolved subgraph facts and the dataflow pass's
-//! loop-variable environment: one row of slots per subgraph axis, holding
-//! the axis and its split parts `oc.0` … `oc.7`, which a check resets by
-//! bumping a generation stamp; and, for every other name (fused `@` names,
-//! later parts), an open-addressed index keyed on the name's first eight
-//! bytes and its length. The index grows with the schedule, and all of the
-//! storage is reused, so a schedule with no findings allocates nothing once
-//! the verifier is warm. [`verify_with`] is the one-shot form.
+//! loop-variable environment: one entry per name (axes, split parts such
+//! as `oc.2`, fused `@` names), found through an open-addressed index keyed
+//! on the name's first eight bytes and its length, so a name of at most
+//! eight bytes is compared as one word and never copied. The index grows
+//! with the schedule, and its storage is reused, so a schedule with no
+//! findings allocates nothing once the verifier is warm. [`verify_with`] is
+//! the one-shot form.
 //!
 //! # Plans
 //!
@@ -162,6 +162,12 @@ impl Ctx {
         key == self.anchor_key && (key.len() <= 8 || stage == self.anchor)
     }
 
+    /// The position in the loop nest of the subgraph axis named `var`, if
+    /// any: a scan of the axes, at most seven names.
+    pub(crate) fn axis_index(&self, var: &str) -> Option<usize> {
+        self.axes.iter().position(|axis| axis.name == var)
+    }
+
     /// Whether `stage` is a fused stage or one of the mirror stages
     /// cache-write / cache-read declarations create.
     pub(crate) fn knows_other_stage(&self, stage: &str) -> bool {
@@ -261,7 +267,7 @@ impl Verifier {
                 PrimitiveKind::Split | PrimitiveKind::FollowSplit | PrimitiveKind::FollowFusedSplit
             );
             let split_axis = match var {
-                Some(v) if split && anchor => self.flow.axis_index(v),
+                Some(v) if split && anchor => self.ctx.axis_index(v),
                 _ => None,
             };
             if planning {
@@ -291,9 +297,7 @@ impl Verifier {
             };
             wellformed::check(&self.ctx, s, &mut diags);
             self.flow.step(&self.ctx, schedule, s, &mut diags);
-            let flow = &self.flow;
-            self.structure
-                .step(&self.ctx, |var| flow.axis_index(var), s, &mut diags);
+            self.structure.step(&self.ctx, s, &mut diags);
         }
         gpu::check(&self.opts, schedule, self.flow.facts(), &mut diags);
         if planning && diags.is_empty() && self.flow.facts().binds.is_empty() {
@@ -374,6 +378,47 @@ mod tests {
 
     fn codes(r: &Report) -> Vec<Code> {
         r.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn every_anchor_op_resolves_its_axes_to_their_loop_positions() {
+        let ops = [
+            AnchorOp::Dense { m: 8, n: 8, k: 8 },
+            AnchorOp::BatchMatmul {
+                b: 2,
+                m: 8,
+                n: 8,
+                k: 8,
+            },
+            AnchorOp::Conv2d {
+                n: 1,
+                cin: 16,
+                hw: 14,
+                cout: 16,
+                khw: 3,
+                stride: 1,
+                pad: 1,
+                groups: 1,
+            },
+            AnchorOp::Pool {
+                n: 1,
+                c: 8,
+                hw: 8,
+                khw: 2,
+                stride: 2,
+            },
+            AnchorOp::Softmax { rows: 4, cols: 8 },
+        ];
+        for op in ops {
+            let sg = Subgraph::new("s", op);
+            let ctx = Ctx::new(&sg);
+            for (position, axis) in ctx.axes.iter().enumerate() {
+                assert_eq!(ctx.axis_index(axis.name), Some(position), "{sg:?}");
+            }
+            for name in ["", "o", "oc.1", "ocx", "n@oc", "abcdefghij"] {
+                assert_eq!(ctx.axis_index(name), None, "{sg:?} `{name}`");
+            }
+        }
     }
 
     #[test]

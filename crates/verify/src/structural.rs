@@ -29,14 +29,8 @@ impl Structure {
         self.shared_declared = false;
     }
 
-    /// Checks one step; `axis_index` finds the original axis a name denotes.
-    pub(crate) fn step(
-        &mut self,
-        ctx: &Ctx,
-        axis_index: impl Fn(&str) -> Option<usize>,
-        s: Step<'_>,
-        out: &mut Vec<Diagnostic>,
-    ) {
+    /// Checks one step.
+    pub(crate) fn step(&mut self, ctx: &Ctx, s: Step<'_>, out: &mut Vec<Diagnostic>) {
         let Step {
             at: step,
             p,
@@ -68,7 +62,7 @@ impl Structure {
             {
                 check_anchor_split(ctx, s, &mut self.split_counts, out);
             }
-            PrimitiveKind::Rfactor => check_rfactor(ctx, &axis_index, step, s.var, out),
+            PrimitiveKind::Rfactor => check_rfactor(ctx, step, s.var, out),
             _ => {}
         }
     }
@@ -186,13 +180,7 @@ pub(crate) fn anchor_split_ints_hold(ints: &[i64], extent: i64) -> bool {
     extent_mismatch(ints, extent).is_none() && oversized_product(ints, extent).is_none()
 }
 
-fn check_rfactor(
-    ctx: &Ctx,
-    axis_index: impl Fn(&str) -> Option<usize>,
-    step: usize,
-    var: Option<&str>,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_rfactor(ctx: &Ctx, step: usize, var: Option<&str>, out: &mut Vec<Diagnostic>) {
     let Some(var) = var else {
         return;
     };
@@ -203,7 +191,7 @@ fn check_rfactor(
     let mut any_reduction = false;
     for part in var.split('@') {
         let base = part.split('.').next().unwrap_or(part);
-        if let Some(index) = axis_index(base) {
+        if let Some(index) = ctx.axis_index(base) {
             any_known = true;
             any_reduction |= ctx.axes[index].kind == LoopKind::Reduction;
         }

@@ -6,7 +6,7 @@
 //! tlp-cli eval <model.json>             top-k of a snapshot on the test set
 //! tlp-cli tune <network> [model.json]   tune a workload (random or TLP-guided)
 //! tlp-cli adapt [snapshot.json]         continual-adapt a head to ryzen-3950x
-//! tlp-cli verify-corpus [out.json]      static-verifier sweep over the dataset
+//! tlp-cli verify-corpus [out.json]      static-verifier sweep over the CPU and GPU datasets
 //! tlp-cli audit-model [out.json]        model-graph audit soundness suite (M-codes)
 //! tlp-cli platforms                     list simulated platforms
 //! ```
@@ -60,9 +60,9 @@ fn main() {
                  \x20                            measurements, hot-swapping canaried\n\
                  \x20                            snapshots into a live registry; prints\n\
                  \x20                            the adaptation report as JSON\n\
-                 verify-corpus [out.json]     run the static schedule verifier over a\n\
-                 \x20                            generated dataset sample and print (or\n\
-                 \x20                            write) a JSON diagnostics summary\n\
+                 verify-corpus [out.json]     run the static schedule verifier over\n\
+                 \x20                            generated CPU and GPU dataset samples and\n\
+                 \x20                            print (or write) a JSON diagnostics summary\n\
                  audit-model [out.json]       run the tlp-modelcheck soundness suite:\n\
                  \x20                            golden models must audit clean and\n\
                  \x20                            adversarial corruptions must be caught;\n\
@@ -332,7 +332,20 @@ struct CodeCount {
     count: u64,
 }
 
-/// JSON report emitted by `verify-corpus`.
+/// One dataset's verifier sweep: its size, its recorded validity labels,
+/// and the diagnostics a per-task verifier reports under the sweep's device.
+#[derive(serde::Serialize)]
+struct Sweep {
+    tasks: usize,
+    programs: usize,
+    validity: tlp_dataset::ValidityStats,
+    codes: Vec<CodeCount>,
+}
+
+/// JSON report emitted by `verify-corpus`: the CPU dataset's sweep at the
+/// top level and the GPU dataset's, with the device pinned to GPU, under
+/// `gpu`. The CPU fields are [`Sweep`]'s, spelled out: the vendored
+/// `serde_derive` takes no `#[serde(flatten)]`.
 #[derive(serde::Serialize)]
 struct CorpusReport {
     scale: String,
@@ -340,12 +353,13 @@ struct CorpusReport {
     programs: usize,
     validity: tlp_dataset::ValidityStats,
     codes: Vec<CodeCount>,
+    gpu: Sweep,
 }
 
-fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
-    let scale = Scale::from_env();
-    let ds = scale.cpu_dataset();
-    let opts = tlp_verify::VerifyOptions { gpu: Some(false) };
+/// Checks every program of `ds` with one verifier per task, the device
+/// pinned to `gpu`.
+fn sweep(ds: &tlp_dataset::Dataset, gpu: bool) -> Sweep {
+    let opts = tlp_verify::VerifyOptions { gpu: Some(gpu) };
     let mut counts: std::collections::BTreeMap<tlp_verify::Code, u64> =
         std::collections::BTreeMap::new();
     let mut severities = std::collections::HashMap::new();
@@ -359,11 +373,10 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
             }
         }
     }
-    let report = CorpusReport {
-        scale: format!("{scale:?}"),
+    Sweep {
         tasks: ds.tasks.len(),
         programs: ds.num_programs(),
-        validity: tlp_dataset::validity(&ds),
+        validity: tlp_dataset::validity(ds),
         codes: counts
             .into_iter()
             .map(|(code, count)| CodeCount {
@@ -375,6 +388,31 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
                 count,
             })
             .collect(),
+    }
+}
+
+fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
+    let scale = Scale::from_env();
+    let cpu = sweep(&scale.cpu_dataset(), false);
+    let gpu = sweep(&scale.gpu_dataset(), true);
+    let mut invalid = false;
+    for (device, v) in [("", cpu.validity), ("GPU ", gpu.validity)] {
+        if v.valid != v.total {
+            eprintln!(
+                "verify-corpus: {} of {} generated {device}programs carry verifier errors",
+                v.total - v.valid,
+                v.total
+            );
+            invalid = true;
+        }
+    }
+    let report = CorpusReport {
+        scale: format!("{scale:?}"),
+        tasks: cpu.tasks,
+        programs: cpu.programs,
+        validity: cpu.validity,
+        codes: cpu.codes,
+        gpu,
     };
     let json = match serde_json::to_string_pretty(&report) {
         Ok(j) => j,
@@ -383,13 +421,6 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
             return 1;
         }
     };
-    if report.validity.valid != report.validity.total {
-        eprintln!(
-            "verify-corpus: {} of {} generated programs carry verifier errors",
-            report.validity.total - report.validity.valid,
-            report.validity.total
-        );
-    }
     match out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {
@@ -400,11 +431,7 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
         }
         None => println!("{json}"),
     }
-    if report.validity.valid == report.validity.total {
-        0
-    } else {
-        1
-    }
+    i32::from(invalid)
 }
 
 /// `(M-code, occurrences)` pairs in code order: the entries of
