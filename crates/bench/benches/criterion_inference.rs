@@ -18,6 +18,13 @@
 //! micro-batch's attention tiles, with the `exp` the model runs
 //! (`tlp_nn::kernels::exp`) and with libm's, in ns per score element.
 //!
+//! `fingerprint` times the cache keys of a 256-candidate conv2d pool, in
+//! ns per schedule: one `ScheduleSequence::fingerprint` call each, and a
+//! warm `Fingerprinter` over 16-candidate requests (the serving path). It
+//! prints the share of schedules whose skeleton a fingerprinter already
+//! held, over that pool's requests and over the requests BERT-tiny's tuner
+//! sends its cost model (8 tasks).
+//!
 //! Run with `cargo bench -p tlp-bench --bench criterion_inference`.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
@@ -25,13 +32,18 @@
 use criterion::{criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use tlp::baselines::{program_features, TenSetMlp};
 use tlp::features::{FeatureBuf, FeatureExtractor};
 use tlp::{TlpConfig, TlpModel};
-use tlp_autotuner::{Candidate, SketchPolicy};
+use tlp_autotuner::{
+    tune_network, Candidate, CostModel, RandomModel, ScoreBatch, ScoreRequest, SketchPolicy,
+    TuningOptions,
+};
+use tlp_hwsim::Platform;
 use tlp_nn::Workspace;
-use tlp_schedule::{ConcretePrimitive, PrimitiveKind, ScheduleSequence, Vocabulary};
-use tlp_workload::{AnchorOp, Subgraph};
+use tlp_schedule::{ConcretePrimitive, Fingerprinter, PrimitiveKind, ScheduleSequence, Vocabulary};
+use tlp_workload::{bert_tiny, AnchorOp, Subgraph};
 
 fn conv_subgraph() -> Subgraph {
     Subgraph::new(
@@ -232,9 +244,98 @@ fn bench_softmax_exp() {
     }
 }
 
+/// Fastest of 200 passes of `pass` over `n` schedules, in ns per schedule.
+fn ns_per_schedule(n: usize, mut pass: impl FnMut()) -> f64 {
+    let best = (0..200)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            pass();
+            t.elapsed()
+        })
+        .min()
+        .expect("at least one pass");
+    best.as_secs_f64() * 1e9 / n as f64
+}
+
+/// Share of the schedules `fp` looked up whose skeleton it held.
+fn hit_rate(fp: &Fingerprinter) -> f64 {
+    let (found, looked_up) = fp.hits();
+    found as f64 / looked_up.max(1) as f64
+}
+
+/// A cost model that passes every request through a fingerprinter first.
+struct Keyed {
+    inner: RandomModel,
+    fingerprinter: RefCell<Fingerprinter>,
+    out: RefCell<Vec<u64>>,
+}
+
+impl CostModel for Keyed {
+    fn predict(&self, request: ScoreRequest<'_>) -> ScoreBatch {
+        self.fingerprinter
+            .borrow_mut()
+            .fingerprints_into(request.candidates, &mut self.out.borrow_mut());
+        self.inner.predict(request)
+    }
+
+    fn name(&self) -> &str {
+        "keyed-random"
+    }
+}
+
+fn bench_fingerprints() {
+    let pool = candidates(&conv_subgraph(), 256);
+    let mut cold = Fingerprinter::default();
+    let mut keys = Vec::new();
+    for request in pool.chunks(16) {
+        cold.fingerprints_into(request, &mut keys);
+    }
+    let pool_hits = hit_rate(&cold);
+    let one_shot = ns_per_schedule(pool.len(), || {
+        for s in &pool {
+            criterion::black_box(s.fingerprint());
+        }
+    });
+    let mut warm = cold;
+    let warm_ns = ns_per_schedule(pool.len(), || {
+        for request in pool.chunks(16) {
+            warm.fingerprints_into(request, &mut keys);
+            criterion::black_box(keys[0]);
+        }
+    });
+    for (name, ns) in [("one_shot", one_shot), ("warm_16", warm_ns)] {
+        println!("fingerprint_conv2d_256/{name:<16} {ns:>9.1} ns/schedule");
+    }
+    println!("fingerprint_conv2d_256/skeleton hit rate {pool_hits:.3}");
+
+    let mut model = Keyed {
+        inner: RandomModel::new(7),
+        fingerprinter: RefCell::default(),
+        out: RefCell::default(),
+    };
+    let options = TuningOptions {
+        rounds: 24,
+        seed: 7,
+        ..TuningOptions::default()
+    };
+    tune_network(
+        &bert_tiny(1, 128),
+        &Platform::i7_10510u(),
+        &mut model,
+        &options,
+    );
+    let fp = model.fingerprinter.borrow();
+    println!(
+        "fingerprint_tune_bert_tiny/skeleton hit rate {:.3} over {} schedules",
+        hit_rate(&fp),
+        fp.hits().1
+    );
+}
+
 criterion_group!(benches, bench_pipelines);
 
 fn main() {
     benches();
     bench_softmax_exp();
+    bench_fingerprints();
 }

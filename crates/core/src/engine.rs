@@ -12,7 +12,9 @@
 //!   model-independent: they are taken once per request, before the cache
 //!   lock, by the engine or by a caller that already has them (the serving
 //!   layer hashes and extracts at admission and hands the same keys to
-//!   [`InferenceEngine::probe`] and [`InferenceEngine::score_features_into`]);
+//!   [`InferenceEngine::probe`] and [`InferenceEngine::score_features_into`]),
+//!   through a [`Fingerprinter`] that keeps each schedule skeleton's hash
+//!   words across requests — the engine pools one per concurrent call;
 //! - **micro-batching** — cache misses, collapsed to one per distinct key of
 //!   the request, are chunked and claimed off a shared counter by workers —
 //!   the calling thread alone when one suffices,
@@ -35,7 +37,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use tlp_autotuner::{BatchStats, PipelineCost, SearchTask, UpdateError};
-use tlp_schedule::ScheduleSequence;
+use tlp_schedule::{Fingerprinter, ScheduleSequence};
 
 /// The model-side half of the engine: maps (task, candidates) to raw scores.
 ///
@@ -183,20 +185,35 @@ pub struct ScoreKeys {
 }
 
 impl ScoreKeys {
-    /// Fingerprints `task` and every schedule. The one place a request is
-    /// hashed.
+    /// Fingerprints `task` and every schedule through a fresh
+    /// [`Fingerprinter`]. A caller keying request after request keeps one
+    /// and calls [`ScoreKeys::take`].
     pub fn new(task: &SearchTask, schedules: &[ScheduleSequence]) -> Self {
+        ScoreKeys::take(task, schedules, &mut Fingerprinter::default())
+    }
+
+    /// Fingerprints `task` and every schedule, the schedules through
+    /// `fingerprinter` and the skeletons it holds from earlier requests.
+    /// The one place a request is hashed.
+    pub fn take(
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        fingerprinter: &mut Fingerprinter,
+    ) -> Self {
         let mut keys = ScoreKeys::default();
-        keys.refill(task, schedules);
+        keys.refill(task, schedules, fingerprinter);
         keys
     }
 
-    /// [`ScoreKeys::new`] into this set's storage.
-    fn refill(&mut self, task: &SearchTask, schedules: &[ScheduleSequence]) {
+    /// [`ScoreKeys::take`] into this set's storage.
+    fn refill(
+        &mut self,
+        task: &SearchTask,
+        schedules: &[ScheduleSequence],
+        fingerprinter: &mut Fingerprinter,
+    ) {
         self.task_fp = task_fingerprint(task);
-        self.schedule_fps.clear();
-        self.schedule_fps
-            .extend(schedules.iter().map(ScheduleSequence::fingerprint));
+        fingerprinter.fingerprints_into(schedules, &mut self.schedule_fps);
     }
 
     /// The task's [`task_fingerprint`].
@@ -394,17 +411,19 @@ pub struct InferenceEngine<S: ScheduleScorer> {
 pub(crate) enum Keys<'a> {
     /// Taken by the engine from the request, when it has a cache to key.
     Take(&'a SearchTask, &'a [ScheduleSequence]),
-    /// Taken by the caller (`ScoreKeys::new(task, schedules)`), possibly
+    /// Taken by the caller ([`ScoreKeys::take`]), possibly
     /// under an earlier salt or for another engine: nothing is hashed again.
     Given(&'a ScoreKeys),
 }
 
 /// Reusable per-call bookkeeping: the key set `score_into` builds for
-/// itself, the cache-miss indices the scorer sees (one per distinct key),
-/// and the misses that repeat one of those.
+/// itself and the fingerprinter it builds it with, the cache-miss indices
+/// the scorer sees (one per distinct key), and the misses that repeat one
+/// of those.
 #[derive(Default)]
 struct CallBufs {
     keys: ScoreKeys,
+    fingerprinter: Fingerprinter,
     miss_idx: Vec<usize>,
     /// Schedule fingerprint → index of the first miss carrying it.
     first_miss: HashMap<u64, usize>,
@@ -643,6 +662,7 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
             .unwrap_or_default();
         let CallBufs {
             keys: own_keys,
+            fingerprinter,
             miss_idx,
             first_miss,
             repeats,
@@ -651,7 +671,7 @@ impl<S: ScheduleScorer> InferenceEngine<S> {
             Keys::Given(keys) => keys,
             Keys::Take(task, schedules) => {
                 if self.config.cache_capacity > 0 {
-                    own_keys.refill(task, schedules);
+                    own_keys.refill(task, schedules, fingerprinter);
                 }
                 own_keys
             }

@@ -36,27 +36,40 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
     #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    pub(crate) fn add(&mut self, word: u64) {
+        self.hash = fold(self.hash, word);
+    }
+}
+
+/// One Fx step: `hash` with `word` folded in. An [`FxHasher`] is this
+/// chain from 0 over the words it is given.
+#[inline]
+pub(crate) fn fold(hash: u64, word: u64) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// The words [`FxHasher`] folds for `bytes`, in order: each whole 8 bytes
+/// little-endian, then the zero-padded tail tagged with its length.
+#[inline]
+pub(crate) fn byte_words(bytes: &[u8], mut word: impl FnMut(u64)) {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        word(u64::from_le_bytes(c.try_into().unwrap_or([0; 8]))); // length is 8 by construction
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        // Tag the zero-padded tail with its length (byte 7 is unused:
+        // the remainder is at most 7 bytes) so prefixes stay distinct.
+        word(tail_word(rem) | ((rem.len() as u64) << 56));
     }
 }
 
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().unwrap_or([0; 8]))); // length is 8 by construction
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            // Tag the zero-padded tail with its length (byte 7 is unused:
-            // the remainder is at most 7 bytes) so prefixes stay distinct.
-            self.add(tail_word(rem) | ((rem.len() as u64) << 56));
-        }
+        byte_words(bytes, |word| self.add(word));
     }
 
     #[inline]

@@ -16,6 +16,8 @@
 //!   [`rewrite`](ScheduleSequence::rewrite);
 //! - [`Skeletons`]: a set of sequence skeletons (a sequence without its int
 //!   values), found by comparing buffers;
+//! - [`Fingerprinter`]: fingerprints of many sequences at once, from the
+//!   words of their skeletons;
 //! - [`Vocabulary`]: name-parameter tokenization.
 //!
 //! # Example
@@ -39,6 +41,7 @@
 #![warn(clippy::disallowed_methods)]
 #![allow(clippy::disallowed_types)] // keyed lookups only; determinism-critical crates opt in (clippy.toml)
 
+pub mod fingerprint;
 pub mod hash;
 pub mod kind;
 pub mod parse;
@@ -47,6 +50,7 @@ pub mod sequence;
 pub mod skeleton;
 pub mod vocab;
 
+pub use fingerprint::Fingerprinter;
 pub use kind::PrimitiveKind;
 pub use parse::{parse_primitive, parse_schedule, ParsePrimitiveError};
 pub use primitive::{

@@ -6,11 +6,12 @@
 //! A candidate pool holds tens of thousands of sequences, so a sequence
 //! costs four heap blocks rather than a few per primitive.
 
+use crate::hash::{byte_words, FxHasher};
 use crate::kind::PrimitiveKind;
 use crate::primitive::{preprocess, AbstractPrimitive, ConcretePrimitive, Names, Primitive};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// An ordered sequence of schedule primitives describing how one subgraph is
 /// lowered to a tensor program.
@@ -215,16 +216,27 @@ impl ScheduleSequence {
     /// owned strings and vectors: the kind's index, the stage, the loop
     /// variables' count and names, the ints, the extras' count and names.
     /// A name is hashed as `str` hashes itself (its bytes, then `0xff`),
-    /// straight off the name buffer.
+    /// straight off the name buffer. A [`Fingerprinter`](crate::Fingerprinter)
+    /// folds the same words, keeping those of each skeleton it has seen.
     pub fn salted_fingerprint(&self, salt: u64) -> u64 {
-        let mut h = crate::hash::FxHasher::default();
-        salt.hash(&mut h);
+        let mut h = FxHasher::default();
+        h.add(salt);
+        self.words(&mut h);
+        h.finish()
+    }
+
+    /// Emits, in order, the words a fingerprint folds after its salt. Per
+    /// primitive: the kind's index, the stage, the loop variables' count and
+    /// names, the ints' count and each int, the extras' count and names. A
+    /// name's words are its bytes' (see [`FxHasher`]'s `write`), then
+    /// `0xff`. Every word but an int's is the skeleton's.
+    pub(crate) fn words<W: Words>(&self, out: &mut W) {
         let bytes = self.names.as_bytes();
         let mut start = 0;
-        let mut names = |h: &mut crate::hash::FxHasher, ends: &[u32]| {
+        let mut names = |out: &mut W, ends: &[u32]| {
             for &end in ends {
-                h.write(&bytes[start..end as usize]);
-                h.write_u8(0xff);
+                byte_words(&bytes[start..end as usize], |word| out.word(word));
+                out.word(0xff);
                 start = end as usize;
             }
         };
@@ -235,15 +247,44 @@ impl ScheduleSequence {
                 None => (self.name_ends.len(), self.ints.len()),
             };
             let (stage, extras) = (r.stage as usize, r.extras as usize);
-            r.kind.index().hash(&mut h);
-            names(&mut h, &self.name_ends[stage..=stage]);
-            h.write_usize(extras - stage - 1);
-            names(&mut h, &self.name_ends[stage + 1..extras]);
-            self.ints[r.ints as usize..ints_end].hash(&mut h);
-            h.write_usize(names_end - extras);
-            names(&mut h, &self.name_ends[extras..names_end]);
+            let ints = &self.ints[r.ints as usize..ints_end];
+            out.word(r.kind.index() as u64);
+            names(out, &self.name_ends[stage..=stage]);
+            out.word((extras - stage - 1) as u64);
+            names(out, &self.name_ends[stage + 1..extras]);
+            out.word(ints.len() as u64);
+            for &v in ints {
+                out.int(v);
+            }
+            out.word((names_end - extras) as u64);
+            names(out, &self.name_ends[extras..names_end]);
         }
-        h.finish()
+    }
+}
+
+/// Where [`ScheduleSequence::words`] emits a fingerprint's words.
+pub(crate) trait Words {
+    /// A word the sequence's skeleton fixes.
+    fn word(&mut self, word: u64);
+    /// An int, whose word is [`int_word`]'s.
+    fn int(&mut self, value: i64);
+}
+
+/// The word a fingerprint folds for an int: its bytes as `i64` hashes them.
+#[inline]
+pub(crate) fn int_word(value: i64) -> u64 {
+    u64::from_le_bytes(value.to_ne_bytes())
+}
+
+impl Words for FxHasher {
+    #[inline]
+    fn word(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    #[inline]
+    fn int(&mut self, value: i64) {
+        self.add(int_word(value));
     }
 }
 

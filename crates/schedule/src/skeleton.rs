@@ -191,4 +191,32 @@ mod tests {
         assert_eq!(set.insert(&ScheduleSequence::new()), 0);
         assert_eq!(set.find(&ScheduleSequence::new()), Some(0));
     }
+
+    #[test]
+    fn skeletons_of_one_shape_are_told_apart_by_their_bytes() {
+        // Three-digit stage names: every sequence has the same buffer
+        // lengths, and only the name bytes tell them apart.
+        let same_shape = |i: usize| parsed(&format!("SP(s{i:03}, i, [64, 8])"));
+        let other = |i: usize| parsed(&format!("SP(s{i}, i, [64])\nCI(relu)"));
+        let mut set = Skeletons::default();
+        for i in 0..3 * FIRST_ROOM {
+            assert_eq!(set.insert(&same_shape(i)), 2 * i);
+            assert_eq!(set.insert(&other(i)), 2 * i + 1);
+        }
+        for i in 0..3 * FIRST_ROOM {
+            assert_eq!(set.find(&same_shape(i)), Some(2 * i));
+            assert_eq!(set.find(&other(i)), Some(2 * i + 1));
+        }
+        assert_eq!(set.find(&same_shape(3 * FIRST_ROOM)), None);
+        // A second copy gets its own number; the first is still found.
+        assert_eq!(set.insert(&same_shape(5)), 6 * FIRST_ROOM);
+        assert_eq!(set.find(&same_shape(5)), Some(10));
+        let room = set.names.capacity();
+        set.clear();
+        assert_eq!(set.find(&same_shape(0)), None);
+        assert_eq!(set.names.capacity(), room);
+        assert_eq!(set.insert(&same_shape(7)), 0);
+        assert_eq!(set.find(&same_shape(7)), Some(0));
+        assert_eq!(set.find(&same_shape(0)), None);
+    }
 }

@@ -6,7 +6,9 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::{Deserialize, Serialize};
-use tlp_schedule::{parse_schedule, ConcretePrimitive, PrimitiveKind, ScheduleSequence};
+use tlp_schedule::{
+    parse_schedule, ConcretePrimitive, Fingerprinter, PrimitiveKind, ScheduleSequence,
+};
 
 /// Seeded sketch output (CPU conv2d, dense and softmax; GPU conv2d and
 /// dense), one `// label` header per sequence. `tlp-autotuner`'s
@@ -55,6 +57,25 @@ fn corpus_fingerprints_match_the_pinned_digest() {
         fold(s.len() as u64);
     }
     assert_eq!(digest, 0x6c6d_57b3_1f35_0426, "got {digest:#x}");
+}
+
+#[test]
+fn a_fingerprinter_folds_the_pinned_digest_cold_and_warm() {
+    let sequences = corpus();
+    let mut fp = Fingerprinter::default();
+    let (mut plain, mut salted) = (Vec::new(), Vec::new());
+    for pass in ["cold", "warm"] {
+        fp.fingerprints_into(&sequences, &mut plain);
+        fp.salted_fingerprints_into(0x9e37_79b9_7f4a_7c15, &sequences, &mut salted);
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |x: u64| digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+        for ((s, &fingerprint), &salted) in sequences.iter().zip(&plain).zip(&salted) {
+            fold(fingerprint);
+            fold(salted);
+            fold(s.len() as u64);
+        }
+        assert_eq!(digest, 0x6c6d_57b3_1f35_0426, "{pass}: got {digest:#x}");
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! [`ServeClient`]. Admission does each per-candidate job once, in one
 //! order: resolve the model → verify every schedule (with a warm
 //! [`tlp_verify::Verifier`] for the task, kept across requests) →
-//! fingerprint the request once ([`ScoreKeys`]) → probe the resolved
+//! fingerprint the request once ([`ScoreKeys`], through the
+//! [`Fingerprinter`] kept with that verifier, which holds the words of the
+//! task's schedule skeletons) → probe the resolved
 //! version's score cache, all or nothing. A request whose every candidate
 //! is cached is answered right there, on the submitting thread: no
 //! extraction, no channel, no queue slot, no batcher. Anything else has its
@@ -44,7 +46,7 @@ use crate::error::ServeError;
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::stats::{ServeSnapshot, ServeStats};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -52,7 +54,7 @@ use std::time::{Duration, Instant};
 use tlp::engine::ScoreKeys;
 use tlp::features::FeatureBuf;
 use tlp_autotuner::{BatchStats, SearchTask};
-use tlp_schedule::ScheduleSequence;
+use tlp_schedule::{Fingerprinter, ScheduleSequence};
 use tlp_verify::{Verifier, VerifyOptions};
 use tlp_workload::Subgraph;
 
@@ -159,18 +161,31 @@ struct Shared {
 const MAX_WARM_VERIFIERS: usize = 16;
 
 /// A verifier kept between requests, with the subgraph and options it was
-/// built for.
+/// built for, the fingerprinter that keys the task's requests, and the
+/// thread that used them last.
 struct WarmVerifier {
     subgraph: Subgraph,
     opts: VerifyOptions,
     verifier: Verifier,
+    fingerprinter: Fingerprinter,
+    thread: u64,
+}
+
+/// A number for the calling thread, unique while the process runs.
+fn thread_number() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    thread_local!(static NUMBER: u64 = NEXT.fetch_add(1, Ordering::Relaxed));
+    NUMBER.with(|n| *n)
 }
 
 /// The verifiers admission lends out, oldest return first. A request takes
-/// one built for exactly its subgraph and options, or builds one, and gives
-/// it back when its schedules are checked; requests on one task at once
-/// each hold their own. A verifier's reports do not depend on what it
-/// checked before, so which one a request gets changes no reply.
+/// one built for exactly its subgraph and options — the one its thread gave
+/// back last if there is one, whose plans and skeleton words are still in
+/// that core's caches — or builds one, and gives it back when its
+/// schedules are checked and hashed; requests on one task at once each hold
+/// their own. A verifier's reports and a fingerprinter's fingerprints do
+/// not depend on what they saw before, so which one a request gets changes
+/// no reply.
 #[derive(Default)]
 struct Verifiers(Mutex<Vec<WarmVerifier>>);
 
@@ -182,18 +197,32 @@ impl Verifiers {
     }
 
     fn take(&self, subgraph: &Subgraph, opts: VerifyOptions) -> WarmVerifier {
+        let thread = thread_number();
         let mut warm = self.lock();
-        match warm
-            .iter()
-            .rposition(|w| w.opts == opts && w.subgraph == *subgraph)
-        {
-            Some(i) => warm.remove(i),
+        let mut pick = None;
+        for (i, w) in warm.iter().enumerate().rev() {
+            if w.opts == opts && w.subgraph == *subgraph {
+                pick = pick.or(Some(i));
+                if w.thread == thread {
+                    pick = Some(i);
+                    break;
+                }
+            }
+        }
+        match pick {
+            Some(i) => {
+                let mut taken = warm.remove(i);
+                taken.thread = thread;
+                taken
+            }
             None => {
                 drop(warm);
                 WarmVerifier {
                     subgraph: subgraph.clone(),
                     opts,
                     verifier: Verifier::new(subgraph, &opts),
+                    fingerprinter: Fingerprinter::default(),
+                    thread,
                 }
             }
         }
@@ -390,15 +419,21 @@ impl ServeClient {
             let report = warm.verifier.check(schedule);
             report.has_errors().then_some((index, report))
         });
+        let keys = match rejected {
+            None => Ok(ScoreKeys::take(task, schedules, &mut warm.fingerprinter)),
+            Some(rejected) => Err(rejected),
+        };
         self.shared.verifiers.give_back(warm);
-        if let Some((index, report)) = rejected {
-            ServeStats::bump(&self.shared.stats.rejected_invalid);
-            return Err(ServeError::InvalidSchedule {
-                index,
-                diagnostics: report.diagnostics,
-            });
-        }
-        let keys = ScoreKeys::new(task, schedules);
+        let keys = match keys {
+            Ok(keys) => keys,
+            Err((index, report)) => {
+                ServeStats::bump(&self.shared.stats.rejected_invalid);
+                return Err(ServeError::InvalidSchedule {
+                    index,
+                    diagnostics: report.diagnostics,
+                });
+            }
+        };
         let now = Instant::now();
         let deadline = deadline.map(|d| now + d);
         let mut scores = Vec::new();
@@ -680,5 +715,35 @@ fn execute(shared: &Shared, group: Group, scratch: &mut ExecScratch) {
         ServeStats::bump(&shared.stats.completed);
         shared.stats.latency.record(done - job.enqueued);
         let _ = job.reply.send(Ok(reply));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::disallowed_methods)]
+    use super::*;
+    use tlp_workload::AnchorOp;
+
+    #[test]
+    fn a_thread_gets_back_the_verifier_it_gave_back() {
+        let sg = Subgraph::new("d", AnchorOp::Dense { m: 8, n: 8, k: 8 });
+        let opts = VerifyOptions { gpu: Some(false) };
+        let verifiers = Verifiers::default();
+        let schedule = tlp_schedule::parse_schedule("SP(d, i, [8, 2])").unwrap();
+        let mut mine = verifiers.take(&sg, opts);
+        ScoreKeys::take(
+            &SearchTask::new(sg.clone(), tlp_hwsim::Platform::i7_10510u()),
+            std::slice::from_ref(&schedule),
+            &mut mine.fingerprinter,
+        );
+        let other = |verifiers: &Verifiers| {
+            std::thread::scope(|s| s.spawn(|| verifiers.take(&sg, opts)).join().unwrap())
+        };
+        let theirs = other(&verifiers);
+        verifiers.give_back(mine);
+        verifiers.give_back(theirs);
+        // `theirs` went back last, yet this thread gets its own.
+        assert_eq!(verifiers.take(&sg, opts).fingerprinter.len(), 1);
+        assert_eq!(other(&verifiers).fingerprinter.len(), 0);
     }
 }
