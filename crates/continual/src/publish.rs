@@ -21,6 +21,7 @@ use tlp::persist::{snapshot, PersistError, SavedTlp};
 use tlp::{FeatureExtractor, TlpModel};
 use tlp_autotuner::SearchTask;
 use tlp_dataset::Dataset;
+use tlp_modelcheck::StoreFault;
 use tlp_schedule::ScheduleSequence;
 use tlp_serve::ModelRegistry;
 
@@ -86,13 +87,13 @@ pub enum PublishOutcome {
         /// The accuracy the good snapshot had scored.
         good_accuracy: f64,
     },
-    /// The candidate failed the `tlp-modelcheck` audit on the restore /
-    /// install path and never became resolvable; the previously serving
-    /// version is untouched. (The canary only measures ranking quality, so
-    /// NaN weights or a torn head partition must be stopped here.)
+    /// The candidate's store failed the check on the restore / install
+    /// path and never became resolvable; the previously serving version is
+    /// untouched. (The canary only measures ranking quality, so NaN weights
+    /// or a torn layout must be stopped here.)
     RejectedInvalid {
-        /// Distinct M-codes of the audit's error diagnostics, sorted.
-        codes: Vec<String>,
+        /// What the check found.
+        fault: StoreFault,
     },
 }
 
@@ -159,7 +160,7 @@ impl SnapshotPublisher {
             .count()
     }
 
-    /// Number of candidates the restore/install audit rejected.
+    /// Number of candidates the restore/install check refused.
     pub fn rejected_invalid(&self) -> usize {
         self.events
             .iter()
@@ -167,7 +168,7 @@ impl SnapshotPublisher {
             .count()
     }
 
-    /// Audited restore of `snap` (the exact bytes a cold-started server
+    /// Checked restore of `snap` (the exact bytes a cold-started server
     /// would load), installed under this publisher's name and head.
     fn install(&self, snap: &SavedTlp) -> Result<u64, PersistError> {
         let (model, extractor) = snap.restore()?;
@@ -175,8 +176,9 @@ impl SnapshotPublisher {
             .install_head(&self.name, model, extractor, self.head)
     }
 
-    /// Snapshot → audited restore + install → canary-score →
-    /// keep-or-rollback. A candidate the audit rejects is reported as
+    /// Snapshot → checked restore + install → canary-score →
+    /// keep-or-rollback. A candidate whose store fails the check is
+    /// reported as
     /// [`PublishOutcome::RejectedInvalid`], not as an error.
     ///
     /// # Errors
@@ -192,14 +194,8 @@ impl SnapshotPublisher {
         let candidate = snapshot(model, extractor);
         let version = match self.install(&candidate) {
             Ok(version) => version,
-            Err(PersistError::Invalid { diagnostics }) => {
-                let codes: std::collections::BTreeSet<String> = diagnostics
-                    .iter()
-                    .map(|d| d.code.as_str().to_string())
-                    .collect();
-                let outcome = PublishOutcome::RejectedInvalid {
-                    codes: codes.into_iter().collect(),
-                };
+            Err(PersistError::Invalid(fault)) => {
+                let outcome = PublishOutcome::RejectedInvalid { fault };
                 self.events.push(outcome.clone());
                 return Ok(outcome);
             }

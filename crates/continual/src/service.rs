@@ -127,7 +127,7 @@ struct TaskAccum {
 /// # Errors
 ///
 /// Returns [`PersistError::Invalid`] when the grown model fails the entry
-/// audit (error-severity `tlp-modelcheck` diagnostics); propagates
+/// check ([`tlp_modelcheck::check`]); propagates
 /// [`PersistError`] from snapshot publishing.
 ///
 /// # Panics
@@ -148,10 +148,10 @@ pub fn run_continual(
         "one dataset platform column per head (new platform last)"
     );
     assert!(n_heads >= 2, "need at least one old head and the new head");
-    // Entry audit: reject a structurally broken starting point instead of
-    // adapting it for hours (read-only and RNG-neutral on a valid model).
-    let spec = tlp::audit::spec(&model.config, n_heads);
-    PersistError::reject_errors(&tlp_modelcheck::audit_store(&spec, &model.store))?;
+    // Entry check: refuse a broken starting point instead of adapting it
+    // for hours (read-only and RNG-neutral on a valid model).
+    let layout = TlpModel::with_heads(model.config.clone(), n_heads).store;
+    tlp_modelcheck::check(&layout, &model.store).map_err(PersistError::Invalid)?;
     let new_head = n_heads - 1;
     let new_platform = &ds.platforms[new_head];
 

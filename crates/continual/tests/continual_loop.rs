@@ -11,6 +11,7 @@ use tlp::{train_mtl_with, FeatureExtractor, TlpConfig, TlpModel, TrainData, Trai
 use tlp_continual::{run_continual, CanarySet, ContinualConfig, PublishOutcome, SnapshotPublisher};
 use tlp_dataset::{generate_dataset_for, Dataset, DatasetConfig};
 use tlp_hwsim::Platform;
+use tlp_modelcheck::StoreFault;
 use tlp_serve::ModelRegistry;
 use tlp_workload::bert_tiny;
 
@@ -221,8 +222,8 @@ fn entry_audit_rejects_nan_grown_model() {
     let cfg = TlpConfig::test_scale();
     let ex = FeatureExtractor::fit(&ds, cfg.seq_len, cfg.emb_size);
     let mut model = grown_model(&ds, &ex);
-    // Corrupt one trunk weight: the M3xx numeric pass must catch it before
-    // the loop spends any measurement budget.
+    // Corrupt one trunk weight: the entry check must catch it before the
+    // loop spends any measurement budget.
     let id = model
         .store
         .ids()
@@ -233,12 +234,13 @@ fn entry_audit_rejects_nan_grown_model() {
     let config = loop_config();
     let err = run_continual(&mut model, &ex, &ds, &config, None)
         .expect_err("NaN model must be rejected at entry");
-    let PersistError::Invalid { diagnostics } = err else {
-        panic!("expected Invalid, got {err:?}");
-    };
+    let name = model.store.name(id).to_string();
     assert!(
-        diagnostics.iter().any(|d| d.code.as_str() == "M301"),
-        "expected M301 NonFiniteValue, got {diagnostics:?}"
+        matches!(
+            &err,
+            PersistError::Invalid(StoreFault::NonFinite { name: n, count: 1 }) if *n == name
+        ),
+        "expected a non-finite fault on {name}, got {err:?}"
     );
 }
 
@@ -273,11 +275,12 @@ fn publisher_rejects_invalid_candidate_and_keeps_last_good_serving() {
     model.store.value_mut(id).data_mut()[0] = f32::INFINITY;
     let outcome = publisher
         .publish(&model, &ex)
-        .expect("an audit rejection is an outcome, not an error");
-    let PublishOutcome::RejectedInvalid { codes } = outcome else {
+        .expect("a check refusal is an outcome, not an error");
+    let name = model.store.name(id).to_string();
+    let PublishOutcome::RejectedInvalid { fault } = outcome else {
         panic!("expected RejectedInvalid, got {outcome:?}");
     };
-    assert!(codes.contains(&"M301".to_string()), "codes: {codes:?}");
+    assert_eq!(fault, StoreFault::NonFinite { name, count: 1 });
     assert_eq!(publisher.rejected_invalid(), 1);
     assert_eq!(publisher.published(), 1);
     // The broken candidate never became resolvable: the last good version

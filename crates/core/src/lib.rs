@@ -21,9 +21,6 @@
 //!   program features;
 //! - [`pretrain`]: GPT/BERT-style self-supervised baselines (Table 8);
 //! - [`search`]: cost-model adapters for the auto-tuner (§6.3);
-//! - [`audit`]: model specs for the `tlp-modelcheck` static analyzer
-//!   (M-codes) that gates snapshot restores, serving installs, and
-//!   continual growth;
 //! - [`experiments`]: shared harness plumbing for the table/figure benches.
 //!
 //! # Example
@@ -52,7 +49,6 @@
 #![allow(clippy::disallowed_types)] // keyed lookups only; determinism-critical crates opt in (clippy.toml)
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod baselines;
 pub mod config;
 pub mod engine;

@@ -167,16 +167,12 @@ pub struct TlpHead {
 }
 
 impl TlpHead {
-    /// Stem of every head's parameter names; the `tlp-modelcheck` partition
-    /// pass flags a `{STEM}{digits}.` name beyond the declared head count.
-    pub const STEM: &'static str = "head";
-
     /// Parameter-name prefix of head `i`: `head{i}.`. Every head —
     /// including the only head of a one-head model — registers under it,
-    /// and persist, audit, training coverage and `tlp-continual` all ask
-    /// this function rather than spelling the rule themselves.
+    /// and the head partition, training and `tlp-continual` all ask this
+    /// function rather than spelling the rule themselves.
     pub fn prefix(i: usize) -> String {
-        format!("{}{i}.", Self::STEM)
+        format!("head{i}.")
     }
 
     /// Registers the parameters of head `i`.

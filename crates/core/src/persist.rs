@@ -5,21 +5,22 @@
 //! compiler install, and reloaded without retraining — the deployment mode
 //! an offline cost model exists for.
 //!
-//! Restores are **audited**: [`SavedTlp::restore`] runs the
-//! `tlp-modelcheck` static analyzer (shape/arity, trunk/head partition,
-//! numeric sanity, snapshot checksum) against the snapshot before handing a
-//! model back, rejecting corrupt or inconsistent snapshots with
-//! [`PersistError::Invalid`]. The audit is read-only and RNG-neutral: a
+//! Restores are **checked**: [`SavedTlp::restore`] builds the model the
+//! snapshot's config and head count declare, compares the stored parameters
+//! to its layout position by position, scans them for NaN/±Inf
+//! ([`tlp_modelcheck::check`]) and verifies the snapshot checksum before
+//! handing a model back. A store that fails is refused with
+//! [`PersistError::Invalid`], a checksum that fails with
+//! [`PersistError::Checksum`]. The check is read-only and RNG-neutral: a
 //! restored model's parameters are bitwise the snapshot's. There is no
-//! unaudited restore, and one restore serves any head count.
+//! unchecked restore, and one restore serves any head count.
 
 use crate::config::{Backbone, TlpConfig};
 use crate::features::FeatureExtractor;
 use crate::model::TlpModel;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::Path;
-use tlp_modelcheck::{AuditReport, Code, Diagnostic, ModelSpec, Severity};
+use tlp_modelcheck::StoreFault;
 use tlp_nn::ParamStore;
 use tlp_schedule::Vocabulary;
 
@@ -75,13 +76,19 @@ pub enum PersistError {
         /// The underlying decode error.
         detail: String,
     },
-    /// The snapshot decoded but failed the model audit: the store
-    /// contradicts the architecture its config declares (missing/extra/
-    /// misshapen parameters, broken head partition, non-finite values, or
-    /// a checksum mismatch). Carries every error-severity diagnostic.
-    Invalid {
-        /// The audit's error-severity diagnostics (M-codes).
-        diagnostics: Vec<Diagnostic>,
+    /// The snapshot's config, head count or extractor shape describes a
+    /// model its store cannot back; building that model would panic or
+    /// allocate without bound, so nothing is built.
+    Unbuildable(String),
+    /// The store differs from the layout its config and head count
+    /// declare, or holds a non-finite value.
+    Invalid(StoreFault),
+    /// The recorded checksum disagrees with the snapshot's contents.
+    Checksum {
+        /// Checksum the snapshot records.
+        recorded: u64,
+        /// Checksum of the snapshot as read.
+        computed: u64,
     },
     /// The snapshot's format version does not match this build's.
     Version {
@@ -122,17 +129,14 @@ impl std::fmt::Display for PersistError {
                 }
                 Ok(())
             }
-            PersistError::Invalid { diagnostics } => {
-                let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-                for d in diagnostics {
-                    *counts.entry(d.code.as_str()).or_insert(0) += 1;
-                }
-                write!(f, "model snapshot failed audit:")?;
-                for (code, n) in counts {
-                    write!(f, " {code}\u{d7}{n}")?;
-                }
-                Ok(())
+            PersistError::Unbuildable(detail) => {
+                write!(f, "model snapshot describes no buildable model: {detail}")
             }
+            PersistError::Invalid(fault) => write!(f, "model parameter store is invalid: {fault}"),
+            PersistError::Checksum { recorded, computed } => write!(
+                f,
+                "model snapshot checksum {computed:#018x} does not match recorded {recorded:#018x}"
+            ),
             PersistError::Version { found, expected } => write!(
                 f,
                 "model snapshot format version {found} (this build reads {expected})"
@@ -146,25 +150,6 @@ impl std::fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
-
-impl PersistError {
-    /// The one audit gate every trust boundary (restore, registry install,
-    /// continual entry, publish) funnels through: [`PersistError::Invalid`]
-    /// carrying `report`'s error-severity diagnostics, `Ok` when it has
-    /// none.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Invalid`] when `report` has errors.
-    pub fn reject_errors(report: &AuditReport) -> Result<(), PersistError> {
-        if report.has_errors() {
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Ok(())
-    }
-}
 
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
@@ -338,17 +323,16 @@ impl SavedTlp {
     /// Mutable access to the snapshot's parameter store.
     ///
     /// The recorded checksum is **not** recomputed — that is the point:
-    /// this is the corruption-injection hook the `tlp-modelcheck`
-    /// soundness suite and `tlp-cli audit-model` use to forge snapshots a
-    /// gated restore must reject.
+    /// this is the corruption-injection hook the soundness suite and
+    /// `tlp-cli audit-model` use to forge snapshots a restore must refuse.
     pub fn store_mut(&mut self) -> &mut ParamStore {
         &mut self.store
     }
 
     /// Overrides the recorded head count without touching the store and
-    /// re-seals the checksum — a head-partition forgery by someone who
-    /// knows the checksum, which the audit's structural passes (not M106)
-    /// must catch.
+    /// re-seals the checksum — a head-count forgery by someone who knows
+    /// the checksum, which the layout compare (not the checksum) must
+    /// catch. `set_heads(heads())` re-seals an edited store.
     pub fn set_heads(&mut self, heads: usize) {
         self.heads = heads;
         self.checksum = self.content_checksum();
@@ -415,7 +399,7 @@ impl SavedTlp {
     /// `emb_size × hidden` and a `hidden × hidden` up-projection, attention
     /// splits the width evenly across its heads, and the extractor must
     /// produce the rows the config reads; a layout that breaks one of these
-    /// is [`PersistError::Invalid`] with one error diagnostic.
+    /// is [`PersistError::Unbuildable`].
     fn check_layout(&self) -> Result<(), PersistError> {
         if self.heads == 0 {
             return Err(PersistError::HeadCount {
@@ -430,104 +414,59 @@ impl SavedTlp {
             .hidden
             .checked_add(c.emb_size)
             .and_then(|w| w.checked_mul(c.hidden));
-        let (code, detail) = if self.heads > params {
-            (
-                Code::HeadIndexOutOfRange,
-                format!("{} heads declared over {params} parameters", self.heads),
-            )
+        let detail = if self.heads > params {
+            format!("{} heads declared over {params} parameters", self.heads)
         } else if c.res_blocks > params {
-            (
-                Code::MissingParam,
-                format!(
-                    "{} residual blocks declared over {params} parameters",
-                    c.res_blocks
-                ),
+            format!(
+                "{} residual blocks declared over {params} parameters",
+                c.res_blocks
             )
         } else if up_weights.is_none_or(|w| w > weights) {
-            (
-                Code::MissingParam,
-                format!(
-                    "width {} over embedding {} needs more than the store's {weights} weights",
-                    c.hidden, c.emb_size
-                ),
+            format!(
+                "width {} over embedding {} needs more than the store's {weights} weights",
+                c.hidden, c.emb_size
             )
         } else if c.backbone != Backbone::Lstm
             && (c.heads == 0 || !c.hidden.is_multiple_of(c.heads))
         {
-            (
-                Code::ShapeMismatch,
-                format!(
-                    "width {} does not split across {} attention heads",
-                    c.hidden, c.heads
-                ),
+            format!(
+                "width {} does not split across {} attention heads",
+                c.hidden, c.heads
             )
         } else if (self.seq_len, self.emb_size) != (c.seq_len, c.emb_size) {
-            (
-                Code::ShapeMismatch,
-                format!(
-                    "extractor rows {}x{} differ from the config's {}x{}",
-                    self.seq_len, self.emb_size, c.seq_len, c.emb_size
-                ),
+            format!(
+                "extractor rows {}x{} differ from the config's {}x{}",
+                self.seq_len, self.emb_size, c.seq_len, c.emb_size
             )
         } else {
             return Ok(());
         };
-        Err(PersistError::Invalid {
-            diagnostics: vec![Diagnostic::global(code, Severity::Error, detail)],
-        })
+        Err(PersistError::Unbuildable(detail))
     }
 
-    /// Audits the snapshot against `spec`: the analyzer's structural passes
-    /// plus the snapshot-checksum verification (M106).
-    fn audit_against(&self, spec: &ModelSpec) -> AuditReport {
-        let report = tlp_modelcheck::audit_store(spec, &self.store);
-        let computed = self.content_checksum();
-        if computed == self.checksum {
-            report
-        } else {
-            report.merge(AuditReport::new(vec![Diagnostic::global(
-                Code::ChecksumMismatch,
-                Severity::Error,
-                format!(
-                    "snapshot checksum {computed:#018x} does not match recorded {:#018x}",
-                    self.checksum
-                ),
-            )]))
-        }
-    }
-
-    /// Runs the full `tlp-modelcheck` audit of this snapshot: shape/arity,
-    /// trunk/head partition, numeric sanity, and checksum verification,
-    /// against the parameter layout its own config and head count declare.
-    /// A layout [`SavedTlp::restore`] would refuse to build is reported as
-    /// one error-severity diagnostic.
-    pub fn audit(&self) -> AuditReport {
-        match self.check_layout() {
-            Ok(()) => self.audit_against(&crate::audit::spec(&self.config, self.heads)),
-            Err(PersistError::Invalid { diagnostics }) => AuditReport::new(diagnostics),
-            Err(e) => AuditReport::new(vec![Diagnostic::global(
-                Code::HeadIndexOutOfRange,
-                Severity::Error,
-                e.to_string(),
-            )]),
-        }
-    }
-
-    /// Rebuilds the model and extractor, auditing the snapshot first. The
-    /// audit reuses the freshly initialized model as the layout ground
-    /// truth, so the gate costs one read-only sweep over the store and
-    /// nothing else.
+    /// Rebuilds the model and extractor. The freshly built model is the
+    /// layout the store is checked against ([`tlp_modelcheck::check`]),
+    /// so the check costs one compare of names and dims, one sweep over
+    /// the values and the checksum, and nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::HeadCount`] if the snapshot records no heads
-    /// at all (a corrupt or hand-edited file), or
-    /// [`PersistError::Invalid`] if its layout cannot back a model or the
-    /// audit finds errors.
+    /// at all, [`PersistError::Unbuildable`] if its config cannot back a
+    /// model, [`PersistError::Invalid`] if the store differs from the
+    /// layout or holds a non-finite value, and [`PersistError::Checksum`]
+    /// if the recorded checksum disagrees with the contents.
     pub fn restore(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
         self.check_layout()?;
         let mut model = TlpModel::with_heads(self.config.clone(), self.heads);
-        PersistError::reject_errors(&self.audit_against(&crate::audit::spec_of(&model)))?;
+        tlp_modelcheck::check(&model.store, &self.store).map_err(PersistError::Invalid)?;
+        let computed = self.content_checksum();
+        if computed != self.checksum {
+            return Err(PersistError::Checksum {
+                recorded: self.checksum,
+                computed,
+            });
+        }
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -745,15 +684,10 @@ mod tests {
         let id = snap.store().ids().next().expect("store has params");
         let bits = snap.store().value(id).data()[0].to_bits() ^ 1;
         snap.store_mut().value_mut(id).data_mut()[0] = f32::from_bits(bits);
-
-        let report = snap.audit();
-        assert!(report.has_code(Code::ChecksumMismatch), "audit: {report}");
-        match snap.restore() {
-            Err(PersistError::Invalid { diagnostics }) => {
-                assert!(diagnostics.iter().any(|d| d.code == Code::ChecksumMismatch));
-            }
-            other => panic!("expected Invalid, got {other:?}", other = other.err()),
-        }
+        assert!(matches!(
+            snap.restore(),
+            Err(PersistError::Checksum { recorded, computed }) if recorded != computed
+        ));
     }
 
     #[test]
@@ -761,37 +695,45 @@ mod tests {
         let (_, mut snap) = fresh(2);
         let id = snap.store().ids().next().expect("store has params");
         snap.store_mut().value_mut(id).data_mut()[0] = f32::NAN;
-
-        let report = snap.audit();
-        assert!(report.has_code(Code::NonFiniteValue), "audit: {report}");
-        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+        let name = snap.store().name(id).to_string();
+        assert!(matches!(
+            snap.restore(),
+            Err(PersistError::Invalid(StoreFault::NonFinite { name: n, count: 1 })) if n == name
+        ));
     }
 
     #[test]
     fn restore_rejects_head_count_forgery() {
-        // set_heads leaves the store (and checksum) untouched, so the
-        // partition pass — not the checksum — must catch the lie.
+        // set_heads re-seals the checksum, so the layout compare — not the
+        // checksum — must catch the lie: the store holds head 2 where a
+        // two-head layout ends.
         let (_, mut snap) = fresh(3);
         snap.set_heads(2);
-        let report = snap.audit();
-        assert!(report.has_errors(), "audit must flag the forged head count");
-        assert!(!report.has_code(Code::ChecksumMismatch));
-        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+        let two_heads = TlpModel::with_heads(TlpConfig::test_scale(), 2).store.len();
+        match snap.restore() {
+            Err(PersistError::Invalid(StoreFault::Layout {
+                index,
+                expected: None,
+                found: Some(found),
+            })) => {
+                assert_eq!(index, two_heads);
+                assert!(found.name.starts_with(&TlpHead::prefix(2)), "{found:?}");
+            }
+            other => panic!("expected a layout fault, got {:?}", other.err()),
+        }
 
         // No heads at all describes no model: a typed HeadCount, never an
         // attempt to build one.
         snap.set_heads(0);
-        assert!(snap.audit().has_errors());
         assert!(matches!(
             snap.restore(),
             Err(PersistError::HeadCount { found: 0, .. })
         ));
 
-        // More heads than the store has parameters: rejected before the
+        // More heads than the store has parameters: refused before the
         // model is built, not by allocating a head per count.
         snap.set_heads(usize::MAX);
-        assert!(snap.audit().has_code(Code::HeadIndexOutOfRange));
-        assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+        assert!(matches!(snap.restore(), Err(PersistError::Unbuildable(_))));
     }
 
     #[test]
@@ -807,25 +749,20 @@ mod tests {
         for edit in edits {
             let (_, mut snap) = fresh(2);
             edit(&mut snap.config);
-            assert!(snap.audit().has_errors());
-            assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+            assert!(matches!(snap.restore(), Err(PersistError::Unbuildable(_))));
         }
     }
 
     #[test]
     fn restore_rejects_a_config_edit_that_keeps_the_layout() {
         // 4 → 2 attention heads over a width of 16 registers the same
-        // parameters, so every structural pass agrees; only the checksum
-        // sees that the scores would change.
+        // parameters, so the layout compare agrees; only the checksum sees
+        // that the scores would change.
         let (_, mut snap) = fresh(2);
         assert_eq!((snap.config.hidden, snap.config.heads), (16, 4));
         snap.config.heads = 2;
         assert!(snap.check_layout().is_ok(), "the edit keeps the layout");
-        assert!(snap.audit().has_code(Code::ChecksumMismatch));
-        let Err(PersistError::Invalid { diagnostics }) = snap.restore() else {
-            panic!("the heads edit restored");
-        };
-        assert!(diagnostics.iter().any(|d| d.code == Code::ChecksumMismatch));
+        assert!(matches!(snap.restore(), Err(PersistError::Checksum { .. })));
     }
 
     #[test]
@@ -882,7 +819,7 @@ mod tests {
         assert_eq!(
             bits(&restored.store),
             bits(&model.store),
-            "the audit must not perturb a valid model"
+            "the check must not perturb a valid model"
         );
     }
 }

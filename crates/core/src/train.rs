@@ -21,7 +21,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlp_dataset::Dataset;
-use tlp_modelcheck::{CoverageSpec, TrainedHeads};
 use tlp_nn::{ParamId, ParamStore, Var, Workspace};
 
 /// One task's training samples: features and labels, row-aligned.
@@ -205,20 +204,6 @@ impl Trainable for HeadTask<'_> {
         for &id in frozen {
             self.model.store.grad_mut(id).scale_assign(0.0);
         }
-    }
-
-    fn coverage(&self) -> Option<CoverageSpec> {
-        let head_prefixes = self.model.head_prefixes();
-        Some(match &self.only {
-            // Every head draws micro-batches from its own pool, so the loss
-            // reaches all heads; nothing is frozen.
-            None => CoverageSpec::full(head_prefixes),
-            Some((head, frozen)) => CoverageSpec {
-                head_prefixes,
-                trained: TrainedHeads::Heads(vec![*head]),
-                frozen: frozen.clone(),
-            },
-        })
     }
 }
 

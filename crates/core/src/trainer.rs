@@ -21,7 +21,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use tlp_modelcheck::CoverageSpec;
 use tlp_nn::{lambda_rank_loss, mse_loss, Adam, Graph, LrSchedule, ParamStore, Var, Workspace};
 
 use crate::config::TlpConfig;
@@ -194,34 +193,11 @@ pub trait Trainable {
     /// keeps Adam's moments at zero, so the frozen parameter is bitwise
     /// unchanged).
     fn postprocess_grads(&mut self) {}
-
-    /// Declares the task's training objective for the `tlp-modelcheck`
-    /// gradient-coverage pass (M4xx): which heads the loss reaches and
-    /// which parameters `postprocess_grads` freezes. `None` (the default)
-    /// skips the check — for tasks whose stores don't follow the TLP
-    /// trunk/head naming scheme.
-    fn coverage(&self) -> Option<CoverageSpec> {
-        None
-    }
 }
 
 /// Trains `task` in place under `options` and reports per-epoch
 /// statistics. See the module docs for the execution model.
-///
-/// # Panics
-///
-/// Panics if the task's declared [`Trainable::coverage`] fails the
-/// gradient-coverage audit.
 pub fn fit(options: &TrainOptions, task: &mut impl Trainable) -> TrainReport {
-    // A mask that silently trains nothing or strands a trainable
-    // parameter is a bug, not a run to complete (read-only, RNG-neutral).
-    if let Some(cov) = task.coverage() {
-        let report = tlp_modelcheck::check_coverage(task.store(), &cov);
-        assert!(
-            !report.has_errors(),
-            "training objective fails gradient-coverage audit:\n{report}"
-        );
-    }
     let mut opt = Adam::new(options.learning_rate);
     let mut rng = SmallRng::seed_from_u64(options.seed);
     let t0 = Instant::now();
@@ -343,49 +319,4 @@ pub(crate) fn gather_rows(
         l.push(labels[i]);
     }
     (f, l)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two heads over a shared trunk whose objective only reaches head 0.
-    struct StrandedHead(ParamStore);
-
-    impl Trainable for StrandedHead {
-        type Batch = ();
-
-        fn store(&self) -> &ParamStore {
-            &self.0
-        }
-        fn store_mut(&mut self) -> &mut ParamStore {
-            &mut self.0
-        }
-        fn epoch_batches(&self, _rng: &mut SmallRng) -> Vec<()> {
-            Vec::new()
-        }
-        fn batch_samples(&self, _batch: &()) -> usize {
-            0
-        }
-        fn loss(&self, _ws: &mut Workspace, _batch: &()) -> Var {
-            unreachable!("the coverage audit rejects the objective before any batch")
-        }
-        fn coverage(&self) -> Option<CoverageSpec> {
-            Some(CoverageSpec {
-                head_prefixes: vec!["head0.".to_string(), "head1.".to_string()],
-                trained: tlp_modelcheck::TrainedHeads::Heads(vec![0]),
-                frozen: Vec::new(),
-            })
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gradient-coverage audit")]
-    fn fit_rejects_an_objective_that_strands_a_trainable_parameter() {
-        let mut store = ParamStore::new();
-        for name in ["backbone.w", "head0.w", "head1.w"] {
-            store.add(name, tlp_nn::Tensor::zeros(&[2]));
-        }
-        fit(&TrainOptions::default(), &mut StrandedHead(store));
-    }
 }

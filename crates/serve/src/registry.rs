@@ -20,7 +20,6 @@ use tlp::engine::{EngineConfig, InferenceEngine};
 use tlp::persist::{PersistError, SavedTlp};
 use tlp::search::MtlTlpScorer;
 use tlp::{FeatureExtractor, TlpModel};
-use tlp_modelcheck::audit_store;
 
 /// One immutable installed model: a named, versioned engine. Scoring,
 /// probing and stats are the engine's own methods, reached through `Deref`.
@@ -53,12 +52,13 @@ impl std::ops::Deref for ModelVersion {
 
 /// Thread-safe name → current-[`ModelVersion`] map.
 ///
-/// Installs are **audited**, unconditionally: every model entering the
-/// registry — from a snapshot or in-memory — is run through the
-/// `tlp-modelcheck` static analyzer first, and a model with error-severity
-/// diagnostics is rejected with [`PersistError::Invalid`] instead of ever
-/// becoming resolvable. The registry counts rejections
-/// ([`ModelRegistry::rejected_installs`]) for the serving stats snapshot.
+/// Installs are **checked**, unconditionally: every model entering the
+/// registry — from a snapshot or in-memory — has its store compared to the
+/// layout its config and head count declare and scanned for NaN/±Inf
+/// ([`tlp_modelcheck::check`]) first, and a model that fails is refused
+/// with a typed [`PersistError`] instead of ever becoming resolvable. The
+/// registry counts refusals ([`ModelRegistry::rejected_installs`]) for the
+/// serving stats snapshot.
 #[derive(Debug)]
 pub struct ModelRegistry {
     models: RwLock<BTreeMap<String, Arc<ModelVersion>>>,
@@ -85,28 +85,29 @@ impl ModelRegistry {
         }
     }
 
-    /// How many installs the audit gate has rejected over the registry's
-    /// lifetime.
+    /// How many installs the check has refused over the registry's
+    /// lifetime: a store that fails [`tlp_modelcheck::check`], a snapshot
+    /// checksum mismatch or a config no model can have. A zero-head
+    /// snapshot ([`PersistError::HeadCount`]) is not counted.
     pub fn rejected_installs(&self) -> u64 {
         self.rejected_installs.load(Ordering::Relaxed)
     }
 
     /// Installs (or hot-swaps) a model restored from a snapshot, scored via
-    /// head 0 (the target platform). The restore's full audit (structure,
-    /// numerics, checksum) must pass first.
+    /// head 0 (the target platform). The restore's check (layout, values,
+    /// checksum) must pass first.
     ///
     /// Returns the new version tag.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit rejects the
-    /// snapshot; propagates other [`PersistError`]s from the restore
-    /// (zero-head snapshots).
+    /// Propagates the restore's [`PersistError`]: [`PersistError::Invalid`]
+    /// or [`PersistError::Checksum`] for a store that fails the check.
     pub fn install(&self, name: &str, snapshot: &SavedTlp) -> Result<u64, PersistError> {
-        let audited = snapshot
+        let checked = snapshot
             .restore()
             .map(|(model, extractor)| MtlTlpScorer::new(model, extractor));
-        self.install_audited(name, audited)
+        self.install_checked(name, checked)
     }
 
     /// Installs (or hot-swaps) an in-memory model scored via head 0 —
@@ -114,7 +115,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
+    /// Returns [`PersistError::Invalid`] when the model's store fails the
+    /// check.
     pub fn install_tlp(
         &self,
         name: &str,
@@ -126,12 +128,13 @@ impl ModelRegistry {
 
     /// Installs (or hot-swaps) an in-memory model scored through head
     /// `head` (continual adaptation serves a newly grown platform head this
-    /// way without disturbing the other heads), auditing its store against
-    /// the layout its config and head count declare.
+    /// way without disturbing the other heads), checking its store against
+    /// a freshly built model of the same config and head count.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Invalid`] when the audit rejects the model.
+    /// Returns [`PersistError::Invalid`] when the model's store fails the
+    /// check.
     ///
     /// # Panics
     ///
@@ -144,26 +147,27 @@ impl ModelRegistry {
         head: usize,
     ) -> Result<u64, PersistError> {
         assert!(head < model.num_tasks(), "serving head out of range");
-        let spec = tlp::audit::spec(&model.config, model.num_tasks());
-        let audited = PersistError::reject_errors(&audit_store(&spec, &model.store))
+        let layout = TlpModel::with_heads(model.config.clone(), model.num_tasks()).store;
+        let checked = tlp_modelcheck::check(&layout, &model.store)
+            .map_err(PersistError::Invalid)
             .map(|()| MtlTlpScorer::for_head(model, extractor, head));
-        self.install_audited(name, audited)
+        self.install_checked(name, checked)
     }
 
-    /// The one way into the registry: `audited` is a scorer whose model
-    /// passed the `tlp-modelcheck` audit, or the audit's rejection (counted
-    /// in [`ModelRegistry::rejected_installs`]). An accepted scorer
+    /// The one way into the registry: `checked` is a scorer whose model
+    /// passed the check, or the check's refusal (counted in
+    /// [`ModelRegistry::rejected_installs`]). An accepted scorer
     /// atomically replaces any previous version under `name`; requests it
     /// admitted are still scored by the old version, whose cache is
     /// invalidated immediately so the displaced entries stop occupying
     /// memory.
-    fn install_audited(
+    fn install_checked(
         &self,
         name: &str,
-        audited: Result<MtlTlpScorer, PersistError>,
+        checked: Result<MtlTlpScorer, PersistError>,
     ) -> Result<u64, PersistError> {
-        let scorer = audited.inspect_err(|e| {
-            if matches!(e, PersistError::Invalid { .. }) {
+        let scorer = checked.inspect_err(|e| {
+            if !matches!(e, PersistError::HeadCount { .. }) {
                 self.rejected_installs.fetch_add(1, Ordering::Relaxed);
             }
         })?;
@@ -330,13 +334,11 @@ mod tests {
         let reg = ModelRegistry::default();
         for (i, (name, install)) in entry_points.into_iter().enumerate() {
             match install(&reg, name) {
-                Err(PersistError::Invalid { diagnostics }) => assert!(
-                    diagnostics
-                        .iter()
-                        .any(|d| d.code == tlp_modelcheck::Code::NonFiniteValue),
-                    "{name}: {diagnostics:?}"
-                ),
-                other => panic!("{name}: expected Invalid, got {:?}", other.err()),
+                Err(PersistError::Invalid(tlp_modelcheck::StoreFault::NonFinite {
+                    count: 1,
+                    ..
+                })) => {}
+                other => panic!("{name}: expected a non-finite fault, got {:?}", other.err()),
             }
             assert_eq!(reg.rejected_installs(), i as u64 + 1, "{name}");
             assert!(
@@ -356,12 +358,12 @@ mod tests {
         snap.store_mut().value_mut(id).data_mut()[0] = f32::from_bits(bits);
         assert!(matches!(
             reg.install("bad", &snap),
-            Err(PersistError::Invalid { .. })
+            Err(PersistError::Checksum { .. })
         ));
         assert_eq!(reg.rejected_installs(), 1);
 
         // A forged head count of 0 describes no model: a typed HeadCount
-        // (not an audit rejection, so not counted), never a panic.
+        // (not counted), never a panic.
         let mut snap = snapshot(&model, &ex);
         snap.set_heads(0);
         assert!(matches!(

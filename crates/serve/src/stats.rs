@@ -226,8 +226,9 @@ pub struct ServeSnapshot {
     /// admission counts here: a queued request is scored by the version
     /// that admitted it, so a later removal never fails it.
     pub unknown_model: u64,
-    /// Model installs rejected by the registry's `tlp-modelcheck` audit
-    /// gate (a corrupt or inconsistent model that never became resolvable).
+    /// Model installs the registry's check refused (a store that differs
+    /// from its declared layout, a non-finite value or a checksum
+    /// mismatch: a model that never became resolvable).
     pub rejected_installs: u64,
     /// Engine batches executed.
     pub batches: u64,

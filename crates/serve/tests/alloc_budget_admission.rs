@@ -2,9 +2,12 @@
 //! request's features — one exactly sized `FeatureBuf` — and its keys,
 //! never a copy of its schedules, so what a queued request allocates does
 //! not grow with candidates × primitives: 5.0 allocations at 16 candidates
-//! and 5.1 at 64, since admission verifies with a warm verifier it keeps
+//! and 5.2 at 64, since admission verifies with a warm verifier it keeps
 //! for the task (18 at both while it built one per request; deep-copying
-//! the schedules into the queue cost 1 146 and 4 469).
+//! the schedules into the queue cost 1 146 and 4 469). The 64-candidate
+//! figure is 0.2 above the 16-candidate one because its requests bring
+//! skeletons the warm-up did not show, so the warm fingerprinter's buffers
+//! grow once more.
 //!
 //! The counting allocator (`counting_alloc`, shared with the core crate's
 //! budget tests) is a `#[global_allocator]`, so this test lives in its own

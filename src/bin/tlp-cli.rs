@@ -7,7 +7,7 @@
 //! tlp-cli tune <network> [model.json]   tune a workload (random or TLP-guided)
 //! tlp-cli adapt [snapshot.json]         continual-adapt a head to ryzen-3950x
 //! tlp-cli verify-corpus [out.json]      static-verifier sweep over the CPU and GPU datasets
-//! tlp-cli audit-model [out.json]        model-graph audit soundness suite (M-codes)
+//! tlp-cli audit-model [out.json]        model-check soundness suite (typed refusals)
 //! tlp-cli platforms                     list simulated platforms
 //! ```
 //!
@@ -63,11 +63,11 @@ fn main() {
                  verify-corpus [out.json]     run the static schedule verifier over\n\
                  \x20                            generated CPU and GPU dataset samples and\n\
                  \x20                            print (or write) a JSON diagnostics summary\n\
-                 audit-model [out.json]       run the tlp-modelcheck soundness suite:\n\
-                 \x20                            golden models must audit clean and\n\
-                 \x20                            adversarial corruptions must be caught;\n\
-                 \x20                            prints (or writes) a per-M-code JSON\n\
-                 \x20                            summary plus audit throughput\n\
+                 audit-model [out.json]       run the model-check soundness suite:\n\
+                 \x20                            golden models must restore and every\n\
+                 \x20                            adversarial corruption must be refused\n\
+                 \x20                            with its typed error; prints (or writes)\n\
+                 \x20                            a JSON summary plus check throughput\n\
                  platforms                    list simulated platforms"
             );
             2
@@ -434,26 +434,21 @@ fn cmd_verify_corpus(out_path: Option<&str>) -> i32 {
     i32::from(invalid)
 }
 
-/// `(M-code, occurrences)` pairs in code order: the entries of
-/// [`tlp_modelcheck::AuditReport::code_counts`] (the vendored serde
-/// serializes no `BTreeMap`).
-type McodeCounts = Vec<(&'static str, u32)>;
-
-/// One golden model's audit outcome in the `audit-model` JSON report.
+/// One golden model's check outcome in the `audit-model` JSON report.
 #[derive(serde::Serialize)]
 struct ModelAudit {
     model: String,
     params: usize,
-    summary: tlp_modelcheck::AuditSummary,
-    codes: McodeCounts,
+    restored: bool,
 }
 
-/// One adversarial mutation's audit outcome.
+/// One adversarial mutation's outcome: `caught` when the restore refused it
+/// with the typed error the mutation calls for.
 #[derive(serde::Serialize)]
 struct AdversarialAudit {
     case: String,
     caught: bool,
-    codes: McodeCounts,
+    refusal: Option<String>,
 }
 
 /// JSON report emitted by `audit-model`.
@@ -465,79 +460,113 @@ struct AuditModelReport {
     sound: bool,
 }
 
+/// `store` with the parameters at positions `a` and `b` swapped: the same
+/// names, dims and values, in another order.
+fn swapped(store: &tlp_nn::ParamStore, a: usize, b: usize) -> tlp_nn::ParamStore {
+    let mut ids: Vec<tlp_nn::ParamId> = store.ids().collect();
+    ids.swap(a, b);
+    let mut out = tlp_nn::ParamStore::new();
+    for id in ids {
+        out.add(store.name(id), store.value(id).clone());
+    }
+    out
+}
+
 fn cmd_audit_model(out_path: Option<&str>) -> i32 {
+    use tlp::persist::PersistError;
+    use tlp_modelcheck::StoreFault;
+
     let cfg = TlpConfig::test_scale();
     let extractor =
         FeatureExtractor::with_vocab(Vocabulary::builder().build(), cfg.seq_len, cfg.emb_size);
-    let param_count = |snap: &SavedTlp| -> usize {
-        let store = snap.store();
-        store.ids().map(|id| store.value(id).data().len()).sum()
-    };
+    let param_count = |snap: &SavedTlp| -> usize { snap.store().num_weights() };
     // Model construction is seeded, so rebuilding reproduces identical bytes.
     let fresh = |heads: usize| snapshot(&TlpModel::with_heads(cfg.clone(), heads), &extractor);
-    let adversarial_one = |case: String, snap: SavedTlp| -> AdversarialAudit {
-        let report = snap.audit();
+    let refuse = |case: String, snap: SavedTlp, expect: &dyn Fn(&PersistError) -> bool| {
+        let refusal = snap.restore().err();
         AdversarialAudit {
             case,
-            caught: report.has_errors() && snap.restore().is_err(),
-            codes: report.code_counts().into_iter().collect(),
+            caught: refusal.as_ref().is_some_and(expect),
+            refusal: refusal.map(|e| e.to_string()),
+        }
+    };
+    let layout_at = |at: usize| {
+        move |e: &PersistError| match e {
+            PersistError::Invalid(StoreFault::Layout { index, .. }) => *index == at,
+            _ => false,
         }
     };
 
     let mut golden = Vec::new();
-    let mut golden_restore = true;
     let mut adversarial = Vec::new();
     for heads in [1usize, 3] {
-        // Golden models: freshly constructed, so every pass must come back
-        // with zero errors and the restore must hand the model back.
+        // Golden models: freshly constructed, so the restore must hand the
+        // model back.
         let snap = fresh(heads);
-        golden_restore &= snap.restore().is_ok();
-        let report = snap.audit();
         golden.push(ModelAudit {
             model: format!("tlp-{heads}"),
             params: param_count(&snap),
-            summary: report.summary(),
-            codes: report.code_counts().into_iter().collect(),
+            restored: snap.restore().is_ok(),
         });
 
-        // Adversarial mutations: each corrupts a fresh golden snapshot in a
-        // way one of the passes is specified to catch. An escape here is a
-        // soundness bug.
+        // Adversarial mutations of a fresh golden snapshot, each refused
+        // with the typed error it calls for. An escape is a soundness bug.
         for case in ["bit-flip", "nan-inject", "tensor-truncate"] {
             let mut s = fresh(heads);
             let id = s.store().ids().next().expect("non-empty store");
             let t = s.store_mut().value_mut(id);
-            match case {
-                "bit-flip" => t.data_mut()[0] = f32::from_bits(t.data()[0].to_bits() ^ 1),
-                "nan-inject" => t.data_mut()[0] = f32::NAN,
-                _ => *t = tlp_nn::Tensor::zeros(&[1]),
-            }
-            adversarial.push(adversarial_one(format!("{case}/{heads}"), s));
+            let expect: &dyn Fn(&PersistError) -> bool = match case {
+                "bit-flip" => {
+                    t.data_mut()[0] = f32::from_bits(t.data()[0].to_bits() ^ 1);
+                    &|e| matches!(e, PersistError::Checksum { .. })
+                }
+                "nan-inject" => {
+                    t.data_mut()[0] = f32::NAN;
+                    &|e| matches!(e, PersistError::Invalid(StoreFault::NonFinite { .. }))
+                }
+                _ => {
+                    *t = tlp_nn::Tensor::zeros(&[1]);
+                    &layout_at(0)
+                }
+            };
+            adversarial.push(refuse(format!("{case}/{heads}"), s, expect));
         }
         for forged in [heads - 1, heads + 1] {
             let mut s = fresh(heads);
             s.set_heads(forged);
-            adversarial.push(adversarial_one(
-                format!("head-forgery/{heads}->{forged}"),
-                s,
-            ));
+            let expect: &dyn Fn(&PersistError) -> bool = if forged == 0 {
+                &|e| matches!(e, PersistError::HeadCount { found: 0, .. })
+            } else {
+                &|e| matches!(e, PersistError::Invalid(StoreFault::Layout { .. }))
+            };
+            adversarial.push(refuse(format!("head-forgery/{heads}->{forged}"), s, expect));
         }
+        // Two same-shaped parameters swapped in position, checksum
+        // re-sealed: only an ordered compare sees that the model would bind
+        // the attention query weights as `backbone.up2.w`.
+        let mut s = fresh(heads);
+        let store = s.store();
+        let index_of = |name: &str| store.ids().position(|id| store.name(id) == name);
+        let (a, b) = (index_of("backbone.up2.w"), index_of("backbone.attn.q.w"));
+        let (a, b) = (a.expect("up2"), b.expect("attention query"));
+        *s.store_mut() = swapped(s.store(), a, b);
+        s.set_heads(heads);
+        adversarial.push(refuse(format!("permute/{heads}"), s, &layout_at(a)));
     }
 
-    // Audit throughput over the golden three-head snapshot (all four passes
-    // plus the checksum sweep — the same work the persist/serve gates do).
+    // Check throughput over the golden three-head snapshot: the whole
+    // restore (fresh layout, ordered compare, finite scan, checksum) — the
+    // same work the persist and serve gates do.
     let timed = fresh(3);
     let iters = 10u32;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(timed.audit());
+        let _ = std::hint::black_box(timed.restore());
     }
     let elapsed = start.elapsed().as_secs_f64();
     let params_per_s = (param_count(&timed) as f64 * f64::from(iters)) / elapsed.max(1e-9);
 
-    let sound = golden_restore
-        && golden.iter().all(|g| g.summary.is_valid())
-        && adversarial.iter().all(|a| a.caught);
+    let sound = golden.iter().all(|g| g.restored) && adversarial.iter().all(|a| a.caught);
     let report = AuditModelReport {
         golden,
         adversarial,

@@ -1,14 +1,14 @@
-//! Soundness of the `tlp-modelcheck` model-graph analyzer, both directions:
+//! Soundness of the model check (`tlp_modelcheck::check`, run by every
+//! restore), both directions:
 //!
 //! 1. **No false rejects**: every model the code can legitimately produce —
-//!    fresh, trained, grown — audits with zero error-severity diagnostics,
-//!    and the gates (persist restore, trainer coverage check) are
-//!    bit-neutral: a restored model's parameters are bitwise the snapshot
-//!    source's, and a trained model's checksum is reproducible run to run.
+//!    fresh, grown, trained — restores, and the check is bit-neutral: a
+//!    restored model's parameters are bitwise the snapshot source's, and a
+//!    trained model's checksum is reproducible run to run.
 //! 2. **No false accepts**: targeted corruptions of golden snapshots —
-//!    random bit flips, NaN injection, tensor truncation, head-count
-//!    forgery — are each caught with the M-code the pass is specified to
-//!    emit, and the restore refuses them.
+//!    random bit flips, NaN injection, tensor resizes, head-count forgery,
+//!    two parameters swapped in position — are each refused with the typed
+//!    error that names what is wrong.
 //!
 //! The corruptions run under proptest so the flipped bit / poisoned element
 //! ranges over the whole store, not a hand-picked coordinate.
@@ -19,8 +19,8 @@ use proptest::prelude::*;
 use tlp::persist::{snapshot, store_checksum, PersistError, SavedTlp};
 use tlp::train::{train_tlp_with, GroupData, TrainData};
 use tlp::{TlpConfig, TlpModel, TrainOptions};
-use tlp_modelcheck::{audit_store, Code};
-use tlp_nn::Tensor;
+use tlp_modelcheck::{Slot, StoreFault};
+use tlp_nn::{ParamStore, Tensor};
 
 fn cfg_with_seed(seed: u64) -> TlpConfig {
     TlpConfig {
@@ -30,13 +30,16 @@ fn cfg_with_seed(seed: u64) -> TlpConfig {
 }
 
 fn golden(seed: u64, heads: usize) -> SavedTlp {
-    let cfg = cfg_with_seed(seed);
+    snap_of(&TlpModel::with_heads(cfg_with_seed(seed), heads))
+}
+
+fn snap_of(model: &TlpModel) -> SavedTlp {
     let ex = tlp::features::FeatureExtractor::with_vocab(
         tlp_schedule::Vocabulary::builder().build(),
-        cfg.seq_len,
-        cfg.emb_size,
+        model.config.seq_len,
+        model.config.emb_size,
     );
-    snapshot(&TlpModel::with_heads(cfg, heads), &ex)
+    snapshot(model, &ex)
 }
 
 /// Flat (param, element) coordinates of the store, for mapping a fuzzed
@@ -49,7 +52,9 @@ fn coords(snap: &SavedTlp) -> Vec<(tlp_nn::ParamId, usize)> {
         .collect()
 }
 
-fn poke(snap: &mut SavedTlp, flat: usize, f: impl Fn(f32) -> f32) {
+/// Rewrites the `flat`-th value of the store through `f`; returns the
+/// parameter's name and the value written.
+fn poke(snap: &mut SavedTlp, flat: usize, f: impl Fn(f32) -> f32) -> (String, f32) {
     let layout = coords(snap);
     let total: usize = layout.iter().map(|(_, n)| n).sum();
     let mut target = flat % total;
@@ -57,11 +62,31 @@ fn poke(snap: &mut SavedTlp, flat: usize, f: impl Fn(f32) -> f32) {
         if target < n {
             let v = &mut snap.store_mut().value_mut(id).data_mut()[target];
             *v = f(*v);
-            return;
+            let written = *v;
+            return (snap.store().name(id).to_string(), written);
         }
         target -= n;
     }
     unreachable!("flat index within total");
+}
+
+/// `store` with the parameters at positions `a` and `b` swapped.
+fn swapped(store: &ParamStore, a: usize, b: usize) -> ParamStore {
+    let mut ids: Vec<tlp_nn::ParamId> = store.ids().collect();
+    ids.swap(a, b);
+    let mut out = ParamStore::new();
+    for id in ids {
+        out.add(store.name(id), store.value(id).clone());
+    }
+    out
+}
+
+/// The registration index of a restore's layout fault.
+fn layout_index(snap: &SavedTlp) -> Option<usize> {
+    match snap.restore().err()? {
+        PersistError::Invalid(StoreFault::Layout { index, .. }) => Some(index),
+        _ => None,
+    }
 }
 
 fn store_bits(store: &tlp_nn::ParamStore) -> Vec<u32> {
@@ -103,112 +128,105 @@ fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize, seed: u64) -> Tr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Direction 1: freshly constructed models of any seed audit clean and
-    /// the restored parameters are bitwise the snapshot source's.
+    /// Direction 1: freshly constructed and grown models of any seed pass
+    /// the ordered compare, and the restored parameters are bitwise the
+    /// snapshot source's.
     #[test]
     fn fresh_models_never_false_reject(seed in 0u64..1_000_000, heads in 1usize..5) {
-        let snap = golden(seed, heads);
-        let report = snap.audit();
-        prop_assert!(!report.has_errors(), "false reject on fresh {heads}-head model: {report}");
-        let (restored, _) = snap.restore().expect("gate passes valid model");
-        prop_assert_eq!(store_checksum(&restored.store), store_checksum(snap.store()));
-        prop_assert_eq!(
-            store_bits(&restored.store),
-            store_bits(snap.store()),
-            "gate perturbed parameters"
-        );
-    }
-
-    /// Direction 2, bit flips: flipping any single bit anywhere in the
-    /// store trips the checksum pass (M106) and the restore refuses the
-    /// snapshot.
-    #[test]
-    fn any_bit_flip_is_caught(flat in 0usize..usize::MAX, bit in 0u32..32) {
-        let mut snap = golden(7, 1);
-        poke(&mut snap, flat, |v| f32::from_bits(v.to_bits() ^ (1 << bit)));
-        let report = snap.audit();
-        prop_assert!(
-            report.has_code(Code::ChecksumMismatch),
-            "bit flip escaped the checksum: {report}"
-        );
-        prop_assert!(report.has_errors());
-        match snap.restore() {
-            Err(PersistError::Invalid { diagnostics }) => {
-                prop_assert!(!diagnostics.is_empty());
-            }
-            other => prop_assert!(false, "gate admitted a flipped store: {other:?}"),
+        let model = TlpModel::with_heads(cfg_with_seed(seed), heads);
+        for snap in [snap_of(&model), snap_of(&model.grow_head())] {
+            let (restored, _) = snap.restore().expect("the check passes a valid model");
+            prop_assert_eq!(store_checksum(&restored.store), store_checksum(snap.store()));
+            prop_assert_eq!(
+                store_bits(&restored.store),
+                store_bits(snap.store()),
+                "the check perturbed parameters"
+            );
         }
     }
 
-    /// Direction 2, NaN injection: the numeric pass (M301) flags a poisoned
-    /// value wherever it lands, independently of the checksum.
+    /// Direction 2, bit flips: flipping any single bit anywhere in the
+    /// store fails the checksum, or names the parameter when the flip made
+    /// its value non-finite.
+    #[test]
+    fn any_bit_flip_is_caught(flat in 0usize..usize::MAX, bit in 0u32..32) {
+        let mut snap = golden(7, 1);
+        let (name, flipped) = poke(&mut snap, flat, |v| f32::from_bits(v.to_bits() ^ (1 << bit)));
+        match snap.restore().err() {
+            Some(PersistError::Checksum { recorded, computed }) => {
+                prop_assert!(flipped.is_finite());
+                prop_assert_ne!(recorded, computed);
+            }
+            Some(PersistError::Invalid(fault)) => prop_assert_eq!(
+                fault,
+                StoreFault::NonFinite { name, count: 1 }
+            ),
+            other => prop_assert!(false, "a flipped store restored as {other:?}"),
+        }
+    }
+
+    /// Direction 2, NaN injection: a poisoned value is refused with the
+    /// non-finite fault on its parameter wherever it lands, ahead of the
+    /// checksum.
     #[test]
     fn any_nan_injection_is_caught(flat in 0usize..usize::MAX, kind in 0usize..3) {
         let mut snap = golden(11, 1);
         let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
-        poke(&mut snap, flat, |_| poison);
-        let report = snap.audit();
-        prop_assert!(
-            report.has_code(Code::NonFiniteValue),
-            "non-finite value escaped the numeric pass: {report}"
-        );
-        prop_assert!(snap.restore().is_err());
+        let (name, _) = poke(&mut snap, flat, |_| poison);
+        match snap.restore().err() {
+            Some(PersistError::Invalid(fault)) => prop_assert_eq!(
+                fault,
+                StoreFault::NonFinite { name, count: 1 }
+            ),
+            other => prop_assert!(false, "a poisoned store restored as {other:?}"),
+        }
     }
 
-    /// Direction 2, shape tears: resizing any tensor away from its spec
-    /// shape trips the shape pass (M103).
+    /// Direction 2, shape tears: resizing any tensor away from its layout
+    /// dims is a layout fault at that tensor's index.
     #[test]
     fn any_tensor_resize_is_caught(idx in 0usize..usize::MAX, grow in 0usize..2) {
         let mut snap = golden(13, 1);
         let layout = coords(&snap);
-        let (id, len) = layout[idx % layout.len()];
+        let at = idx % layout.len();
+        let (id, len) = layout[at];
         let new_len = if grow == 1 { len + 1 } else { len.max(2) - 1 };
         *snap.store_mut().value_mut(id) = Tensor::zeros(&[new_len.max(1)]);
-        let report = snap.audit();
-        prop_assert!(
-            report.has_code(Code::ShapeMismatch),
-            "resized tensor escaped the shape pass: {report}"
-        );
-        prop_assert!(snap.restore().is_err());
+        prop_assert_eq!(layout_index(&snap), Some(at));
     }
 }
 
-/// Head-count forgery leaves the store bytes intact, so the checksum stays
-/// valid — the M2xx partition pass and the M1xx shape pass are what catch
-/// the lie, in both directions.
+/// Head-count forgery leaves the store bytes intact and re-seals the
+/// checksum, so the layout compare is what catches the lie, in both
+/// directions.
 #[test]
 fn head_count_forgery_is_caught_without_checksum_help() {
-    // Claim fewer heads than the store holds: head2.* become orphans.
+    let layout_len = |heads: usize| TlpModel::with_heads(cfg_with_seed(3), heads).store.len();
+    // Claim fewer heads than the store holds: head 2 is past the layout.
     let mut snap = golden(3, 3);
     snap.set_heads(2);
-    let report = snap.audit();
-    assert!(report.has_errors());
-    assert!(
-        !report.has_code(Code::ChecksumMismatch),
-        "forgery must be caught structurally, not via checksum: {report}"
-    );
-    assert!(
-        report.has_code(Code::OrphanParam) || report.has_code(Code::HeadIndexOutOfRange),
-        "expected M102/M202, got: {report}"
-    );
-    assert!(matches!(snap.restore(), Err(PersistError::Invalid { .. })));
+    assert_eq!(layout_index(&snap), Some(layout_len(2)));
 
-    // Claim more heads than the store holds: head3.* are missing.
+    // Claim more heads than the store holds: head 3 is missing.
     let mut snap = golden(3, 3);
     snap.set_heads(4);
-    let report = snap.audit();
-    assert!(report.has_errors());
-    assert!(
-        report.has_code(Code::MissingParam),
-        "expected M101 for the phantom head, got: {report}"
-    );
+    match snap.restore().err() {
+        Some(PersistError::Invalid(StoreFault::Layout {
+            index,
+            expected: Some(Slot { name, .. }),
+            found: None,
+        })) => {
+            assert_eq!(index, layout_len(3));
+            assert!(name.starts_with("head3."), "{name}");
+        }
+        other => panic!("expected head 3 missing, got {other:?}"),
+    }
 
-    // Claim no heads at all: no model has that shape, so the audit reports
-    // an error and the restore a typed HeadCount — neither tries to build it.
+    // Claim no heads at all: no model has that shape, so the restore
+    // refuses with a typed HeadCount and never tries to build it.
     for heads in [1, 3] {
         let mut snap = golden(3, heads);
         snap.set_heads(0);
-        assert!(snap.audit().has_errors());
         assert!(matches!(
             snap.restore(),
             Err(PersistError::HeadCount { found: 0, .. })
@@ -216,26 +234,55 @@ fn head_count_forgery_is_caught_without_checksum_help() {
     }
 }
 
-/// Non-finite gradient residue is a warning (M304), not an error: it cannot
-/// corrupt a snapshot (gradients are not persisted) but it is worth
-/// surfacing. The report must still pass.
+/// Two same-shaped parameters swapped in position with the checksum
+/// re-sealed: every name and dims are still present, so a name-keyed
+/// compare passes the store, but the model reads weights by index and
+/// would bind the attention query weights as `backbone.up2.w`. The
+/// ordered compare refuses it at the first swapped index.
 #[test]
-fn nan_gradients_warn_but_do_not_fail() {
-    let cfg = cfg_with_seed(5);
-    let mut model = TlpModel::new(cfg.clone());
-    let id = model.store.ids().next().expect("params");
-    model.store.grad_mut(id).data_mut()[0] = f32::NAN;
-    let spec = tlp::audit::spec(&cfg, 1);
-    let report = audit_store(&spec, &model.store);
-    assert!(
-        report.has_code(Code::NonFiniteGradient),
-        "expected M304, got: {report}"
-    );
-    assert!(report.passes(), "gradient residue must not gate: {report}");
+fn permuted_store_is_refused_at_the_swapped_index() {
+    for heads in [1, 3] {
+        let mut snap = golden(17, heads);
+        let index_of = |name: &str| {
+            let store = snap.store();
+            store
+                .ids()
+                .position(|id| store.name(id) == name)
+                .expect(name)
+        };
+        let (a, b) = (index_of("backbone.up2.w"), index_of("backbone.attn.q.w"));
+        *snap.store_mut() = swapped(snap.store(), a, b);
+        snap.set_heads(heads);
+        match snap.restore().err() {
+            Some(PersistError::Invalid(StoreFault::Layout {
+                index,
+                expected: Some(expected),
+                found: Some(found),
+            })) => {
+                assert_eq!(index, a.min(b));
+                assert_eq!(expected.name, "backbone.up2.w");
+                assert_eq!(found.name, "backbone.attn.q.w");
+                assert_eq!(expected.dims, found.dims);
+            }
+            other => panic!("{heads}-head permuted store: expected a layout fault, got {other:?}"),
+        }
+    }
 }
 
-/// Trained models audit clean, and training behind the coverage
-/// gate is reproducible: two runs end on the same store checksum.
+/// Gradients are never persisted or scored with, so non-finite gradient
+/// residue does not gate: the check passes and the snapshot restores.
+#[test]
+fn nan_gradients_do_not_gate() {
+    let mut model = TlpModel::new(cfg_with_seed(5));
+    let id = model.store.ids().next().expect("params");
+    model.store.grad_mut(id).data_mut()[0] = f32::NAN;
+    let layout = TlpModel::new(cfg_with_seed(5)).store;
+    assert_eq!(tlp_modelcheck::check(&layout, &model.store), Ok(()));
+    assert!(snap_of(&model).restore().is_ok());
+}
+
+/// Trained models pass the check, and training is reproducible: two runs
+/// end on the same store checksum.
 #[test]
 fn trained_models_audit_clean_and_training_is_reproducible() {
     let cfg = TlpConfig {
@@ -261,40 +308,31 @@ fn trained_models_audit_clean_and_training_is_reproducible() {
         "training must move the parameters"
     );
 
-    let ex = tlp::features::FeatureExtractor::with_vocab(
-        tlp_schedule::Vocabulary::builder().build(),
-        cfg.seq_len,
-        cfg.emb_size,
-    );
-    let snap = snapshot(&trained, &ex);
-    let report = snap.audit();
-    assert!(
-        !report.has_errors(),
-        "trained model false-rejected: {report}"
-    );
-    // And the full persist round trip stays bit-identical under the gate.
+    // The full persist round trip passes the check and stays bit-identical.
+    let snap = snap_of(&trained);
     let (restored, _) = snap.restore().expect("trained snapshot restores");
-    let resnap = snapshot(&restored, &ex);
+    let resnap = snap_of(&restored);
     assert_eq!(store_bits(snap.store()), store_bits(resnap.store()));
 }
 
-/// The audit must be cheap enough to gate every install: ≥1M params/s on
-/// the full four-pass sweep (tier-1 runs with `profile.test` optimization).
+/// The check must be cheap enough to gate every install: ≥1M params/s for
+/// the whole restore — fresh layout, ordered compare, finite scan and
+/// checksum (tier-1 runs with `profile.test` optimization).
 #[test]
 fn audit_throughput_exceeds_floor() {
     let snap = golden(1, 3);
     let params: usize = coords(&snap).iter().map(|(_, n)| n).sum();
-    // Warm up once, then time a few sweeps.
-    std::hint::black_box(snap.audit());
+    // Warm up once, then time a few restores.
+    std::hint::black_box(snap.restore().expect("golden restores"));
     let iters = 5u32;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(snap.audit());
+        std::hint::black_box(snap.restore().expect("golden restores"));
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let params_per_s = params as f64 * f64::from(iters) / elapsed;
     assert!(
         params_per_s >= 1_000_000.0,
-        "audit too slow to gate installs: {params_per_s:.0} params/s over {params} params"
+        "the check is too slow to gate installs: {params_per_s:.0} params/s over {params} params"
     );
 }
