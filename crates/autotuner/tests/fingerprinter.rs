@@ -1,14 +1,17 @@
 //! The warm fingerprinter against `ScheduleSequence::salted_fingerprint`,
 //! over sketch output: one fingerprinter kept across requests of CPU and
 //! GPU candidates of several tasks, of every length up to nine (so each
-//! count of schedules left over after the four lanes), and past its
-//! skeleton cap, so it starts its set over mid-request.
+//! count of schedules left over after the four lanes), with candidates
+//! repeated within a request and across requests under alternating salts
+//! (so its memo answers some of them), past its skeleton cap, so it starts
+//! its set over mid-request, and past its memo's count and byte caps, so
+//! the memo starts over too.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tlp_autotuner::{Sketch, SketchPolicy};
 use tlp_schedule::{Fingerprinter, ScheduleSequence, Skeletons};
 use tlp_workload::{test_networks, Subgraph};
@@ -55,6 +58,24 @@ fn a_fingerprinter_past_its_skeleton_cap_still_hashes_every_schedule() {
         }
     }
     assert!(distinct.len() > 64, "{} skeletons", distinct.len());
+    // Then 1 100 distinct candidates of one sketch with 16 skeletons: more
+    // than the memo's 1 024 schedules, and more than its 128 KiB in ints
+    // alone.
+    let reduce = subgraphs()
+        .into_iter()
+        .find(|sg| sg.name == "s0b0_reduce")
+        .unwrap();
+    let sketch = policy(false).compile(&reduce);
+    let mut seen = std::collections::BTreeSet::new();
+    let run = pool.len();
+    while pool.len() < run + 1100 {
+        let s = sketch.random_candidate(&mut rng).sequence;
+        if seen.insert(s.fingerprint()) {
+            pool.push(s);
+        }
+    }
+    let ints: usize = pool[run..].iter().map(|s| s.ints().len()).sum();
+    assert!(8 * ints > 128 << 10, "{ints} ints");
 
     let mut fp = Fingerprinter::default();
     let mut rest = &pool[..];
@@ -68,12 +89,17 @@ fn a_fingerprinter_past_its_skeleton_cap_still_hashes_every_schedule() {
         rest = tail;
     }
     assert!(fp.len() < distinct.len());
-    let (found, looked_up) = fp.hits();
+    let (memoized, found, looked_up) = fp.hits();
     assert_eq!(looked_up, 2 * pool.len() as u64);
     assert!(
         0 < found && found < looked_up,
         "{found} of {looked_up} found"
     );
+    // The memo started over on the run: it holds the run's last schedules
+    // and none of its first.
+    let (first, last) = (&pool[run..run + 16], &pool[pool.len() - 16..]);
+    assert!(agrees(&mut fp, 0, last) && agrees(&mut fp, 0, first));
+    assert_eq!(fp.hits().0, memoized + 16);
 }
 
 proptest! {
@@ -98,12 +124,29 @@ proptest! {
             .collect();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut fp = Fingerprinter::default();
+        let mut sent: Vec<ScheduleSequence> = Vec::new();
         for (r, &len) in lengths.iter().enumerate() {
             let sketch = &sketches[r % sketches.len()];
-            let request: Vec<ScheduleSequence> =
-                (0..len).map(|_| sketch.random_candidate(&mut rng).sequence).collect();
-            prop_assert!(agrees(&mut fp, salt, &request));
-            prop_assert!(agrees(&mut fp, 0, &request));
+            let mut request: Vec<ScheduleSequence> = Vec::with_capacity(len);
+            // Half fresh, a quarter repeated from an earlier request and a
+            // quarter from earlier in this one.
+            for _ in 0..len {
+                let repeat = match rng.gen_range(0..4) {
+                    2 if !sent.is_empty() => Some(&sent[rng.gen_range(0..sent.len())]),
+                    3 if !request.is_empty() => Some(&request[rng.gen_range(0..request.len())]),
+                    _ => None,
+                };
+                let s = match repeat {
+                    Some(s) => s.clone(),
+                    None => sketch.random_candidate(&mut rng).sequence,
+                };
+                request.push(s);
+            }
+            let salts = if r % 2 == 0 { [salt, 0] } else { [0, salt] };
+            for salt in salts {
+                prop_assert!(agrees(&mut fp, salt, &request));
+            }
+            sent.extend(request);
         }
     }
 }

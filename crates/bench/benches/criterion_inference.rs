@@ -19,11 +19,13 @@
 //! (`tlp_nn::kernels::exp`) and with libm's, in ns per score element.
 //!
 //! `fingerprint` times the cache keys of a 256-candidate conv2d pool, in
-//! ns per schedule: one `ScheduleSequence::fingerprint` call each, and a
-//! warm `Fingerprinter` over 16-candidate requests (the serving path). It
-//! prints the share of schedules whose skeleton a fingerprinter already
-//! held, over that pool's requests and over the requests BERT-tiny's tuner
-//! sends its cost model (8 tasks).
+//! ns per schedule: one `ScheduleSequence::fingerprint` call each, a warm
+//! `Fingerprinter` over 16-candidate requests it has not keyed (every pass
+//! under a new salt, so it folds from held skeletons), and the same
+//! requests repeated (the serving path: its memo answers them). It prints
+//! the share of schedules whose skeleton a fingerprinter already held and
+//! the share its memo answered, over that pool's requests and over the
+//! requests BERT-tiny's tuner sends its cost model (8 tasks).
 //!
 //! Run with `cargo bench -p tlp-bench --bench criterion_inference`.
 
@@ -257,10 +259,12 @@ fn ns_per_schedule(n: usize, mut pass: impl FnMut()) -> f64 {
     best.as_secs_f64() * 1e9 / n as f64
 }
 
-/// Share of the schedules `fp` looked up whose skeleton it held.
-fn hit_rate(fp: &Fingerprinter) -> f64 {
-    let (found, looked_up) = fp.hits();
-    found as f64 / looked_up.max(1) as f64
+/// Shares of the schedules `fp` looked up whose skeleton it held and that
+/// its memo answered.
+fn hit_rates(fp: &Fingerprinter) -> (f64, f64) {
+    let (memoized, found, looked_up) = fp.hits();
+    let share = |n: u64| n as f64 / looked_up.max(1) as f64;
+    (share(found), share(memoized))
 }
 
 /// A cost model that passes every request through a fingerprinter first.
@@ -290,23 +294,41 @@ fn bench_fingerprints() {
     for request in pool.chunks(16) {
         cold.fingerprints_into(request, &mut keys);
     }
-    let pool_hits = hit_rate(&cold);
+    let (pool_skeletons, _) = hit_rates(&cold);
     let one_shot = ns_per_schedule(pool.len(), || {
         for s in &pool {
             criterion::black_box(s.fingerprint());
         }
     });
-    let mut warm = cold;
+    let mut warm = cold.clone();
+    let mut salt = 0;
     let warm_ns = ns_per_schedule(pool.len(), || {
+        salt += 1;
         for request in pool.chunks(16) {
-            warm.fingerprints_into(request, &mut keys);
+            warm.salted_fingerprints_into(salt, request, &mut keys);
             criterion::black_box(keys[0]);
         }
     });
-    for (name, ns) in [("one_shot", one_shot), ("warm_16", warm_ns)] {
+    let mut repeated = cold;
+    let before = repeated.hits();
+    let repeated_ns = ns_per_schedule(pool.len(), || {
+        for request in pool.chunks(16) {
+            repeated.fingerprints_into(request, &mut keys);
+            criterion::black_box(keys[0]);
+        }
+    });
+    let after = repeated.hits();
+    let pool_memo = (after.0 - before.0) as f64 / (after.2 - before.2) as f64;
+    for (name, ns) in [
+        ("one_shot", one_shot),
+        ("warm_16", warm_ns),
+        ("repeated_16", repeated_ns),
+    ] {
         println!("fingerprint_conv2d_256/{name:<16} {ns:>9.1} ns/schedule");
     }
-    println!("fingerprint_conv2d_256/skeleton hit rate {pool_hits:.3}");
+    println!(
+        "fingerprint_conv2d_256/skeleton hit rate {pool_skeletons:.3}, memo hit rate when repeated {pool_memo:.3}"
+    );
 
     let mut model = Keyed {
         inner: RandomModel::new(7),
@@ -325,10 +347,10 @@ fn bench_fingerprints() {
         &options,
     );
     let fp = model.fingerprinter.borrow();
+    let (skeletons, memo) = hit_rates(&fp);
     println!(
-        "fingerprint_tune_bert_tiny/skeleton hit rate {:.3} over {} schedules",
-        hit_rate(&fp),
-        fp.hits().1
+        "fingerprint_tune_bert_tiny/skeleton hit rate {skeletons:.3}, memo hit rate {memo:.3} over {} schedules",
+        fp.hits().2
     );
 }
 

@@ -14,7 +14,10 @@
 //!   layer hashes and extracts at admission and hands the same keys to
 //!   [`InferenceEngine::probe`] and [`InferenceEngine::score_features_into`]),
 //!   through a [`Fingerprinter`] that keeps each schedule skeleton's hash
-//!   words across requests — the engine pools one per concurrent call;
+//!   words across requests, and answers a schedule it keyed before from
+//!   its memo without hashing it again — the engine pools one per
+//!   concurrent call. The cache's map and the per-request dedup map hash
+//!   those fingerprints with Fx: they are mixed already;
 //! - **micro-batching** — cache misses, collapsed to one per distinct key of
 //!   the request, are chunked and claimed off a shared counter by workers —
 //!   the calling thread alone when one suffices,
@@ -37,6 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use tlp_autotuner::{BatchStats, PipelineCost, SearchTask, UpdateError};
+use tlp_schedule::hash::FxBuildHasher;
 use tlp_schedule::{Fingerprinter, ScheduleSequence};
 
 /// The model-side half of the engine: maps (task, candidates) to raw scores.
@@ -265,7 +269,8 @@ impl ScoreKeys {
 /// most-recent-first list, so get/insert are O(1) with no per-entry boxing.
 struct LruCache {
     capacity: usize,
-    map: HashMap<(u64, u64), usize>,
+    /// Fx-hashed: its keys are fingerprints, mixed already.
+    map: HashMap<(u64, u64), usize, FxBuildHasher>,
     slots: Vec<Slot>,
     head: usize,
     tail: usize,
@@ -284,7 +289,7 @@ impl LruCache {
     fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), FxBuildHasher::default()),
             slots: Vec::with_capacity(capacity.min(1 << 20)),
             head: NIL,
             tail: NIL,
@@ -426,7 +431,7 @@ struct CallBufs {
     fingerprinter: Fingerprinter,
     miss_idx: Vec<usize>,
     /// Schedule fingerprint → index of the first miss carrying it.
-    first_miss: HashMap<u64, usize>,
+    first_miss: HashMap<u64, usize, FxBuildHasher>,
     /// `(index, index of the earlier miss with the same key)`.
     repeats: Vec<(usize, usize)>,
 }

@@ -64,7 +64,10 @@ fn a_fingerprinter_folds_the_pinned_digest_cold_and_warm() {
     let sequences = corpus();
     let mut fp = Fingerprinter::default();
     let (mut plain, mut salted) = (Vec::new(), Vec::new());
-    for pass in ["cold", "warm"] {
+    // The cold pass folds the plain fingerprints from skeletons it has not
+    // seen and the salted ones from the skeletons held by then; the warm
+    // and the repeated pass are answered from the fingerprinter's memo.
+    for (pass, memoized) in [("cold", 0), ("warm", 64), ("repeated", 128)] {
         fp.fingerprints_into(&sequences, &mut plain);
         fp.salted_fingerprints_into(0x9e37_79b9_7f4a_7c15, &sequences, &mut salted);
         let mut digest = 0xcbf2_9ce4_8422_2325_u64;
@@ -75,6 +78,7 @@ fn a_fingerprinter_folds_the_pinned_digest_cold_and_warm() {
             fold(s.len() as u64);
         }
         assert_eq!(digest, 0x6c6d_57b3_1f35_0426, "{pass}: got {digest:#x}");
+        assert_eq!(fp.hits().0, memoized, "{pass}");
     }
 }
 

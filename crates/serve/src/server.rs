@@ -7,7 +7,8 @@
 //! [`tlp_verify::Verifier`] for the task, kept across requests) →
 //! fingerprint the request once ([`ScoreKeys`], through the
 //! [`Fingerprinter`] kept with that verifier, which holds the words of the
-//! task's schedule skeletons) → probe the resolved
+//! task's schedule skeletons and the fingerprints of the schedules it keyed
+//! before, so a candidate it keyed before is not hashed again) → probe the resolved
 //! version's score cache, all or nothing. A request whose every candidate
 //! is cached is answered right there, on the submitting thread: no
 //! extraction, no channel, no queue slot, no batcher. Anything else has its
